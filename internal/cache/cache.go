@@ -234,3 +234,13 @@ func (c *LLC) Flush() {
 
 // Stats returns cumulative hits and misses since construction.
 func (c *LLC) Stats() (hits, misses uint64) { return c.hits, c.misses }
+
+// Clone returns an independent copy of the cache: same tags,
+// replacement and MRU state, last-line shortcut and statistics.
+func (c *LLC) Clone() *LLC {
+	n := *c
+	n.tags = append([]uint32(nil), c.tags...)
+	n.next = append([]uint8(nil), c.next...)
+	n.mru = append([]uint8(nil), c.mru...)
+	return &n
+}

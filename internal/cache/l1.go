@@ -68,3 +68,10 @@ func (c *L1) Flush() {
 
 // Stats returns cumulative hits and misses.
 func (c *L1) Stats() (hits, misses uint64) { return c.hits, c.misses }
+
+// Clone returns an independent copy of the cache.
+func (c *L1) Clone() *L1 {
+	n := *c
+	n.tags = append([]uint64(nil), c.tags...)
+	return &n
+}

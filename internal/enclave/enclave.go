@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 
 	"sgxgauge/internal/mem"
 )
@@ -38,6 +39,11 @@ type Enclave struct {
 	hash       [32]byte // running measurement state (chained SHA-256)
 	launched   bool
 	abortCause error
+
+	// digest and hdr are EEXTEND scratch, reused for every page of the
+	// build and dropped at FinishLaunch.
+	digest hash.Hash
+	hdr    [8]byte
 }
 
 // New creates an un-launched enclave covering
@@ -68,15 +74,22 @@ func (e *Enclave) PageID(addr uint64) mem.PageID {
 
 // ExtendMeasurement folds one added page into the launch measurement
 // (the EEXTEND step). The machine calls this once per page while
-// building the enclave.
+// building the enclave. Extending a launched enclave is a bug and
+// panics: its Measurement is already sealed and would go stale.
 func (e *Enclave) ExtendMeasurement(vpn uint64, f *mem.Frame) {
-	h := sha256.New()
+	if e.launched {
+		panic("enclave: ExtendMeasurement after FinishLaunch")
+	}
+	if e.digest == nil {
+		e.digest = sha256.New()
+	}
+	h := e.digest
+	h.Reset()
 	h.Write(e.hash[:])
-	var hdr [8]byte
-	binary.LittleEndian.PutUint64(hdr[:], vpn)
-	h.Write(hdr[:])
+	binary.LittleEndian.PutUint64(e.hdr[:], vpn)
+	h.Write(e.hdr[:])
 	h.Write(f.Data[:])
-	copy(e.hash[:], h.Sum(nil))
+	h.Sum(e.hash[:0])
 }
 
 // FinishLaunch seals the measurement; further ExtendMeasurement calls
@@ -87,6 +100,19 @@ func (e *Enclave) FinishLaunch() {
 	}
 	e.Measurement = e.hash
 	e.launched = true
+	e.digest = nil
+}
+
+// Clone returns an independent copy of a launched enclave, for a
+// machine cloned from a booted template. Only launched enclaves clone:
+// a build in progress holds a live digest, and a clone must never
+// extend a measurement.
+func (e *Enclave) Clone() *Enclave {
+	if !e.launched {
+		panic("enclave: Clone of an enclave still being built")
+	}
+	c := *e
+	return &c
 }
 
 // Launched reports whether the enclave finished its build phase.

@@ -1,6 +1,8 @@
 package enclave
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"testing"
 
 	"sgxgauge/internal/mem"
@@ -133,4 +135,82 @@ func TestDoubleFinishLaunchPanics(t *testing.T) {
 		}
 	}()
 	e.FinishLaunch()
+}
+
+func TestExtendAfterFinishLaunchPanics(t *testing.T) {
+	e := New(1, 0, 4)
+	var f mem.Frame
+	e.ExtendMeasurement(0, &f)
+	e.FinishLaunch()
+	want := e.Measurement
+	defer func() {
+		if recover() == nil {
+			t.Error("ExtendMeasurement after FinishLaunch did not panic")
+		}
+		if e.Measurement != want {
+			t.Error("late ExtendMeasurement changed the sealed measurement")
+		}
+	}()
+	e.ExtendMeasurement(1, &f)
+}
+
+func TestExtendMeasurementDoesNotAllocate(t *testing.T) {
+	e := New(1, 0, 4)
+	var f mem.Frame
+	e.ExtendMeasurement(0, &f) // first call creates the reused digest
+	vpn := uint64(1)
+	if n := testing.AllocsPerRun(100, func() {
+		e.ExtendMeasurement(vpn, &f)
+		vpn++
+	}); n != 0 {
+		t.Errorf("ExtendMeasurement allocates %v times per page, want 0", n)
+	}
+}
+
+// TestMeasurementChain pins the EEXTEND chain: SHA-256 over the prior
+// state, the little-endian VPN and the page bytes.
+func TestMeasurementChain(t *testing.T) {
+	var f mem.Frame
+	f.Data[7] = 0x5a
+	e := New(1, 0, 4)
+	e.ExtendMeasurement(3, &f)
+	e.ExtendMeasurement(9, &f)
+	e.FinishLaunch()
+
+	want := sha256.Sum256([]byte("sgxgauge-enclave-init"))
+	for _, vpn := range []uint64{3, 9} {
+		buf := append([]byte(nil), want[:]...)
+		buf = binary.LittleEndian.AppendUint64(buf, vpn)
+		buf = append(buf, f.Data[:]...)
+		want = sha256.Sum256(buf)
+	}
+	if e.Measurement != want {
+		t.Errorf("measurement = %x, want %x", e.Measurement, want)
+	}
+}
+
+func TestCloneLaunchedOnly(t *testing.T) {
+	e := New(1, 0, 4)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Clone of an unlaunched enclave did not panic")
+			}
+		}()
+		e.Clone()
+	}()
+	e.FinishLaunch()
+	if _, err := e.Alloc(64, 0); err != nil {
+		t.Fatal(err)
+	}
+	c := e.Clone()
+	if c.Measurement != e.Measurement || c.HeapUsed() != e.HeapUsed() {
+		t.Fatal("clone differs from its source")
+	}
+	if _, err := c.Alloc(64, 0); err != nil {
+		t.Fatal(err)
+	}
+	if c.HeapUsed() == e.HeapUsed() {
+		t.Error("clone shares its heap cursor with the source")
+	}
 }

@@ -223,6 +223,40 @@ func New(capacityPages int, engine *mee.Engine, backing *mem.BackingStore, count
 	return e
 }
 
+// Clone returns an independent copy of the EPC over the given backing
+// store and counter bank (the clones of e's, made by the caller): the
+// same slots, frame contents, residency and version indexes, CLOCK
+// hand, op statistics and jitter state, so the copy evolves exactly as
+// e would. The MEE engine is shared (its keys never change); the
+// clone gets its own crypt batch and eviction scratch. Hooks are not
+// copied — the owning machine wires its own — and an EPC recording a
+// timeline does not clone, because the sampled clock belongs to a
+// thread of e's machine. Clone only reads e.
+func (e *EPC) Clone(backing *mem.BackingStore, counters *perf.Counters) *EPC {
+	if e.clockRef != nil {
+		panic("epc: Clone of an EPC recording a timeline")
+	}
+	c := &EPC{
+		capacity: e.capacity,
+		engine:   e.engine,
+		backing:  backing,
+		counters: counters,
+		crypt:    e.engine.NewBatch(),
+		slots:    append([]slot(nil), e.slots...),
+		frames:   append([]mem.Frame(nil), e.frames...),
+		resident: e.resident.clone(),
+		free:     append([]int(nil), e.free...),
+		hand:     e.hand,
+		versions: e.versions.clone(),
+		ops:      e.ops,
+		jitter:   e.jitter,
+	}
+	if e.tree != nil {
+		c.tree = e.tree.Clone()
+	}
+	return c
+}
+
 // Capacity returns the number of pages the EPC can hold.
 func (e *EPC) Capacity() int { return e.capacity }
 

@@ -35,6 +35,14 @@ func newPageIdx(capacity int) *pageIdx {
 	return p
 }
 
+// clone returns an independent copy of the table.
+func (p *pageIdx) clone() *pageIdx {
+	c := *p
+	c.ids = append([]mem.PageID(nil), p.ids...)
+	c.idxs = append([]int32(nil), p.idxs...)
+	return &c
+}
+
 func hashPageID(id mem.PageID) uint64 {
 	h := id.VPN*0x9e3779b97f4a7c15 ^ uint64(id.Enclave)*0xc2b2ae3d27d4eb4f
 	return h ^ h>>29
@@ -95,6 +103,14 @@ func newVerIdx() *verIdx {
 		vers: make([]uint64, 64),
 		mask: 63,
 	}
+}
+
+// clone returns an independent copy of the table.
+func (p *verIdx) clone() *verIdx {
+	c := *p
+	c.ids = append([]mem.PageID(nil), p.ids...)
+	c.vers = append([]uint64(nil), p.vers...)
+	return &c
 }
 
 // get returns the stored version for id, or 0 when absent.

@@ -35,6 +35,11 @@ type Progress struct {
 	// without executing. Such events are emitted only when the batch
 	// opts in via ProgressCached.
 	Cached bool
+	// Cloned marks a LibOS spec that ran on a clone of a boot it
+	// shared with other specs of the batch instead of booting its own
+	// machine (see DESIGN.md §"Boot templates"). Like Wall it is
+	// reporting-only: the Result is identical either way.
+	Cloned bool
 }
 
 type engineOpts struct {
@@ -123,8 +128,9 @@ func WithContext(ctx context.Context) Option {
 }
 
 // runBatch is the parallel engine every harness entry point feeds:
-// it executes every spec on the worker pool, booting one independent
-// simulated machine per spec in its own goroutine. Results are
+// it executes every spec on the worker pool, each on its own simulated
+// machine in its own goroutine; LibOS specs that boot the same
+// configuration share one boot (see planBoots). Results are
 // returned in input order regardless of completion order, and each
 // spec's deterministic seeding is untouched, so a batch is
 // bit-for-bit identical to running the same specs serially. A spec
@@ -140,6 +146,9 @@ func runBatch(specs []Spec, o engineOpts) ([]Result, error) {
 		ctx = context.Background()
 	}
 	results := make([]Result, len(specs))
+	// Specs sent to a remote executor never claim their slot, so they
+	// never build a template; finish releases their share of the plan.
+	boots := planBoots(specs, poolSize(len(specs), o.workers))
 	var mu sync.Mutex
 	completed := 0
 	forEach(len(specs), o.workers, func(i int) {
@@ -166,7 +175,7 @@ func runBatch(specs []Spec, o engineOpts) ([]Result, error) {
 				results[i].Attempts = 1
 			}
 		} else {
-			res, attempts, err := runWithRetry(ctx, specs[i], &o)
+			res, attempts, err := runWithRetry(ctx, specs[i], &o, boots[i])
 			if res != nil {
 				results[i] = *res
 				results[i].Err = err
@@ -175,6 +184,7 @@ func runBatch(specs []Spec, o engineOpts) ([]Result, error) {
 			}
 			results[i].Attempts = attempts
 		}
+		boots[i].finish()
 		wall := o.clock.Since(start)
 		if o.progress != nil {
 			mu.Lock()
@@ -187,6 +197,7 @@ func runBatch(specs []Spec, o engineOpts) ([]Result, error) {
 				Mode:      specs[i].Mode,
 				Wall:      wall,
 				Err:       results[i].Err,
+				Cloned:    boots[i].wasCloned(),
 			})
 			mu.Unlock()
 		}
@@ -211,7 +222,7 @@ func execBatch(specs []Spec, opts ...Option) ([]Result, error) {
 // context: a cancelled batch stops waiting immediately and surfaces
 // the last attempt's transient error instead of sleeping out the rest
 // of an exponential schedule nobody will read.
-func runWithRetry(ctx context.Context, spec Spec, o *engineOpts) (*Result, int, error) {
+func runWithRetry(ctx context.Context, spec Spec, o *engineOpts, boot *bootSlot) (*Result, int, error) {
 	var res *Result
 	var err error
 	for attempt := 0; ; attempt++ {
@@ -220,7 +231,7 @@ func runWithRetry(ctx context.Context, spec Spec, o *engineOpts) (*Result, int, 
 			derived := s.Chaos.WithAttempt(attempt)
 			s.Chaos = &derived
 		}
-		res, err = runSafe(s)
+		res, err = runSafe(s, boot)
 		if err == nil || attempt >= o.retries || !sgx.IsTransient(err) {
 			return res, attempt + 1, err
 		}
@@ -245,13 +256,13 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 
 // runSafe is Run with panic containment: one bad config surfaces as
 // an error instead of killing the whole sweep.
-func runSafe(spec Spec) (res *Result, err error) {
+func runSafe(spec Spec, boot *bootSlot) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("harness: run panicked: %v", r)
 		}
 	}()
-	return runOne(spec)
+	return runOne(spec, boot)
 }
 
 // failedResult echoes what identification the spec offers alongside
@@ -271,12 +282,7 @@ func forEach(n, workers int, fn func(int)) {
 	if n <= 0 {
 		return
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
+	workers = poolSize(n, workers)
 	if workers == 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
@@ -299,6 +305,18 @@ func forEach(n, workers int, fn func(int)) {
 	}
 	close(idx)
 	wg.Wait()
+}
+
+// poolSize returns how many goroutines forEach runs for n calls on up
+// to workers goroutines (workers <= 0 selects GOMAXPROCS).
+func poolSize(n, workers int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
+	return workers
 }
 
 // MatrixSpecs returns the paper's main experiment grid — every suite

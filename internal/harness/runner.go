@@ -8,10 +8,12 @@
 // workload's run portion — GrapheneSGX-style startup is recorded
 // separately and excluded, exactly as the paper does (Appendix D).
 //
-// Each run's machine is fully independent, so batches of specs run
-// concurrently through RunAll on a worker pool; all simulated time
-// comes from per-run seeded state, so a parallel batch is bit-for-bit
-// identical to running the same specs serially.
+// Each run's machine is fully independent (LibOS specs of one batch
+// that boot the same configuration run on clones of one shared boot),
+// so batches of specs run concurrently through RunAll on a worker
+// pool; all simulated time comes from per-run seeded state, so a
+// parallel batch is bit-for-bit identical to running the same specs
+// serially.
 package harness
 
 import (
@@ -149,19 +151,46 @@ type Result struct {
 
 // fail records a machine fault on the result, capturing the state the
 // run reached before dying so chaos reports can still be built.
-func (r *Result) fail(env *sgx.Env, m *sgx.Machine, err error) {
+func (r *Result) fail(env *sgx.Env, err error) {
 	r.Err = err
 	r.Cycles = env.Elapsed() - r.StartupCycles
 	r.TotalCounters = env.Snapshot()
 	r.Counters = r.TotalCounters.Sub(r.StartupCounters)
-	r.Timeline = m.EPC.Timeline()
+	r.Timeline = env.M.EPC.Timeline()
 }
 
-// runOne executes one spec on a fresh machine. It is the engine
+// machineConfig returns the machine configuration a spec runs on: the
+// spec's base Machine with its EPC size, seed, switchless setting and
+// chaos injector applied on top.
+func machineConfig(spec Spec) sgx.Config {
+	var cfg sgx.Config
+	if spec.Machine != nil {
+		cfg = *spec.Machine
+	}
+	cfg.EPCPages = spec.EPCPages
+	cfg.Seed = uint64(spec.Seed) ^ 0x5067617567 // "gauge"
+	cfg.Switchless = spec.Switchless
+	cfg.Chaos = spec.Chaos
+	return cfg
+}
+
+// libosManifest returns the manifest a LibOS spec boots with, trusting
+// the given input files.
+func libosManifest(spec Spec, files []string) libos.Manifest {
+	return libos.Manifest{
+		Binary:         spec.Workload.Name(),
+		Files:          files,
+		ProtectedFiles: spec.ProtectedFiles,
+	}
+}
+
+// runOne executes one spec on a fresh machine — or, for a LibOS spec
+// whose boot the batch shares, on a clone of the batch's booted
+// template (boot may be nil: boot in place). It is the engine
 // primitive under the Runner API: unlike Runner.Run it is uncached,
 // retries nothing, and reports the spec's own failure through the
 // error return (runWithRetry moves it into Result.Err).
-func runOne(spec Spec) (*Result, error) {
+func runOne(spec Spec, boot *bootSlot) (*Result, error) {
 	if spec.Scenario != nil {
 		return runScenario(spec)
 	}
@@ -172,19 +201,15 @@ func runOne(spec Spec) (*Result, error) {
 		return nil, fmt.Errorf("harness: %s has no Native-mode port", spec.Workload.Name())
 	}
 
-	var cfg sgx.Config
-	if spec.Machine != nil {
-		cfg = *spec.Machine
+	cfg := machineConfig(spec)
+	newMachine := func() *sgx.Machine {
+		m := sgx.NewMachine(cfg)
+		if spec.Hooks.OnMachine != nil {
+			spec.Hooks.OnMachine(m)
+		}
+		return m
 	}
-	cfg.EPCPages = spec.EPCPages
-	cfg.Seed = uint64(spec.Seed) ^ 0x5067617567 // "gauge"
-	cfg.Switchless = spec.Switchless
-	cfg.Chaos = spec.Chaos
-	m := sgx.NewMachine(cfg)
-	if spec.Hooks.OnMachine != nil {
-		spec.Hooks.OnMachine(m)
-	}
-	epcPages := m.Config().EPCPages
+	epcPages := cfg.WithDefaults().EPCPages
 
 	params := spec.Workload.DefaultParams(epcPages, spec.Size)
 	if spec.Params != nil {
@@ -206,9 +231,10 @@ func runOne(spec Spec) (*Result, error) {
 	var env *sgx.Env
 	switch spec.Mode {
 	case sgx.Vanilla:
-		env = m.NewEnv(sgx.Vanilla)
+		env = newMachine().NewEnv(sgx.Vanilla)
 		ctx.FS = rawFS
 	case sgx.Native:
+		m := newMachine()
 		env = m.NewEnv(sgx.Native)
 		if spec.Timeline > 0 {
 			m.EPC.EnableTimeline(&env.Main.Clock, spec.Timeline)
@@ -216,18 +242,8 @@ func runOne(spec Spec) (*Result, error) {
 		ctx.FS = rawFS
 	case sgx.LibOS:
 		// The manifest trusts every file present after setup.
-		man := libos.Manifest{
-			Binary:         spec.Workload.Name(),
-			Files:          rawFS.List(),
-			ProtectedFiles: spec.ProtectedFiles,
-		}
-		var inst *libos.Instance
-		var bootErr error
-		if perr := sgx.Protect(func() {
-			inst, bootErr = startLibOS(m, rawFS, man, spec.Timeline)
-		}); perr != nil {
-			bootErr = perr
-		}
+		man := libosManifest(spec, rawFS.List())
+		inst, bootErr := boot.start(newMachine, cfg, rawFS, man, spec.Timeline)
 		if bootErr != nil {
 			return nil, fmt.Errorf("harness: booting LibOS: %w", bootErr)
 		}
@@ -267,7 +283,7 @@ func runOne(spec Spec) (*Result, error) {
 			launchErr = perr
 		}
 		if launchErr != nil {
-			res.fail(env, m, fmt.Errorf("harness: launching Native enclave: %w", launchErr))
+			res.fail(env, fmt.Errorf("harness: launching Native enclave: %w", launchErr))
 			return res, res.Err
 		}
 	}
@@ -284,7 +300,7 @@ func runOne(spec Spec) (*Result, error) {
 		runErr = perr
 	}
 	if runErr != nil {
-		res.fail(env, m, fmt.Errorf("harness: running %s in %v mode: %w", spec.Workload.Name(), spec.Mode, runErr))
+		res.fail(env, fmt.Errorf("harness: running %s in %v mode: %w", spec.Workload.Name(), spec.Mode, runErr))
 		return res, res.Err
 	}
 
@@ -292,24 +308,14 @@ func runOne(spec Spec) (*Result, error) {
 	res.Cycles = env.Elapsed() - res.StartupCycles
 	res.TotalCounters = env.Snapshot()
 	res.Counters = res.TotalCounters.Sub(res.StartupCounters)
-	res.Timeline = m.EPC.Timeline()
+	res.Timeline = env.M.EPC.Timeline()
 	res.OpStats = map[epc.Op]epc.OpStats{
-		epc.OpAlloc: m.EPC.OpStatsFor(epc.OpAlloc),
-		epc.OpEWB:   m.EPC.OpStatsFor(epc.OpEWB),
-		epc.OpELDU:  m.EPC.OpStatsFor(epc.OpELDU),
-		epc.OpFault: m.EPC.OpStatsFor(epc.OpFault),
+		epc.OpAlloc: env.M.EPC.OpStatsFor(epc.OpAlloc),
+		epc.OpEWB:   env.M.EPC.OpStatsFor(epc.OpEWB),
+		epc.OpELDU:  env.M.EPC.OpStatsFor(epc.OpELDU),
+		epc.OpFault: env.M.EPC.OpStatsFor(epc.OpFault),
 	}
 	return res, nil
-}
-
-// startLibOS boots the library OS, arranging the EPC timeline to use
-// the LibOS environment's main clock from the start.
-func startLibOS(m *sgx.Machine, fs *osal.FS, man libos.Manifest, timeline uint64) (*libos.Instance, error) {
-	inst, err := libos.StartWithTimeline(m, fs, man, timeline)
-	if err != nil {
-		return nil, err
-	}
-	return inst, nil
 }
 
 // Overhead returns the runtime overhead of res relative to base

@@ -16,7 +16,7 @@ func mustRun(t *testing.T, spec Spec) *Result {
 	if spec.EPCPages == 0 {
 		spec.EPCPages = testEPC
 	}
-	res, err := runOne(spec)
+	res, err := runOne(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,11 +24,11 @@ func mustRun(t *testing.T, spec Spec) *Result {
 }
 
 func TestRunRejectsBadSpecs(t *testing.T) {
-	if _, err := runOne(Spec{}); err == nil {
+	if _, err := runOne(Spec{}, nil); err == nil {
 		t.Error("nil workload accepted")
 	}
 	lighttpd, _ := suite.ByName("Lighttpd")
-	if _, err := runOne(Spec{Workload: lighttpd, Mode: sgx.Native}); err == nil {
+	if _, err := runOne(Spec{Workload: lighttpd, Mode: sgx.Native}, nil); err == nil {
 		t.Error("Native run of a LibOS-only workload accepted")
 	}
 }
@@ -133,11 +133,11 @@ func TestRunnerCaching(t *testing.T) {
 func TestDeterministicAcrossRuns(t *testing.T) {
 	w, _ := suite.ByName("HashJoin")
 	spec := Spec{Workload: w, Mode: sgx.Native, Size: workloads.Low, EPCPages: testEPC, Seed: 9}
-	a, err := runOne(spec)
+	a, err := runOne(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := runOne(spec)
+	b, err := runOne(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

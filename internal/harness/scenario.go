@@ -62,15 +62,7 @@ func runScenario(spec Spec) (*Result, error) {
 		return nil, fmt.Errorf("harness: unknown scenario %q (valid: %s)", sp.Name, workloads.ValidScenarioList())
 	}
 
-	var cfg sgx.Config
-	if spec.Machine != nil {
-		cfg = *spec.Machine
-	}
-	cfg.EPCPages = spec.EPCPages
-	cfg.Seed = uint64(spec.Seed) ^ 0x5067617567 // "gauge", same derivation as runOne
-	cfg.Switchless = spec.Switchless
-	cfg.Chaos = spec.Chaos
-	m := sgx.NewMachine(cfg)
+	m := sgx.NewMachine(machineConfig(spec))
 	if spec.Hooks.OnMachine != nil {
 		spec.Hooks.OnMachine(m)
 	}

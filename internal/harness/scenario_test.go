@@ -54,8 +54,8 @@ func encodeForCompare(t *testing.T, res *Result) []byte {
 func TestScenarioRerunBitIdentical(t *testing.T) {
 	for name, spec := range allScenarioSpecs(t, 42) {
 		t.Run(name, func(t *testing.T) {
-			a, errA := runOne(spec)
-			b, errB := runOne(spec)
+			a, errA := runOne(spec, nil)
+			b, errB := runOne(spec, nil)
 			if errA != nil || errB != nil {
 				t.Fatalf("runs failed: %v / %v", errA, errB)
 			}
@@ -216,7 +216,7 @@ func TestScenarioThroughRunnerCache(t *testing.T) {
 // TestScenarioResultShape sanity-checks the per-scenario outputs the
 // docs advertise.
 func TestScenarioResultShape(t *testing.T) {
-	res, err := runOne(scenarioSpec(t, "noisy-neighbor", 3, 9))
+	res, err := runOne(scenarioSpec(t, "noisy-neighbor", 3, 9), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestScenarioResultShape(t *testing.T) {
 		t.Fatalf("result mislabeled: %s / %v", res.Name, res.Mode)
 	}
 
-	cres, err := runOne(scenarioSpec(t, "consensus", 3, 9))
+	cres, err := runOne(scenarioSpec(t, "consensus", 3, 9), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,25 +59,11 @@ func Start(m *sgx.Machine, fs *osal.FS, man Manifest) (*Instance, error) {
 // before the enclave build, so the launch-time eviction storm is
 // captured (Figure 9). timelineEvery = 0 disables sampling.
 func StartWithTimeline(m *sgx.Machine, fs *osal.FS, man Manifest, timelineEvery uint64) (*Instance, error) {
-	if err := man.Validate(); err != nil {
+	inst, err := load(fs, man, m.Config().EPCPages)
+	if err != nil {
 		return nil, err
 	}
-	man = man.withDefaults(m.Config().EPCPages)
-
-	inst := &Instance{
-		Manifest:   man,
-		fs:         fs,
-		fileHashes: make(map[string][32]byte, len(man.Files)),
-		verified:   make(map[string]bool, len(man.Files)),
-	}
-	// Manifest processing: hash every trusted input file.
-	for _, name := range man.Files {
-		data := fs.Raw(name)
-		if data == nil {
-			return nil, fmt.Errorf("libos: manifest file %q not found", name)
-		}
-		inst.fileHashes[name] = hashFile(data)
-	}
+	man = inst.Manifest
 
 	env := m.NewEnv(sgx.LibOS)
 	inst.Env = env
@@ -127,6 +113,59 @@ func StartWithTimeline(m *sgx.Machine, fs *osal.FS, man Manifest, timelineEvery 
 	inst.StartupCycles = env.Elapsed()
 	inst.StartupCounters = env.Snapshot()
 	return inst, nil
+}
+
+// load performs manifest processing: it validates and defaults the
+// manifest for an EPC of epcPages pages and hashes every trusted
+// input file. The returned instance has no environment yet.
+func load(fs *osal.FS, man Manifest, epcPages int) (*Instance, error) {
+	if err := man.Validate(); err != nil {
+		return nil, err
+	}
+	man = man.withDefaults(epcPages)
+	inst := &Instance{
+		Manifest:   man,
+		fs:         fs,
+		fileHashes: make(map[string][32]byte, len(man.Files)),
+		verified:   make(map[string]bool, len(man.Files)),
+	}
+	for _, name := range man.Files {
+		data := fs.Raw(name)
+		if data == nil {
+			return nil, fmt.Errorf("libos: manifest file %q not found", name)
+		}
+		inst.fileHashes[name] = hashFile(data)
+	}
+	return inst, nil
+}
+
+// Clone starts the application of man over fs on a copy of inst's
+// booted machine instead of booting a fresh one. The boot reads only
+// the machine configuration and the enclave size, so when those match
+// the result is identical to Start with man on a fresh machine —
+// manifest processing (file hashing and its errors) still runs for
+// man, before the copy. Clone only reads inst: one booted instance
+// serves as the template for any number of concurrent Clones, as long
+// as nothing runs on it.
+func (inst *Instance) Clone(fs *osal.FS, man Manifest) (*Instance, error) {
+	c, err := load(fs, man, inst.Env.M.Config().EPCPages)
+	if err != nil {
+		return nil, err
+	}
+	if c.Manifest.EnclaveSizePages != inst.Manifest.EnclaveSizePages {
+		return nil, fmt.Errorf("libos: clone needs a %d-page enclave, template booted %d",
+			c.Manifest.EnclaveSizePages, inst.Manifest.EnclaveSizePages)
+	}
+	c.Env = inst.Env.Clone()
+	c.StartupCycles = inst.StartupCycles
+	c.StartupCounters = inst.StartupCounters
+	return c, nil
+}
+
+// EnclavePages returns the enclave size a boot of man on an EPC of
+// epcPages pages builds: the only manifest field the boot reads.
+func (m Manifest) EnclavePages(epcPages int) int {
+	return m.withDefaults(epcPages).EnclaveSizePages
 }
 
 // VerifyOnOpen checks a trusted file's hash the first time it is

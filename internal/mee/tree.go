@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 
 	"sgxgauge/internal/mem"
 )
@@ -158,4 +159,16 @@ func (t *IntegrityTree) Verify(id mem.PageID, mac [16]byte) error {
 // for an untrusted-memory attack on the tree itself).
 func (t *IntegrityTree) CorruptNode(level, index int) {
 	t.levels[level][index] ^= 1
+}
+
+// Clone returns an independent copy of the tree: same nodes and leaf
+// assignments.
+func (t *IntegrityTree) Clone() *IntegrityTree {
+	c := *t
+	c.levels = make([][]uint64, len(t.levels))
+	for i, lvl := range t.levels {
+		c.levels[i] = append([]uint64(nil), lvl...)
+	}
+	c.leafOf = maps.Clone(t.leafOf)
+	return &c
 }

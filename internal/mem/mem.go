@@ -83,6 +83,11 @@ type SealedPage struct {
 	Version    uint64
 	Ciphertext [PageSize]byte
 	MAC        [16]byte
+
+	// frozen marks a page shared copy-on-write between a backing store
+	// and its clones (see BackingStore.Clone). A frozen page is never
+	// recycled, so its bytes never change again.
+	frozen bool
 }
 
 // BackingStore is the untrusted main memory region that receives
@@ -114,9 +119,10 @@ func NewBackingStore() *BackingStore {
 	return &BackingStore{pages: make(map[PageID]*SealedPage)}
 }
 
-// recycle adds a dead entry to the free list; caller holds mu.
+// recycle adds a dead entry to the free list; caller holds mu. Frozen
+// pages are still referenced by another store and are left alone.
 func (b *BackingStore) recycle(p *SealedPage) {
-	if len(b.free) < maxFreeSealed {
+	if !p.frozen && len(b.free) < maxFreeSealed {
 		b.free = append(b.free, p)
 	}
 }
@@ -168,6 +174,28 @@ func (b *BackingStore) Len() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return len(b.pages)
+}
+
+// Clone returns a store holding the same sealed pages, shared
+// copy-on-write: every page b holds now is frozen, so neither b nor
+// any clone recycles it, and replacing or deleting it in one store
+// only drops that store's reference. The clone starts with an empty
+// recycling list. Clone takes only b's lock: concurrent Clones of one
+// store are safe as long as nothing else mutates b meanwhile.
+func (b *BackingStore) Clone() *BackingStore {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	c := &BackingStore{pages: make(map[PageID]*SealedPage, len(b.pages))}
+	for id, p := range b.pages {
+		if !p.frozen {
+			// Written under b's lock only, and only before the first
+			// clone shares the page, so later readers are ordered
+			// after it.
+			p.frozen = true
+		}
+		c.pages[id] = p
+	}
+	return c
 }
 
 // DropEnclave removes every sealed page belonging to the enclave.

@@ -116,3 +116,38 @@ func TestPageIDString(t *testing.T) {
 		t.Errorf("String = %q", s)
 	}
 }
+
+func TestBackingStoreCloneSharesFrozenPages(t *testing.T) {
+	b := NewBackingStore()
+	ids := []PageID{{Enclave: 1, VPN: 1}, {Enclave: 1, VPN: 2}}
+	for _, id := range ids {
+		b.Put(&SealedPage{ID: id, Version: 1})
+	}
+	c := b.Clone()
+	if c.Len() != 2 || c.Get(ids[0]) != b.Get(ids[0]) {
+		t.Fatal("clone does not share the source's sealed pages")
+	}
+	// Dropping a shared page from the clone leaves the source intact
+	// and must not hand the page's storage out for reuse.
+	c.Delete(ids[0])
+	c.Put(&SealedPage{ID: ids[1], Version: 2})
+	if c.Reserve() != nil {
+		t.Error("clone recycled a frozen page")
+	}
+	if b.Get(ids[0]) == nil || b.Get(ids[1]).Version != 1 {
+		t.Error("clone mutations reached the source store")
+	}
+	// The source keeps its pages frozen too: a clone may still read
+	// them.
+	b.Delete(ids[0])
+	if b.Reserve() != nil {
+		t.Error("source recycled a page shared with its clone")
+	}
+	// Pages sealed after the clone are the clone's own and recycle.
+	own := &SealedPage{ID: PageID{Enclave: 1, VPN: 3}}
+	c.Put(own)
+	c.Delete(own.ID)
+	if c.Reserve() != own {
+		t.Error("clone did not recycle a page it sealed itself")
+	}
+}

@@ -177,6 +177,18 @@ func (c *Counters) Snapshot() Snapshot {
 	return s
 }
 
+// Clone returns a new bank holding this bank's current values, with
+// every shard's unflushed deltas folded in and no shards registered.
+// It only reads c, so concurrent Clones of one idle bank are safe.
+func (c *Counters) Clone() *Counters {
+	s := c.Snapshot()
+	n := &Counters{}
+	for i, v := range s {
+		n.v[i].Store(v)
+	}
+	return n
+}
+
 // Shard is a bank of plain (non-atomic) counter deltas owned by one
 // simulated thread. Incrementing a shard is a single add with no
 // memory-ordering traffic — the per-access fast path uses it instead

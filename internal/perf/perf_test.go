@@ -229,3 +229,24 @@ func TestResetClearsShardDeltas(t *testing.T) {
 		t.Errorf("Get after post-Reset Inc = %d, want 1", got)
 	}
 }
+
+func TestCountersCloneFoldsShards(t *testing.T) {
+	var c Counters
+	c.Add(Accesses, 5)
+	sh := c.NewShard()
+	sh.Add(Accesses, 3)
+	sh.Inc(OCalls)
+	n := c.Clone()
+	if n.Snapshot() != c.Snapshot() {
+		t.Fatalf("clone snapshot %v, want %v", n.Snapshot(), c.Snapshot())
+	}
+	// The clone is independent and owns no shards.
+	sh.Inc(Accesses)
+	if n.Get(Accesses) != 8 {
+		t.Errorf("clone sees its source's later shard delta: Accesses = %d, want 8", n.Get(Accesses))
+	}
+	n.NewShard().Inc(OCalls)
+	if c.Get(OCalls) != 1 || n.Get(OCalls) != 2 {
+		t.Errorf("OCalls: source %d clone %d, want 1 and 2", c.Get(OCalls), n.Get(OCalls))
+	}
+}

@@ -37,6 +37,39 @@ func (m *Machine) NewEnv(mode Mode) *Env {
 	return e
 }
 
+// Clone returns an independent copy of the environment on a clone of
+// its machine (see Machine.clone), which must host no other
+// environment's threads. The copy continues exactly as e would: same
+// clocks, counters, enclave, EPC, cache and TLB state. It is how a
+// booted LibOS template is reused without re-running the boot. Clone
+// only reads e, so concurrent Clones of an idle environment are safe.
+func (e *Env) Clone() *Env {
+	m := e.M.clone()
+	c := &Env{
+		M:               m,
+		Mode:            e.Mode,
+		concurrency:     e.concurrency,
+		nextThread:      e.nextThread,
+		insideByDefault: e.insideByDefault,
+	}
+	for i, enc := range e.M.enclaves {
+		if enc == e.Enclave {
+			c.Enclave = m.enclaves[i]
+		}
+	}
+	for _, t := range e.M.threads {
+		if t.env != e {
+			panic("sgx: Env.Clone of a machine shared with another environment")
+		}
+		nt := t.clone(c)
+		m.threads = append(m.threads, nt)
+		if t == e.Main {
+			c.Main = nt
+		}
+	}
+	return c
+}
+
 func (e *Env) newThread() *Thread {
 	t := &Thread{
 		ID:    e.nextThread,

@@ -160,7 +160,10 @@ type Config struct {
 	SlowPath bool `json:"slow_path,omitempty"`
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns the effective configuration: c with every zero
+// field replaced by its default, as NewMachine applies them. Two
+// configurations with equal effective values boot identical machines.
+func (c Config) WithDefaults() Config {
 	if c.EPCPages == 0 {
 		c.EPCPages = DefaultEPCPages
 	}
@@ -261,7 +264,7 @@ func (m *Machine) transitionFault(op string) {
 
 // NewMachine boots a machine with the given configuration.
 func NewMachine(cfg Config) *Machine {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	counters := &perf.Counters{}
 	engine := mee.New(cfg.Seed)
 	backing := mem.NewBackingStore()
@@ -287,6 +290,19 @@ func NewMachine(cfg Config) *Machine {
 		// LibOS enclave alone measures 44x the EPC.
 		m.EPC.SetIntegrityTree(mee.NewIntegrityTree(cfg.EPCPages*(LibOSEnclaveFactor+20), cached))
 	}
+	if cfg.Chaos != nil && cfg.Chaos.Enabled() {
+		m.chaos = chaos.New(*cfg.Chaos)
+		m.rollbackStash = make(map[mem.PageID]*mem.SealedPage)
+	}
+	m.fastWords = !cfg.SlowPath && m.chaos == nil
+	m.wireEPC()
+	return m
+}
+
+// wireEPC installs the machine's EPC hooks. NewMachine and clone both
+// call it, so a cloned machine's EPC reports to the clone, never to
+// the machine it was copied from.
+func (m *Machine) wireEPC() {
 	m.EPC.SetEvictHook(func(id mem.PageID) {
 		if m.tracer != nil {
 			// Evictions happen on the driver's behalf; no issuing
@@ -310,12 +326,48 @@ func NewMachine(cfg Config) *Machine {
 			t.memoClear()
 		}
 	})
-	if cfg.Chaos != nil && cfg.Chaos.Enabled() {
-		m.chaos = chaos.New(*cfg.Chaos)
-		m.rollbackStash = make(map[mem.PageID]*mem.SealedPage)
+}
+
+// clone returns an independent copy of the machine that evolves
+// exactly as m would from here on: every substrate is copied (the
+// EPC, LLC and counters by value; sealed pages shared copy-on-write),
+// the MEE engine is shared because its keys never change, and the
+// untrusted frame pool starts empty. Threads are not copied; the
+// caller rebinds them (see Env.Clone). A machine something outside it
+// observes — a tracer, a chaos injector — does not clone. clone only
+// reads m, so concurrent clones of an idle machine are safe.
+func (m *Machine) clone() *Machine {
+	if m.tracer != nil || m.chaos != nil {
+		panic("sgx: clone of a traced or chaotic machine")
 	}
-	m.fastWords = !cfg.SlowPath && m.chaos == nil
-	return m
+	counters := m.Counters.Clone()
+	backing := m.Backing.Clone()
+	c := &Machine{
+		cfg:            m.cfg,
+		Costs:          m.Costs,
+		Counters:       counters,
+		Engine:         m.Engine,
+		Backing:        backing,
+		EPC:            m.EPC.Clone(backing, counters),
+		LLC:            m.LLC.Clone(),
+		untrusted:      make(map[uint64]*mem.Frame, len(m.untrusted)),
+		untrustedNext:  m.untrustedNext,
+		nextEnclave:    m.nextEnclave,
+		enclaveNext:    m.enclaveNext,
+		pollutionPhase: m.pollutionPhase,
+		switchlessSeq:  m.switchlessSeq,
+		fastWords:      m.fastWords,
+	}
+	//sgxlint:ignore determinism each key gets its own frame copy and nothing else happens; the final map is order-independent
+	for vpn, f := range m.untrusted {
+		cp := *f
+		c.untrusted[vpn] = &cp
+	}
+	for _, e := range m.enclaves {
+		c.enclaves = append(c.enclaves, e.Clone())
+	}
+	c.wireEPC()
+	return c
 }
 
 // Chaos returns the machine's fault injector, or nil when chaos is

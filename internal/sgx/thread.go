@@ -103,6 +103,27 @@ func (t *Thread) memoInvalidate(vpn uint64) {
 	}
 }
 
+// clone returns a copy of t bound to env, with its own TLB and L1
+// copies and a fresh counter shard on env's machine. The page memo
+// starts empty: its frame and reference-bit pointers point into the
+// source machine's EPC. An empty memo is always sound (it only caches
+// what the TLB and EPC would answer), so simulated results are
+// unchanged.
+func (t *Thread) clone(env *Env) *Thread {
+	c := &Thread{
+		ID:           t.ID,
+		Clock:        t.Clock,
+		env:          env,
+		tlb:          t.tlb.Clone(),
+		shard:        env.M.Counters.NewShard(),
+		enclaveDepth: t.enclaveDepth,
+	}
+	if t.l1 != nil {
+		c.l1 = t.l1.Clone()
+	}
+	return c
+}
+
 // InEnclave reports whether the thread currently executes inside an
 // enclave (between ECALL entry and exit, outside any OCALL).
 func (t *Thread) InEnclave() bool { return t.enclaveDepth > 0 }

@@ -130,3 +130,13 @@ func (t *DTLB) Flush() {
 
 // Flushes returns the number of Flush calls since construction.
 func (t *DTLB) Flushes() uint64 { return t.flushes }
+
+// Clone returns an independent copy of the TLB: same entries, epoch,
+// replacement pointers and flush count.
+func (t *DTLB) Clone() *DTLB {
+	c := *t
+	c.tags = append([]uint64(nil), t.tags...)
+	c.epochs = append([]uint32(nil), t.epochs...)
+	c.next = append([]uint32(nil), t.next...)
+	return &c
+}
