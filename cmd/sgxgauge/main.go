@@ -9,12 +9,42 @@
 //	sgxgauge ops [-epc pages]
 //	sgxgauge matrix [-epc pages] [-j workers]
 //	sgxgauge chaos [-workload BTree] [-chaos-seed n] [-fault-rate 0,0.01,...]
+//	sgxgauge serve [-addr host:port] [-epc pages] [-seed n] [-j workers]
+//	               [-cache entries] [-drain timeout]
+//	               [-store.dir dir] [-store.fsync]
+//	               [-journal.dir dir] [-journal.fsync]
+//	               [-admission.max specs]
+//	               [-coordinator [-worker.ttl d] [-task.retries n] | -worker url]
 //
 // "list" prints the suite; "run" executes one workload; "ops" reports
 // the latencies of the core SGX driver operations (Figure 7);
 // "matrix" regenerates the full (workload x mode x size) grid on the
 // parallel engine; "chaos" sweeps a workload across adversarial-OS
 // fault-injection intensities and prints the degradation table.
+//
+// "serve" runs the SGXGauge daemon: a long-running HTTP/JSON service
+// that runs simulated SGX benchmarks on demand. Endpoints:
+//
+//	POST /v1/run            run one spec (SpecWire JSON in, result out)
+//	POST /v1/sweep          run a spec list, NDJSON job/progress/result stream out
+//	GET  /v1/jobs/{id}      reattach to a live or recovered job's result stream
+//	GET  /v1/figures/{fig}  regenerate a paper figure/table (2-10, t2, t4, t5)
+//	GET  /v1/results/{key}  content-addressed result lookup (SHA-256 of the spec)
+//	GET  /metrics           Prometheus text metrics
+//	GET  /healthz           role-aware liveness (503 while a journal replay runs)
+//
+// Identical specs are cached and concurrent identical requests
+// coalesce onto one run. With -journal.dir every accepted job is
+// write-ahead-logged: a killed daemon restarted on the same
+// directories replays unfinished jobs (store-warm tasks do not
+// re-simulate) and clients reattach by job ID. Jobs past the
+// -admission.max queue high-water mark are shed with 429 +
+// Retry-After. With -coordinator, execution farms out to registered
+// workers (-worker url on each): tasks carry per-attempt retry
+// budgets and are poisoned — failed with their attempt history —
+// past -task.retries; a SIGTERM'd worker drains its in-flight batch
+// and deregisters. See README "Serving" for the wire schema and curl
+// examples, and DESIGN.md sections 9 and 10 for the architecture.
 package main
 
 import (
@@ -80,7 +110,9 @@ func usage() {
   sgxgauge chaos [-workload <name>] [-mode ...] [-size ...] [-chaos-seed n] [-fault-rate list]
                  [-aex] [-balloon] [-tamper] [-transition] [-retries n] [-j workers] [-progress]
   sgxgauge recommend -component epc|transitions|mee|syscalls [-epc pages] [-j workers]
-  sgxgauge serve [-addr host:port] [-epc pages] [-seed n] [-j workers] [-cache entries]`)
+  sgxgauge serve [-addr host:port] [-epc pages] [-seed n] [-j workers] [-cache entries]
+                 [-drain timeout] [-store.dir dir] [-store.fsync] [-journal.dir dir] [-journal.fsync]
+                 [-admission.max specs] [-coordinator [-worker.ttl d] [-task.retries n] | -worker url]`)
 }
 
 // progressPrinter returns a harness progress callback reporting

@@ -6,9 +6,10 @@
 //	sgxreport [-epc pages] [-exp id[,id...]] [-j workers] [-progress]
 //
 // Experiment ids: fig2 fig3 fig4 tab2 tab4 fig5 fig6a fig6bc fig6d
-// fig7 fig8 tab5 fig9 fig10, or "all" (default). The list comes from
-// harness.Experiments(), the same registry the sgxgauged daemon's
-// /v1/figures endpoint serves. Runs within an experiment execute on a
+// fig7 fig8 tab5 fig9 fig10 multi, or "all" (default). The list comes
+// from harness.Experiments(), the same registry the daemon's
+// /v1/figures endpoint serves; an unknown id is rejected with exit
+// code 2 before anything runs. Runs within an experiment execute on a
 // parallel worker pool (-j); results are identical to a serial run.
 package main
 
@@ -45,19 +46,15 @@ func main() {
 		}
 	}
 
-	want := map[string]bool{}
-	for _, e := range strings.Split(*exps, ",") {
-		want[strings.TrimSpace(e)] = true
+	selected, err := selectExperiments(*exps)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "sgxreport: %v\n", err)
+		os.Exit(2)
 	}
-	all := want["all"]
 
 	fmt.Printf("SGXGauge report — simulated EPC: %d pages (%d MiB equivalent scale)\n\n",
 		*epcPages, *epcPages*4/1024)
-	ran := 0
-	for _, e := range harness.Experiments() {
-		if !all && !want[e.ID] {
-			continue
-		}
+	for _, e := range selected {
 		start := time.Now()
 		out, err := e.Render(r)
 		if err != nil {
@@ -65,10 +62,44 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("[%s] (generated in %v)\n%s\n", e.ID, time.Since(start).Round(time.Millisecond), out)
-		ran++
 	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "sgxreport: no experiment matched %q\n", *exps)
-		os.Exit(2)
+}
+
+// selectExperiments resolves a comma-separated -exp value against
+// harness.Experiments(), keeping registry order. "all" selects every
+// experiment; any other id that names no experiment is an error that
+// lists the valid ids.
+func selectExperiments(spec string) ([]harness.Experiment, error) {
+	exps := harness.Experiments()
+	known := map[string]bool{"all": true}
+	valid := make([]string, 0, len(exps)+1)
+	for _, e := range exps {
+		known[e.ID] = true
+		valid = append(valid, e.ID)
 	}
+	valid = append(valid, "all")
+
+	want := map[string]bool{}
+	var unknown []string
+	for _, id := range strings.Split(spec, ",") {
+		id = strings.TrimSpace(id)
+		if !known[id] {
+			unknown = append(unknown, fmt.Sprintf("%q", id))
+		}
+		want[id] = true
+	}
+	if len(unknown) > 0 {
+		return nil, fmt.Errorf("unknown experiment id %s (valid: %s)",
+			strings.Join(unknown, ", "), strings.Join(valid, " "))
+	}
+	if want["all"] {
+		return exps, nil
+	}
+	var selected []harness.Experiment
+	for _, e := range exps {
+		if want[e.ID] {
+			selected = append(selected, e)
+		}
+	}
+	return selected, nil
 }

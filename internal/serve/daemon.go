@@ -17,8 +17,8 @@ import (
 	"sgxgauge/internal/store"
 )
 
-// Main is the daemon entry point shared by the sgxgauged binary and
-// the `sgxgauge serve` subcommand: it parses args, binds the listener,
+// Main is the daemon entry point behind the `sgxgauge serve`
+// subcommand: it parses args, binds the listener,
 // serves until SIGINT/SIGTERM, then shuts down gracefully — first
 // draining in-flight HTTP requests, then waiting for detached runs.
 //
@@ -28,7 +28,7 @@ import (
 // additionally pulls and executes the coordinator's spec batches.
 // Any shape may add -store.dir to persist results across restarts.
 func Main(args []string) error {
-	fs := flag.NewFlagSet("sgxgauged", flag.ExitOnError)
+	fs := flag.NewFlagSet("sgxgauge serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8643", "listen address")
 	epcPages := fs.Int("epc", sgx.DefaultEPCPages, "EPC size in pages forced onto specs that leave it zero")
 	seed := fs.Int64("seed", 1, "base random seed for specs that leave it zero")

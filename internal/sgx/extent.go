@@ -25,6 +25,16 @@ import (
 // accessPage — the differential and fuzz tests hold the compiler to
 // the naive replay bit for bit.
 //
+// There are two execution paths. The bulk path (bulkExtent) takes
+// every extent whose Stride is a power of two no larger than a cache
+// line and whose elements each fit inside their Stride-aligned slot
+// (Elem <= Stride and Addr&(Stride-1)+Elem <= Stride). Every element
+// of such an extent lies inside one line, so a page stretch touches a
+// contiguous run of lines, each one or more times in a row: one
+// AccessRun charges the distinct lines and the repeats are streak
+// hits. Dense runs (Stride == Elem) and HashJoin's stride-16 word
+// reads both qualify.
+//
 // Fallback conditions (the replay path, one pageOpDispatch per
 // element chunk, is used instead of bulk charging):
 //
@@ -35,8 +45,9 @@ import (
 //     both desynchronize the chaos stream and misattribute the fault;
 //     replaying per access keeps fault attribution exact (the access
 //     that trips the injector is the one charged);
-//   - Stride < Elem (self-overlapping runs): the line-touch sequence
-//     is no longer monotone, so repeats are not provably streak hits.
+//   - any other shape: strides that are zero, not a power of two or
+//     wider than a line, overlapping elements (Stride < Elem), and
+//     elements that straddle their slot, a line or a page.
 
 // ExtentKind selects what an extent does with memory.
 type ExtentKind uint8
@@ -75,7 +86,8 @@ type Extent struct {
 	Addr uint64
 	// Stride is the distance in bytes between consecutive elements.
 	// Stride > Elem leaves gaps (strided column walks); Stride < Elem
-	// overlaps and falls back to per-access replay.
+	// overlaps. Either way, only the shapes named in the file comment
+	// are charged in bulk; the rest replay per access.
 	Stride uint64
 	// Count is the number of elements.
 	Count uint64
@@ -159,14 +171,19 @@ func (m *Machine) runExtent(t *Thread, x *Extent) error {
 	if x.Count == 0 {
 		return nil
 	}
-	if !m.fastWords || x.Stride < uint64(x.Elem) {
-		return m.replayExtent(t, x)
+	if m.fastWords && x.lineConfined() {
+		return m.bulkExtent(t, x)
 	}
-	e := uint64(x.Elem)
-	if x.Stride == e && e <= mem.LineSize && mem.LineSize%e == 0 && x.Addr%e == 0 {
-		return m.bulkDense(t, x)
-	}
-	return m.bulkStrided(t, x)
+	return m.replayExtent(t, x)
+}
+
+// lineConfined reports whether Stride is a power of two no larger
+// than a line and every element fits inside its Stride-aligned slot
+// (which also gives Elem <= Stride): then no element straddles a
+// line or a page.
+func (x *Extent) lineConfined() bool {
+	s := x.Stride
+	return s != 0 && s&(s-1) == 0 && s <= mem.LineSize && x.Addr&(s-1)+uint64(x.Elem) <= s
 }
 
 // replayExtent is the reference execution: one pageOpDispatch per
@@ -296,24 +313,22 @@ func (m *Machine) extentResolve(t *Thread, addr uint64) (*mem.Frame, *enclave.En
 	return frame, enc, pend, nil
 }
 
-// bulkDense charges a dense extent (Stride == Elem, element-aligned,
-// elements never straddle a line): the run is one contiguous byte
-// range, so each page-confined stretch is resolved once, its distinct
-// lines charged with one AccessRun, the remaining touches counted as
-// streak hits, and its payload moved with one copy.
-func (m *Machine) bulkDense(t *Thread, x *Extent) error {
+// bulkExtent charges a line-confined extent (see lineConfined). Each
+// page-confined stretch is resolved once, its distinct lines — a
+// contiguous run, since consecutive elements sit on the same line or
+// the next — charged with one AccessRun, the repeated touches of a
+// line counted as streak hits, and its payload moved by move.
+func (m *Machine) bulkExtent(t *Thread, x *Extent) error {
 	c := &m.Costs
 	sh := t.shard
-	elem := uint64(x.Elem)
+	shift := uint(bits.TrailingZeros64(x.Stride))
 	addr := x.Addr
-	total := x.Count * elem
-	payOff := uint64(0)
-	for total > 0 {
-		n := mem.PageSize - addr&(mem.PageSize-1)
-		if n > total {
-			n = total
+	for idx := uint64(0); idx < x.Count; {
+		off := addr & (mem.PageSize - 1)
+		accs := (mem.PageSize - off + x.Stride - 1) >> shift
+		if rem := x.Count - idx; accs > rem {
+			accs = rem
 		}
-		accs := n / elem
 		frame, enc, pend, err := m.extentResolve(t, addr)
 		if err != nil {
 			return err
@@ -322,8 +337,8 @@ func (m *Machine) bulkDense(t *Thread, x *Extent) error {
 		pend += (accs - 1) * (c.Compute + c.TLBHit)
 
 		first := mem.LineNumber(addr)
-		lines := mem.LineNumber(addr+n-1) - first + 1
-		rep := accs - lines // elem == LineSize means one touch per line
+		lines := mem.LineNumber(addr+(accs-1)<<shift) - first + 1
+		rep := accs - lines // one touch per line when Stride == LineSize
 		if t.l1 == nil {
 			hits, misses := m.LLC.AccessRun(first, lines)
 			if rep > 0 {
@@ -373,307 +388,88 @@ func (m *Machine) bulkDense(t *Thread, x *Extent) error {
 			}
 		}
 
-		off := addr & (mem.PageSize - 1)
-		switch x.Kind {
-		case ExtentRead:
-			if x.U64 != nil {
-				w := x.U64[payOff/8 : payOff/8+n/8]
-				src := frame.Data[off : off+n]
-				for k := range w {
-					w[k] = binary.LittleEndian.Uint64(src)
-					src = src[8:]
-				}
-			} else {
-				copy(x.Data[payOff:payOff+n], frame.Data[off:off+n])
-			}
-			sh.Add(perf.BytesRead, n)
-		case ExtentWrite:
-			if x.U64 != nil {
-				w := x.U64[payOff/8 : payOff/8+n/8]
-				dst := frame.Data[off : off+n]
-				for _, v := range w {
-					binary.LittleEndian.PutUint64(dst, v)
-					dst = dst[8:]
-				}
-			} else {
-				copy(frame.Data[off:off+n], x.Data[payOff:payOff+n])
-			}
-			sh.Add(perf.BytesWritten, n)
-		case ExtentFill:
-			// Exponential self-copy: memmove-speed fill at any byte.
-			s := frame.Data[off : off+n]
-			s[0] = x.Fill
-			for fi := 1; fi < len(s); fi *= 2 {
-				copy(s[fi:], s[:fi])
-			}
-			sh.Add(perf.BytesWritten, n)
+		x.move(frame.Data[off:], idx, accs)
+		if x.Kind == ExtentRead {
+			sh.Add(perf.BytesRead, accs*uint64(x.Elem))
+		} else {
+			sh.Add(perf.BytesWritten, accs*uint64(x.Elem))
 		}
 		t.Clock.Advance(pend)
-		addr += n
-		total -= n
-		payOff += n
+		addr += accs << shift
+		idx += accs
 	}
 	return nil
 }
 
-// bulkStrided charges a non-overlapping strided extent (Stride >=
-// Elem, arbitrary alignment). Element addresses are monotone, so the
-// line-touch sequence is nondecreasing: a chunk's first line either
-// repeats the previous touch (a guaranteed streak hit) or moves
-// forward (a real probe). Page resolutions happen once per run, at
-// every page transition, exactly where the replay's walk would.
-func (m *Machine) bulkStrided(t *Thread, x *Extent) error {
-	c := &m.Costs
-	sh := t.shard
-	elem := uint64(x.Elem)
-	var (
-		frame    *mem.Frame
-		enc      *enclave.Enclave
-		curVPN   = ^uint64(0)
-		pend     uint64
-		lastLine = ^uint64(0)
-	)
-	// Line-strided word sweeps (the classic one-word-per-line page
-	// touch pattern) visit consecutive cache lines, so each
-	// page-confined stretch collapses to one resolve, one bulk
-	// AccessRun over its lines and batched counter adds — identical
-	// state and charges to the scalar walk: elements stay on distinct
-	// consecutive lines (no streaks), and AccessRun is defined as
-	// Access-in-a-loop.
-	if x.Stride == mem.LineSize && x.Elem == 8 && x.U64 != nil && x.Addr&7 == 0 && t.l1 == nil {
-		for i := uint64(0); i < x.Count; {
-			a := x.Addr + i*mem.LineSize
-			if pend != 0 {
-				t.Clock.Advance(pend)
-				pend = 0
-			}
-			var err error
-			var rp uint64
-			frame, enc, rp, err = m.extentResolve(t, a)
-			if err != nil {
-				return err
-			}
-			pend += rp
-			pOff := a & (mem.PageSize - 1)
-			run := (mem.PageSize - pOff + mem.LineSize - 1) / mem.LineSize
-			if run > x.Count-i {
-				run = x.Count - i
-			}
-			sh.Add(perf.Accesses, run-1)
-			pend += (run - 1) * (c.Compute + c.TLBHit)
-			h, miss := m.LLC.AccessRun(mem.LineNumber(a), run)
-			sh.Add(perf.LLCHits, h)
-			pend += h * c.LLCHit
-			if miss != 0 {
-				extra := c.DRAMAccess
-				if enc != nil {
-					extra += c.MEELine
-				}
-				sh.Add(perf.LLCMisses, miss)
-				sh.Add(perf.StallCycles, miss*extra)
-				pend += miss * extra
-			}
-			if x.Kind == ExtentRead {
-				for k := uint64(0); k < run; k++ {
-					x.U64[i+k] = binary.LittleEndian.Uint64(frame.Data[pOff+k*mem.LineSize:])
-				}
-				sh.Add(perf.BytesRead, 8*run)
-			} else {
-				for k := uint64(0); k < run; k++ {
-					binary.LittleEndian.PutUint64(frame.Data[pOff+k*mem.LineSize:], x.U64[i+k])
-				}
-				sh.Add(perf.BytesWritten, 8*run)
-			}
-			i += run
-		}
-		if pend != 0 {
-			t.Clock.Advance(pend)
-		}
-		return nil
-	}
-
-	// Aligned 8-byte elements on a word-aligned stride never straddle
-	// a line or a page, so each element is exactly one resolve check,
-	// one line charge and one direct word move — the general loop
-	// below performs the same steps through its page-split machinery
-	// and staging buffer, with identical counters, cycles and bytes.
-	if x.Elem == 8 && x.U64 != nil && x.Addr&7 == 0 && x.Stride&7 == 0 {
-		for i := uint64(0); i < x.Count; i++ {
-			a := x.Addr + i*x.Stride
-			if vpn := mem.PageNumber(a); vpn != curVPN {
-				if pend != 0 {
-					t.Clock.Advance(pend)
-					pend = 0
-				}
-				var err error
-				var rp uint64
-				frame, enc, rp, err = m.extentResolve(t, a)
-				if err != nil {
-					return err
-				}
-				pend += rp
-				curVPN = vpn
-			} else {
-				sh.Inc(perf.Accesses)
-				pend += c.Compute + c.TLBHit
-			}
-			line := mem.LineNumber(a)
-			if line == lastLine {
-				if t.l1 != nil {
-					t.l1.NoteStreakHits(1)
-					sh.Inc(perf.L1Hits)
-					pend += c.L1Hit
-				} else {
-					m.LLC.NoteStreakHits(1)
-					sh.Inc(perf.LLCHits)
-					pend += c.LLCHit
-				}
-			} else {
-				hit := false
-				if t.l1 != nil {
-					if t.l1.Access(line) {
-						sh.Inc(perf.L1Hits)
-						pend += c.L1Hit
-						hit = true
-					} else {
-						sh.Inc(perf.L1Misses)
-					}
-				}
-				if !hit {
-					if m.LLC.Access(line) {
-						sh.Inc(perf.LLCHits)
-						pend += c.LLCHit
-					} else {
-						extra := c.DRAMAccess
-						if enc != nil {
-							extra += c.MEELine
-						}
-						sh.Inc(perf.LLCMisses)
-						sh.Add(perf.StallCycles, extra)
-						pend += extra
-					}
-				}
-				lastLine = line
-			}
-			pOff := a & (mem.PageSize - 1)
-			if x.Kind == ExtentRead {
-				x.U64[i] = binary.LittleEndian.Uint64(frame.Data[pOff:])
-				sh.Add(perf.BytesRead, 8)
-			} else {
-				binary.LittleEndian.PutUint64(frame.Data[pOff:], x.U64[i])
-				sh.Add(perf.BytesWritten, 8)
-			}
-		}
-		if pend != 0 {
-			t.Clock.Advance(pend)
-		}
-		return nil
-	}
-
-	var word [8]byte
-	for i := uint64(0); i < x.Count; i++ {
-		a := x.Addr + i*x.Stride
-		var p []byte
-		if x.Kind != ExtentFill {
+// move transfers the payload of elements idx..idx+accs-1 of a
+// line-confined extent, where page holds the frame bytes from element
+// idx onward: one contiguous copy when the elements are dense, a
+// per-element gather or scatter otherwise.
+func (x *Extent) move(page []byte, idx, accs uint64) {
+	elem, str := uint64(x.Elem), x.Stride
+	if str == elem {
+		s := page[:accs*elem]
+		switch x.Kind {
+		case ExtentRead:
 			if x.U64 != nil {
-				if x.Kind == ExtentWrite {
-					binary.LittleEndian.PutUint64(word[:], x.U64[i])
+				w := x.U64[idx : idx+accs]
+				for k := range w {
+					w[k] = binary.LittleEndian.Uint64(s)
+					s = s[8:]
 				}
-				p = word[:]
 			} else {
-				p = x.Data[i*elem : (i+1)*elem]
+				copy(x.Data[idx*elem:], s)
+			}
+		case ExtentWrite:
+			if x.U64 != nil {
+				for _, v := range x.U64[idx : idx+accs] {
+					binary.LittleEndian.PutUint64(s, v)
+					s = s[8:]
+				}
+			} else {
+				copy(s, x.Data[idx*elem:])
+			}
+		case ExtentFill:
+			// Exponential self-copy: memmove-speed fill at any byte.
+			s[0] = x.Fill
+			for fi := 1; fi < len(s); fi *= 2 {
+				copy(s[fi:], s[:fi])
 			}
 		}
-		rem := elem
-		off := uint64(0)
-		for rem > 0 {
-			n := mem.PageSize - a&(mem.PageSize-1)
-			if n > rem {
-				n = rem
+		return
+	}
+	switch x.Kind {
+	case ExtentRead:
+		if x.U64 != nil {
+			w := x.U64[idx : idx+accs]
+			for k := range w {
+				w[k] = binary.LittleEndian.Uint64(page[uint64(k)*str:])
 			}
-			if vpn := mem.PageNumber(a); vpn != curVPN {
-				if pend != 0 {
-					t.Clock.Advance(pend)
-					pend = 0
-				}
-				var err error
-				var rp uint64
-				frame, enc, rp, err = m.extentResolve(t, a)
-				if err != nil {
-					return err
-				}
-				pend += rp
-				curVPN = vpn
-			} else {
-				sh.Inc(perf.Accesses)
-				pend += c.Compute + c.TLBHit
+		} else {
+			d := x.Data[idx*elem : (idx+accs)*elem]
+			for k := uint64(0); k < accs; k++ {
+				copy(d[k*elem:(k+1)*elem], page[k*str:])
 			}
-
-			line := mem.LineNumber(a)
-			last := mem.LineNumber(a + n - 1)
-			if line == lastLine && line <= last {
-				if t.l1 != nil {
-					t.l1.NoteStreakHits(1)
-					sh.Inc(perf.L1Hits)
-					pend += c.L1Hit
-				} else {
-					m.LLC.NoteStreakHits(1)
-					sh.Inc(perf.LLCHits)
-					pend += c.LLCHit
-				}
-				line++
-			}
-			for ; line <= last; line++ {
-				if t.l1 != nil {
-					if t.l1.Access(line) {
-						sh.Inc(perf.L1Hits)
-						pend += c.L1Hit
-						continue
-					}
-					sh.Inc(perf.L1Misses)
-				}
-				if m.LLC.Access(line) {
-					sh.Inc(perf.LLCHits)
-					pend += c.LLCHit
-				} else {
-					extra := c.DRAMAccess
-					if enc != nil {
-						extra += c.MEELine
-					}
-					sh.Inc(perf.LLCMisses)
-					sh.Add(perf.StallCycles, extra)
-					pend += extra
-				}
-			}
-			lastLine = last
-
-			pOff := a & (mem.PageSize - 1)
-			switch x.Kind {
-			case ExtentRead:
-				copy(p[off:off+n], frame.Data[pOff:pOff+n])
-				sh.Add(perf.BytesRead, n)
-			case ExtentWrite:
-				copy(frame.Data[pOff:], p[off:off+n])
-				sh.Add(perf.BytesWritten, n)
-			case ExtentFill:
-				s := frame.Data[pOff : pOff+n]
-				for k := range s {
-					s[k] = x.Fill
-				}
-				sh.Add(perf.BytesWritten, n)
-			}
-			a += n
-			off += n
-			rem -= n
 		}
-		if x.Kind == ExtentRead && x.U64 != nil {
-			x.U64[i] = binary.LittleEndian.Uint64(word[:])
+	case ExtentWrite:
+		if x.U64 != nil {
+			for k, v := range x.U64[idx : idx+accs] {
+				binary.LittleEndian.PutUint64(page[uint64(k)*str:], v)
+			}
+		} else {
+			d := x.Data[idx*elem : (idx+accs)*elem]
+			for k := uint64(0); k < accs; k++ {
+				copy(page[k*str:], d[k*elem:(k+1)*elem])
+			}
+		}
+	case ExtentFill:
+		for k := uint64(0); k < accs; k++ {
+			s := page[k*str : k*str+elem]
+			for j := range s {
+				s[j] = x.Fill
+			}
 		}
 	}
-	if pend != 0 {
-		t.Clock.Advance(pend)
-	}
-	return nil
 }
 
 // TryRunExtent executes one extent on this thread, returning a fault

@@ -36,18 +36,29 @@ func fuzzMachine(cfg Config) (*Machine, *Env, uint64) {
 // kind) extent must leave counters, cycles, payloads and memory
 // byte-identical between the fast machine and the SlowPath reference,
 // which routes the same extent through one accessPageSlow call per
-// element chunk.
+// element chunk. Bit 0 of variant carries 8-byte elements as a U64
+// payload instead of Data; bit 1 gives each thread an L1.
 func FuzzExtentCompiler(f *testing.F) {
-	f.Add(uint32(16), uint32(8), uint16(2000), uint8(8), uint8(0))    // dense words
-	f.Add(uint32(61), uint32(8), uint16(900), uint8(8), uint8(1))     // misaligned words
-	f.Add(uint32(123), uint32(1), uint16(5000), uint8(1), uint8(1))   // dense bytes
-	f.Add(uint32(17), uint32(640), uint16(40), uint8(255), uint8(0))  // multi-line elems
-	f.Add(uint32(9), uint32(4), uint16(50), uint8(16), uint8(2))      // overlap -> replay
-	f.Add(uint32(512), uint32(4096), uint16(39), uint8(8), uint8(0))  // page column
-	f.Add(uint32(4090), uint32(96), uint16(300), uint8(48), uint8(2)) // straddling fill
-	f.Fuzz(func(t *testing.T, addrOff, stride uint32, count uint16, elemRaw, kindRaw uint8) {
+	f.Add(uint32(16), uint32(8), uint16(2000), uint8(8), uint8(0), uint8(0))    // dense words
+	f.Add(uint32(61), uint32(8), uint16(900), uint8(8), uint8(1), uint8(0))     // misaligned words
+	f.Add(uint32(123), uint32(1), uint16(5000), uint8(1), uint8(1), uint8(0))   // dense bytes
+	f.Add(uint32(17), uint32(640), uint16(40), uint8(255), uint8(0), uint8(0))  // multi-line elems
+	f.Add(uint32(9), uint32(4), uint16(50), uint8(16), uint8(2), uint8(0))      // overlap -> replay
+	f.Add(uint32(512), uint32(4096), uint16(39), uint8(8), uint8(0), uint8(0))  // page column
+	f.Add(uint32(4090), uint32(96), uint16(300), uint8(48), uint8(2), uint8(0)) // straddling fill
+	// elemRaw 7 is an 8-byte element.
+	f.Add(uint32(0), uint32(8), uint16(2000), uint8(7), uint8(1), uint8(3))   // dense U64 words, L1
+	f.Add(uint32(8), uint32(16), uint16(2000), uint8(7), uint8(0), uint8(1))  // stride-16 words
+	f.Add(uint32(24), uint32(32), uint16(1500), uint8(7), uint8(1), uint8(3)) // stride-32 words, L1
+	f.Add(uint32(40), uint32(64), uint16(1000), uint8(7), uint8(0), uint8(2)) // line-strided words, L1
+	f.Add(uint32(40), uint32(64), uint16(1000), uint8(7), uint8(0), uint8(1)) // line-strided U64 words
+	f.Add(uint32(100), uint32(0), uint16(300), uint8(7), uint8(1), uint8(1))  // stride 0 -> replay
+	f.Add(uint32(28), uint32(16), uint16(1000), uint8(7), uint8(0), uint8(1)) // Addr&15 == 12 -> replay
+	f.Add(uint32(3), uint32(16), uint16(1200), uint8(4), uint8(2), uint8(2))  // strided fill, L1
+	f.Fuzz(func(t *testing.T, addrOff, stride uint32, count uint16, elemRaw, kindRaw, variant uint8) {
 		elem := uint64(elemRaw)%128 + 1
 		kind := ExtentKind(kindRaw % 3)
+		words := variant&1 != 0 && elem == 8 && kind != ExtentFill
 		str := uint64(stride) % (elem*3 + mem.PageSize/2)
 		off := uint64(addrOff) % (8 * mem.PageSize)
 		cnt := uint64(count) % 3000
@@ -71,9 +82,17 @@ func FuzzExtentCompiler(f *testing.F) {
 		run := func(cfg Config) result {
 			m, env, buf := fuzzMachine(cfg)
 			x := Extent{Addr: buf + off, Stride: str, Count: cnt, Elem: uint32(elem), Kind: kind}
-			if kind == ExtentFill {
+			switch {
+			case kind == ExtentFill:
 				x.Fill = byte(addrOff)
-			} else {
+			case words:
+				x.U64 = make([]uint64, cnt)
+				if kind == ExtentWrite {
+					for i := range x.U64 {
+						x.U64[i] = uint64(i)*0x9E3779B97F4A7C15 + 11
+					}
+				}
+			default:
 				x.Data = make([]byte, cnt*elem)
 				if kind == ExtentWrite {
 					for i := range x.Data {
@@ -82,13 +101,20 @@ func FuzzExtentCompiler(f *testing.F) {
 				}
 			}
 			err := env.Main.TryRunExtent(x)
+			pay := x.Data
+			if words {
+				pay = make([]byte, 8*len(x.U64))
+				for i, v := range x.U64 {
+					binary.LittleEndian.PutUint64(pay[8*i:], v)
+				}
+			}
 			// Read the whole buffer back so written state is compared
 			// too (a second extent, exercising the dense read path).
 			rb := make([]byte, bufBytes)
 			rerr := env.Main.TryRunExtent(Extent{Addr: buf, Stride: 1, Count: bufBytes, Elem: 1, Kind: ExtentRead, Data: rb})
 			return result{
 				err:      errString(err) + "|" + errString(rerr),
-				pay:      x.Data,
+				pay:      pay,
 				readback: rb,
 				snap:     m.Counters.Snapshot(),
 				cycles:   env.Main.Clock.Cycles(),
@@ -96,6 +122,9 @@ func FuzzExtentCompiler(f *testing.F) {
 		}
 
 		cfg := Config{EPCPages: 24, Seed: 5}
+		if variant&2 != 0 {
+			cfg.L1Bytes = 4096
+		}
 		slowCfg := cfg
 		slowCfg.SlowPath = true
 		fast, slow := run(cfg), run(slowCfg)
@@ -121,6 +150,35 @@ func FuzzExtentCompiler(f *testing.F) {
 			t.Fatalf("cycles diverged: fast=%d slow=%d", fast.cycles, slow.cycles)
 		}
 	})
+}
+
+// The bulk condition admits exactly the line-confined shapes: strides
+// that are a power of two no wider than a line, with every element
+// inside its Stride-aligned slot. Everything else replays.
+func TestExtentLineConfined(t *testing.T) {
+	cases := []struct {
+		addr, stride uint64
+		elem         uint32
+		want         bool
+	}{
+		{0x1000, 8, 8, true},    // dense words
+		{0x1003, 1, 1, true},    // dense bytes
+		{0x1008, 16, 8, true},   // HashJoin's stride-16 keys
+		{0x1038, 64, 8, true},   // line-strided words
+		{0x1040, 64, 64, true},  // whole lines
+		{0x1000, 0, 8, false},   // stride 0
+		{0x100c, 16, 8, false},  // element straddles its slot
+		{0x1004, 8, 8, false},   // misaligned dense words
+		{0x1000, 12, 12, false}, // stride not a power of two
+		{0x1000, 128, 8, false}, // stride wider than a line
+		{0x1000, 4, 8, false},   // overlapping elements
+	}
+	for _, c := range cases {
+		x := Extent{Addr: c.addr, Stride: c.stride, Elem: c.elem}
+		if got := x.lineConfined(); got != c.want {
+			t.Errorf("addr %#x stride %d elem %d: lineConfined = %v, want %v", c.addr, c.stride, c.elem, got, c.want)
+		}
+	}
 }
 
 // Satellite regression: a fault landing inside a bulk-charged run must

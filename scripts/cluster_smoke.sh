@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# cluster_smoke.sh — end-to-end smoke of the sgxgauged sweep cluster:
+# cluster_smoke.sh — end-to-end smoke of the daemon's (sgxgauge serve) sweep cluster:
 # a coordinator plus two store-backed workers serve a sweep, then the
 # whole fleet is restarted on the same store directories and the same
 # sweep must come back byte-identical with zero fresh simulations
@@ -16,7 +16,7 @@ cleanup() {
 }
 trap cleanup EXIT
 
-go build -o "$workdir/sgxgauged" ./cmd/sgxgauged
+go build -o "$workdir/sgxgauge" ./cmd/sgxgauge
 
 cport=$((20000 + RANDOM % 20000))
 w1port=$((cport + 1))
@@ -33,12 +33,12 @@ wait_healthy() {
 }
 
 start_fleet() {
-  "$workdir/sgxgauged" -addr "127.0.0.1:$cport" -coordinator &
+  "$workdir/sgxgauge" serve -addr "127.0.0.1:$cport" -coordinator &
   pids+=($!)
   wait_healthy "$coord"
-  "$workdir/sgxgauged" -addr "127.0.0.1:$w1port" -worker "$coord" -store.dir "$workdir/store1" &
+  "$workdir/sgxgauge" serve -addr "127.0.0.1:$w1port" -worker "$coord" -store.dir "$workdir/store1" &
   pids+=($!)
-  "$workdir/sgxgauged" -addr "127.0.0.1:$w2port" -worker "$coord" -store.dir "$workdir/store2" &
+  "$workdir/sgxgauge" serve -addr "127.0.0.1:$w2port" -worker "$coord" -store.dir "$workdir/store2" &
   pids+=($!)
   wait_healthy "http://127.0.0.1:$w1port"
   wait_healthy "http://127.0.0.1:$w2port"

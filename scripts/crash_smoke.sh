@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# crash_smoke.sh — kill -9 crash-recovery smoke of the sgxgauged
+# crash_smoke.sh — kill -9 crash-recovery smoke of the daemon's (sgxgauge serve)
 # durable sweep journal: a journal+store-backed coordinator is
 # SIGKILL'd mid-sweep, restarted on the same directories, and must
 # replay the journal, finish the job warm from the store, and serve a
@@ -19,7 +19,7 @@ cleanup() {
 }
 trap cleanup EXIT
 
-go build -o "$workdir/sgxgauged" ./cmd/sgxgauged
+go build -o "$workdir/sgxgauge" ./cmd/sgxgauge
 
 cport=$((20000 + RANDOM % 20000))
 wport=$((cport + 1))
@@ -47,7 +47,7 @@ wait_workers() {
 }
 
 start_coordinator() {
-  "$workdir/sgxgauged" -addr "127.0.0.1:$cport" -coordinator \
+  "$workdir/sgxgauge" serve -addr "127.0.0.1:$cport" -coordinator \
     -journal.dir "$workdir/journal" -journal.fsync \
     -store.dir "$workdir/cstore" &
   coord_pid=$!
@@ -68,7 +68,7 @@ start_coordinator
 wait_healthy "$coord"
 # -j 1 serializes the worker so the sweep is still in flight when the
 # coordinator is killed.
-"$workdir/sgxgauged" -addr "127.0.0.1:$wport" -worker "$coord" \
+"$workdir/sgxgauge" serve -addr "127.0.0.1:$wport" -worker "$coord" \
   -store.dir "$workdir/wstore" -j 1 &
 worker_pid=$!
 pids+=($worker_pid)
@@ -108,7 +108,7 @@ tail -1 "$workdir/reattach.ndjson" | grep -q '"event":"done".*"ok":true' ||
   { echo "crash_smoke: reattach stream did not end with done ok:true" >&2; exit 1; }
 
 echo "== byte-identical to an uninterrupted standalone sweep =="
-"$workdir/sgxgauged" -addr "127.0.0.1:$rport" &
+"$workdir/sgxgauge" serve -addr "127.0.0.1:$rport" &
 pids+=($!)
 wait_healthy "http://127.0.0.1:$rport"
 curl -sf -X POST "http://127.0.0.1:$rport/v1/sweep" -d "$sweep" |

@@ -19,7 +19,7 @@ cleanup() {
 }
 trap cleanup EXIT
 
-go build -o "$workdir/sgxgauged" ./cmd/sgxgauged
+go build -o "$workdir/sgxgauge" ./cmd/sgxgauge
 
 port=$((24000 + RANDOM % 20000))
 w1port=$((port + 1))
@@ -48,7 +48,7 @@ sweep='[{"mode":"Native","size":"Low","seed":1,"scenario":{"version":1,"name":"a
        {"mode":"Native","size":"Low","seed":4,"scenario":{"version":1,"name":"noisy-neighbor"}}]'
 
 echo "== pass 1: single node runs the scenario sweep =="
-"$workdir/sgxgauged" -addr "127.0.0.1:$port" -epc "$epc" &
+"$workdir/sgxgauge" serve -addr "127.0.0.1:$port" -epc "$epc" &
 pids+=($!)
 wait_healthy "$base"
 # The dedicated endpoint lists and runs scenarios. (Responses land in
@@ -63,12 +63,12 @@ grep -c '"event":"result"' "$workdir/single.ndjson" | grep -qx 4
 stop_fleet
 
 echo "== pass 2: coordinator + 2 workers run the identical sweep =="
-"$workdir/sgxgauged" -addr "127.0.0.1:$port" -epc "$epc" -coordinator &
+"$workdir/sgxgauge" serve -addr "127.0.0.1:$port" -epc "$epc" -coordinator &
 pids+=($!)
 wait_healthy "$base"
-"$workdir/sgxgauged" -addr "127.0.0.1:$w1port" -epc "$epc" -worker "$base" &
+"$workdir/sgxgauge" serve -addr "127.0.0.1:$w1port" -epc "$epc" -worker "$base" &
 pids+=($!)
-"$workdir/sgxgauged" -addr "127.0.0.1:$w2port" -epc "$epc" -worker "$base" &
+"$workdir/sgxgauge" serve -addr "127.0.0.1:$w2port" -epc "$epc" -worker "$base" &
 pids+=($!)
 wait_healthy "http://127.0.0.1:$w1port"
 wait_healthy "http://127.0.0.1:$w2port"
