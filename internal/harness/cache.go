@@ -1,7 +1,10 @@
 package harness
 
 import (
+	"context"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"sgxgauge/internal/sgx"
 	"sgxgauge/internal/workloads"
@@ -62,6 +65,9 @@ func (c *mapCache) Len() int {
 // same experiment grid), and is the module's single batch-execution
 // surface: Run, Get and the figure/table generators are all thin
 // wrappers over RunAll, which feeds the options-based parallel engine.
+// A Runner is safe for concurrent use: concurrent batches share its
+// cache, its worker slots and its in-flight executions, so a spec
+// missing the cache in two batches at once executes once.
 //
 // Error convention (uniform across Run/RunAll/Get): a spec's own
 // failure lands in its Result.Err — the batch always returns one
@@ -74,8 +80,11 @@ type Runner struct {
 	EPCPages int
 	// Seed is the base seed.
 	Seed int64
-	// Jobs is the default worker-pool size for RunAll batches
-	// (0 = GOMAXPROCS); the Workers option overrides it per call.
+	// Jobs bounds the specs simulating locally at once, across every
+	// concurrent batch of this Runner (0 = GOMAXPROCS), and is each
+	// batch's default goroutine count, which the Workers option
+	// overrides per call. Remote Exec dispatch holds no slot. Set it
+	// before first use.
 	Jobs int
 	// Progress, when non-nil, receives one event per spec completed
 	// by a RunAll batch; the OnProgress option overrides it per call.
@@ -89,7 +98,7 @@ type Runner struct {
 	// Exec, when non-nil, replaces local machine execution for
 	// hook-free specs: the engine calls it instead of booting a
 	// simulated machine, and everything around execution — cache
-	// probes, in-batch deduplication, progress events, result
+	// probes, coalescing, progress events, result
 	// caching — still happens in this Runner. The sgxgauged
 	// coordinator uses it to farm execution out to a worker fleet.
 	// Specs carrying Hooks always execute in-process (a callback
@@ -101,6 +110,17 @@ type Runner struct {
 	Exec func(Spec) (*Result, error)
 
 	initOnce sync.Once
+	// slots holds one token per local simulation, Jobs wide.
+	slots chan struct{}
+
+	mu sync.Mutex
+	// flights holds the one in-flight execution per key, across
+	// batches. guarded by mu
+	flights map[Key]*flight
+
+	executed  atomic.Uint64
+	coalesced atomic.Uint64
+	busy      atomic.Int64
 }
 
 // NewRunner returns a Runner for the given EPC size.
@@ -108,15 +128,119 @@ func NewRunner(epcPages int) *Runner {
 	return &Runner{EPCPages: epcPages, Cache: newMapCache()}
 }
 
-// cache returns the runner's result cache, installing the default on
-// first use so a zero Runner still works.
-func (r *Runner) cache() ResultCache {
+// init installs the default cache and sizes the worker slots on first
+// use, so a zero Runner still works, and returns the cache.
+func (r *Runner) init() ResultCache {
 	r.initOnce.Do(func() {
 		if r.Cache == nil {
 			r.Cache = newMapCache()
 		}
+		n := r.Jobs
+		if n <= 0 {
+			n = runtime.GOMAXPROCS(0)
+		}
+		r.slots = make(chan struct{}, n)
 	})
 	return r.Cache
+}
+
+// acquire takes a worker slot, reporting false when ctx ends first. A
+// nil Runner (execBatch) is bounded by its batch's workers alone.
+func (r *Runner) acquire(ctx context.Context) bool {
+	if r == nil {
+		return true
+	}
+	select {
+	case r.slots <- struct{}{}:
+		r.busy.Add(1)
+		return true
+	case <-ctx.Done():
+		return false
+	}
+}
+
+// release returns a slot taken by acquire.
+func (r *Runner) release() {
+	if r != nil {
+		r.busy.Add(-1)
+		<-r.slots
+	}
+}
+
+// RunLocal executes spec in-process under the runner's worker bound,
+// with no cache probe, no coalescing, no retry and no Exec: the local
+// fallback for an Exec that cannot dispatch a spec. The Result is
+// never nil and carries the spec's own failure in Err.
+func (r *Runner) RunLocal(spec Spec) *Result {
+	r.init()
+	ctx := context.Background()
+	r.acquire(ctx)
+	defer r.release()
+	res := runWithRetry(ctx, r.normalize(spec), &engineOpts{}, nil)
+	return &res
+}
+
+// flight is one in-flight execution of a key. The batch that
+// registered it executes the spec; every other miss of the key waits
+// on done. res is written before done closes; nil means the executing
+// batch was cancelled before the spec started, and waiters join again.
+type flight struct {
+	done chan struct{}
+	res  *Result
+}
+
+// join returns the in-flight execution of key, registering one led by
+// the caller when none exists.
+func (r *Runner) join(key Key) (f *flight, lead bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if f, ok := r.flights[key]; ok {
+		r.coalesced.Add(1)
+		return f, false
+	}
+	if r.flights == nil {
+		r.flights = make(map[Key]*flight)
+	}
+	f = &flight{done: make(chan struct{})}
+	r.flights[key] = f
+	return f, true
+}
+
+// settle publishes a leader's outcome, retires the key and wakes the
+// waiters.
+func (r *Runner) settle(key Key, f *flight, res *Result) {
+	f.res = res
+	r.mu.Lock()
+	delete(r.flights, key)
+	r.mu.Unlock()
+	close(f.done)
+}
+
+// RunStats is a snapshot of a Runner's execution counters.
+type RunStats struct {
+	// Executed counts specs RunAll executed, locally or through Exec;
+	// cache hits and coalesced misses are excluded.
+	Executed uint64
+	// Coalesced counts misses that waited on an identical in-flight
+	// execution instead of running again.
+	Coalesced uint64
+	// Busy is the number of worker slots simulating right now.
+	Busy int64
+	// InFlight is the number of distinct keys executing or queued.
+	InFlight int
+}
+
+// Stats returns the runner's execution counters.
+func (r *Runner) Stats() RunStats {
+	r.mu.Lock()
+	inflight := len(r.flights)
+	r.mu.Unlock()
+	return RunStats{
+		Executed:  r.executed.Load(),
+		Coalesced: r.coalesced.Load(),
+		Busy:      r.busy.Load(),
+		InFlight:  inflight,
+	}
 }
 
 // Normalize returns the spec as the runner actually files and runs
@@ -146,7 +270,7 @@ func (r *Runner) Key(spec Spec) (Key, error) {
 
 // engineOpts merges the runner's defaults with per-call options.
 func (r *Runner) engineOpts(opts []Option) engineOpts {
-	o := engineOpts{clock: RealClock{}, workers: r.Jobs, progress: r.Progress, exec: r.Exec}
+	o := engineOpts{clock: RealClock{}, ctx: context.Background(), workers: r.Jobs, progress: r.Progress, exec: r.Exec, runner: r}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -155,13 +279,15 @@ func (r *Runner) engineOpts(opts []Option) engineOpts {
 
 // RunAll is the module's one batch entry point: it executes the specs
 // through the parallel engine, sharing the runner's cache. Cached
-// cells are not re-run, duplicate specs within the batch run once,
-// and fresh successful results are cached for later calls. Results
-// keep input order and are never nil; a spec's failure is recorded in
-// its Result.Err without aborting siblings. The error return is
-// engine-level only: it is non-nil exactly when a WithContext context
-// was cancelled, in which case unstarted specs carry the context
-// error in their Result.Err.
+// cells are not re-run, and a miss whose key is already executing —
+// in this batch or a concurrent one — waits for that execution instead
+// of running again; fresh successful results are cached for later
+// calls. Results keep input order and are never nil; a spec's failure
+// is recorded in its Result.Err without aborting siblings. The error
+// return is engine-level only: it is non-nil exactly when a
+// WithContext context was cancelled, in which case unstarted specs,
+// and misses still waiting on another batch, carry the context error
+// in their Result.Err.
 //
 // Two spec classes bypass the cache: specs carrying Hooks (a function
 // value has no canonical encoding to key on) and specs that cannot be
@@ -169,21 +295,20 @@ func (r *Runner) engineOpts(opts []Option) engineOpts {
 // their results are simply never stored or shared.
 func (r *Runner) RunAll(specs []Spec, opts ...Option) ([]*Result, error) {
 	o := r.engineOpts(opts)
-	cache := r.cache()
+	cache := r.init()
+	ctx := o.ctx
 
 	out := make([]*Result, len(specs))
-	posOf := make([]int, len(specs)) // out index -> missSpecs index
-	var missSpecs []Spec
-	var missKeys []Key
-	var missCacheable []bool
-	missPos := map[Key]int{} // key -> index in missSpecs
-
+	norm := make([]Spec, len(specs))
+	keys := make([]Key, len(specs))
+	cacheable := make([]bool, len(specs))
+	var todo []int // misses, by input position
 	hits := 0
 	for i, spec := range specs {
-		spec = r.normalize(spec)
-		key, kerr := SpecKey(spec)
-		cacheable := kerr == nil && spec.Hooks.empty()
-		if cacheable {
+		norm[i] = r.normalize(spec)
+		key, kerr := SpecKey(norm[i])
+		keys[i], cacheable[i] = key, kerr == nil && spec.Hooks.empty()
+		if cacheable[i] {
 			if res, ok := cache.Get(key); ok {
 				out[i] = res
 				hits++
@@ -203,37 +328,67 @@ func (r *Runner) RunAll(specs []Spec, opts ...Option) ([]*Result, error) {
 				}
 				continue
 			}
-			if j, dup := missPos[key]; dup {
-				posOf[i] = j
-				continue
-			}
-			missPos[key] = len(missSpecs)
 		}
-		posOf[i] = len(missSpecs)
-		missSpecs = append(missSpecs, spec)
-		missKeys = append(missKeys, key)
-		missCacheable = append(missCacheable, cacheable)
+		todo = append(todo, i)
 	}
-
-	if len(missSpecs) == 0 {
+	if len(todo) == 0 {
 		return out, nil
 	}
-	batch, engineErr := runBatch(missSpecs, o)
-	canon := make([]*Result, len(batch))
-	for j := range batch {
-		res := &batch[j]
-		// Failures are not cached, so a retry re-runs them.
-		if res.Err == nil && missCacheable[j] {
-			res = cache.Add(missKeys[j], res)
+
+	flights := make([]*flight, len(specs))
+	for len(todo) > 0 {
+		// Lead every miss no execution holds yet; follow the rest.
+		var lead, follow []int
+		for _, i := range todo {
+			if !cacheable[i] {
+				lead = append(lead, i)
+				continue
+			}
+			f, leads := r.join(keys[i])
+			if flights[i] = f; leads {
+				lead = append(lead, i)
+			} else {
+				follow = append(follow, i)
+			}
 		}
-		canon[j] = res
-	}
-	for i := range out {
-		if out[i] == nil {
-			out[i] = canon[posOf[i]]
+		batch := make([]Spec, len(lead))
+		for j, i := range lead {
+			batch[j] = norm[i]
+		}
+		runBatch(batch, o, func(j int, res *Result, ran bool) {
+			i := lead[j]
+			if ran {
+				r.executed.Add(1)
+			}
+			// Failures are not cached, so a retry re-runs them.
+			if res.Err == nil && cacheable[i] {
+				res = cache.Add(keys[i], res)
+			}
+			out[i] = res
+			if f := flights[i]; f != nil {
+				if !ran {
+					res = nil
+				}
+				r.settle(keys[i], f, res)
+			}
+		})
+		// Collect followed executions only now that this batch's own
+		// have settled, so no cycle of waits can form. A follower whose
+		// leader never started joins again.
+		todo = nil
+		for _, i := range follow {
+			select {
+			case <-flights[i].done:
+				if out[i] = flights[i].res; out[i] == nil {
+					todo = append(todo, i)
+				}
+			case <-ctx.Done():
+				res := failedResult(norm[i], ctx.Err())
+				out[i] = &res
+			}
 		}
 	}
-	return out, engineErr
+	return out, ctx.Err()
 }
 
 // Run executes (or serves from cache) one spec: a thin wrapper over

@@ -51,13 +51,17 @@ type engineOpts struct {
 	clock          Clock
 	ctx            context.Context
 	exec           func(Spec) (*Result, error)
+	// runner, when non-nil, bounds local execution by its worker
+	// slots; execBatch leaves it nil (bounded by workers alone).
+	runner *Runner
 }
 
 // Option configures a Runner.RunAll batch (and the Run/Get wrappers
 // over it).
 type Option func(*engineOpts)
 
-// Workers sets the worker-pool size; n <= 0 selects GOMAXPROCS.
+// Workers sets the batch's goroutine count; n <= 0 selects GOMAXPROCS.
+// Local simulation stays bounded by the Runner's Jobs across batches.
 func Workers(n int) Option {
 	return func(o *engineOpts) { o.workers = n }
 }
@@ -115,7 +119,8 @@ func WithClock(c Clock) Option {
 
 // WithContext binds the batch to ctx: once ctx is cancelled, no new
 // spec starts (unstarted specs complete immediately with ctx's error
-// in their Result.Err) and the batch returns ctx's error as its
+// in their Result.Err, as do misses still waiting on another batch's
+// execution of their key) and the batch returns ctx's error as its
 // engine-level error. A spec already executing runs to completion —
 // simulated machines are not interruptible — so cancellation bounds
 // the remaining work at one in-flight run per worker.
@@ -135,16 +140,12 @@ func WithContext(ctx context.Context) Option {
 // spec's deterministic seeding is untouched, so a batch is
 // bit-for-bit identical to running the same specs serially. A spec
 // that errors or panics yields a Result with Err set instead of
-// aborting its siblings; the error return is engine-level only
-// (context cancellation).
-func runBatch(specs []Spec, o engineOpts) ([]Result, error) {
-	if o.clock == nil {
-		o.clock = RealClock{}
-	}
+// aborting its siblings; a cancelled context fails the specs it kept
+// from starting. settle, when non-nil, sees each spec's Result as it
+// lands, before its progress event, with ran false when the context
+// ended before the spec started.
+func runBatch(specs []Spec, o engineOpts, settle func(i int, res *Result, ran bool)) []Result {
 	ctx := o.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	results := make([]Result, len(specs))
 	// Specs sent to a remote executor never claim their slot, so they
 	// never build a template; finish releases their share of the plan.
@@ -153,12 +154,14 @@ func runBatch(specs []Spec, o engineOpts) ([]Result, error) {
 	completed := 0
 	forEach(len(specs), o.workers, func(i int) {
 		start := o.clock.Now()
+		ran := true
 		if err := ctx.Err(); err != nil {
-			results[i] = failedResult(specs[i], err)
+			results[i], ran = failedResult(specs[i], err), false
 		} else if o.exec != nil && specs[i].Hooks.empty() {
-			// Remote execution: the executor's Result already carries
-			// the spec's own failure and attempt count; a transport
-			// failure (nil result) becomes this spec's error.
+			// Remote execution holds no worker slot. The executor's
+			// Result already carries the spec's own failure and attempt
+			// count; a transport failure (nil result) becomes this
+			// spec's error.
 			res, err := o.exec(specs[i])
 			if res != nil {
 				results[i] = *res
@@ -174,17 +177,16 @@ func runBatch(specs []Spec, o engineOpts) ([]Result, error) {
 			if results[i].Attempts == 0 {
 				results[i].Attempts = 1
 			}
+		} else if o.runner.acquire(ctx) {
+			results[i] = runWithRetry(ctx, specs[i], &o, boots[i])
+			o.runner.release()
 		} else {
-			res, attempts, err := runWithRetry(ctx, specs[i], &o, boots[i])
-			if res != nil {
-				results[i] = *res
-				results[i].Err = err
-			} else {
-				results[i] = failedResult(specs[i], err)
-			}
-			results[i].Attempts = attempts
+			results[i], ran = failedResult(specs[i], ctx.Err()), false
 		}
 		boots[i].finish()
+		if settle != nil {
+			settle(i, &results[i], ran)
+		}
 		wall := o.clock.Since(start)
 		if o.progress != nil {
 			mu.Lock()
@@ -202,41 +204,43 @@ func runBatch(specs []Spec, o engineOpts) ([]Result, error) {
 			mu.Unlock()
 		}
 	})
-	return results, ctx.Err()
+	return results
 }
 
 // execBatch runs specs through the engine with per-call options and
 // no cache — the in-package form ChaosSweep and tests use.
 func execBatch(specs []Spec, opts ...Option) ([]Result, error) {
-	o := engineOpts{clock: RealClock{}}
+	o := engineOpts{clock: RealClock{}, ctx: context.Background()}
 	for _, opt := range opts {
 		opt(&o)
 	}
-	return runBatch(specs, o)
+	return runBatch(specs, o, nil), o.ctx.Err()
 }
 
 // runWithRetry executes the spec, re-running it on transient injected
 // faults per the engine's retry policy. It returns the last attempt's
-// result (possibly a partial, fault-bearing one), how many attempts
-// ran, and the last error. Backoff sleeps are bound to the batch
-// context: a cancelled batch stops waiting immediately and surfaces
-// the last attempt's transient error instead of sleeping out the rest
-// of an exponential schedule nobody will read.
-func runWithRetry(ctx context.Context, spec Spec, o *engineOpts, boot *bootSlot) (*Result, int, error) {
-	var res *Result
-	var err error
+// result (possibly a partial, fault-bearing one) with its error in Err
+// and the number of attempts that ran. Backoff sleeps are bound to the
+// batch context: a cancelled batch stops waiting immediately and
+// surfaces the last attempt's transient error instead of sleeping out
+// the rest of an exponential schedule nobody will read.
+func runWithRetry(ctx context.Context, spec Spec, o *engineOpts, boot *bootSlot) Result {
 	for attempt := 0; ; attempt++ {
 		s := spec
 		if attempt > 0 && s.Chaos != nil {
 			derived := s.Chaos.WithAttempt(attempt)
 			s.Chaos = &derived
 		}
-		res, err = runSafe(s, boot)
-		if err == nil || attempt >= o.retries || !sgx.IsTransient(err) {
-			return res, attempt + 1, err
-		}
-		if o.backoff > 0 && !sleepCtx(ctx, o.backoff<<uint(attempt)) {
-			return res, attempt + 1, err
+		res, err := runSafe(s, boot)
+		retry := err != nil && attempt < o.retries && sgx.IsTransient(err)
+		if !retry || (o.backoff > 0 && !sleepCtx(ctx, o.backoff<<uint(attempt))) {
+			out := failedResult(spec, err)
+			if res != nil {
+				out = *res
+				out.Err = err
+			}
+			out.Attempts = attempt + 1
+			return out
 		}
 	}
 }

@@ -189,6 +189,150 @@ func TestRunnerRunAllCacheAndDedup(t *testing.T) {
 	}
 }
 
+// waitFor polls cond until it holds, failing the test after 10s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRunnerJobsBoundsAcrossBatches: Jobs bounds local simulation
+// across concurrent batches, not per batch — with Jobs 1, the second
+// of two concurrent one-spec batches cannot start until the first
+// finishes.
+func TestRunnerJobsBoundsAcrossBatches(t *testing.T) {
+	r := &Runner{EPCPages: testEPC, Jobs: 1}
+	gate := make(chan struct{})
+	var entered atomic.Int32
+	spec := Spec{Workload: suite.Empty(), Mode: sgx.Vanilla, Size: workloads.Low, Hooks: Hooks{
+		OnMachine: func(*sgx.Machine) {
+			entered.Add(1)
+			<-gate
+		},
+	}}
+	done := make(chan error, 2)
+	for range 2 {
+		go func() {
+			_, err := r.RunAll([]Spec{spec})
+			done <- err
+		}()
+	}
+	waitFor(t, "the first hook", func() bool { return entered.Load() >= 1 })
+	time.Sleep(100 * time.Millisecond)
+	if n := entered.Load(); n != 1 {
+		t.Errorf("%d hooks entered with Jobs = 1, want 1", n)
+	}
+	if busy := r.Stats().Busy; busy != 1 {
+		t.Errorf("Stats().Busy = %d, want 1", busy)
+	}
+	close(gate)
+	for range 2 {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := r.Stats(); st.Executed != 2 || st.Busy != 0 {
+		t.Errorf("after both batches: %+v, want 2 executed and no busy slot", st)
+	}
+}
+
+// TestRunnerCoalescesAcrossBatches: a miss whose key is executing in
+// another batch waits for that execution instead of running again,
+// and a waiting follower honours its own context.
+func TestRunnerCoalescesAcrossBatches(t *testing.T) {
+	gate := make(chan struct{})
+	var calls atomic.Int32
+	r := &Runner{EPCPages: testEPC, Exec: func(s Spec) (*Result, error) {
+		calls.Add(1)
+		<-gate
+		return &Result{Name: s.WorkloadName(), Mode: s.Mode, Cycles: 5, Attempts: 1}, nil
+	}}
+	spec := Spec{Workload: suite.Empty(), Mode: sgx.Vanilla, Size: workloads.Low}
+	results := make(chan *Result, 2)
+	for range 2 {
+		go func() {
+			res, err := r.Run(spec)
+			if err != nil {
+				t.Error(err)
+			}
+			results <- res
+		}()
+	}
+	waitFor(t, "the second batch to coalesce", func() bool { return r.Stats().Coalesced == 1 })
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := r.Run(spec, WithContext(ctx))
+	if !errors.Is(err, context.Canceled) || !errors.Is(res.Err, context.Canceled) {
+		t.Fatalf("cancelled follower: err %v, Result.Err %v, want context.Canceled", err, res.Err)
+	}
+
+	close(gate)
+	a, b := <-results, <-results
+	if a != b || a.Cycles != 5 {
+		t.Errorf("batches got %p and %p (cycles %d), want one shared result", a, b, a.Cycles)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("spec executed %d times, want 1", n)
+	}
+	if st := r.Stats(); st.Executed != 1 || st.InFlight != 0 {
+		t.Errorf("Stats() = %+v, want 1 executed and nothing in flight", st)
+	}
+}
+
+// TestRunnerFollowerOutlivesCancelledLeader: when the batch leading a
+// key is cancelled before the spec starts, a follower from another
+// batch runs the spec itself instead of inheriting the cancellation.
+func TestRunnerFollowerOutlivesCancelledLeader(t *testing.T) {
+	r := &Runner{EPCPages: testEPC, Jobs: 1}
+	gate, blocking := make(chan struct{}), make(chan struct{})
+	blocker := Spec{Workload: suite.Empty(), Mode: sgx.Vanilla, Size: workloads.Low, Hooks: Hooks{
+		OnMachine: func(*sgx.Machine) {
+			close(blocking)
+			<-gate
+		},
+	}}
+	blockerDone := make(chan struct{})
+	go func() {
+		defer close(blockerDone)
+		r.Run(blocker)
+	}()
+	<-blocking // the only worker slot is taken
+
+	spec := Spec{Workload: suite.Empty(), Mode: sgx.Vanilla, Size: workloads.Low}
+	ctx, cancel := context.WithCancel(context.Background())
+	leader := make(chan *Result, 1)
+	go func() {
+		res, _ := r.Run(spec, WithContext(ctx))
+		leader <- res
+	}()
+	waitFor(t, "the leader to register", func() bool { return r.Stats().InFlight == 1 })
+	follower := make(chan *Result, 1)
+	go func() {
+		res, _ := r.Run(spec)
+		follower <- res
+	}()
+	waitFor(t, "the follower to coalesce", func() bool { return r.Stats().Coalesced == 1 })
+
+	cancel()
+	if res := <-leader; !errors.Is(res.Err, context.Canceled) {
+		t.Fatalf("cancelled leader: Result.Err = %v, want context.Canceled", res.Err)
+	}
+	close(gate)
+	if res := <-follower; res.Err != nil || res.Attempts != 1 {
+		t.Fatalf("follower: %+v, want its own clean run", res)
+	}
+	<-blockerDone
+	if n := r.Stats().Executed; n != 2 {
+		t.Errorf("Executed = %d, want 2 (the blocker and the follower's run)", n)
+	}
+}
+
 // TestRunnerRunAllErrorContract: a spec's own failure lands in its
 // Result.Err (the error return is engine-level only), siblings still
 // complete, and failed cells are not cached (a retry re-runs them).

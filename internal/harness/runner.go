@@ -102,11 +102,6 @@ type Hooks struct {
 // are safe to cache by canonical encoding).
 func (h Hooks) empty() bool { return h.OnMachine == nil }
 
-// Empty reports whether the spec carries no hooks at all. Only
-// hook-free specs can be cached or shipped to a remote executor — a
-// callback has no canonical encoding and cannot travel.
-func (h Hooks) Empty() bool { return h.empty() }
-
 // Result is one measured run.
 type Result struct {
 	// Name, Mode and Params echo the effective configuration.

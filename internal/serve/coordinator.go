@@ -108,8 +108,8 @@ type clusterWorker struct {
 }
 
 // clusterTask is one in-flight spec execution. res and err are
-// written before done is closed and read only after, exactly like a
-// flightCall; every other field is guarded by the cluster lock.
+// written before done is closed and read only after; every other
+// field is guarded by the cluster lock.
 type clusterTask struct {
 	key  harness.Key
 	spec harness.Spec
@@ -662,22 +662,21 @@ var errUnknownWorker = fmt.Errorf("serve: unknown worker (register first)")
 const claimRecheck = time.Second
 
 // execRemote is the coordinator's executor: it satisfies
-// harness.Runner.Exec and backs the /v1/run path, so every entry
-// point — run, sweep, figures — draws on the fleet through the same
-// coalescing dispatcher. Specs that cannot travel (hooks, no
-// canonical encoding) and tasks orphaned by total fleet loss fall
-// back to local execution.
+// harness.Runner.Exec, so every job — run, sweep, figure — draws on
+// the fleet through the same coalescing dispatcher. Specs with no
+// canonical encoding and tasks orphaned by total fleet loss fall back
+// to Runner.RunLocal.
 func (s *Server) execRemote(spec harness.Spec) (*harness.Result, error) {
 	spec = s.runner.Normalize(spec)
 	key, err := harness.SpecKey(spec)
-	if err != nil || !spec.Hooks.Empty() {
-		return s.localRun(spec)
+	if err != nil {
+		return s.runner.RunLocal(spec), nil
 	}
 	t, _, runLocal := s.cluster.submit(key, spec, time.Now())
 	if runLocal {
-		res, err := s.localRun(spec)
-		s.cluster.finish(t, res, err)
-		return res, err
+		res := s.runner.RunLocal(spec)
+		s.cluster.finish(t, res, nil)
+		return res, nil
 	}
 	for {
 		timer := time.NewTimer(claimRecheck)
@@ -687,9 +686,9 @@ func (s *Server) execRemote(spec harness.Spec) (*harness.Result, error) {
 			return t.res, t.err
 		case <-timer.C:
 			if s.cluster.claimOrphan(t, time.Now()) {
-				res, err := s.localRun(spec)
-				s.cluster.finish(t, res, err)
-				return res, err
+				res := s.runner.RunLocal(spec)
+				s.cluster.finish(t, res, nil)
+				return res, nil
 			}
 		}
 	}

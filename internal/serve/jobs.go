@@ -129,12 +129,21 @@ func (jb *job) terminalEvent() sweepEvent {
 	return sweepEvent{Event: "error", Error: "serve: job produced no events"}
 }
 
-// resultEvent returns the job's result event for task index i.
+// resultEvent returns the job's result event for task index i, marked
+// cached when its progress event reported a cache hit.
 func (jb *job) resultEvent(i int) (sweepEvent, bool) {
 	jb.mu.Lock()
 	defer jb.mu.Unlock()
+	cached := false
 	for _, ev := range jb.events {
-		if ev.Event == "result" && ev.Index == i {
+		if ev.Index != i {
+			continue
+		}
+		switch ev.Event {
+		case "progress":
+			cached = ev.Cached
+		case "result":
+			ev.Cached = cached
 			return ev, true
 		}
 	}
@@ -187,11 +196,7 @@ func (s *Server) admit(n int) bool {
 // worker pool, clamped to [1s, 120s]. It is deliberately coarse — the
 // point is backpressure, not a schedule.
 func (s *Server) retryAfter() int {
-	per := s.metrics.workers
-	if per < 1 {
-		per = 1
-	}
-	sec := int(s.queued.Load()) / per
+	sec := int(s.queued.Load()) / max(s.runner.Jobs, 1)
 	if sec < 1 {
 		sec = 1
 	}
@@ -244,18 +249,16 @@ func (s *Server) registerJob(jb *job) {
 	s.jobsMu.Unlock()
 }
 
-// launchJob runs the job detached, tracked by the leaders group so
+// launchJob runs the job detached, tracked by the detached group so
 // Drain waits for it.
 func (s *Server) launchJob(jb *job) {
-	s.leaders.Add(1)
+	s.detached.Add(1)
 	go func() {
-		defer s.leaders.Done()
+		defer s.detached.Done()
 		defer s.retireJob(jb)
 		switch jb.kind {
-		case "sweep":
-			s.runSweepJob(jb)
-		case "run":
-			s.runRunJob(jb)
+		case "sweep", "run":
+			s.runBatchJob(jb)
 		case "figure":
 			s.runFigureJob(jb)
 		default:
@@ -318,13 +321,13 @@ func (s *Server) journalFinish(jb *job, jobErr string) {
 	}
 }
 
-// runSweepJob executes a sweep batch through the unified Runner —
-// shared cache, dedup, worker pool, remote dispatch on a coordinator —
-// appending progress events as specs complete (including cache-hit
-// specs, so a warm resume still journals every task), then result
-// events in input order, then the terminal event.
-func (s *Server) runSweepJob(jb *job) {
-	s.metrics.inflight.Add(1)
+// runBatchJob executes a run's or a sweep's specs as one batch through
+// the unified Runner — shared cache, coalescing, worker bound, remote
+// dispatch on a coordinator — appending progress events as specs
+// complete (including cache-hit specs, so a warm resume still
+// journals every task), then result events in input order, then the
+// terminal event.
+func (s *Server) runBatchJob(jb *job) {
 	results, err := s.runner.RunAll(jb.specs,
 		harness.ProgressCached(),
 		harness.OnProgress(func(p harness.Progress) {
@@ -343,7 +346,6 @@ func (s *Server) runSweepJob(jb *job) {
 			}
 			jb.append(ev)
 		}))
-	s.metrics.inflight.Add(-1)
 
 	for i, res := range results {
 		s.journalTask(jb, i, res.Err)
@@ -362,22 +364,6 @@ func (s *Server) runSweepJob(jb *job) {
 		return
 	}
 	jb.append(sweepEvent{Event: "done", Total: len(jb.specs), OK: true})
-	s.journalFinish(jb, "")
-}
-
-// runRunJob executes a single-spec job through the singleflight path,
-// so identical concurrent /v1/run jobs still coalesce onto one
-// execution.
-func (s *Server) runRunJob(jb *job) {
-	key, res, cached, err := s.execute(context.Background(), jb.specs[0])
-	if err != nil {
-		jb.append(sweepEvent{Event: "error", Total: 1, Error: err.Error()})
-		s.journalFinish(jb, err.Error())
-		return
-	}
-	s.journalTask(jb, 0, res.Err)
-	jb.append(sweepEvent{Event: "result", Index: 0, Key: key.String(), Cached: cached, Result: wireResult(res)})
-	jb.append(sweepEvent{Event: "done", Total: 1, OK: true})
 	s.journalFinish(jb, "")
 }
 
@@ -564,12 +550,11 @@ func (s *Server) streamLazyJob(ctx context.Context, stream *ndjsonStream, jb *jo
 			res, _ = s.results.Get(jb.keys[i])
 		}
 		if res == nil {
-			_, r2, _, err := s.execute(ctx, jb.specs[i])
-			if err != nil {
+			var err error
+			if res, err = s.runner.Run(jb.specs[i], harness.WithContext(ctx)); err != nil {
 				stream.emit(sweepEvent{Event: "error", Total: len(jb.specs), Error: err.Error()})
 				return
 			}
-			res = r2
 		}
 		ev := sweepEvent{Event: "result", Index: i, Result: wireResult(res)}
 		if jb.keyOK[i] {

@@ -112,7 +112,7 @@ func TestCrashRecoveryReplaysJournal(t *testing.T) {
 	var simulated atomic.Int64
 	s2.runner.Exec = func(spec harness.Spec) (*harness.Result, error) {
 		simulated.Add(1)
-		return s2.localRun(spec)
+		return s2.runner.RunLocal(spec), nil
 	}
 	ts := httptest.NewServer(s2.Handler())
 	defer ts.Close()
@@ -263,7 +263,7 @@ func TestAdmissionControl(t *testing.T) {
 	gate := make(chan struct{})
 	s.runner.Exec = func(spec harness.Spec) (*harness.Result, error) {
 		<-gate
-		return s.localRun(spec)
+		return s.runner.RunLocal(spec), nil
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

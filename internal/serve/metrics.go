@@ -9,18 +9,16 @@ import (
 	"sync/atomic"
 	"time"
 
+	"sgxgauge/internal/harness"
 	"sgxgauge/internal/journal"
 	"sgxgauge/internal/store"
 )
 
-// metrics is the daemon's instrumentation: request counts and
-// latencies per endpoint, run/coalescing counters, and worker-pool
-// occupancy gauges. Everything renders in Prometheus text exposition
-// format on /metrics.
+// metrics is the daemon's own instrumentation: request counts and
+// latencies per endpoint and admission rejections. The run, coalescing
+// and worker-slot series are read from the Runner at scrape time.
+// Everything renders in Prometheus text exposition format on /metrics.
 type metrics struct {
-	// workers is the worker-pool capacity (immutable after New).
-	workers int
-
 	mu sync.Mutex
 	// requests counts finished requests per "path\x00code". // guarded by mu
 	requests map[string]uint64
@@ -29,16 +27,11 @@ type metrics struct {
 	// latCount counts latency observations per path. // guarded by mu
 	latCount map[string]uint64
 
-	busy              atomic.Int64  // occupied worker-pool slots
-	inflight          atomic.Int64  // run requests executing or queued
-	runs              atomic.Uint64 // specs actually executed
-	coalesced         atomic.Uint64 // requests that joined an in-flight run
 	admissionRejected atomic.Uint64 // jobs shed with 429 past the queue high-water mark
 }
 
-func newMetrics(workers int) *metrics {
+func newMetrics() *metrics {
 	return &metrics{
-		workers:  workers,
 		requests: make(map[string]uint64),
 		latSum:   make(map[string]float64),
 		latCount: make(map[string]uint64),
@@ -58,7 +51,7 @@ func (m *metrics) observe(path string, code int, seconds float64) {
 // render writes the Prometheus text exposition. Label sets print in
 // sorted order so consecutive scrapes of an idle daemon are
 // byte-identical.
-func (m *metrics) render(w io.Writer, cache *Cache) {
+func (m *metrics) render(w io.Writer, cache *Cache, r *harness.Runner) {
 	m.mu.Lock()
 	requests := make(map[string]uint64, len(m.requests))
 	for k, v := range m.requests {
@@ -102,21 +95,22 @@ func (m *metrics) render(w io.Writer, cache *Cache) {
 	fmt.Fprintln(w, "# TYPE sgxgauged_cache_entries gauge")
 	fmt.Fprintf(w, "sgxgauged_cache_entries %d\n", cache.Len())
 
-	fmt.Fprintln(w, "# HELP sgxgauged_workers Worker-pool capacity.")
+	st := r.Stats()
+	fmt.Fprintln(w, "# HELP sgxgauged_workers Worker slots: specs that may simulate locally at once, across all jobs.")
 	fmt.Fprintln(w, "# TYPE sgxgauged_workers gauge")
-	fmt.Fprintf(w, "sgxgauged_workers %d\n", m.workers)
-	fmt.Fprintln(w, "# HELP sgxgauged_workers_busy Worker-pool slots currently executing a run.")
+	fmt.Fprintf(w, "sgxgauged_workers %d\n", r.Jobs)
+	fmt.Fprintln(w, "# HELP sgxgauged_workers_busy Worker slots currently simulating a spec.")
 	fmt.Fprintln(w, "# TYPE sgxgauged_workers_busy gauge")
-	fmt.Fprintf(w, "sgxgauged_workers_busy %d\n", m.busy.Load())
-	fmt.Fprintln(w, "# HELP sgxgauged_runs_inflight Run requests currently executing or queued.")
+	fmt.Fprintf(w, "sgxgauged_workers_busy %d\n", st.Busy)
+	fmt.Fprintln(w, "# HELP sgxgauged_runs_inflight Distinct specs currently executing or queued for execution, across runs, sweeps and figures.")
 	fmt.Fprintln(w, "# TYPE sgxgauged_runs_inflight gauge")
-	fmt.Fprintf(w, "sgxgauged_runs_inflight %d\n", m.inflight.Load())
-	fmt.Fprintln(w, "# HELP sgxgauged_runs_total Specs actually executed (cache hits and coalesced requests excluded).")
+	fmt.Fprintf(w, "sgxgauged_runs_inflight %d\n", st.InFlight)
+	fmt.Fprintln(w, "# HELP sgxgauged_runs_total Specs executed by runs, sweeps and figures (cache hits and coalesced specs excluded).")
 	fmt.Fprintln(w, "# TYPE sgxgauged_runs_total counter")
-	fmt.Fprintf(w, "sgxgauged_runs_total %d\n", m.runs.Load())
-	fmt.Fprintln(w, "# HELP sgxgauged_runs_coalesced_total Requests served by joining an identical in-flight run.")
+	fmt.Fprintf(w, "sgxgauged_runs_total %d\n", st.Executed)
+	fmt.Fprintln(w, "# HELP sgxgauged_runs_coalesced_total Cache misses served by waiting on an identical in-flight execution.")
 	fmt.Fprintln(w, "# TYPE sgxgauged_runs_coalesced_total counter")
-	fmt.Fprintf(w, "sgxgauged_runs_coalesced_total %d\n", m.coalesced.Load())
+	fmt.Fprintf(w, "sgxgauged_runs_coalesced_total %d\n", st.Coalesced)
 	fmt.Fprintln(w, "# HELP sgxgauged_admission_rejected_total Jobs shed with 429 because the queue was past its high-water mark.")
 	fmt.Fprintln(w, "# TYPE sgxgauged_admission_rejected_total counter")
 	fmt.Fprintf(w, "sgxgauged_admission_rejected_total %d\n", m.admissionRejected.Load())

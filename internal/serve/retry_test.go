@@ -346,7 +346,7 @@ func TestWorkerDrainFinishesBatch(t *testing.T) {
 	ws.runner.Exec = func(spec harness.Spec) (*harness.Result, error) {
 		once.Do(func() { close(started) })
 		<-gate
-		return ws.localRun(spec)
+		return ws.runner.RunLocal(spec), nil
 	}
 
 	spec := ws.runner.Normalize(harness.Spec{Workload: mustWorkload(t, "Empty"), Size: workloads.Low, Seed: 1})

@@ -8,15 +8,16 @@
 //
 // Identical specs are content-addressed by the SHA-256 of their
 // canonical JSON encoding (harness.SpecKey): repeated requests are
-// cache hits against a sharded bounded LRU, and concurrent identical
-// requests coalesce onto one in-flight run. Runs execute on a bounded
-// worker pool; a client disconnect abandons the wait but never the
-// run — the detached leader finishes and populates the cache, so the
-// work is not wasted.
+// cache hits against a sharded bounded LRU. Every cache miss — run,
+// sweep or figure — becomes a detached job executing through the one
+// shared harness.Runner, whose RunAll coalesces concurrent identical
+// specs onto one execution and bounds local simulation at Workers
+// across all jobs. A client disconnect abandons the wait but never
+// the job: it finishes and populates the cache, so the work is not
+// wasted.
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -29,7 +30,6 @@ import (
 	"sgxgauge/internal/harness"
 	"sgxgauge/internal/journal"
 	"sgxgauge/internal/perf"
-	"sgxgauge/internal/sgx"
 	"sgxgauge/internal/store"
 )
 
@@ -40,8 +40,8 @@ type Config struct {
 	EPCPages int
 	// Seed is the base seed forced onto specs that leave it zero.
 	Seed int64
-	// Workers bounds concurrently executing simulated runs
-	// (0 = GOMAXPROCS).
+	// Workers bounds concurrently executing simulated runs across
+	// every job (0 = GOMAXPROCS); it becomes the Runner's Jobs.
 	Workers int
 	// CacheEntries bounds the result cache (0 = DefaultCacheEntries).
 	CacheEntries int
@@ -83,11 +83,6 @@ type Server struct {
 	runner  *harness.Runner
 	cache   *Cache
 	metrics *metrics
-	flight  *flight
-	// slots bounds concurrent local simulation (localRun holds one
-	// slot per run); remote dispatch on a coordinator is not bounded
-	// by it.
-	slots chan struct{}
 	// results is the full lookup stack requests read and write: the
 	// in-memory cache alone, or — with Config.Store — the cache tiered
 	// over the persistent store.
@@ -98,14 +93,9 @@ type Server struct {
 	// cluster is the coordinator's dispatcher (nil unless
 	// Config.Coordinator).
 	cluster *cluster
-	// runSpec executes one spec; tests swap in a fake to script
-	// timing. The default runs through the shared Runner; a
-	// coordinator farms it to the worker fleet.
-	runSpec func(harness.Spec) (*harness.Result, error)
-	// leaders tracks detached singleflight leader goroutines and
-	// detached jobs so Drain can wait for them after the HTTP
-	// listener stops.
-	leaders sync.WaitGroup
+	// detached tracks running jobs so Drain can wait for them after
+	// the HTTP listener stops.
+	detached sync.WaitGroup
 
 	// journal is the write-ahead log (nil without Config.Journal).
 	journal *journal.Journal
@@ -153,9 +143,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		runner:   r,
 		cache:    cache,
-		metrics:  newMetrics(workers),
-		flight:   newFlight(),
-		slots:    make(chan struct{}, workers),
+		metrics:  newMetrics(),
 		results:  cache,
 		store:    cfg.Store,
 		journal:  cfg.Journal,
@@ -167,13 +155,11 @@ func New(cfg Config) *Server {
 		s.results = store.NewTiered(cache, cfg.Store)
 	}
 	r.Cache = s.results
-	s.runSpec = s.localRun
 	if cfg.Coordinator {
 		s.cluster = newCluster(cfg.WorkerTTL, cfg.TaskRetries, cfg.RetryBase, cfg.Journal)
-		// Every execution path — /v1/run, sweeps, figures — now draws
-		// on the fleet through the coalescing dispatcher.
+		// Every job — run, sweep, figure — draws on the fleet through
+		// the coalescing dispatcher.
 		r.Exec = s.execRemote
-		s.runSpec = s.execRemote
 	}
 	if cfg.Journal != nil {
 		// Refuse traffic until Recover has replayed the log; a job
@@ -181,28 +167,6 @@ func New(cfg Config) *Server {
 		s.recovering.Store(true)
 	}
 	return s
-}
-
-// localRun executes one spec in-process through the shared Runner,
-// holding one worker-pool slot for the duration — the slots semaphore
-// bounds genuinely local simulation only, so a coordinator's remote
-// dispatch (which just waits on the fleet) is never capped by the
-// coordinator's own core count. The server is the cache layer on this
-// path — execute (or the engine, on the sweep path) already probed
-// and will store the result — so the spec is marked hook-bearing to
-// keep the engine from probing the shared cache a second time (which
-// would double-count every miss on /metrics). On a coordinator the
-// marker also keeps the nested Run clear of the remote executor:
-// hook-bearing specs always run in-process.
-func (s *Server) localRun(spec harness.Spec) (*harness.Result, error) {
-	s.slots <- struct{}{}
-	s.metrics.busy.Add(1)
-	defer func() {
-		s.metrics.busy.Add(-1)
-		<-s.slots
-	}()
-	spec.Hooks = harness.Hooks{OnMachine: func(*sgx.Machine) {}}
-	return s.runner.Run(spec)
 }
 
 // Handler returns the daemon's route table.
@@ -229,60 +193,13 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// Drain blocks until every detached leader run has completed. Call it
-// after http.Server.Shutdown: Shutdown waits for the handlers, Drain
-// waits for the runs handlers abandoned to client disconnects.
-func (s *Server) Drain() { s.leaders.Wait() }
+// Drain blocks until every detached job has completed. Call it after
+// http.Server.Shutdown: Shutdown waits for the handlers, Drain waits
+// for the jobs handlers abandoned to client disconnects.
+func (s *Server) Drain() { s.detached.Wait() }
 
-// errBadSpec marks client errors (malformed or unencodable specs) so
-// execute's callers map them to 400 instead of 500.
+// errBadSpec marks client errors (unencodable specs), answered 400.
 var errBadSpec = errors.New("serve: bad spec")
-
-// execute serves one spec: cache hit, join of an identical in-flight
-// run, or a fresh leader run on the worker pool. cached reports a
-// cache hit. The error return is either a spec problem (errBadSpec),
-// the context's cancellation, or an engine-level failure from the
-// harness; a spec's own failure travels inside the Result.
-func (s *Server) execute(ctx context.Context, spec harness.Spec) (key harness.Key, res *harness.Result, cached bool, err error) {
-	key, err = s.runner.Key(spec)
-	if err != nil {
-		return key, nil, false, fmt.Errorf("%w: %v", errBadSpec, err)
-	}
-	if res, ok := s.results.Get(key); ok {
-		return key, res, true, nil
-	}
-	call, leader := s.flight.join(key)
-	if leader {
-		s.leaders.Add(1)
-		go func() {
-			defer s.leaders.Done()
-			s.metrics.inflight.Add(1)
-			defer s.metrics.inflight.Add(-1)
-			s.metrics.runs.Add(1)
-			// No slot is taken here: localRun acquires one itself, so
-			// a coordinator's remote dispatch — which only waits on
-			// the fleet — runs as wide as the fleet, not as wide as
-			// the coordinator's worker pool.
-			res, err := s.runSpec(spec)
-			// The runner has already cached successful results; the
-			// Add here only matters when a test's fake runSpec
-			// bypasses the runner. Put-if-absent keeps one canonical
-			// pointer either way.
-			if err == nil && res != nil && res.Err == nil {
-				res = s.results.Add(key, res)
-			}
-			s.flight.complete(key, call, res, err)
-		}()
-	} else {
-		s.metrics.coalesced.Add(1)
-	}
-	select {
-	case <-call.done:
-		return key, call.res, false, call.err
-	case <-ctx.Done():
-		return key, nil, false, ctx.Err()
-	}
-}
 
 // runResponse is the /v1/run (and per-result /v1/sweep) payload.
 type runResponse struct {
@@ -453,7 +370,7 @@ type sweepEvent struct {
 // handleSweep serves POST /v1/sweep: a JSON array of SpecWire
 // documents in, NDJSON out (see sweepEvent for the line contract).
 // The batch becomes a journaled job running detached through the
-// unified Runner.RunAll — shared cache, deduplication, worker pool —
+// unified Runner.RunAll — shared cache, coalescing, worker bound —
 // and this handler is merely the job's first attached stream: the
 // {"event":"job"} header names the job ID, then every event follows
 // as the job appends it. Disconnecting kills the stream but not the
@@ -564,7 +481,7 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.render(w, s.cache)
+	s.metrics.render(w, s.cache, s.runner)
 	renderAdmissionMetrics(w, s.queued.Load(), s.maxQueue)
 	if s.store != nil {
 		renderStoreMetrics(w, s.store)

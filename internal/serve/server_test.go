@@ -164,14 +164,14 @@ func TestRunCacheHit(t *testing.T) {
 }
 
 // TestRunCoalescing: N concurrent identical requests execute the spec
-// exactly once. A gated fake runSpec holds the leader mid-run until
+// exactly once. A gated fake executor holds the leader mid-run until
 // every follower has joined, making the exactly-once outcome
 // deterministic rather than timing-dependent.
 func TestRunCoalescing(t *testing.T) {
 	s, ts := newTestServer(t)
 	gate := make(chan struct{})
 	var calls atomic.Int32
-	s.runSpec = func(spec harness.Spec) (*harness.Result, error) {
+	s.runner.Exec = func(spec harness.Spec) (*harness.Result, error) {
 		calls.Add(1)
 		<-gate
 		return &harness.Result{Name: spec.Workload.Name(), Mode: spec.Mode, Cycles: 99, Attempts: 1}, nil
@@ -196,10 +196,10 @@ func TestRunCoalescing(t *testing.T) {
 	// Release the leader only after all n requests are in: one is the
 	// leader, so n-1 must have coalesced.
 	deadline := time.After(10 * time.Second)
-	for s.metrics.coalesced.Load() < n-1 {
+	for s.runner.Stats().Coalesced < n-1 {
 		select {
 		case <-deadline:
-			t.Fatalf("only %d requests coalesced", s.metrics.coalesced.Load())
+			t.Fatalf("only %d requests coalesced", s.runner.Stats().Coalesced)
 		case <-time.After(time.Millisecond):
 		}
 	}
@@ -226,7 +226,7 @@ func TestRunCancellationMidRun(t *testing.T) {
 	s, ts := newTestServer(t)
 	gate := make(chan struct{})
 	started := make(chan struct{})
-	s.runSpec = func(spec harness.Spec) (*harness.Result, error) {
+	s.runner.Exec = func(spec harness.Spec) (*harness.Result, error) {
 		close(started)
 		<-gate
 		return &harness.Result{Name: spec.Workload.Name(), Mode: spec.Mode, Cycles: 42, Attempts: 1}, nil
@@ -278,7 +278,7 @@ func TestGracefulDrain(t *testing.T) {
 	defer ts.Close()
 	gate := make(chan struct{})
 	started := make(chan struct{})
-	s.runSpec = func(spec harness.Spec) (*harness.Result, error) {
+	s.runner.Exec = func(spec harness.Spec) (*harness.Result, error) {
 		close(started)
 		<-gate
 		return &harness.Result{Name: spec.Workload.Name(), Mode: spec.Mode, Cycles: 7, Attempts: 1}, nil
@@ -389,6 +389,37 @@ func TestSweepStreaming(t *testing.T) {
 	}
 	if events[len(events)-1].Event != "done" {
 		t.Fatal("stream does not end with a done event")
+	}
+}
+
+// TestSweepCountsRuns: sweeps execute through the same Runner as
+// /v1/run, so sgxgauged_runs_total counts their executed specs — and
+// an identical second sweep, all cache hits, counts none.
+func TestSweepCountsRuns(t *testing.T) {
+	_, ts := newTestServer(t)
+	sweep := func() {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(sweepBody(2)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(body, []byte(`"event":"done","total":2,"ok":true`)) {
+			t.Fatalf("sweep did not finish cleanly: %s", body)
+		}
+	}
+	before := metric(t, ts, "sgxgauged_runs_total")
+	sweep()
+	if got := metric(t, ts, "sgxgauged_runs_total") - before; got != 2 {
+		t.Fatalf("sweep of two distinct specs raised runs_total by %g, want 2", got)
+	}
+	sweep()
+	if got := metric(t, ts, "sgxgauged_runs_total") - before; got != 2 {
+		t.Fatalf("identical second sweep raised runs_total to +%g, want +2 overall", got)
 	}
 }
 

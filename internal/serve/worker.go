@@ -51,7 +51,6 @@ type Worker struct {
 	server      *Server
 	coordinator string // base URL, e.g. http://127.0.0.1:8643
 	id          string
-	jobs        int
 	client      *http.Client
 	// heartbeatEvery paces keep-alives during batch execution; set
 	// from the coordinator's advertised TTL at registration.
@@ -70,12 +69,10 @@ type Worker struct {
 // coordinator at the given base URL. id must be unique per worker
 // process (the daemon uses its listen address).
 func NewWorker(s *Server, coordinator, id string) *Worker {
-	jobs := cap(s.slots)
 	return &Worker{
 		server:         s,
 		coordinator:    coordinator,
 		id:             id,
-		jobs:           jobs,
 		client:         &http.Client{},
 		heartbeatEvery: DefaultWorkerTTL / 3,
 		Drain:          DefaultDrain,
@@ -194,15 +191,16 @@ func (w *Worker) heartbeatLoop(ctx context.Context) {
 // poll long-polls the coordinator for the next batch of assignments.
 func (w *Worker) poll(ctx context.Context) ([]taskAssignment, error) {
 	var resp pollResponse
-	req := pollRequest{Worker: w.id, Max: w.jobs, WaitMS: workerPollWait.Milliseconds()}
+	req := pollRequest{Worker: w.id, Max: w.server.runner.Jobs, WaitMS: workerPollWait.Milliseconds()}
 	if err := w.post(ctx, "/v1/cluster/poll", req, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Specs, nil
 }
 
-// executeBatch runs the batch's specs concurrently (up to the
-// worker-pool size) and streams each result line back over one
+// executeBatch runs the batch's specs concurrently — the poll asked
+// for at most the runner's Jobs of them, and the runner's worker bound
+// caps local simulation — and streams each result line back over one
 // chunked NDJSON POST as it completes, so the coordinator can settle
 // early keys while later ones are still simulating.
 func (w *Worker) executeBatch(ctx context.Context, batch []taskAssignment) error {
@@ -274,14 +272,11 @@ func (w *Worker) executeBatch(ctx context.Context, batch []taskAssignment) error
 	// line after line. The post goroutine above reports the transport
 	// error and the coordinator reroutes whatever never arrived.
 	stream := newNDJSONPipe(pw)
-	sem := make(chan struct{}, w.jobs)
 	var wg sync.WaitGroup
 	for _, t := range batch {
 		wg.Add(1)
-		sem <- struct{}{}
 		go func(t taskAssignment) {
 			defer wg.Done()
-			defer func() { <-sem }()
 			line := w.executeOne(t)
 			if line.Failed != "" {
 				log.Printf("sgxgauged: worker %s: spec %s: %s (reporting failure; coordinator charges its retry budget)", w.id, t.Key, line.Failed)
@@ -305,7 +300,7 @@ func (w *Worker) executeOne(t taskAssignment) resultLine {
 	if err != nil {
 		return resultLine{Key: t.Key, Failed: fmt.Sprintf("bad assignment spec: %v", err)}
 	}
-	// Run, not localRun: the worker's runner owns caching here, so a
+	// Run, not RunLocal: the worker's runner owns caching here, so a
 	// result already in its memory cache or on-disk store is served
 	// without booting a machine.
 	res, err := w.server.runner.Run(spec)

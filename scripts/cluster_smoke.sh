@@ -32,6 +32,16 @@ wait_healthy() {
   return 1
 }
 
+# has_metric URL PATTERN: whether URL's /metrics has a line matching
+# PATTERN. The body is read in full before grep -q sees it: piping curl
+# into grep -q lets grep close the pipe first, and curl's exit 23 then
+# fails the pipeline under pipefail.
+has_metric() {
+  local body
+  body=$(curl -sf "$1/metrics") || return 1
+  grep -q "$2" <<<"$body"
+}
+
 start_fleet() {
   "$workdir/sgxgauge" serve -addr "127.0.0.1:$cport" -coordinator &
   pids+=($!)
@@ -43,7 +53,7 @@ start_fleet() {
   wait_healthy "http://127.0.0.1:$w1port"
   wait_healthy "http://127.0.0.1:$w2port"
   for _ in $(seq 1 50); do
-    curl -sf "$coord/metrics" | grep -q '^sgxgauged_cluster_workers 2$' && return 0
+    has_metric "$coord" '^sgxgauged_cluster_workers 2$' && return 0
     sleep 0.2
   done
   echo "cluster_smoke: workers never registered" >&2
@@ -67,8 +77,8 @@ curl -sf -X POST "$coord/v1/sweep" -d "$sweep" | grep '"event":"result"' >"$work
 grep -c '"event":"result"' "$workdir/pass1.ndjson" | grep -qx 4
 # The fleet did the work: the coordinator ran nothing locally, and
 # every spec landed in a worker's store.
-curl -sf "$coord/metrics" | grep -q '^sgxgauged_cluster_local_runs_total 0$'
-curl -sf "$coord/metrics" | grep -q '^sgxgauged_cluster_completed_total 4$'
+has_metric "$coord" '^sgxgauged_cluster_local_runs_total 0$'
+has_metric "$coord" '^sgxgauged_cluster_completed_total 4$'
 entries=0
 for port in "$w1port" "$w2port"; do
   n=$(curl -sf "http://127.0.0.1:$port/metrics" | sed -n 's/^sgxgauged_store_entries //p')
@@ -84,10 +94,10 @@ cmp "$workdir/pass1.ndjson" "$workdir/pass2.ndjson"
 # Zero simulations anywhere: the coordinator still ran nothing, and
 # each worker served its shard purely from its store — every store
 # read hit (no misses) and nothing new was persisted (no puts).
-curl -sf "$coord/metrics" | grep -q '^sgxgauged_cluster_local_runs_total 0$'
+has_metric "$coord" '^sgxgauged_cluster_local_runs_total 0$'
 for port in "$w1port" "$w2port"; do
-  curl -sf "http://127.0.0.1:$port/metrics" | grep -q '^sgxgauged_store_misses_total 0$'
-  curl -sf "http://127.0.0.1:$port/metrics" | grep -q '^sgxgauged_store_puts_total 0$'
+  has_metric "http://127.0.0.1:$port" '^sgxgauged_store_misses_total 0$'
+  has_metric "http://127.0.0.1:$port" '^sgxgauged_store_puts_total 0$'
 done
 stop_fleet
 

@@ -37,9 +37,19 @@ wait_healthy() {
   return 1
 }
 
+# has_metric URL PATTERN: whether URL's /metrics has a line matching
+# PATTERN. The body is read in full before grep -q sees it: piping curl
+# into grep -q lets grep close the pipe first, and curl's exit 23 then
+# fails the pipeline under pipefail.
+has_metric() {
+  local body
+  body=$(curl -sf "$1/metrics") || return 1
+  grep -q "$2" <<<"$body"
+}
+
 wait_workers() {
   for _ in $(seq 1 100); do
-    curl -sf "$coord/metrics" | grep -q "^sgxgauged_cluster_workers $1\$" && return 0
+    has_metric "$coord" "^sgxgauged_cluster_workers $1\$" && return 0
     sleep 0.2
   done
   echo "crash_smoke: coordinator never saw $1 workers" >&2
@@ -94,7 +104,8 @@ wait "$curl_pid" 2>/dev/null || true
 echo "== restart on the same journal and store directories =="
 start_coordinator
 wait_healthy "$coord"
-curl -sf "$coord/metrics" | grep '^sgxgauged_journal_replayed_total' |
+metrics=$(curl -sf "$coord/metrics") || metrics=""
+grep '^sgxgauged_journal_replayed_total' <<<"$metrics" |
   awk '{ exit !($2 >= 1) }' ||
   { echo "crash_smoke: restart replayed no journal jobs" >&2; exit 1; }
 wait_workers 1
@@ -121,12 +132,12 @@ wait "$worker_pid" 2>/dev/null || true
 # Deregistration is immediate; the 15s liveness TTL never enters into
 # it. Give the goodbye post a couple of seconds at most.
 for _ in $(seq 1 20); do
-  curl -sf "$coord/metrics" | grep -q '^sgxgauged_cluster_workers 0$' && break
+  has_metric "$coord" '^sgxgauged_cluster_workers 0$' && break
   sleep 0.1
 done
-curl -sf "$coord/metrics" | grep -q '^sgxgauged_cluster_workers 0$' ||
+has_metric "$coord" '^sgxgauged_cluster_workers 0$' ||
   { echo "crash_smoke: drained worker still registered" >&2; exit 1; }
-curl -sf "$coord/metrics" | grep -q '^sgxgauged_cluster_drained_workers_total 1$' ||
+has_metric "$coord" '^sgxgauged_cluster_drained_workers_total 1$' ||
   { echo "crash_smoke: drain was not counted as a graceful deregistration" >&2; exit 1; }
 
 echo "crash_smoke: OK"
