@@ -3,14 +3,13 @@
 // headline numbers as custom metrics), plus micro-benchmarks of the
 // simulation substrate itself.
 //
-// Experiment benchmarks share one cached Runner, so the first
-// iteration performs the simulated runs and later iterations are
-// cache hits; the interesting output is the reported metrics, which
-// mirror EXPERIMENTS.md.
+// Every iteration of an experiment benchmark builds a fresh Runner, so
+// its result cache starts cold and each iteration simulates the whole
+// experiment: ns/op, B/op and allocs/op are per regeneration, and the
+// reported metrics mirror EXPERIMENTS.md.
 package sgxgauge_test
 
 import (
-	"sync"
 	"testing"
 
 	"sgxgauge/internal/cycles"
@@ -29,23 +28,18 @@ import (
 // in a couple of minutes).
 const benchEPCPages = 192
 
-var (
-	benchRunnerOnce sync.Once
-	benchRunner     *harness.Runner
-)
-
-func runner() *harness.Runner {
-	benchRunnerOnce.Do(func() {
-		benchRunner = harness.NewRunner(benchEPCPages)
-		benchRunner.Seed = 1
-	})
-	return benchRunner
+// newRunner returns a Runner with a cold result cache.
+func newRunner() *harness.Runner {
+	r := harness.NewRunner(benchEPCPages)
+	r.Seed = 1
+	return r
 }
 
 // BenchmarkTable2 regenerates the workload/settings inventory.
 func BenchmarkTable2(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rows, err := runner().Table2()
+		rows, err := newRunner().Table2()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -57,10 +51,11 @@ func BenchmarkTable2(b *testing.B) {
 
 // BenchmarkFigure2 regenerates the EPC-stress motivation experiment.
 func BenchmarkFigure2(b *testing.B) {
+	b.ReportAllocs()
 	var d *harness.Figure2Data
 	var err error
 	for i := 0; i < b.N; i++ {
-		d, err = runner().Figure2()
+		d, err = newRunner().Figure2()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -72,10 +67,11 @@ func BenchmarkFigure2(b *testing.B) {
 
 // BenchmarkFigure3 regenerates the Lighttpd concurrency sweep.
 func BenchmarkFigure3(b *testing.B) {
+	b.ReportAllocs()
 	var pts []harness.Figure3Point
 	var err error
 	for i := 0; i < b.N; i++ {
-		pts, err = runner().Figure3()
+		pts, err = newRunner().Figure3()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -85,10 +81,11 @@ func BenchmarkFigure3(b *testing.B) {
 
 // BenchmarkFigure4 regenerates the LibOS-vs-Native comparison.
 func BenchmarkFigure4(b *testing.B) {
+	b.ReportAllocs()
 	var rows []harness.Figure4Row
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = runner().Figure4()
+		rows, err = newRunner().Figure4()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -110,10 +107,11 @@ func BenchmarkFigure4(b *testing.B) {
 
 // BenchmarkTable4 regenerates the headline overhead table.
 func BenchmarkTable4(b *testing.B) {
+	b.ReportAllocs()
 	var d *harness.Table4Data
 	var err error
 	for i := 0; i < b.N; i++ {
-		d, err = runner().Table4()
+		d, err = newRunner().Table4()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -127,10 +125,11 @@ func BenchmarkTable4(b *testing.B) {
 // BenchmarkFigure5 regenerates per-workload Native overheads and
 // evictions.
 func BenchmarkFigure5(b *testing.B) {
+	b.ReportAllocs()
 	var rows []harness.Figure5Row
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = runner().Figure5()
+		rows, err = newRunner().Figure5()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -148,10 +147,11 @@ func BenchmarkFigure5(b *testing.B) {
 
 // BenchmarkFigure6a regenerates the empty-workload LibOS probe.
 func BenchmarkFigure6a(b *testing.B) {
+	b.ReportAllocs()
 	var d *harness.Figure6aData
 	var err error
 	for i := 0; i < b.N; i++ {
-		d, err = runner().Figure6a()
+		d, err = newRunner().Figure6a()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -165,10 +165,11 @@ func BenchmarkFigure6a(b *testing.B) {
 
 // BenchmarkFigure6bc regenerates LibOS-mode overheads and load-backs.
 func BenchmarkFigure6bc(b *testing.B) {
+	b.ReportAllocs()
 	var rows []harness.Figure6bcRow
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = runner().Figure6bc()
+		rows, err = newRunner().Figure6bc()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -184,10 +185,11 @@ func BenchmarkFigure6bc(b *testing.B) {
 
 // BenchmarkFigure6d regenerates the switchless comparison.
 func BenchmarkFigure6d(b *testing.B) {
+	b.ReportAllocs()
 	var d *harness.Figure6dData
 	var err error
 	for i := 0; i < b.N; i++ {
-		d, err = runner().Figure6d()
+		d, err = newRunner().Figure6d()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -198,10 +200,11 @@ func BenchmarkFigure6d(b *testing.B) {
 
 // BenchmarkFigure7 regenerates the SGX driver-operation latencies.
 func BenchmarkFigure7(b *testing.B) {
+	b.ReportAllocs()
 	var rows []harness.Figure7Row
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = runner().Figure7()
+		rows, err = newRunner().Figure7()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -218,10 +221,11 @@ func BenchmarkFigure7(b *testing.B) {
 
 // BenchmarkFigure8 regenerates the Native-mode counter heat map.
 func BenchmarkFigure8(b *testing.B) {
+	b.ReportAllocs()
 	var d *harness.Figure8Data
 	var err error
 	for i := 0; i < b.N; i++ {
-		d, err = runner().Figure8()
+		d, err = newRunner().Figure8()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -231,8 +235,9 @@ func BenchmarkFigure8(b *testing.B) {
 
 // BenchmarkTable5 regenerates the counter-importance regressions.
 func BenchmarkTable5(b *testing.B) {
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rows, err := runner().Table5()
+		rows, err := newRunner().Table5()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -244,10 +249,11 @@ func BenchmarkTable5(b *testing.B) {
 
 // BenchmarkFigure9 regenerates the EPC activity timelines.
 func BenchmarkFigure9(b *testing.B) {
+	b.ReportAllocs()
 	var d *harness.Figure9Data
 	var err error
 	for i := 0; i < b.N; i++ {
-		d, err = runner().Figure9()
+		d, err = newRunner().Figure9()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -258,10 +264,11 @@ func BenchmarkFigure9(b *testing.B) {
 
 // BenchmarkFigure10 regenerates the Iozone protected-files comparison.
 func BenchmarkFigure10(b *testing.B) {
+	b.ReportAllocs()
 	var rows []harness.Figure10Row
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = runner().Figure10()
+		rows, err = newRunner().Figure10()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -505,6 +512,7 @@ func BenchmarkOCall(b *testing.B) {
 // BenchmarkWorkloadBTreeNative measures one full B-Tree Native run at
 // a small scale (end-to-end simulator throughput).
 func BenchmarkWorkloadBTreeNative(b *testing.B) {
+	b.ReportAllocs()
 	w, err := suite.ByName("BTree")
 	if err != nil {
 		b.Fatal(err)

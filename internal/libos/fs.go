@@ -196,6 +196,10 @@ func (h *pfHandle) ReadAt(t *sgx.Thread, addr uint64, off, n int) (int, error) {
 	if h.closed {
 		return 0, fmt.Errorf("libos: read on closed protected file %q", h.name)
 	}
+	if off < 0 || n < 0 {
+		t.Syscall(0) // the rejected read still costs a syscall
+		return 0, fmt.Errorf("libos: read of protected file %q at offset %d, length %d", h.name, off, n)
+	}
 	if off >= h.size {
 		t.Syscall(0)
 		return 0, nil
@@ -229,6 +233,10 @@ func (h *pfHandle) ReadAt(t *sgx.Thread, addr uint64, off, n int) (int, error) {
 func (h *pfHandle) WriteAt(t *sgx.Thread, addr uint64, off, n int) (int, error) {
 	if h.closed {
 		return 0, fmt.Errorf("libos: write on closed protected file %q", h.name)
+	}
+	if off < 0 || n < 0 {
+		t.Syscall(0) // the rejected write still costs a syscall
+		return 0, fmt.Errorf("libos: write of protected file %q at offset %d, length %d", h.name, off, n)
 	}
 	// One OCALL stores the sealed extent covering the whole write.
 	t.Syscall(uint64((n/pfChunk + 1) * pfSealed))

@@ -235,7 +235,7 @@ func TestProtectedFileTamperDetected(t *testing.T) {
 }
 
 func TestProtectedFileSparseReadAndRMW(t *testing.T) {
-	m, _, inst := boot(t, 64, Manifest{ProtectedFiles: true})
+	m, fs, inst := boot(t, 64, Manifest{ProtectedFiles: true})
 	tr := inst.Env.Main
 	pf := inst.FS()
 	buf := m.AllocUntrusted(pfChunk, 8)
@@ -272,6 +272,116 @@ func TestProtectedFileSparseReadAndRMW(t *testing.T) {
 		if b != 0xEE {
 			t.Fatal("RMW lost the written bytes")
 		}
+	}
+
+	// Chunks 0 and 9 written, then growth into the spare capacity the
+	// sealed file already holds: chunks 1-8 must stay holes (zero IV)
+	// and read as zeros.
+	tr.Write(buf, bytes.Repeat([]byte{0xEE}, pfChunk))
+	g, err := pf.CreateFile(tr, "grown")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ci := range []int{0, 9} {
+		if _, err := g.WriteAt(tr, buf, ci*pfChunk, pfChunk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	room := cap(fs.Raw("grown"))
+	if room < 11*pfSealed {
+		t.Fatalf("no spare capacity for chunk 10: cap %d", room)
+	}
+	if _, err := g.WriteAt(tr, buf, 10*pfChunk, pfChunk); err != nil {
+		t.Fatal(err)
+	}
+	if cap(fs.Raw("grown")) != room {
+		t.Fatal("growth reallocated instead of using spare capacity")
+	}
+	for ci := 1; ci <= 8; ci++ {
+		if plain, err := g.(*pfHandle).readChunk(tr, ci); err != nil || plain != nil {
+			t.Fatalf("chunk %d: readChunk = %d bytes, %v; want a hole", ci, len(plain), err)
+		}
+	}
+	if _, err := g.ReadAt(tr, out, pfChunk, pfChunk); err != nil {
+		t.Fatal(err)
+	}
+	hole := make([]byte, pfChunk)
+	tr.Read(out, hole)
+	if !bytes.Equal(hole, make([]byte, pfChunk)) {
+		t.Fatal("hole between written chunks is not zero")
+	}
+}
+
+func TestProtectedFileNegativeOffsetOrLengthErrors(t *testing.T) {
+	cases := []struct {
+		name   string
+		write  bool
+		off, n int
+	}{
+		{"read negative offset", false, -1, 4},
+		{"read negative length", false, 2, -1},
+		{"write negative offset", true, -1, 4},
+		{"write negative length", true, 2, -1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m, fs, inst := boot(t, 64, Manifest{ProtectedFiles: true})
+			tr := inst.Env.Main
+			buf := m.AllocUntrusted(pfChunk, 8)
+			h, err := inst.FS().CreateFile(tr, "f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := h.WriteAt(tr, buf, 0, 16); err != nil {
+				t.Fatal(err)
+			}
+			sealed := bytes.Clone(fs.Raw("f"))
+			before := m.Counters.Get(perf.Syscalls)
+			var n int
+			if c.write {
+				n, err = h.WriteAt(tr, buf, c.off, c.n)
+			} else {
+				n, err = h.ReadAt(tr, buf, c.off, c.n)
+			}
+			if err == nil || n != 0 {
+				t.Errorf("got (%d, %v), want an error", n, err)
+			}
+			if got := m.Counters.Get(perf.Syscalls) - before; got != 1 {
+				t.Errorf("rejected call charged %d syscalls, want 1", got)
+			}
+			if h.Size() != 16 || !bytes.Equal(fs.Raw("f"), sealed) {
+				t.Error("rejected call changed the file")
+			}
+		})
+	}
+}
+
+// TestProtectedFileGrowthIsAmortized writes a protected file chunk by
+// chunk (each sealed chunk lands through osal's PatchRaw) and counts
+// reallocations of the sealed file's backing array.
+func TestProtectedFileGrowthIsAmortized(t *testing.T) {
+	const chunks = 256
+	m, fs, inst := boot(t, 64, Manifest{ProtectedFiles: true})
+	tr := inst.Env.Main
+	buf := m.AllocUntrusted(pfChunk, 8)
+	h, err := inst.FS().CreateFile(tr, "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reallocs, lastCap := 0, 0
+	for i := 0; i < chunks; i++ {
+		if _, err := h.WriteAt(tr, buf, i*pfChunk, pfChunk); err != nil {
+			t.Fatal(err)
+		}
+		if c := cap(fs.Raw("f")); c != lastCap {
+			reallocs, lastCap = reallocs+1, c
+		}
+	}
+	if got := len(fs.Raw("f")); got != chunks*pfSealed {
+		t.Fatalf("sealed size = %d, want %d", got, chunks*pfSealed)
+	}
+	if reallocs > 64 {
+		t.Errorf("%d reallocations for %d sequential chunks, want <= 64", reallocs, chunks)
 	}
 }
 

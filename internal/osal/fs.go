@@ -34,11 +34,14 @@ func NewFS() *FS {
 }
 
 // Create installs a file with the given contents, replacing any
-// existing one. It models host-side setup and costs nothing.
+// existing one. It models host-side setup and costs nothing. The FS
+// takes ownership of data; its capacity is clipped to its length, so
+// a later growing write reallocates instead of writing into the
+// caller's array beyond len(data).
 func (fs *FS) Create(name string, data []byte) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	fs.files[name] = &File{Name: name, Data: data}
+	fs.files[name] = &File{Name: name, Data: data[:len(data):len(data)]}
 }
 
 // Remove deletes a file; missing files are ignored.
@@ -49,7 +52,9 @@ func (fs *FS) Remove(name string) {
 }
 
 // Raw returns the live contents of a file for host-side inspection
-// (hash checks, test assertions), or nil when absent.
+// (hash checks, test assertions), or nil when absent. Growing writes
+// leave spare capacity past the returned length; that memory belongs
+// to the FS, so callers must not append to the slice.
 func (fs *FS) Raw(name string) []byte {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -69,10 +74,13 @@ func (fs *FS) Size(name string) int {
 	return -1
 }
 
-// PatchRaw overwrites (growing as needed) file bytes at off with data,
-// creating the file if absent. It models host-side writes performed on
-// behalf of a privileged runtime and costs nothing; the caller is
-// responsible for charging the corresponding syscalls.
+// PatchRaw overwrites file bytes at off with data, creating the file
+// if absent. A write past the end grows the file as grow does: the
+// extension is zero-filled and growth is amortized, so writing a file
+// chunk by chunk costs time linear in its final size. It requires
+// off >= 0. It models host-side writes performed on behalf of a
+// privileged runtime and costs nothing; the caller is responsible for
+// charging the corresponding syscalls.
 func (fs *FS) PatchRaw(name string, off int, data []byte) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -81,12 +89,19 @@ func (fs *FS) PatchRaw(name string, off int, data []byte) {
 		f = &File{Name: name}
 		fs.files[name] = f
 	}
-	if need := off + len(data); need > len(f.Data) {
-		grown := make([]byte, need)
-		copy(grown, f.Data)
-		f.Data = grown
-	}
+	f.Data = grow(f.Data, off+len(data))
 	copy(f.Data[off:], data)
+}
+
+// grow returns b extended to at least need bytes. The extension is
+// zero-filled, including bytes taken from b's spare capacity, and
+// append's amortized policy sizes any reallocation, so a sequence of
+// extending writes copies O(final size) bytes in total.
+func grow(b []byte, need int) []byte {
+	if need <= len(b) {
+		return b
+	}
+	return append(b, make([]byte, need-len(b))...)
 }
 
 // List returns the file names in sorted order.
@@ -124,7 +139,8 @@ type Handle interface {
 	// simulated address space at addr, returning the bytes copied.
 	ReadAt(t *sgx.Thread, addr uint64, off, n int) (int, error)
 	// WriteAt copies n bytes from the simulated address space at
-	// addr into the file at offset off, extending it as needed.
+	// addr into the file at offset off, extending it as needed; any
+	// gap before off reads back as zeros.
 	WriteAt(t *sgx.Thread, addr uint64, off, n int) (int, error)
 	// Size returns the current file length.
 	Size() int
@@ -165,6 +181,10 @@ func (h *fileHandle) ReadAt(t *sgx.Thread, addr uint64, off, n int) (int, error)
 	if h.closed {
 		return 0, fmt.Errorf("osal: read on closed file %q", h.f.Name)
 	}
+	if off < 0 || n < 0 {
+		t.Syscall(0) // the rejected read still costs a syscall
+		return 0, fmt.Errorf("osal: read of %q at offset %d, length %d", h.f.Name, off, n)
+	}
 	if off >= len(h.f.Data) {
 		t.Syscall(0)
 		return 0, nil
@@ -179,15 +199,16 @@ func (h *fileHandle) ReadAt(t *sgx.Thread, addr uint64, off, n int) (int, error)
 	return len(data), nil
 }
 
+// WriteAt extends the file through grow: amortized, zero-filled.
 func (h *fileHandle) WriteAt(t *sgx.Thread, addr uint64, off, n int) (int, error) {
 	if h.closed {
 		return 0, fmt.Errorf("osal: write on closed file %q", h.f.Name)
 	}
-	if need := off + n; need > len(h.f.Data) {
-		grown := make([]byte, need)
-		copy(grown, h.f.Data)
-		h.f.Data = grown
+	if off < 0 || n < 0 {
+		t.Syscall(0) // the rejected write still costs a syscall
+		return 0, fmt.Errorf("osal: write of %q at offset %d, length %d", h.f.Name, off, n)
 	}
+	h.f.Data = grow(h.f.Data, off+n)
 	t.Syscall(uint64(n))
 	t.Read(addr, h.f.Data[off:off+n])
 	return n, nil

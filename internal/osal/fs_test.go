@@ -174,3 +174,138 @@ func TestCreateFileTruncates(t *testing.T) {
 		t.Errorf("CreateFile kept %d bytes", h.Size())
 	}
 }
+
+func TestNegativeOffsetOrLengthErrors(t *testing.T) {
+	cases := []struct {
+		name   string
+		write  bool
+		off, n int
+	}{
+		{"read negative offset", false, -1, 4},
+		{"read negative length", false, 2, -1},
+		{"write negative offset", true, -1, 4},
+		{"write negative length", true, 2, -1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m, tr := testEnv()
+			fs := NewFS()
+			fs.Create("f", []byte("01234567"))
+			buf := m.AllocUntrusted(8, 8)
+			h, err := fs.Open(tr, "f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := m.Counters.Get(perf.Syscalls)
+			var n int
+			if c.write {
+				n, err = h.WriteAt(tr, buf, c.off, c.n)
+			} else {
+				n, err = h.ReadAt(tr, buf, c.off, c.n)
+			}
+			if err == nil || n != 0 {
+				t.Errorf("got (%d, %v), want an error", n, err)
+			}
+			if got := m.Counters.Get(perf.Syscalls) - before; got != 1 {
+				t.Errorf("rejected call charged %d syscalls, want 1", got)
+			}
+			if got := fs.Raw("f"); !bytes.Equal(got, []byte("01234567")) {
+				t.Errorf("file changed to %q", got)
+			}
+		})
+	}
+}
+
+// TestWriteGrowthIsAmortized writes a file chunk by chunk and counts
+// reallocations of its backing array: growing to exactly the written
+// length would reallocate (and copy the whole file) on every chunk.
+func TestWriteGrowthIsAmortized(t *testing.T) {
+	const chunk, chunks = 4096, 256
+	m, tr := testEnv()
+	fs := NewFS()
+	buf := m.AllocUntrusted(chunk, 8)
+	h, err := fs.CreateFile(tr, "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reallocs, lastCap := 0, 0
+	for i := 0; i < chunks; i++ {
+		if _, err := h.WriteAt(tr, buf, i*chunk, chunk); err != nil {
+			t.Fatal(err)
+		}
+		if c := cap(fs.Raw("f")); c != lastCap {
+			reallocs, lastCap = reallocs+1, c
+		}
+	}
+	if h.Size() != chunk*chunks {
+		t.Fatalf("Size = %d, want %d", h.Size(), chunk*chunks)
+	}
+	if reallocs > 64 {
+		t.Errorf("%d reallocations for %d sequential chunks, want <= 64", reallocs, chunks)
+	}
+}
+
+// TestGrowthLeavesCallerArrayAlone checks that Create takes the
+// caller's slice without its spare capacity: growing the file must not
+// write into the caller's array past the slice's length.
+func TestGrowthLeavesCallerArrayAlone(t *testing.T) {
+	m, tr := testEnv()
+	full := bytes.Repeat([]byte{0xAA}, 64)
+	fs := NewFS()
+	fs.Create("patched", full[:8])
+	fs.PatchRaw("patched", 8, []byte("xyz"))
+	fs.Create("written", full[:8])
+	buf := m.AllocUntrusted(8, 8)
+	h, err := fs.Open(tr, "written")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.WriteAt(tr, buf, 12, 8); err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range full[8:] {
+		if b != 0xAA {
+			t.Fatalf("caller's array overwritten at byte %d", 8+i)
+		}
+	}
+	if got := fs.Raw("patched"); !bytes.Equal(got[8:], []byte("xyz")) {
+		t.Errorf("patched file = %q", got)
+	}
+}
+
+// TestSparseWriteIntoSpareCapacity grows a file until its backing
+// array has room to spare, then writes past a gap that fits in that
+// room: the gap must read back as zeros.
+func TestSparseWriteIntoSpareCapacity(t *testing.T) {
+	m, tr := testEnv()
+	fs := NewFS()
+	buf := m.AllocUntrusted(mem.PageSize, 8)
+	tr.Write(buf, bytes.Repeat([]byte{0x5A}, mem.PageSize))
+	h, err := fs.CreateFile(tr, "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100 && cap(fs.Raw("f"))-h.Size() < 64; i++ {
+		if _, err := h.WriteAt(tr, buf, h.Size(), 100); err != nil {
+			t.Fatal(err)
+		}
+	}
+	end, room := h.Size(), cap(fs.Raw("f"))
+	if room-end < 64 {
+		t.Fatalf("no spare capacity after growth: len %d, cap %d", end, room)
+	}
+	if _, err := h.WriteAt(tr, buf, end+32, 8); err != nil {
+		t.Fatal(err)
+	}
+	if cap(fs.Raw("f")) != room {
+		t.Fatal("sparse write reallocated instead of using spare capacity")
+	}
+	if n, err := h.ReadAt(tr, buf, end, 32); err != nil || n != 32 {
+		t.Fatalf("ReadAt = %d, %v", n, err)
+	}
+	hole := make([]byte, 32)
+	tr.Read(buf, hole)
+	if !bytes.Equal(hole, make([]byte, 32)) {
+		t.Errorf("hole reads %x, want zeros", hole)
+	}
+}
