@@ -121,20 +121,3 @@ func BenchmarkAblationSmallTLB(b *testing.B) {
 	}
 	b.ReportMetric(ovh, "overhead-x")
 }
-
-// BenchmarkMultiEnclave reports the 8-instance interference point
-// (§3.2.1: many small enclaves thrash a shared EPC).
-func BenchmarkMultiEnclave(b *testing.B) {
-	r := harness.NewRunner(96)
-	var points []harness.MultiEnclavePoint
-	var err error
-	for i := 0; i < b.N; i++ {
-		points, err = r.MultiEnclave([]int{1, 8})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	solo, crowd := points[0], points[1]
-	b.ReportMetric(float64(crowd.CyclesPerInstance)/float64(solo.CyclesPerInstance), "slowdown-8x")
-	b.ReportMetric(float64(crowd.EPCEvictions), "evictions-8")
-}

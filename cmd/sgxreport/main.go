@@ -32,6 +32,10 @@ func main() {
 	progress := flag.Bool("progress", false, "report per-run progress to stderr")
 	flag.Parse()
 
+	if *epcPages < 0 {
+		fmt.Fprintf(os.Stderr, "sgxreport: -epc must not be negative, got %d\n", *epcPages)
+		os.Exit(2)
+	}
 	r := harness.NewRunner(*epcPages)
 	r.Seed = *seed
 	r.Jobs = *jobs
@@ -52,8 +56,10 @@ func main() {
 		os.Exit(2)
 	}
 
+	// -epc 0 runs at the default size; the header names what runs.
+	pages := sgx.Config{EPCPages: *epcPages}.WithDefaults().EPCPages
 	fmt.Printf("SGXGauge report — simulated EPC: %d pages (%d MiB equivalent scale)\n\n",
-		*epcPages, *epcPages*4/1024)
+		pages, pages*4/1024)
 	for _, e := range selected {
 		start := time.Now()
 		out, err := e.Render(r)

@@ -3,12 +3,14 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"os/exec"
 	"strings"
 	"testing"
 
 	"sgxgauge/internal/harness"
+	"sgxgauge/internal/sgx"
 )
 
 // TestMain lets a test re-execute this binary as the sgxreport
@@ -24,19 +26,14 @@ func TestMain(m *testing.M) {
 // An unknown id among known ones must fail the whole invocation with
 // exit code 2 and the valid ids, before any experiment runs.
 func TestUnknownExperimentRejected(t *testing.T) {
-	cmd := exec.Command(os.Args[0], "-epc", "96", "-exp", "fig2,fig99")
-	cmd.Env = append(os.Environ(), "SGXREPORT_RUN_MAIN=1")
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &stdout, &stderr
-	err := cmd.Run()
+	stdout, msg, err := runMain("-epc", "96", "-exp", "fig2,fig99")
 	var exit *exec.ExitError
 	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-		t.Fatalf("exit = %v, want exit code 2 (stderr: %s)", err, stderr.String())
+		t.Fatalf("exit = %v, want exit code 2 (stderr: %s)", err, msg)
 	}
-	if stdout.Len() != 0 {
-		t.Errorf("experiments ran before the id check:\n%s", stdout.String())
+	if stdout != "" {
+		t.Errorf("experiments ran before the id check:\n%s", stdout)
 	}
-	msg := stderr.String()
 	if !strings.Contains(msg, `"fig99"`) {
 		t.Errorf("stderr does not name the unknown id: %s", msg)
 	}
@@ -44,6 +41,41 @@ func TestUnknownExperimentRejected(t *testing.T) {
 		if !strings.Contains(msg, e.ID) {
 			t.Errorf("stderr does not list valid id %s: %s", e.ID, msg)
 		}
+	}
+}
+
+// runMain runs this binary as sgxreport with the given arguments.
+func runMain(args ...string) (stdout, stderr string, err error) {
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "SGXREPORT_RUN_MAIN=1")
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err = cmd.Run()
+	return out.String(), errOut.String(), err
+}
+
+// -epc 0 simulates the default EPC, so the header must name that
+// size, not 0.
+func TestHeaderNamesEffectiveEPC(t *testing.T) {
+	stdout, stderr, err := runMain("-epc", "0", "-exp", "tab2")
+	if err != nil {
+		t.Fatalf("sgxreport -epc 0: %v (stderr: %s)", err, stderr)
+	}
+	want := fmt.Sprintf("simulated EPC: %d pages", sgx.DefaultEPCPages)
+	if !strings.Contains(stdout, want) {
+		t.Errorf("header does not contain %q:\n%s", want, stdout)
+	}
+}
+
+// A negative EPC size is rejected with exit code 2 before anything runs.
+func TestNegativeEPCRejected(t *testing.T) {
+	stdout, stderr, err := runMain("-epc", "-5", "-exp", "tab2")
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("exit = %v, want exit code 2 (stderr: %s)", err, stderr)
+	}
+	if stdout != "" {
+		t.Errorf("output for a negative EPC size:\n%s", stdout)
 	}
 }
 

@@ -18,6 +18,6 @@
 //	cmd/sgxgauge   — run individual workloads and inspect counters
 //	cmd/sgxreport  — regenerate every table and figure of the paper
 //
-// The benchmarks in bench_test.go regenerate each experiment under
-// `go test -bench`. See README.md, DESIGN.md and EXPERIMENTS.md.
+// The repository benchmark is `go run ./bench`. See README.md,
+// DESIGN.md and EXPERIMENTS.md.
 package sgxgauge

@@ -186,6 +186,9 @@ func libosManifest(spec Spec, files []string) libos.Manifest {
 // retries nothing, and reports the spec's own failure through the
 // error return (runWithRetry moves it into Result.Err).
 func runOne(spec Spec, boot *bootSlot) (*Result, error) {
+	if spec.EPCPages < 0 {
+		return nil, fmt.Errorf("harness: EPC size must not be negative, got %d pages", spec.EPCPages)
+	}
 	if spec.Scenario != nil {
 		return runScenario(spec)
 	}

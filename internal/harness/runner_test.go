@@ -31,6 +31,19 @@ func TestRunRejectsBadSpecs(t *testing.T) {
 	if _, err := runOne(Spec{Workload: lighttpd, Mode: sgx.Native}, nil); err == nil {
 		t.Error("Native run of a LibOS-only workload accepted")
 	}
+	btree, _ := suite.ByName("BTree")
+	if _, err := runOne(Spec{Workload: btree, Mode: sgx.Native, EPCPages: -5}, nil); err == nil {
+		t.Error("negative EPC size accepted")
+	}
+	sc := scenarioSpec(t, "consensus", 3, 9)
+	sc.EPCPages = -5
+	if _, err := runOne(sc, nil); err == nil {
+		t.Error("scenario with a negative EPC size accepted")
+	}
+	// The CLIs' -epc flags reach the engine through Runner.Run.
+	if res, err := new(Runner).Run(Spec{Workload: btree, Mode: sgx.Native, EPCPages: -5}); err == nil && res.Err == nil {
+		t.Error("Runner.Run returned a result for a negative EPC size")
+	}
 }
 
 func TestVanillaRunHasNoStartup(t *testing.T) {

@@ -82,6 +82,9 @@ func (s Spec) Wire() (SpecWire, error) {
 // shape). Unknown names yield errors listing the valid ones. Hooks
 // are always zero — they do not travel.
 func (w SpecWire) Spec() (Spec, error) {
+	if w.EPCPages < 0 {
+		return Spec{}, fmt.Errorf("harness: epc_pages must not be negative, got %d", w.EPCPages)
+	}
 	if w.Scenario != nil {
 		if w.Workload != "" {
 			return Spec{}, fmt.Errorf("harness: wire spec has both a workload (%q) and a scenario (%q)", w.Workload, w.Scenario.Name)

@@ -91,6 +91,7 @@ func TestSpecJSONValidation(t *testing.T) {
 		{"size", `{"workload":"BTree","mode":"Native","size":"Huge"}`, "Low, Medium, High"},
 		{"field", `{"workload":"BTree","mode":"Native","size":"Low","bogus":1}`, "bogus"},
 		{"missing", `{"mode":"Native","size":"Low"}`, "no workload"},
+		{"epc", `{"workload":"BTree","mode":"Native","size":"Low","epc_pages":-5}`, "epc_pages"},
 	}
 	for _, c := range cases {
 		var s Spec
