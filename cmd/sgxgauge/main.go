@@ -55,7 +55,6 @@ import (
 
 	"sgxgauge/internal/cycles"
 	"sgxgauge/internal/harness"
-	"sgxgauge/internal/perf"
 	"sgxgauge/internal/serve"
 	"sgxgauge/internal/sgx"
 	"sgxgauge/internal/workloads"
@@ -218,21 +217,7 @@ func cmdRun(args []string) {
 	if res.Output.MeanLatency > 0 {
 		fmt.Printf("latency:   %.1f us mean\n", cycles.Micros(uint64(res.Output.MeanLatency)))
 	}
-	key := []perf.Event{
-		perf.DTLBMisses, perf.WalkCycles, perf.StallCycles, perf.LLCMisses,
-		perf.PageFaults, perf.EPCEvictions, perf.EPCLoadBacks,
-		perf.ECalls, perf.OCalls, perf.AEXs,
-	}
-	fmt.Println("counters (measured portion):")
-	for _, e := range key {
-		fmt.Printf("  %-16s %d\n", e.String(), res.Counters.Get(e))
-	}
-	if *showCounters {
-		fmt.Println("all counters:")
-		for _, e := range perf.Events() {
-			fmt.Printf("  %-16s %d\n", e.String(), res.Counters.Get(e))
-		}
-	}
+	printCounters(os.Stdout, res.Counters, *showCounters)
 }
 
 func cmdOps(args []string) {

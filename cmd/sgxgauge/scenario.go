@@ -8,7 +8,6 @@ import (
 
 	"sgxgauge/internal/cycles"
 	"sgxgauge/internal/harness"
-	"sgxgauge/internal/perf"
 	"sgxgauge/internal/sgx"
 	"sgxgauge/internal/workloads"
 )
@@ -105,19 +104,5 @@ func cmdScenario(args []string) {
 			fmt.Printf("  %-20s %g\n", k, res.Output.Extra[k])
 		}
 	}
-	key := []perf.Event{
-		perf.DTLBMisses, perf.WalkCycles, perf.StallCycles, perf.LLCMisses,
-		perf.PageFaults, perf.EPCEvictions, perf.EPCLoadBacks,
-		perf.ECalls, perf.OCalls, perf.AEXs,
-	}
-	fmt.Println("counters (measured portion):")
-	for _, e := range key {
-		fmt.Printf("  %-16s %d\n", e.String(), res.Counters.Get(e))
-	}
-	if *showCounters {
-		fmt.Println("all counters:")
-		for _, e := range perf.Events() {
-			fmt.Printf("  %-16s %d\n", e.String(), res.Counters.Get(e))
-		}
-	}
+	printCounters(os.Stdout, res.Counters, *showCounters)
 }

@@ -27,19 +27,31 @@ type LLC struct {
 	// touch.
 	tags []uint32 // sets*ways entries; 0 means invalid
 	next []uint8  // per-set round-robin pointer
-	// mru is the way of each set's most recent hit or install. It is
-	// probed before the way scan; a pure lookup-order hint (like the
-	// `last` shortcut) that never changes what Access returns or
-	// which victim a miss picks.
-	mru []uint8
+	// way is a way predictor indexed by line&wayMask: the way in
+	// which a line with those low bits was last found or installed.
+	// The predicted slot is probed before the way scan; a pure
+	// lookup-order hint (like the `last` shortcut) that never changes
+	// what Access returns or which victim a miss picks. Indexing by
+	// line rather than by set lets every resident line of a set keep
+	// its own prediction, so re-touching any of them skips the scan.
+	way     []uint8
+	wayMask uint64
 	// last is the biased tag (line+1) of the most recent Access, or 0.
 	// A repeat of the same line with no intervening Access is always a
 	// hit — hits never move tags, and the previous Access left the
 	// line installed — so it skips the way scan. Any bulk invalidation
 	// clears it.
-	last    uint64
-	hits    uint64
-	misses  uint64
+	last uint64
+	// epoch counts tag-changing events: a miss install (Access,
+	// AccessRun), InvalidateRange, EvictEveryNth and Flush each bump
+	// it. Hits never change tags under round-robin replacement, so a
+	// line seen resident at epoch e is still resident — and its next
+	// Access a hit — for as long as Epoch reads e. Callers that cache
+	// such an observation may then count the hit with NoteHits instead
+	// of probing.
+	epoch  uint64
+	hits   uint64
+	misses uint64
 }
 
 // NewLLC builds a cache of totalBytes capacity with the given
@@ -65,6 +77,10 @@ func NewLLC(totalBytes int, ways int) *LLC {
 	for 1<<setBits < sets {
 		setBits++
 	}
+	hints := 1
+	for hints < sets*ways {
+		hints *= 2
+	}
 	return &LLC{
 		sets:    sets,
 		ways:    ways,
@@ -72,7 +88,8 @@ func NewLLC(totalBytes int, ways int) *LLC {
 		setBits: setBits,
 		tags:    make([]uint32, sets*ways),
 		next:    make([]uint8, sets),
-		mru:     make([]uint8, sets),
+		way:     make([]uint8, hints),
+		wayMask: uint64(hints - 1),
 	}
 }
 
@@ -100,18 +117,20 @@ func (c *LLC) Access(line uint64) bool {
 	base := set * c.ways
 	st := uint32(line>>c.setBits) + 1
 	w := c.tags[base : base+c.ways]
-	if w[c.mru[set]] == st {
+	hint := &c.way[line&c.wayMask]
+	if w[*hint] == st {
 		c.hits++
 		return true
 	}
 	for i, t := range w {
 		if t == st {
 			c.hits++
-			c.mru[set] = uint8(i)
+			*hint = uint8(i)
 			return true
 		}
 	}
 	c.misses++
+	c.epoch++
 	v := int(c.next[set])
 	w[v] = st
 	nv := v + 1
@@ -119,17 +138,22 @@ func (c *LLC) Access(line uint64) bool {
 		nv = 0
 	}
 	c.next[set] = uint8(nv)
-	c.mru[set] = uint8(v)
+	*hint = uint8(v)
 	return false
 }
 
-// NoteStreakHits records n hits that the caller proved without a
-// lookup: immediate repeats of the most recently accessed line. Such
-// repeats always take the `last` shortcut in Access — a hit that
-// reads no tags and moves no state — so batching them into one
-// counter add leaves the cache's state and statistics exactly as n
-// Access calls would have.
-func (c *LLC) NoteStreakHits(n uint64) { c.hits += n }
+// Epoch returns the residency epoch: it changes whenever any tag
+// changes, so an unchanged epoch proves every line seen resident at
+// that epoch still is.
+func (c *LLC) Epoch() uint64 { return c.epoch }
+
+// NoteHits records n hits that the caller proved without a lookup:
+// immediate repeats of the most recently accessed line, or lines it
+// saw resident at the current Epoch. Either way each Access would hit
+// and change no tags or replacement state, so one counter add leaves
+// the cache's results and statistics exactly as n Access calls would
+// have. (`last` and `way` may lag; both are lookup-order hints only.)
+func (c *LLC) NoteHits(n uint64) { c.hits += n }
 
 // AccessRun performs Access on n consecutive lines starting at line
 // and returns how many hit and how many missed. It is the bulk
@@ -156,14 +180,15 @@ func (c *LLC) AccessRun(line uint64, n uint64) (hits, misses uint64) {
 		base := set * c.ways
 		st := uint32(ln>>c.setBits) + 1
 		w := c.tags[base : base+c.ways]
-		if w[c.mru[set]] == st {
+		hint := &c.way[ln&c.wayMask]
+		if w[*hint] == st {
 			hits++
 			continue
 		}
 		found := false
 		for k, t := range w {
 			if t == st {
-				c.mru[set] = uint8(k)
+				*hint = uint8(k)
 				hits++
 				found = true
 				break
@@ -180,11 +205,14 @@ func (c *LLC) AccessRun(line uint64, n uint64) (hits, misses uint64) {
 			nv = 0
 		}
 		c.next[set] = uint8(nv)
-		c.mru[set] = uint8(v)
+		*hint = uint8(v)
 	}
 	c.last = line + n // biased tag of the run's final line
 	c.hits += hits
 	c.misses += misses
+	if misses != 0 {
+		c.epoch++
+	}
 	return hits, misses
 }
 
@@ -192,6 +220,7 @@ func (c *LLC) AccessRun(line uint64, n uint64) (hits, misses uint64) {
 // the cache (used when an EPC page is encrypted out to DRAM).
 func (c *LLC) InvalidateRange(line uint64, n uint64) {
 	c.last = 0
+	c.epoch++
 	for i := uint64(0); i < n; i++ {
 		ln := line + i
 		st := uint32(ln>>c.setBits) + 1
@@ -216,6 +245,7 @@ func (c *LLC) EvictEveryNth(n uint64, phase uint64) {
 		return
 	}
 	c.last = 0
+	c.epoch++
 	for i := int(phase % n); i < len(c.tags); i += int(n) {
 		c.tags[i] = 0
 	}
@@ -224,6 +254,7 @@ func (c *LLC) EvictEveryNth(n uint64, phase uint64) {
 // Flush invalidates the entire cache.
 func (c *LLC) Flush() {
 	c.last = 0
+	c.epoch++
 	for i := range c.tags {
 		c.tags[i] = 0
 	}
@@ -236,11 +267,12 @@ func (c *LLC) Flush() {
 func (c *LLC) Stats() (hits, misses uint64) { return c.hits, c.misses }
 
 // Clone returns an independent copy of the cache: same tags,
-// replacement and MRU state, last-line shortcut and statistics.
+// replacement state, way predictions, last-line shortcut, epoch and
+// statistics.
 func (c *LLC) Clone() *LLC {
 	n := *c
 	n.tags = append([]uint32(nil), c.tags...)
 	n.next = append([]uint8(nil), c.next...)
-	n.mru = append([]uint8(nil), c.mru...)
+	n.way = append([]uint8(nil), c.way...)
 	return &n
 }

@@ -197,3 +197,113 @@ func TestWorkingSetWithinCapacityHits(t *testing.T) {
 		}
 	}
 }
+
+// resident reports whether line is present, by scanning its set
+// directly (no side effects on hints or statistics).
+func (c *LLC) resident(line uint64) bool {
+	base := int(line&c.setMask) * c.ways
+	st := uint32(line>>c.setBits) + 1
+	for _, t := range c.tags[base : base+c.ways] {
+		if t == st {
+			return true
+		}
+	}
+	return false
+}
+
+// TestEpochContractProperty drives a small cache with a random mix of
+// Access, AccessRun, InvalidateRange, EvictEveryNth, Flush and Clone
+// and checks the residency-epoch contract callers rely on to skip
+// probes:
+//   - a line seen resident at epoch e is still resident, and Access on
+//     it returns true, while Epoch still reads e;
+//   - every operation that changes any tag bumps the epoch;
+//   - a hit leaves the epoch alone (else the contract is useless);
+//   - Clone carries the epoch with the tags.
+func TestEpochContractProperty(t *testing.T) {
+	c := NewLLC(16*1024, 4) // 64 sets x 4 ways: frequent conflicts
+	sets := uint64(c.Sets())
+	rng := uint64(0x9e3779b97f4a7c15)
+	next := func(n uint64) uint64 {
+		rng ^= rng << 13
+		rng ^= rng >> 7
+		rng ^= rng << 17
+		return rng % n
+	}
+	universe := 6 * sets
+	// seen[line] is 1 + the epoch line was last seen resident at, or
+	// 0. Runs may extend up to sets lines past the universe.
+	seen := make([]uint64, universe+sets)
+	see := func(line uint64) { seen[line] = c.Epoch() + 1 }
+	proven := func(line uint64) bool { return seen[line] == c.Epoch()+1 }
+	for step := 0; step < 20000; step++ {
+		before := append([]uint32(nil), c.tags...)
+		e0 := c.Epoch()
+		var op string
+		switch r := next(100); {
+		case r < 45:
+			op = "Access"
+			line := next(universe)
+			hit := c.Access(line)
+			if hit && c.Epoch() != e0 {
+				t.Fatalf("step %d: hit on %d bumped the epoch", step, line)
+			}
+			see(line)
+		case r < 65:
+			// Re-access the first line proven resident by the epoch
+			// at or after a random start, if any.
+			op = "Access(proven)"
+			for i, start := uint64(0), next(universe); i < universe; i++ {
+				if line := (start + i) % universe; proven(line) {
+					if !c.Access(line) {
+						t.Fatalf("step %d: line %d seen resident at epoch %d missed at the same epoch", step, line, e0)
+					}
+					break
+				}
+			}
+		case r < 80:
+			op = "AccessRun"
+			// At most one line per set, so every line of the run is
+			// resident afterwards.
+			line, n := next(universe), next(sets+1)
+			_, misses := c.AccessRun(line, n)
+			if misses == 0 && c.Epoch() != e0 {
+				t.Fatalf("step %d: all-hit AccessRun bumped the epoch", step)
+			}
+			for i := uint64(0); i < n; i++ {
+				see(line + i)
+			}
+		case r < 90:
+			op = "InvalidateRange"
+			c.InvalidateRange(next(universe), next(9))
+		case r < 96:
+			op = "EvictEveryNth"
+			c.EvictEveryNth(next(8)+1, next(16))
+		case r < 98:
+			op = "Flush"
+			c.Flush()
+		default:
+			op = "Clone"
+			n := c.Clone()
+			if n.Epoch() != c.Epoch() {
+				t.Fatalf("step %d: clone epoch %d, want %d", step, n.Epoch(), c.Epoch())
+			}
+			c = n
+		}
+		changed := false
+		for i := range before {
+			if before[i] != c.tags[i] {
+				changed = true
+				break
+			}
+		}
+		if changed && c.Epoch() == e0 {
+			t.Fatalf("step %d: %s changed tags without bumping the epoch", step, op)
+		}
+		for line := range seen {
+			if proven(uint64(line)) && !c.resident(uint64(line)) {
+				t.Fatalf("step %d: after %s, line %d seen resident at epoch %d is gone at the same epoch", step, op, line, c.Epoch())
+			}
+		}
+	}
+}

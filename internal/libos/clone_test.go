@@ -54,7 +54,7 @@ func TestCloneFieldCoverage(t *testing.T) {
 		{reflect.TypeOf(sgx.Thread{}), map[string]string{
 			"ID": "copy", "Clock": "copy", "env": "rebind", "tlb": "copy", "l1": "copy",
 			"shard": "rebind", "enclaveDepth": "copy",
-			"memo": "reset", "memoNext": "reset", "memoMRU": "reset",
+			"memo": "reset", "memoGen": "reset",
 		}},
 		{reflect.TypeOf(epc.EPC{}), map[string]string{
 			"capacity": "copy", "engine": "share", "backing": "rebind", "counters": "rebind",
@@ -71,8 +71,8 @@ func TestCloneFieldCoverage(t *testing.T) {
 		}},
 		{reflect.TypeOf(cache.LLC{}), map[string]string{
 			"sets": "copy", "ways": "copy", "setMask": "copy", "setBits": "copy",
-			"tags": "copy", "next": "copy", "mru": "copy", "last": "copy",
-			"hits": "copy", "misses": "copy",
+			"tags": "copy", "next": "copy", "way": "copy", "wayMask": "copy", "last": "copy",
+			"epoch": "copy", "hits": "copy", "misses": "copy",
 		}},
 		{reflect.TypeOf(tlb.DTLB{}), map[string]string{
 			"sets": "copy", "ways": "copy", "setMask": "copy", "tags": "copy",

@@ -13,14 +13,15 @@ import (
 
 // BenchmarkAccessPageStride is the memoization-hostile counterpart of
 // a sequential ReadU64 sweep: every access lands on a different page,
-// so each one pays the full page-resolution path.
+// and the pages cycled outnumber the per-thread page memo's slots, so
+// each access pays the full page-resolution path (a TLB hit).
 func BenchmarkAccessPageStride(b *testing.B) {
 	m := sgx.NewMachine(sgx.Config{EPCPages: 256})
 	env := m.NewEnv(sgx.Native)
 	if _, err := env.LaunchEnclave(2, 200); err != nil {
 		b.Fatal(err)
 	}
-	const pages = 64
+	const pages = 160
 	addr := env.MustAlloc(pages*mem.PageSize, mem.PageSize)
 	tr := env.Main
 	tr.Memset(addr, 0, pages*mem.PageSize)

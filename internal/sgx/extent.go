@@ -342,7 +342,7 @@ func (m *Machine) bulkExtent(t *Thread, x *Extent) error {
 		if t.l1 == nil {
 			hits, misses := m.LLC.AccessRun(first, lines)
 			if rep > 0 {
-				m.LLC.NoteStreakHits(rep)
+				m.LLC.NoteHits(rep)
 				hits += rep
 			}
 			if hits != 0 {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sgxgauge/internal/chaos"
+	"sgxgauge/internal/cycles"
 	"sgxgauge/internal/mee"
 	"sgxgauge/internal/mem"
 	"sgxgauge/internal/perf"
@@ -31,7 +32,8 @@ type diffState struct {
 
 const (
 	diffUPages = 8
-	diffEPages = 80
+	// diffEPages leaves room for two enclave pages memoSlots apart.
+	diffEPages = memoSlots + 16
 )
 
 type diffStep struct {
@@ -48,7 +50,7 @@ func diffScript() []diffStep {
 			}
 		}},
 		{"launch", func(s *diffState) {
-			if _, err := s.env.LaunchEnclave(8, 120); err != nil {
+			if _, err := s.env.LaunchEnclave(8, diffEPages+40); err != nil {
 				panic(err)
 			}
 			s.ebuf = s.env.MustAlloc(diffEPages*mem.PageSize, mem.PageSize)
@@ -254,6 +256,103 @@ func diffScript() []diffStep {
 			s.env.Main.Memcpy(s.ubuf, s.ebuf+25*mem.PageSize, mem.PageSize)
 			s.sum += s.env.Main.ReadU64(s.ubuf + 8)
 		}},
+		{"svm-two-stream", func(s *diffState) {
+			// SVM's inner loop: a data row and a weight row on two
+			// pages, read in alternation, the weight updated in place.
+			tr := s.env.Main
+			tr.ECall(func() {
+				data, w := s.ebuf+12*mem.PageSize, s.ebuf+33*mem.PageSize
+				for pass := 0; pass < 3; pass++ {
+					for i := uint64(0); i < 2*mem.PageSize/8; i++ {
+						x := tr.ReadU64(data + i*8)
+						wi := w + i%(mem.PageSize/8)*8
+						tr.WriteU64(wi, tr.ReadU64(wi)+x>>3)
+					}
+				}
+				s.sum += tr.ReadU64(w + 8)
+			})
+			// The same pattern on untrusted pages, outside the enclave.
+			for i := uint64(0); i < mem.PageSize/8; i++ {
+				s.sum += tr.ReadU64(s.ubuf+i*8) ^ tr.ReadU64(s.ubuf+5*mem.PageSize+i*8)
+			}
+		}},
+		{"memo-slot-collisions", func(s *diffState) {
+			// Pages memoSlots apart share a memo slot: alternating
+			// between them re-resolves the page on every access.
+			tr := s.env.Main
+			tr.ECall(func() {
+				a, b := s.ebuf+3*mem.PageSize, s.ebuf+(3+memoSlots)*mem.PageSize
+				for i := uint64(0); i < 256; i++ {
+					off := i % 64 * 64
+					tr.WriteU64(a+off, i)
+					s.sum += tr.ReadU64(b+off) + tr.ReadU64(a+off)
+				}
+			})
+			u := s.env.AllocUntrusted((2*memoSlots+1)*mem.PageSize, mem.PageSize)
+			for i := uint64(0); i < 300; i++ {
+				p := u + i%3*memoSlots*mem.PageSize + i%8*8
+				tr.WriteU64(p, i)
+				s.sum += tr.ReadU64(p)
+			}
+		}},
+		{"parallel-cross-thread", func(s *diffState) {
+			// Main's memo proves a few lines resident. Other threads
+			// then either only hit in the shared LLC, or evict those
+			// lines with same-set lines on many pages; Main's
+			// re-reads must hit in the first case and miss in the
+			// second, exactly as on the slow path.
+			tr := s.env.Main
+			u := s.env.AllocUntrusted(40*mem.PageSize, mem.PageSize)
+			warm := func() {
+				for r := 0; r < 4; r++ {
+					for l := uint64(0); l < 4; l++ {
+						s.sum += tr.ReadU64(s.ubuf + l*64)
+					}
+				}
+			}
+			warm()
+			s.env.RunParallel(3, func(t *Thread, i int) {
+				for l := uint64(0); l < 4; l++ {
+					s.sum += t.ReadU64(s.ubuf + l*64 + 8)
+				}
+			})
+			warm()
+			s.env.RunParallel(3, func(t *Thread, i int) {
+				for p := uint64(0); p < 40; p++ {
+					for l := uint64(0); l < 4; l++ {
+						t.WriteU64(u+p*mem.PageSize+l*64, p+uint64(i))
+					}
+				}
+			})
+			warm()
+			// Transitions on other threads pollute the shared LLC
+			// without touching Main's TLB or memo: enough of them
+			// that the rotating pollution phase covers every slot.
+			s.env.RunParallel(3, func(t *Thread, i int) {
+				for k := uint64(0); k < s.env.M.Costs.PollutionDenom/4; k++ {
+					t.ECall(func() {})
+				}
+			})
+			warm()
+		}},
+		{"extent-evicts-proven", func(s *diffState) {
+			// A bulk extent's misses (AccessRun) evict lines the word
+			// path has proven resident on another page. The extent's
+			// pages follow the proven page, so no memo slot is shared
+			// and the proof lives until the epoch moves.
+			tr := s.env.Main
+			u := s.env.AllocUntrusted(25*mem.PageSize, mem.PageSize)
+			w := make([]uint64, 24*mem.PageSize/8)
+			for r := 0; r < 3; r++ {
+				for k := 0; k < 2; k++ {
+					for l := uint64(0); l < 8; l++ {
+						s.sum += tr.ReadU64(u + l*64)
+					}
+				}
+				tr.ReadU64Run(u+mem.PageSize, w)
+			}
+			s.sum += w[len(w)-1]
+		}},
 		{"relaunch", func(s *diffState) {
 			s.env.DestroyEnclave()
 			if _, err := s.env.LaunchEnclave(4, 30); err != nil {
@@ -332,6 +431,124 @@ func TestFastSlowEquivalence(t *testing.T) {
 	}
 }
 
+// FuzzWordAccess runs a random program of word loads and stores over
+// pages that share memo slots (enclave and untrusted), on two threads,
+// with ECALL/OCALL transitions (TLB and memo flushes, LLC pollution)
+// and forced evictions (shootdowns) mixed in. The fast machine must
+// match the SlowPath reference after every op: error, value read,
+// counters and both threads' cycles. Each op is three bytes: bit 7 of
+// the first picks the thread, its low bits the op; the other two pick
+// the page, line and word. variant selects a tiny TLB (memo entries
+// displaced with their TLB victims), an L1, or a small LLC that every
+// transition pollutes heavily (proofs voided by another thread).
+func FuzzWordAccess(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 1, 2, 9, 0, 2, 9, 7, 2, 9, 0x80, 2, 9}, uint8(0))
+	f.Add([]byte{4, 1, 5, 7, 3, 0, 6, 2, 0, 0, 2, 0, 0x85, 4, 1, 7, 3, 0}, uint8(1))
+	f.Add([]byte{1, 0, 3, 1, 2, 3, 1, 3, 3, 0x80, 0, 3, 0x87, 2, 3, 5, 5, 5}, uint8(2))
+	f.Add([]byte{7, 4, 1, 7, 4, 1, 0x84, 1, 0, 0x84, 1, 0, 7, 4, 1}, uint8(3))
+	f.Fuzz(func(t *testing.T, prog []byte, variant uint8) {
+		if len(prog) > 3*400 {
+			prog = prog[:3*400]
+		}
+		cfg := Config{EPCPages: 48, Seed: 3}
+		switch variant % 4 {
+		case 1:
+			cfg.TLBEntries, cfg.TLBWays = 8, 2
+		case 2:
+			cfg.L1Bytes = 4 * 1024
+		case 3:
+			cfg.LLCBytes, cfg.LLCWays = 16*1024, 4
+			cfg.Costs = cycles.DefaultCosts()
+			cfg.Costs.PollutionDenom = 4
+		}
+		type side struct {
+			m       *Machine
+			threads [2]*Thread
+			pages   []uint64
+		}
+		mk := func(slow bool) *side {
+			c := cfg
+			c.SlowPath = slow
+			m := NewMachine(c)
+			env := m.NewEnv(Native)
+			if _, err := env.LaunchEnclave(2, 2*memoSlots+8); err != nil {
+				t.Fatal(err)
+			}
+			e := env.MustAlloc((2*memoSlots+1)*mem.PageSize, mem.PageSize)
+			u := env.AllocUntrusted((memoSlots+1)*mem.PageSize, mem.PageSize)
+			// The first four are enclave pages.
+			pages := []uint64{e, e + mem.PageSize, e + memoSlots*mem.PageSize,
+				e + 2*memoSlots*mem.PageSize, u, u + memoSlots*mem.PageSize}
+			return &side{m: m, threads: [2]*Thread{env.Main, env.newThread()}, pages: pages}
+		}
+		fast, slow := mk(false), mk(true)
+		step := func(s *side, op, a, b byte) (v uint64, err error) {
+			tr := s.threads[op>>7]
+			addr := func(a, b byte) uint64 {
+				return s.pages[int(a)%len(s.pages)] + uint64(b)%64*64 + uint64(a>>4)%8*8
+			}
+			err = Protect(func() {
+				switch op & 7 {
+				case 0:
+					v = tr.ReadU64(addr(a, b))
+				case 1:
+					tr.WriteU64(addr(a, b), uint64(a)<<8|uint64(b))
+				case 2:
+					v = uint64(tr.ReadU32(addr(a, b) + 4))
+				case 3:
+					tr.WriteU8(addr(a, b)+1, a^b)
+				case 4:
+					// An empty ECALL only flushes and pollutes.
+					tr.ECall(func() {
+						if a&1 == 0 {
+							v = tr.ReadU64(addr(a, b)) + tr.ReadU64(addr(b, a))
+						}
+					})
+				case 5:
+					tr.ECall(func() {
+						v = tr.ReadU64(addr(a, b))
+						tr.OCall(func() { tr.WriteU64(s.pages[4]+uint64(b)%64*64, v) })
+						v += tr.ReadU64(addr(a, b))
+					})
+				case 6:
+					if s.m.ForceEvict(tr, s.pages[int(a)%4]) {
+						v = 1
+					}
+				case 7:
+					// Every word of one line: repeats of a line the
+					// memo has just seen resident.
+					base := addr(a, b) &^ (mem.LineSize - 1)
+					for w := uint64(0); w < mem.LineSize; w += 8 {
+						v += tr.ReadU64(base + w)
+					}
+				}
+			})
+			return v, err
+		}
+		for i := 0; i+3 <= len(prog); i += 3 {
+			op, a, b := prog[i], prog[i+1], prog[i+2]
+			fv, ferr := step(fast, op, a, b)
+			sv, serr := step(slow, op, a, b)
+			if errString(ferr) != errString(serr) || fv != sv {
+				t.Fatalf("op %d (%d %d %d): fast %#x %v, slow %#x %v", i/3, op, a, b, fv, ferr, sv, serr)
+			}
+			if cf, cs := fast.m.Counters.Snapshot(), slow.m.Counters.Snapshot(); cf != cs {
+				for _, e := range perf.Events() {
+					if cf.Get(e) != cs.Get(e) {
+						t.Errorf("op %d: %v fast=%d slow=%d", i/3, e, cf.Get(e), cs.Get(e))
+					}
+				}
+				t.FailNow()
+			}
+			for k := range fast.threads {
+				if fc, sc := fast.threads[k].Clock.Cycles(), slow.threads[k].Clock.Cycles(); fc != sc {
+					t.Fatalf("op %d: thread %d cycles fast=%d slow=%d", i/3, k, fc, sc)
+				}
+			}
+		}
+	})
+}
+
 // A TLB entry can outlive its page's residency when an eviction
 // bypasses the machine's shootdown (as tests forcing eviction order
 // do with SetEvictHook). The access path must then fall back to the
@@ -339,18 +556,21 @@ func TestFastSlowEquivalence(t *testing.T) {
 func TestStaleTLBEntryFallsBackToWalk(t *testing.T) {
 	m := NewMachine(Config{EPCPages: 64})
 	env := m.NewEnv(Native)
-	enc, err := env.LaunchEnclave(2, 40)
+	enc, err := env.LaunchEnclave(2, 2+2*memoSlots)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := env.MustAlloc(16*mem.PageSize, mem.PageSize)
+	buf := env.MustAlloc((memoSlots+1)*mem.PageSize, mem.PageSize)
 	tr := env.Main
+	vpn := mem.PageNumber(buf)
 
 	tr.WriteU64(buf, 0xfeed) // install TLB entry + memo for page 0
-	// Push page 0 out of the (memoWays-deep) memo while keeping its
-	// TLB entry warm.
-	for i := uint64(1); i <= memoWays; i++ {
-		tr.WriteU64(buf+i*mem.PageSize, i)
+	// Touch the page that shares page 0's memo slot: it displaces
+	// page 0's memo entry while page 0's TLB entry stays warm.
+	tr.WriteU64(buf+memoSlots*mem.PageSize, 1)
+	if tr.memoLookup(vpn) != nil || !tr.tlb.Lookup(vpn) {
+		t.Fatalf("setup: memo hit %v, TLB hit %v; want memo miss, TLB hit",
+			tr.memoLookup(vpn) != nil, tr.tlb.Lookup(vpn))
 	}
 	// Evict page 0 behind the TLB's back: the hook override suppresses
 	// the machine's shootdown.

@@ -684,12 +684,12 @@ func (m *Machine) pageOpDispatch(t *Thread, addr, n uint64, p []byte, v byte, op
 //
 //   - counters go to the thread's perf.Shard (plain adds summed back
 //     in by every Counters read) instead of the shared atomic bank;
-//   - the thread's page memo caches the full resolution of the last
-//     few pages (owning enclave, frame, CLOCK reference bit), so
-//     same-page streaks skip the enclave scan, the TLB probe, and the
-//     EPC residency map. A memo hit implies a TLB hit: entries die
-//     with their TLB entry (flush, shootdown, victim displacement)
-//     and with the EPC slot table (resize);
+//   - the thread's direct-mapped page memo caches the full
+//     resolution of recently used pages (owning enclave, frame, CLOCK
+//     reference bit), so repeat touches skip the enclave scan, the
+//     TLB probe, and the EPC residency map. A memo hit implies a TLB
+//     hit: entries die with their TLB entry (flush, shootdown, victim
+//     displacement) and with the EPC slot table (resize);
 //   - LLC line charges for a run of lines are batched (AccessRun) and
 //     clock advances are accumulated per kind.
 func (m *Machine) accessPage(t *Thread, addr, n uint64, p []byte, v byte, op pageOp) error {
@@ -868,20 +868,54 @@ func (m *Machine) accessPage(t *Thread, addr, n uint64, p []byte, v byte, op pag
 // dispatch layers and staging buffer. It replicates accessPage's
 // memo-hit branch exactly: one access, one TLB-hit charge, one LLC
 // (or L1) line, identical counters and cycles. Anything else — memo
-// miss, aborted enclave — reports ok=false with zero side effects and
-// the caller falls back to the general path. Callers must check
+// miss, aborted enclave — returns nil with zero side effects and the
+// caller falls back to the general path. Callers must check
 // m.fastWords (no SlowPath, no chaos) and alignment first.
+//
+// When the LLC is the only cache level, the memo entry also
+// remembers which lines of its page this path saw resident during the
+// LLC's current Epoch. A repeat of such a line with the epoch
+// unchanged is a proven hit: it is counted with LLC.NoteHits and the
+// set probe is skipped. Only hits are bypassed, so the LLC's tags,
+// replacement state and statistics end exactly as Access leaves them.
+// Every other line goes to wordProbe, called last so that no value is
+// live across it and the proven-hit path keeps everything in
+// registers.
 //
 // The caller performs the data movement on the returned frame, which
 // keeps the 8-byte staging buffer and memmove out of the loop.
-func (m *Machine) wordFast(t *Thread, addr, n uint64, write bool) (*mem.Frame, bool) {
+func (m *Machine) wordFast(t *Thread, addr, n uint64, write bool) *mem.Frame {
 	me := t.memoLookup(mem.PageNumber(addr))
-	if me == nil {
-		return nil, false
+	if me == nil || me.enc != nil && me.enc.Aborted() {
+		return nil // the general path owns the exact abort error flow
 	}
-	if me.enc != nil && me.enc.Aborted() {
-		return nil, false // rare: take the general path's exact error flow
+	line := mem.LineNumber(addr)
+	bit := uint64(1) << (line % (mem.PageSize / mem.LineSize))
+	if t.l1 != nil || me.lines&bit == 0 || me.llcEpoch != m.LLC.Epoch() {
+		return m.wordProbe(t, me, line, bit, n, write)
 	}
+	m.LLC.NoteHits(1)
+	c := &m.Costs
+	sh := t.shard
+	sh.Inc(perf.Accesses)
+	sh.Inc(perf.LLCHits)
+	if write {
+		sh.Add(perf.BytesWritten, n)
+	} else {
+		sh.Add(perf.BytesRead, n)
+	}
+	if me.ref != nil {
+		*me.ref = true
+	}
+	t.Clock.Advance(c.Compute + c.TLBHit + c.LLCHit)
+	return me.frame
+}
+
+// wordProbe charges a wordFast access whose line is not a proven hit:
+// through the L1 when the thread has one, else through an LLC probe
+// whose result — hit or fresh install — then joins the entry's proven
+// lines (bit is the line's bit in the entry's mask).
+func (m *Machine) wordProbe(t *Thread, me *memoEntry, line, bit, n uint64, write bool) *mem.Frame {
 	c := &m.Costs
 	sh := t.shard
 	sh.Inc(perf.Accesses)
@@ -889,9 +923,21 @@ func (m *Machine) wordFast(t *Thread, addr, n uint64, write bool) (*mem.Frame, b
 	if me.ref != nil {
 		*me.ref = true
 	}
-	line := mem.LineNumber(addr)
-	if t.l1 == nil {
-		if m.LLC.Access(line) {
+	if t.l1 != nil && t.l1.Access(line) {
+		sh.Inc(perf.L1Hits)
+		pend += c.L1Hit
+	} else {
+		if t.l1 != nil {
+			sh.Inc(perf.L1Misses)
+		}
+		hit := m.LLC.Access(line)
+		if t.l1 == nil {
+			if e := m.LLC.Epoch(); e != me.llcEpoch {
+				me.lines, me.llcEpoch = 0, e
+			}
+			me.lines |= bit
+		}
+		if hit {
 			sh.Inc(perf.LLCHits)
 			pend += c.LLCHit
 		} else {
@@ -903,25 +949,6 @@ func (m *Machine) wordFast(t *Thread, addr, n uint64, write bool) (*mem.Frame, b
 			sh.Add(perf.StallCycles, extra)
 			pend += extra
 		}
-	} else {
-		if t.l1.Access(line) {
-			sh.Inc(perf.L1Hits)
-			pend += c.L1Hit
-		} else {
-			sh.Inc(perf.L1Misses)
-			if m.LLC.Access(line) {
-				sh.Inc(perf.LLCHits)
-				pend += c.LLCHit
-			} else {
-				extra := c.DRAMAccess
-				if me.enc != nil {
-					extra += c.MEELine
-				}
-				sh.Inc(perf.LLCMisses)
-				sh.Add(perf.StallCycles, extra)
-				pend += extra
-			}
-		}
 	}
 	t.Clock.Advance(pend)
 	if write {
@@ -929,7 +956,7 @@ func (m *Machine) wordFast(t *Thread, addr, n uint64, write bool) (*mem.Frame, b
 	} else {
 		sh.Add(perf.BytesRead, n)
 	}
-	return me.frame, true
+	return me.frame
 }
 
 // access performs a possibly page-spanning access, raising any Fault

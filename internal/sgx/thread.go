@@ -12,11 +12,13 @@ import (
 	"sgxgauge/internal/tlb"
 )
 
-// memoWays is the size of the per-thread page memo: large enough to
-// cover the few streams a workload interleaves (e.g. Memcpy's
-// alternating source and destination pages), small enough to scan in
-// a couple of cache lines.
-const memoWays = 4
+// memoSlots is the size of the per-thread page memo, a direct-mapped
+// table indexed by the low VPN bits: a lookup, store or invalidation
+// touches exactly one slot. Consecutive pages never collide, so the
+// few streams a workload interleaves (SVM's data and weight rows,
+// Memcpy's source and destination) each keep their own slot. A power
+// of two.
+const memoSlots = 64
 
 // memoEntry caches the complete resolution of one virtual page: its
 // owning enclave (nil for untrusted pages), backing frame, and — for
@@ -24,12 +26,20 @@ const memoWays = 4
 // hits keep marking the page recently-used. An entry is only valid
 // while its TLB entry and EPC slot both live; see Thread.memoStore.
 type memoEntry struct {
-	// key is the entry's VPN biased by 1; 0 marks an invalid entry,
-	// so a lookup is a single compare with no separate valid flag.
+	// key is the entry's VPN biased by 1; 0 marks an invalid entry.
+	// The entry is live only while gen equals the thread's memoGen.
 	key   uint64
 	enc   *enclave.Enclave
 	frame *mem.Frame
 	ref   *bool
+	// lines has bit i set for each line i of this page the word fast
+	// path saw resident in the LLC while its Epoch read llcEpoch.
+	// While the epoch is unchanged no tag has moved, so a repeat of
+	// any of those lines is a proven hit (see Machine.wordFast). A
+	// page has exactly 64 lines.
+	lines    uint64
+	llcEpoch uint64
+	gen      uint32
 }
 
 // Thread is one simulated hardware thread. Each thread owns a private
@@ -48,58 +58,52 @@ type Thread struct {
 	shard        *perf.Shard
 	enclaveDepth int
 
-	memo     [memoWays]memoEntry
-	memoNext uint8
-	memoMRU  uint8
+	// memo is the page memo and memoGen its flush generation:
+	// memoClear bumps memoGen, which invalidates every entry stored
+	// under an earlier value (the scheme tlb.DTLB uses for flushes).
+	memo    [memoSlots]memoEntry
+	memoGen uint32
 }
 
-// memoLookup returns the memo entry for vpn, or nil. The
-// most-recently-hit way is probed first: same-page streaks — the
-// dominant access pattern — then cost one compare instead of a scan.
-// The MRU index is a pure lookup-order hint; it never affects which
-// entry is found, so simulated semantics are untouched.
+// memoLookup returns the memo entry for vpn, or nil: vpn's slot
+// holds it only if the slot's key matches and it was stored under the
+// current generation.
 func (t *Thread) memoLookup(vpn uint64) *memoEntry {
-	k := vpn + 1
-	if e := &t.memo[t.memoMRU]; e.key == k {
+	if e := &t.memo[vpn&(memoSlots-1)]; e.key == vpn+1 && e.gen == t.memoGen {
 		return e
-	}
-	for i := range t.memo {
-		if e := &t.memo[i]; e.key == k {
-			t.memoMRU = uint8(i)
-			return e
-		}
 	}
 	return nil
 }
 
-// memoStore records a fresh page resolution, displacing the oldest
-// entry. Callers must only store resolutions that are also present in
-// the thread's TLB: every event that can kill a TLB entry (flush,
-// shootdown, round-robin displacement) or an EPC slot (eviction,
-// slot-table rebuild) invalidates the corresponding memo entries, so
-// a memo hit soundly stands in for TLB probe + residency lookup.
+// memoStore records a fresh page resolution in vpn's slot, displacing
+// whatever page held it. Callers must only store resolutions that are
+// also present in the thread's TLB: every event that can kill a TLB
+// entry (flush, shootdown, round-robin displacement) or an EPC slot
+// (eviction, slot-table rebuild) invalidates the corresponding memo
+// entries, so a memo hit soundly stands in for TLB probe + residency
+// lookup. Dropping an entry is always sound.
 func (t *Thread) memoStore(vpn uint64, enc *enclave.Enclave, frame *mem.Frame, ref *bool) {
-	t.memo[t.memoNext] = memoEntry{key: vpn + 1, enc: enc, frame: frame, ref: ref}
-	t.memoMRU = t.memoNext
-	t.memoNext = (t.memoNext + 1) % memoWays
+	t.memo[vpn&(memoSlots-1)] = memoEntry{key: vpn + 1, enc: enc, frame: frame, ref: ref, gen: t.memoGen}
 }
 
 // memoClear drops every memo entry (TLB flush, EPC slot-table
-// rebuild).
+// rebuild). Transitions flush on every ECALL and OCALL, so this is a
+// generation bump, not a sweep; when the generation wraps, the keys
+// are cleared once so no entry from 2^32 flushes ago can come back.
 func (t *Thread) memoClear() {
-	for i := range t.memo {
-		t.memo[i].key = 0
+	t.memoGen++
+	if t.memoGen == 0 {
+		for i := range t.memo {
+			t.memo[i].key = 0
+		}
 	}
 }
 
 // memoInvalidate drops the memo entry for vpn if present (TLB
 // shootdown or displacement of that page).
 func (t *Thread) memoInvalidate(vpn uint64) {
-	k := vpn + 1
-	for i := range t.memo {
-		if t.memo[i].key == k {
-			t.memo[i].key = 0
-		}
+	if e := t.memoLookup(vpn); e != nil {
+		e.key = 0
 	}
 }
 
@@ -290,7 +294,7 @@ func (t *Thread) TryWrite(addr uint64, p []byte) error {
 func (t *Thread) ReadU64(addr uint64) uint64 {
 	m := t.env.M
 	if m.fastWords && addr&7 == 0 {
-		if f, ok := m.wordFast(t, addr, 8, false); ok {
+		if f := m.wordFast(t, addr, 8, false); f != nil {
 			return binary.LittleEndian.Uint64(f.Data[addr&(mem.PageSize-1):])
 		}
 	}
@@ -303,7 +307,7 @@ func (t *Thread) ReadU64(addr uint64) uint64 {
 func (t *Thread) WriteU64(addr uint64, v uint64) {
 	m := t.env.M
 	if m.fastWords && addr&7 == 0 {
-		if f, ok := m.wordFast(t, addr, 8, true); ok {
+		if f := m.wordFast(t, addr, 8, true); f != nil {
 			binary.LittleEndian.PutUint64(f.Data[addr&(mem.PageSize-1):], v)
 			return
 		}
@@ -317,7 +321,7 @@ func (t *Thread) WriteU64(addr uint64, v uint64) {
 func (t *Thread) ReadU32(addr uint64) uint32 {
 	m := t.env.M
 	if m.fastWords && addr&3 == 0 {
-		if f, ok := m.wordFast(t, addr, 4, false); ok {
+		if f := m.wordFast(t, addr, 4, false); f != nil {
 			return binary.LittleEndian.Uint32(f.Data[addr&(mem.PageSize-1):])
 		}
 	}
@@ -330,7 +334,7 @@ func (t *Thread) ReadU32(addr uint64) uint32 {
 func (t *Thread) WriteU32(addr uint64, v uint32) {
 	m := t.env.M
 	if m.fastWords && addr&3 == 0 {
-		if f, ok := m.wordFast(t, addr, 4, true); ok {
+		if f := m.wordFast(t, addr, 4, true); f != nil {
 			binary.LittleEndian.PutUint32(f.Data[addr&(mem.PageSize-1):], v)
 			return
 		}
@@ -354,7 +358,7 @@ func (t *Thread) WriteF64(addr uint64, v float64) {
 func (t *Thread) ReadU8(addr uint64) byte {
 	m := t.env.M
 	if m.fastWords {
-		if f, ok := m.wordFast(t, addr, 1, false); ok {
+		if f := m.wordFast(t, addr, 1, false); f != nil {
 			return f.Data[addr&(mem.PageSize-1)]
 		}
 	}
@@ -367,7 +371,7 @@ func (t *Thread) ReadU8(addr uint64) byte {
 func (t *Thread) WriteU8(addr uint64, v byte) {
 	m := t.env.M
 	if m.fastWords {
-		if f, ok := m.wordFast(t, addr, 1, true); ok {
+		if f := m.wordFast(t, addr, 1, true); f != nil {
 			f.Data[addr&(mem.PageSize-1)] = v
 			return
 		}
