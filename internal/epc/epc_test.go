@@ -375,3 +375,87 @@ func TestOpString(t *testing.T) {
 		}
 	}
 }
+
+// evictOut forces the page out and returns its sealed entry.
+func evictOut(t *testing.T, e *EPC, clk *cycles.Clock, costs *cycles.CostModel, pid mem.PageID) *mem.SealedPage {
+	t.Helper()
+	if ok, err := e.EvictPage(clk, costs, pid); err != nil || !ok {
+		t.Fatalf("EvictPage(%v): ok=%v err=%v", pid, ok, err)
+	}
+	sp := e.backing.Get(pid)
+	if sp == nil {
+		t.Fatalf("evicted page %v missing from backing store", pid)
+	}
+	return sp
+}
+
+// TestCompactPageAttacksDetected mounts every untrusted-memory attack
+// on a page evicted all zero (stored without ciphertext): each must be
+// caught on the way back in, exactly as for a page with contents.
+func TestCompactPageAttacksDetected(t *testing.T) {
+	engine := mee.New(1)
+	attacks := map[string]struct {
+		tamper func(b *mem.BackingStore, sp, stale *mem.SealedPage)
+		want   error
+	}{
+		"bit-flip": {func(_ *mem.BackingStore, sp, _ *mem.SealedPage) {
+			engine.Materialize(sp)
+			sp.Ciphertext[123] ^= 4
+		}, mee.ErrMACMismatch},
+		"mac-flip": {func(_ *mem.BackingStore, sp, _ *mem.SealedPage) { sp.MAC[15] ^= 0x80 }, mee.ErrMACMismatch},
+		"rollback": {func(b *mem.BackingStore, _, stale *mem.SealedPage) { b.Put(stale) }, mee.ErrRollback},
+		"drop":     {func(b *mem.BackingStore, sp, _ *mem.SealedPage) { b.Delete(sp.ID) }, ErrPageLost},
+	}
+	for name, a := range attacks {
+		t.Run(name, func(t *testing.T) {
+			backing := mem.NewBackingStore()
+			e := New(32, engine, backing, &perf.Counters{})
+			clk, costs := &cycles.Clock{}, cycles.DefaultCosts()
+			mustAlloc(t, e, clk, &costs, id(0))
+			stale := evictOut(t, e, clk, &costs, id(0)).Copy()
+			if _, _, err := e.Fault(clk, &costs, id(0)); err != nil {
+				t.Fatalf("clean load-back: %v", err)
+			}
+			sp := evictOut(t, e, clk, &costs, id(0))
+			if sp.Ciphertext != nil || stale.Ciphertext != nil {
+				t.Fatal("an all-zero page was stored with its ciphertext")
+			}
+			a.tamper(backing, sp, stale)
+			if _, _, err := e.Fault(clk, &costs, id(0)); !errors.Is(err, a.want) {
+				t.Fatalf("Fault after %s: err=%v, want %v", name, err, a.want)
+			}
+		})
+	}
+}
+
+// TestRecycledSealedPageChangesMode evicts a page with contents, then
+// all zero, then with contents again. Each eviction after the first
+// reseals the storage its previous load-back retired, so one
+// SealedPage goes explicit → compact → explicit, and every load-back
+// must return the data evicted.
+func TestRecycledSealedPageChangesMode(t *testing.T) {
+	e, _, clk, costs := newTestEPC(32)
+	f := mustAlloc(t, e, clk, &costs, id(0))
+	var prev *mem.SealedPage
+	for i, fill := range []byte{0x5A, 0, 0xC3} {
+		for j := range f.Data {
+			f.Data[j] = fill
+		}
+		want := f.Data
+		sp := evictOut(t, e, clk, &costs, id(0))
+		if prev != nil && sp != prev {
+			t.Fatalf("eviction %d did not recycle the retired sealed page", i)
+		}
+		if (sp.Ciphertext == nil) != (fill == 0) {
+			t.Fatalf("eviction %d: compact = %v, want %v", i, sp.Ciphertext == nil, fill == 0)
+		}
+		var err error
+		if f, _, err = e.Fault(clk, &costs, id(0)); err != nil {
+			t.Fatalf("load-back %d: %v", i, err)
+		}
+		if f.Data != want {
+			t.Fatalf("load-back %d returned other data", i)
+		}
+		prev = sp
+	}
+}

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"sgxgauge/internal/libos"
 	"sgxgauge/internal/osal"
@@ -10,11 +11,11 @@ import (
 
 // A LibOS boot — the loader adding and measuring the whole enclave —
 // is excluded from measured time (Appendix D) but dominates the host
-// cost of a LibOS spec. Within one batch, specs that boot the same
-// configuration share it: the first user boots a template machine and
-// every user runs on a clone of it (sgx.Env.Clone, libos.Clone), with
-// results identical to a fresh boot. DESIGN.md §"Boot templates"
-// records the rules.
+// cost of a LibOS spec. Specs that boot the same configuration share
+// it: the first user boots a template machine and every user runs on
+// a clone of it (sgx.Env.Clone, libos.Clone), with results identical
+// to a fresh boot. A Runner keeps its templates across batches, idle
+// between users; DESIGN.md §"Boot templates" records the rules.
 
 // bootKey identifies everything a LibOS boot reads: the effective
 // machine configuration and the enclave size.
@@ -36,16 +37,29 @@ func bootKeyOf(spec Spec) (bootKey, bool) {
 	return bootKey{cfg: cfg, pages: libosManifest(spec, nil).EnclavePages(cfg.EPCPages)}, true
 }
 
-// bootPlan is one batch's set of shared boots.
+// bootPlan is a set of shared boots: a Runner's, kept for the
+// Runner's lifetime, or one execBatch's.
 type bootPlan struct {
 	mu    sync.Mutex
-	tpls  map[bootKey]*template // guarded by mu
-	live  int                   // templates built or building, not yet released; guarded by mu
-	limit int                   // most templates live at once: the batch's worker count
+	tpls  map[bootKey]*template // templates with planned users, building or built; guarded by mu
+	idle  []*template           // built templates with no user, least recently used first; guarded by mu
+	live  int                   // templates built or building, idle ones included; guarded by mu
+	limit int                   // most templates live at once
+	// keep makes a built template stay idle once its users are done,
+	// so a later batch can clone it. A batch's own plan releases it.
+	keep  bool
+	stats *bootStats
 }
 
-// template is one shared boot. All fields are guarded by the plan's mu.
+// bootStats counts how the LibOS specs of a plan booted.
+type bootStats struct {
+	builds, clones, inPlace atomic.Uint64
+}
+
+// template is one shared boot. All fields but key are guarded by the
+// plan's mu.
 type template struct {
+	key   bootKey
 	left  int             // planned users that have not claimed the template yet
 	refs  int             // users between claiming and finishing their clone
 	ready chan struct{}   // nil until a build starts; closed when it ends
@@ -55,16 +69,26 @@ type template struct {
 // bootSlot is one spec's place in the plan.
 type bootSlot struct {
 	plan    *bootPlan
-	key     bootKey
-	claimed bool // the spec has used (or given up) its claim
-	cloned  bool // the spec's boot was cloned from the template
+	tpl     *template // nil: the spec boots in place
+	claimed bool      // the spec has used (or given up) its claim
+	cloned  bool      // the spec's boot was cloned from the template
 }
 
-// planBoots counts the boot keys of a batch and returns one slot per
-// spec sharing its key with another spec, nil for specs that boot in
-// place. workers bounds the templates kept live at once: each in-flight
-// LibOS spec already holds a full boot, so peak memory does not grow.
-func planBoots(specs []Spec, workers int) []*bootSlot {
+// newBootPlan returns an empty plan keeping at most limit templates
+// live.
+func newBootPlan(limit int, keep bool, stats *bootStats) *bootPlan {
+	return &bootPlan{tpls: map[bootKey]*template{}, limit: limit, keep: keep, stats: stats}
+}
+
+// planBoots adds a batch's specs to the plan and returns one slot per
+// spec. A spec shares a template when its key is used twice or more in
+// the batch, or when the plan already holds a template for the key (an
+// idle one left by an earlier batch, or one a concurrent batch plans);
+// every other spec boots in place. The plan's limit bounds the
+// templates live at once: each in-flight LibOS spec already holds a
+// full boot, so with the limit at the worker count peak memory does
+// not grow.
+func planBoots(p *bootPlan, specs []Spec) []*bootSlot {
 	keys := make([]bootKey, len(specs))
 	planned := make([]bool, len(specs))
 	uses := map[bootKey]int{}
@@ -73,29 +97,44 @@ func planBoots(specs []Spec, workers int) []*bootSlot {
 			uses[keys[i]]++
 		}
 	}
-	tpls := map[bootKey]*template{}
-	plan := &bootPlan{tpls: tpls, limit: workers}
 	slots := make([]*bootSlot, len(specs))
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	for i := range specs {
-		if n := uses[keys[i]]; planned[i] && n > 1 {
-			if tpls[keys[i]] == nil {
-				tpls[keys[i]] = &template{left: n}
-			}
-			slots[i] = &bootSlot{plan: plan, key: keys[i]}
+		slots[i] = &bootSlot{plan: p}
+		if !planned[i] {
+			continue
 		}
+		t := p.tpls[keys[i]]
+		if t == nil {
+			if uses[keys[i]] < 2 {
+				continue
+			}
+			t = &template{key: keys[i]}
+			p.tpls[keys[i]] = t
+		}
+		if t.left == 0 && t.refs == 0 && t.ready != nil {
+			p.unidle(t) // an idle template has users again
+		}
+		t.left++
+		slots[i].tpl = t
 	}
 	return slots
 }
 
-// start boots the LibOS for the slot's spec: on a clone of the batch
+// start boots the LibOS for the slot's spec: on a clone of its
 // template when one serves it, otherwise in place on newMachine(). The
-// first user of a key builds the template; a concurrent user waits for
-// that build. A key's last user, a user past the live-template limit,
-// and every user after a failed build boot in place. A nil slot, or
-// one whose claim is spent (a retried spec), boots in place.
+// first user of an unbuilt template builds it; a concurrent user waits
+// for that build. The last user of an unbuilt template, a user that
+// finds no live slot free, and every user after a failed build boot
+// in place. A nil slot, or one whose claim is spent (a retried spec),
+// boots in place.
 func (s *bootSlot) start(newMachine func() *sgx.Machine, cfg sgx.Config, fs *osal.FS, man libos.Manifest, timeline uint64) (*libos.Instance, error) {
 	t, build := s.claim()
 	if t == nil {
+		if s != nil {
+			s.plan.stats.inPlace.Add(1)
+		}
 		return bootLibOS(newMachine(), fs, man, timeline)
 	}
 	p := s.plan
@@ -103,11 +142,12 @@ func (s *bootSlot) start(newMachine func() *sgx.Machine, cfg sgx.Config, fs *osa
 	defer func() {
 		p.mu.Lock()
 		t.refs--
-		p.releaseIfDone(t)
+		p.settle(t)
 		p.mu.Unlock()
 	}()
 	if build {
-		t.build(p, cfg, man.Binary, s.key.pages)
+		p.stats.builds.Add(1)
+		t.build(p, cfg, man.Binary, t.key.pages)
 	} else {
 		<-t.ready
 	}
@@ -115,10 +155,13 @@ func (s *bootSlot) start(newMachine func() *sgx.Machine, cfg sgx.Config, fs *osa
 	tpl := t.inst
 	p.mu.Unlock()
 	if tpl == nil {
+		p.stats.inPlace.Add(1)
 		return bootLibOS(newMachine(), fs, man, timeline)
 	}
 	inst, err := tpl.Clone(fs, man)
-	s.cloned = err == nil
+	if s.cloned = err == nil; s.cloned {
+		p.stats.clones.Add(1)
+	}
 	return inst, err
 }
 
@@ -130,22 +173,40 @@ func (s *bootSlot) claim() (t *template, build bool) {
 		return nil, false
 	}
 	s.claimed = true
-	p := s.plan
+	if s.tpl == nil {
+		return nil, false
+	}
+	t, p := s.tpl, s.plan
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	t = p.tpls[s.key]
 	t.left--
 	switch {
 	case t.ready != nil:
-	case t.left == 0 || p.live >= p.limit:
+	case t.left == 0 || !p.reserve():
+		p.settle(t)
 		return nil, false
 	default:
 		t.ready = make(chan struct{})
-		p.live++
 		build = true
 	}
 	t.refs++
 	return t, build
+}
+
+// reserve takes a live slot for a build. When every slot is taken it
+// first releases the least recently used idle template; it reports
+// false when no template is idle. caller holds mu.
+func (p *bootPlan) reserve() bool {
+	if p.live >= p.limit {
+		if len(p.idle) == 0 {
+			return false
+		}
+		lru := p.idle[0]
+		p.unidle(lru)
+		p.release(lru)
+	}
+	p.live++
+	return true
 }
 
 // build boots the template. It boots with no input files — manifest
@@ -163,32 +224,54 @@ func (t *template) build(p *bootPlan, cfg sgx.Config, binary string, pages int) 
 }
 
 // finish gives up the slot's claim if the spec never booted (it failed
-// or was cancelled first), so its template is still released once
-// every other user is done. Nil-safe.
+// or was cancelled first), so its template settles once every other
+// user is done.
 func (s *bootSlot) finish() {
-	if s == nil || s.claimed {
+	if s.claimed {
 		return
 	}
 	s.claimed = true
-	p := s.plan
-	p.mu.Lock()
-	t := p.tpls[s.key]
-	t.left--
-	p.releaseIfDone(t)
-	p.mu.Unlock()
+	if t := s.tpl; t != nil {
+		p := s.plan
+		p.mu.Lock()
+		t.left--
+		p.settle(t)
+		p.mu.Unlock()
+	}
 }
 
-// wasCloned reports whether the slot's spec ran on a template clone.
-// Nil-safe.
-func (s *bootSlot) wasCloned() bool { return s != nil && s.cloned }
+// settle retires a template no planned user will claim or use again:
+// a built one stays idle in a plan that keeps templates, and is
+// released otherwise; an unbuilt one leaves the plan. Every call
+// follows a decrement of left or refs, so the condition first holds
+// exactly once per round of users. caller holds mu.
+func (p *bootPlan) settle(t *template) {
+	switch {
+	case t.left > 0 || t.refs > 0:
+	case t.ready == nil:
+		delete(p.tpls, t.key)
+	case p.keep && t.inst != nil:
+		p.idle = append(p.idle, t)
+	default:
+		p.release(t)
+	}
+}
 
-// releaseIfDone drops a built template once no user will clone it
-// again, freeing its live slot. Every call follows a decrement of left
-// or refs, so the condition first holds exactly once. caller holds mu.
-func (p *bootPlan) releaseIfDone(t *template) {
-	if t.ready != nil && t.left == 0 && t.refs == 0 {
-		t.inst = nil
-		p.live--
+// release drops a built template and frees its live slot.
+// caller holds mu.
+func (p *bootPlan) release(t *template) {
+	t.inst = nil
+	delete(p.tpls, t.key)
+	p.live--
+}
+
+// unidle takes t off the idle list. caller holds mu.
+func (p *bootPlan) unidle(t *template) {
+	for i, u := range p.idle {
+		if u == t {
+			p.idle = append(p.idle[:i], p.idle[i+1:]...)
+			return
+		}
 	}
 }
 

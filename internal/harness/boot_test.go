@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"sgxgauge/internal/chaos"
 	"sgxgauge/internal/sgx"
@@ -113,11 +114,11 @@ func TestBootPlanKeys(t *testing.T) {
 		with(func(s *Spec) { s.Machine = &sgx.Config{EPCPages: 1} }),                              // EPCPages comes from the spec
 		with(func(s *Spec) { s.Machine = &sgx.Config{Costs: sgx.Config{}.WithDefaults().Costs} }), // default costs spelled out
 	}
-	slots := planBoots(specs, 2)
+	slots := planBoots(newBootPlan(2, false, &bootStats{}), specs)
 	want := []bool{true, true, false, false, false, false, false, true, true}
 	for i, s := range slots {
-		if (s != nil) != want[i] {
-			t.Errorf("spec %d planned = %v, want %v", i, s != nil, want[i])
+		if (s.tpl != nil) != want[i] {
+			t.Errorf("spec %d planned = %v, want %v", i, s.tpl != nil, want[i])
 		}
 	}
 	if len(slots[0].plan.tpls) != 1 {
@@ -141,8 +142,8 @@ func TestBootPlanLimitsLiveTemplates(t *testing.T) {
 		}
 	}
 	const workers = 2
-	slots := planBoots(specs, workers)
-	plan := slots[0].plan
+	plan := newBootPlan(workers, false, &bootStats{})
+	slots := planBoots(plan, specs)
 	maxLive := 0 // guarded by plan.mu
 	results := make([]*Result, len(specs))
 	forEach(len(specs), workers, func(i int) {
@@ -161,13 +162,8 @@ func TestBootPlanLimitsLiveTemplates(t *testing.T) {
 	if maxLive > workers {
 		t.Errorf("%d templates live at once, limit %d", maxLive, workers)
 	}
-	if plan.live != 0 {
-		t.Errorf("%d templates still live after the batch", plan.live)
-	}
-	for key, tpl := range plan.tpls {
-		if tpl.inst != nil || tpl.left != 0 || tpl.refs != 0 {
-			t.Errorf("template %v not released: left %d refs %d", key.cfg.Seed, tpl.left, tpl.refs)
-		}
+	if plan.live != 0 || len(plan.tpls) != 0 {
+		t.Errorf("%d templates still live and %d planned after the batch", plan.live, len(plan.tpls))
 	}
 	for i, spec := range specs {
 		want, err := runOne(spec, nil)
@@ -177,5 +173,140 @@ func TestBootPlanLimitsLiveTemplates(t *testing.T) {
 		if d := diffResults(*want, *results[i]); len(d) > 0 {
 			t.Errorf("spec %d diverged from its in-place boot in %v", i, d)
 		}
+	}
+}
+
+// TestRunnerKeepsTemplatesAcrossBatches runs a one-spec batch after a
+// batch sharing its boot key: the Runner kept the first batch's
+// template idle, so the lone spec runs on a clone of it, with the
+// Result a fresh Runner gives.
+func TestRunnerKeepsTemplatesAcrossBatches(t *testing.T) {
+	empty, err := suite.ByName("Empty")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := func(size workloads.Size) Spec {
+		return Spec{Workload: empty, Mode: sgx.LibOS, Size: size, EPCPages: 32}
+	}
+	r := NewRunner(32)
+	if _, err := r.batch([]Spec{spec(workloads.Low), spec(workloads.Medium)}); err != nil {
+		t.Fatal(err)
+	}
+	if st := r.Stats(); st.TemplateBuilds != 1 || st.ClonedBoots != 2 || st.InPlaceBoots != 0 {
+		t.Fatalf("first batch: %d builds, %d clones, %d in place; want 1, 2, 0", st.TemplateBuilds, st.ClonedBoots, st.InPlaceBoots)
+	}
+	cloned := false
+	got, err := r.Run(spec(workloads.High), OnProgress(func(p Progress) { cloned = p.Cloned }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !cloned {
+		t.Fatal("a lone spec after a batch with its boot key was not cloned")
+	}
+	if st := r.Stats(); st.TemplateBuilds != 1 || st.ClonedBoots != 3 {
+		t.Errorf("after the lone spec: %d builds, %d clones; want 1, 3", st.TemplateBuilds, st.ClonedBoots)
+	}
+	want, err := NewRunner(32).Run(spec(workloads.High))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := diffResults(*want, *got); len(d) > 0 {
+		t.Errorf("cloned across batches, the Result diverged from a fresh Runner's in %v", d)
+	}
+}
+
+// TestRunnerTemplatesBoundedAcrossBatches runs concurrent batches over
+// four boot keys on a two-worker Runner: never more than Jobs
+// templates may be live, idle ones included, and every Result must
+// equal a fresh Runner's. Run it under -race.
+func TestRunnerTemplatesBoundedAcrossBatches(t *testing.T) {
+	empty, err := suite.ByName("Empty")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(32)
+	r.Jobs = 2
+	r.init()
+	p := r.boots
+	var batches [][]Spec
+	for _, size := range workloads.Sizes() {
+		var specs []Spec
+		for seed := int64(1); seed <= 4; seed++ {
+			for _, pf := range []bool{false, true} {
+				specs = append(specs, Spec{Workload: empty, Mode: sgx.LibOS, Size: size, Seed: seed, ProtectedFiles: pf})
+			}
+		}
+		batches = append(batches, specs)
+	}
+	results := make([][]*Result, len(batches))
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		forEach(len(batches), len(batches), func(i int) {
+			var err error
+			if results[i], err = r.batch(batches[i]); err != nil {
+				t.Error(err)
+			}
+		})
+	}()
+	maxLive := 0
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		p.mu.Lock()
+		if p.live > maxLive {
+			maxLive = p.live
+		}
+		if len(p.idle) > p.live {
+			t.Errorf("%d idle templates but %d live", len(p.idle), p.live)
+		}
+		p.mu.Unlock()
+		time.Sleep(50 * time.Microsecond)
+	}
+	if maxLive > r.Jobs {
+		t.Errorf("%d templates live at once, Jobs %d", maxLive, r.Jobs)
+	}
+	if st := r.Stats(); st.TemplateBuilds == 0 || st.ClonedBoots == 0 {
+		t.Errorf("%d builds and %d clones; want templates shared", st.TemplateBuilds, st.ClonedBoots)
+	}
+	fresh := NewRunner(32)
+	for i, specs := range batches {
+		for j, spec := range specs {
+			want, err := fresh.Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := diffResults(*want, *results[i][j]); len(d) > 0 {
+				t.Errorf("batch %d spec %d diverged from a fresh Runner in %v", i, j, d)
+			}
+		}
+	}
+}
+
+// TestPaperOrderBoots renders every experiment in report order through
+// one two-worker Runner, as sgxreport and the bench do, and bounds its
+// LibOS boots. With templates kept across batches the seed-1 report
+// builds 4 templates and boots 2 specs in place (timeline specs, which
+// never share a boot); with templates freed after each batch it did 6
+// and 3.
+func TestPaperOrderBoots(t *testing.T) {
+	if testing.Short() {
+		t.Skip("renders the whole report")
+	}
+	r := NewRunner(64)
+	r.Seed = 1
+	r.Jobs = 2
+	for _, e := range Experiments() {
+		if _, err := e.Render(r); err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+	}
+	st := r.Stats()
+	t.Logf("%d template builds, %d clones, %d in place", st.TemplateBuilds, st.ClonedBoots, st.InPlaceBoots)
+	if boots := st.TemplateBuilds + st.InPlaceBoots; boots > 6 {
+		t.Errorf("%d boots (%d template builds, %d in place); want at most 6", boots, st.TemplateBuilds, st.InPlaceBoots)
 	}
 }

@@ -112,6 +112,10 @@ type Runner struct {
 	initOnce sync.Once
 	// slots holds one token per local simulation, Jobs wide.
 	slots chan struct{}
+	// boots shares LibOS boots across every batch, with at most Jobs
+	// templates live (see DESIGN.md §"Boot templates").
+	boots     *bootPlan
+	bootStats bootStats
 
 	mu sync.Mutex
 	// flights holds the one in-flight execution per key, across
@@ -140,6 +144,7 @@ func (r *Runner) init() ResultCache {
 			n = runtime.GOMAXPROCS(0)
 		}
 		r.slots = make(chan struct{}, n)
+		r.boots = newBootPlan(n, true, &r.bootStats)
 	})
 	return r.Cache
 }
@@ -176,7 +181,7 @@ func (r *Runner) RunLocal(spec Spec) *Result {
 	ctx := context.Background()
 	r.acquire(ctx)
 	defer r.release()
-	res := runWithRetry(ctx, r.normalize(spec), &engineOpts{}, nil)
+	res := runWithRetry(ctx, r.normalize(spec), &engineOpts{}, &bootSlot{plan: r.boots})
 	return &res
 }
 
@@ -228,6 +233,14 @@ type RunStats struct {
 	Busy int64
 	// InFlight is the number of distinct keys executing or queued.
 	InFlight int
+	// TemplateBuilds, ClonedBoots and InPlaceBoots count how local
+	// LibOS specs booted: building a shared template, on a clone of
+	// one, or on a machine of their own (see DESIGN.md §"Boot
+	// templates"). A spec that builds a template also runs on a clone
+	// of it, so it counts in both of the first two.
+	TemplateBuilds uint64
+	ClonedBoots    uint64
+	InPlaceBoots   uint64
 }
 
 // Stats returns the runner's execution counters.
@@ -236,10 +249,13 @@ func (r *Runner) Stats() RunStats {
 	inflight := len(r.flights)
 	r.mu.Unlock()
 	return RunStats{
-		Executed:  r.executed.Load(),
-		Coalesced: r.coalesced.Load(),
-		Busy:      r.busy.Load(),
-		InFlight:  inflight,
+		Executed:       r.executed.Load(),
+		Coalesced:      r.coalesced.Load(),
+		Busy:           r.busy.Load(),
+		InFlight:       inflight,
+		TemplateBuilds: r.bootStats.builds.Load(),
+		ClonedBoots:    r.bootStats.clones.Load(),
+		InPlaceBoots:   r.bootStats.inPlace.Load(),
 	}
 }
 

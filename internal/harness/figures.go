@@ -148,8 +148,8 @@ func RenderFigure3(points []Figure3Point) string {
 // Figure4Row compares LibOS against Native for one workload.
 type Figure4Row struct {
 	Name string
-	// Ratio is LibOS runtime / Native runtime at Medium size: below
-	// 1.0 the library OS helps, above it hurts.
+	// Ratio is LibOS runtime / Native runtime at each input size:
+	// below 1.0 the library OS helps, above it hurts.
 	Ratio map[workloads.Size]float64
 }
 
@@ -453,8 +453,9 @@ func RenderFigure7(rows []Figure7Row) string {
 	return t.String()
 }
 
-// Figure8Cell is one workload x counter overhead ratio in Native mode
-// relative to Vanilla.
+// Figure8Data is the Appendix B heat map: for every workload with a
+// Native port, each counter's Native-mode overhead relative to Vanilla
+// at each input size.
 type Figure8Data struct {
 	Workloads []string
 	Events    []perf.Event

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 
 	"sgxgauge/internal/mem"
@@ -31,8 +32,9 @@ type MultiEnclavePoint struct {
 // MultiEnclave runs the interference sweep on one machine per point.
 // Each instance's footprint is fixed at ~35% of the EPC, so one or two
 // instances fit while four or more thrash. The points are independent
-// machines, so they run concurrently on the runner's worker pool;
-// results keep the input order.
+// machines, so they run concurrently, each holding one of the runner's
+// worker slots like any other local simulation; results keep the
+// input order.
 func (r *Runner) MultiEnclave(counts []int) ([]MultiEnclavePoint, error) {
 	epcPages := r.EPCPages
 	if epcPages == 0 {
@@ -41,7 +43,10 @@ func (r *Runner) MultiEnclave(counts []int) ([]MultiEnclavePoint, error) {
 	footprint := epcPages * 35 / 100
 	out := make([]MultiEnclavePoint, len(counts))
 	errs := make([]error, len(counts))
+	r.init()
 	forEach(len(counts), r.Jobs, func(i int) {
+		r.acquire(context.Background())
+		defer r.release()
 		defer func() {
 			if rec := recover(); rec != nil {
 				errs[i] = fmt.Errorf("harness: %d-enclave point panicked: %v", counts[i], rec)

@@ -1,8 +1,15 @@
 package harness
 
 import (
+	"context"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
+
+	"sgxgauge/internal/sgx"
+	"sgxgauge/internal/workloads"
+	"sgxgauge/internal/workloads/suite"
 )
 
 func TestMultiEnclaveInterference(t *testing.T) {
@@ -60,5 +67,54 @@ func TestMultiEnclaveDeterministic(t *testing.T) {
 	}
 	if a[0] != b[0] {
 		t.Error("multi-enclave run not deterministic")
+	}
+}
+
+// TestMultiEnclaveHoldsWorkerSlots checks that the sweep's points,
+// which are local simulations, take the Runner's worker slots like
+// RunAll's specs: with every slot held elsewhere no point starts, and
+// once the slots free up, the points and a concurrent batch together
+// never have more than Jobs slots busy.
+func TestMultiEnclaveHoldsWorkerSlots(t *testing.T) {
+	r := NewRunner(testEPC)
+	r.Jobs = 1
+	r.init()
+	ctx := context.Background()
+	r.acquire(ctx) // another batch's spec holds the only slot
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.MultiEnclave([]int{1, 2, 4})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		t.Fatalf("MultiEnclave ran while every worker slot was held (err %v)", err)
+	case <-time.After(300 * time.Millisecond):
+	}
+	r.release()
+
+	batch := make(chan error, 1)
+	go func() {
+		_, err := r.RunAll(GridSpecs(suite.All()[:3], []sgx.Mode{sgx.Vanilla}, []workloads.Size{workloads.Low}), Workers(3))
+		batch <- err
+	}()
+	for pending := 2; pending > 0; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			pending--
+		case err := <-batch:
+			if err != nil {
+				t.Fatal(err)
+			}
+			pending--
+		default:
+			if busy := r.Stats().Busy; busy > int64(r.Jobs) {
+				t.Fatalf("%d worker slots busy, Jobs %d", busy, r.Jobs)
+			}
+			runtime.Gosched()
+		}
 	}
 }

@@ -149,7 +149,7 @@ func runBatch(specs []Spec, o engineOpts, settle func(i int, res *Result, ran bo
 	results := make([]Result, len(specs))
 	// Specs sent to a remote executor never claim their slot, so they
 	// never build a template; finish releases their share of the plan.
-	boots := planBoots(specs, poolSize(len(specs), o.workers))
+	boots := planBoots(o.bootPlan(len(specs)), specs)
 	var mu sync.Mutex
 	completed := 0
 	forEach(len(specs), o.workers, func(i int) {
@@ -199,12 +199,23 @@ func runBatch(specs []Spec, o engineOpts, settle func(i int, res *Result, ran bo
 				Mode:      specs[i].Mode,
 				Wall:      wall,
 				Err:       results[i].Err,
-				Cloned:    boots[i].wasCloned(),
+				Cloned:    boots[i].cloned,
 			})
 			mu.Unlock()
 		}
 	})
 	return results
+}
+
+// bootPlan returns the plan a batch of n specs shares boots through:
+// the Runner's, which keeps templates across batches, or, for
+// execBatch, a plan of the batch's own that releases each template
+// after its last user.
+func (o *engineOpts) bootPlan(n int) *bootPlan {
+	if o.runner != nil {
+		return o.runner.boots
+	}
+	return newBootPlan(poolSize(n, o.workers), false, &bootStats{})
 }
 
 // execBatch runs specs through the engine with per-call options and

@@ -139,15 +139,17 @@ func runOn(t *testing.T, epcPages int, start func(fs *osal.FS, man libos.Manifes
 	return outcome{out, inst.Env.Elapsed() - inst.StartupCycles, inst.Env.Snapshot()}
 }
 
-// sealedImage copies every sealed page the instance's enclave holds in
-// the untrusted store: its ID, version, ciphertext and MAC.
+// sealedImage deep-copies every sealed page the instance's enclave
+// holds in the untrusted store: its ID, version, ciphertext (nil for a
+// compact page) and MAC. The copy shares no storage with the store, so
+// a later in-place write to a stored page shows up as a difference.
 func sealedImage(inst *libos.Instance) map[mem.PageID]mem.SealedPage {
 	enc := inst.Env.Enclave
 	img := map[mem.PageID]mem.SealedPage{}
 	for i := 0; i < enc.SizePages; i++ {
 		id := enc.PageID(enc.Base + uint64(i)*mem.PageSize)
 		if sp := inst.Env.M.Backing.Get(id); sp != nil {
-			img[id] = mem.SealedPage{ID: sp.ID, Version: sp.Version, Ciphertext: sp.Ciphertext, MAC: sp.MAC}
+			img[id] = *sp.Copy()
 		}
 	}
 	return img
@@ -207,5 +209,28 @@ func TestCloneRejectsOtherEnclaveSize(t *testing.T) {
 	if _, err := tpl.Clone(osal.NewFS(), libos.Manifest{Binary: "app", Files: []string{"missing"}}); err == nil ||
 		!strings.Contains(err.Error(), "not found") {
 		t.Errorf("clone with a missing manifest file: err = %v, want not found", err)
+	}
+}
+
+// TestBootSealsZeroHeapCompact checks where a LibOS boot's memory goes:
+// the loader measures the whole enclave, evicting nearly every page
+// while it is still all zero, and such pages are stored without their
+// ciphertext. A clone shares those entries and still runs correctly
+// (TestConcurrentClonesOfOneTemplate).
+func TestBootSealsZeroHeapCompact(t *testing.T) {
+	inst, err := libos.Start(sgx.NewMachine(sgx.Config{EPCPages: 64}), nil, libos.Manifest{Binary: "template"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	compact := 0
+	img := sealedImage(inst)
+	for _, sp := range img {
+		if sp.Ciphertext == nil {
+			compact++
+		}
+	}
+	t.Logf("%d of %d sealed pages compact", compact, len(img))
+	if compact*100 < len(img)*90 {
+		t.Errorf("%d of %d sealed pages compact, want at least 90%%", compact, len(img))
 	}
 }

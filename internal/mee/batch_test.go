@@ -61,9 +61,9 @@ func TestBatchUnsealMatchesEngine(t *testing.T) {
 	if err := b.UnsealPage(sp, 8, &out); !errors.Is(err, ErrRollback) {
 		t.Fatalf("stale version: got %v, want ErrRollback", err)
 	}
-	tampered := *sp
+	tampered := sp.Copy()
 	tampered.Ciphertext[100] ^= 1
-	if err := b.UnsealPage(&tampered, 9, &out); !errors.Is(err, ErrMACMismatch) {
+	if err := b.UnsealPage(tampered, 9, &out); !errors.Is(err, ErrMACMismatch) {
 		t.Fatalf("tampered page: got %v, want ErrMACMismatch", err)
 	}
 	// The batch state must be unpoisoned by the failures.

@@ -59,22 +59,32 @@ func FuzzUnsealPage(f *testing.F) {
 	f.Add(uint64(2), uint32(9), uint64(0), uint64(1), uint64(2), -1, byte(0))
 	f.Add(uint64(3), uint32(4), uint64(8), uint64(5), uint64(5), 100, byte(0xFF))
 	f.Add(uint64(4), uint32(4), uint64(8), uint64(5), uint64(5), mem.PageSize+3, byte(1))
+	f.Add(uint64(5), uint32(3), uint64(7), uint64(4), uint64(4), -1, byte(0))    // zero plaintext: a compact page
+	f.Add(uint64(6), uint32(3), uint64(7), uint64(4), uint64(4), 64, byte(0x20)) // compact, ciphertext flipped
 
 	f.Fuzz(func(t *testing.T, seed uint64, enclave uint32, vpn uint64,
 		version, expectVersion uint64, corruptAt int, flip byte) {
 		e := New(seed)
 		id := mem.PageID{Enclave: enclave, VPN: vpn}
+		// A vpn that is 7 mod 8 seals the all-zero page, which is
+		// stored compact.
 		var src mem.Frame
-		for i := range src.Data {
-			src.Data[i] = byte(i) ^ byte(vpn)
+		if vpn%8 != 7 {
+			for i := range src.Data {
+				src.Data[i] = byte(i) ^ byte(vpn)
+			}
 		}
 		sp := e.SealPage(id, version, &src)
+		if zero := src.Data == zeroPage; (sp.Ciphertext == nil) != zero {
+			t.Fatalf("compact = %v for an all-zero page = %v", sp.Ciphertext == nil, zero)
+		}
 
 		corrupted := corruptAt >= 0 && flip != 0
 		if corrupted {
 			// Offset spans ciphertext and MAC.
 			off := corruptAt % (mem.PageSize + len(sp.MAC))
 			if off < mem.PageSize {
+				e.Materialize(sp)
 				sp.Ciphertext[off] ^= flip
 			} else {
 				sp.MAC[off-mem.PageSize] ^= flip

@@ -123,34 +123,82 @@ func sealPage(aead cipher.AEAD, scratch *[mem.PageSize + 16]byte, id mem.PageID,
 	return sp
 }
 
+// zeroPage is the all-zero plaintext whose seal is a compact page's
+// ciphertext. Read-only.
+var zeroPage [mem.PageSize]byte
+
 // sealPageInto seals into a caller-provided SealedPage, overwriting
 // every field — the destination may be recycled storage with stale
-// contents (mem.BackingStore.Reserve).
+// contents (mem.BackingStore.Reserve), whose ciphertext array it
+// reuses. Every page gets the full GCM seal and keeps its MAC; an
+// all-zero page keeps no ciphertext (a compact page, see
+// mem.SealedPage), since unsealPage can regenerate it from the nonce.
 func sealPageInto(aead cipher.AEAD, scratch *[mem.PageSize + 16]byte, sp *mem.SealedPage, id mem.PageID, version uint64, f *mem.Frame) {
 	sp.ID = id
 	sp.Version = version
 	iv := nonce(id, version)
 	hdr := pageHeader(id, version)
 	out := aead.Seal(scratch[:0], iv[:], f.Data[:], hdr[:])
-	copy(sp.Ciphertext[:], out[:mem.PageSize])
 	copy(sp.MAC[:], out[mem.PageSize:])
+	if f.Data == zeroPage {
+		sp.Ciphertext = nil
+		return
+	}
+	if sp.Ciphertext == nil {
+		sp.Ciphertext = new([mem.PageSize]byte)
+	}
+	copy(sp.Ciphertext[:], out[:mem.PageSize])
+}
+
+// sealZero writes the ciphertext ∥ tag of the all-zero page sealed as
+// (id, version) into scratch: a compact page's ciphertext and the tag
+// an untampered one carries.
+func sealZero(aead cipher.AEAD, scratch *[mem.PageSize + 16]byte, id mem.PageID, version uint64) {
+	iv := nonce(id, version)
+	hdr := pageHeader(id, version)
+	aead.Seal(scratch[:0], iv[:], zeroPage[:], hdr[:])
 }
 
 // unsealPage is sealPage's inverse: rollback check, then GCM open
 // (which verifies the tag over ciphertext, identity and version before
-// releasing any plaintext).
+// releasing any plaintext). A compact page's ciphertext is rebuilt
+// first, so it goes through the same Open against its stored MAC.
 func unsealPage(aead cipher.AEAD, scratch *[mem.PageSize + 16]byte, sp *mem.SealedPage, expectVersion uint64, f *mem.Frame) error {
 	if sp.Version != expectVersion {
 		return ErrRollback
 	}
+	if sp.Ciphertext == nil {
+		sealZero(aead, scratch, sp.ID, sp.Version)
+	} else {
+		copy(scratch[:], sp.Ciphertext[:])
+	}
+	copy(scratch[mem.PageSize:], sp.MAC[:])
 	iv := nonce(sp.ID, sp.Version)
 	hdr := pageHeader(sp.ID, sp.Version)
-	n := copy(scratch[:], sp.Ciphertext[:])
-	copy(scratch[n:], sp.MAC[:])
 	if _, err := aead.Open(f.Data[:0], iv[:], scratch[:], hdr[:]); err != nil {
 		return ErrMACMismatch
 	}
 	return nil
+}
+
+// Materialize gives a compact sealed page its explicit ciphertext
+// bytes, the same bytes a seal that kept them would have stored, so a
+// caller can alter them (the chaos injector's bit-flip attack). It is
+// a no-op on a page that already has them. It panics on a frozen page:
+// that page is shared with other backing stores, and its caller is
+// about to write it.
+func (e *Engine) Materialize(sp *mem.SealedPage) {
+	if sp.Frozen() {
+		panic(fmt.Sprintf("mee: Materialize of a frozen sealed page (%v)", sp.ID))
+	}
+	if sp.Ciphertext != nil {
+		return
+	}
+	var scratch [mem.PageSize + 16]byte
+	sealZero(e.pageAEAD(), &scratch, sp.ID, sp.Version)
+	ct := new([mem.PageSize]byte)
+	copy(ct[:], scratch[:mem.PageSize])
+	sp.Ciphertext = ct
 }
 
 // sealOverhead is the number of bytes Seal adds to the plaintext: a

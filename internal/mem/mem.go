@@ -79,9 +79,14 @@ func (id PageID) String() string {
 // encrypted form" with a MAC, and integrity-checked when brought back).
 // The MAC is the MEE's 128-bit AES-GCM tag.
 type SealedPage struct {
-	ID         PageID
-	Version    uint64
-	Ciphertext [PageSize]byte
+	ID      PageID
+	Version uint64
+	// Ciphertext is the encrypted page. Nil marks a compact page: the
+	// sealed plaintext was all zero, so the ciphertext is exactly the
+	// page's GCM key stream, which the MEE regenerates from the nonce
+	// on load-back (see mee.Engine.Materialize). The MAC is kept and
+	// checked either way.
+	Ciphertext *[PageSize]byte
 	MAC        [16]byte
 
 	// frozen marks a page shared copy-on-write between a backing store
@@ -90,28 +95,48 @@ type SealedPage struct {
 	frozen bool
 }
 
+// Frozen reports whether the page is shared copy-on-write between
+// backing stores, so its bytes must never be written.
+func (p *SealedPage) Frozen() bool { return p.frozen }
+
+// Copy returns a deep copy of the page with storage of its own, so a
+// later in-place reseal of p (through BackingStore.Reserve) cannot
+// change the copy. The copy is not frozen.
+func (p *SealedPage) Copy() *SealedPage {
+	cp := *p
+	cp.frozen = false
+	if p.Ciphertext != nil {
+		ct := *p.Ciphertext
+		cp.Ciphertext = &ct
+	}
+	return &cp
+}
+
 // BackingStore is the untrusted main memory region that receives
 // evicted (sealed) EPC pages. It is safe for concurrent use.
 //
 // A *SealedPage obtained from Get stays valid until that entry is
 // deleted or replaced; afterwards its storage may be recycled through
-// Reserve and overwritten by a later seal. Callers that need a sealed
-// image beyond that point (e.g. to replay it later) must copy the
-// struct, not hold the pointer.
+// Reserve and overwritten by a later seal, ciphertext included.
+// Callers that need a sealed image beyond that point (e.g. to replay
+// it later) must take a deep copy (SealedPage.Copy): a struct copy
+// still shares the ciphertext storage.
 type BackingStore struct {
 	mu    sync.Mutex
 	pages map[PageID]*SealedPage // guarded by mu
-	// free recycles the storage of dead entries: evicting a page
-	// allocates a 4 KiB+ SealedPage, and an EPC-thrashing run retires
-	// one per load-back, so recycling removes the dominant allocation
-	// of the whole simulation. Bounded so enclave teardown cannot pin
-	// an arbitrary amount of dead memory.
+	// free recycles the storage of dead entries: evicting a page that
+	// is not all zero allocates a SealedPage with 4 KiB of ciphertext,
+	// and an EPC-thrashing run retires one per load-back, so recycling
+	// removes the dominant allocation of the whole simulation. Bounded
+	// so enclave teardown cannot pin an arbitrary amount of dead
+	// memory.
 	free []*SealedPage // guarded by mu
 }
 
 // maxFreeSealed bounds the recycling list: enough to feed several
 // eviction storms (the EPC seals 16 pages per batch) without
-// retaining more than ~¼ MiB of dead pages.
+// retaining more than ~¼ MiB of dead pages (64 × 4 KiB of ciphertext
+// at most; a compact entry holds none).
 const maxFreeSealed = 64
 
 // NewBackingStore returns an empty backing store.
@@ -129,7 +154,8 @@ func (b *BackingStore) recycle(p *SealedPage) {
 
 // Reserve returns a SealedPage whose storage may be recycled from a
 // dead entry, or nil when none is available (the caller allocates).
-// Every field must be overwritten before the page is stored.
+// Every field must be overwritten before the page is stored; a
+// non-nil Ciphertext is storage the new seal may write into.
 func (b *BackingStore) Reserve() *SealedPage {
 	b.mu.Lock()
 	defer b.mu.Unlock()

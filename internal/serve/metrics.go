@@ -111,6 +111,11 @@ func (m *metrics) render(w io.Writer, cache *Cache, r *harness.Runner) {
 	fmt.Fprintln(w, "# HELP sgxgauged_runs_coalesced_total Cache misses served by waiting on an identical in-flight execution.")
 	fmt.Fprintln(w, "# TYPE sgxgauged_runs_coalesced_total counter")
 	fmt.Fprintf(w, "sgxgauged_runs_coalesced_total %d\n", st.Coalesced)
+	fmt.Fprintln(w, "# HELP sgxgauged_libos_boots_total LibOS boots of local runs: template builds, clones of a shared template, and boots in place.")
+	fmt.Fprintln(w, "# TYPE sgxgauged_libos_boots_total counter")
+	fmt.Fprintf(w, "sgxgauged_libos_boots_total{kind=\"template\"} %d\n", st.TemplateBuilds)
+	fmt.Fprintf(w, "sgxgauged_libos_boots_total{kind=\"clone\"} %d\n", st.ClonedBoots)
+	fmt.Fprintf(w, "sgxgauged_libos_boots_total{kind=\"in_place\"} %d\n", st.InPlaceBoots)
 	fmt.Fprintln(w, "# HELP sgxgauged_admission_rejected_total Jobs shed with 429 because the queue was past its high-water mark.")
 	fmt.Fprintln(w, "# TYPE sgxgauged_admission_rejected_total counter")
 	fmt.Fprintf(w, "sgxgauged_admission_rejected_total %d\n", m.admissionRejected.Load())

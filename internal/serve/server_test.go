@@ -540,3 +540,29 @@ func mustWorkload(t *testing.T, name string) workloads.Workload {
 	}
 	return w
 }
+
+// TestMetricsLibOSBoots: /metrics counts how LibOS runs booted. A
+// sweep of two specs sharing a boot builds one template and runs both
+// on clones; a later run with the same boot clones the template the
+// daemon's Runner kept idle.
+func TestMetricsLibOSBoots(t *testing.T) {
+	_, ts := newTestServer(t)
+	body := `[{"workload":"Empty","mode":"LibOS","size":"Low"},{"workload":"Empty","mode":"LibOS","size":"Medium"}]`
+	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep: status %d", resp.StatusCode)
+	}
+	postRun(t, ts, `{"workload":"Empty","mode":"LibOS","size":"High"}`)
+	for kind, want := range map[string]float64{"template": 1, "clone": 3, "in_place": 0} {
+		if got := metric(t, ts, `sgxgauged_libos_boots_total{kind="`+kind+`"}`); got != want {
+			t.Errorf("libos_boots_total{kind=%q} = %g, want %g", kind, got, want)
+		}
+	}
+}

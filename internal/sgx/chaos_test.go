@@ -1,9 +1,12 @@
 package sgx
 
 import (
+	"errors"
 	"testing"
 
 	"sgxgauge/internal/chaos"
+	"sgxgauge/internal/epc"
+	"sgxgauge/internal/mee"
 	"sgxgauge/internal/mem"
 	"sgxgauge/internal/perf"
 )
@@ -230,5 +233,92 @@ func TestChaosSameSeedByteIdentical(t *testing.T) {
 	s3, _ := chaosRun(t, 54321)
 	if s1 == s3 {
 		t.Fatal("different seeds produced identical snapshots (injector inert?)")
+	}
+}
+
+// tamperVictim launches a chaos machine whose injector never fires on
+// its own (tests mount attacks through tamper directly) and returns
+// its thread and one enclave page.
+func tamperVictim(t *testing.T) (*Machine, *Env, uint64) {
+	t.Helper()
+	m := NewMachine(Config{EPCPages: 32, Chaos: &chaos.Config{Seed: 5, MemTamper: true, TamperRate: 1e-300}})
+	env := m.NewEnv(Native)
+	if _, err := env.LaunchEnclave(1, 64); err != nil {
+		t.Fatal(err)
+	}
+	return m, env, env.MustAlloc(mem.PageSize, mem.PageSize)
+}
+
+// evictSealed forces addr's page out and returns its stored seal.
+func evictSealed(t *testing.T, m *Machine, env *Env, addr uint64) *mem.SealedPage {
+	t.Helper()
+	if !m.ForceEvict(env.Main, addr) {
+		t.Fatal("page was not resident")
+	}
+	sp := m.Backing.Get(env.Enclave.PageID(addr))
+	if sp == nil {
+		t.Fatal("evicted page missing from backing store")
+	}
+	return sp
+}
+
+// TestChaosTamperCompactPages mounts each injector attack on a page
+// evicted all zero, which the store keeps without ciphertext: every
+// attack must still abort the enclave with its own error.
+func TestChaosTamperCompactPages(t *testing.T) {
+	for _, tc := range []struct {
+		kind chaos.TamperKind
+		want error
+	}{
+		{chaos.TamperBitFlip, mee.ErrMACMismatch},
+		{chaos.TamperMAC, mee.ErrMACMismatch},
+		{chaos.TamperDrop, epc.ErrPageLost},
+		{chaos.TamperRollback, mee.ErrRollback},
+	} {
+		t.Run(tc.kind.String(), func(t *testing.T) {
+			m, env, page := tamperVictim(t)
+			env.Main.ReadU64(page)
+			sp := evictSealed(t, m, env, page)
+			if sp.Ciphertext != nil {
+				t.Fatal("an all-zero page was stored with its ciphertext")
+			}
+			if tc.kind == chaos.TamperRollback {
+				// Capture now; replay on the next eviction.
+				m.tamper(sp, tc.kind)
+				env.Main.ReadU64(page)
+				sp = evictSealed(t, m, env, page)
+			}
+			m.tamper(sp, tc.kind)
+			err := Protect(func() { env.Main.ReadU64(page) })
+			if !errors.Is(err, tc.want) || !IsAbort(err) {
+				t.Fatalf("err = %v, want an abort wrapping %v", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestChaosRollbackStashIsDeep stashes a sealed page, then has the
+// store recycle that entry and reseal another version into its
+// storage in place. The stash must still hold the stale image it
+// captured, and replaying it must be caught as a rollback.
+func TestChaosRollbackStashIsDeep(t *testing.T) {
+	m, env, page := tamperVictim(t)
+	id := env.Enclave.PageID(page)
+	env.Main.WriteU64(page, 0x1111)
+	sp := evictSealed(t, m, env, page)
+	m.tamper(sp, chaos.TamperRollback)
+	stash := m.rollbackStash[id]
+	captured := *stash.Ciphertext
+
+	env.Main.WriteU64(page, 0x2222) // load-back retires sp to the free list
+	if again := evictSealed(t, m, env, page); again != sp {
+		t.Fatal("the second eviction did not reseal the retired entry in place")
+	}
+	if *stash.Ciphertext != captured || stash.Ciphertext == sp.Ciphertext {
+		t.Fatal("resealing the store's entry changed the rollback stash")
+	}
+	m.tamper(sp, chaos.TamperRollback)
+	if err := Protect(func() { env.Main.ReadU64(page) }); !errors.Is(err, mee.ErrRollback) {
+		t.Fatalf("err = %v, want ErrRollback", err)
 	}
 }

@@ -379,12 +379,17 @@ func (m *Machine) Chaos() *chaos.Injector { return m.chaos }
 // detected later — on load-back (MAC mismatch, rollback) or fault-in
 // (dropped page) — exactly like a real tamper attempt.
 func (m *Machine) tamperSealed(id mem.PageID) {
-	sp := m.Backing.Get(id)
-	if sp == nil {
-		return
+	if sp := m.Backing.Get(id); sp != nil {
+		m.tamper(sp, m.chaos.NextTamper())
 	}
-	switch m.chaos.NextTamper() {
+}
+
+// tamper mounts the given attack on the stored sealed page sp.
+func (m *Machine) tamper(sp *mem.SealedPage, kind chaos.TamperKind) {
+	id := sp.ID
+	switch kind {
 	case chaos.TamperBitFlip:
+		m.Engine.Materialize(sp)
 		sp.Ciphertext[m.chaos.PickOffset(mem.PageSize)] ^= 1 << uint(m.chaos.PickOffset(8))
 	case chaos.TamperMAC:
 		sp.MAC[m.chaos.PickOffset(len(sp.MAC))] ^= 1 << uint(m.chaos.PickOffset(8))
@@ -393,14 +398,14 @@ func (m *Machine) tamperSealed(id mem.PageID) {
 	case chaos.TamperRollback:
 		if stale, ok := m.rollbackStash[id]; ok {
 			// Replay the stale version captured on an earlier
-			// eviction of this page.
-			cp := *stale
-			m.Backing.Put(&cp)
+			// eviction of this page. Both copies are deep: the store
+			// recycles and reseals its entries in place, which must
+			// not reach the stash.
+			m.Backing.Put(stale.Copy())
 		} else {
 			// First strike on this page: capture the current sealed
 			// image to replay on a later eviction.
-			cp := *sp
-			m.rollbackStash[id] = &cp
+			m.rollbackStash[id] = sp.Copy()
 		}
 	}
 }
