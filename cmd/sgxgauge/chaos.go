@@ -32,7 +32,7 @@ func cmdChaos(args []string) {
 	transition := fs.Bool("transition", true, "inject transient ECALL/OCALL transition failures")
 	retries := fs.Int("retries", 2, "retry attempts for transient injected faults")
 	backoff := fs.Duration("backoff", 10*time.Millisecond, "base retry backoff (doubles per attempt; wall-clock only)")
-	workers := fs.Int("j", 0, "worker pool size (0 = GOMAXPROCS)")
+	jobs := fs.Int("j", 0, "parallel workers (0 = GOMAXPROCS)")
 	progress := fs.Bool("progress", false, "report per-run progress on stderr")
 	fs.Parse(args)
 
@@ -69,7 +69,6 @@ func cmdChaos(args []string) {
 	}
 
 	opts := []harness.Option{
-		harness.Workers(*workers),
 		harness.Retry(*retries),
 		harness.RetryBackoff(*backoff),
 	}
@@ -77,7 +76,7 @@ func cmdChaos(args []string) {
 		opts = append(opts, harness.OnProgress(progressPrinter()))
 	}
 
-	points, err := harness.ChaosSweep(base, template, rates, opts...)
+	points, err := (&harness.Runner{Jobs: *jobs}).ChaosSweep(base, template, rates, opts...)
 	if err != nil {
 		fatal(err)
 	}

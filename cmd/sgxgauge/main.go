@@ -6,7 +6,6 @@
 //	sgxgauge list
 //	sgxgauge run -workload BTree [-mode Native] [-size Medium]
 //	              [-epc pages] [-seed n] [-switchless] [-pf] [-counters]
-//	sgxgauge ops [-epc pages]
 //	sgxgauge matrix [-epc pages] [-j workers]
 //	sgxgauge chaos [-workload BTree] [-chaos-seed n] [-fault-rate 0,0.01,...]
 //	sgxgauge serve [-addr host:port] [-epc pages] [-seed n] [-j workers]
@@ -16,9 +15,8 @@
 //	               [-admission.max specs]
 //	               [-coordinator [-worker.ttl d] [-task.retries n] | -worker url]
 //
-// "list" prints the suite; "run" executes one workload; "ops" reports
-// the latencies of the core SGX driver operations (Figure 7);
-// "matrix" regenerates the full (workload x mode x size) grid on the
+// "list" prints the suite; "run" executes one workload; "matrix"
+// regenerates the full (workload x mode x size) grid on the
 // parallel engine; "chaos" sweeps a workload across adversarial-OS
 // fault-injection intensities and prints the degradation table.
 //
@@ -73,8 +71,6 @@ func main() {
 		cmdRun(os.Args[2:])
 	case "scenario":
 		cmdScenario(os.Args[2:])
-	case "ops":
-		cmdOps(os.Args[2:])
 	case "trace":
 		cmdTrace(os.Args[2:])
 	case "sweep":
@@ -102,7 +98,6 @@ func usage() {
                  [-epc pages] [-seed n] [-switchless] [-pf] [-counters]
   sgxgauge scenario <name> [-n enclaves] [-size Low|Medium|High] [-ops n] [-quantum cycles]
                  [-epc pages] [-seed n] [-slowpath] [-counters]
-  sgxgauge ops   [-epc pages]
   sgxgauge trace -workload <name> [-mode ...] [-size ...] [-epc pages] [-csv]
   sgxgauge sweep [-epc list] [-workloads list] [-mode ...] [-size ...] [-j workers] [-progress]
   sgxgauge matrix [-epc pages] [-seed n] [-j workers] [-progress]
@@ -218,20 +213,6 @@ func cmdRun(args []string) {
 		fmt.Printf("latency:   %.1f us mean\n", cycles.Micros(uint64(res.Output.MeanLatency)))
 	}
 	printCounters(os.Stdout, res.Counters, *showCounters)
-}
-
-func cmdOps(args []string) {
-	fs := flag.NewFlagSet("ops", flag.ExitOnError)
-	epcPages := fs.Int("epc", sgx.DefaultEPCPages, "EPC size in pages")
-	fs.Parse(args)
-
-	r := harness.NewRunner(*epcPages)
-	r.Seed = 1
-	rows, err := r.Figure7()
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Println(harness.RenderFigure7(rows))
 }
 
 func fatal(err error) {

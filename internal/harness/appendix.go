@@ -24,23 +24,20 @@ type Figure9Data struct {
 	LibOSStartup  uint64
 }
 
-// Figure9 regenerates the timeline with ~timelineSamples points per
-// run.
-func (r *Runner) Figure9() (*Figure9Data, error) {
-	w, err := suite.ByName("BTree")
-	if err != nil {
-		return nil, err
-	}
-	// Sampling cadence: roughly every 64 EPC ops keeps the trace
-	// small while resolving the startup storm.
-	results, err := r.batch([]Spec{
+// figure9Specs is the timeline's batch: B-Tree at Medium in Native,
+// then LibOS, mode. Sampling roughly every 64 EPC ops keeps the trace
+// small while resolving the startup storm.
+func figure9Specs(int) []Spec {
+	w := byName("BTree")
+	return []Spec{
 		{Workload: w, Mode: sgx.Native, Size: workloads.Medium, Timeline: 64},
 		{Workload: w, Mode: sgx.LibOS, Size: workloads.Medium, Timeline: 64},
-	})
-	if err != nil {
-		return nil, err
 	}
-	nat, lib := results[0], results[1]
+}
+
+// figure9 builds Figure 9 from its batch.
+func figure9(b *expBatch) (*Figure9Data, error) {
+	nat, lib := b.results[0], b.results[1]
 	return &Figure9Data{
 		Native:        nat.Timeline,
 		LibOS:         lib.Timeline,
@@ -93,30 +90,33 @@ type Figure10Row struct {
 	OCalls      uint64
 }
 
-// Figure10 regenerates Appendix E: Iozone under Vanilla, LibOS
-// (plaintext shim) and LibOS with protected files.
-func (r *Runner) Figure10() ([]Figure10Row, error) {
+// figure10Configs are Appendix E's Iozone configurations: Vanilla,
+// LibOS (plaintext shim) and LibOS with protected files.
+var figure10Configs = []struct {
+	name string
+	mode sgx.Mode
+	pf   bool
+}{
+	{"Vanilla", sgx.Vanilla, false},
+	{"LibOS (S-G)", sgx.LibOS, false},
+	{"LibOS+PF (S-P)", sgx.LibOS, true},
+}
+
+// figure10Specs runs Iozone at Medium in each configuration.
+func figure10Specs(int) []Spec {
 	w := suite.Iozone()
-	configs := []struct {
-		name string
-		mode sgx.Mode
-		pf   bool
-	}{
-		{"Vanilla", sgx.Vanilla, false},
-		{"LibOS (S-G)", sgx.LibOS, false},
-		{"LibOS+PF (S-P)", sgx.LibOS, true},
-	}
-	specs := make([]Spec, len(configs))
-	for i, c := range configs {
+	specs := make([]Spec, len(figure10Configs))
+	for i, c := range figure10Configs {
 		specs[i] = Spec{Workload: w, Mode: c.mode, Size: workloads.Medium, ProtectedFiles: c.pf}
 	}
-	results, err := r.batch(specs)
-	if err != nil {
-		return nil, err
-	}
-	var out []Figure10Row
-	for i, c := range configs {
-		res := results[i]
+	return specs
+}
+
+// figure10 builds Figure 10 from its batch.
+func figure10(b *expBatch) (Figure10Data, error) {
+	var out Figure10Data
+	for i, c := range figure10Configs {
+		res := b.results[i]
 		row := Figure10Row{
 			Config:      c.name,
 			PhaseCycles: map[string]float64{},
@@ -131,15 +131,17 @@ func (r *Runner) Figure10() ([]Figure10Row, error) {
 	return out, nil
 }
 
-// RenderFigure10 renders the I/O comparison, with overheads against
-// Vanilla.
-func RenderFigure10(rows []Figure10Row) string {
+// Figure10Data is the I/O comparison, one row per configuration.
+type Figure10Data []Figure10Row
+
+// Render renders the I/O comparison, with overheads against Vanilla.
+func (d Figure10Data) Render() string {
 	t := Table{
 		Title:  "Figure 10: Iozone I/O with GrapheneSGX and protected files",
 		Header: []string{"Config", "write", "rewrite", "read", "reread", "ECALLs", "OCALLs"},
 	}
 	var base map[string]float64
-	for i, row := range rows {
+	for i, row := range d {
 		if i == 0 {
 			base = row.PhaseCycles
 		}

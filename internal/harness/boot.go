@@ -37,17 +37,14 @@ func bootKeyOf(spec Spec) (bootKey, bool) {
 	return bootKey{cfg: cfg, pages: libosManifest(spec, nil).EnclavePages(cfg.EPCPages)}, true
 }
 
-// bootPlan is a set of shared boots: a Runner's, kept for the
-// Runner's lifetime, or one execBatch's.
+// bootPlan is a Runner's set of shared boots, kept for the Runner's
+// lifetime.
 type bootPlan struct {
 	mu    sync.Mutex
 	tpls  map[bootKey]*template // templates with planned users, building or built; guarded by mu
 	idle  []*template           // built templates with no user, least recently used first; guarded by mu
 	live  int                   // templates built or building, idle ones included; guarded by mu
 	limit int                   // most templates live at once
-	// keep makes a built template stay idle once its users are done,
-	// so a later batch can clone it. A batch's own plan releases it.
-	keep  bool
 	stats *bootStats
 }
 
@@ -76,8 +73,8 @@ type bootSlot struct {
 
 // newBootPlan returns an empty plan keeping at most limit templates
 // live.
-func newBootPlan(limit int, keep bool, stats *bootStats) *bootPlan {
-	return &bootPlan{tpls: map[bootKey]*template{}, limit: limit, keep: keep, stats: stats}
+func newBootPlan(limit int, stats *bootStats) *bootPlan {
+	return &bootPlan{tpls: map[bootKey]*template{}, limit: limit, stats: stats}
 }
 
 // planBoots adds a batch's specs to the plan and returns one slot per
@@ -241,8 +238,8 @@ func (s *bootSlot) finish() {
 }
 
 // settle retires a template no planned user will claim or use again:
-// a built one stays idle in a plan that keeps templates, and is
-// released otherwise; an unbuilt one leaves the plan. Every call
+// a built one stays idle, a failed build is released, and an unbuilt
+// one leaves the plan. Every call
 // follows a decrement of left or refs, so the condition first holds
 // exactly once per round of users. caller holds mu.
 func (p *bootPlan) settle(t *template) {
@@ -250,7 +247,7 @@ func (p *bootPlan) settle(t *template) {
 	case t.left > 0 || t.refs > 0:
 	case t.ready == nil:
 		delete(p.tpls, t.key)
-	case p.keep && t.inst != nil:
+	case t.inst != nil:
 		p.idle = append(p.idle, t)
 	default:
 		p.release(t)

@@ -12,17 +12,14 @@ import (
 	"sgxgauge/internal/workloads/suite"
 )
 
-// runBooted executes specs as one serial batch and reports, per spec,
-// whether its boot was cloned from a batch template.
+// runBooted executes specs as one serial batch on a fresh Runner and
+// reports, per spec, whether its boot was cloned from a template.
 func runBooted(t *testing.T, specs []Spec) ([]Result, []bool) {
 	t.Helper()
 	cloned := make([]bool, len(specs))
-	results, err := execBatch(specs, Workers(1), OnProgress(func(p Progress) {
+	results := mustExec(t, 1, specs, OnProgress(func(p Progress) {
 		cloned[p.Index] = p.Cloned
 	}))
-	if err != nil {
-		t.Fatal(err)
-	}
 	return results, cloned
 }
 
@@ -114,7 +111,7 @@ func TestBootPlanKeys(t *testing.T) {
 		with(func(s *Spec) { s.Machine = &sgx.Config{EPCPages: 1} }),                              // EPCPages comes from the spec
 		with(func(s *Spec) { s.Machine = &sgx.Config{Costs: sgx.Config{}.WithDefaults().Costs} }), // default costs spelled out
 	}
-	slots := planBoots(newBootPlan(2, false, &bootStats{}), specs)
+	slots := planBoots(newBootPlan(2, &bootStats{}), specs)
 	want := []bool{true, true, false, false, false, false, false, true, true}
 	for i, s := range slots {
 		if (s.tpl != nil) != want[i] {
@@ -128,8 +125,8 @@ func TestBootPlanKeys(t *testing.T) {
 
 // TestBootPlanLimitsLiveTemplates runs a batch with more shared keys
 // than workers: no more templates than workers may be live at once,
-// every template is released by the end, and results stay identical to
-// in-place boots.
+// every template left at the end is idle, and results stay identical
+// to in-place boots.
 func TestBootPlanLimitsLiveTemplates(t *testing.T) {
 	empty, err := suite.ByName("Empty")
 	if err != nil {
@@ -142,7 +139,7 @@ func TestBootPlanLimitsLiveTemplates(t *testing.T) {
 		}
 	}
 	const workers = 2
-	plan := newBootPlan(workers, false, &bootStats{})
+	plan := newBootPlan(workers, &bootStats{})
 	slots := planBoots(plan, specs)
 	maxLive := 0 // guarded by plan.mu
 	results := make([]*Result, len(specs))
@@ -162,8 +159,14 @@ func TestBootPlanLimitsLiveTemplates(t *testing.T) {
 	if maxLive > workers {
 		t.Errorf("%d templates live at once, limit %d", maxLive, workers)
 	}
-	if plan.live != 0 || len(plan.tpls) != 0 {
-		t.Errorf("%d templates still live and %d planned after the batch", plan.live, len(plan.tpls))
+	if plan.live > workers || len(plan.idle) != plan.live || len(plan.tpls) != plan.live {
+		t.Errorf("after the batch: %d templates live, %d idle, %d in the plan; want all idle, at most %d",
+			plan.live, len(plan.idle), len(plan.tpls), workers)
+	}
+	for _, tpl := range plan.idle {
+		if tpl.left != 0 || tpl.refs != 0 || tpl.inst == nil {
+			t.Errorf("idle template has %d planned users, %d references, instance %v", tpl.left, tpl.refs, tpl.inst != nil)
+		}
 	}
 	for i, spec := range specs {
 		want, err := runOne(spec, nil)
@@ -189,9 +192,7 @@ func TestRunnerKeepsTemplatesAcrossBatches(t *testing.T) {
 		return Spec{Workload: empty, Mode: sgx.LibOS, Size: size, EPCPages: 32}
 	}
 	r := NewRunner(32)
-	if _, err := r.batch([]Spec{spec(workloads.Low), spec(workloads.Medium)}); err != nil {
-		t.Fatal(err)
-	}
+	mustRunAll(t, r, []Spec{spec(workloads.Low), spec(workloads.Medium)})
 	if st := r.Stats(); st.TemplateBuilds != 1 || st.ClonedBoots != 2 || st.InPlaceBoots != 0 {
 		t.Fatalf("first batch: %d builds, %d clones, %d in place; want 1, 2, 0", st.TemplateBuilds, st.ClonedBoots, st.InPlaceBoots)
 	}
@@ -244,7 +245,10 @@ func TestRunnerTemplatesBoundedAcrossBatches(t *testing.T) {
 		defer close(done)
 		forEach(len(batches), len(batches), func(i int) {
 			var err error
-			if results[i], err = r.batch(batches[i]); err != nil {
+			if results[i], err = r.RunAll(batches[i]); err == nil {
+				err = firstFailure(results[i])
+			}
+			if err != nil {
 				t.Error(err)
 			}
 		})

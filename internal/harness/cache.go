@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"sgxgauge/internal/sgx"
-	"sgxgauge/internal/workloads"
 )
 
 // ResultCache stores completed Results keyed by canonical spec
@@ -60,16 +59,16 @@ func (c *mapCache) Len() int {
 	return n
 }
 
-// Runner caches Results so the report generators can share runs
-// between tables and figures (every figure of the paper draws from the
-// same experiment grid), and is the module's single batch-execution
-// surface: Run, Get and the figure/table generators are all thin
-// wrappers over RunAll, which feeds the options-based parallel engine.
+// Runner caches Results so experiments can share runs between tables
+// and figures (every figure of the paper draws from the same
+// experiment grid), and is the module's single batch-execution
+// surface: Run, Experiment.Render and ChaosSweep all go through
+// RunAll, which feeds the options-based parallel engine.
 // A Runner is safe for concurrent use: concurrent batches share its
 // cache, its worker slots and its in-flight executions, so a spec
 // missing the cache in two batches at once executes once.
 //
-// Error convention (uniform across Run/RunAll/Get): a spec's own
+// Error convention (uniform across Run/RunAll): a spec's own
 // failure lands in its Result.Err — the batch always returns one
 // Result per spec — while the error return is reserved for
 // engine-level failure, i.e. the batch being cut short by context
@@ -82,9 +81,8 @@ type Runner struct {
 	Seed int64
 	// Jobs bounds the specs simulating locally at once, across every
 	// concurrent batch of this Runner (0 = GOMAXPROCS), and is each
-	// batch's default goroutine count, which the Workers option
-	// overrides per call. Remote Exec dispatch holds no slot. Set it
-	// before first use.
+	// batch's goroutine count. Remote Exec dispatch holds no slot. Set
+	// it before first use.
 	Jobs int
 	// Progress, when non-nil, receives one event per spec completed
 	// by a RunAll batch; the OnProgress option overrides it per call.
@@ -144,17 +142,18 @@ func (r *Runner) init() ResultCache {
 			n = runtime.GOMAXPROCS(0)
 		}
 		r.slots = make(chan struct{}, n)
-		r.boots = newBootPlan(n, true, &r.bootStats)
+		r.boots = newBootPlan(n, &r.bootStats)
 	})
 	return r.Cache
 }
 
-// acquire takes a worker slot, reporting false when ctx ends first. A
-// nil Runner (execBatch) is bounded by its batch's workers alone.
+// epcPages returns the EPC size the runner's specs run at.
+func (r *Runner) epcPages() int {
+	return sgx.Config{EPCPages: r.EPCPages}.WithDefaults().EPCPages
+}
+
+// acquire takes a worker slot, reporting false when ctx ends first.
 func (r *Runner) acquire(ctx context.Context) bool {
-	if r == nil {
-		return true
-	}
 	select {
 	case r.slots <- struct{}{}:
 		r.busy.Add(1)
@@ -166,10 +165,8 @@ func (r *Runner) acquire(ctx context.Context) bool {
 
 // release returns a slot taken by acquire.
 func (r *Runner) release() {
-	if r != nil {
-		r.busy.Add(-1)
-		<-r.slots
-	}
+	r.busy.Add(-1)
+	<-r.slots
 }
 
 // RunLocal executes spec in-process under the runner's worker bound,
@@ -286,7 +283,7 @@ func (r *Runner) Key(spec Spec) (Key, error) {
 
 // engineOpts merges the runner's defaults with per-call options.
 func (r *Runner) engineOpts(opts []Option) engineOpts {
-	o := engineOpts{clock: RealClock{}, ctx: context.Background(), workers: r.Jobs, progress: r.Progress, exec: r.Exec, runner: r}
+	o := engineOpts{clock: RealClock{}, ctx: context.Background(), progress: r.Progress}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -352,6 +349,10 @@ func (r *Runner) RunAll(specs []Spec, opts ...Option) ([]*Result, error) {
 	}
 
 	flights := make([]*flight, len(specs))
+	// Executed specs' progress events count from the hits, against the
+	// whole input; the engine reports them by sub-batch position.
+	var mu sync.Mutex
+	completed := hits
 	for len(todo) > 0 {
 		// Lead every miss no execution holds yet; follow the rest.
 		var lead, follow []int
@@ -371,7 +372,7 @@ func (r *Runner) RunAll(specs []Spec, opts ...Option) ([]*Result, error) {
 		for j, i := range lead {
 			batch[j] = norm[i]
 		}
-		runBatch(batch, o, func(j int, res *Result, ran bool) {
+		r.runBatch(batch, o, func(j int, res *Result, ran bool, ev Progress) {
 			i := lead[j]
 			if ran {
 				r.executed.Add(1)
@@ -386,6 +387,13 @@ func (r *Runner) RunAll(specs []Spec, opts ...Option) ([]*Result, error) {
 					res = nil
 				}
 				r.settle(keys[i], f, res)
+			}
+			if o.progress != nil {
+				mu.Lock()
+				completed++
+				ev.Completed, ev.Total, ev.Index = completed, len(specs), i
+				o.progress(ev)
+				mu.Unlock()
 			}
 		})
 		// Collect followed executions only now that this batch's own
@@ -414,52 +422,4 @@ func (r *Runner) RunAll(specs []Spec, opts ...Option) ([]*Result, error) {
 func (r *Runner) Run(spec Spec, opts ...Option) (*Result, error) {
 	results, err := r.RunAll([]Spec{spec}, opts...)
 	return results[0], err
-}
-
-// Get runs workload w in the given mode and size with default
-// parameters, under Run's conventions.
-func (r *Runner) Get(w workloads.Workload, mode sgx.Mode, size workloads.Size) (*Result, error) {
-	return r.Run(Spec{Workload: w, Mode: mode, Size: size})
-}
-
-// run is Run with the spec's own failure promoted into the error
-// return — the abort-on-first-error form the report generators use.
-func (r *Runner) run(spec Spec) (*Result, error) {
-	res, err := r.Run(spec)
-	if err != nil {
-		return nil, err
-	}
-	if res.Err != nil {
-		return nil, res.Err
-	}
-	return res, nil
-}
-
-// get is Get with the same promotion as run.
-func (r *Runner) get(w workloads.Workload, mode sgx.Mode, size workloads.Size) (*Result, error) {
-	return r.run(Spec{Workload: w, Mode: mode, Size: size})
-}
-
-// batch is RunAll with the first per-spec failure (in input order)
-// promoted into the error return, preserving the generators'
-// abort-on-error contract.
-func (r *Runner) batch(specs []Spec) ([]*Result, error) {
-	results, err := r.RunAll(specs)
-	if err != nil {
-		return results, err
-	}
-	for _, res := range results {
-		if res.Err != nil {
-			return results, res.Err
-		}
-	}
-	return results, nil
-}
-
-// prefetch batches the specs through RunAll so the generator's
-// subsequent get/run calls are cache hits; the serial part of a
-// generator is then only table assembly.
-func (r *Runner) prefetch(specs []Spec) error {
-	_, err := r.batch(specs)
-	return err
 }

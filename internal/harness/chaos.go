@@ -41,15 +41,15 @@ func (r *Result) Faults() FaultReport {
 	}
 }
 
-// ChaosSweep runs the base spec once per rate with the chaos template
-// armed at that intensity (rate 0 leaves the injector off — the clean
-// baseline). The template's per-class enables and seed carry over to
-// every point; everything is deterministic, so a repeated sweep with
-// the same inputs is byte-identical. Per-point failures (degraded or
-// aborted runs are the whole point of a chaos sweep) live in each
-// point's Result.Err; the error return is engine-level only (context
-// cancellation via WithContext).
-func ChaosSweep(base Spec, template chaos.Config, rates []float64, opts ...Option) ([]ChaosPoint, error) {
+// ChaosSweep runs the base spec through r once per rate with the chaos
+// template armed at that intensity (rate 0 leaves the injector off —
+// the clean baseline). The template's per-class enables and seed carry
+// over to every point; everything is deterministic, so a repeated
+// sweep with the same inputs is byte-identical. Per-point failures
+// (degraded or aborted runs are the whole point of a chaos sweep) live
+// in each point's Result.Err; the error return is engine-level only
+// (context cancellation via WithContext).
+func (r *Runner) ChaosSweep(base Spec, template chaos.Config, rates []float64, opts ...Option) ([]ChaosPoint, error) {
 	specs := make([]Spec, len(rates))
 	for i, r := range rates {
 		s := base
@@ -62,10 +62,10 @@ func ChaosSweep(base Spec, template chaos.Config, rates []float64, opts ...Optio
 		}
 		specs[i] = s
 	}
-	results, err := execBatch(specs, opts...)
+	results, err := r.RunAll(specs, opts...)
 	points := make([]ChaosPoint, len(rates))
 	for i := range rates {
-		points[i] = ChaosPoint{Rate: rates[i], Result: results[i]}
+		points[i] = ChaosPoint{Rate: rates[i], Result: *results[i]}
 	}
 	return points, err
 }

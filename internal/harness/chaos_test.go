@@ -27,11 +27,11 @@ func TestChaosSweepDeterministic(t *testing.T) {
 	template := chaos.Config{Seed: 11}.EnableAll()
 	rates := []float64{0, 0.001, 0.01}
 
-	pa, err := ChaosSweep(base, template, rates, Workers(1))
+	pa, err := (&Runner{Jobs: 1}).ChaosSweep(base, template, rates)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, err := ChaosSweep(base, template, rates, Workers(3))
+	pb, err := (&Runner{Jobs: 3}).ChaosSweep(base, template, rates)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestChaosSweepDeterministic(t *testing.T) {
 func TestChaosSweepDegrades(t *testing.T) {
 	base := chaosBaseSpec(t)
 	template := chaos.Config{Seed: 11}.EnableAll()
-	points, err := ChaosSweep(base, template, []float64{0, 0.01}, Workers(2))
+	points, err := (&Runner{Jobs: 2}).ChaosSweep(base, template, []float64{0, 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestChaosSweepDegrades(t *testing.T) {
 func TestRetryExhaustsOnPermanentTransient(t *testing.T) {
 	spec := chaosBaseSpec(t)
 	spec.Chaos = &chaos.Config{Seed: 5, TransitionFault: true, TransitionRate: 1}
-	res := mustExec(t, []Spec{spec}, Workers(1), Retry(2))[0]
+	res := mustExec(t, 1, []Spec{spec}, Retry(2))[0]
 	if res.Err == nil {
 		t.Fatal("run succeeded at transition rate 1")
 	}
@@ -97,7 +97,7 @@ func TestRetryExhaustsOnPermanentTransient(t *testing.T) {
 func TestNoRetryOnAbort(t *testing.T) {
 	spec := chaosBaseSpec(t)
 	spec.Chaos = &chaos.Config{Seed: 5, MemTamper: true, TamperRate: 1}
-	res := mustExec(t, []Spec{spec}, Workers(1), Retry(3))[0]
+	res := mustExec(t, 1, []Spec{spec}, Retry(3))[0]
 	if res.Err == nil {
 		t.Fatal("run survived full-rate tampering")
 	}
@@ -127,7 +127,7 @@ func TestRetryReseedsEventuallySucceeds(t *testing.T) {
 	// success deterministic in practice across seeds.
 	spec := Spec{Workload: w, Mode: sgx.Native, Size: workloads.Low, EPCPages: testEPC, Seed: 7}
 	spec.Chaos = &chaos.Config{Seed: 1, TransitionFault: true, TransitionRate: 0.05}
-	res := mustExec(t, []Spec{spec}, Workers(1), Retry(10))[0]
+	res := mustExec(t, 1, []Spec{spec}, Retry(10))[0]
 	if res.Err != nil {
 		t.Fatalf("no attempt succeeded: %v (attempts %d)", res.Err, res.Attempts)
 	}

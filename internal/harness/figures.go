@@ -25,41 +25,28 @@ type Figure2Data struct {
 	EvictRatio map[workloads.Size]float64
 }
 
-// Figure2 regenerates the motivation experiment of §3.2.1. B-Tree is
-// the EPC stressor: its footprint brackets the EPC and its random
-// lookups surface the boundary crossing in every paging counter.
-func (r *Runner) Figure2() (*Figure2Data, error) {
-	w, err := suite.ByName("BTree")
-	if err != nil {
-		return nil, err
-	}
+// figure2Specs is the motivation experiment of §3.2.1. B-Tree is the
+// EPC stressor: its footprint brackets the EPC and its random lookups
+// surface the boundary crossing in every paging counter.
+func figure2Specs(int) []Spec {
+	return GridSpecs([]workloads.Workload{byName("BTree")}, []sgx.Mode{sgx.Native, sgx.Vanilla}, workloads.Sizes())
+}
+
+// figure2 builds Figure 2 from its batch.
+func figure2(b *expBatch) (*Figure2Data, error) {
+	w := byName("BTree")
 	d := &Figure2Data{
 		Overhead:   map[workloads.Size]float64{},
 		DTLBRatio:  map[workloads.Size]float64{},
 		WalkRatio:  map[workloads.Size]float64{},
 		EvictRatio: map[workloads.Size]float64{},
 	}
-	if err := r.prefetch(GridSpecs([]workloads.Workload{w},
-		[]sgx.Mode{sgx.Native, sgx.Vanilla}, workloads.Sizes())); err != nil {
-		return nil, err
-	}
-	low, err := r.get(w, sgx.Native, workloads.Low)
-	if err != nil {
-		return nil, err
-	}
-	lowEvict := float64(low.Counters.Get(perf.EPCEvictions))
+	lowEvict := float64(b.cell(w, sgx.Native, workloads.Low).Counters.Get(perf.EPCEvictions))
 	if lowEvict == 0 {
 		lowEvict = 1 // Low fits in the EPC; avoid dividing by zero
 	}
 	for _, size := range workloads.Sizes() {
-		nat, err := r.get(w, sgx.Native, size)
-		if err != nil {
-			return nil, err
-		}
-		van, err := r.get(w, sgx.Vanilla, size)
-		if err != nil {
-			return nil, err
-		}
+		nat, van := b.cell(w, sgx.Native, size), b.cell(w, sgx.Vanilla, size)
 		d.Overhead[size] = Overhead(nat, van)
 		d.DTLBRatio[size] = nat.Counters.Ratio(van.Counters, perf.DTLBMisses)
 		d.WalkRatio[size] = nat.Counters.Ratio(van.Counters, perf.WalkCycles)
@@ -88,35 +75,30 @@ type Figure3Point struct {
 	Ratio          float64
 }
 
-// Figure3 regenerates §3.2.2: Lighttpd latency vs concurrent clients,
-// SGX (LibOS) against Vanilla.
-func (r *Runner) Figure3() ([]Figure3Point, error) {
-	w, err := suite.ByName("Lighttpd")
-	if err != nil {
-		return nil, err
-	}
-	threadCounts := []int{1, 2, 4, 8, 16}
-	epcPages := r.EPCPages
-	if epcPages == 0 {
-		epcPages = sgx.DefaultEPCPages
-	}
-	// One Vanilla/LibOS spec pair per concurrency level; the whole
-	// sweep runs as one parallel batch.
-	specs := make([]Spec, 0, 2*len(threadCounts))
-	for _, threads := range threadCounts {
+// figure3Threads are Figure 3's concurrency levels.
+var figure3Threads = []int{1, 2, 4, 8, 16}
+
+// figure3Specs is §3.2.2: Lighttpd latency vs concurrent clients, SGX
+// (LibOS) against Vanilla, as one Vanilla/LibOS spec pair per
+// concurrency level.
+func figure3Specs(epcPages int) []Spec {
+	w := byName("Lighttpd")
+	specs := make([]Spec, 0, 2*len(figure3Threads))
+	for _, threads := range figure3Threads {
 		params := w.DefaultParams(epcPages, workloads.Medium)
 		params.Threads = threads
 		specs = append(specs,
 			Spec{Workload: w, Mode: sgx.Vanilla, Params: &params},
 			Spec{Workload: w, Mode: sgx.LibOS, Params: &params})
 	}
-	results, err := r.batch(specs)
-	if err != nil {
-		return nil, err
-	}
-	var out []Figure3Point
-	for i, threads := range threadCounts {
-		van, lib := results[2*i], results[2*i+1]
+	return specs
+}
+
+// figure3 builds Figure 3 from its batch.
+func figure3(b *expBatch) (Figure3Data, error) {
+	var out Figure3Data
+	for i, threads := range figure3Threads {
+		van, lib := b.results[2*i], b.results[2*i+1]
 		p := Figure3Point{
 			Threads:        threads,
 			VanillaLatency: van.Output.MeanLatency,
@@ -130,13 +112,16 @@ func (r *Runner) Figure3() ([]Figure3Point, error) {
 	return out, nil
 }
 
-// RenderFigure3 renders the latency sweep.
-func RenderFigure3(points []Figure3Point) string {
+// Figure3Data is the latency sweep, one point per concurrency level.
+type Figure3Data []Figure3Point
+
+// Render renders the latency sweep.
+func (d Figure3Data) Render() string {
 	t := Table{
 		Title:  "Figure 3: Lighttpd latency vs concurrent clients (LibOS vs Vanilla)",
 		Header: []string{"Threads", "Vanilla latency (us)", "SGX latency (us)", "Ratio"},
 	}
-	for _, p := range points {
+	for _, p := range d {
 		t.AddRow(fmt.Sprintf("%d", p.Threads),
 			fmt.Sprintf("%.1f", cycles.Micros(uint64(p.VanillaLatency))),
 			fmt.Sprintf("%.1f", cycles.Micros(uint64(p.SGXLatency))),
@@ -153,39 +138,36 @@ type Figure4Row struct {
 	Ratio map[workloads.Size]float64
 }
 
-// Figure4 regenerates §3.2.3: the library OS can help or hurt
-// depending on the workload.
-func (r *Runner) Figure4() ([]Figure4Row, error) {
-	if err := r.prefetch(GridSpecs(suite.Native(),
-		[]sgx.Mode{sgx.LibOS, sgx.Native}, workloads.Sizes())); err != nil {
-		return nil, err
-	}
-	var out []Figure4Row
+// figure4Specs is §3.2.3: the library OS can help or hurt depending
+// on the workload.
+func figure4Specs(int) []Spec {
+	return GridSpecs(suite.Native(), []sgx.Mode{sgx.LibOS, sgx.Native}, workloads.Sizes())
+}
+
+// figure4 builds Figure 4 from its batch.
+func figure4(b *expBatch) (Figure4Data, error) {
+	var out Figure4Data
 	for _, w := range suite.Native() {
 		row := Figure4Row{Name: w.Name(), Ratio: map[workloads.Size]float64{}}
 		for _, size := range workloads.Sizes() {
-			lib, err := r.get(w, sgx.LibOS, size)
-			if err != nil {
-				return nil, err
-			}
-			nat, err := r.get(w, sgx.Native, size)
-			if err != nil {
-				return nil, err
-			}
-			row.Ratio[size] = Overhead(lib, nat)
+			row.Ratio[size] = Overhead(b.cell(w, sgx.LibOS, size), b.cell(w, sgx.Native, size))
 		}
 		out = append(out, row)
 	}
 	return out, nil
 }
 
-// RenderFigure4 renders the LibOS-vs-Native comparison.
-func RenderFigure4(rows []Figure4Row) string {
+// Figure4Data is the LibOS-vs-Native comparison, one row per Native
+// port.
+type Figure4Data []Figure4Row
+
+// Render renders the LibOS-vs-Native comparison.
+func (d Figure4Data) Render() string {
 	t := Table{
 		Title:  "Figure 4: LibOS runtime relative to Native (<1 helps, >1 hurts)",
 		Header: []string{"Workload", "Low", "Medium", "High"},
 	}
-	for _, row := range rows {
+	for _, row := range d {
 		t.AddRow(row.Name, fx(row.Ratio[workloads.Low]), fx(row.Ratio[workloads.Medium]), fx(row.Ratio[workloads.High]))
 	}
 	return t.String()
@@ -200,14 +182,15 @@ type Figure5Row struct {
 	Evictions map[workloads.Size]uint64
 }
 
-// Figure5 regenerates Figures 5a and 5b over the six ported
-// workloads.
-func (r *Runner) Figure5() ([]Figure5Row, error) {
-	if err := r.prefetch(GridSpecs(suite.Native(),
-		[]sgx.Mode{sgx.Native, sgx.Vanilla}, workloads.Sizes())); err != nil {
-		return nil, err
-	}
-	var out []Figure5Row
+// nativeVsVanillaSpecs runs the six ported workloads in Native and
+// Vanilla mode at every size: Figures 5a, 5b and 8.
+func nativeVsVanillaSpecs(int) []Spec {
+	return GridSpecs(suite.Native(), []sgx.Mode{sgx.Native, sgx.Vanilla}, workloads.Sizes())
+}
+
+// figure5 builds Figures 5a and 5b from their batch.
+func figure5(b *expBatch) (Figure5Data, error) {
+	var out Figure5Data
 	for _, w := range suite.Native() {
 		row := Figure5Row{
 			Name:      w.Name(),
@@ -215,15 +198,8 @@ func (r *Runner) Figure5() ([]Figure5Row, error) {
 			Evictions: map[workloads.Size]uint64{},
 		}
 		for _, size := range workloads.Sizes() {
-			nat, err := r.get(w, sgx.Native, size)
-			if err != nil {
-				return nil, err
-			}
-			van, err := r.get(w, sgx.Vanilla, size)
-			if err != nil {
-				return nil, err
-			}
-			row.Overhead[size] = Overhead(nat, van)
+			nat := b.cell(w, sgx.Native, size)
+			row.Overhead[size] = Overhead(nat, b.cell(w, sgx.Vanilla, size))
 			row.Evictions[size] = nat.Counters.Get(perf.EPCEvictions)
 		}
 		out = append(out, row)
@@ -231,8 +207,11 @@ func (r *Runner) Figure5() ([]Figure5Row, error) {
 	return out, nil
 }
 
-// RenderFigure5 renders both panels.
-func RenderFigure5(rows []Figure5Row) string {
+// Figure5Data is Figures 5a and 5b, one row per Native port.
+type Figure5Data []Figure5Row
+
+// Render renders both panels.
+func (d Figure5Data) Render() string {
 	a := Table{
 		Title:  "Figure 5a: Native-mode runtime overhead vs Vanilla",
 		Header: []string{"Workload", "Low", "Medium", "High"},
@@ -241,7 +220,7 @@ func RenderFigure5(rows []Figure5Row) string {
 		Title:  "Figure 5b: Native-mode EPC evictions",
 		Header: []string{"Workload", "Low", "Medium", "High"},
 	}
-	for _, row := range rows {
+	for _, row := range d {
 		a.AddRow(row.Name, fx(row.Overhead[workloads.Low]), fx(row.Overhead[workloads.Medium]), fx(row.Overhead[workloads.High]))
 		b.AddRow(row.Name, fc(float64(row.Evictions[workloads.Low])), fc(float64(row.Evictions[workloads.Medium])), fc(float64(row.Evictions[workloads.High])))
 	}
@@ -263,14 +242,15 @@ type Figure6aData struct {
 	RunCycles uint64
 }
 
-// Figure6a regenerates the empty-workload characterization. The
-// counters are the LibOS startup counters: everything the runtime did
-// before handing control to the (empty) application.
-func (r *Runner) Figure6a() (*Figure6aData, error) {
-	res, err := r.run(Spec{Workload: suite.Empty(), Mode: sgx.LibOS})
-	if err != nil {
-		return nil, err
-	}
+// figure6aSpecs is the empty-workload characterization: one LibOS run
+// of the empty workload.
+func figure6aSpecs(int) []Spec { return []Spec{{Workload: suite.Empty(), Mode: sgx.LibOS}} }
+
+// figure6a builds Figure 6a from its batch. The counters are the LibOS
+// startup counters: everything the runtime did before handing control
+// to the (empty) application.
+func figure6a(b *expBatch) (*Figure6aData, error) {
+	res := b.results[0]
 	s := res.StartupCounters
 	return &Figure6aData{
 		ECalls:        s.Get(perf.ECalls),
@@ -308,13 +288,15 @@ type Figure6bcRow struct {
 	LoadBacks map[workloads.Size]uint64
 }
 
-// Figure6bc regenerates Figures 6b and 6c over the full suite.
-func (r *Runner) Figure6bc() ([]Figure6bcRow, error) {
-	if err := r.prefetch(GridSpecs(suite.All(),
-		[]sgx.Mode{sgx.LibOS, sgx.Vanilla}, workloads.Sizes())); err != nil {
-		return nil, err
-	}
-	var out []Figure6bcRow
+// figure6bcSpecs is Figures 6b and 6c: the full suite in LibOS and
+// Vanilla mode at every size.
+func figure6bcSpecs(int) []Spec {
+	return GridSpecs(suite.All(), []sgx.Mode{sgx.LibOS, sgx.Vanilla}, workloads.Sizes())
+}
+
+// figure6bc builds Figures 6b and 6c from their batch.
+func figure6bc(b *expBatch) (Figure6bcData, error) {
+	var out Figure6bcData
 	for _, w := range suite.All() {
 		row := Figure6bcRow{
 			Name:      w.Name(),
@@ -322,15 +304,8 @@ func (r *Runner) Figure6bc() ([]Figure6bcRow, error) {
 			LoadBacks: map[workloads.Size]uint64{},
 		}
 		for _, size := range workloads.Sizes() {
-			lib, err := r.get(w, sgx.LibOS, size)
-			if err != nil {
-				return nil, err
-			}
-			van, err := r.get(w, sgx.Vanilla, size)
-			if err != nil {
-				return nil, err
-			}
-			row.Overhead[size] = Overhead(lib, van)
+			lib := b.cell(w, sgx.LibOS, size)
+			row.Overhead[size] = Overhead(lib, b.cell(w, sgx.Vanilla, size))
 			row.LoadBacks[size] = lib.Counters.Get(perf.EPCLoadBacks)
 		}
 		out = append(out, row)
@@ -338,8 +313,11 @@ func (r *Runner) Figure6bc() ([]Figure6bcRow, error) {
 	return out, nil
 }
 
-// RenderFigure6bc renders both panels.
-func RenderFigure6bc(rows []Figure6bcRow) string {
+// Figure6bcData is Figures 6b and 6c, one row per suite workload.
+type Figure6bcData []Figure6bcRow
+
+// Render renders both panels.
+func (d Figure6bcData) Render() string {
 	b := Table{
 		Title:  "Figure 6b: LibOS-mode runtime overhead vs Vanilla",
 		Header: []string{"Workload", "Low", "Medium", "High"},
@@ -348,7 +326,7 @@ func RenderFigure6bc(rows []Figure6bcRow) string {
 		Title:  "Figure 6c: LibOS-mode EPC page load-backs",
 		Header: []string{"Workload", "Low", "Medium", "High"},
 	}
-	for _, row := range rows {
+	for _, row := range d {
 		b.AddRow(row.Name, fx(row.Overhead[workloads.Low]), fx(row.Overhead[workloads.Medium]), fx(row.Overhead[workloads.High]))
 		c.AddRow(row.Name, fc(float64(row.LoadBacks[workloads.Low])), fc(float64(row.LoadBacks[workloads.Medium])), fc(float64(row.LoadBacks[workloads.High])))
 	}
@@ -363,21 +341,20 @@ type Figure6dData struct {
 	SwitchlessDTLB    uint64
 }
 
-// Figure6d regenerates §5.6: switchless calls avoid enclave exits and
-// their TLB flushes.
-func (r *Runner) Figure6d() (*Figure6dData, error) {
-	w, err := suite.ByName("Lighttpd")
-	if err != nil {
-		return nil, err
-	}
-	results, err := r.batch([]Spec{
+// figure6dSpecs is §5.6: switchless calls avoid enclave exits and
+// their TLB flushes. Lighttpd runs with default, then switchless,
+// OCALLs.
+func figure6dSpecs(int) []Spec {
+	w := byName("Lighttpd")
+	return []Spec{
 		{Workload: w, Mode: sgx.LibOS, Size: workloads.Medium},
 		{Workload: w, Mode: sgx.LibOS, Size: workloads.Medium, Switchless: true},
-	})
-	if err != nil {
-		return nil, err
 	}
-	def, sw := results[0], results[1]
+}
+
+// figure6d builds Figure 6d from its batch.
+func figure6d(b *expBatch) (*Figure6dData, error) {
+	def, sw := b.results[0], b.results[1]
 	return &Figure6dData{
 		DefaultLatency:    def.Output.MeanLatency,
 		SwitchlessLatency: sw.Output.MeanLatency,
@@ -409,19 +386,17 @@ type Figure7Row struct {
 	MeanUS  float64
 }
 
-// Figure7 regenerates Appendix A: the latencies of the core SGX
-// driver operations, sampled from an EPC-thrashing run (HashJoin,
-// High, Native).
-func (r *Runner) Figure7() ([]Figure7Row, error) {
-	w, err := suite.ByName("HashJoin")
-	if err != nil {
-		return nil, err
-	}
-	res, err := r.get(w, sgx.Native, workloads.High)
-	if err != nil {
-		return nil, err
-	}
-	var out []Figure7Row
+// figure7Specs is Appendix A: the latencies of the core SGX driver
+// operations, sampled from an EPC-thrashing run (HashJoin, High,
+// Native).
+func figure7Specs(int) []Spec {
+	return []Spec{{Workload: byName("HashJoin"), Mode: sgx.Native, Size: workloads.High}}
+}
+
+// figure7 builds Figure 7 from its batch.
+func figure7(b *expBatch) (Figure7Data, error) {
+	res := b.results[0]
+	var out Figure7Data
 	for _, op := range []epc.Op{epc.OpAlloc, epc.OpEWB, epc.OpELDU, epc.OpFault} {
 		st := res.OpStats[op]
 		out = append(out, Figure7Row{Op: op, Samples: st.Samples, MeanUS: st.MeanMicros()})
@@ -429,17 +404,21 @@ func (r *Runner) Figure7() ([]Figure7Row, error) {
 	return out, nil
 }
 
-// RenderFigure7 renders the operation latencies.
-func RenderFigure7(rows []Figure7Row) string {
+// Figure7Data is the driver-operation latencies, one row per
+// operation.
+type Figure7Data []Figure7Row
+
+// Render renders the operation latencies.
+func (d Figure7Data) Render() string {
 	t := Table{
 		Title:  "Figure 7: latency of core Intel SGX operations",
 		Header: []string{"Operation", "Samples", "Mean latency (us)"},
 	}
-	for _, row := range rows {
+	for _, row := range d {
 		t.AddRow(row.Op.String(), fc(float64(row.Samples)), fmt.Sprintf("%.2f", row.MeanUS))
 	}
 	var ewb, eldu float64
-	for _, row := range rows {
+	for _, row := range d {
 		switch row.Op {
 		case epc.OpEWB:
 			ewb = row.MeanUS
@@ -469,28 +448,18 @@ var figure8Events = []perf.Event{
 	perf.PageFaults, perf.LLCMisses, perf.EPCEvictions,
 }
 
-// Figure8 regenerates the Native-mode counter heat map of Appendix B.
-func (r *Runner) Figure8() (*Figure8Data, error) {
+// figure8 builds the Native-mode counter heat map of Appendix B from
+// its batch.
+func figure8(b *expBatch) (*Figure8Data, error) {
 	d := &Figure8Data{
 		Events: figure8Events,
 		Ratio:  map[string]map[workloads.Size]map[perf.Event]float64{},
-	}
-	if err := r.prefetch(GridSpecs(suite.Native(),
-		[]sgx.Mode{sgx.Native, sgx.Vanilla}, workloads.Sizes())); err != nil {
-		return nil, err
 	}
 	for _, w := range suite.Native() {
 		d.Workloads = append(d.Workloads, w.Name())
 		d.Ratio[w.Name()] = map[workloads.Size]map[perf.Event]float64{}
 		for _, size := range workloads.Sizes() {
-			nat, err := r.get(w, sgx.Native, size)
-			if err != nil {
-				return nil, err
-			}
-			van, err := r.get(w, sgx.Vanilla, size)
-			if err != nil {
-				return nil, err
-			}
+			nat, van := b.cell(w, sgx.Native, size), b.cell(w, sgx.Vanilla, size)
 			m := map[perf.Event]float64{}
 			for _, e := range figure8Events {
 				m[e] = nat.Counters.Ratio(van.Counters, e)

@@ -16,8 +16,25 @@ var testRunner = func() *Runner {
 	return r
 }()
 
+// runExperiment runs experiment id's spec list on testRunner and
+// returns the batch its render step reads.
+func runExperiment(t *testing.T, id string) *expBatch {
+	t.Helper()
+	for _, e := range Experiments() {
+		if e.ID == id {
+			b, err := e.run(testRunner)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+	}
+	t.Fatalf("no experiment %q", id)
+	return nil
+}
+
 func TestFigure2Shape(t *testing.T) {
-	d, err := testRunner.Figure2()
+	d, err := figure2(runExperiment(t, "fig2"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +61,7 @@ func TestFigure2Shape(t *testing.T) {
 }
 
 func TestFigure3Shape(t *testing.T) {
-	pts, err := testRunner.Figure3()
+	pts, err := figure3(runExperiment(t, "fig3"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,13 +80,13 @@ func TestFigure3Shape(t *testing.T) {
 	if last.Ratio < 3 || last.Ratio > 12 {
 		t.Errorf("16-thread ratio = %.1fx, paper reports ~7x", last.Ratio)
 	}
-	if s := RenderFigure3(pts); !strings.Contains(s, "Threads") {
+	if s := pts.Render(); !strings.Contains(s, "Threads") {
 		t.Error("render malformed")
 	}
 }
 
 func TestFigure4Shape(t *testing.T) {
-	rows, err := testRunner.Figure4()
+	rows, err := figure4(runExperiment(t, "fig4"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +117,11 @@ func TestFigure4Shape(t *testing.T) {
 	if max < 0.95 || max/min < 1.3 {
 		t.Errorf("LibOS impact uniform (min %.2f, max %.2f); Figure 4 expects workload-dependent spread", min, max)
 	}
-	_ = RenderFigure4(rows)
+	_ = rows.Render()
 }
 
 func TestTable4Shape(t *testing.T) {
-	d, err := testRunner.Table4()
+	d, err := table4(runExperiment(t, "tab4"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +153,7 @@ func TestTable4Shape(t *testing.T) {
 }
 
 func TestFigure5Shape(t *testing.T) {
-	rows, err := testRunner.Figure5()
+	rows, err := figure5(runExperiment(t, "fig5"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +171,7 @@ func TestFigure5Shape(t *testing.T) {
 			t.Errorf("BTree evictions %v do not jump at the boundary", row.Evictions)
 		}
 	}
-	_ = RenderFigure5(rows)
+	_ = rows.Render()
 }
 
 func max64(a, b uint64) uint64 {
@@ -165,7 +182,7 @@ func max64(a, b uint64) uint64 {
 }
 
 func TestFigure6aShape(t *testing.T) {
-	d, err := testRunner.Figure6a()
+	d, err := figure6a(runExperiment(t, "fig6a"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +211,7 @@ func TestFigure6aShape(t *testing.T) {
 }
 
 func TestFigure6bcShape(t *testing.T) {
-	rows, err := testRunner.Figure6bc()
+	rows, err := figure6bc(runExperiment(t, "fig6bc"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,11 +223,11 @@ func TestFigure6bcShape(t *testing.T) {
 			t.Errorf("%s: LibOS Low overhead %.2f", row.Name, row.Overhead[workloads.Low])
 		}
 	}
-	_ = RenderFigure6bc(rows)
+	_ = rows.Render()
 }
 
 func TestFigure6dShape(t *testing.T) {
-	d, err := testRunner.Figure6d()
+	d, err := figure6d(runExperiment(t, "fig6d"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +247,7 @@ func TestFigure6dShape(t *testing.T) {
 }
 
 func TestFigure7Shape(t *testing.T) {
-	rows, err := testRunner.Figure7()
+	rows, err := figure7(runExperiment(t, "fig7"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,11 +271,11 @@ func TestFigure7Shape(t *testing.T) {
 	if got[epc.OpEWB].Samples < 100 {
 		t.Errorf("only %d EWB samples", got[epc.OpEWB].Samples)
 	}
-	_ = RenderFigure7(rows)
+	_ = rows.Render()
 }
 
 func TestFigure8Shape(t *testing.T) {
-	d, err := testRunner.Figure8()
+	d, err := figure8(runExperiment(t, "fig8"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,20 +292,20 @@ func TestFigure8Shape(t *testing.T) {
 }
 
 func TestTable2Rows(t *testing.T) {
-	rows, err := testRunner.Table2()
+	rows, err := table2(runExperiment(t, "tab2"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 10 {
 		t.Fatalf("%d rows", len(rows))
 	}
-	if !strings.Contains(RenderTable2(rows), "Blockchain") {
+	if !strings.Contains(rows.Render(), "Blockchain") {
 		t.Error("render missing workloads")
 	}
 }
 
 func TestTable5Shape(t *testing.T) {
-	rows, err := testRunner.Table5()
+	rows, err := table5(runExperiment(t, "tab5"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,13 +323,13 @@ func TestTable5Shape(t *testing.T) {
 			t.Errorf("%s: all-zero regression", row.Name)
 		}
 	}
-	if !strings.Contains(RenderTable5(rows), "*") {
+	if !strings.Contains(rows.Render(), "*") {
 		t.Error("render does not mark top counters")
 	}
 }
 
 func TestFigure9Shape(t *testing.T) {
-	d, err := testRunner.Figure9()
+	d, err := figure9(runExperiment(t, "fig9"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +353,7 @@ func TestFigure9Shape(t *testing.T) {
 }
 
 func TestFigure10Shape(t *testing.T) {
-	rows, err := testRunner.Figure10()
+	rows, err := figure10(runExperiment(t, "fig10"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,5 +374,5 @@ func TestFigure10Shape(t *testing.T) {
 	if pf.ECalls <= lib.ECalls {
 		t.Error("PF mode did not increase ECALLs")
 	}
-	_ = RenderFigure10(rows)
+	_ = rows.Render()
 }

@@ -27,7 +27,7 @@ func TestFullMatrix(t *testing.T) {
 				}
 				results := map[sgx.Mode]*Result{}
 				for _, mode := range modes {
-					res, err := r.Get(w, mode, size)
+					res, err := r.Run(Spec{Workload: w, Mode: mode, Size: size})
 					if err != nil {
 						t.Fatalf("%v/%v: %v", mode, size, err)
 					}

@@ -36,10 +36,7 @@ type MultiEnclavePoint struct {
 // worker slots like any other local simulation; results keep the
 // input order.
 func (r *Runner) MultiEnclave(counts []int) ([]MultiEnclavePoint, error) {
-	epcPages := r.EPCPages
-	if epcPages == 0 {
-		epcPages = sgx.DefaultEPCPages
-	}
+	epcPages := r.epcPages()
 	footprint := epcPages * 35 / 100
 	out := make([]MultiEnclavePoint, len(counts))
 	errs := make([]error, len(counts))
@@ -116,6 +113,16 @@ func runMultiEnclave(epcPages, footprintPages, k int) (MultiEnclavePoint, error)
 		PageFaults:        delta.Get(perf.PageFaults),
 		EPCEvictions:      delta.Get(perf.EPCEvictions),
 	}, nil
+}
+
+// renderMultiEnclave is the multi experiment's render step. It runs
+// the sweep itself, outside RunAll: its points are not specs.
+func renderMultiEnclave(b *expBatch) (string, error) {
+	points, err := b.r.MultiEnclave([]int{1, 2, 4, 8})
+	if err != nil {
+		return "", err
+	}
+	return RenderMultiEnclave(points, b.epcPages), nil
 }
 
 // RenderMultiEnclave renders the sweep.

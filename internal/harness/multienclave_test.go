@@ -95,7 +95,7 @@ func TestMultiEnclaveHoldsWorkerSlots(t *testing.T) {
 
 	batch := make(chan error, 1)
 	go func() {
-		_, err := r.RunAll(GridSpecs(suite.All()[:3], []sgx.Mode{sgx.Vanilla}, []workloads.Size{workloads.Low}), Workers(3))
+		_, err := r.RunAll(GridSpecs(suite.All()[:3], []sgx.Mode{sgx.Vanilla}, []workloads.Size{workloads.Low}))
 		batch <- err
 	}()
 	for pending := 2; pending > 0; {

@@ -43,28 +43,17 @@ type Progress struct {
 }
 
 type engineOpts struct {
-	workers        int
 	progress       func(Progress)
 	progressCached bool
 	retries        int
 	backoff        time.Duration
 	clock          Clock
 	ctx            context.Context
-	exec           func(Spec) (*Result, error)
-	// runner, when non-nil, bounds local execution by its worker
-	// slots; execBatch leaves it nil (bounded by workers alone).
-	runner *Runner
 }
 
-// Option configures a Runner.RunAll batch (and the Run/Get wrappers
-// over it).
+// Option configures a Runner.RunAll batch (and the Run wrapper over
+// it).
 type Option func(*engineOpts)
-
-// Workers sets the batch's goroutine count; n <= 0 selects GOMAXPROCS.
-// Local simulation stays bounded by the Runner's Jobs across batches.
-func Workers(n int) Option {
-	return func(o *engineOpts) { o.workers = n }
-}
 
 // OnProgress registers fn to be called after each spec completes.
 func OnProgress(fn func(Progress)) Option {
@@ -132,37 +121,34 @@ func WithContext(ctx context.Context) Option {
 	}
 }
 
-// runBatch is the parallel engine every harness entry point feeds:
-// it executes every spec on the worker pool, each on its own simulated
-// machine in its own goroutine; LibOS specs that boot the same
-// configuration share one boot (see planBoots). Results are
-// returned in input order regardless of completion order, and each
-// spec's deterministic seeding is untouched, so a batch is
-// bit-for-bit identical to running the same specs serially. A spec
-// that errors or panics yields a Result with Err set instead of
+// runBatch is the parallel engine under RunAll: it executes every
+// spec on Jobs goroutines, each on its own simulated machine; LibOS
+// specs that boot the same configuration share one boot (see
+// planBoots). Each spec's deterministic seeding is untouched, so a
+// batch is bit-for-bit identical to running the same specs serially.
+// A spec that errors or panics yields a Result with Err set instead of
 // aborting its siblings; a cancelled context fails the specs it kept
-// from starting. settle, when non-nil, sees each spec's Result as it
-// lands, before its progress event, with ran false when the context
-// ended before the spec started.
-func runBatch(specs []Spec, o engineOpts, settle func(i int, res *Result, ran bool)) []Result {
+// from starting. done sees each spec's Result as it lands, by position
+// in specs, with ran false when the context ended before the spec
+// started, and the spec's progress event with Wall, Name, Mode, Err
+// and Cloned filled in; calls may be concurrent.
+func (r *Runner) runBatch(specs []Spec, o engineOpts, done func(i int, res *Result, ran bool, ev Progress)) {
 	ctx := o.ctx
 	results := make([]Result, len(specs))
 	// Specs sent to a remote executor never claim their slot, so they
 	// never build a template; finish releases their share of the plan.
-	boots := planBoots(o.bootPlan(len(specs)), specs)
-	var mu sync.Mutex
-	completed := 0
-	forEach(len(specs), o.workers, func(i int) {
+	boots := planBoots(r.boots, specs)
+	forEach(len(specs), r.Jobs, func(i int) {
 		start := o.clock.Now()
 		ran := true
 		if err := ctx.Err(); err != nil {
 			results[i], ran = failedResult(specs[i], err), false
-		} else if o.exec != nil && specs[i].Hooks.empty() {
+		} else if r.Exec != nil && specs[i].Hooks.empty() {
 			// Remote execution holds no worker slot. The executor's
 			// Result already carries the spec's own failure and attempt
 			// count; a transport failure (nil result) becomes this
 			// spec's error.
-			res, err := o.exec(specs[i])
+			res, err := r.Exec(specs[i])
 			if res != nil {
 				results[i] = *res
 				if results[i].Err == nil && err != nil {
@@ -177,55 +163,21 @@ func runBatch(specs []Spec, o engineOpts, settle func(i int, res *Result, ran bo
 			if results[i].Attempts == 0 {
 				results[i].Attempts = 1
 			}
-		} else if o.runner.acquire(ctx) {
+		} else if r.acquire(ctx) {
 			results[i] = runWithRetry(ctx, specs[i], &o, boots[i])
-			o.runner.release()
+			r.release()
 		} else {
 			results[i], ran = failedResult(specs[i], ctx.Err()), false
 		}
 		boots[i].finish()
-		if settle != nil {
-			settle(i, &results[i], ran)
-		}
-		wall := o.clock.Since(start)
-		if o.progress != nil {
-			mu.Lock()
-			completed++
-			o.progress(Progress{
-				Completed: completed,
-				Total:     len(specs),
-				Index:     i,
-				Name:      results[i].Name,
-				Mode:      specs[i].Mode,
-				Wall:      wall,
-				Err:       results[i].Err,
-				Cloned:    boots[i].cloned,
-			})
-			mu.Unlock()
-		}
+		done(i, &results[i], ran, Progress{
+			Name:   results[i].Name,
+			Mode:   specs[i].Mode,
+			Wall:   o.clock.Since(start),
+			Err:    results[i].Err,
+			Cloned: boots[i].cloned,
+		})
 	})
-	return results
-}
-
-// bootPlan returns the plan a batch of n specs shares boots through:
-// the Runner's, which keeps templates across batches, or, for
-// execBatch, a plan of the batch's own that releases each template
-// after its last user.
-func (o *engineOpts) bootPlan(n int) *bootPlan {
-	if o.runner != nil {
-		return o.runner.boots
-	}
-	return newBootPlan(poolSize(n, o.workers), false, &bootStats{})
-}
-
-// execBatch runs specs through the engine with per-call options and
-// no cache — the in-package form ChaosSweep and tests use.
-func execBatch(specs []Spec, opts ...Option) ([]Result, error) {
-	o := engineOpts{clock: RealClock{}, ctx: context.Background()}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return runBatch(specs, o, nil), o.ctx.Err()
 }
 
 // runWithRetry executes the spec, re-running it on transient injected
@@ -297,7 +249,10 @@ func forEach(n, workers int, fn func(int)) {
 	if n <= 0 {
 		return
 	}
-	workers = poolSize(n, workers)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, n)
 	if workers == 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
@@ -320,18 +275,6 @@ func forEach(n, workers int, fn func(int)) {
 	}
 	close(idx)
 	wg.Wait()
-}
-
-// poolSize returns how many goroutines forEach runs for n calls on up
-// to workers goroutines (workers <= 0 selects GOMAXPROCS).
-func poolSize(n, workers int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	return workers
 }
 
 // MatrixSpecs returns the paper's main experiment grid — every suite

@@ -39,11 +39,30 @@ func testGrid(t *testing.T) []Spec {
 	return specs
 }
 
-// mustExec pushes specs through the uncached engine, failing the test
-// on an engine-level error (which only context cancellation produces).
-func mustExec(t *testing.T, specs []Spec, opts ...Option) []Result {
+// mustExec runs specs as one batch on a fresh Runner of the given
+// Jobs, failing the test on an engine-level error (which only context
+// cancellation produces).
+func mustExec(t *testing.T, jobs int, specs []Spec, opts ...Option) []Result {
 	t.Helper()
-	results, err := execBatch(specs, opts...)
+	results, err := (&Runner{Jobs: jobs}).RunAll(specs, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]Result, len(results))
+	for i, res := range results {
+		out[i] = *res
+	}
+	return out
+}
+
+// mustRunAll runs specs as one batch on r, failing the test on an
+// engine-level error or any spec's failure.
+func mustRunAll(t *testing.T, r *Runner, specs []Spec) []*Result {
+	t.Helper()
+	results, err := r.RunAll(specs)
+	if err == nil {
+		err = firstFailure(results)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,8 +74,8 @@ func mustExec(t *testing.T, specs []Spec, opts ...Option) []Result {
 // input order.
 func TestParallelMatchesSerial(t *testing.T) {
 	specs := testGrid(t)
-	serial := mustExec(t, specs, Workers(1))
-	parallel := mustExec(t, specs, Workers(4))
+	serial := mustExec(t, 1, specs)
+	parallel := mustExec(t, 4, specs)
 	if len(serial) != len(specs) || len(parallel) != len(specs) {
 		t.Fatalf("lengths: serial %d, parallel %d, want %d", len(serial), len(parallel), len(specs))
 	}
@@ -93,9 +112,11 @@ func TestPanicIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := Spec{Workload: w, Mode: sgx.Native, Size: workloads.Low, EPCPages: testEPC, Seed: 7}
+	// The hook keeps the two good specs from sharing one cached run.
+	good := Spec{Workload: w, Mode: sgx.Native, Size: workloads.Low, EPCPages: testEPC, Seed: 7,
+		Hooks: Hooks{OnMachine: func(*sgx.Machine) {}}}
 	bad := Spec{Workload: panicWorkload{}, Mode: sgx.Native, Size: workloads.Low, EPCPages: testEPC, Seed: 7}
-	results := mustExec(t, []Spec{good, bad, good}, Workers(3))
+	results := mustExec(t, 3, []Spec{good, bad, good})
 
 	if results[1].Err == nil {
 		t.Fatal("panicking spec: want Err set, got nil")
@@ -125,7 +146,7 @@ func TestPanicIsolation(t *testing.T) {
 func TestProgressEvents(t *testing.T) {
 	specs := testGrid(t)
 	var events []Progress
-	mustExec(t, specs, Workers(4), OnProgress(func(p Progress) {
+	mustExec(t, 4, specs, OnProgress(func(p Progress) {
 		events = append(events, p) // serialized by the engine, no lock needed
 	}))
 	if len(events) != len(specs) {
@@ -147,8 +168,55 @@ func TestProgressEvents(t *testing.T) {
 	}
 }
 
+// TestProgressIndexesInput: when some specs of a batch hit the cache,
+// the executed specs' progress events still name their own input
+// position, and Completed counts the hits too, against the whole
+// batch.
+func TestProgressIndexesInput(t *testing.T) {
+	var specs []Spec
+	for _, name := range []string{"OpenSSL", "HashJoin", "BTree", "Blockchain"} {
+		w, err := suite.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		specs = append(specs, Spec{Workload: w, Mode: sgx.Vanilla, Size: workloads.Low, EPCPages: testEPC, Seed: 7})
+	}
+	for _, cached := range []bool{false, true} {
+		r := &Runner{Jobs: 1}
+		mustRunAll(t, r, []Spec{specs[0], specs[2]})
+		var events []Progress
+		opts := []Option{OnProgress(func(p Progress) { events = append(events, p) })}
+		if cached {
+			opts = append(opts, ProgressCached())
+		}
+		if _, err := r.RunAll(specs, opts...); err != nil {
+			t.Fatal(err)
+		}
+		want := 2
+		if cached {
+			want = 4
+		}
+		if len(events) != want {
+			t.Fatalf("cached events %v: %d progress events, want %d", cached, len(events), want)
+		}
+		seen := map[int]bool{}
+		for n, ev := range events {
+			if ev.Index < 0 || ev.Index >= len(specs) || seen[ev.Index] {
+				t.Fatalf("event %d: bad or repeated Index %d", n, ev.Index)
+			}
+			seen[ev.Index] = true
+			if ev.Name != specs[ev.Index].WorkloadName() {
+				t.Errorf("event %d: %s reported at Index %d, the position of %s", n, ev.Name, ev.Index, specs[ev.Index].WorkloadName())
+			}
+			if ev.Completed != len(specs)-want+n+1 || ev.Total != len(specs) {
+				t.Errorf("event %d: Completed/Total = %d/%d, want %d/%d", n, ev.Completed, ev.Total, len(specs)-want+n+1, len(specs))
+			}
+		}
+	}
+}
+
 // TestRunnerRunAllCacheAndDedup: duplicate specs in a batch run once,
-// batches populate the cache for later Get calls, and input order is
+// batches populate the cache for later Run calls, and input order is
 // preserved.
 func TestRunnerRunAllCacheAndDedup(t *testing.T) {
 	w, err := suite.ByName("BTree")
@@ -177,15 +245,15 @@ func TestRunnerRunAllCacheAndDedup(t *testing.T) {
 		t.Errorf("input order lost: got modes %v, %v", results[0].Mode, results[1].Mode)
 	}
 
-	cached, err := r.Get(w, sgx.LibOS, workloads.Low)
+	cached, err := r.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cached != results[0] {
-		t.Error("Get after RunAll re-ran instead of hitting the cache")
+		t.Error("Run after RunAll re-ran instead of hitting the cache")
 	}
 	if got := runs.Load(); got != 2 {
-		t.Errorf("Get re-ran a cached spec (%d runs total)", got)
+		t.Errorf("Run re-ran a cached spec (%d runs total)", got)
 	}
 }
 
@@ -397,7 +465,7 @@ func TestWithContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel() // cancelled before the batch starts
 	specs := testGrid(t)
-	results, err := execBatch(specs, Workers(2), WithContext(ctx))
+	results, err := (&Runner{Jobs: 2}).RunAll(specs, WithContext(ctx))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("engine error = %v, want context.Canceled", err)
 	}
@@ -411,7 +479,7 @@ func TestWithContextCancellation(t *testing.T) {
 	}
 
 	// An uncancelled context changes nothing.
-	clean, err := execBatch(specs[:1], WithContext(context.Background()))
+	clean, err := (&Runner{}).RunAll(specs[:1], WithContext(context.Background()))
 	if err != nil || clean[0].Err != nil {
 		t.Fatalf("live-context batch failed: %v / %v", err, clean[0].Err)
 	}
@@ -434,9 +502,9 @@ func TestRetryBackoffHonorsCancellation(t *testing.T) {
 	spec.Chaos = &chaos.Config{Seed: 5, TransitionFault: true, TransitionRate: 1}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan []Result, 1)
+	done := make(chan []*Result, 1)
 	go func() {
-		res, _ := execBatch([]Spec{spec}, Workers(1), Retry(3), RetryBackoff(time.Hour), WithContext(ctx))
+		res, _ := (&Runner{Jobs: 1}).RunAll([]Spec{spec}, Retry(3), RetryBackoff(time.Hour), WithContext(ctx))
 		done <- res
 	}()
 	// Let the first attempt start, then cancel mid-backoff. The first

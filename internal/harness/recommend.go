@@ -56,16 +56,17 @@ type Recommendation struct {
 // Medium runs: a researcher optimizing that component should evaluate
 // with the top-ranked workloads.
 func (r *Runner) Recommend(c Component) ([]Recommendation, error) {
-	if err := r.prefetch(GridSpecs(suite.All(),
-		[]sgx.Mode{sgx.LibOS}, []workloads.Size{workloads.Medium})); err != nil {
+	ws := suite.All()
+	results, err := r.RunAll(GridSpecs(ws, []sgx.Mode{sgx.LibOS}, []workloads.Size{workloads.Medium}))
+	if err == nil {
+		err = firstFailure(results)
+	}
+	if err != nil {
 		return nil, err
 	}
 	var out []Recommendation
-	for _, w := range suite.All() {
-		res, err := r.get(w, sgx.LibOS, workloads.Medium)
-		if err != nil {
-			return nil, err
-		}
+	for i, w := range ws {
+		res := results[i]
 		var events uint64
 		switch c {
 		case ComponentEPC:

@@ -123,18 +123,18 @@ func TestRunnerCaching(t *testing.T) {
 	r := NewRunner(testEPC)
 	r.Seed = 1
 	w, _ := suite.ByName("BTree")
-	a, err := r.Get(w, sgx.Vanilla, workloads.Low)
+	a, err := r.Run(Spec{Workload: w, Mode: sgx.Vanilla, Size: workloads.Low})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.Get(w, sgx.Vanilla, workloads.Low)
+	b, err := r.Run(Spec{Workload: w, Mode: sgx.Vanilla, Size: workloads.Low})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Error("identical specs were re-run instead of cached")
 	}
-	c, err := r.Get(w, sgx.Vanilla, workloads.Medium)
+	c, err := r.Run(Spec{Workload: w, Mode: sgx.Vanilla, Size: workloads.Medium})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -87,11 +87,11 @@ func TestScenarioSerialParallelIdentical(t *testing.T) {
 		}
 	}
 
-	serial, err := (&Runner{EPCPages: testEPC}).RunAll(specs, Workers(1))
+	serial, err := (&Runner{EPCPages: testEPC, Jobs: 1}).RunAll(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := (&Runner{EPCPages: testEPC}).RunAll(specs, Workers(8))
+	parallel, err := (&Runner{EPCPages: testEPC, Jobs: 8}).RunAll(specs)
 	if err != nil {
 		t.Fatal(err)
 	}

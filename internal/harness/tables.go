@@ -37,33 +37,22 @@ type Table4Data struct {
 	LibOSVsNative   Table4Block
 }
 
-// Table4 reproduces Table 4: geometric-mean overheads and counter
-// ratios across the suite for the three mode comparisons.
-func (r *Runner) Table4() (*Table4Data, error) {
-	// All three mode comparisons draw from the same grid; one
-	// parallel batch fills the cache for every block.
-	if err := r.prefetch(MatrixSpecs()); err != nil {
-		return nil, err
-	}
-	d := &Table4Data{}
-	var err error
-	d.NativeVsVanilla, err = r.table4Block("Native Mode w.r.t Vanilla (6 workloads)", suite.Native(), sgx.Native, sgx.Vanilla)
-	if err != nil {
-		return nil, err
-	}
-	d.LibOSVsVanilla, err = r.table4Block("LibOS Mode w.r.t Vanilla (10 workloads)", suite.All(), sgx.LibOS, sgx.Vanilla)
-	if err != nil {
-		return nil, err
-	}
-	d.LibOSVsNative, err = r.table4Block("LibOS Mode w.r.t Native (6 workloads)", suite.Native(), sgx.LibOS, sgx.Native)
-	if err != nil {
-		return nil, err
-	}
-	return d, nil
+// table4Specs is Table 4's batch: all three mode comparisons draw from
+// the full grid.
+func table4Specs(int) []Spec { return MatrixSpecs() }
+
+// table4 builds Table 4 from its batch: geometric-mean overheads and
+// counter ratios across the suite for the three mode comparisons.
+func table4(b *expBatch) (*Table4Data, error) {
+	return &Table4Data{
+		NativeVsVanilla: b.table4Block("Native Mode w.r.t Vanilla (6 workloads)", suite.Native(), sgx.Native, sgx.Vanilla),
+		LibOSVsVanilla:  b.table4Block("LibOS Mode w.r.t Vanilla (10 workloads)", suite.All(), sgx.LibOS, sgx.Vanilla),
+		LibOSVsNative:   b.table4Block("LibOS Mode w.r.t Native (6 workloads)", suite.Native(), sgx.LibOS, sgx.Native),
+	}, nil
 }
 
-func (r *Runner) table4Block(label string, ws []workloads.Workload, num, den sgx.Mode) (Table4Block, error) {
-	b := Table4Block{
+func (b *expBatch) table4Block(label string, ws []workloads.Workload, num, den sgx.Mode) Table4Block {
+	blk := Table4Block{
 		Label:        label,
 		Overhead:     map[workloads.Size]float64{},
 		CounterRatio: map[workloads.Size]map[perf.Event]float64{},
@@ -74,14 +63,7 @@ func (r *Runner) table4Block(label string, ws []workloads.Workload, num, den sgx
 		ratios := map[perf.Event][]float64{}
 		var evict []float64
 		for _, w := range ws {
-			nres, err := r.get(w, num, size)
-			if err != nil {
-				return b, err
-			}
-			dres, err := r.get(w, den, size)
-			if err != nil {
-				return b, err
-			}
+			nres, dres := b.cell(w, num, size), b.cell(w, den, size)
 			ovh = append(ovh, Overhead(nres, dres))
 			// Counter ratios use whole-lifetime counters: the
 			// paper's driver instrumentation sees LibOS startup
@@ -95,14 +77,14 @@ func (r *Runner) table4Block(label string, ws []workloads.Workload, num, den sgx
 			}
 			evict = append(evict, float64(nres.TotalCounters.Get(perf.EPCEvictions)))
 		}
-		b.Overhead[size] = stats.GeoMean(ovh)
-		b.CounterRatio[size] = map[perf.Event]float64{}
+		blk.Overhead[size] = stats.GeoMean(ovh)
+		blk.CounterRatio[size] = map[perf.Event]float64{}
 		for _, e := range table4Events {
-			b.CounterRatio[size][e] = stats.GeoMean(ratios[e])
+			blk.CounterRatio[size][e] = stats.GeoMean(ratios[e])
 		}
-		b.EPCEvictions[size] = stats.Mean(evict)
+		blk.EPCEvictions[size] = stats.Mean(evict)
 	}
-	return b, nil
+	return blk
 }
 
 // Render returns Table 4 in the paper's layout.
@@ -136,14 +118,13 @@ type Table2Row struct {
 	Settings map[workloads.Size]workloads.Params
 }
 
-// Table2 reproduces Table 2: the workload inventory with the concrete
-// Low/Medium/High settings for the runner's EPC size.
-func (r *Runner) Table2() ([]Table2Row, error) {
-	epcPages := r.EPCPages
-	if epcPages == 0 {
-		epcPages = sgx.DefaultEPCPages
-	}
-	var rows []Table2Row
+// Table2Data is Table 2, one row per suite workload.
+type Table2Data []Table2Row
+
+// table2 builds Table 2: the workload inventory with the concrete
+// Low/Medium/High settings for the runner's EPC size. It runs nothing.
+func table2(b *expBatch) (Table2Data, error) {
+	var rows Table2Data
 	for _, w := range suite.All() {
 		modes := "Vanilla, LibOS"
 		if w.NativePort() {
@@ -156,20 +137,20 @@ func (r *Runner) Table2() ([]Table2Row, error) {
 			Settings: map[workloads.Size]workloads.Params{},
 		}
 		for _, s := range workloads.Sizes() {
-			row.Settings[s] = w.DefaultParams(epcPages, s)
+			row.Settings[s] = w.DefaultParams(b.epcPages, s)
 		}
 		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
-// RenderTable2 renders the settings table.
-func RenderTable2(rows []Table2Row) string {
+// Render renders the settings table.
+func (d Table2Data) Render() string {
 	t := Table{
 		Title:  "Table 2: workloads and input settings (scaled to the simulated EPC)",
 		Header: []string{"Workload", "Property", "Modes", "Low", "Medium", "High"},
 	}
-	for _, row := range rows {
+	for _, row := range d {
 		cells := []string{row.Name, row.Property, row.Modes}
 		for _, s := range workloads.Sizes() {
 			cells = append(cells, knobString(row.Settings[s]))
@@ -214,39 +195,44 @@ var table5Events = []perf.Event{
 	perf.DTLBMisses, perf.LLCMisses, perf.EPCEvictions,
 }
 
-// Table5 reproduces Table 5: per workload, a linear regression of run
-// time on the six counters over a grid of runs (sizes x modes x
-// seeds); coefficient magnitude ranks counter importance.
-func (r *Runner) Table5() ([]Table5Row, error) {
+// table5Seeds are the seeds Table 5 regresses over.
+var table5Seeds = []int64{1, 2, 3}
+
+// table5Mode is the mode Table 5 measures w in: Native when it has a
+// port, LibOS otherwise.
+func table5Mode(w workloads.Workload) sgx.Mode {
+	if w.NativePort() {
+		return sgx.Native
+	}
+	return sgx.LibOS
+}
+
+// table5Specs is Table 5's grid of runs: every suite workload at every
+// size and seed.
+func table5Specs(int) []Spec {
 	var specs []Spec
 	for _, w := range suite.All() {
-		mode := sgx.LibOS
-		if w.NativePort() {
-			mode = sgx.Native
-		}
 		for _, size := range workloads.Sizes() {
-			for _, seed := range []int64{1, 2, 3} {
-				specs = append(specs, Spec{Workload: w, Mode: mode, Size: size, Seed: seed})
+			for _, seed := range table5Seeds {
+				specs = append(specs, Spec{Workload: w, Mode: table5Mode(w), Size: size, Seed: seed})
 			}
 		}
 	}
-	if err := r.prefetch(specs); err != nil {
-		return nil, err
-	}
-	var rows []Table5Row
+	return specs
+}
+
+// table5 builds Table 5 from its batch: per workload, a linear
+// regression of run time on the six counters over its runs;
+// coefficient magnitude ranks counter importance.
+func table5(b *expBatch) (Table5Data, error) {
+	var rows Table5Data
 	for _, w := range suite.All() {
-		mode := sgx.LibOS
-		if w.NativePort() {
-			mode = sgx.Native
-		}
+		mode := table5Mode(w)
 		var X [][]float64
 		var y []float64
 		for _, size := range workloads.Sizes() {
-			for _, seed := range []int64{1, 2, 3} {
-				res, err := r.run(Spec{Workload: w, Mode: mode, Size: size, Seed: seed})
-				if err != nil {
-					return nil, err
-				}
+			for _, seed := range table5Seeds {
+				res := b.seeded(w, mode, size, seed)
 				row := make([]float64, len(table5Events))
 				for i, e := range table5Events {
 					row[i] = float64(res.Counters.Get(e))
@@ -280,14 +266,17 @@ func abs(v float64) float64 {
 	return v
 }
 
-// RenderTable5 renders the regression table, marking each workload's
-// most important counter with a '*'.
-func RenderTable5(rows []Table5Row) string {
+// Table5Data is Table 5, one row per suite workload.
+type Table5Data []Table5Row
+
+// Render renders the regression table, marking each workload's most
+// important counter with a '*'.
+func (d Table5Data) Render() string {
 	t := Table{
 		Title:  "Table 5: counter importance by linear regression (standardized coefficients)",
 		Header: []string{"Workload", "Mode", "Walk cycles", "Stall cycles", "Page faults", "dTLB misses", "LLC misses", "EPC evictions"},
 	}
-	for _, row := range rows {
+	for _, row := range d {
 		cells := []string{row.Name, row.Mode.String()}
 		for _, e := range table5Events {
 			mark := ""

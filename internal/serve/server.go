@@ -427,8 +427,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // the shared runner, so regenerating a figure twice is all cache hits.
 func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	fig := r.PathValue("fig")
-	if !knownFigure(fig) {
-		writeError(w, http.StatusNotFound, fmt.Errorf("serve: unknown figure %q (valid: 2-10, t2, t4, t5)", fig))
+	if err := harness.CheckFigure(fig); err != nil {
+		writeError(w, http.StatusNotFound, err)
 		return
 	}
 	jb, err := s.startJob("figure", nil, fig)
@@ -447,20 +447,6 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprint(w, jb.figureOutput())
-}
-
-// knownFigure reports whether fig labels at least one registered
-// experiment.
-func knownFigure(fig string) bool {
-	if fig == "" {
-		return false
-	}
-	for _, e := range harness.Experiments() {
-		if e.Figure == fig {
-			return true
-		}
-	}
-	return false
 }
 
 // handleResult serves GET /v1/results/{key}: content-addressed lookup

@@ -392,6 +392,56 @@ func TestSweepStreaming(t *testing.T) {
 	}
 }
 
+// TestSweepProgressIndexes: in a sweep where some specs are already
+// cached, every progress event's Index names its own spec, so the
+// journal records each task under its own index and key.
+func TestSweepProgressIndexes(t *testing.T) {
+	_, ts := newTestServer(t)
+	names := []string{"OpenSSL", "HashJoin", "BTree", "Empty"}
+	spec := func(name string) string {
+		return fmt.Sprintf(`{"workload":%q,"mode":"Vanilla","size":"Low"}`, name)
+	}
+	for _, i := range []int{0, 2} {
+		if resp, _ := postRun(t, ts, spec(names[i])); resp.StatusCode != http.StatusOK {
+			t.Fatalf("warming %s: status %d", names[i], resp.StatusCode)
+		}
+	}
+	specs := make([]string, len(names))
+	for i, name := range names {
+		specs[i] = spec(name)
+	}
+	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader("["+strings.Join(specs, ",")+"]"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	seen := map[int]bool{}
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		var ev sweepEvent
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+		}
+		if ev.Event != "progress" {
+			continue
+		}
+		if ev.Index < 0 || ev.Index >= len(names) || seen[ev.Index] {
+			t.Fatalf("progress event with bad or repeated index: %+v", ev)
+		}
+		seen[ev.Index] = true
+		if ev.Name != names[ev.Index] || ev.Total != len(names) {
+			t.Errorf("progress event %+v: want %s at index %d of %d", ev, names[ev.Index], ev.Index, len(names))
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != len(names) {
+		t.Errorf("progress events for %d of %d specs", len(seen), len(names))
+	}
+}
+
 // TestSweepCountsRuns: sweeps execute through the same Runner as
 // /v1/run, so sgxgauged_runs_total counts their executed specs — and
 // an identical second sweep, all cache hits, counts none.
