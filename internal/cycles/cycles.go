@@ -28,8 +28,9 @@ type CostModel struct {
 	// EPCMCheck is the additional cost of verifying the EPCM entry
 	// when the walked page belongs to an enclave (paper §2.3).
 	EPCMCheck uint64
-	// L1Hit is the cost of a first-level-cache hit (only charged
-	// when the optional per-thread L1 is enabled).
+	// L1Hit is unused: the machine has no first-level cache, so
+	// nothing charges it. It stays because the golden spec keys spell
+	// out every CostModel field, and dropping it would change them.
 	L1Hit uint64
 	// LLCHit is the cost of a last-level-cache hit.
 	LLCHit uint64

@@ -153,6 +153,19 @@ func CheckFigure(fig string) error {
 	return fmt.Errorf("harness: unknown figure %q (valid: %s)", fig, strings.Join(valid, ", "))
 }
 
+// FigureSpecCount returns how many specs RenderFigure(r, fig) runs:
+// the summed spec lists of fig's experiments at r's EPC size (0 for a
+// figure that runs none, or an unknown label).
+func FigureSpecCount(r *Runner, fig string) int {
+	n := 0
+	for _, e := range Experiments() {
+		if e.Figure == fig && e.specs != nil {
+			n += len(e.specs(r.epcPages()))
+		}
+	}
+	return n
+}
+
 // RenderFigure regenerates every experiment belonging to the paper
 // figure/table labelled fig, concatenating multi-panel figures
 // (6a/6bc/6d) in panel order. An unknown label yields CheckFigure's

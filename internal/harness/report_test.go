@@ -35,6 +35,35 @@ func TestExperimentSpecListsComplete(t *testing.T) {
 	}
 }
 
+// TestFigureSpecCount: a figure's count is the summed spec lists of
+// its panels, and matches what RenderFigure executes.
+func TestFigureSpecCount(t *testing.T) {
+	r := NewRunner(64)
+	r.Seed = 1
+	for fig, want := range map[string]int{"t2": 0, "2": 6, "t4": 78, "t5": 90, "99": 0} {
+		if got := FigureSpecCount(r, fig); got != want {
+			t.Errorf("FigureSpecCount(%q) = %d, want %d", fig, got, want)
+		}
+	}
+	panels := 0
+	for _, id := range []string{"fig6a", "fig6bc", "fig6d"} {
+		for _, e := range Experiments() {
+			if e.ID == id {
+				panels += len(e.specs(r.epcPages()))
+			}
+		}
+	}
+	if got := FigureSpecCount(r, "6"); got != panels || panels == 0 {
+		t.Errorf("FigureSpecCount(\"6\") = %d, want the three panels' %d", got, panels)
+	}
+	if _, err := RenderFigure(r, "2"); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := r.Stats().Executed, uint64(FigureSpecCount(r, "2")); got != want {
+		t.Errorf("RenderFigure(2) executed %d specs, FigureSpecCount says %d", got, want)
+	}
+}
+
 // TestCheckFigure: every registered figure label is accepted, and the
 // error for an unknown one names them all.
 func TestCheckFigure(t *testing.T) {

@@ -92,6 +92,10 @@ func TestSpecJSONValidation(t *testing.T) {
 		{"field", `{"workload":"BTree","mode":"Native","size":"Low","bogus":1}`, "bogus"},
 		{"missing", `{"mode":"Native","size":"Low"}`, "no workload"},
 		{"epc", `{"workload":"BTree","mode":"Native","size":"Low","epc_pages":-5}`, "epc_pages"},
+		// Machine options that no longer exist are rejected, not
+		// silently dropped from the run.
+		{"l1", `{"workload":"BTree","mode":"Native","size":"Low","machine":{"l1_bytes":4096}}`, "l1_bytes"},
+		{"tree-levels", `{"workload":"BTree","mode":"Native","size":"Low","machine":{"integrity_tree":true,"tree_cached_levels":2}}`, "tree_cached_levels"},
 	}
 	for _, c := range cases {
 		var s Spec

@@ -52,7 +52,7 @@ func TestCloneFieldCoverage(t *testing.T) {
 			"concurrency": "copy", "nextThread": "copy", "insideByDefault": "copy",
 		}},
 		{reflect.TypeOf(sgx.Thread{}), map[string]string{
-			"ID": "copy", "Clock": "copy", "env": "rebind", "tlb": "copy", "l1": "copy",
+			"ID": "copy", "Clock": "copy", "env": "rebind", "tlb": "copy",
 			"shard": "rebind", "enclaveDepth": "copy",
 			"memo": "reset", "memoGen": "reset",
 		}},

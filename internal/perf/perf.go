@@ -9,7 +9,6 @@ package perf
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -40,6 +39,9 @@ const (
 	BytesRead
 	BytesWritten
 	Accesses
+	// L1Hits and L1Misses are never counted: the machine has no
+	// first-level cache. They keep their slots because Snapshot is a
+	// fixed array whose every slot result digests hash.
 	L1Hits
 	L1Misses
 	// InjectedAEXs counts forced asynchronous exits raised by the
@@ -76,23 +78,23 @@ const (
 const NumEvents = int(numEvents)
 
 var eventNames = [...]string{
-	DTLBMisses:      "dtlb-misses",
-	WalkCycles:      "walk-cycles",
-	StallCycles:     "stall-cycles",
-	LLCMisses:       "llc-misses",
-	LLCHits:         "llc-hits",
-	PageFaults:      "page-faults",
-	EPCEvictions:    "epc-evictions",
-	EPCLoadBacks:    "epc-loadbacks",
-	EPCAllocs:       "epc-allocs",
-	ECalls:          "ecalls",
-	OCalls:          "ocalls",
-	AEXs:            "aex-exits",
-	TLBFlushes:      "tlb-flushes",
-	SwitchlessCalls: "switchless-calls",
-	Syscalls:        "syscalls",
-	BytesRead:       "bytes-read",
-	BytesWritten:    "bytes-written",
+	DTLBMisses:       "dtlb-misses",
+	WalkCycles:       "walk-cycles",
+	StallCycles:      "stall-cycles",
+	LLCMisses:        "llc-misses",
+	LLCHits:          "llc-hits",
+	PageFaults:       "page-faults",
+	EPCEvictions:     "epc-evictions",
+	EPCLoadBacks:     "epc-loadbacks",
+	EPCAllocs:        "epc-allocs",
+	ECalls:           "ecalls",
+	OCalls:           "ocalls",
+	AEXs:             "aex-exits",
+	TLBFlushes:       "tlb-flushes",
+	SwitchlessCalls:  "switchless-calls",
+	Syscalls:         "syscalls",
+	BytesRead:        "bytes-read",
+	BytesWritten:     "bytes-written",
 	Accesses:         "accesses",
 	L1Hits:           "l1-hits",
 	L1Misses:         "l1-misses",
@@ -317,14 +319,4 @@ func ParseEvent(name string) (Event, bool) {
 		}
 	}
 	return 0, false
-}
-
-// TopRatios returns the events ordered by decreasing s/base ratio,
-// restricted to the given events.
-func (s Snapshot) TopRatios(base Snapshot, events []Event) []Event {
-	out := append([]Event(nil), events...)
-	sort.SliceStable(out, func(i, j int) bool {
-		return s.Ratio(base, out[i]) > s.Ratio(base, out[j])
-	})
-	return out
 }

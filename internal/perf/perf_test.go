@@ -127,20 +127,6 @@ func TestSnapshotString(t *testing.T) {
 	}
 }
 
-func TestTopRatios(t *testing.T) {
-	var s, base Snapshot
-	base[int(DTLBMisses)] = 1
-	base[int(WalkCycles)] = 1
-	base[int(LLCMisses)] = 1
-	s[int(DTLBMisses)] = 5
-	s[int(WalkCycles)] = 100
-	s[int(LLCMisses)] = 10
-	order := s.TopRatios(base, []Event{DTLBMisses, WalkCycles, LLCMisses})
-	if order[0] != WalkCycles || order[1] != LLCMisses || order[2] != DTLBMisses {
-		t.Errorf("TopRatios order = %v", order)
-	}
-}
-
 func TestConcurrentAdds(t *testing.T) {
 	var c Counters
 	var wg sync.WaitGroup

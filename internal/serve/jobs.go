@@ -156,8 +156,14 @@ func (jb *job) figureOutput() string {
 	return jb.output
 }
 
-// newJob builds a job shell: specs normalized, keys precomputed.
+// newJob builds a job shell: specs normalized, keys precomputed. A
+// figure job carries no specs of its own but weighs as many as its
+// render runs.
 func (s *Server) newJob(id, kind string, specs []harness.Spec, figure string) *job {
+	weight := len(specs)
+	if kind == "figure" {
+		weight = harness.FigureSpecCount(s.runner, figure)
+	}
 	jb := &job{
 		id:       id,
 		kind:     kind,
@@ -165,7 +171,7 @@ func (s *Server) newJob(id, kind string, specs []harness.Spec, figure string) *j
 		keys:     make([]harness.Key, len(specs)),
 		keyOK:    make([]bool, len(specs)),
 		figure:   figure,
-		weight:   max(len(specs), 1),
+		weight:   max(weight, 1),
 		notify:   make(chan struct{}),
 		recorded: make(map[int]journal.TaskDone),
 	}

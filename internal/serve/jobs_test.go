@@ -323,6 +323,65 @@ func TestAdmissionControl(t *testing.T) {
 	}
 }
 
+// TestFigureAdmissionWeight: a figure job is admitted as the specs its
+// render runs, not as one. Figure 2 runs 6 specs, so a high-water mark
+// of 5 sheds it even on an empty queue; Figure 7 runs 1 and renders
+// exactly as the runner renders it.
+func TestFigureAdmissionWeight(t *testing.T) {
+	if testing.Short() {
+		t.Skip("figure regeneration in -short mode")
+	}
+	s := New(Config{EPCPages: testEPC, Seed: 7, Workers: 2, MaxQueue: 5})
+	ts := httptest.NewServer(s.Handler())
+	defer func() {
+		ts.Close()
+		s.Drain()
+	}()
+
+	resp, err := http.Get(ts.URL + "/v1/figures/2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("figure 2 (6 specs) past a high-water mark of 5: status %d, want 429", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Fatal("429 carried no Retry-After header")
+	}
+	if d := s.queued.Load(); d != 0 {
+		t.Fatalf("shed figure left queue depth %d", d)
+	}
+	// A figure job recovered from the journal weighs the same.
+	jb, ok := s.rebuildJob(&journal.JobState{Job: journal.Job{ID: "fig2", Kind: "figure", Figure: "2"}})
+	if !ok {
+		t.Fatal("recovered figure 2 job was retired")
+	}
+	if jb.weight != 6 {
+		t.Fatalf("recovered figure 2 job weighs %d, want 6", jb.weight)
+	}
+
+	resp, err = http.Get(ts.URL + "/v1/figures/7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("figure 7 (1 spec): status %d (%s), want 200", resp.StatusCode, body)
+	}
+	r := harness.NewRunner(testEPC)
+	r.Seed = 7
+	want, err := harness.RenderFigure(r, "7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(body) != want {
+		t.Errorf("served figure 7 differs from RenderFigure:\n%s\nwant:\n%s", body, want)
+	}
+}
+
 // TestMainFlagValidation: nonsensical daemon flags fail fast with an
 // error naming the flag instead of silently misconfiguring the TTL or
 // drain machinery.

@@ -513,6 +513,8 @@ func TestBadRequests(t *testing.T) {
 		{"unknown-workload", "/v1/run", `{"workload":"NoSuch","mode":"Native","size":"Low"}`, http.StatusBadRequest, "valid:"},
 		{"unknown-mode", "/v1/run", `{"workload":"BTree","mode":"Turbo","size":"Low"}`, http.StatusBadRequest, "Vanilla, Native, LibOS"},
 		{"unknown-field", "/v1/run", `{"workload":"BTree","mode":"Native","size":"Low","bogus":1}`, http.StatusBadRequest, "bogus"},
+		{"removed-l1", "/v1/run", `{"workload":"BTree","mode":"Native","size":"Low","machine":{"l1_bytes":4096}}`, http.StatusBadRequest, "l1_bytes"},
+		{"removed-tree-levels", "/v1/run", `{"workload":"BTree","mode":"Native","size":"Low","machine":{"tree_cached_levels":2}}`, http.StatusBadRequest, "tree_cached_levels"},
 		{"empty-sweep", "/v1/sweep", `[]`, http.StatusBadRequest, "empty"},
 	}
 	for _, c := range cases {

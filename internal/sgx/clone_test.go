@@ -15,7 +15,6 @@ func TestEnvCloneContinuesIdentically(t *testing.T) {
 	for _, cfg := range []Config{
 		{EPCPages: 64, Seed: 3},
 		{EPCPages: 64, Seed: 3, IntegrityTree: true},
-		{EPCPages: 64, Seed: 3, L1Bytes: 4096},
 	} {
 		env := NewMachine(cfg).NewEnv(Native)
 		if _, err := env.LaunchEnclave(4, 256); err != nil {

@@ -3,7 +3,6 @@ package sgx
 import (
 	"fmt"
 
-	"sgxgauge/internal/cache"
 	"sgxgauge/internal/enclave"
 	"sgxgauge/internal/mem"
 	"sgxgauge/internal/perf"
@@ -76,9 +75,6 @@ func (e *Env) newThread() *Thread {
 		env:   e,
 		tlb:   tlb.New(e.M.cfg.TLBEntries, e.M.cfg.TLBWays),
 		shard: e.M.Counters.NewShard(),
-	}
-	if e.M.cfg.L1Bytes > 0 {
-		t.l1 = cache.NewL1(e.M.cfg.L1Bytes)
 	}
 	if e.insideByDefault {
 		t.enclaveDepth = 1

@@ -107,9 +107,6 @@ type Extent struct {
 	U64 []uint64
 }
 
-// ExtentPlan is a compiled sequence of extents, executed in order.
-type ExtentPlan []Extent
-
 // validate panics when the extent is malformed. Validation happens
 // before any dispatch, so fast, slow and replay paths reject the same
 // extents identically, having charged nothing.
@@ -339,53 +336,23 @@ func (m *Machine) bulkExtent(t *Thread, x *Extent) error {
 		first := mem.LineNumber(addr)
 		lines := mem.LineNumber(addr+(accs-1)<<shift) - first + 1
 		rep := accs - lines // one touch per line when Stride == LineSize
-		if t.l1 == nil {
-			hits, misses := m.LLC.AccessRun(first, lines)
-			if rep > 0 {
-				m.LLC.NoteHits(rep)
-				hits += rep
+		hits, misses := m.LLC.AccessRun(first, lines)
+		if rep > 0 {
+			m.LLC.NoteHits(rep)
+			hits += rep
+		}
+		if hits != 0 {
+			sh.Add(perf.LLCHits, hits)
+			pend += hits * c.LLCHit
+		}
+		if misses != 0 {
+			extra := c.DRAMAccess
+			if enc != nil {
+				extra += c.MEELine
 			}
-			if hits != 0 {
-				sh.Add(perf.LLCHits, hits)
-				pend += hits * c.LLCHit
-			}
-			if misses != 0 {
-				extra := c.DRAMAccess
-				if enc != nil {
-					extra += c.MEELine
-				}
-				sh.Add(perf.LLCMisses, misses)
-				sh.Add(perf.StallCycles, misses*extra)
-				pend += misses * extra
-			}
-		} else {
-			for line := first; line < first+lines; line++ {
-				if t.l1.Access(line) {
-					sh.Inc(perf.L1Hits)
-					pend += c.L1Hit
-					continue
-				}
-				sh.Inc(perf.L1Misses)
-				if m.LLC.Access(line) {
-					sh.Inc(perf.LLCHits)
-					pend += c.LLCHit
-				} else {
-					extra := c.DRAMAccess
-					if enc != nil {
-						extra += c.MEELine
-					}
-					sh.Inc(perf.LLCMisses)
-					sh.Add(perf.StallCycles, extra)
-					pend += extra
-				}
-			}
-			if rep > 0 {
-				// Repeated touches of a just-probed line always hit
-				// the L1 in the reference path.
-				t.l1.NoteStreakHits(rep)
-				sh.Add(perf.L1Hits, rep)
-				pend += rep * c.L1Hit
-			}
+			sh.Add(perf.LLCMisses, misses)
+			sh.Add(perf.StallCycles, misses*extra)
+			pend += misses * extra
 		}
 
 		x.move(frame.Data[off:], idx, accs)
@@ -490,24 +457,6 @@ func (t *Thread) RunExtent(x Extent) {
 	}
 }
 
-// TryRunPlan executes the plan's extents in order, stopping at the
-// first fault.
-func (t *Thread) TryRunPlan(p ExtentPlan) error {
-	for i := range p {
-		if err := t.TryRunExtent(p[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// RunPlan executes the plan's extents in order, panicking on fault.
-func (t *Thread) RunPlan(p ExtentPlan) {
-	for i := range p {
-		t.RunExtent(p[i])
-	}
-}
-
 // ReadU64Run reads len(dst) consecutive u64 words starting at addr.
 func (t *Thread) ReadU64Run(addr uint64, dst []uint64) {
 	t.RunExtent(Extent{Addr: addr, Stride: 8, Count: uint64(len(dst)), Elem: 8, Kind: ExtentRead, U64: dst})
@@ -521,9 +470,4 @@ func (t *Thread) WriteU64Run(addr uint64, src []uint64) {
 // ReadU64Strided reads len(dst) u64 words, the i-th at addr+i*stride.
 func (t *Thread) ReadU64Strided(addr, stride uint64, dst []uint64) {
 	t.RunExtent(Extent{Addr: addr, Stride: stride, Count: uint64(len(dst)), Elem: 8, Kind: ExtentRead, U64: dst})
-}
-
-// WriteU64Strided writes the words of src, the i-th at addr+i*stride.
-func (t *Thread) WriteU64Strided(addr, stride uint64, src []uint64) {
-	t.RunExtent(Extent{Addr: addr, Stride: stride, Count: uint64(len(src)), Elem: 8, Kind: ExtentWrite, U64: src})
 }

@@ -37,7 +37,7 @@ func fuzzMachine(cfg Config) (*Machine, *Env, uint64) {
 // byte-identical between the fast machine and the SlowPath reference,
 // which routes the same extent through one accessPageSlow call per
 // element chunk. Bit 0 of variant carries 8-byte elements as a U64
-// payload instead of Data; bit 1 gives each thread an L1.
+// payload instead of Data.
 func FuzzExtentCompiler(f *testing.F) {
 	f.Add(uint32(16), uint32(8), uint16(2000), uint8(8), uint8(0), uint8(0))    // dense words
 	f.Add(uint32(61), uint32(8), uint16(900), uint8(8), uint8(1), uint8(0))     // misaligned words
@@ -47,14 +47,14 @@ func FuzzExtentCompiler(f *testing.F) {
 	f.Add(uint32(512), uint32(4096), uint16(39), uint8(8), uint8(0), uint8(0))  // page column
 	f.Add(uint32(4090), uint32(96), uint16(300), uint8(48), uint8(2), uint8(0)) // straddling fill
 	// elemRaw 7 is an 8-byte element.
-	f.Add(uint32(0), uint32(8), uint16(2000), uint8(7), uint8(1), uint8(3))   // dense U64 words, L1
+	f.Add(uint32(0), uint32(8), uint16(2000), uint8(7), uint8(1), uint8(1))   // dense U64 words
 	f.Add(uint32(8), uint32(16), uint16(2000), uint8(7), uint8(0), uint8(1))  // stride-16 words
-	f.Add(uint32(24), uint32(32), uint16(1500), uint8(7), uint8(1), uint8(3)) // stride-32 words, L1
-	f.Add(uint32(40), uint32(64), uint16(1000), uint8(7), uint8(0), uint8(2)) // line-strided words, L1
+	f.Add(uint32(24), uint32(32), uint16(1500), uint8(7), uint8(1), uint8(1)) // stride-32 U64 words
+	f.Add(uint32(40), uint32(64), uint16(1000), uint8(7), uint8(0), uint8(0)) // line-strided words
 	f.Add(uint32(40), uint32(64), uint16(1000), uint8(7), uint8(0), uint8(1)) // line-strided U64 words
 	f.Add(uint32(100), uint32(0), uint16(300), uint8(7), uint8(1), uint8(1))  // stride 0 -> replay
 	f.Add(uint32(28), uint32(16), uint16(1000), uint8(7), uint8(0), uint8(1)) // Addr&15 == 12 -> replay
-	f.Add(uint32(3), uint32(16), uint16(1200), uint8(4), uint8(2), uint8(2))  // strided fill, L1
+	f.Add(uint32(3), uint32(16), uint16(1200), uint8(4), uint8(2), uint8(0))  // strided fill
 	f.Fuzz(func(t *testing.T, addrOff, stride uint32, count uint16, elemRaw, kindRaw, variant uint8) {
 		elem := uint64(elemRaw)%128 + 1
 		kind := ExtentKind(kindRaw % 3)
@@ -122,9 +122,6 @@ func FuzzExtentCompiler(f *testing.F) {
 		}
 
 		cfg := Config{EPCPages: 24, Seed: 5}
-		if variant&2 != 0 {
-			cfg.L1Bytes = 4096
-		}
 		slowCfg := cfg
 		slowCfg.SlowPath = true
 		fast, slow := run(cfg), run(slowCfg)

@@ -160,7 +160,7 @@ func diffScript() []diffStep {
 				for i := range w {
 					w[i] = uint64(i) ^ 0xabcdef
 				}
-				s.env.Main.WriteU64Strided(s.ebuf+5, 1032, w) // page-crossing stride
+				s.env.Main.RunExtent(Extent{Addr: s.ebuf + 5, Stride: 1032, Count: uint64(len(w)), Elem: 8, Kind: ExtentWrite, U64: w}) // page-crossing stride
 				col := make([]uint64, diffEPages)
 				s.env.Main.ReadU64Strided(s.ebuf+512, mem.PageSize, col) // one element per page
 				for _, v := range col {
@@ -226,18 +226,16 @@ func diffScript() []diffStep {
 				}
 			})
 		}},
-		{"extent-plan", func(s *diffState) {
+		{"extent-sequence", func(s *diffState) {
 			w := make([]uint64, 512)
 			for i := range w {
 				w[i] = uint64(i) * 17
 			}
 			r := make([]uint64, 512)
 			s.env.Main.ECall(func() {
-				s.env.Main.RunPlan(ExtentPlan{
-					{Addr: s.ebuf + 44*mem.PageSize, Stride: 8, Count: 512, Elem: 8, Kind: ExtentWrite, U64: w},
-					{Addr: s.ebuf + 44*mem.PageSize, Stride: 16, Count: 256, Elem: 8, Kind: ExtentRead, U64: r},
-					{Addr: s.ebuf + 46*mem.PageSize, Stride: 64, Count: 128, Elem: 64, Kind: ExtentFill, Fill: 1},
-				})
+				s.env.Main.RunExtent(Extent{Addr: s.ebuf + 44*mem.PageSize, Stride: 8, Count: 512, Elem: 8, Kind: ExtentWrite, U64: w})
+				s.env.Main.RunExtent(Extent{Addr: s.ebuf + 44*mem.PageSize, Stride: 16, Count: 256, Elem: 8, Kind: ExtentRead, U64: r})
+				s.env.Main.RunExtent(Extent{Addr: s.ebuf + 46*mem.PageSize, Stride: 64, Count: 128, Elem: 64, Kind: ExtentFill, Fill: 1})
 			})
 			for _, v := range r[:256] {
 				s.sum += v
@@ -415,7 +413,6 @@ func TestFastSlowEquivalence(t *testing.T) {
 	configs := map[string]Config{
 		"base":    {EPCPages: 48, Seed: 7},
 		"tinyTLB": {EPCPages: 48, Seed: 7, TLBEntries: 8, TLBWays: 2},
-		"l1":      {EPCPages: 48, Seed: 7, L1Bytes: 16 * 1024},
 		"tree":    {EPCPages: 48, Seed: 7, IntegrityTree: true},
 		"chaos": {EPCPages: 48, Seed: 7, Chaos: &chaos.Config{
 			Seed: 3, Rate: 0.01,
@@ -439,24 +436,22 @@ func TestFastSlowEquivalence(t *testing.T) {
 // counters and both threads' cycles. Each op is three bytes: bit 7 of
 // the first picks the thread, its low bits the op; the other two pick
 // the page, line and word. variant selects a tiny TLB (memo entries
-// displaced with their TLB victims), an L1, or a small LLC that every
+// displaced with their TLB victims) or a small LLC that every
 // transition pollutes heavily (proofs voided by another thread).
 func FuzzWordAccess(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 2, 9, 0, 2, 9, 7, 2, 9, 0x80, 2, 9}, uint8(0))
 	f.Add([]byte{4, 1, 5, 7, 3, 0, 6, 2, 0, 0, 2, 0, 0x85, 4, 1, 7, 3, 0}, uint8(1))
-	f.Add([]byte{1, 0, 3, 1, 2, 3, 1, 3, 3, 0x80, 0, 3, 0x87, 2, 3, 5, 5, 5}, uint8(2))
-	f.Add([]byte{7, 4, 1, 7, 4, 1, 0x84, 1, 0, 0x84, 1, 0, 7, 4, 1}, uint8(3))
+	f.Add([]byte{1, 0, 3, 1, 2, 3, 1, 3, 3, 0x80, 0, 3, 0x87, 2, 3, 5, 5, 5}, uint8(0))
+	f.Add([]byte{7, 4, 1, 7, 4, 1, 0x84, 1, 0, 0x84, 1, 0, 7, 4, 1}, uint8(2))
 	f.Fuzz(func(t *testing.T, prog []byte, variant uint8) {
 		if len(prog) > 3*400 {
 			prog = prog[:3*400]
 		}
 		cfg := Config{EPCPages: 48, Seed: 3}
-		switch variant % 4 {
+		switch variant % 3 {
 		case 1:
 			cfg.TLBEntries, cfg.TLBWays = 8, 2
 		case 2:
-			cfg.L1Bytes = 4 * 1024
-		case 3:
 			cfg.LLCBytes, cfg.LLCWays = 16*1024, 4
 			cfg.Costs = cycles.DefaultCosts()
 			cfg.Costs.PollutionDenom = 4

@@ -100,6 +100,10 @@ const DefaultEPCPages = 512
 // Figure 6a.
 const LibOSEnclaveFactor = 44
 
+// treeCachedLevels is how many top levels of the integrity tree
+// (Config.IntegrityTree) are held on-die and so cost nothing to walk.
+const treeCachedLevels = 4
+
 // Config parameterizes a Machine. The zero value is usable: every
 // field has a sensible default derived from the EPC size, mirroring
 // the proportions of the paper's Xeon E-2186G (Table 3).
@@ -130,23 +134,16 @@ type Config struct {
 	// misses, reproducing the 1.8-3x LLC-miss ratios of Table 4.
 	LLCBytes int `json:"llc_bytes,omitempty"`
 	LLCWays  int `json:"llc_ways,omitempty"`
-	// L1Bytes enables an optional per-thread first-level cache in
-	// front of the LLC (0 = off, the calibrated default). The paper
-	// machine has 384 KB of L1 against its 12 MB LLC (Table 3); a
-	// proportional scaled setting is LLCBytes/32.
-	L1Bytes int `json:"l1_bytes,omitempty"`
 	// Switchless enables switchless OCALLs handled by proxy threads
 	// (paper §5.6).
 	Switchless bool `json:"switchless,omitempty"`
 	// IntegrityTree maintains a Merkle tree over evicted-page MACs,
 	// making EWB/ELDU pay per uncached tree level (the integrity
-	// structures §2.2 describes; VAULT's target). Off by default:
+	// structures §2.2 describes; VAULT's target); the top
+	// treeCachedLevels levels are held on-die. Off by default:
 	// the flat MAC+version scheme already provides
 	// integrity+freshness in the model.
 	IntegrityTree bool `json:"integrity_tree,omitempty"`
-	// TreeCachedLevels is how many top tree levels are held on-die
-	// (default 4).
-	TreeCachedLevels int `json:"tree_cached_levels,omitempty"`
 	// Chaos, when non-nil and enabled, attaches a deterministic fault
 	// injector modelling an adversarial OS (package chaos): forced
 	// AEX storms, EPC ballooning, attacks on evicted pages, and
@@ -282,13 +279,9 @@ func NewMachine(cfg Config) *Machine {
 		enclaveNext:   enclaveRegion,
 	}
 	if cfg.IntegrityTree {
-		cached := cfg.TreeCachedLevels
-		if cached == 0 {
-			cached = 4
-		}
 		// Capacity covers every page that can ever be evicted: the
 		// LibOS enclave alone measures 44x the EPC.
-		m.EPC.SetIntegrityTree(mee.NewIntegrityTree(cfg.EPCPages*(LibOSEnclaveFactor+20), cached))
+		m.EPC.SetIntegrityTree(mee.NewIntegrityTree(cfg.EPCPages*(LibOSEnclaveFactor+20), treeCachedLevels))
 	}
 	if cfg.Chaos != nil && cfg.Chaos.Enabled() {
 		m.chaos = chaos.New(*cfg.Chaos)
@@ -412,9 +405,9 @@ func (m *Machine) tamper(sp *mem.SealedPage, kind chaos.TamperKind) {
 
 // shootdown invalidates every trace a page leaves in the translation
 // and cache hierarchy: its dTLB entries in all threads and its lines
-// in the LLC and any L1s. Called when a page leaves the EPC, whether
-// evicted by the driver or discarded at enclave teardown — a later
-// reuse of the VA range must start cold, not hit stale state.
+// in the LLC. Called when a page leaves the EPC, whether evicted by
+// the driver or discarded at enclave teardown — a later reuse of the
+// VA range must start cold, not hit stale state.
 func (m *Machine) shootdown(id mem.PageID) {
 	// TLB shootdown: translations for the departed page vanish, along
 	// with any memoized resolution of them.
@@ -422,15 +415,10 @@ func (m *Machine) shootdown(id mem.PageID) {
 		t.tlb.Evict(id.VPN)
 		t.memoInvalidate(id.VPN)
 	}
-	// The page's cache lines leave the LLC (and any L1s) as the
-	// MEE encrypts the page out to untrusted memory; re-touching
-	// it after a load-back misses again.
+	// The page's cache lines leave the LLC as the MEE encrypts the
+	// page out to untrusted memory; re-touching it after a load-back
+	// misses again.
 	m.LLC.InvalidateRange(id.VPN*mem.PageSize/mem.LineSize, mem.PageSize/mem.LineSize)
-	for _, t := range m.threads {
-		if t.l1 != nil {
-			t.l1.InvalidateRange(id.VPN*mem.PageSize/mem.LineSize, mem.PageSize/mem.LineSize)
-		}
-	}
 }
 
 // Config returns the effective (defaulted) configuration.
@@ -793,58 +781,35 @@ func (m *Machine) accessPage(t *Thread, addr, n uint64, p []byte, v byte, op pag
 	// latency on their way between LLC and DRAM (paper §2.2).
 	first := mem.LineNumber(addr)
 	lines := mem.LineNumber(addr+n-1) - first + 1
-	if t.l1 == nil {
-		if lines == 1 {
-			// The overwhelmingly common case: a word-sized access
-			// touching one line.
-			if m.LLC.Access(first) {
-				sh.Inc(perf.LLCHits)
-				pend += c.LLCHit
-			} else {
-				extra := c.DRAMAccess
-				if enc != nil {
-					extra += c.MEELine
-				}
-				sh.Inc(perf.LLCMisses)
-				sh.Add(perf.StallCycles, extra)
-				pend += extra
-			}
+	if lines == 1 {
+		// The overwhelmingly common case: a word-sized access
+		// touching one line.
+		if m.LLC.Access(first) {
+			sh.Inc(perf.LLCHits)
+			pend += c.LLCHit
 		} else {
-			hits, misses := m.LLC.AccessRun(first, lines)
-			if hits != 0 {
-				sh.Add(perf.LLCHits, hits)
-				pend += hits * c.LLCHit
+			extra := c.DRAMAccess
+			if enc != nil {
+				extra += c.MEELine
 			}
-			if misses != 0 {
-				extra := c.DRAMAccess
-				if enc != nil {
-					extra += c.MEELine
-				}
-				sh.Add(perf.LLCMisses, misses)
-				sh.Add(perf.StallCycles, misses*extra)
-				pend += misses * extra
-			}
+			sh.Inc(perf.LLCMisses)
+			sh.Add(perf.StallCycles, extra)
+			pend += extra
 		}
 	} else {
-		for line := first; line < first+lines; line++ {
-			if t.l1.Access(line) {
-				sh.Inc(perf.L1Hits)
-				pend += c.L1Hit
-				continue
+		hits, misses := m.LLC.AccessRun(first, lines)
+		if hits != 0 {
+			sh.Add(perf.LLCHits, hits)
+			pend += hits * c.LLCHit
+		}
+		if misses != 0 {
+			extra := c.DRAMAccess
+			if enc != nil {
+				extra += c.MEELine
 			}
-			sh.Inc(perf.L1Misses)
-			if m.LLC.Access(line) {
-				sh.Inc(perf.LLCHits)
-				pend += c.LLCHit
-			} else {
-				extra := c.DRAMAccess
-				if enc != nil {
-					extra += c.MEELine
-				}
-				sh.Inc(perf.LLCMisses)
-				sh.Add(perf.StallCycles, extra)
-				pend += extra
-			}
+			sh.Add(perf.LLCMisses, misses)
+			sh.Add(perf.StallCycles, misses*extra)
+			pend += misses * extra
 		}
 	}
 	t.Clock.Advance(pend)
@@ -872,20 +837,19 @@ func (m *Machine) accessPage(t *Thread, addr, n uint64, p []byte, v byte, op pag
 // whose page resolution is memoized — without the general path's
 // dispatch layers and staging buffer. It replicates accessPage's
 // memo-hit branch exactly: one access, one TLB-hit charge, one LLC
-// (or L1) line, identical counters and cycles. Anything else — memo
-// miss, aborted enclave — returns nil with zero side effects and the
-// caller falls back to the general path. Callers must check
-// m.fastWords (no SlowPath, no chaos) and alignment first.
+// line, identical counters and cycles. Anything else — memo miss,
+// aborted enclave — returns nil with zero side effects and the caller
+// falls back to the general path. Callers must check m.fastWords (no
+// SlowPath, no chaos) and alignment first.
 //
-// When the LLC is the only cache level, the memo entry also
-// remembers which lines of its page this path saw resident during the
-// LLC's current Epoch. A repeat of such a line with the epoch
-// unchanged is a proven hit: it is counted with LLC.NoteHits and the
-// set probe is skipped. Only hits are bypassed, so the LLC's tags,
-// replacement state and statistics end exactly as Access leaves them.
-// Every other line goes to wordProbe, called last so that no value is
-// live across it and the proven-hit path keeps everything in
-// registers.
+// The memo entry also remembers which lines of its page this path saw
+// resident during the LLC's current Epoch. A repeat of such a line
+// with the epoch unchanged is a proven hit: it is counted with
+// LLC.NoteHits and the set probe is skipped. Only hits are bypassed,
+// so the LLC's tags, replacement state and statistics end exactly as
+// Access leaves them. Every other line goes to wordProbe, called last
+// so that no value is live across it and the proven-hit path keeps
+// everything in registers.
 //
 // The caller performs the data movement on the returned frame, which
 // keeps the 8-byte staging buffer and memmove out of the loop.
@@ -896,7 +860,7 @@ func (m *Machine) wordFast(t *Thread, addr, n uint64, write bool) *mem.Frame {
 	}
 	line := mem.LineNumber(addr)
 	bit := uint64(1) << (line % (mem.PageSize / mem.LineSize))
-	if t.l1 != nil || me.lines&bit == 0 || me.llcEpoch != m.LLC.Epoch() {
+	if me.lines&bit == 0 || me.llcEpoch != m.LLC.Epoch() {
 		return m.wordProbe(t, me, line, bit, n, write)
 	}
 	m.LLC.NoteHits(1)
@@ -916,10 +880,10 @@ func (m *Machine) wordFast(t *Thread, addr, n uint64, write bool) *mem.Frame {
 	return me.frame
 }
 
-// wordProbe charges a wordFast access whose line is not a proven hit:
-// through the L1 when the thread has one, else through an LLC probe
-// whose result — hit or fresh install — then joins the entry's proven
-// lines (bit is the line's bit in the entry's mask).
+// wordProbe charges a wordFast access whose line is not a proven hit
+// through an LLC probe whose result — hit or fresh install — then
+// joins the entry's proven lines (bit is the line's bit in the entry's
+// mask).
 func (m *Machine) wordProbe(t *Thread, me *memoEntry, line, bit, n uint64, write bool) *mem.Frame {
 	c := &m.Costs
 	sh := t.shard
@@ -928,32 +892,22 @@ func (m *Machine) wordProbe(t *Thread, me *memoEntry, line, bit, n uint64, write
 	if me.ref != nil {
 		*me.ref = true
 	}
-	if t.l1 != nil && t.l1.Access(line) {
-		sh.Inc(perf.L1Hits)
-		pend += c.L1Hit
+	hit := m.LLC.Access(line)
+	if e := m.LLC.Epoch(); e != me.llcEpoch {
+		me.lines, me.llcEpoch = 0, e
+	}
+	me.lines |= bit
+	if hit {
+		sh.Inc(perf.LLCHits)
+		pend += c.LLCHit
 	} else {
-		if t.l1 != nil {
-			sh.Inc(perf.L1Misses)
+		extra := c.DRAMAccess
+		if me.enc != nil {
+			extra += c.MEELine
 		}
-		hit := m.LLC.Access(line)
-		if t.l1 == nil {
-			if e := m.LLC.Epoch(); e != me.llcEpoch {
-				me.lines, me.llcEpoch = 0, e
-			}
-			me.lines |= bit
-		}
-		if hit {
-			sh.Inc(perf.LLCHits)
-			pend += c.LLCHit
-		} else {
-			extra := c.DRAMAccess
-			if me.enc != nil {
-				extra += c.MEELine
-			}
-			sh.Inc(perf.LLCMisses)
-			sh.Add(perf.StallCycles, extra)
-			pend += extra
-		}
+		sh.Inc(perf.LLCMisses)
+		sh.Add(perf.StallCycles, extra)
+		pend += extra
 	}
 	t.Clock.Advance(pend)
 	if write {

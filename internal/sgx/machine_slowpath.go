@@ -78,14 +78,6 @@ func (m *Machine) accessPageSlow(t *Thread, addr, n uint64, p []byte, v byte, op
 	first := mem.LineNumber(addr)
 	last := mem.LineNumber(addr + n - 1)
 	for line := first; line <= last; line++ {
-		if t.l1 != nil {
-			if t.l1.Access(line) {
-				m.Counters.Inc(perf.L1Hits)
-				t.Clock.Advance(c.L1Hit)
-				continue
-			}
-			m.Counters.Inc(perf.L1Misses)
-		}
 		if m.LLC.Access(line) {
 			m.Counters.Inc(perf.LLCHits)
 			t.Clock.Advance(c.LLCHit)

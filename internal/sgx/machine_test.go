@@ -33,6 +33,19 @@ func TestConfigMinimums(t *testing.T) {
 	}
 }
 
+// The machine has no first-level cache: the L1 counters keep their
+// Snapshot slots but nothing ever counts them.
+func TestL1DisabledByDefault(t *testing.T) {
+	m := NewMachine(Config{EPCPages: 64})
+	env := m.NewEnv(Vanilla)
+	addr := m.AllocUntrusted(4096, 8)
+	env.Main.ReadU64(addr)
+	env.Main.ReadU64(addr)
+	if m.Counters.Get(perf.L1Hits)+m.Counters.Get(perf.L1Misses) != 0 {
+		t.Error("L1 traffic counted on a machine without an L1")
+	}
+}
+
 func TestUntrustedReadWrite(t *testing.T) {
 	m := NewMachine(Config{EPCPages: 64})
 	env := m.NewEnv(Vanilla)

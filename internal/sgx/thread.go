@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"math"
 
-	"sgxgauge/internal/cache"
 	"sgxgauge/internal/cycles"
 	"sgxgauge/internal/enclave"
 	"sgxgauge/internal/mem"
@@ -54,7 +53,6 @@ type Thread struct {
 
 	env          *Env
 	tlb          *tlb.DTLB
-	l1           *cache.L1
 	shard        *perf.Shard
 	enclaveDepth int
 
@@ -107,14 +105,14 @@ func (t *Thread) memoInvalidate(vpn uint64) {
 	}
 }
 
-// clone returns a copy of t bound to env, with its own TLB and L1
-// copies and a fresh counter shard on env's machine. The page memo
+// clone returns a copy of t bound to env, with its own TLB copy and a
+// fresh counter shard on env's machine. The page memo
 // starts empty: its frame and reference-bit pointers point into the
 // source machine's EPC. An empty memo is always sound (it only caches
 // what the TLB and EPC would answer), so simulated results are
 // unchanged.
 func (t *Thread) clone(env *Env) *Thread {
-	c := &Thread{
+	return &Thread{
 		ID:           t.ID,
 		Clock:        t.Clock,
 		env:          env,
@@ -122,10 +120,6 @@ func (t *Thread) clone(env *Env) *Thread {
 		shard:        env.M.Counters.NewShard(),
 		enclaveDepth: t.enclaveDepth,
 	}
-	if t.l1 != nil {
-		c.l1 = t.l1.Clone()
-	}
-	return c
 }
 
 // InEnclave reports whether the thread currently executes inside an

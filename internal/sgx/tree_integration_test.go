@@ -51,16 +51,6 @@ func TestIntegrityTreeCostsCycles(t *testing.T) {
 	}
 }
 
-func TestIntegrityTreeCachedLevelsReduceCost(t *testing.T) {
-	// VAULT-style ablation: caching more tree levels (a shallower
-	// uncached path) makes paging cheaper.
-	shallow := thrashEnclave(t, Config{EPCPages: 32, IntegrityTree: true, TreeCachedLevels: 9})
-	deep := thrashEnclave(t, Config{EPCPages: 32, IntegrityTree: true, TreeCachedLevels: 1})
-	if shallow >= deep {
-		t.Errorf("caching tree levels did not help: cached=%d vs uncached=%d", shallow, deep)
-	}
-}
-
 func TestIntegrityTreeDetectsCrossPageSplice(t *testing.T) {
 	// Attack the tree itself: corrupt an internal node and verify
 	// the next load-back panics.

@@ -95,10 +95,6 @@ func NewGenerator(w Workload) *Generator {
 	return g
 }
 
-// LoadKeys returns the keys of the load phase (0..Records-1); values
-// are the caller's concern.
-func (g *Generator) LoadKeys() int { return g.w.Records }
-
 // Next returns the next run-phase operation. Inserted keys extend the
 // key space sequentially past the loaded records (YCSB workload D
 // style).

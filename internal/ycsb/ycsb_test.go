@@ -53,9 +53,6 @@ func TestKeysInRange(t *testing.T) {
 			t.Fatalf("key %d out of range [0,%d)", op.Key, w.Records)
 		}
 	}
-	if g.LoadKeys() != w.Records {
-		t.Errorf("LoadKeys = %d", g.LoadKeys())
-	}
 }
 
 func TestReadProportion(t *testing.T) {
