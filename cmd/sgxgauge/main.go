@@ -37,8 +37,9 @@
 // directories replays unfinished jobs (store-warm tasks do not
 // re-simulate) and clients reattach by job ID. Jobs past the
 // -admission.max queue high-water mark are shed with 429 +
-// Retry-After. With -coordinator, execution farms out to registered
-// workers (-worker url on each): tasks carry per-attempt retry
+// Retry-After (413 for a job heavier than the mark itself). With
+// -coordinator, execution farms out to registered workers (-worker
+// url on each): tasks carry per-attempt retry
 // budgets and are poisoned — failed with their attempt history —
 // past -task.retries; a SIGTERM'd worker drains its in-flight batch
 // and deregisters. See README "Serving" for the wire schema and curl

@@ -152,13 +152,6 @@ type EPC struct {
 	free     []int
 	hand     int
 
-	// evict-batch scratch, reused across eviction storms.
-	evIdx    []int
-	evIDs    []mem.PageID
-	evVers   []uint64
-	evFrames []*mem.Frame
-	evSealed []*mem.SealedPage
-
 	// versions holds, per page, the version number used for the most
 	// recent seal. Load-back must present exactly this version; any
 	// other version is a rollback.
@@ -228,10 +221,10 @@ func New(capacityPages int, engine *mee.Engine, backing *mem.BackingStore, count
 // same slots, frame contents, residency and version indexes, CLOCK
 // hand, op statistics and jitter state, so the copy evolves exactly as
 // e would. The MEE engine is shared (its keys never change); the
-// clone gets its own crypt batch and eviction scratch. Hooks are not
-// copied — the owning machine wires its own — and an EPC recording a
-// timeline does not clone, because the sampled clock belongs to a
-// thread of e's machine. Clone only reads e.
+// clone gets its own crypt batch. Hooks are not copied — the owning
+// machine wires its own — and an EPC recording a timeline does not
+// clone, because the sampled clock belongs to a thread of e's machine.
+// Clone only reads e.
 func (e *EPC) Clone(backing *mem.BackingStore, counters *perf.Counters) *EPC {
 	if e.clockRef != nil {
 		panic("epc: Clone of an EPC recording a timeline")
@@ -268,7 +261,7 @@ func (e *EPC) Resident() int { return e.resident.len() }
 func (e *EPC) SetEvictHook(fn func(id mem.PageID)) { e.onEvict = fn }
 
 // SetRemoveHook registers fn to be invoked for each resident page
-// discarded by Remove/RemoveEnclave (the machine uses this to shoot
+// discarded by RemoveEnclave (the machine uses this to shoot
 // down TLB entries and cache lines at enclave teardown).
 func (e *EPC) SetRemoveHook(fn func(id mem.PageID)) { e.onRemove = fn }
 
@@ -302,7 +295,9 @@ func (e *EPC) Timeline() []TimelineEvent { return e.timeline }
 func (e *EPC) OpStatsFor(op Op) OpStats { return e.ops[op] }
 
 // EPCMLookup returns the EPCM entry for the page, valid only while the
-// page is resident. The TLB fill path consults this (paper Figure 1).
+// page is resident. The reference machine's TLB fill path consults
+// this (paper Figure 1); the fast path's entry is built from the same
+// PageID, so it verifies residency through LookupRef alone.
 func (e *EPC) EPCMLookup(id mem.PageID) EPCMEntry {
 	if idx, ok := e.resident.get(id); ok {
 		return EPCMEntry{Owner: id.Enclave, VPN: id.VPN, Valid: e.slots[idx].used}
@@ -310,20 +305,17 @@ func (e *EPC) EPCMLookup(id mem.PageID) EPCMEntry {
 	return EPCMEntry{}
 }
 
-// Lookup returns the frame for id when resident, marking it recently
-// used for the CLOCK policy.
+// Lookup is LookupRef without the reference-bit pointer.
 func (e *EPC) Lookup(id mem.PageID) (*mem.Frame, bool) {
-	idx, ok := e.resident.get(id)
-	if !ok {
-		return nil, false
-	}
-	e.slots[idx].referenced = true
-	return &e.frames[idx], true
+	f, _, ok := e.LookupRef(id)
+	return f, ok
 }
 
-// LookupRef is Lookup plus a pointer to the slot's CLOCK reference
-// bit, letting the machine's memoized fast path mark later hits on
-// the same page recently-used without re-running the resident lookup.
+// LookupRef returns the frame for id when resident, marking it
+// recently used for the CLOCK policy, plus a pointer to the slot's
+// CLOCK reference bit, letting the machine's memoized fast path mark
+// later hits on the same page recently-used without re-running the
+// resident lookup. It is the EPC's one residency probe.
 // The pointer — like the frame pointer, which aliases the slot arena —
 // is valid only until the page leaves the EPC or the slot table is
 // rebuilt (see SetResizeHook); the machine's TLB-shootdown and resize
@@ -336,22 +328,6 @@ func (e *EPC) LookupRef(id mem.PageID) (*mem.Frame, *bool, bool) {
 	s := &e.slots[idx]
 	s.referenced = true
 	return &e.frames[idx], &s.referenced, true
-}
-
-// WalkResolve is the page-walk combination of Lookup, EPCMLookup and
-// LookupRef in a single residency probe: frame, CLOCK reference-bit
-// pointer, and the EPCM entry to verify while the TLB entry is
-// installed. The machine's fast path uses it to finish a walk with one
-// map access instead of three; the simulated semantics (reference bit
-// set, same EPCM contents) are identical.
-func (e *EPC) WalkResolve(id mem.PageID) (*mem.Frame, *bool, EPCMEntry, bool) {
-	idx, ok := e.resident.get(id)
-	if !ok {
-		return nil, nil, EPCMEntry{}, false
-	}
-	s := &e.slots[idx]
-	s.referenced = true
-	return &e.frames[idx], &s.referenced, EPCMEntry{Owner: id.Enclave, VPN: id.VPN, Valid: s.used}, true
 }
 
 // nextJitter returns a small deterministic latency perturbation in
@@ -412,92 +388,15 @@ func (e *EPC) AllocPage(clk *cycles.Clock, costs *cycles.CostModel, id mem.PageI
 	return f, nil
 }
 
-// evictBatch writes back BatchEvictPages victims chosen by CLOCK.
-//
-// It runs in two phases so the MEE work of the whole storm is batched
-// (through the long-lived crypt batch, byte-identical to
-// mee.SealBatch): phase 1 picks and detaches every victim — clearing
-// the slot before the next pick, exactly as the one-at-a-time path
-// did, so the CLOCK victim sequence is unchanged — and phase 2 seals
-// all victims in pick order, then publishes and charges each one in
-// that same order (backing store, integrity tree, EWB latency and
-// jitter, eviction hook, timeline tick). Every externally observable
-// sequence — victim order, version numbers, jitter draws, hook
-// invocations, counter and clock values at each hook — is identical
-// to evicting the pages one at a time.
+// evictBatch writes back BatchEvictPages victims chosen by CLOCK, or
+// every resident page when fewer are resident, one EWB at a time.
 func (e *EPC) evictBatch(clk *cycles.Clock, costs *cycles.CostModel) error {
-	n := BatchEvictPages
-	if n > e.resident.len() {
-		n = e.resident.len()
-	}
-	e.evIdx = e.evIdx[:0]
-	e.evIDs = e.evIDs[:0]
-	e.evVers = e.evVers[:0]
-	e.evFrames = e.evFrames[:0]
-	for i := 0; i < n; i++ {
-		idx := e.pickVictim()
-		if idx < 0 {
-			return ErrEPCExhausted
+	for n := min(BatchEvictPages, e.resident.len()); n > 0; n-- {
+		if err := e.evictOne(clk, costs); err != nil {
+			return err
 		}
-		s := &e.slots[idx]
-		id := s.id
-		ver := e.versions.get(id) + 1
-		e.versions.set(id, ver)
-		e.evIdx = append(e.evIdx, idx)
-		e.evIDs = append(e.evIDs, id)
-		e.evVers = append(e.evVers, ver)
-		e.evFrames = append(e.evFrames, &e.frames[idx])
-		*s = slot{}
-		e.resident.del(id)
-		e.free = append(e.free, idx)
-	}
-	if cap(e.evSealed) < n {
-		e.evSealed = make([]*mem.SealedPage, n)
-	}
-	e.evSealed = e.evSealed[:n]
-	for i := range e.evSealed {
-		// Recycle a retired sealed page if the store has one, and
-		// seal through the EPC's long-lived batch — same bytes as
-		// mee.SealBatch, without re-deriving the AEAD per storm.
-		sp := e.backing.Reserve()
-		if sp == nil {
-			sp = &mem.SealedPage{}
-		}
-		e.crypt.SealPageInto(sp, e.evIDs[i], e.evVers[i], e.evFrames[i])
-		e.evSealed[i] = sp
-	}
-	for i, sp := range e.evSealed {
-		e.backing.Put(sp)
-		if e.tree != nil {
-			if err := e.tree.Update(e.evIDs[i], sp.MAC); err != nil {
-				return fmt.Errorf("epc: integrity tree: %w", err)
-			}
-			clk.Advance(uint64(e.tree.UncachedLevels()) * costs.TreeLevel)
-		}
-		e.chargeEWB(clk, costs, e.evIDs[i])
 	}
 	return nil
-}
-
-// chargeEWB charges one page's EWB driver latency and fires the
-// eviction hook — the tail every eviction path shares.
-func (e *EPC) chargeEWB(clk *cycles.Clock, costs *cycles.CostModel, id mem.PageID) {
-	// The driver spends the full EWB latency (recorded for Figure 7),
-	// but most of it overlaps execution: evictions run in 16-page
-	// batches ahead of demand, so the faulting thread only pays the
-	// synchronous share.
-	lat := costs.EWBPage + e.nextJitter(costs.EWBPage)
-	share := costs.AsyncEvictShare
-	if share <= 0 || share > 1 {
-		share = 1
-	}
-	clk.Advance(cycles.SatU64(float64(lat) * share))
-	e.ops[OpEWB].add(lat)
-	e.counters.Inc(perf.EPCEvictions)
-	if e.onEvict != nil {
-		e.onEvict(id)
-	}
-	e.tick()
 }
 
 // pickVictim runs the CLOCK sweep: clear reference bits until an
@@ -531,9 +430,11 @@ func (e *EPC) evictOne(clk *cycles.Clock, costs *cycles.CostModel) error {
 	return e.sealOut(clk, costs, idx)
 }
 
-// sealOut performs the EWB path for the page in slot idx: seal it to
-// the untrusted store, update the integrity tree, free the slot, and
-// charge the driver latency.
+// sealOut is the EWB path — the one body every eviction (batch,
+// forced, ballooning) runs — for the page in slot idx: seal it to the
+// untrusted store through the EPC's long-lived crypt batch, update the
+// integrity tree, free the slot, charge the driver latency and fire
+// the eviction hook.
 func (e *EPC) sealOut(clk *cycles.Clock, costs *cycles.CostModel, idx int) error {
 	s := &e.slots[idx]
 	id := s.id
@@ -557,14 +458,29 @@ func (e *EPC) sealOut(clk *cycles.Clock, costs *cycles.CostModel, idx int) error
 	e.resident.del(id)
 	e.free = append(e.free, idx)
 
-	e.chargeEWB(clk, costs, id)
+	// The driver spends the full EWB latency (recorded for Figure 7),
+	// but most of it overlaps execution: evictions run in 16-page
+	// batches ahead of demand, so the faulting thread only pays the
+	// synchronous share.
+	lat := costs.EWBPage + e.nextJitter(costs.EWBPage)
+	share := costs.AsyncEvictShare
+	if share <= 0 || share > 1 {
+		share = 1
+	}
+	clk.Advance(cycles.SatU64(float64(lat) * share))
+	e.ops[OpEWB].add(lat)
+	e.counters.Inc(perf.EPCEvictions)
+	if e.onEvict != nil {
+		e.onEvict(id)
+	}
+	e.tick()
 	return nil
 }
 
 // EvictPage forces the page for id out of the EPC through the normal
-// EWB path, reporting whether it was resident. Tests use it to place
-// a chosen victim in the untrusted store deterministically; the
-// ballooning path uses it to shrink capacity.
+// EWB path, reporting whether it was resident. Tests use it (through
+// the machine's ForceEvict) to place a chosen victim in the untrusted
+// store deterministically.
 func (e *EPC) EvictPage(clk *cycles.Clock, costs *cycles.CostModel, id mem.PageID) (bool, error) {
 	idx, ok := e.resident.get(id)
 	if !ok {
@@ -696,24 +612,6 @@ func (e *EPC) Fault(clk *cycles.Clock, costs *cycles.CostModel, id mem.PageID) (
 	}
 	e.ops[OpFault].add(clk.Cycles() - start)
 	return f, loaded, nil
-}
-
-// Remove discards the page for id from the EPC and the backing store
-// without writing it back (enclave teardown). Resident pages are
-// reported through the remove hook so stale TLB entries and cache
-// lines are invalidated — pages already evicted had theirs shot down
-// on the way out.
-func (e *EPC) Remove(id mem.PageID) {
-	if idx, ok := e.resident.get(id); ok {
-		e.slots[idx] = slot{}
-		e.resident.del(id)
-		e.free = append(e.free, idx)
-		if e.onRemove != nil {
-			e.onRemove(id)
-		}
-	}
-	e.backing.Delete(id)
-	e.versions.del(id)
 }
 
 // RemoveEnclave discards every page (resident or sealed) belonging to

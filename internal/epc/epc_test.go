@@ -251,6 +251,88 @@ func TestEPCMLookup(t *testing.T) {
 	}
 }
 
+// TestStormEqualsOneByOne checks that an eviction storm is nothing but
+// single-page EWBs in CLOCK order: a Clone of the EPC that evicts the
+// storm's victims one at a time with EvictPage sees the same hook
+// order, seal versions and MACs, clock at each hook, op statistics
+// and counters.
+func TestStormEqualsOneByOne(t *testing.T) {
+	e, counters, clk, costs := newTestEPC(32)
+	e.SetIntegrityTree(mee.NewIntegrityTree(256, 2))
+	for vpn := uint64(0); vpn < 32; vpn++ {
+		f := mustAlloc(t, e, clk, &costs, id(vpn))
+		f.Data[vpn] = byte(vpn + 1) // distinct contents, none all zero
+	}
+	// Thrash over more pages than fit, so storms and load-backs leave
+	// pages at several seal versions and the CLOCK hand mid-table, then
+	// touch every third page so the next sweep skips slots.
+	for round := 0; round < 3; round++ {
+		for vpn := uint64(0); vpn < 48; vpn++ {
+			if _, ok := e.Lookup(id(vpn)); !ok {
+				if _, _, err := e.Fault(clk, &costs, id(vpn)); err != nil {
+					t.Fatalf("fault of %d: %v", vpn, err)
+				}
+			}
+		}
+	}
+	for vpn := uint64(0); vpn < 48; vpn += 3 {
+		e.Lookup(id(vpn))
+	}
+	for vpn := uint64(50); e.Resident() < e.Capacity(); vpn++ {
+		mustAlloc(t, e, clk, &costs, id(vpn))
+	}
+
+	type ewb struct {
+		id    mem.PageID
+		ver   uint64
+		mac   [16]byte
+		cycle uint64
+	}
+	record := func(e *EPC, clk *cycles.Clock, log *[]ewb) {
+		e.SetEvictHook(func(pid mem.PageID) {
+			v := ewb{id: pid, ver: e.versions.get(pid), cycle: clk.Cycles()}
+			if sp := e.backing.Get(pid); sp != nil {
+				v.mac = sp.MAC
+			}
+			*log = append(*log, v)
+		})
+	}
+	cloneCounters, cloneClk := counters.Clone(), *clk
+	c := e.Clone(e.backing.Clone(), cloneCounters)
+
+	var storm, single []ewb
+	record(e, clk, &storm)
+	mustAlloc(t, e, clk, &costs, id(100))
+	if len(storm) != BatchEvictPages {
+		t.Fatalf("storm evicted %d pages, want %d", len(storm), BatchEvictPages)
+	}
+
+	record(c, &cloneClk, &single)
+	for _, v := range storm {
+		if ok, err := c.EvictPage(&cloneClk, &costs, v.id); err != nil || !ok {
+			t.Fatalf("EvictPage(%v): ok=%v err=%v", v.id, ok, err)
+		}
+	}
+	mustAlloc(t, c, &cloneClk, &costs, id(100))
+
+	for i := range storm {
+		if storm[i] != single[i] {
+			t.Errorf("eviction %d: storm %+v, one by one %+v", i, storm[i], single[i])
+		}
+	}
+	for op := Op(0); op < numOps; op++ {
+		if got, want := c.OpStatsFor(op), e.OpStatsFor(op); got != want {
+			t.Errorf("%v stats: one by one %+v, storm %+v", op, got, want)
+		}
+	}
+	if got, want := cloneCounters.Snapshot(), counters.Snapshot(); got != want {
+		t.Errorf("counters: one by one %v, storm %v", got, want)
+	}
+	if cloneClk.Cycles() != clk.Cycles() {
+		t.Errorf("clock: one by one %d, storm %d", cloneClk.Cycles(), clk.Cycles())
+	}
+}
+
 func TestEvictHookFires(t *testing.T) {
 	e, _, clk, costs := newTestEPC(32)
 	var evicted []mem.PageID
@@ -331,7 +413,12 @@ func TestTimeline(t *testing.T) {
 func TestRemoveEnclave(t *testing.T) {
 	e, _, clk, costs := newTestEPC(32)
 	mustAlloc(t, e, clk, &costs, mem.PageID{Enclave: 1, VPN: 0})
+	mustAlloc(t, e, clk, &costs, mem.PageID{Enclave: 1, VPN: 1})
 	mustAlloc(t, e, clk, &costs, mem.PageID{Enclave: 2, VPN: 0})
+	// One enclave-1 page sits sealed in the untrusted store.
+	if ok, err := e.EvictPage(clk, &costs, mem.PageID{Enclave: 1, VPN: 1}); err != nil || !ok {
+		t.Fatalf("EvictPage: ok=%v err=%v", ok, err)
+	}
 	e.RemoveEnclave(1)
 	if _, ok := e.Lookup(mem.PageID{Enclave: 1, VPN: 0}); ok {
 		t.Error("enclave 1 page survived RemoveEnclave")
@@ -339,19 +426,13 @@ func TestRemoveEnclave(t *testing.T) {
 	if _, ok := e.Lookup(mem.PageID{Enclave: 2, VPN: 0}); !ok {
 		t.Error("enclave 2 page was removed")
 	}
-}
-
-func TestRemovePage(t *testing.T) {
-	e, _, clk, costs := newTestEPC(32)
-	mustAlloc(t, e, clk, &costs, id(3))
-	e.Remove(id(3))
-	if _, ok := e.Lookup(id(3)); ok {
-		t.Error("page survived Remove")
-	}
-	// Removed page faults back as a fresh (zero) page.
-	_, loaded, err := e.Fault(clk, &costs, id(3))
-	if err != nil || loaded {
-		t.Errorf("fault after Remove: loaded=%v err=%v", loaded, err)
+	// Torn-down pages, resident or sealed, fault back as fresh (zero)
+	// pages rather than as load-backs or lost pages.
+	for vpn := uint64(0); vpn < 2; vpn++ {
+		_, loaded, err := e.Fault(clk, &costs, mem.PageID{Enclave: 1, VPN: vpn})
+		if err != nil || loaded {
+			t.Errorf("fault of vpn %d after RemoveEnclave: loaded=%v err=%v", vpn, loaded, err)
+		}
 	}
 }
 

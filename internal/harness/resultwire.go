@@ -38,9 +38,9 @@ type ResultWire struct {
 	TotalCounters map[string]uint64 `json:"total_counters,omitempty"`
 	Output        workloads.Output  `json:"output"`
 
-	StartupCycles   uint64               `json:"startup_cycles,omitempty"`
-	StartupCounters map[string]uint64    `json:"startup_counters,omitempty"`
-	Timeline        []epc.TimelineEvent  `json:"timeline,omitempty"`
+	StartupCycles   uint64                 `json:"startup_cycles,omitempty"`
+	StartupCounters map[string]uint64      `json:"startup_counters,omitempty"`
+	Timeline        []epc.TimelineEvent    `json:"timeline,omitempty"`
 	OpStats         map[string]epc.OpStats `json:"op_stats,omitempty"`
 
 	Error    string `json:"error,omitempty"`

@@ -242,7 +242,7 @@ func TestJournalPruneFinished(t *testing.T) {
 	j := mustOpen(t, dir, Options{KeepFinished: 2})
 	ids := []string{"j-a", "j-b", "j-c", "j-d"}
 	for i, id := range ids {
-		job := Job{ID: id, Kind: "run", CreatedUnix: int64(i + 1), Specs: []harness.SpecWire{testSpecWire(t, int64(i + 1))}}
+		job := Job{ID: id, Kind: "run", CreatedUnix: int64(i + 1), Specs: []harness.SpecWire{testSpecWire(t, int64(i+1))}}
 		if err := j.Begin(job); err != nil {
 			t.Fatalf("Begin %s: %v", id, err)
 		}

@@ -60,7 +60,6 @@ func TestCloneFieldCoverage(t *testing.T) {
 			"capacity": "copy", "engine": "share", "backing": "rebind", "counters": "rebind",
 			"crypt": "reset", "slots": "copy", "frames": "copy", "resident": "copy",
 			"free": "copy", "hand": "copy",
-			"evIdx": "reset", "evIDs": "reset", "evVers": "reset", "evFrames": "reset", "evSealed": "reset",
 			"versions": "copy", "verScratch": "reset", "ops": "copy",
 			"onEvict": "rebind", "onRemove": "rebind", "onResize": "rebind", "tree": "copy",
 			"timeline": "reset", "timelineEvery": "reset", "opsSinceTick": "reset", "clockRef": "reset",

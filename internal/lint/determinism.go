@@ -50,10 +50,10 @@ func underPkgs(pkgPath string, prefixes []string) bool {
 // construct explicitly seeded generators; everything else at package
 // level draws from the process-global source.
 var sanctionedRandFuncs = map[string]bool{
-	"New":       true,
-	"NewSource": true,
-	"NewZipf":   true,
-	"NewPCG":    true, // math/rand/v2
+	"New":        true,
+	"NewSource":  true,
+	"NewZipf":    true,
+	"NewPCG":     true, // math/rand/v2
 	"NewChaCha8": true, // math/rand/v2
 }
 

@@ -269,9 +269,10 @@ func TestClusterWorkerStoreWarm(t *testing.T) {
 	}
 }
 
-// TestClusterCoalescing: concurrent submissions of the same key share
-// one task — the second joins rather than re-dispatching — and one
-// completion settles every waiter.
+// TestClusterCoalescing: a key's one open task is dispatched once and
+// settled by the owning worker's result; a replay of that result is
+// stale. (Identical concurrent requests coalesce before the cluster,
+// in the Runner: see TestCoordinatorDispatchesOnceForIdenticalRuns.)
 func TestClusterCoalescing(t *testing.T) {
 	c := newCluster(time.Minute, 0, 0, nil)
 	now := time.Now()
@@ -282,16 +283,9 @@ func TestClusterCoalescing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t1, created, local := c.submit(key, spec, now)
-	if !created || local {
-		t.Fatalf("first submit: created=%v local=%v, want created, remote", created, local)
-	}
-	t2, created, local := c.submit(key, spec, now)
-	if created || local || t1 != t2 {
-		t.Fatalf("second submit did not coalesce onto the open task")
-	}
-	if got := c.coalesced.Load(); got != 1 {
-		t.Fatalf("coalesced counter = %d, want 1", got)
+	t1, local := c.submit(key, spec, now)
+	if local {
+		t.Fatal("submit fell back to local execution with a live worker")
 	}
 
 	// The worker must pull the task before its result is acceptable.
@@ -314,6 +308,64 @@ func TestClusterCoalescing(t *testing.T) {
 	c.complete("w1", key, res, now)
 	if got := c.stale.Load(); got != 1 {
 		t.Fatalf("stale counter = %d, want 1", got)
+	}
+}
+
+// TestCoordinatorDispatchesOnceForIdenticalRuns: identical /v1/run
+// requests racing on a coordinator coalesce in its Runner, so the
+// fleet sees exactly one task, and its one result answers them all.
+func TestCoordinatorDispatchesOnceForIdenticalRuns(t *testing.T) {
+	const n = 8
+	coord, cts := startCoordinator(t, Config{})
+	coord.cluster.register("w1", time.Now())
+
+	const body = `{"workload":"Empty","mode":"Vanilla","size":"Low","seed":11}`
+	type reply struct {
+		status int
+		run    runResponse
+		err    error
+	}
+	replies := make(chan reply, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			resp, err := http.Post(cts.URL+"/v1/run", "application/json", strings.NewReader(body))
+			if err != nil {
+				replies <- reply{err: err}
+				return
+			}
+			defer resp.Body.Close()
+			var r reply
+			r.status, r.err = resp.StatusCode, json.NewDecoder(resp.Body).Decode(&r.run)
+			replies <- r
+		}()
+	}
+	// Every request but the leader's waits on the leader's flight.
+	deadline := time.Now().Add(10 * time.Second)
+	for coord.runner.Stats().Coalesced < n-1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d requests coalesced", coord.runner.Stats().Coalesced, n-1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	tasks, err := coord.cluster.poll(context.Background(), "w1", n, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tasks) != 1 {
+		t.Fatalf("w1 pulled %d tasks, want 1", len(tasks))
+	}
+	if !coord.cluster.complete("w1", tasks[0].key, coord.runner.RunLocal(tasks[0].spec), time.Now()) {
+		t.Fatal("the owning worker's result was not accepted")
+	}
+	for i := 0; i < n; i++ {
+		r := <-replies
+		if r.err != nil || r.status != http.StatusOK || r.run.Result == nil || r.run.Result.Error != "" {
+			t.Fatalf("reply %d: status %d err %v result %+v", i, r.status, r.err, r.run.Result)
+		}
+	}
+	if got := coord.cluster.dispatched.Load(); got != 1 {
+		t.Fatalf("dispatched %d tasks, want 1", got)
 	}
 }
 
@@ -342,7 +394,7 @@ func TestClusterRequeueOnWorkerDeath(t *testing.T) {
 			break
 		}
 	}
-	task, _, local := c.submit(key, spec, t0)
+	task, local := c.submit(key, spec, t0)
 	if local || task.worker != "w1" {
 		t.Fatalf("task routed to %q (local=%v), want w1", task.worker, local)
 	}
@@ -439,7 +491,7 @@ func TestClusterResultValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	task, _, local := c.submit(key, spec, now)
+	task, local := c.submit(key, spec, now)
 	if local {
 		t.Fatal("submit fell back to local execution with a live worker")
 	}
@@ -482,8 +534,8 @@ func TestClusterResultValidation(t *testing.T) {
 
 	// A fresh task for the same key completes normally end to end
 	// (with two workers it shards by the key's leading byte).
-	task2, created, _ := c.submit(key, spec, now)
-	if !created || task2 == task {
+	task2, _ := c.submit(key, spec, now)
+	if task2.finished || task2 == task {
 		t.Fatal("failed task was not retired from the pending map")
 	}
 	owner := []string{"w1", "w2"}[int(key[0])%2]

@@ -71,8 +71,8 @@ type cluster struct {
 	mu sync.Mutex
 	// workers holds the live fleet by id. // guarded by mu
 	workers map[string]*clusterWorker
-	// pending holds the one open task per key (the coalescing map,
-	// spanning queued, assigned, parked and orphaned tasks).
+	// pending holds the one open task per key (queued, assigned,
+	// parked or orphaned) that worker results settle against.
 	// // guarded by mu
 	pending map[harness.Key]*clusterTask
 	// orphans are tasks routed nowhere: no live worker owned their
@@ -85,7 +85,6 @@ type cluster struct {
 	dispatched    atomic.Uint64 // tasks handed to a worker
 	completed     atomic.Uint64 // tasks finished by a worker result
 	requeued      atomic.Uint64 // task reroutes after a worker expiry
-	coalesced     atomic.Uint64 // submissions that joined an open task
 	localRuns     atomic.Uint64 // orphaned tasks claimed for local execution
 	stale         atomic.Uint64 // results for closed tasks or from non-owners
 	rejected      atomic.Uint64 // results inconsistent with their task's spec
@@ -218,10 +217,16 @@ func (c *cluster) register(id string, now time.Time) int {
 	return len(c.workers)
 }
 
-// submit opens (or joins) the task for key. It returns the task plus
-// whether the caller created it and — when no live worker could own
-// it — whether the caller must execute it locally instead.
-func (c *cluster) submit(key harness.Key, spec harness.Spec, now time.Time) (t *clusterTask, created, runLocal bool) {
+// submit opens the task for key. It returns the task plus — when no
+// live worker could own it — whether the caller must execute it
+// locally instead.
+//
+// At most one task per key is open: submit's one caller, execRemote,
+// runs as the Runner's Exec, and the Runner's per-key flights call
+// Exec at most once per key at a time (served specs never carry Hooks,
+// the one class that bypasses the flights). So no task for key is
+// pending on entry, and a second open task would be a bookkeeping bug.
+func (c *cluster) submit(key harness.Key, spec harness.Spec, now time.Time) (t *clusterTask, runLocal bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.expireLocked(now)
@@ -233,21 +238,20 @@ func (c *cluster) submit(key harness.Key, spec harness.Spec, now time.Time) (t *
 		t = &clusterTask{key: key, spec: spec, finished: true, done: make(chan struct{})}
 		t.res = poisonResult(spec, msg)
 		close(t.done)
-		return t, false, false
+		return t, false
 	}
-	if t, ok := c.pending[key]; ok {
-		c.coalesced.Add(1)
-		return t, false, false
+	if _, ok := c.pending[key]; ok {
+		panic(fmt.Sprintf("serve: second open cluster task for key %s", key))
 	}
 	t = &clusterTask{key: key, spec: spec, done: make(chan struct{})}
 	c.pending[key] = t
 	if len(c.workers) == 0 {
 		t.claimed = true
 		c.localRuns.Add(1)
-		return t, true, true
+		return t, true
 	}
 	c.routeLocked(t)
-	return t, true, false
+	return t, false
 }
 
 // claimOrphan expires dead workers and, if that (or an earlier
@@ -663,16 +667,18 @@ const claimRecheck = time.Second
 
 // execRemote is the coordinator's executor: it satisfies
 // harness.Runner.Exec, so every job — run, sweep, figure — draws on
-// the fleet through the same coalescing dispatcher. Specs with no
-// canonical encoding and tasks orphaned by total fleet loss fall back
-// to Runner.RunLocal.
+// the fleet through the same dispatcher. Identical concurrent specs
+// were already coalesced by the Runner, which calls Exec at most once
+// per key at a time; each call therefore opens its own cluster task
+// (see submit). Specs with no canonical encoding and tasks orphaned by
+// total fleet loss fall back to Runner.RunLocal.
 func (s *Server) execRemote(spec harness.Spec) (*harness.Result, error) {
 	spec = s.runner.Normalize(spec)
 	key, err := harness.SpecKey(spec)
 	if err != nil {
 		return s.runner.RunLocal(spec), nil
 	}
-	t, _, runLocal := s.cluster.submit(key, spec, time.Now())
+	t, runLocal := s.cluster.submit(key, spec, time.Now())
 	if runLocal {
 		res := s.runner.RunLocal(spec)
 		s.cluster.finish(t, res, nil)

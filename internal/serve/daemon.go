@@ -42,7 +42,7 @@ func Main(args []string) error {
 	workerTTL := fs.Duration("worker.ttl", DefaultWorkerTTL, "coordinator only: how long a silent worker keeps its work")
 	journalDir := fs.String("journal.dir", "", "directory for the crash-recovery job journal (empty = jobs die with the process)")
 	journalFsync := fs.Bool("journal.fsync", false, "fsync journal appends (durability over write latency)")
-	maxQueue := fs.Int("admission.max", DefaultMaxQueue, "admission high-water mark: queued specs beyond which new jobs get 429")
+	maxQueue := fs.Int("admission.max", DefaultMaxQueue, "admission high-water mark: queued specs beyond which new jobs get 429 (a job heavier than the mark gets 413)")
 	taskRetries := fs.Int("task.retries", DefaultTaskRetries, "coordinator only: failed attempts before a task is poisoned (negative = poison on first failure)")
 	if err := fs.Parse(args); err != nil {
 		return err

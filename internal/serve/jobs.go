@@ -28,6 +28,11 @@ const DefaultMaxQueue = 4096
 // them to 429 + Retry-After instead of 500.
 var errOverloaded = errors.New("serve: queue full, retry later")
 
+// errTooHeavy marks a job that weighs more specs than the admission
+// high-water mark, which no amount of waiting can admit: handlers map
+// it to 413 with no Retry-After, so a retrying client stops.
+var errTooHeavy = errors.New("serve: job exceeds the admission high-water mark")
+
 // job is one accepted unit of API work — a run, a sweep, or a figure
 // render — executing detached from any client connection. Its event
 // log is the single source every attached stream reads: handleSweep
@@ -218,6 +223,9 @@ func (s *Server) retryAfter() int {
 // already registered for GET /v1/jobs/{id}.
 func (s *Server) startJob(kind string, specs []harness.Spec, figure string) (*job, error) {
 	jb := s.newJob(journal.NewID(), kind, specs, figure)
+	if jb.weight > s.maxQueue {
+		return nil, fmt.Errorf("%w (job weight %d specs, high-water mark %d)", errTooHeavy, jb.weight, s.maxQueue)
+	}
 	if !s.admit(jb.weight) {
 		return nil, fmt.Errorf("%w (queue depth %d, high-water mark %d)", errOverloaded, s.queued.Load(), s.maxQueue)
 	}

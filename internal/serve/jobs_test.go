@@ -325,8 +325,8 @@ func TestAdmissionControl(t *testing.T) {
 
 // TestFigureAdmissionWeight: a figure job is admitted as the specs its
 // render runs, not as one. Figure 2 runs 6 specs, so a high-water mark
-// of 5 sheds it even on an empty queue; Figure 7 runs 1 and renders
-// exactly as the runner renders it.
+// of 5 refuses it for good (413) even on an empty queue; Figure 7
+// runs 1 and renders exactly as the runner renders it.
 func TestFigureAdmissionWeight(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure regeneration in -short mode")
@@ -342,13 +342,17 @@ func TestFigureAdmissionWeight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	io.Copy(io.Discard, resp.Body)
+	shed, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("figure 2 (6 specs) past a high-water mark of 5: status %d, want 429", resp.StatusCode)
+	// No queue drains far enough to admit it: a final 413, no retry hint.
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("figure 2 (6 specs) past a high-water mark of 5: status %d, want 413", resp.StatusCode)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("429 carried no Retry-After header")
+	if ra := resp.Header.Get("Retry-After"); ra != "" {
+		t.Fatalf("413 carried Retry-After %q", ra)
+	}
+	if !strings.Contains(string(shed), "weight 6") || !strings.Contains(string(shed), "high-water mark 5") {
+		t.Fatalf("413 body %q does not name the job weight and the mark", shed)
 	}
 	if d := s.queued.Load(); d != 0 {
 		t.Fatalf("shed figure left queue depth %d", d)

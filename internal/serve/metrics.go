@@ -184,9 +184,6 @@ func renderClusterMetrics(w io.Writer, c *cluster) {
 	fmt.Fprintln(w, "# HELP sgxgauged_cluster_completed_total Specs finished by a worker result.")
 	fmt.Fprintln(w, "# TYPE sgxgauged_cluster_completed_total counter")
 	fmt.Fprintf(w, "sgxgauged_cluster_completed_total %d\n", c.completed.Load())
-	fmt.Fprintln(w, "# HELP sgxgauged_cluster_coalesced_total Submissions that joined an already in-flight cluster task.")
-	fmt.Fprintln(w, "# TYPE sgxgauged_cluster_coalesced_total counter")
-	fmt.Fprintf(w, "sgxgauged_cluster_coalesced_total %d\n", c.coalesced.Load())
 	fmt.Fprintln(w, "# HELP sgxgauged_cluster_requeued_total Task reroutes after a worker went silent past its TTL.")
 	fmt.Fprintln(w, "# TYPE sgxgauged_cluster_requeued_total counter")
 	fmt.Fprintf(w, "sgxgauged_cluster_requeued_total %d\n", c.requeued.Load())

@@ -52,9 +52,9 @@ func TestClusterRetryPoison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	task, created, local := c.submit(key, spec, now)
-	if !created || local {
-		t.Fatalf("submit: created=%v local=%v, want a created remote task", created, local)
+	task, local := c.submit(key, spec, now)
+	if local || task.finished {
+		t.Fatalf("submit: local=%v finished=%v, want an open remote task", local, task.finished)
 	}
 
 	for attempt := 1; attempt <= 3; attempt++ {
@@ -87,10 +87,10 @@ func TestClusterRetryPoison(t *testing.T) {
 	}
 
 	// Quarantined keys fail fast: no new task, no dispatch.
-	task2, created, local := c.submit(key, spec, time.Now())
-	if created || local || !task2.finished || task2.res == nil || task2.res.Err == nil {
-		t.Fatalf("poisoned resubmit: created=%v local=%v finished=%v, want an instant failed task",
-			created, local, task2.finished)
+	task2, local := c.submit(key, spec, time.Now())
+	if local || !task2.finished || task2.res == nil || task2.res.Err == nil {
+		t.Fatalf("poisoned resubmit: local=%v finished=%v, want an instant failed task",
+			local, task2.finished)
 	}
 	if !strings.Contains(task2.res.Err.Error(), "poisoned") {
 		t.Fatalf("resubmit failure %q does not name the quarantine", task2.res.Err)
@@ -121,7 +121,7 @@ func TestClusterDeregisterNoPenalty(t *testing.T) {
 			break
 		}
 	}
-	task, _, local := c.submit(key, spec, now)
+	task, local := c.submit(key, spec, now)
 	if local || task.worker != "w1" {
 		t.Fatalf("task routed to %q (local=%v), want w1", task.worker, local)
 	}
@@ -202,7 +202,7 @@ func TestPoisonPersistsAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	task, _, _ := c.submit(key, spec, now)
+	task, _ := c.submit(key, spec, now)
 	pullTask(t, c, "w1")
 	if !c.fail("w1", key, "segfault in enclave", now) {
 		t.Fatal("failure was not attributed")
@@ -228,9 +228,9 @@ func TestPoisonPersistsAcrossRestart(t *testing.T) {
 	}
 	c2 := newCluster(time.Minute, 0, 0, jl2)
 	c2.register("w1", now)
-	task2, created, local := c2.submit(key, spec, now)
-	if created || local || !task2.finished || task2.res == nil || task2.res.Err == nil {
-		t.Fatalf("restarted cluster did not fail the poisoned key fast (created=%v local=%v)", created, local)
+	task2, local := c2.submit(key, spec, now)
+	if local || !task2.finished || task2.res == nil || task2.res.Err == nil {
+		t.Fatalf("restarted cluster did not fail the poisoned key fast (local=%v finished=%v)", local, task2.finished)
 	}
 	if msg := task2.res.Err.Error(); !strings.Contains(msg, "segfault in enclave") {
 		t.Fatalf("restart failure %q lost the recorded attempt history", msg)
@@ -256,9 +256,9 @@ func TestWorkerReportedFailurePoisons(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	task, created, local := coord.cluster.submit(key, spec, time.Now())
-	if !created || local {
-		t.Fatalf("submit: created=%v local=%v", created, local)
+	task, local := coord.cluster.submit(key, spec, time.Now())
+	if local || task.finished {
+		t.Fatalf("submit: local=%v finished=%v", local, task.finished)
 	}
 	resp, err = http.Post(cts.URL+"/v1/cluster/poll", "application/json",
 		strings.NewReader(`{"worker":"w1","max":4,"wait_ms":1000}`))

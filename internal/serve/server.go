@@ -331,8 +331,13 @@ func (s *Server) serveRunSpec(w http.ResponseWriter, r *http.Request, spec harne
 }
 
 // writeJobError maps a startJob failure onto the wire: 429 with a
-// Retry-After hint for admission shedding, 500 for journal trouble.
+// Retry-After hint for admission shedding, 413 for a job that can
+// never fit under the mark, 500 for journal trouble.
 func writeJobError(w http.ResponseWriter, err error, s *Server) {
+	if errors.Is(err, errTooHeavy) {
+		writeError(w, http.StatusRequestEntityTooLarge, err)
+		return
+	}
 	if errors.Is(err, errOverloaded) {
 		w.Header().Set("Retry-After", fmt.Sprint(s.retryAfter()))
 		writeError(w, http.StatusTooManyRequests, err)

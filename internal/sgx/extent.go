@@ -291,16 +291,9 @@ func (m *Machine) extentResolve(t *Thread, addr uint64) (*mem.Frame, *enclave.En
 		t.Clock.Advance(pend + walk)
 		pend = 0
 		var err error
-		frame, err = m.ensureResident(t, enc, addr)
+		frame, ref, err = m.ensureResident(t, enc, addr)
 		if err != nil {
 			return nil, nil, 0, err
-		}
-		if enc != nil {
-			_, r, ent, ok := m.EPC.WalkResolve(enc.PageID(addr))
-			if !ok || !ent.Valid || ent.Owner != enc.ID || ent.VPN != vpn {
-				panic(fmt.Sprintf("sgx: EPCM verification failed for %#x", addr))
-			}
-			ref = r
 		}
 		if victim, evicted := t.tlb.Insert(vpn); evicted {
 			t.memoInvalidate(victim)

@@ -517,27 +517,29 @@ func (m *Machine) lookupResident(enc *enclave.Enclave, addr uint64) (*mem.Frame,
 
 // ensureResident makes the page containing addr resident, handling
 // EPC faults (with AEX when t executes inside an enclave) and
-// demand allocation of untrusted pages. A paging or integrity
-// failure aborts the owning enclave and returns the typed AbortError;
-// the machine itself stays healthy.
-func (m *Machine) ensureResident(t *Thread, enc *enclave.Enclave, addr uint64) (*mem.Frame, error) {
+// demand allocation of untrusted pages. For an enclave page it also
+// returns the slot's CLOCK reference-bit pointer (see epc.LookupRef)
+// for the caller's memo; untrusted pages have none. A paging or
+// integrity failure aborts the owning enclave and returns the typed
+// AbortError; the machine itself stays healthy.
+func (m *Machine) ensureResident(t *Thread, enc *enclave.Enclave, addr uint64) (*mem.Frame, *bool, error) {
 	c := &m.Costs
 	if enc == nil {
 		vpn := mem.PageNumber(addr)
 		if f := m.untrusted[vpn]; f != nil {
-			return f, nil
+			return f, nil, nil
 		}
 		// First touch of an untrusted page: minor page fault.
 		t.shard.Inc(perf.PageFaults)
 		t.Clock.Advance(c.FaultOverhead)
 		f := m.pool.Get()
 		m.untrusted[vpn] = f
-		return f, nil
+		return f, nil, nil
 	}
 
 	id := enc.PageID(addr)
-	if f, ok := m.EPC.Lookup(id); ok {
-		return f, nil
+	if f, ref, ok := m.EPC.LookupRef(id); ok {
+		return f, ref, nil
 	}
 	// EPC fault. If the faulting thread is executing inside the
 	// enclave this raises an asynchronous exit, which flushes the
@@ -550,14 +552,15 @@ func (m *Machine) ensureResident(t *Thread, enc *enclave.Enclave, addr uint64) (
 		t.Clock.Advance(c.AEX)
 		t.flushTLB()
 	}
-	f, loaded, err := m.EPC.Fault(&t.Clock, c, id)
+	_, loaded, err := m.EPC.Fault(&t.Clock, c, id)
 	if err != nil {
-		return nil, m.abortEnclave(enc, fmt.Errorf("page %v: %w", id, err))
+		return nil, nil, m.abortEnclave(enc, fmt.Errorf("page %v: %w", id, err))
 	}
 	if loaded {
 		m.trace(TraceLoadBack, t, mem.PageBase(addr))
 	}
-	return f, nil
+	f, ref, _ := m.EPC.LookupRef(id)
+	return f, ref, nil
 }
 
 // abortEnclave poisons the enclave with the given cause and returns
@@ -754,19 +757,9 @@ func (m *Machine) accessPage(t *Thread, addr, n uint64, p []byte, v byte, op pag
 			t.Clock.Advance(pend + walk)
 			pend = 0
 			var err error
-			frame, err = m.ensureResident(t, enc, addr)
+			frame, ref, err = m.ensureResident(t, enc, addr)
 			if err != nil {
 				return err
-			}
-			if enc != nil {
-				// One combined probe covers the EPCM verification and
-				// the CLOCK reference-bit fetch (same semantics as
-				// EPCMLookup + LookupRef; see epc.WalkResolve).
-				_, r, ent, ok := m.EPC.WalkResolve(enc.PageID(addr))
-				if !ok || !ent.Valid || ent.Owner != enc.ID || ent.VPN != vpn {
-					panic(fmt.Sprintf("sgx: EPCM verification failed for %#x", addr))
-				}
-				ref = r
 			}
 			if victim, evicted := t.tlb.Insert(vpn); evicted {
 				// The displaced translation may be memoized; a memo

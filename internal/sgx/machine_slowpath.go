@@ -59,7 +59,7 @@ func (m *Machine) accessPageSlow(t *Thread, addr, n uint64, p []byte, v byte, op
 		t.Clock.Advance(walk)
 		m.Counters.Add(perf.WalkCycles, walk)
 		var err error
-		frame, err = m.ensureResident(t, enc, addr)
+		frame, _, err = m.ensureResident(t, enc, addr)
 		if err != nil {
 			return err
 		}
