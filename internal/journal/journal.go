@@ -1,31 +1,25 @@
 // Package journal is the daemon's write-ahead log for accepted work.
 //
 // Every job the sgxgauged API admits — a /v1/run spec, a /v1/sweep
-// batch, a figure render — is recorded here before execution starts,
-// and every task completion is appended as it lands, so a crashed
-// daemon restarted on the same -journal.dir can re-enqueue exactly
-// the work that had not finished. The journal records *intent*, not
-// results: result payloads live in the content-addressed store
-// (internal/store), and a replayed task whose result is already on
-// disk short-circuits through the cache without re-simulating.
+// batch, a figure render — is recorded here before execution starts
+// and removed when it finishes, so the directory holds exactly the
+// open work and a crashed daemon restarted on the same -journal.dir
+// re-enqueues every job that had not finished. The journal records
+// *intent*, not results: result payloads live in the content-addressed
+// store (internal/store), and a replayed task whose result is already
+// on disk short-circuits through the cache without re-simulating.
 //
 // The package follows internal/store's durability discipline:
 //
-//   - One append-only NDJSON file per job under <dir>/jobs/<id>.ndjson.
-//     Appends are single write(2) calls of one full line, so a crash
-//     can tear at most the final line, which replay tolerates.
+//   - One file per open job under <dir>/jobs/<id>.ndjson, holding one
+//     job record written atomically (temp+rename), so a crash leaves
+//     either the whole record or none. Finish removes the file.
 //   - Every record carries a versioned envelope ({"format":1,...});
-//     records from a different format are skipped, never misread.
-//   - Corruption is quarantined, never fatal: a bad record mid-file is
-//     skipped (and counted), a file whose job header is unreadable is
-//     moved to <dir>/quarantine/ and replay continues with the rest.
-//   - Rewrites (compaction) are atomic temp+rename; fsync is opt-in,
-//     matching the store's -store.fsync posture.
-//
-// Finished jobs are compacted — the file is rewritten as one job
-// header, one record per distinct task, and a terminal done record —
-// and pruned oldest-first beyond Options.KeepFinished, bounding the
-// directory at a constant number of files per retired job.
+//     a file from a different format is set aside, never misread.
+//   - Corruption is quarantined, never fatal: a file whose job record
+//     is unreadable is moved to <dir>/quarantine/ and replay continues
+//     with the rest.
+//   - fsync is opt-in, matching the store's -store.fsync posture.
 //
 // The journal also keeps the poison quarantine: a task that exhausts
 // its cluster retry budget is written to <dir>/poisoned/<key>.json
@@ -38,7 +32,9 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -52,20 +48,13 @@ import (
 // formatVersion is the record envelope version this build writes.
 const formatVersion = 1
 
-// DefaultKeepFinished is how many compacted finished jobs Replay
-// retains before pruning oldest-first.
-const DefaultKeepFinished = 512
-
 // Options configures a Journal.
 type Options struct {
-	// Fsync makes every append and compaction sync file and directory
-	// before returning, trading append latency for power-loss
-	// durability; off, the journal still survives process crashes
-	// (the write buffer is the kernel's, not the process's).
+	// Fsync makes every write and removal sync file and directory
+	// before returning, trading latency for power-loss durability;
+	// off, the journal still survives process crashes (the write
+	// buffer is the kernel's, not the process's).
 	Fsync bool
-	// KeepFinished bounds how many finished jobs Replay retains
-	// (0 selects DefaultKeepFinished).
-	KeepFinished int
 }
 
 // Job is the journaled identity of one accepted API job.
@@ -87,30 +76,6 @@ type Job struct {
 	Figure string `json:"figure,omitempty"`
 }
 
-// TaskDone records one task completion within a job.
-type TaskDone struct {
-	// Index is the task's position in Job.Specs.
-	Index int `json:"index"`
-	// Key is the task's canonical cache key (hex), when the spec has
-	// one; results for it live in the store under the same key.
-	Key string `json:"key,omitempty"`
-	// Error carries the task's own failure, if any. A failed task is
-	// still done — failures are not re-run by replay.
-	Error string `json:"error,omitempty"`
-}
-
-// JobState is one job as reconstructed by Replay.
-type JobState struct {
-	Job Job
-	// Done maps task index -> completion record for every task that
-	// landed before the crash (or finish).
-	Done map[int]TaskDone
-	// Finished reports whether a terminal done record was journaled.
-	Finished bool
-	// Err is the job-level error from the done record, if any.
-	Err string
-}
-
 // PoisonRecord is one quarantined task in <dir>/poisoned/.
 type PoisonRecord struct {
 	Format int `json:"format"`
@@ -122,14 +87,12 @@ type PoisonRecord struct {
 	Attempts []string `json:"attempts,omitempty"`
 }
 
-// record is the decode union of every journal record type.
+// record is the envelope of a job file's one record. Files written
+// by earlier builds also carry "task" and "done" records after it.
 type record struct {
 	Format int    `json:"format"`
 	Type   string `json:"type"`
 	Job    *Job   `json:"job,omitempty"`
-	Index  int    `json:"index"`
-	Key    string `json:"key,omitempty"`
-	Error  string `json:"error,omitempty"`
 }
 
 // Journal is an open write-ahead log rooted at one directory. Methods
@@ -142,17 +105,14 @@ type Journal struct {
 	// poisoned maps key hex -> quarantine record. guarded by mu
 	poisoned map[string]PoisonRecord
 
-	records     atomic.Uint64 // records appended by this process
+	records     atomic.Uint64 // job and poison records written by this process
 	replayed    atomic.Uint64 // unfinished jobs returned by Replay
-	quarantined atomic.Uint64 // corrupt records skipped or files quarantined
+	quarantined atomic.Uint64 // unreadable files moved aside
 }
 
 // Open opens (creating if needed) the journal rooted at dir and loads
 // the poison quarantine.
 func Open(dir string, opts Options) (*Journal, error) {
-	if opts.KeepFinished <= 0 {
-		opts.KeepFinished = DefaultKeepFinished
-	}
 	for _, sub := range []string{jobsDir, quarantineDir, poisonedDir} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("journal: create %s: %w", sub, err)
@@ -206,9 +166,8 @@ func (j *Journal) jobPath(id string) string {
 	return filepath.Join(j.dir, jobsDir, id+".ndjson")
 }
 
-// Begin journals acceptance of a job. It must be called before any
-// Task record for the job, and before the job starts executing — the
-// whole point of a write-ahead log.
+// Begin journals acceptance of a job. It must be called before the
+// job starts executing — the whole point of a write-ahead log.
 func (j *Journal) Begin(job Job) error {
 	if !validID(job.ID) {
 		return fmt.Errorf("journal: invalid job id %q", job.ID)
@@ -216,100 +175,45 @@ func (j *Journal) Begin(job Job) error {
 	if job.Kind == "" {
 		return fmt.Errorf("journal: job %s has no kind", job.ID)
 	}
-	return j.append(job.ID, record{Format: formatVersion, Type: "job", Job: &job})
-}
-
-// Task journals one task completion within job id.
-func (j *Journal) Task(id string, td TaskDone) error {
-	if !validID(id) {
-		return fmt.Errorf("journal: invalid job id %q", id)
-	}
-	return j.append(id, record{Format: formatVersion, Type: "task", Index: td.Index, Key: td.Key, Error: td.Error})
-}
-
-// Finish journals job completion (jobErr carries a job-level failure,
-// "" for success) and compacts the job file to its canonical minimal
-// form. The done record is durable even when compaction fails.
-func (j *Journal) Finish(id string, jobErr string) error {
-	if !validID(id) {
-		return fmt.Errorf("journal: invalid job id %q", id)
-	}
-	if err := j.append(id, record{Format: formatVersion, Type: "done", Error: jobErr}); err != nil {
-		return err
-	}
-	return j.compact(id)
-}
-
-// append writes one record as a single NDJSON line.
-func (j *Journal) append(id string, rec record) error {
-	data, err := json.Marshal(rec)
+	data, err := json.Marshal(record{Format: formatVersion, Type: "job", Job: &job})
 	if err != nil {
-		return fmt.Errorf("journal: encode %s record: %w", rec.Type, err)
+		return fmt.Errorf("journal: encode job %s: %w", job.ID, err)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	f, err := os.OpenFile(j.jobPath(id), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("journal: open job %s: %w", id, err)
-	}
-	_, werr := f.Write(append(data, '\n'))
-	if werr == nil && j.opts.Fsync {
-		werr = f.Sync()
-	}
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return fmt.Errorf("journal: append to job %s: %w", id, werr)
+	if err := j.writeAtomic(j.jobPath(job.ID), append(data, '\n')); err != nil {
+		return fmt.Errorf("journal: begin job %s: %w", job.ID, err)
 	}
 	j.records.Add(1)
 	return nil
 }
 
-// compact rewrites a finished job file as job header + one record per
-// distinct task index (sorted) + done record, atomically.
-func (j *Journal) compact(id string) error {
+// Finish retires job id from the journal: its file is removed, so a
+// restart no longer replays it. Finishing a job the journal does not
+// hold (one that ran unjournaled) is a no-op.
+func (j *Journal) Finish(id string) error {
+	if !validID(id) {
+		return fmt.Errorf("journal: invalid job id %q", id)
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	path := j.jobPath(id)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("journal: compact job %s: %w", id, err)
+	if err := j.remove(j.jobPath(id)); err != nil {
+		return fmt.Errorf("journal: finish job %s: %w", id, err)
 	}
-	state, bad := parseJob(data)
-	j.quarantined.Add(uint64(bad))
-	if state == nil {
-		return fmt.Errorf("journal: compact job %s: unreadable job header", id)
-	}
-	var buf strings.Builder
-	writeRec := func(rec record) error {
-		line, err := json.Marshal(rec)
-		if err != nil {
-			return err
+	return nil
+}
+
+// remove deletes path, with opt-in fsync of its directory so the
+// removal is durable. A missing file is already removed.
+func (j *Journal) remove(path string) error {
+	if err := os.Remove(path); err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil
 		}
-		buf.Write(line)
-		buf.WriteByte('\n')
-		return nil
+		return err
 	}
-	if err := writeRec(record{Format: formatVersion, Type: "job", Job: &state.Job}); err != nil {
-		return fmt.Errorf("journal: compact job %s: %w", id, err)
-	}
-	idxs := make([]int, 0, len(state.Done))
-	for idx := range state.Done {
-		idxs = append(idxs, idx)
-	}
-	sort.Ints(idxs)
-	for _, idx := range idxs {
-		td := state.Done[idx]
-		if err := writeRec(record{Format: formatVersion, Type: "task", Index: td.Index, Key: td.Key, Error: td.Error}); err != nil {
-			return fmt.Errorf("journal: compact job %s: %w", id, err)
-		}
-	}
-	if err := writeRec(record{Format: formatVersion, Type: "done", Error: state.Err}); err != nil {
-		return fmt.Errorf("journal: compact job %s: %w", id, err)
-	}
-	if err := j.writeAtomic(path, []byte(buf.String())); err != nil {
-		return fmt.Errorf("journal: compact job %s: %w", id, err)
+	if j.opts.Fsync {
+		return syncDir(filepath.Dir(path))
 	}
 	return nil
 }
@@ -357,74 +261,33 @@ func syncDir(dir string) error {
 	return serr
 }
 
-// parseJob decodes one job file. It returns the reconstructed state
-// (nil when no usable job header exists) and how many corrupt records
-// were skipped. A torn final line — no trailing newline, produced by
-// a crash mid-append — is ignored without counting: it is the
-// expected crash artifact, not corruption.
-func parseJob(data []byte) (state *JobState, bad int) {
-	lines := strings.Split(string(data), "\n")
-	torn := ""
-	if n := len(lines); n > 0 && lines[n-1] != "" {
-		torn = lines[n-1]
-		lines = lines[:n-1]
-	} else if n > 0 {
-		lines = lines[:n-1]
+// parseJob decodes one job file: its first line is the job record.
+// It returns nil when that record is unreadable. finished reports a
+// file written by an earlier build, which appended task records and a
+// terminal done record to the same file; a torn line after the job
+// record (a crash mid-append in that format) is skipped.
+func parseJob(data []byte) (job *Job, finished bool) {
+	first, rest, _ := strings.Cut(string(data), "\n")
+	var rec record
+	if err := json.Unmarshal([]byte(first), &rec); err != nil ||
+		rec.Format != formatVersion || rec.Type != "job" || rec.Job == nil || !validID(rec.Job.ID) {
+		return nil, false
 	}
-	if torn != "" {
-		// A complete JSON record that merely lost its newline still
-		// counts; a half-written one is dropped silently.
-		var rec record
-		if err := json.Unmarshal([]byte(torn), &rec); err == nil {
-			lines = append(lines, torn)
+	for _, line := range strings.Split(rest, "\n") {
+		var later record
+		if json.Unmarshal([]byte(line), &later) == nil && later.Type == "done" {
+			return rec.Job, true
 		}
 	}
-	for _, line := range lines {
-		if line == "" {
-			continue
-		}
-		var rec record
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			bad++
-			continue
-		}
-		if rec.Format != formatVersion {
-			bad++
-			continue
-		}
-		switch rec.Type {
-		case "job":
-			if state != nil || rec.Job == nil || !validID(rec.Job.ID) {
-				bad++
-				continue
-			}
-			state = &JobState{Job: *rec.Job, Done: make(map[int]TaskDone)}
-		case "task":
-			if state == nil {
-				bad++
-				continue
-			}
-			state.Done[rec.Index] = TaskDone{Index: rec.Index, Key: rec.Key, Error: rec.Error}
-		case "done":
-			if state == nil {
-				bad++
-				continue
-			}
-			state.Finished = true
-			state.Err = rec.Error
-		default:
-			bad++
-		}
-	}
-	return state, bad
+	return rec.Job, false
 }
 
-// Replay reads every job file, quarantining unreadable ones, prunes
-// finished jobs beyond KeepFinished (oldest first), and returns the
-// surviving states ordered by creation time then ID. The replayed
-// counter reflects the unfinished jobs returned — the ones a caller
-// will re-enqueue.
-func (j *Journal) Replay() ([]*JobState, error) {
+// Replay reads every job file and returns the jobs they hold — all of
+// them unfinished — ordered by creation time then ID. Unreadable files
+// are quarantined; a file an earlier build left with a done record is
+// removed as finished. The replayed counter reflects the jobs
+// returned, the ones a caller will re-enqueue.
+func (j *Journal) Replay() ([]Job, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	dir := filepath.Join(j.dir, jobsDir)
@@ -432,7 +295,7 @@ func (j *Journal) Replay() ([]*JobState, error) {
 	if err != nil {
 		return nil, fmt.Errorf("journal: scan jobs: %w", err)
 	}
-	var states []*JobState
+	var jobs []Job
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".ndjson") {
@@ -443,56 +306,29 @@ func (j *Journal) Replay() ([]*JobState, error) {
 		if err != nil {
 			return nil, fmt.Errorf("journal: read %s: %w", name, err)
 		}
-		state, bad := parseJob(data)
-		j.quarantined.Add(uint64(bad))
-		if state == nil {
-			j.quarantineFile(path)
-			continue
-		}
-		if state.Job.ID+".ndjson" != name {
+		job, finished := parseJob(data)
+		if job == nil || job.ID+".ndjson" != name {
 			// A header naming a different job than its file is as
 			// untrustworthy as no header.
 			j.quarantineFile(path)
 			continue
 		}
-		states = append(states, state)
-	}
-	sort.Slice(states, func(a, b int) bool {
-		if states[a].Job.CreatedUnix != states[b].Job.CreatedUnix {
-			return states[a].Job.CreatedUnix < states[b].Job.CreatedUnix
+		if finished {
+			if err := j.remove(path); err != nil {
+				return nil, fmt.Errorf("journal: remove finished job %s: %w", job.ID, err)
+			}
+			continue
 		}
-		return states[a].Job.ID < states[b].Job.ID
+		jobs = append(jobs, *job)
+	}
+	sort.Slice(jobs, func(a, b int) bool {
+		if jobs[a].CreatedUnix != jobs[b].CreatedUnix {
+			return jobs[a].CreatedUnix < jobs[b].CreatedUnix
+		}
+		return jobs[a].ID < jobs[b].ID
 	})
-
-	// Prune finished jobs beyond the keep budget, oldest first.
-	var finished []*JobState
-	for _, s := range states {
-		if s.Finished {
-			finished = append(finished, s)
-		}
-	}
-	if excess := len(finished) - j.opts.KeepFinished; excess > 0 {
-		drop := make(map[string]bool, excess)
-		for _, s := range finished[:excess] {
-			drop[s.Job.ID] = true
-			if err := os.Remove(j.jobPath(s.Job.ID)); err != nil {
-				return nil, fmt.Errorf("journal: prune job %s: %w", s.Job.ID, err)
-			}
-		}
-		kept := states[:0]
-		for _, s := range states {
-			if !drop[s.Job.ID] {
-				kept = append(kept, s)
-			}
-		}
-		states = kept
-	}
-	for _, s := range states {
-		if !s.Finished {
-			j.replayed.Add(1)
-		}
-	}
-	return states, nil
+	j.replayed.Add(uint64(len(jobs)))
+	return jobs, nil
 }
 
 // quarantineFile moves an unreadable job file aside, falling back to
@@ -576,14 +412,12 @@ func (j *Journal) loadPoisoned() error {
 
 // Stats is a point-in-time snapshot of the journal's counters.
 type Stats struct {
-	// Records counts records appended by this process (job, task,
-	// done and poison records alike).
+	// Records counts job and poison records written by this process.
 	Records uint64
 	// Replayed counts unfinished jobs returned by Replay — the jobs a
 	// restart re-enqueued.
 	Replayed uint64
-	// Quarantined counts corrupt records skipped and unreadable files
-	// moved aside.
+	// Quarantined counts unreadable files moved aside.
 	Quarantined uint64
 	// Poisoned is the current size of the poison quarantine.
 	Poisoned int

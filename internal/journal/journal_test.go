@@ -1,6 +1,8 @@
 package journal
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -39,6 +41,16 @@ func mustOpen(t *testing.T, dir string, opts Options) *Journal {
 	return j
 }
 
+// jobLines returns the lines of job id's file.
+func jobLines(t *testing.T, dir, id string) []string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, "jobs", id+".ndjson"))
+	if err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	return strings.Split(strings.TrimRight(string(data), "\n"), "\n")
+}
+
 func TestJournalRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	j := mustOpen(t, dir, Options{})
@@ -52,119 +64,168 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err := j.Begin(job); err != nil {
 		t.Fatalf("Begin: %v", err)
 	}
-	if err := j.Task(job.ID, TaskDone{Index: 0, Key: testKey(t, 1)}); err != nil {
-		t.Fatalf("Task: %v", err)
+	// While the job runs, its file holds exactly its one job record.
+	if lines := jobLines(t, dir, job.ID); len(lines) != 1 {
+		t.Fatalf("open job file has %d records, want 1", len(lines))
 	}
-	if err := j.Task(job.ID, TaskDone{Index: 2, Key: testKey(t, 3), Error: "boom"}); err != nil {
-		t.Fatalf("Task: %v", err)
+	if got := j.Stats().Records; got != 1 {
+		t.Fatalf("records counter = %d, want 1", got)
 	}
 
 	// Reopen cold, as a restart would.
 	j2 := mustOpen(t, dir, Options{})
-	states, err := j2.Replay()
+	jobs, err := j2.Replay()
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
-	if len(states) != 1 {
-		t.Fatalf("Replay returned %d jobs, want 1", len(states))
+	if len(jobs) != 1 {
+		t.Fatalf("Replay returned %d jobs, want 1", len(jobs))
 	}
-	st := states[0]
-	if st.Finished {
-		t.Fatalf("job marked finished without a done record")
+	got := jobs[0]
+	if got.ID != job.ID || got.Kind != "sweep" || got.CreatedUnix != 100 || len(got.Specs) != 3 {
+		t.Fatalf("job header mangled: %+v", got)
 	}
-	if st.Job.ID != job.ID || st.Job.Kind != "sweep" || len(st.Job.Specs) != 3 {
-		t.Fatalf("job header mangled: %+v", st.Job)
-	}
-	if len(st.Done) != 2 {
-		t.Fatalf("got %d done tasks, want 2", len(st.Done))
-	}
-	if st.Done[0].Key != testKey(t, 1) {
-		t.Fatalf("task 0 key = %q", st.Done[0].Key)
-	}
-	if st.Done[2].Error != "boom" {
-		t.Fatalf("task 2 error = %q, want boom", st.Done[2].Error)
-	}
-	if got := j2.Stats().Replayed; got != 1 {
-		t.Fatalf("replayed counter = %d, want 1", got)
+	if n := j2.Stats().Replayed; n != 1 {
+		t.Fatalf("replayed counter = %d, want 1", n)
 	}
 	// Round-tripped specs must resolve back to runnable specs.
-	if _, err := st.Job.Specs[0].Spec(); err != nil {
+	if _, err := got.Specs[0].Spec(); err != nil {
 		t.Fatalf("replayed spec does not resolve: %v", err)
 	}
 }
 
-func TestJournalTornTailTolerated(t *testing.T) {
-	dir := t.TempDir()
-	j := mustOpen(t, dir, Options{})
-	job := Job{ID: "j-torn", Kind: "sweep", CreatedUnix: 1, Specs: []harness.SpecWire{testSpecWire(t, 1)}}
-	if err := j.Begin(job); err != nil {
-		t.Fatalf("Begin: %v", err)
-	}
-	if err := j.Task(job.ID, TaskDone{Index: 0, Key: testKey(t, 1)}); err != nil {
-		t.Fatalf("Task: %v", err)
-	}
-	// Simulate a crash mid-append: half a record, no newline.
-	f, err := os.OpenFile(filepath.Join(dir, "jobs", "j-torn.ndjson"), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	if _, err := f.WriteString(`{"format":1,"type":"task","ind`); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
+// TestJournalFinishRemovesFile: a finished job leaves the journal, so
+// the directory holds only open work and a restart replays nothing
+// of it.
+func TestJournalFinishRemovesFile(t *testing.T) {
+	for _, fsync := range []bool{false, true} {
+		dir := t.TempDir()
+		j := mustOpen(t, dir, Options{Fsync: fsync})
+		for i, id := range []string{"j-a", "j-b", "j-c"} {
+			job := Job{ID: id, Kind: "run", CreatedUnix: int64(i + 1), Specs: []harness.SpecWire{testSpecWire(t, int64(i+1))}}
+			if err := j.Begin(job); err != nil {
+				t.Fatalf("Begin %s: %v", id, err)
+			}
+		}
+		for _, id := range []string{"j-a", "j-c"} {
+			if err := j.Finish(id); err != nil {
+				t.Fatalf("Finish %s: %v", id, err)
+			}
+		}
+		// Finishing a job the journal does not hold (one that ran
+		// unjournaled, or a second Finish) is a no-op.
+		if err := j.Finish("j-a"); err != nil {
+			t.Fatalf("second Finish: %v", err)
+		}
+		entries, err := os.ReadDir(filepath.Join(dir, "jobs"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 || entries[0].Name() != "j-b.ndjson" {
+			t.Fatalf("fsync=%v: jobs/ holds %v, want only j-b.ndjson", fsync, entries)
+		}
 
-	j2 := mustOpen(t, dir, Options{})
-	states, err := j2.Replay()
-	if err != nil {
-		t.Fatalf("Replay: %v", err)
-	}
-	if len(states) != 1 || len(states[0].Done) != 1 {
-		t.Fatalf("torn tail corrupted replay: %d jobs", len(states))
-	}
-	if got := j2.Stats().Quarantined; got != 0 {
-		t.Fatalf("torn tail counted as quarantined (%d); it is the expected crash artifact", got)
+		jobs, err := mustOpen(t, dir, Options{}).Replay()
+		if err != nil {
+			t.Fatalf("Replay: %v", err)
+		}
+		if len(jobs) != 1 || jobs[0].ID != "j-b" {
+			t.Fatalf("fsync=%v: replayed %+v, want only the unfinished j-b", fsync, jobs)
+		}
 	}
 }
 
-func TestJournalCorruptRecordQuarantined(t *testing.T) {
+// TestJournalReplaysParentFormat: a directory written by the earlier
+// append format — one file per job holding the job record, a task
+// record per completed spec and, once finished, a done record — still
+// replays. The unfinished job re-enqueues despite its torn tail (a
+// crash mid-append), the finished one is removed, and nothing is
+// quarantined.
+func TestJournalReplaysParentFormat(t *testing.T) {
 	dir := t.TempDir()
-	j := mustOpen(t, dir, Options{})
-	job := Job{ID: "j-corrupt", Kind: "sweep", CreatedUnix: 1, Specs: []harness.SpecWire{testSpecWire(t, 1), testSpecWire(t, 2)}}
-	if err := j.Begin(job); err != nil {
-		t.Fatalf("Begin: %v", err)
+	jobsPath := filepath.Join(dir, "jobs")
+	if err := os.MkdirAll(jobsPath, 0o755); err != nil {
+		t.Fatal(err)
 	}
-	if err := j.Task(job.ID, TaskDone{Index: 0, Key: testKey(t, 1)}); err != nil {
-		t.Fatalf("Task: %v", err)
+	header := func(id string, created int64) string {
+		data, err := json.Marshal(record{Format: 1, Type: "job", Job: &Job{
+			ID: id, Kind: "sweep", CreatedUnix: created,
+			Specs: []harness.SpecWire{testSpecWire(t, 1), testSpecWire(t, 2)},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data) + "\n"
 	}
-	path := filepath.Join(dir, "jobs", "j-corrupt.ndjson")
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatalf("open: %v", err)
+	task := func(i int64) string {
+		return fmt.Sprintf(`{"format":1,"type":"task","index":%d,"key":%q}`+"\n", i-1, testKey(t, i))
 	}
-	// A fully-written garbage line and a wrong-format line, both
-	// newline-terminated: mid-file corruption, not a torn tail.
-	if _, err := f.WriteString("{not json}\n{\"format\":99,\"type\":\"task\",\"index\":1}\n"); err != nil {
-		t.Fatalf("write: %v", err)
+	files := map[string]string{
+		// Compacted after finishing: job, one task per index, done.
+		"j-finished": header("j-finished", 1) + task(1) + task(2) + `{"format":1,"type":"done"}` + "\n",
+		// Killed mid-sweep: one task landed, the next append tore.
+		"j-open": header("j-open", 2) + task(1) + `{"format":1,"type":"ta`,
 	}
-	if err := f.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	if err := j.Task(job.ID, TaskDone{Index: 1, Key: testKey(t, 2)}); err != nil {
-		t.Fatalf("Task after corruption: %v", err)
+	for id, body := range files {
+		if err := os.WriteFile(filepath.Join(jobsPath, id+".ndjson"), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	j2 := mustOpen(t, dir, Options{})
-	states, err := j2.Replay()
+	j := mustOpen(t, dir, Options{})
+	jobs, err := j.Replay()
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
-	if len(states) != 1 || len(states[0].Done) != 2 {
-		t.Fatalf("corrupt records broke surrounding replay: %+v", states)
+	if len(jobs) != 1 || jobs[0].ID != "j-open" || len(jobs[0].Specs) != 2 {
+		t.Fatalf("replayed %+v, want only the unfinished j-open with its 2 specs", jobs)
 	}
-	if got := j2.Stats().Quarantined; got != 2 {
-		t.Fatalf("quarantined counter = %d, want 2", got)
+	if _, err := os.Stat(filepath.Join(jobsPath, "j-finished.ndjson")); !os.IsNotExist(err) {
+		t.Fatalf("finished parent-format file still in jobs/: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(jobsPath, "j-open.ndjson")); err != nil {
+		t.Fatalf("unfinished parent-format file removed: %v", err)
+	}
+	st := j.Stats()
+	if st.Quarantined != 0 || st.Replayed != 1 {
+		t.Fatalf("stats = %+v, want 0 quarantined and 1 replayed", st)
+	}
+	if q, err := os.ReadDir(filepath.Join(dir, "quarantine")); err != nil || len(q) != 0 {
+		t.Fatalf("quarantine/ holds %v (%v), want nothing", q, err)
+	}
+}
+
+// TestJournalCorruptRecordQuarantined: a job file whose one record is
+// unreadable — garbage, a record from another format version, or a
+// record of the wrong type — is set aside and counted, and the
+// surrounding jobs still replay.
+func TestJournalCorruptRecordQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	j := mustOpen(t, dir, Options{})
+	if err := j.Begin(Job{ID: "j-good", Kind: "sweep", CreatedUnix: 1, Specs: []harness.SpecWire{testSpecWire(t, 1)}}); err != nil {
+		t.Fatalf("Begin: %v", err)
+	}
+	bad := map[string]string{
+		"j-garbage": "{not json}\n",
+		"j-future":  `{"format":99,"type":"job","job":{"id":"j-future","kind":"run"}}` + "\n",
+		"j-task":    `{"format":1,"type":"task","index":0}` + "\n",
+	}
+	for id, body := range bad {
+		if err := os.WriteFile(filepath.Join(dir, "jobs", id+".ndjson"), []byte(body), 0o644); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+	}
+
+	j2 := mustOpen(t, dir, Options{})
+	jobs, err := j2.Replay()
+	if err != nil {
+		t.Fatalf("Replay: %v", err)
+	}
+	if len(jobs) != 1 || jobs[0].ID != "j-good" {
+		t.Fatalf("corrupt files broke surrounding replay: %+v", jobs)
+	}
+	if got := j2.Stats().Quarantined; got != uint64(len(bad)) {
+		t.Fatalf("quarantined counter = %d, want %d", got, len(bad))
 	}
 }
 
@@ -181,92 +242,18 @@ func TestJournalUnreadableFileQuarantined(t *testing.T) {
 		t.Fatalf("write: %v", err)
 	}
 
-	states, err := j.Replay()
+	jobs, err := j.Replay()
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
-	if len(states) != 1 || states[0].Job.ID != "j-good" {
-		t.Fatalf("replay states = %+v, want only j-good", states)
+	if len(jobs) != 1 || jobs[0].ID != "j-good" {
+		t.Fatalf("replayed %+v, want only j-good", jobs)
 	}
 	if _, err := os.Stat(bad); !os.IsNotExist(err) {
 		t.Fatalf("bad file still in jobs/: %v", err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, "quarantine", "j-bad.ndjson")); err != nil {
 		t.Fatalf("bad file not quarantined: %v", err)
-	}
-}
-
-func TestJournalCompaction(t *testing.T) {
-	dir := t.TempDir()
-	j := mustOpen(t, dir, Options{})
-	job := Job{ID: "j-compact", Kind: "sweep", CreatedUnix: 1, Specs: []harness.SpecWire{testSpecWire(t, 1), testSpecWire(t, 2)}}
-	if err := j.Begin(job); err != nil {
-		t.Fatalf("Begin: %v", err)
-	}
-	// Duplicate task records, as a crash-replay overlap would produce.
-	for i := 0; i < 3; i++ {
-		if err := j.Task(job.ID, TaskDone{Index: 0, Key: testKey(t, 1)}); err != nil {
-			t.Fatalf("Task: %v", err)
-		}
-		if err := j.Task(job.ID, TaskDone{Index: 1, Key: testKey(t, 2)}); err != nil {
-			t.Fatalf("Task: %v", err)
-		}
-	}
-	if err := j.Finish(job.ID, ""); err != nil {
-		t.Fatalf("Finish: %v", err)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "jobs", "j-compact.ndjson"))
-	if err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	lines := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
-	if len(lines) != 4 { // job + 2 tasks + done
-		t.Fatalf("compacted file has %d lines, want 4:\n%s", len(lines), data)
-	}
-
-	j2 := mustOpen(t, dir, Options{})
-	states, err := j2.Replay()
-	if err != nil {
-		t.Fatalf("Replay: %v", err)
-	}
-	if len(states) != 1 || !states[0].Finished || len(states[0].Done) != 2 {
-		t.Fatalf("compacted job replays wrong: %+v", states[0])
-	}
-	if got := j2.Stats().Replayed; got != 0 {
-		t.Fatalf("finished job counted as replayed (%d)", got)
-	}
-}
-
-func TestJournalPruneFinished(t *testing.T) {
-	dir := t.TempDir()
-	j := mustOpen(t, dir, Options{KeepFinished: 2})
-	ids := []string{"j-a", "j-b", "j-c", "j-d"}
-	for i, id := range ids {
-		job := Job{ID: id, Kind: "run", CreatedUnix: int64(i + 1), Specs: []harness.SpecWire{testSpecWire(t, int64(i+1))}}
-		if err := j.Begin(job); err != nil {
-			t.Fatalf("Begin %s: %v", id, err)
-		}
-		if id != "j-d" { // j-d stays unfinished
-			if err := j.Finish(id, ""); err != nil {
-				t.Fatalf("Finish %s: %v", id, err)
-			}
-		}
-	}
-	states, err := j.Replay()
-	if err != nil {
-		t.Fatalf("Replay: %v", err)
-	}
-	var got []string
-	for _, s := range states {
-		got = append(got, s.Job.ID)
-	}
-	// Oldest finished (j-a) pruned; unfinished j-d always survives.
-	want := []string{"j-b", "j-c", "j-d"}
-	if strings.Join(got, ",") != strings.Join(want, ",") {
-		t.Fatalf("surviving jobs = %v, want %v", got, want)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "jobs", "j-a.ndjson")); !os.IsNotExist(err) {
-		t.Fatalf("pruned job file still present: %v", err)
 	}
 }
 
@@ -303,8 +290,8 @@ func TestJournalRejectsBadIDs(t *testing.T) {
 		if err := j.Begin(Job{ID: id, Kind: "run"}); err == nil {
 			t.Fatalf("Begin accepted id %q", id)
 		}
-		if err := j.Task(id, TaskDone{}); err == nil {
-			t.Fatalf("Task accepted id %q", id)
+		if err := j.Finish(id); err == nil {
+			t.Fatalf("Finish accepted id %q", id)
 		}
 	}
 	if err := j.Begin(Job{ID: "j-nokind"}); err == nil {
@@ -327,11 +314,11 @@ func TestJournalMismatchedHeaderQuarantined(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "jobs", "j-fake.ndjson"), data, 0o644); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	states, err := j.Replay()
+	jobs, err := j.Replay()
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
-	if len(states) != 1 || states[0].Job.ID != "j-real" {
-		t.Fatalf("mismatched-header file not quarantined: %+v", states)
+	if len(jobs) != 1 || jobs[0].ID != "j-real" {
+		t.Fatalf("mismatched-header file not quarantined: %+v", jobs)
 	}
 }

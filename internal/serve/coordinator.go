@@ -120,8 +120,8 @@ type clusterTask struct {
 	claimed  bool
 	finished bool
 	// parked marks a task sitting out its retry backoff; an AfterFunc
-	// reroutes it when the delay elapses (or a waiter claims it
-	// first — parked tasks look orphaned to claimOrphan).
+	// reroutes it when the delay elapses. A parked task is not an
+	// orphan: claimOrphan leaves it to the reroute.
 	parked bool
 	// retries counts failed attempts charged against the budget.
 	retries int
@@ -255,25 +255,24 @@ func (c *cluster) submit(key harness.Key, spec harness.Spec, now time.Time) (t *
 }
 
 // claimOrphan expires dead workers and, if that (or an earlier
-// expiry) left t orphaned and unclaimed, hands it to the caller for
-// local execution. Waiters call this periodically so a fleet that
-// died entirely cannot strand them.
+// expiry) left t on the orphan list, hands it to the caller for local
+// execution. Waiters call this periodically so a fleet that died
+// entirely cannot strand them. Only orphans qualify: a task parked in
+// retry backoff also has no worker, but its reroute onto the live
+// fleet is pending.
 func (c *cluster) claimOrphan(t *clusterTask, now time.Time) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.expireLocked(now)
-	if t.finished || t.claimed || t.worker != "" {
-		return false
-	}
-	t.claimed = true
 	for i, o := range c.orphans {
 		if o == t {
 			c.orphans = append(c.orphans[:i], c.orphans[i+1:]...)
-			break
+			t.claimed = true
+			c.localRuns.Add(1)
+			return true
 		}
 	}
-	c.localRuns.Add(1)
-	return true
+	return false
 }
 
 // routeLocked assigns t to the live worker owning its key shard, or
@@ -818,8 +817,9 @@ func (s *Server) handleClusterPoll(w http.ResponseWriter, r *http.Request) {
 	for _, t := range tasks {
 		wire, werr := t.spec.Wire()
 		if werr != nil {
-			// Unreachable: submit rejects unencodable specs. Requeue
-			// defensively rather than lose the task.
+			// Unreachable: execRemote runs unencodable specs locally
+			// and never submits them. Fail the task rather than lose
+			// it silently: its waiter gets the encoding error.
 			s.cluster.finish(t, nil, werr)
 			continue
 		}

@@ -15,9 +15,10 @@ import (
 )
 
 // maxResidentJobs bounds how many finished jobs stay resident (and
-// reattachable) in memory; older ones are evicted oldest-first. After
-// a restart every journaled job is reattachable again via the lazy
-// replay path, so eviction only narrows the in-process window.
+// reattachable) in memory; older ones are evicted oldest-first. A
+// finished job leaves the journal too, so after a restart only the
+// unfinished jobs a replay re-enqueued are reattachable; the results
+// of every other job stay addressable through /v1/results.
 const maxResidentJobs = 256
 
 // DefaultMaxQueue is the admission high-water mark: the number of
@@ -38,12 +39,6 @@ var errTooHeavy = errors.New("serve: job exceeds the admission high-water mark")
 // log is the single source every attached stream reads: handleSweep
 // streams it live, GET /v1/jobs/{id} replays it from any offset, and
 // a client that disconnects loses nothing but its TCP stream.
-//
-// A lazy job is a finished job reconstructed from the journal after a
-// restart: it has no resident event log, and its result events are
-// rebuilt on demand from the content-addressed results (re-executing
-// any evicted key — deterministic simulation makes the bytes
-// identical either way).
 type job struct {
 	id     string
 	kind   string // "run", "sweep", "figure"
@@ -53,7 +48,6 @@ type job struct {
 	figure string
 	// weight is the job's admission debit, released when it finishes.
 	weight int
-	lazy   bool
 
 	mu sync.Mutex
 	// events is the ordered log of everything the job has emitted.
@@ -61,21 +55,11 @@ type job struct {
 	events []sweepEvent
 	// finished marks the terminal event appended. guarded by mu
 	finished bool
-	// termErr is the lazy-job terminal error (journaled job-level
-	// failure). guarded by mu
-	termErr string
 	// output is a figure job's rendered text. guarded by mu
 	output string
 	// notify is closed and replaced on every append, waking streamers.
 	// guarded by mu
 	notify chan struct{}
-
-	// recMu guards recorded: task indexes already journaled, seeded
-	// from the replayed journal state so recovery appends no
-	// duplicates.
-	recMu sync.Mutex
-	// recorded maps task index -> journaled completion. guarded by recMu
-	recorded map[int]journal.TaskDone
 }
 
 func (jb *job) append(ev sweepEvent) {
@@ -170,15 +154,14 @@ func (s *Server) newJob(id, kind string, specs []harness.Spec, figure string) *j
 		weight = harness.FigureSpecCount(s.runner, figure)
 	}
 	jb := &job{
-		id:       id,
-		kind:     kind,
-		specs:    make([]harness.Spec, len(specs)),
-		keys:     make([]harness.Key, len(specs)),
-		keyOK:    make([]bool, len(specs)),
-		figure:   figure,
-		weight:   max(weight, 1),
-		notify:   make(chan struct{}),
-		recorded: make(map[int]journal.TaskDone),
+		id:     id,
+		kind:   kind,
+		specs:  make([]harness.Spec, len(specs)),
+		keys:   make([]harness.Key, len(specs)),
+		keyOK:  make([]bool, len(specs)),
+		figure: figure,
+		weight: max(weight, 1),
+		notify: make(chan struct{}),
 	}
 	for i, spec := range specs {
 		spec = s.runner.Normalize(spec)
@@ -264,7 +247,8 @@ func (s *Server) registerJob(jb *job) {
 }
 
 // launchJob runs the job detached, tracked by the detached group so
-// Drain waits for it.
+// Drain waits for it. Once the job has appended its terminal event it
+// leaves the journal.
 func (s *Server) launchJob(jb *job) {
 	s.detached.Add(1)
 	go func() {
@@ -277,6 +261,11 @@ func (s *Server) launchJob(jb *job) {
 			s.runFigureJob(jb)
 		default:
 			jb.append(sweepEvent{Event: "error", Error: fmt.Sprintf("serve: unknown job kind %q", jb.kind)})
+		}
+		if s.journal != nil {
+			if err := s.journal.Finish(jb.id); err != nil {
+				log.Printf("sgxgauged: journal finish %s: %v", jb.id, err)
+			}
 		}
 	}()
 }
@@ -302,50 +291,15 @@ func (s *Server) lookupJob(id string) (*job, bool) {
 	return jb, ok
 }
 
-// journalTask appends one task-completion record, once per index.
-func (s *Server) journalTask(jb *job, idx int, taskErr error) {
-	if s.journal == nil {
-		return
-	}
-	jb.recMu.Lock()
-	defer jb.recMu.Unlock()
-	if _, ok := jb.recorded[idx]; ok {
-		return
-	}
-	td := journal.TaskDone{Index: idx}
-	if idx < len(jb.keyOK) && jb.keyOK[idx] {
-		td.Key = jb.keys[idx].String()
-	}
-	if taskErr != nil {
-		td.Error = taskErr.Error()
-	}
-	jb.recorded[idx] = td
-	if err := s.journal.Task(jb.id, td); err != nil {
-		log.Printf("sgxgauged: journal task %s[%d]: %v", jb.id, idx, err)
-	}
-}
-
-// journalFinish appends the job's terminal record and compacts it.
-func (s *Server) journalFinish(jb *job, jobErr string) {
-	if s.journal == nil {
-		return
-	}
-	if err := s.journal.Finish(jb.id, jobErr); err != nil {
-		log.Printf("sgxgauged: journal finish %s: %v", jb.id, err)
-	}
-}
-
 // runBatchJob executes a run's or a sweep's specs as one batch through
 // the unified Runner — shared cache, coalescing, worker bound, remote
 // dispatch on a coordinator — appending progress events as specs
-// complete (including cache-hit specs, so a warm resume still
-// journals every task), then result events in input order, then the
-// terminal event.
+// complete (cache-hit specs included), then result events in input
+// order, then the terminal event.
 func (s *Server) runBatchJob(jb *job) {
 	results, err := s.runner.RunAll(jb.specs,
 		harness.ProgressCached(),
 		harness.OnProgress(func(p harness.Progress) {
-			s.journalTask(jb, p.Index, p.Err)
 			ev := sweepEvent{
 				Event:     "progress",
 				Completed: p.Completed,
@@ -362,7 +316,6 @@ func (s *Server) runBatchJob(jb *job) {
 		}))
 
 	for i, res := range results {
-		s.journalTask(jb, i, res.Err)
 		ev := sweepEvent{Event: "result", Index: i, Result: wireResult(res)}
 		if jb.keyOK[i] {
 			ev.Key = jb.keys[i].String()
@@ -374,11 +327,9 @@ func (s *Server) runBatchJob(jb *job) {
 		// context, so this is unreachable in practice, but the terminal
 		// contract holds regardless.
 		jb.append(sweepEvent{Event: "error", Total: len(jb.specs), Error: err.Error()})
-		s.journalFinish(jb, err.Error())
 		return
 	}
 	jb.append(sweepEvent{Event: "done", Total: len(jb.specs), OK: true})
-	s.journalFinish(jb, "")
 }
 
 // runFigureJob renders one paper figure; the runs behind it flow
@@ -387,102 +338,71 @@ func (s *Server) runFigureJob(jb *job) {
 	out, err := harness.RenderFigure(s.runner, jb.figure)
 	if err != nil {
 		jb.append(sweepEvent{Event: "error", Error: err.Error()})
-		s.journalFinish(jb, err.Error())
 		return
 	}
 	jb.mu.Lock()
 	jb.output = out
 	jb.mu.Unlock()
 	jb.append(sweepEvent{Event: "done", OK: true})
-	s.journalFinish(jb, "")
 }
 
-// Recover replays the journal: every unfinished job is re-enqueued
-// for detached execution (tasks whose results already sit in the
-// store complete as cache hits without re-simulating), and finished
-// jobs are registered lazily so clients can still reattach to them by
-// ID. Callers that configure a Journal must call Recover exactly
-// once, after the listener is up — the server answers /healthz with
-// 503 from New until Recover clears the recovering flag, so load
-// balancers keep sweeps away from a half-recovered coordinator.
+// Recover replays the journal: every job it holds is unfinished and
+// is re-enqueued for detached execution through the same path as a
+// fresh job (tasks whose results already sit in the store complete as
+// cache hits without re-simulating). Callers that configure a Journal
+// must call Recover exactly once, after the listener is up — the
+// server answers /healthz with 503 from New until Recover clears the
+// recovering flag, so load balancers keep sweeps away from a
+// half-recovered coordinator.
 func (s *Server) Recover() error {
 	if s.journal == nil {
 		return nil
 	}
 	defer s.recovering.Store(false)
-	states, err := s.journal.Replay()
+	jobs, err := s.journal.Replay()
 	if err != nil {
 		return err
 	}
-	requeued, warm := 0, 0
-	for _, st := range states {
-		jb, ok := s.rebuildJob(st)
+	requeued := 0
+	for _, rec := range jobs {
+		jb, ok := s.rebuildJob(rec)
 		if !ok {
 			continue
 		}
 		s.registerJob(jb)
-		if st.Finished {
-			continue
-		}
 		s.queued.Add(int64(jb.weight))
 		requeued++
-		for i := range jb.specs {
-			if jb.keyOK[i] && s.hasResult(jb.keys[i]) {
-				warm++
-			}
-		}
 		s.launchJob(jb)
 	}
 	if requeued > 0 {
-		log.Printf("sgxgauged: journal replay re-enqueued %d unfinished jobs (%d tasks already warm in the store)", requeued, warm)
+		log.Printf("sgxgauged: journal replay re-enqueued %d unfinished jobs", requeued)
 	}
 	return nil
 }
 
-// hasResult probes the lookup stack for key without loading the
-// result into the in-memory cache.
-func (s *Server) hasResult(key harness.Key) bool {
-	if s.store != nil && s.store.Has(key) {
-		return true
-	}
-	_, ok := s.cache.Get(key)
-	return ok
-}
-
-// rebuildJob resolves one replayed journal state back into a job. A
-// job whose specs no longer resolve (workload renamed between builds)
-// is retired in the journal rather than replayed forever.
-func (s *Server) rebuildJob(st *journal.JobState) (*job, bool) {
-	specs := make([]harness.Spec, 0, len(st.Job.Specs))
-	for _, wire := range st.Job.Specs {
+// rebuildJob resolves one replayed journal job back into a job. A job
+// whose specs no longer resolve (workload renamed between builds) is
+// retired from the journal rather than replayed forever.
+func (s *Server) rebuildJob(rec journal.Job) (*job, bool) {
+	specs := make([]harness.Spec, 0, len(rec.Specs))
+	for _, wire := range rec.Specs {
 		spec, err := wire.Spec()
 		if err != nil {
-			log.Printf("sgxgauged: journal job %s: unresolvable spec: %v (retiring)", st.Job.ID, err)
-			if ferr := s.journal.Finish(st.Job.ID, fmt.Sprintf("unresolvable spec: %v", err)); ferr != nil {
-				log.Printf("sgxgauged: journal finish %s: %v", st.Job.ID, ferr)
+			log.Printf("sgxgauged: journal job %s: unresolvable spec: %v (retiring)", rec.ID, err)
+			if ferr := s.journal.Finish(rec.ID); ferr != nil {
+				log.Printf("sgxgauged: journal finish %s: %v", rec.ID, ferr)
 			}
 			return nil, false
 		}
 		specs = append(specs, spec)
 	}
-	jb := s.newJob(st.Job.ID, st.Job.Kind, specs, st.Job.Figure)
-	jb.recMu.Lock()
-	for idx, td := range st.Done {
-		jb.recorded[idx] = td
-	}
-	jb.recMu.Unlock()
-	if st.Finished {
-		jb.lazy = true
-		jb.mu.Lock()
-		jb.finished = true
-		jb.termErr = st.Err
-		jb.mu.Unlock()
-	}
-	return jb, true
+	return s.newJob(rec.ID, rec.Kind, specs, rec.Figure), true
 }
 
 // handleJob serves GET /v1/jobs/{id}: an NDJSON reattach stream for a
-// live or recovered job. The stream opens with a {"event":"job"}
+// resident job — a live one, a recovered unfinished one, or one of the
+// maxResidentJobs most recently finished in this process. Any other id
+// is a 404 pointing at /v1/results. The stream opens with a {"event":"job"}
 // header, then carries the job's result events from the ?from=N-th
 // one onward (progress events are not replayed — they describe a
 // moment, not a result), then the terminal done/error line. A client
@@ -492,7 +412,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	jb, ok := s.lookupJob(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("serve: unknown job %q (finished jobs retire after the %d most recent; results remain addressable via /v1/results)", id, maxResidentJobs))
+		writeError(w, http.StatusNotFound, fmt.Errorf("serve: unknown job %q (finished jobs retire after the %d most recent and at a restart; results remain addressable via /v1/results)", id, maxResidentJobs))
 		return
 	}
 	from := 0
@@ -506,10 +426,6 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	}
 	stream := newNDJSONStream(w)
 	if !stream.emit(sweepEvent{Event: "job", JobID: jb.id, Name: jb.kind, Total: len(jb.specs)}) {
-		return
-	}
-	if jb.lazy {
-		s.streamLazyJob(r.Context(), stream, jb, from)
 		return
 	}
 	s.streamJobResults(r.Context(), stream, jb, from)
@@ -548,42 +464,4 @@ func (s *Server) streamJobResults(ctx context.Context, stream *ndjsonStream, jb 
 			return
 		}
 	}
-}
-
-// streamLazyJob rebuilds a recovered finished job's result lines from
-// the content-addressed results. A key evicted from both cache and
-// store is re-executed — simulation is deterministic, so the bytes
-// match what the original stream carried.
-func (s *Server) streamLazyJob(ctx context.Context, stream *ndjsonStream, jb *job, from int) {
-	for i := from; i < len(jb.specs); i++ {
-		if ctx.Err() != nil || !stream.alive() {
-			return
-		}
-		var res *harness.Result
-		if jb.keyOK[i] {
-			res, _ = s.results.Get(jb.keys[i])
-		}
-		if res == nil {
-			var err error
-			if res, err = s.runner.Run(jb.specs[i], harness.WithContext(ctx)); err != nil {
-				stream.emit(sweepEvent{Event: "error", Total: len(jb.specs), Error: err.Error()})
-				return
-			}
-		}
-		ev := sweepEvent{Event: "result", Index: i, Result: wireResult(res)}
-		if jb.keyOK[i] {
-			ev.Key = jb.keys[i].String()
-		}
-		if !stream.emit(ev) {
-			return
-		}
-	}
-	jb.mu.Lock()
-	termErr := jb.termErr
-	jb.mu.Unlock()
-	if termErr != "" {
-		stream.emit(sweepEvent{Event: "error", Total: len(jb.specs), Error: termErr})
-		return
-	}
-	stream.emit(sweepEvent{Event: "done", Total: len(jb.specs), OK: true})
 }

@@ -39,9 +39,8 @@ func decodeEvents(t *testing.T, r io.Reader) []sweepEvent {
 
 // TestCrashRecoveryReplaysJournal is the crash-recovery acceptance
 // test: a coordinator journal holding a half-finished sweep — two of
-// four tasks done before the "crash", with the torn tail of a record
-// append — is replayed by a restarted daemon sharing the same store
-// directory. The recovered job re-enqueues, the two completed tasks
+// four tasks done before the "crash", their results in the store — is
+// replayed by a restarted daemon sharing the same store directory. The recovered job re-enqueues, the two completed tasks
 // short-circuit through the warm store (zero re-simulation), and a
 // reattached client receives the full result set byte-identical to an
 // uninterrupted sweep.
@@ -53,8 +52,7 @@ func TestCrashRecoveryReplaysJournal(t *testing.T) {
 	}
 
 	// Construct the crashed daemon's state directly: a begun journal
-	// job, two completed tasks (results in the store), and a torn
-	// trailing record from the kill.
+	// job and two completed tasks whose results reached the store.
 	jl, err := journal.Open(jdir, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -82,22 +80,7 @@ func TestCrashRecoveryReplaysJournal(t *testing.T) {
 		if err != nil || res.Err != nil {
 			t.Fatalf("pre-crash run %d: %v / %v", i, err, res.Err)
 		}
-		key, err := harness.SpecKey(norm[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := jl.Task("j-crash", journal.TaskDone{Index: i, Key: key.String()}); err != nil {
-			t.Fatal(err)
-		}
 	}
-	f, err := os.OpenFile(filepath.Join(jdir, "jobs", "j-crash.ndjson"), os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"format":1,"type":"ta`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 
 	// Restart: fresh journal and store handles on the same directories.
 	jl2, err := journal.Open(jdir, journal.Options{})
@@ -197,6 +180,139 @@ func TestCrashRecoveryReplaysJournal(t *testing.T) {
 		if got != refLines[i] {
 			t.Fatalf("recovered result %d differs from the uninterrupted sweep:\n recovered: %s\n reference: %s", i, got, refLines[i])
 		}
+	}
+}
+
+// TestRestartRetiresFinishedJob: a journaled job holds one record in
+// the journal while it runs and leaves it when it finishes, so a
+// daemon rebuilt on the same directories replays nothing of it. The
+// finished job is retired like one past maxResidentJobs — a 404
+// pointing at /v1/results — and every result its stream carried is
+// still served from the store.
+func TestRestartRetiresFinishedJob(t *testing.T) {
+	jdir, sdir := t.TempDir(), t.TempDir()
+	jl, err := journal.Open(jdir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(sdir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{EPCPages: testEPC, Seed: 7, Workers: 2, Store: st, Journal: jl})
+	if err := s.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	gate := make(chan struct{})
+	s.runner.Exec = func(spec harness.Spec) (*harness.Result, error) {
+		<-gate
+		return s.runner.RunLocal(spec), nil
+	}
+	ts := httptest.NewServer(s.Handler())
+
+	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(sweepBody(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	if !sc.Scan() {
+		t.Fatalf("sweep stream ended before its job header: %v", sc.Err())
+	}
+	var header sweepEvent
+	if err := json.Unmarshal(sc.Bytes(), &header); err != nil || header.Event != "job" {
+		t.Fatalf("first sweep line %q, want the job header (%v)", sc.Text(), err)
+	}
+	id := header.JobID
+	// Every spec is held at the gate: the job is running, and its
+	// journal file holds its one job record.
+	data, err := os.ReadFile(filepath.Join(jdir, "jobs", id+".ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(data), "\n"); n != 1 {
+		t.Fatalf("running job's journal file holds %d records, want 1:\n%s", n, data)
+	}
+	close(gate)
+	served := make(map[string][]byte)
+	var last sweepEvent
+	for sc.Scan() {
+		var ev sweepEvent
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+		}
+		last = ev
+		if ev.Event == "result" {
+			wire, err := json.Marshal(ev.Result)
+			if err != nil {
+				t.Fatal(err)
+			}
+			served[ev.Key] = wire
+		}
+	}
+	resp.Body.Close()
+	if last.Event != "done" || !last.OK || len(served) != 3 {
+		t.Fatalf("sweep ended %+v with %d distinct results, want done ok:true and 3", last, len(served))
+	}
+	ts.Close()
+	s.Drain()
+
+	// Restart on the same directories.
+	jl2, err := journal.Open(jdir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st2, err := store.Open(sdir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2 := New(Config{EPCPages: testEPC, Seed: 7, Workers: 2, Store: st2, Journal: jl2})
+	if err := s2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(s2.Handler())
+	defer func() {
+		ts2.Close()
+		s2.Drain()
+	}()
+	if got := jl2.Stats().Replayed; got != 0 {
+		t.Fatalf("restart replayed %d jobs, want 0 (the job had finished)", got)
+	}
+
+	resp, err = http.Get(ts2.URL + "/v1/jobs/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound || !strings.Contains(string(body), "/v1/results") {
+		t.Fatalf("reattach to the finished job after restart: %d %s, want 404 pointing at /v1/results", resp.StatusCode, body)
+	}
+	for key, want := range served {
+		resp, err := http.Get(ts2.URL + "/v1/results/" + key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rr runResponse
+		derr := json.NewDecoder(resp.Body).Decode(&rr)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || derr != nil {
+			t.Fatalf("/v1/results/%s after restart: status %d (%v), want 200", key, resp.StatusCode, derr)
+		}
+		got, err := json.Marshal(rr.Result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("/v1/results/%s after restart differs from the streamed result:\n got: %s\nwant: %s", key, got, want)
+		}
+	}
+	entries, err := os.ReadDir(filepath.Join(jdir, "jobs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Fatalf("jobs/ holds %d files after the job finished, want none", len(entries))
 	}
 }
 
@@ -358,7 +474,7 @@ func TestFigureAdmissionWeight(t *testing.T) {
 		t.Fatalf("shed figure left queue depth %d", d)
 	}
 	// A figure job recovered from the journal weighs the same.
-	jb, ok := s.rebuildJob(&journal.JobState{Job: journal.Job{ID: "fig2", Kind: "figure", Figure: "2"}})
+	jb, ok := s.rebuildJob(journal.Job{ID: "fig2", Kind: "figure", Figure: "2"})
 	if !ok {
 		t.Fatal("recovered figure 2 job was retired")
 	}

@@ -134,13 +134,13 @@ func renderAdmissionMetrics(w io.Writer, depth int64, maxQueue int) {
 // renderJournalMetrics appends the crash-recovery journal's series.
 func renderJournalMetrics(w io.Writer, jl *journal.Journal) {
 	st := jl.Stats()
-	fmt.Fprintln(w, "# HELP sgxgauged_journal_records_total Records appended to the job journal.")
+	fmt.Fprintln(w, "# HELP sgxgauged_journal_records_total Records written to the job journal: one per accepted job, plus poison records.")
 	fmt.Fprintln(w, "# TYPE sgxgauged_journal_records_total counter")
 	fmt.Fprintf(w, "sgxgauged_journal_records_total %d\n", st.Records)
 	fmt.Fprintln(w, "# HELP sgxgauged_journal_replayed_total Unfinished jobs re-enqueued by startup replay.")
 	fmt.Fprintln(w, "# TYPE sgxgauged_journal_replayed_total counter")
 	fmt.Fprintf(w, "sgxgauged_journal_replayed_total %d\n", st.Replayed)
-	fmt.Fprintln(w, "# HELP sgxgauged_journal_quarantined_total Corrupt journal records and files set aside during replay.")
+	fmt.Fprintln(w, "# HELP sgxgauged_journal_quarantined_total Unreadable journal files set aside during replay.")
 	fmt.Fprintln(w, "# TYPE sgxgauged_journal_quarantined_total counter")
 	fmt.Fprintf(w, "sgxgauged_journal_quarantined_total %d\n", st.Quarantined)
 	fmt.Fprintln(w, "# HELP sgxgauged_journal_poisoned Poison records currently quarantined.")

@@ -152,6 +152,44 @@ func TestClusterDeregisterNoPenalty(t *testing.T) {
 	}
 }
 
+// TestClusterParkedTaskNotClaimed: a task parked in retry backoff
+// has no worker, but it is not an orphan — with a live fleet its
+// reroute is pending, so a waiter's periodic claimOrphan must leave it
+// to the fleet instead of running it on the coordinator.
+func TestClusterParkedTaskNotClaimed(t *testing.T) {
+	// A minute-long backoff keeps the task parked for the whole test.
+	c := newCluster(time.Minute, 3, time.Minute, nil)
+	now := time.Now()
+	c.register("w1", now)
+	spec := harness.Spec{Workload: mustWorkload(t, "Empty")}
+	key, err := harness.SpecKey(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	task, local := c.submit(key, spec, now)
+	if local {
+		t.Fatal("submit ran the task locally with a live worker")
+	}
+	if pulled := pullTask(t, c, "w1"); pulled != task {
+		t.Fatal("w1 pulled a different task")
+	}
+	if !c.fail("w1", key, "exec failed", now) {
+		t.Fatal("fail rejected the owner's failure report")
+	}
+	c.mu.Lock()
+	parked, owner := task.parked, task.worker
+	c.mu.Unlock()
+	if !parked || owner != "" {
+		t.Fatalf("after fail the task is on %q (parked=%v), want parked with no worker", owner, parked)
+	}
+	if c.claimOrphan(task, now.Add(time.Second)) {
+		t.Fatal("claimOrphan claimed a parked task while w1 is live")
+	}
+	if got := c.localRuns.Load(); got != 0 {
+		t.Fatalf("localRuns = %d, want 0", got)
+	}
+}
+
 // TestRetryDelayDeterministic: the backoff doubles per retry, caps at
 // maxRetryDelay, never drops under a millisecond, and its jitter is a
 // pure function of the key — identical inputs park identically on

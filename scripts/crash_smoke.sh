@@ -4,9 +4,10 @@
 # SIGKILL'd mid-sweep, restarted on the same directories, and must
 # replay the journal, finish the job warm from the store, and serve a
 # reattached client the full result set byte-identical to an
-# uninterrupted standalone sweep. A SIGTERM'd worker must then drain
-# gracefully: its deregistration drops the fleet gauge immediately
-# instead of waiting out the liveness TTL.
+# uninterrupted standalone sweep; the finished job must then leave the
+# journal. A SIGTERM'd worker must then drain gracefully: its
+# deregistration drops the fleet gauge immediately instead of waiting
+# out the liveness TTL.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -117,6 +118,17 @@ n=$(wc -l <"$workdir/reattach_results.ndjson")
 [ "$n" -eq "$total" ] || { echo "crash_smoke: reattach streamed $n results, want $total" >&2; exit 1; }
 tail -1 "$workdir/reattach.ndjson" | grep -q '"event":"done".*"ok":true' ||
   { echo "crash_smoke: reattach stream did not end with done ok:true" >&2; exit 1; }
+
+echo "== the finished job leaves the journal =="
+# Finish removes the job file just after the done event lands, so give
+# it a moment before requiring an empty jobs/ directory.
+open_jobs() { find "$workdir/journal/jobs" -name '*.ndjson' | wc -l; }
+for _ in $(seq 1 50); do
+  [ "$(open_jobs)" -eq 0 ] && break
+  sleep 0.1
+done
+[ "$(open_jobs)" -eq 0 ] ||
+  { echo "crash_smoke: journal still holds $(open_jobs) job files after the job finished" >&2; exit 1; }
 
 echo "== byte-identical to an uninterrupted standalone sweep =="
 "$workdir/sgxgauge" serve -addr "127.0.0.1:$rport" &
