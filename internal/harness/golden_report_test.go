@@ -18,7 +18,7 @@ const goldenReportPath = "testdata/report_epc64.golden"
 
 // goldenReportIDs are the experiments the golden report covers: a fast
 // subset of the paper's tables and figures, rendered in report order.
-var goldenReportIDs = map[string]bool{"tab2": true, "fig2": true, "tab4": true, "fig6a": true, "fig7": true}
+var goldenReportIDs = map[string]bool{"tab2": true, "fig2": true, "tab4": true, "fig6a": true, "fig7": true, "multi": true}
 
 // renderGoldenReport renders the golden subset through one Runner at
 // EPC 64 and seed 1, the way sgxreport does but without its timing

@@ -1,120 +1,76 @@
 package harness
 
 import (
-	"context"
-	"runtime"
 	"strings"
 	"testing"
-	"time"
 
-	"sgxgauge/internal/sgx"
+	"sgxgauge/internal/perf"
 	"sgxgauge/internal/workloads"
-	"sgxgauge/internal/workloads/suite"
+	"sgxgauge/internal/workloads/scenario"
 )
 
+// TestMultiEnclaveInterference pins the §3.2.1 shape: while the
+// combined footprint fits, every page faults in once and nothing is
+// evicted; once it crosses the EPC, faults exceed the footprint,
+// evictions appear and each instance runs slower, though no single
+// enclave exceeds the EPC.
 func TestMultiEnclaveInterference(t *testing.T) {
-	r := NewRunner(testEPC)
-	points, err := r.MultiEnclave([]int{1, 2, 4, 8})
-	if err != nil {
-		t.Fatal(err)
+	b := runExperiment(t, "multi")
+	if len(b.results) != 4 {
+		t.Fatalf("%d points", len(b.results))
 	}
-	if len(points) != 4 {
-		t.Fatalf("%d points", len(points))
-	}
-	// One or two instances fit (35% each): minimal eviction traffic.
-	if points[0].EPCEvictions > 100 {
-		t.Errorf("single small enclave evicted %d pages", points[0].EPCEvictions)
-	}
-	// Eight instances (280% of EPC combined) must thrash hard even
-	// though each is individually small — the §3.2.1 observation.
-	last := points[len(points)-1]
-	if last.EPCEvictions < 50*max64(points[0].EPCEvictions, 1) {
-		t.Errorf("8 enclaves evicted only %d pages (1 enclave: %d)", last.EPCEvictions, points[0].EPCEvictions)
-	}
-	// Per-instance time degrades as instances are added.
-	if last.CyclesPerInstance < 2*points[0].CyclesPerInstance {
-		t.Errorf("per-instance time %d vs solo %d: no interference visible",
-			last.CyclesPerInstance, points[0].CyclesPerInstance)
-	}
-	// Monotone combined footprint.
-	for i := 1; i < len(points); i++ {
-		if points[i].CombinedFootprint <= points[i-1].CombinedFootprint {
-			t.Error("combined footprint not increasing")
+	fp := scenario.InterferencePages(b.epcPages)
+	var crossed bool
+	for i, res := range b.results {
+		k := len(b.specs[i].Scenario.Enclaves)
+		faults, evictions := res.Counters.Get(perf.PageFaults), res.Counters.Get(perf.EPCEvictions)
+		if k*fp <= b.epcPages {
+			if faults != uint64(k*fp) || evictions != 0 {
+				t.Errorf("%d enclaves fit (%d of %d pages) but faulted %d and evicted %d", k, k*fp, b.epcPages, faults, evictions)
+			}
+			continue
+		}
+		crossed = true
+		if faults <= uint64(k*fp) || evictions == 0 {
+			t.Errorf("%d enclaves cross the EPC (%d of %d pages) but faulted only %d and evicted %d", k, k*fp, b.epcPages, faults, evictions)
 		}
 	}
-	out := RenderMultiEnclave(points, testEPC)
-	if !strings.Contains(out, "Enclaves") {
-		t.Error("render malformed")
+	if !crossed {
+		t.Fatal("no point crosses the EPC")
 	}
-}
-
-func TestMultiEnclaveRejectsZero(t *testing.T) {
-	r := NewRunner(testEPC)
-	if _, err := r.MultiEnclave([]int{0}); err == nil {
-		t.Error("zero enclaves accepted")
+	solo, last := b.results[0].Output.Extra["cycles_per_instance"], b.results[3].Output.Extra["cycles_per_instance"]
+	if last < 2*solo {
+		t.Errorf("per-instance time %.0f at 8 enclaves vs %.0f solo: no interference visible", last, solo)
 	}
-}
-
-func TestMultiEnclaveDeterministic(t *testing.T) {
-	r := NewRunner(testEPC)
-	a, err := r.MultiEnclave([]int{3})
+	out, err := renderMulti(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.MultiEnclave([]int{3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a[0] != b[0] {
-		t.Error("multi-enclave run not deterministic")
+	if !strings.Contains(out, "Enclaves") || strings.Count(out, "% EPC)") != 4 {
+		t.Errorf("render malformed:\n%s", out)
 	}
 }
 
-// TestMultiEnclaveHoldsWorkerSlots checks that the sweep's points,
-// which are local simulations, take the Runner's worker slots like
-// RunAll's specs: with every slot held elsewhere no point starts, and
-// once the slots free up, the points and a concurrent batch together
-// never have more than Jobs slots busy.
-func TestMultiEnclaveHoldsWorkerSlots(t *testing.T) {
-	r := NewRunner(testEPC)
-	r.Jobs = 1
-	r.init()
-	ctx := context.Background()
-	r.acquire(ctx) // another batch's spec holds the only slot
-	done := make(chan error, 1)
-	go func() {
-		_, err := r.MultiEnclave([]int{1, 2, 4})
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		t.Fatalf("MultiEnclave ran while every worker slot was held (err %v)", err)
-	case <-time.After(300 * time.Millisecond):
-	}
-	r.release()
-
-	batch := make(chan error, 1)
-	go func() {
-		_, err := r.RunAll(GridSpecs(suite.All()[:3], []sgx.Mode{sgx.Vanilla}, []workloads.Size{workloads.Low}))
-		batch <- err
-	}()
-	for pending := 2; pending > 0; {
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatal(err)
-			}
-			pending--
-		case err := <-batch:
-			if err != nil {
-				t.Fatal(err)
-			}
-			pending--
-		default:
-			if busy := r.Stats().Busy; busy > int64(r.Jobs) {
-				t.Fatalf("%d worker slots busy, Jobs %d", busy, r.Jobs)
-			}
-			runtime.Gosched()
+// TestMultiEnclaveRejectsIgnoredFields: the interference scenario
+// ignores roles, sizes, op counts and the quantum, so its Validate
+// rejects each of them rather than let two keys name one run.
+func TestMultiEnclaveRejectsIgnoredFields(t *testing.T) {
+	for name, mutate := range map[string]func(*scenario.Spec){
+		"role":    func(sp *scenario.Spec) { sp.Enclaves[1].Role = "node" },
+		"size":    func(sp *scenario.Spec) { sp.Enclaves[0].Size = workloads.Medium },
+		"ops":     func(sp *scenario.Spec) { sp.Enclaves[1].Ops = 3 },
+		"quantum": func(sp *scenario.Spec) { sp.Quantum = 1024 },
+	} {
+		sp, err := scenario.New("interference", 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sp.Validate(); err != nil {
+			t.Fatalf("default cast rejected: %v", err)
+		}
+		mutate(&sp)
+		if err := sp.Validate(); err == nil {
+			t.Errorf("%s: accepted %+v", name, sp)
 		}
 	}
 }

@@ -18,8 +18,9 @@ type Experiment struct {
 	// /v1/figures endpoint.
 	ID string
 	// Figure is the paper's figure/table number ("2".."10" for
-	// figures, "t2"/"t4"/"t5" for tables), used to group experiments
-	// that share a figure (6a/6bc/6d).
+	// figures, "t2"/"t4"/"t5" for tables, "multi" for the §3.2.1
+	// multi-enclave sweep), used to group experiments that share a
+	// figure (6a/6bc/6d).
 	Figure string
 	// specs returns the runs the experiment reads, for a runner at
 	// the given effective EPC size; nil when it reads none.
@@ -47,7 +48,7 @@ func Experiments() []Experiment {
 		{"tab5", "t5", table5Specs, text(table5)},
 		{"fig9", "9", figure9Specs, text(figure9)},
 		{"fig10", "10", figure10Specs, text(figure10)},
-		{"multi", "", nil, renderMultiEnclave},
+		{"multi", "multi", multiSpecs, renderMulti},
 	}
 }
 
@@ -64,7 +65,7 @@ func (e Experiment) Render(r *Runner) (string, error) {
 
 // run executes the experiment's spec list as one batch.
 func (e Experiment) run(r *Runner) (*expBatch, error) {
-	b := &expBatch{r: r, epcPages: r.epcPages()}
+	b := &expBatch{epcPages: r.epcPages()}
 	if e.specs != nil {
 		b.specs = e.specs(b.epcPages)
 	}
@@ -90,9 +91,6 @@ func firstFailure(results []*Result) error {
 // expBatch is what an experiment's render step reads: its spec list
 // and the results of running it, in list order.
 type expBatch struct {
-	// r is the runner the batch ran on; only multi, which runs
-	// outside RunAll, uses it.
-	r        *Runner
 	epcPages int
 	specs    []Spec
 	results  []*Result
@@ -142,7 +140,7 @@ func text[T interface{ Render() string }](build func(*expBatch) (T, error)) func
 func CheckFigure(fig string) error {
 	var valid []string
 	for _, e := range Experiments() {
-		if e.Figure == "" || slices.Contains(valid, e.Figure) {
+		if slices.Contains(valid, e.Figure) {
 			continue
 		}
 		if e.Figure == fig {

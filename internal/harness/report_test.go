@@ -14,9 +14,6 @@ func TestExperimentSpecListsComplete(t *testing.T) {
 		t.Skip("runs every experiment's spec list")
 	}
 	for _, e := range Experiments() {
-		if e.ID == "multi" {
-			continue
-		}
 		t.Run(e.ID, func(t *testing.T) {
 			r := NewRunner(64)
 			r.Seed = 1
@@ -72,9 +69,6 @@ func TestCheckFigure(t *testing.T) {
 		t.Fatal("unknown figure 99 accepted")
 	}
 	for _, e := range Experiments() {
-		if e.Figure == "" {
-			continue
-		}
 		if err := CheckFigure(e.Figure); err != nil {
 			t.Errorf("registered figure %q rejected: %v", e.Figure, err)
 		}

@@ -144,14 +144,24 @@ type Result struct {
 	Attempts int
 }
 
-// fail records a machine fault on the result, capturing the state the
-// run reached before dying so chaos reports can still be built.
-func (r *Result) fail(env *sgx.Env, err error) {
+// finish closes the measured window at simulated time now on machine
+// m: the cycles since startup, the counters, the EPC timeline and the
+// driver-operation latencies. err is the spec's failure, nil on
+// success; a failed run keeps the state it reached before dying, so
+// chaos reports can still be built. It returns the result and err.
+func (r *Result) finish(m *sgx.Machine, now uint64, err error) (*Result, error) {
 	r.Err = err
-	r.Cycles = env.Elapsed() - r.StartupCycles
-	r.TotalCounters = env.Snapshot()
+	r.Cycles = now - r.StartupCycles
+	r.TotalCounters = m.Counters.Snapshot()
 	r.Counters = r.TotalCounters.Sub(r.StartupCounters)
-	r.Timeline = env.M.EPC.Timeline()
+	r.Timeline = m.EPC.Timeline()
+	r.OpStats = map[epc.Op]epc.OpStats{
+		epc.OpAlloc: m.EPC.OpStatsFor(epc.OpAlloc),
+		epc.OpEWB:   m.EPC.OpStatsFor(epc.OpEWB),
+		epc.OpELDU:  m.EPC.OpStatsFor(epc.OpELDU),
+		epc.OpFault: m.EPC.OpStatsFor(epc.OpFault),
+	}
+	return r, err
 }
 
 // machineConfig returns the machine configuration a spec runs on: the
@@ -281,8 +291,7 @@ func runOne(spec Spec, boot *bootSlot) (*Result, error) {
 			launchErr = perr
 		}
 		if launchErr != nil {
-			res.fail(env, fmt.Errorf("harness: launching Native enclave: %w", launchErr))
-			return res, res.Err
+			return res.finish(env.M, env.Elapsed(), fmt.Errorf("harness: launching Native enclave: %w", launchErr))
 		}
 	}
 
@@ -298,22 +307,10 @@ func runOne(spec Spec, boot *bootSlot) (*Result, error) {
 		runErr = perr
 	}
 	if runErr != nil {
-		res.fail(env, fmt.Errorf("harness: running %s in %v mode: %w", spec.Workload.Name(), spec.Mode, runErr))
-		return res, res.Err
+		return res.finish(env.M, env.Elapsed(), fmt.Errorf("harness: running %s in %v mode: %w", spec.Workload.Name(), spec.Mode, runErr))
 	}
-
 	res.Output = out
-	res.Cycles = env.Elapsed() - res.StartupCycles
-	res.TotalCounters = env.Snapshot()
-	res.Counters = res.TotalCounters.Sub(res.StartupCounters)
-	res.Timeline = env.M.EPC.Timeline()
-	res.OpStats = map[epc.Op]epc.OpStats{
-		epc.OpAlloc: env.M.EPC.OpStatsFor(epc.OpAlloc),
-		epc.OpEWB:   env.M.EPC.OpStatsFor(epc.OpEWB),
-		epc.OpELDU:  env.M.EPC.OpStatsFor(epc.OpELDU),
-		epc.OpFault: env.M.EPC.OpStatsFor(epc.OpFault),
-	}
-	return res, nil
+	return res.finish(env.M, env.Elapsed(), nil)
 }
 
 // Overhead returns the runtime overhead of res relative to base

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"sgxgauge/internal/epc"
 	"sgxgauge/internal/sgx"
 	"sgxgauge/internal/workloads"
 	"sgxgauge/internal/workloads/scenario"
@@ -57,10 +56,7 @@ func runScenario(spec Spec) (*Result, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, fmt.Errorf("harness: %w", err)
 	}
-	desc, ok := scenario.Lookup(sp.Name)
-	if !ok {
-		return nil, fmt.Errorf("harness: unknown scenario %q (valid: %s)", sp.Name, workloads.ValidScenarioList())
-	}
+	desc, _ := scenario.Lookup(sp.Name) // Validate checked the name
 
 	m := sgx.NewMachine(machineConfig(spec))
 	if spec.Hooks.OnMachine != nil {
@@ -110,24 +106,8 @@ func runScenario(spec Spec) (*Result, error) {
 		runErr = perr
 	}
 	if runErr != nil {
-		res.Err = fmt.Errorf("harness: running scenario %s: %w", sp.Name, runErr)
-		res.Cycles = maxElapsed(inst.Envs) - res.StartupCycles
-		res.TotalCounters = m.Counters.Snapshot()
-		res.Counters = res.TotalCounters.Sub(res.StartupCounters)
-		res.Timeline = m.EPC.Timeline()
-		return res, res.Err
+		return res.finish(m, maxElapsed(inst.Envs), fmt.Errorf("harness: running scenario %s: %w", sp.Name, runErr))
 	}
-
 	res.Output = out
-	res.Cycles = maxElapsed(inst.Envs) - res.StartupCycles
-	res.TotalCounters = m.Counters.Snapshot()
-	res.Counters = res.TotalCounters.Sub(res.StartupCounters)
-	res.Timeline = m.EPC.Timeline()
-	res.OpStats = map[epc.Op]epc.OpStats{
-		epc.OpAlloc: m.EPC.OpStatsFor(epc.OpAlloc),
-		epc.OpEWB:   m.EPC.OpStatsFor(epc.OpEWB),
-		epc.OpELDU:  m.EPC.OpStatsFor(epc.OpELDU),
-		epc.OpFault: m.EPC.OpStatsFor(epc.OpFault),
-	}
-	return res, nil
+	return res.finish(m, maxElapsed(inst.Envs), nil)
 }

@@ -30,6 +30,7 @@ func allScenarioSpecs(t *testing.T, seed int64) map[string]Spec {
 	specs := map[string]Spec{
 		"attested-session": scenarioSpec(t, "attested-session", 0, seed),
 		"consensus":        scenarioSpec(t, "consensus", 3, seed),
+		"interference":     scenarioSpec(t, "interference", 4, seed),
 		"noisy-neighbor":   scenarioSpec(t, "noisy-neighbor", 3, seed),
 	}
 	if got := len(scenario.Names()); len(specs) != got {

@@ -285,9 +285,11 @@ func parseJob(data []byte) (job *Job, finished bool) {
 // Replay reads every job file and returns the jobs they hold — all of
 // them unfinished — ordered by creation time then ID. Unreadable files
 // are quarantined; a file an earlier build left with a done record is
-// removed as finished. The replayed counter reflects the jobs
-// returned, the ones a caller will re-enqueue.
-func (j *Journal) Replay() ([]Job, error) {
+// removed as finished. A job for which live reports true is still
+// running in this process (it began after Open) and is left out, file
+// and all. The replayed counter reflects the jobs returned, the ones a
+// caller will re-enqueue.
+func (j *Journal) Replay(live func(id string) bool) ([]Job, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	dir := filepath.Join(j.dir, jobsDir)
@@ -317,6 +319,9 @@ func (j *Journal) Replay() ([]Job, error) {
 			if err := j.remove(path); err != nil {
 				return nil, fmt.Errorf("journal: remove finished job %s: %w", job.ID, err)
 			}
+			continue
+		}
+		if live != nil && live(job.ID) {
 			continue
 		}
 		jobs = append(jobs, *job)

@@ -74,7 +74,7 @@ func TestJournalRoundTrip(t *testing.T) {
 
 	// Reopen cold, as a restart would.
 	j2 := mustOpen(t, dir, Options{})
-	jobs, err := j2.Replay()
+	jobs, err := j2.Replay(nil)
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
@@ -125,7 +125,7 @@ func TestJournalFinishRemovesFile(t *testing.T) {
 			t.Fatalf("fsync=%v: jobs/ holds %v, want only j-b.ndjson", fsync, entries)
 		}
 
-		jobs, err := mustOpen(t, dir, Options{}).Replay()
+		jobs, err := mustOpen(t, dir, Options{}).Replay(nil)
 		if err != nil {
 			t.Fatalf("Replay: %v", err)
 		}
@@ -173,7 +173,7 @@ func TestJournalReplaysParentFormat(t *testing.T) {
 	}
 
 	j := mustOpen(t, dir, Options{})
-	jobs, err := j.Replay()
+	jobs, err := j.Replay(nil)
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
@@ -217,7 +217,7 @@ func TestJournalCorruptRecordQuarantined(t *testing.T) {
 	}
 
 	j2 := mustOpen(t, dir, Options{})
-	jobs, err := j2.Replay()
+	jobs, err := j2.Replay(nil)
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
@@ -242,7 +242,7 @@ func TestJournalUnreadableFileQuarantined(t *testing.T) {
 		t.Fatalf("write: %v", err)
 	}
 
-	jobs, err := j.Replay()
+	jobs, err := j.Replay(nil)
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
@@ -314,7 +314,7 @@ func TestJournalMismatchedHeaderQuarantined(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "jobs", "j-fake.ndjson"), data, 0o644); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	jobs, err := j.Replay()
+	jobs, err := j.Replay(nil)
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}

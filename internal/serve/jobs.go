@@ -212,6 +212,9 @@ func (s *Server) startJob(kind string, specs []harness.Spec, figure string) (*jo
 	if !s.admit(jb.weight) {
 		return nil, fmt.Errorf("%w (queue depth %d, high-water mark %d)", errOverloaded, s.queued.Load(), s.maxQueue)
 	}
+	// Registered before its journal file exists, so a concurrent
+	// Recover never takes this live job for a crashed one.
+	s.registerJob(jb)
 	if s.journal != nil {
 		rec := journal.Job{ID: jb.id, Kind: kind, CreatedUnix: time.Now().Unix(), Figure: figure}
 		wireable := true
@@ -225,6 +228,9 @@ func (s *Server) startJob(kind string, specs []harness.Spec, figure string) (*jo
 		}
 		if wireable {
 			if err := s.journal.Begin(rec); err != nil {
+				s.jobsMu.Lock()
+				delete(s.jobs, jb.id)
+				s.jobsMu.Unlock()
 				s.queued.Add(int64(-jb.weight))
 				return nil, fmt.Errorf("serve: journal begin: %w", err)
 			}
@@ -234,7 +240,6 @@ func (s *Server) startJob(kind string, specs []harness.Spec, figure string) (*jo
 			log.Printf("sgxgauged: job %s has unencodable specs; running unjournaled", jb.id)
 		}
 	}
-	s.registerJob(jb)
 	s.launchJob(jb)
 	return jb, nil
 }
@@ -359,7 +364,12 @@ func (s *Server) Recover() error {
 		return nil
 	}
 	defer s.recovering.Store(false)
-	jobs, err := s.journal.Replay()
+	// A job a live request began while recovery ran is already
+	// registered and running; replaying its file would launch it twice.
+	jobs, err := s.journal.Replay(func(id string) bool {
+		_, live := s.lookupJob(id)
+		return live
+	})
 	if err != nil {
 		return err
 	}

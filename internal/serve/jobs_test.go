@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -514,5 +515,69 @@ func TestMainFlagValidation(t *testing.T) {
 	}
 	if err := Main([]string{"-coordinator", "-worker", "http://x"}); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
 		t.Fatalf("-coordinator -worker: err = %v, want the exclusivity error", err)
+	}
+}
+
+// TestRecoverSkipsLiveJobs: the daemon takes requests while /healthz
+// still answers 503, so a sweep can begin — journal file and all —
+// before Recover runs. Recover must not replay that live job as a
+// crashed one: replaying it would launch it a second time under the
+// same ID and count its weight twice in the queue.
+func TestRecoverSkipsLiveJobs(t *testing.T) {
+	jl, err := journal.Open(t.TempDir(), journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{EPCPages: testEPC, Seed: 7, Workers: 2, Journal: jl})
+	gate := make(chan struct{})
+	s.runner.Exec = func(spec harness.Spec) (*harness.Result, error) {
+		<-gate
+		return s.runner.RunLocal(spec), nil
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	var release sync.Once
+	defer release.Do(func() { close(gate) }) // before ts.Close, on a failed check too
+
+	const weight = 2
+	swept := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(sweepBody(weight)))
+		if err != nil {
+			swept <- -1
+			return
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		swept <- strings.Count(string(body), `"event":"result"`)
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for s.queued.Load() != weight {
+		if time.Now().After(deadline) {
+			t.Fatalf("sweep never admitted: queue depth %d", s.queued.Load())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	if err := s.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if got := jl.Stats().Replayed; got != 0 {
+		t.Errorf("Recover replayed %d jobs, want 0 (the only journaled job is live)", got)
+	}
+	if got := metric(t, ts, "sgxgauged_queue_depth"); got != weight {
+		t.Errorf("queue depth %v after Recover, want the live job's weight %d", got, weight)
+	}
+
+	release.Do(func() { close(gate) })
+	if n := <-swept; n != weight {
+		t.Fatalf("sweep streamed %d results, want %d", n, weight)
+	}
+	s.Drain()
+	if st := s.runner.Stats(); st.Executed != weight || st.Coalesced != 0 {
+		t.Errorf("runner executed %d specs and coalesced %d, want the job run once: %d and 0", st.Executed, st.Coalesced, weight)
+	}
+	if got := s.queued.Load(); got != 0 {
+		t.Errorf("queue depth %d after the job finished, want 0", got)
 	}
 }

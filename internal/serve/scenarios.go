@@ -1,22 +1,17 @@
 package serve
 
 import (
-	"fmt"
 	"net/http"
 
-	"sgxgauge/internal/chaos"
-	"sgxgauge/internal/harness"
-	"sgxgauge/internal/sgx"
 	"sgxgauge/internal/workloads/scenario"
 )
 
-// This file serves /v1/scenarios: GET lists the registered
-// multi-enclave scenarios (names, properties, default casts, schema
-// version), POST runs one. A posted scenario builds the same
-// versioned envelope the wire codec validates, then takes serveRunSpec
-// — the identical cache/job/store path as /v1/run, keyed by the same
-// canonical encoding, so a scenario run is addressable, cacheable and
-// cluster-executable with zero special cases.
+// This file serves GET /v1/scenarios: the registered multi-enclave
+// scenarios with their properties, default casts and schema version.
+// A scenario runs as a SpecWire document carrying the versioned
+// envelope, posted to /v1/run or /v1/sweep like any workload spec, so
+// it is addressable, cacheable and cluster-executable with zero
+// special cases.
 
 // scenarioInfo is one GET /v1/scenarios entry.
 type scenarioInfo struct {
@@ -38,62 +33,4 @@ func (s *Server) handleScenarioList(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	writeJSON(w, http.StatusOK, out)
-}
-
-// scenarioRequest is the POST /v1/scenarios body: the scenario by
-// name with an optional explicit cast (or a default-cast size N),
-// plus the machine-level settings a workload spec would carry.
-type scenarioRequest struct {
-	Name       string             `json:"name"`
-	Enclaves   []scenario.Enclave `json:"enclaves,omitempty"`
-	N          int                `json:"n,omitempty"`
-	Quantum    uint64             `json:"quantum,omitempty"`
-	Seed       int64              `json:"seed,omitempty"`
-	EPCPages   int                `json:"epc_pages,omitempty"`
-	Switchless bool               `json:"switchless,omitempty"`
-	Timeline   uint64             `json:"timeline,omitempty"`
-	Machine    *sgx.Config        `json:"machine,omitempty"`
-	Chaos      *chaos.Config      `json:"chaos,omitempty"`
-}
-
-// Spec assembles the harness spec the request describes, validating
-// the envelope exactly as the wire codec would.
-func (req scenarioRequest) Spec() (harness.Spec, error) {
-	sp, err := scenario.New(req.Name, req.N)
-	if err != nil {
-		return harness.Spec{}, err
-	}
-	if len(req.Enclaves) > 0 {
-		if req.N > 0 {
-			return harness.Spec{}, fmt.Errorf("serve: scenario request has both an explicit enclave cast and n=%d", req.N)
-		}
-		sp.Enclaves = req.Enclaves
-	}
-	sp.Quantum = req.Quantum
-	if err := sp.Validate(); err != nil {
-		return harness.Spec{}, err
-	}
-	return harness.Spec{
-		Scenario:   &sp,
-		Mode:       sgx.Native,
-		Seed:       req.Seed,
-		EPCPages:   req.EPCPages,
-		Switchless: req.Switchless,
-		Timeline:   req.Timeline,
-		Machine:    req.Machine,
-		Chaos:      req.Chaos,
-	}, nil
-}
-
-func (s *Server) handleScenarioRun(w http.ResponseWriter, r *http.Request) {
-	var req scenarioRequest
-	if !decodeBody(w, r, maxRunBody, &req) {
-		return
-	}
-	spec, err := req.Spec()
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: %v", errBadSpec, err))
-		return
-	}
-	s.serveRunSpec(w, r, spec)
 }

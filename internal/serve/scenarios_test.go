@@ -4,32 +4,11 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"sgxgauge/internal/workloads/scenario"
 )
-
-func postScenario(t *testing.T, ts *httptest.Server, body string) (*http.Response, runResponse) {
-	t.Helper()
-	resp, err := http.Post(ts.URL+"/v1/scenarios", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var rr runResponse
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode == http.StatusOK {
-		if err := json.Unmarshal(data, &rr); err != nil {
-			t.Fatalf("decoding %q: %v", data, err)
-		}
-	}
-	return resp, rr
-}
 
 // TestScenarioList: GET /v1/scenarios enumerates every registered
 // scenario with its default cast.
@@ -54,15 +33,21 @@ func TestScenarioList(t *testing.T) {
 	}
 }
 
-// TestScenarioRunEndpoint: POST /v1/scenarios runs a scenario through
-// the same cache/job path as /v1/run — the repeat POST is a cache hit
-// with the identical key, and the key is addressable via /v1/results.
+// consensusDoc is a SpecWire scenario document: the consensus
+// scenario with an explicit two-node cast.
+const consensusDoc = `{"mode":"Native","size":"Low","seed":5,"scenario":{"version":1,"name":"consensus","enclaves":[` +
+	`{"role":"node","size":"Medium"},{"role":"node","size":"Medium"}]}}`
+
+// TestScenarioRunEndpoint: a SpecWire scenario document posted to
+// /v1/run runs through the same cache/job path as a workload spec —
+// the repeat POST is a cache hit with the identical key, and the key
+// is addressable via /v1/results.
 func TestScenarioRunEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
-	body := `{"name":"attested-session","seed":3}`
-	resp, first := postScenario(t, ts, body)
+	body := `{"mode":"Native","seed":3,"scenario":{"version":1,"name":"attested-session"}}`
+	resp, first := postRun(t, ts, body)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /v1/scenarios: %d", resp.StatusCode)
+		t.Fatalf("POST /v1/run with a scenario: %d", resp.StatusCode)
 	}
 	if first.Cached || first.Result == nil || first.Result.Name != "attested-session" {
 		t.Fatalf("first run: %+v", first)
@@ -71,7 +56,7 @@ func TestScenarioRunEndpoint(t *testing.T) {
 		t.Fatalf("scenario failed: %s", first.Result.Error)
 	}
 
-	resp, again := postScenario(t, ts, body)
+	resp, again := postRun(t, ts, body)
 	if resp.StatusCode != http.StatusOK || !again.Cached || again.Key != first.Key {
 		t.Fatalf("repeat run not served from cache: %d %+v", resp.StatusCode, again)
 	}
@@ -86,43 +71,59 @@ func TestScenarioRunEndpoint(t *testing.T) {
 	}
 }
 
-// TestScenarioRunViaGenericEndpoint: a full SpecWire document with a
-// scenario envelope runs through plain POST /v1/run and resolves to
-// the same key as the dedicated endpoint — one canonical encoding,
-// two doors.
+// TestScenarioRunViaGenericEndpoint: a scenario is one SpecWire
+// document whichever generic endpoint carries it — run inside a
+// /v1/sweep, the same document posted to /v1/run is a cache hit under
+// the sweep's key. /v1/scenarios only lists.
 func TestScenarioRunViaGenericEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
-	_, dedicated := postScenario(t, ts, `{"name":"consensus","n":2,"seed":5}`)
-	resp, generic := postRun(t, ts,
-		`{"mode":"Native","size":"Low","seed":5,"scenario":{"version":1,"name":"consensus","enclaves":[`+
-			`{"role":"node","size":"Medium"},{"role":"node","size":"Medium"}]}}`)
+	lines, term := sweepResultLines(t, ts.URL, "["+consensusDoc+"]")
+	if term.Event != "done" || len(lines) != 1 {
+		t.Fatalf("sweep: %d results, terminal %+v", len(lines), term)
+	}
+	var swept sweepEvent
+	if err := json.Unmarshal([]byte(lines[0]), &swept); err != nil {
+		t.Fatal(err)
+	}
+	resp, run := postRun(t, ts, consensusDoc)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /v1/run with scenario envelope: %d", resp.StatusCode)
 	}
-	if generic.Key != dedicated.Key {
-		t.Fatalf("generic and dedicated endpoints keyed differently: %s vs %s", generic.Key, dedicated.Key)
+	if run.Key != swept.Key {
+		t.Fatalf("sweep and run keyed differently: %s vs %s", swept.Key, run.Key)
 	}
-	if !generic.Cached {
-		t.Fatal("generic endpoint missed the cache entry the dedicated run filled")
+	if !run.Cached {
+		t.Fatal("/v1/run missed the cache entry the sweep filled")
+	}
+
+	resp, err := http.Post(ts.URL+"/v1/scenarios", "application/json", strings.NewReader(`{"name":"consensus"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("POST /v1/scenarios: status %d, want 405", resp.StatusCode)
 	}
 }
 
-// TestScenarioRunRejectsBadRequests: validation failures are 400s
-// whose bodies name what would have been valid.
+// TestScenarioRunRejectsBadRequests: scenario documents that fail
+// validation are 400s whose bodies name what would have been valid.
 func TestScenarioRunRejectsBadRequests(t *testing.T) {
 	_, ts := newTestServer(t)
 	cases := map[string]struct {
 		body string
 		want string
 	}{
-		"unknown-name": {`{"name":"nope"}`, "valid: "},
-		"cast-and-n":   {`{"name":"consensus","n":3,"enclaves":[{"role":"node"}]}`, "both"},
-		"bad-cast":     {`{"name":"attested-session","enclaves":[{"role":"client"}]}`, "exactly 2"},
-		"missing-name": {`{}`, "valid: "},
+		"unknown-name": {`{"mode":"Native","scenario":{"version":1,"name":"nope"}}`, "valid: "},
+		// A default-cast size is not a SpecWire field: the cast is
+		// explicit, so one document names one run.
+		"cast-and-n":   {`{"mode":"Native","n":3,"scenario":{"version":1,"name":"consensus"}}`, "unknown field"},
+		"bad-cast":     {`{"mode":"Native","scenario":{"version":1,"name":"attested-session","enclaves":[{"role":"client"}]}}`, "exactly 2"},
+		"missing-name": {`{"mode":"Native","scenario":{"version":1}}`, "valid: "},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
-			resp, err := http.Post(ts.URL+"/v1/scenarios", "application/json", strings.NewReader(tc.body))
+			resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(tc.body))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -174,7 +174,6 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/run", s.instrument("/v1/run", s.handleRun))
 	mux.HandleFunc("GET /v1/scenarios", s.instrument("/v1/scenarios", s.handleScenarioList))
-	mux.HandleFunc("POST /v1/scenarios", s.instrument("/v1/scenarios", s.handleScenarioRun))
 	mux.HandleFunc("POST /v1/sweep", s.instrument("/v1/sweep", s.handleSweep))
 	mux.HandleFunc("GET /v1/figures/{fig}", s.instrument("/v1/figures", s.handleFigure))
 	mux.HandleFunc("GET /v1/jobs/{id}", s.instrument("/v1/jobs", s.handleJob))
@@ -279,7 +278,9 @@ func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool
 }
 
 // handleRun serves POST /v1/run: one SpecWire document in, one
-// runResponse out. A spec's own failure is still a 200 — the run
+// runResponse out. Workload and scenario specs take exactly the same
+// path; only the envelope their canonical encoding carries differs.
+// A spec's own failure is still a 200 — the run
 // happened and its degraded measurements are the payload — while
 // malformed specs are 400, oversized ones 413, shed jobs 429, and
 // engine failures 500. A cache hit answers directly; a miss becomes
@@ -291,14 +292,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, maxRunBody, &spec) {
 		return
 	}
-	s.serveRunSpec(w, r, spec)
-}
-
-// serveRunSpec is the shared tail of /v1/run and /v1/scenarios: cache
-// probe by canonical key, then a journaled detached job on a miss.
-// Workload and scenario specs take exactly the same path — the only
-// difference is which envelope their canonical encoding carries.
-func (s *Server) serveRunSpec(w http.ResponseWriter, r *http.Request, spec harness.Spec) {
 	key, err := s.runner.Key(spec)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: %v", errBadSpec, err))

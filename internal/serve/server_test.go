@@ -490,6 +490,18 @@ func TestFigures(t *testing.T) {
 		t.Fatalf("figure 7: status %d body %.80q", resp.StatusCode, body)
 	}
 
+	// multi's points are scenario specs, so the daemon serves it like
+	// any paper figure.
+	resp, err = http.Get(ts.URL + "/v1/figures/multi")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte("Multi-enclave interference")) {
+		t.Fatalf("figure multi: status %d body %.80q", resp.StatusCode, body)
+	}
+
 	resp, err = http.Get(ts.URL + "/v1/figures/99")
 	if err != nil {
 		t.Fatal(err)

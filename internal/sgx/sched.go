@@ -15,10 +15,11 @@ import (
 // has, extended to co-resident enclaves.
 
 // Program is one enclave's body under Interleave. It runs on its
-// environment's main thread and must call p.Yield() inside its loops;
-// Yield is a cheap no-op until the program's current quantum is spent,
-// at which point control passes to the co-resident enclave whose
-// simulated clock is furthest behind.
+// environment's main thread and calls p.Yield() inside its loops to
+// share the machine; Yield is a cheap no-op until the program's
+// current quantum is spent, at which point control passes to the
+// co-resident enclave whose simulated clock is furthest behind. A
+// program that never yields runs its whole body as one slice.
 type Program func(p *Proc)
 
 // Proc is one scheduled enclave program's handle: its slot index, its

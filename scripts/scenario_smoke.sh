@@ -45,21 +45,24 @@ stop_fleet() {
 sweep='[{"mode":"Native","size":"Low","seed":1,"scenario":{"version":1,"name":"attested-session"}},
        {"mode":"Native","size":"Low","seed":2,"scenario":{"version":1,"name":"attested-session"}},
        {"mode":"Native","size":"Low","seed":3,"scenario":{"version":1,"name":"consensus"}},
-       {"mode":"Native","size":"Low","seed":4,"scenario":{"version":1,"name":"noisy-neighbor"}}]'
+       {"mode":"Native","size":"Low","seed":4,"scenario":{"version":1,"name":"noisy-neighbor"}},
+       {"mode":"Native","size":"Low","seed":5,"scenario":{"version":1,"name":"interference"}}]'
 
 echo "== pass 1: single node runs the scenario sweep =="
 "$workdir/sgxgauge" serve -addr "127.0.0.1:$port" -epc "$epc" &
 pids+=($!)
 wait_healthy "$base"
-# The dedicated endpoint lists and runs scenarios. (Responses land in
-# files first: grep -q closing the pipe early makes curl report a
-# write error under pipefail.)
+# /v1/scenarios lists the scenarios; one runs as a SpecWire document
+# posted to /v1/run. (Responses land in files first: grep -q closing
+# the pipe early makes curl report a write error under pipefail.)
 curl -sf "$base/v1/scenarios" >"$workdir/list.json"
 grep -q '"attested-session"' "$workdir/list.json"
-curl -sf -X POST "$base/v1/scenarios" -d '{"name":"consensus","n":2,"seed":9}' >"$workdir/run.json"
+grep -q '"interference"' "$workdir/list.json"
+curl -sf -X POST "$base/v1/run" -d '{"mode":"Native","seed":9,"scenario":{"version":1,"name":"consensus",
+  "enclaves":[{"role":"node","size":"Medium"},{"role":"node","size":"Medium"}]}}' >"$workdir/run.json"
 grep -q '"name":"consensus"' "$workdir/run.json"
 curl -sf -X POST "$base/v1/sweep" -d "$sweep" | grep '"event":"result"' >"$workdir/single.ndjson"
-grep -c '"event":"result"' "$workdir/single.ndjson" | grep -qx 4
+grep -c '"event":"result"' "$workdir/single.ndjson" | grep -qx 5
 stop_fleet
 
 echo "== pass 2: coordinator + 2 workers run the identical sweep =="
@@ -83,7 +86,7 @@ curl -sf -X POST "$base/v1/sweep" -d "$sweep" | grep '"event":"result"' >"$workd
 # The fleet did the work, not the coordinator's local engine.
 curl -sf "$base/metrics" >"$workdir/metrics.txt"
 grep -q '^sgxgauged_cluster_local_runs_total 0$' "$workdir/metrics.txt"
-grep -q '^sgxgauged_cluster_completed_total 4$' "$workdir/metrics.txt"
+grep -q '^sgxgauged_cluster_completed_total 5$' "$workdir/metrics.txt"
 
 cmp "$workdir/single.ndjson" "$workdir/cluster.ndjson"
 stop_fleet
