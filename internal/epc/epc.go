@@ -121,8 +121,8 @@ type EPCMEntry struct {
 }
 
 // slot is one EPC page slot. It holds no frame pointer: slot i's data
-// lives in the arena at frames[i], so the slot table is index-based
-// and the per-slot state the eviction sweep walks stays compact.
+// lives in frames[i], so the slot table is index-based and the
+// per-slot state the eviction sweep walks stays compact.
 type slot struct {
 	id         mem.PageID
 	referenced bool
@@ -143,11 +143,14 @@ type EPC struct {
 	crypt *mee.Batch
 
 	slots []slot
-	// frames is the arena backing the slot table: slot i's page data
-	// is frames[i]. Pointers into the arena (Lookup results, the
-	// machine's page memos) dangle when Resize rebuilds it; the resize
-	// hook bounds that lifetime.
-	frames   []mem.Frame
+	// frames holds slot i's page data at frames[i], allocated the
+	// first time the slot is taken (AllocPage, loadBack) and nil
+	// before, so a machine that never enters an enclave holds no
+	// frames. A slot keeps its frame when freed, and Resize moves it
+	// with its page, so a frame pointer handed out (Lookup results,
+	// the machine's page memos) stays valid while its page is
+	// resident.
+	frames   []*mem.Frame
 	resident *pageIdx
 	free     []int
 	hand     int
@@ -172,9 +175,9 @@ type EPC struct {
 	onRemove func(id mem.PageID)
 
 	// onResize, when set, is called after Resize rebuilds the slot
-	// table. Pointers into the old table (see LookupRef) are dangling
-	// from that moment on; the machine uses this to drop its per-thread
-	// page memos.
+	// table. Reference-bit pointers into the old table (see LookupRef)
+	// are dangling from that moment on; frames move with their pages.
+	// The machine uses this to drop its per-thread page memos.
 	onResize func()
 
 	// tree, when set, is the Merkle integrity tree maintained over
@@ -204,7 +207,7 @@ func New(capacityPages int, engine *mee.Engine, backing *mem.BackingStore, count
 		counters: counters,
 		crypt:    engine.NewBatch(),
 		slots:    make([]slot, capacityPages),
-		frames:   make([]mem.Frame, capacityPages),
+		frames:   make([]*mem.Frame, capacityPages),
 		resident: newPageIdx(capacityPages),
 		versions: newVerIdx(),
 		jitter:   0x9e3779b97f4a7c15,
@@ -218,10 +221,12 @@ func New(capacityPages int, engine *mee.Engine, backing *mem.BackingStore, count
 
 // Clone returns an independent copy of the EPC over the given backing
 // store and counter bank (the clones of e's, made by the caller): the
-// same slots, frame contents, residency and version indexes, CLOCK
-// hand, op statistics and jitter state, so the copy evolves exactly as
-// e would. The MEE engine is shared (its keys never change); the
-// clone gets its own crypt batch. Hooks are not copied — the owning
+// same slots, resident frame contents, residency and version indexes,
+// CLOCK hand, op statistics and jitter state, so the copy evolves
+// exactly as e would. Only the frames of resident pages are copied;
+// the clone allocates its free slots' frames on first use. The MEE
+// engine is shared (its keys never change); the clone gets its own
+// crypt batch. Hooks are not copied — the owning
 // machine wires its own — and an EPC recording a timeline does not
 // clone, because the sampled clock belongs to a thread of e's machine.
 // Clone only reads e.
@@ -236,13 +241,20 @@ func (e *EPC) Clone(backing *mem.BackingStore, counters *perf.Counters) *EPC {
 		counters: counters,
 		crypt:    e.engine.NewBatch(),
 		slots:    append([]slot(nil), e.slots...),
-		frames:   append([]mem.Frame(nil), e.frames...),
+		frames:   make([]*mem.Frame, len(e.frames)),
 		resident: e.resident.clone(),
 		free:     append([]int(nil), e.free...),
 		hand:     e.hand,
 		versions: e.versions.clone(),
 		ops:      e.ops,
 		jitter:   e.jitter,
+	}
+	resident := make([]mem.Frame, 0, e.resident.len())
+	for i := range e.slots {
+		if e.slots[i].used {
+			resident = append(resident, *e.frames[i])
+			c.frames[i] = &resident[len(resident)-1]
+		}
 	}
 	if e.tree != nil {
 		c.tree = e.tree.Clone()
@@ -266,8 +278,8 @@ func (e *EPC) SetEvictHook(fn func(id mem.PageID)) { e.onEvict = fn }
 func (e *EPC) SetRemoveHook(fn func(id mem.PageID)) { e.onRemove = fn }
 
 // SetResizeHook registers fn to be invoked after every slot-table
-// rebuild (Resize), at which point pointers returned by LookupRef are
-// no longer valid.
+// rebuild (Resize), at which point the reference-bit pointers returned
+// by LookupRef are no longer valid.
 func (e *EPC) SetResizeHook(fn func()) { e.onResize = fn }
 
 // SetIntegrityTree attaches a Merkle integrity tree; subsequent
@@ -316,9 +328,9 @@ func (e *EPC) Lookup(id mem.PageID) (*mem.Frame, bool) {
 // CLOCK reference bit, letting the machine's memoized fast path mark
 // later hits on the same page recently-used without re-running the
 // resident lookup. It is the EPC's one residency probe.
-// The pointer — like the frame pointer, which aliases the slot arena —
-// is valid only until the page leaves the EPC or the slot table is
-// rebuilt (see SetResizeHook); the machine's TLB-shootdown and resize
+// The frame pointer is valid until the page leaves the EPC; the
+// reference-bit pointer also dangles when Resize rebuilds the slot
+// table (see SetResizeHook). The machine's TLB-shootdown and resize
 // hooks bound both lifetimes.
 func (e *EPC) LookupRef(id mem.PageID) (*mem.Frame, *bool, bool) {
 	idx, ok := e.resident.get(id)
@@ -327,7 +339,18 @@ func (e *EPC) LookupRef(id mem.PageID) (*mem.Frame, *bool, bool) {
 	}
 	s := &e.slots[idx]
 	s.referenced = true
-	return &e.frames[idx], &s.referenced, true
+	return e.frames[idx], &s.referenced, true
+}
+
+// frame returns slot idx's frame, allocating it on the slot's first
+// use. A reused frame still holds its prior occupant's data.
+func (e *EPC) frame(idx int) *mem.Frame {
+	f := e.frames[idx]
+	if f == nil {
+		f = new(mem.Frame)
+		e.frames[idx] = f
+	}
+	return f
 }
 
 // nextJitter returns a small deterministic latency perturbation in
@@ -377,8 +400,8 @@ func (e *EPC) AllocPage(clk *cycles.Clock, costs *cycles.CostModel, id mem.PageI
 	e.free = e.free[:len(e.free)-1]
 	e.slots[idx] = slot{id: id, referenced: true, used: true}
 	e.resident.put(id, idx)
-	f := &e.frames[idx]
-	f.Data = [mem.PageSize]byte{} // arena frames carry a prior occupant's data
+	f := e.frame(idx)
+	f.Data = [mem.PageSize]byte{} // a reused frame carries its prior occupant's data
 
 	lat := costs.EPCAlloc + e.nextJitter(costs.EPCAlloc)
 	clk.Advance(lat)
@@ -445,7 +468,7 @@ func (e *EPC) sealOut(clk *cycles.Clock, costs *cycles.CostModel, idx int) error
 	if sp == nil {
 		sp = &mem.SealedPage{}
 	}
-	e.crypt.SealPageInto(sp, id, ver, &e.frames[idx])
+	e.crypt.SealPageInto(sp, id, ver, e.frames[idx])
 	e.backing.Put(sp)
 	if e.tree != nil {
 		if err := e.tree.Update(id, sp.MAC); err != nil {
@@ -499,8 +522,10 @@ const MinCapacity = BatchEvictPages + 1
 // Resize changes the EPC capacity to newCapacity pages (clamped to at
 // least MinCapacity), modelling the OS ballooning the EPC mid-run.
 // Shrinking evicts pages through the normal EWB path until the
-// resident set fits; growing adds free slots. Either way the CLOCK
-// hand restarts at slot 0. The EPCResizes counter records the event.
+// resident set fits; growing adds free slots, whose frames are
+// allocated on first use. Either way the CLOCK hand restarts at slot
+// 0, and each resident page's frame pointer moves with it, so its
+// data is not copied. The EPCResizes counter records the event.
 func (e *EPC) Resize(clk *cycles.Clock, costs *cycles.CostModel, newCapacity int) error {
 	if newCapacity < MinCapacity {
 		newCapacity = MinCapacity
@@ -513,11 +538,11 @@ func (e *EPC) Resize(clk *cycles.Clock, costs *cycles.CostModel, newCapacity int
 			return err
 		}
 	}
-	// Rebuild the slot table (and its frame arena) at the new
-	// capacity, compacting resident pages in slot order so the rebuild
-	// is deterministic.
+	// Rebuild the slot table at the new capacity, compacting resident
+	// pages in slot order so the rebuild is deterministic. Each frame
+	// pointer moves with its page; free slots' frames are dropped.
 	newSlots := make([]slot, newCapacity)
-	newFrames := make([]mem.Frame, newCapacity)
+	newFrames := make([]*mem.Frame, newCapacity)
 	newResident := newPageIdx(newCapacity)
 	next := 0
 	for i := range e.slots {
@@ -555,11 +580,11 @@ func (e *EPC) loadBack(clk *cycles.Clock, costs *cycles.CostModel, id mem.PageID
 		}
 	}
 	// Peek the slot the page would land in and decrypt straight into
-	// its arena frame; the slot is only claimed on success, so a
+	// its frame; the slot is only claimed on success, so a
 	// verification failure leaves the EPC state untouched (the dirtied
 	// free frame is zeroed by the next AllocPage).
 	idx := e.free[len(e.free)-1]
-	f := &e.frames[idx]
+	f := e.frame(idx)
 	if e.tree != nil {
 		if err := e.tree.Verify(id, sp.MAC); err != nil {
 			return nil, err

@@ -540,3 +540,123 @@ func TestRecycledSealedPageChangesMode(t *testing.T) {
 		prev = sp
 	}
 }
+
+// framesHeld counts the slots whose frame has been allocated.
+func framesHeld(e *EPC) int {
+	n := 0
+	for _, f := range e.frames {
+		if f != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestFramesAllocatedOnFirstUse: a fresh EPC holds no frames, each
+// slot gets one when first taken, and page data survives allocation,
+// eviction, load-back, Clone and Resize on a partly filled EPC while
+// the frame count tracks what was touched, not the capacity.
+func TestFramesAllocatedOnFirstUse(t *testing.T) {
+	e, _, clk, costs := newTestEPC(64)
+	if n := framesHeld(e); n != 0 {
+		t.Fatalf("fresh EPC holds %d frames, want 0", n)
+	}
+	fill := func(f *mem.Frame, vpn uint64) {
+		for i := range f.Data {
+			f.Data[i] = byte(vpn*7 + uint64(i)%13)
+		}
+	}
+	check := func(e *EPC, vpn uint64, what string) *mem.Frame {
+		t.Helper()
+		f, ok := e.Lookup(id(vpn))
+		if !ok {
+			var err error
+			if f, _, err = e.Fault(clk, &costs, id(vpn)); err != nil {
+				t.Fatalf("%s: fault of vpn %d: %v", what, vpn, err)
+			}
+		}
+		for i := range f.Data {
+			if f.Data[i] != byte(vpn*7+uint64(i)%13) {
+				t.Fatalf("%s: vpn %d byte %d = %d", what, vpn, i, f.Data[i])
+			}
+		}
+		return f
+	}
+	const pages = 20
+	for vpn := uint64(0); vpn < pages; vpn++ {
+		fill(mustAlloc(t, e, clk, &costs, id(vpn)), vpn)
+	}
+	if n := framesHeld(e); n != pages {
+		t.Fatalf("after %d allocations the EPC holds %d frames", pages, n)
+	}
+	// Evict a few pages: their slots keep their frames, and the
+	// load-backs reuse them instead of allocating more.
+	for vpn := uint64(0); vpn < 5; vpn++ {
+		if ok, err := e.EvictPage(clk, &costs, id(vpn)); err != nil || !ok {
+			t.Fatalf("EvictPage(%d): ok=%v err=%v", vpn, ok, err)
+		}
+	}
+	for vpn := uint64(0); vpn < 5; vpn++ {
+		check(e, vpn, "load-back")
+	}
+	if n := framesHeld(e); n != pages {
+		t.Fatalf("load-backs left %d frames, want %d", n, pages)
+	}
+	// A fresh allocation into a reused frame starts zeroed.
+	if ok, err := e.EvictPage(clk, &costs, id(19)); err != nil || !ok {
+		t.Fatalf("EvictPage(19): ok=%v err=%v", ok, err)
+	}
+	f := mustAlloc(t, e, clk, &costs, id(100))
+	if f.Data != ([mem.PageSize]byte{}) {
+		t.Fatal("AllocPage into a reused frame returned stale data")
+	}
+	fill(f, 100)
+
+	// Clone a partly resident EPC: only resident pages' frames are
+	// copied, and the copies are the clone's own.
+	for vpn := uint64(10); vpn < 15; vpn++ {
+		if ok, err := e.EvictPage(clk, &costs, id(vpn)); err != nil || !ok {
+			t.Fatalf("EvictPage(%d): ok=%v err=%v", vpn, ok, err)
+		}
+	}
+	c := e.Clone(e.backing.Clone(), &perf.Counters{})
+	if n, want := framesHeld(c), c.Resident(); n != want {
+		t.Fatalf("clone holds %d frames, want its %d resident pages", n, want)
+	}
+	for _, vpn := range []uint64{0, 9, 15, 100} {
+		orig, _ := e.Lookup(id(vpn))
+		cp := check(c, vpn, "clone")
+		if cp == orig {
+			t.Fatalf("clone shares vpn %d's frame with the original", vpn)
+		}
+		cp.Data[0] ^= 0xFF
+		if orig.Data[0] != byte(vpn*7) {
+			t.Fatalf("writing the clone's vpn %d changed the original", vpn)
+		}
+		cp.Data[0] ^= 0xFF
+	}
+	check(c, 12, "clone load-back")
+
+	// Resize moves frame pointers with their pages and drops free
+	// slots' frames; growing adds only empty slots.
+	before, _ := e.Lookup(id(3))
+	if err := e.Resize(clk, &costs, 128); err != nil {
+		t.Fatalf("grow: %v", err)
+	}
+	if after := check(e, 3, "grow"); after != before {
+		t.Fatal("Resize copied a resident frame instead of moving it")
+	}
+	if n, want := framesHeld(e), e.Resident(); n != want {
+		t.Fatalf("after growing the EPC holds %d frames, want its %d resident pages", n, want)
+	}
+	if err := e.Resize(clk, &costs, MinCapacity); err != nil {
+		t.Fatalf("shrink: %v", err)
+	}
+	if n := framesHeld(e); n > MinCapacity {
+		t.Fatalf("after shrinking to %d slots the EPC holds %d frames", MinCapacity, n)
+	}
+	for vpn := uint64(0); vpn < pages-1; vpn++ {
+		check(e, vpn, "shrink")
+	}
+	check(e, 100, "shrink")
+}

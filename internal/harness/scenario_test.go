@@ -169,6 +169,10 @@ func TestScenarioWireValidation(t *testing.T) {
 			`{"mode":"Native","size":"Low","params":{"size":"Low"},"scenario":{"version":1,"name":"consensus"}}`,
 			"do not apply",
 		},
+		"size-on-scenario": {
+			`{"mode":"Native","size":"High","scenario":{"version":1,"name":"consensus"}}`,
+			"size does not apply",
+		},
 		"bad-cast": {
 			`{"mode":"Native","size":"Low","scenario":{"version":1,"name":"attested-session","enclaves":[{"role":"client"}]}}`,
 			"exactly 2",
@@ -189,6 +193,35 @@ func TestScenarioWireValidation(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestScenarioSpecRejectsSize: a scenario never reads the top-level
+// size, so a non-Low size would key the same simulation twice. It is
+// refused on both the encode and the decode side.
+func TestScenarioSpecRejectsSize(t *testing.T) {
+	spec, err := NewScenarioSpec("consensus", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	low, err := spec.MarshalJSON()
+	if err != nil {
+		t.Fatalf("encoding the Low spec: %v", err)
+	}
+	spec.Size = workloads.Medium
+	if _, err := spec.Wire(); err == nil || !strings.Contains(err.Error(), "size does not apply") {
+		t.Fatalf("Wire of a Medium scenario spec: err = %v", err)
+	}
+	if _, err := SpecKey(spec); err == nil {
+		t.Fatal("SpecKey of a Medium scenario spec succeeded")
+	}
+	medium := bytes.Replace(low, []byte(`"size":"Low"`), []byte(`"size":"Medium"`), 1)
+	if bytes.Equal(medium, low) {
+		t.Fatalf("no size field in %s", low)
+	}
+	var got Spec
+	if err := got.UnmarshalJSON(medium); err == nil || !strings.Contains(err.Error(), "size does not apply") {
+		t.Fatalf("decode of %s: err = %v", medium, err)
 	}
 }
 

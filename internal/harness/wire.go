@@ -46,14 +46,19 @@ type SpecWire struct {
 }
 
 // Wire extracts the spec's serializable side. It fails when the spec
-// names nothing to run (neither workload nor scenario) or is
-// ambiguous (both).
+// names nothing to run (neither workload nor scenario), is ambiguous
+// (both), or gives a scenario a size (see checkScenarioSize).
 func (s Spec) Wire() (SpecWire, error) {
 	if s.Workload == nil && s.Scenario == nil {
 		return SpecWire{}, fmt.Errorf("harness: spec has no workload or scenario to encode")
 	}
 	if s.Workload != nil && s.Scenario != nil {
 		return SpecWire{}, fmt.Errorf("harness: spec has both a workload (%s) and a scenario (%s)", s.Workload.Name(), s.Scenario.Name)
+	}
+	if s.Scenario != nil {
+		if err := checkScenarioSize(s.Size); err != nil {
+			return SpecWire{}, err
+		}
 	}
 	var name string
 	if s.Workload != nil {
@@ -95,6 +100,9 @@ func (w SpecWire) Spec() (Spec, error) {
 		if w.Params != nil || w.ProtectedFiles {
 			return Spec{}, fmt.Errorf("harness: params and protected_files do not apply to scenario specs (per-enclave settings live in the scenario envelope)")
 		}
+		if err := checkScenarioSize(w.Size); err != nil {
+			return Spec{}, err
+		}
 		if err := w.Scenario.Validate(); err != nil {
 			return Spec{}, fmt.Errorf("harness: %w", err)
 		}
@@ -131,6 +139,17 @@ func (w SpecWire) Spec() (Spec, error) {
 		Machine:        w.Machine,
 		Chaos:          w.Chaos,
 	}, nil
+}
+
+// checkScenarioSize rejects a non-Low top-level size on a scenario
+// spec. A scenario never reads it (each enclave's input lives in the
+// envelope), but it is part of the spec key, so a second size would
+// name the same simulation under a second key.
+func checkScenarioSize(size workloads.Size) error {
+	if size != workloads.Low {
+		return fmt.Errorf("harness: size does not apply to scenario specs, got %v (per-enclave settings live in the scenario envelope)", size)
+	}
+	return nil
 }
 
 // validWorkloads lists every resolvable workload name, for validation

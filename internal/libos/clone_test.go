@@ -42,7 +42,7 @@ func TestCloneFieldCoverage(t *testing.T) {
 		{reflect.TypeOf(sgx.Machine{}), map[string]string{
 			"cfg": "copy", "Costs": "copy", "Counters": "rebind", "Engine": "share",
 			"Backing": "rebind", "EPC": "rebind", "LLC": "copy", "untrusted": "copy",
-			"pool": "reset", "untrustedNext": "copy", "enclaves": "copy",
+			"untrustedNext": "copy", "enclaves": "copy",
 			"nextEnclave": "copy", "enclaveNext": "copy", "threads": "rebind",
 			"pollutionPhase": "copy", "switchlessSeq": "copy", "tracer": "reset",
 			"chaos": "reset", "rollbackStash": "reset", "fastWords": "copy",

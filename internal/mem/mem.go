@@ -1,6 +1,6 @@
 // Package mem provides the physical-memory primitives of the simulated
-// machine: fixed-size page frames, a frame pool, and the untrusted
-// backing store that holds pages evicted from the EPC.
+// machine: fixed-size page frames and the untrusted backing store
+// that holds pages evicted from the EPC.
 package mem
 
 import (
@@ -30,36 +30,6 @@ func LineNumber(addr uint64) uint64 { return addr / LineSize }
 // Frame is one physical page frame.
 type Frame struct {
 	Data [PageSize]byte
-}
-
-// Pool recycles page frames to keep allocation pressure low during
-// long simulations. It is safe for concurrent use.
-type Pool struct {
-	mu   sync.Mutex
-	free []*Frame // guarded by mu
-}
-
-// Get returns a zeroed frame, reusing a recycled one when available.
-func (p *Pool) Get() *Frame {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if n := len(p.free); n > 0 {
-		f := p.free[n-1]
-		p.free = p.free[:n-1]
-		f.Data = [PageSize]byte{}
-		return f
-	}
-	return &Frame{}
-}
-
-// Put returns a frame to the pool.
-func (p *Pool) Put(f *Frame) {
-	if f == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.free = append(p.free, f)
 }
 
 // PageID identifies an enclave page: the owning enclave and the

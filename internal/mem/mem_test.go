@@ -42,29 +42,6 @@ func TestPageMathProperties(t *testing.T) {
 	}
 }
 
-func TestPoolRecyclesZeroed(t *testing.T) {
-	var p Pool
-	f := p.Get()
-	f.Data[0] = 0xAA
-	f.Data[PageSize-1] = 0xBB
-	p.Put(f)
-	g := p.Get()
-	if g != f {
-		t.Fatal("pool did not recycle the frame")
-	}
-	if g.Data[0] != 0 || g.Data[PageSize-1] != 0 {
-		t.Error("recycled frame was not zeroed")
-	}
-}
-
-func TestPoolPutNil(t *testing.T) {
-	var p Pool
-	p.Put(nil) // must not panic
-	if f := p.Get(); f == nil {
-		t.Fatal("Get returned nil")
-	}
-}
-
 func TestBackingStoreRoundTrip(t *testing.T) {
 	b := NewBackingStore()
 	id := PageID{Enclave: 3, VPN: 0x123}

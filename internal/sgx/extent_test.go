@@ -262,11 +262,11 @@ func TestExtentChaosFaultAttribution(t *testing.T) {
 	}
 }
 
-// Satellite regression: EPC.Resize rebuilds the slot arena, so any
-// frame pointer cached by a thread memo dangles afterwards. The resize
-// hook must invalidate every thread's memo. The write below would land
-// in the dead arena if the memo survived, and the authoritative frame
-// (fetched straight from the EPC) would still hold the old value.
+// Satellite regression: EPC.Resize rebuilds the slot table, so the
+// CLOCK reference-bit pointer a thread memo caches dangles afterwards
+// (the frame moves with its page, so the frame pointer stays valid).
+// The resize hook must invalidate every thread's memo, and the write
+// after the resize must still reach the page's frame.
 func TestResizeInvalidatesThreadMemos(t *testing.T) {
 	m := NewMachine(Config{EPCPages: 32})
 	env := m.NewEnv(Native)
@@ -276,10 +276,16 @@ func TestResizeInvalidatesThreadMemos(t *testing.T) {
 	}
 	buf := env.MustAlloc(4*mem.PageSize, mem.PageSize)
 	tr := env.Main
-	tr.WriteU64(buf, 0x1111) // memoize page 0 (arena frame pointer)
-	// Grow the EPC: the frame arena is reallocated wholesale.
+	tr.WriteU64(buf, 0x1111) // memoize page 0 (frame and reference bit)
+	if tr.memoLookup(mem.PageNumber(buf)) == nil {
+		t.Fatal("write did not memoize its page")
+	}
+	// Grow the EPC: the slot table is reallocated wholesale.
 	if err := m.EPC.Resize(&tr.Clock, &m.Costs, 64); err != nil {
 		t.Fatal(err)
+	}
+	if tr.memoLookup(mem.PageNumber(buf)) != nil {
+		t.Fatal("memo survived the slot-table rebuild")
 	}
 	tr.WriteU64(buf, 0x2222)
 	f, ok := m.EPC.Lookup(enc.PageID(buf))
@@ -287,7 +293,7 @@ func TestResizeInvalidatesThreadMemos(t *testing.T) {
 		t.Fatal("page not resident after resize")
 	}
 	if got := binary.LittleEndian.Uint64(f.Data[:8]); got != 0x2222 {
-		t.Fatalf("authoritative frame holds %#x, want 0x2222 (stale memo wrote the dead arena)", got)
+		t.Fatalf("authoritative frame holds %#x, want 0x2222", got)
 	}
 }
 

@@ -209,7 +209,6 @@ type Machine struct {
 	LLC      *cache.LLC
 
 	untrusted     map[uint64]*mem.Frame // vpn -> frame
-	pool          mem.Pool
 	untrustedNext uint64
 
 	enclaves    []*enclave.Enclave
@@ -323,12 +322,12 @@ func (m *Machine) wireEPC() {
 
 // clone returns an independent copy of the machine that evolves
 // exactly as m would from here on: every substrate is copied (the
-// EPC, LLC and counters by value; sealed pages shared copy-on-write),
-// the MEE engine is shared because its keys never change, and the
-// untrusted frame pool starts empty. Threads are not copied; the
-// caller rebinds them (see Env.Clone). A machine something outside it
-// observes — a tracer, a chaos injector — does not clone. clone only
-// reads m, so concurrent clones of an idle machine are safe.
+// EPC, LLC and counters by value; sealed pages shared copy-on-write)
+// and the MEE engine is shared because its keys never change. Threads
+// are not copied; the caller rebinds them (see Env.Clone). A machine
+// something outside it observes — a tracer, a chaos injector — does
+// not clone. clone only reads m, so concurrent clones of an idle
+// machine are safe.
 func (m *Machine) clone() *Machine {
 	if m.tracer != nil || m.chaos != nil {
 		panic("sgx: clone of a traced or chaotic machine")
@@ -532,7 +531,7 @@ func (m *Machine) ensureResident(t *Thread, enc *enclave.Enclave, addr uint64) (
 		// First touch of an untrusted page: minor page fault.
 		t.shard.Inc(perf.PageFaults)
 		t.Clock.Advance(c.FaultOverhead)
-		f := m.pool.Get()
+		f := new(mem.Frame)
 		m.untrusted[vpn] = f
 		return f, nil, nil
 	}

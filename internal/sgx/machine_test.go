@@ -1,6 +1,7 @@
 package sgx
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -317,5 +318,29 @@ func TestDestroyEnclaveFreesEPC(t *testing.T) {
 	}
 	if m.enclaveFor(enc.Base) != nil {
 		t.Error("destroyed enclave still resolves")
+	}
+}
+
+// TestNewMachineAllocatesNoEPCFrames bounds the host bytes a new
+// machine allocates: EPC frames are allocated when a slot is first
+// taken, so a machine that has not run an enclave holds none of its
+// EPC's bytes (1 MiB at 256 pages). The minimum over a few tries
+// discounts allocations by anything else running in the process.
+func TestNewMachineAllocatesNoEPCFrames(t *testing.T) {
+	const epcPages = 256
+	var ms runtime.MemStats
+	least := ^uint64(0)
+	for range 5 {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		m := NewMachine(Config{EPCPages: epcPages})
+		runtime.ReadMemStats(&ms)
+		least = min(least, ms.TotalAlloc-before)
+		runtime.KeepAlive(m)
+	}
+	t.Logf("NewMachine(EPCPages: %d) allocates %d bytes", epcPages, least)
+	if limit := uint64(epcPages * mem.PageSize / 8); least > limit {
+		t.Errorf("NewMachine(EPCPages: %d) allocated %d bytes, want <= %d (an eager frame arena alone is %d)",
+			epcPages, least, limit, epcPages*mem.PageSize)
 	}
 }

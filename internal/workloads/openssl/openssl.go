@@ -97,14 +97,15 @@ func (w *Workload) Setup(ctx *workloads.Ctx) error {
 	if n <= 0 {
 		return fmt.Errorf("openssl: file_bytes must be positive, got %d", n)
 	}
-	plain := make([]byte, n)
-	seed := workloads.Mix64(uint64(ctx.Seed))
-	for i := 0; i+8 <= len(plain); i += 8 {
-		seed = workloads.Mix64(seed)
-		binary.LittleEndian.PutUint64(plain[i:], seed)
-	}
+	// Generate the plaintext and encrypt it in place: CTR mode allows
+	// exactly overlapping src and dst.
 	enc := make([]byte, n)
-	ctr(key(ctx.Seed), 1).XORKeyStream(enc, plain)
+	seed := workloads.Mix64(uint64(ctx.Seed))
+	for i := 0; i+8 <= len(enc); i += 8 {
+		seed = workloads.Mix64(seed)
+		binary.LittleEndian.PutUint64(enc[i:], seed)
+	}
+	ctr(key(ctx.Seed), 1).XORKeyStream(enc, enc)
 	ctx.RawFS.Create(inputFile, enc)
 	ctx.RawFS.Remove(outputFile)
 	return nil
