@@ -143,13 +143,14 @@ type EPC struct {
 	crypt *mee.Batch
 
 	slots []slot
-	// frames holds slot i's page data at frames[i], allocated the
-	// first time the slot is taken (AllocPage, loadBack) and nil
-	// before, so a machine that never enters an enclave holds no
-	// frames. A slot keeps its frame when freed, and Resize moves it
-	// with its page, so a frame pointer handed out (Lookup results,
-	// the machine's page memos) stays valid while its page is
-	// resident.
+	// frames holds slot i's page data at frames[i], taken from the
+	// page recycler (mem.NewFrame) the first time the slot is taken
+	// (AllocPage, loadBack) and nil before, so a machine that never
+	// enters an enclave holds no frames. A slot keeps its frame when
+	// freed, and Resize moves it with its page, so a frame pointer
+	// handed out (Lookup results, the machine's page memos) stays
+	// valid while its page is resident. Resize and Release give
+	// frames back to the recycler.
 	frames   []*mem.Frame
 	resident *pageIdx
 	free     []int
@@ -223,8 +224,9 @@ func New(capacityPages int, engine *mee.Engine, backing *mem.BackingStore, count
 // store and counter bank (the clones of e's, made by the caller): the
 // same slots, resident frame contents, residency and version indexes,
 // CLOCK hand, op statistics and jitter state, so the copy evolves
-// exactly as e would. Only the frames of resident pages are copied;
-// the clone allocates its free slots' frames on first use. The MEE
+// exactly as e would. Only the frames of resident pages are copied,
+// each into a frame of the page recycler; the clone takes its free
+// slots' frames on first use. The MEE
 // engine is shared (its keys never change); the clone gets its own
 // crypt batch. Hooks are not copied — the owning
 // machine wires its own — and an EPC recording a timeline does not
@@ -249,11 +251,10 @@ func (e *EPC) Clone(backing *mem.BackingStore, counters *perf.Counters) *EPC {
 		ops:      e.ops,
 		jitter:   e.jitter,
 	}
-	resident := make([]mem.Frame, 0, e.resident.len())
 	for i := range e.slots {
 		if e.slots[i].used {
-			resident = append(resident, *e.frames[i])
-			c.frames[i] = &resident[len(resident)-1]
+			c.frames[i] = mem.NewFrame()
+			*c.frames[i] = *e.frames[i]
 		}
 	}
 	if e.tree != nil {
@@ -342,15 +343,29 @@ func (e *EPC) LookupRef(id mem.PageID) (*mem.Frame, *bool, bool) {
 	return e.frames[idx], &s.referenced, true
 }
 
-// frame returns slot idx's frame, allocating it on the slot's first
-// use. A reused frame still holds its prior occupant's data.
+// frame returns slot idx's frame, taking it from the page recycler on
+// the slot's first use. A reused frame still holds its prior
+// occupant's data.
 func (e *EPC) frame(idx int) *mem.Frame {
 	f := e.frames[idx]
 	if f == nil {
-		f = new(mem.Frame)
+		f = mem.NewFrame()
 		e.frames[idx] = f
 	}
 	return f
+}
+
+// Release gives every slot's frame back to the page recycler and
+// clears the frame table, so a later access to any page of this EPC
+// panics instead of reading a frame another run now owns. The EPC must
+// not be used afterwards.
+func (e *EPC) Release() {
+	for _, f := range e.frames {
+		if f != nil {
+			mem.FreeFrame(f)
+		}
+	}
+	e.frames = nil
 }
 
 // nextJitter returns a small deterministic latency perturbation in
@@ -464,11 +479,7 @@ func (e *EPC) sealOut(clk *cycles.Clock, costs *cycles.CostModel, idx int) error
 
 	ver := e.versions.get(id) + 1
 	e.versions.set(id, ver)
-	sp := e.backing.Reserve()
-	if sp == nil {
-		sp = &mem.SealedPage{}
-	}
-	e.crypt.SealPageInto(sp, id, ver, e.frames[idx])
+	sp := e.crypt.SealPage(id, ver, e.frames[idx])
 	e.backing.Put(sp)
 	if e.tree != nil {
 		if err := e.tree.Update(id, sp.MAC); err != nil {
@@ -523,9 +534,10 @@ const MinCapacity = BatchEvictPages + 1
 // least MinCapacity), modelling the OS ballooning the EPC mid-run.
 // Shrinking evicts pages through the normal EWB path until the
 // resident set fits; growing adds free slots, whose frames are
-// allocated on first use. Either way the CLOCK hand restarts at slot
+// taken on first use. Either way the CLOCK hand restarts at slot
 // 0, and each resident page's frame pointer moves with it, so its
-// data is not copied. The EPCResizes counter records the event.
+// data is not copied; free slots' frames go back to the page
+// recycler. The EPCResizes counter records the event.
 func (e *EPC) Resize(clk *cycles.Clock, costs *cycles.CostModel, newCapacity int) error {
 	if newCapacity < MinCapacity {
 		newCapacity = MinCapacity
@@ -540,7 +552,7 @@ func (e *EPC) Resize(clk *cycles.Clock, costs *cycles.CostModel, newCapacity int
 	}
 	// Rebuild the slot table at the new capacity, compacting resident
 	// pages in slot order so the rebuild is deterministic. Each frame
-	// pointer moves with its page; free slots' frames are dropped.
+	// pointer moves with its page; free slots' frames are recycled.
 	newSlots := make([]slot, newCapacity)
 	newFrames := make([]*mem.Frame, newCapacity)
 	newResident := newPageIdx(newCapacity)
@@ -551,6 +563,8 @@ func (e *EPC) Resize(clk *cycles.Clock, costs *cycles.CostModel, newCapacity int
 			newFrames[next] = e.frames[i]
 			newResident.put(e.slots[i].id, next)
 			next++
+		} else if f := e.frames[i]; f != nil {
+			mem.FreeFrame(f)
 		}
 	}
 	free := make([]int, 0, newCapacity-next)

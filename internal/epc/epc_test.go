@@ -154,7 +154,7 @@ func TestTamperedBackingStoreDetected(t *testing.T) {
 	if sp == nil {
 		t.Fatal("evicted page missing from backing store")
 	}
-	sp.Ciphertext[0] ^= 1
+	sp.Ciphertext.Data[0] ^= 1
 	if _, _, err := e.Fault(clk, &costs, id(0)); err == nil {
 		t.Fatal("tampered page loaded back without error")
 	}
@@ -481,7 +481,7 @@ func TestCompactPageAttacksDetected(t *testing.T) {
 	}{
 		"bit-flip": {func(_ *mem.BackingStore, sp, _ *mem.SealedPage) {
 			engine.Materialize(sp)
-			sp.Ciphertext[123] ^= 4
+			sp.Ciphertext.Data[123] ^= 4
 		}, mee.ErrMACMismatch},
 		"mac-flip": {func(_ *mem.BackingStore, sp, _ *mem.SealedPage) { sp.MAC[15] ^= 0x80 }, mee.ErrMACMismatch},
 		"rollback": {func(b *mem.BackingStore, _, stale *mem.SealedPage) { b.Put(stale) }, mee.ErrRollback},
@@ -510,23 +510,20 @@ func TestCompactPageAttacksDetected(t *testing.T) {
 }
 
 // TestRecycledSealedPageChangesMode evicts a page with contents, then
-// all zero, then with contents again. Each eviction after the first
-// reseals the storage its previous load-back retired, so one
-// SealedPage goes explicit → compact → explicit, and every load-back
+// all zero, then with contents again. Each load-back retires its
+// sealed page and gives the ciphertext back to the page recycler, and
+// the next eviction with contents seals into a recycled buffer, so the
+// storage goes explicit → compact → explicit, and every load-back
 // must return the data evicted.
 func TestRecycledSealedPageChangesMode(t *testing.T) {
 	e, _, clk, costs := newTestEPC(32)
 	f := mustAlloc(t, e, clk, &costs, id(0))
-	var prev *mem.SealedPage
 	for i, fill := range []byte{0x5A, 0, 0xC3} {
 		for j := range f.Data {
 			f.Data[j] = fill
 		}
 		want := f.Data
 		sp := evictOut(t, e, clk, &costs, id(0))
-		if prev != nil && sp != prev {
-			t.Fatalf("eviction %d did not recycle the retired sealed page", i)
-		}
 		if (sp.Ciphertext == nil) != (fill == 0) {
 			t.Fatalf("eviction %d: compact = %v, want %v", i, sp.Ciphertext == nil, fill == 0)
 		}
@@ -537,7 +534,9 @@ func TestRecycledSealedPageChangesMode(t *testing.T) {
 		if f.Data != want {
 			t.Fatalf("load-back %d returned other data", i)
 		}
-		prev = sp
+		if sp.Ciphertext != nil {
+			t.Fatalf("load-back %d did not recycle the retired ciphertext", i)
+		}
 	}
 }
 

@@ -254,9 +254,14 @@ func (p *bootPlan) settle(t *template) {
 	}
 }
 
-// release drops a built template and frees its live slot.
-// caller holds mu.
+// release drops a built template, giving its machine's page memory
+// back to the recycler, and frees its live slot. No clone of the
+// template is in progress: release runs only on a failed build or an
+// idle template. caller holds mu.
 func (p *bootPlan) release(t *template) {
+	if t.inst != nil {
+		t.inst.Env.M.Release()
+	}
 	t.inst = nil
 	delete(p.tpls, t.key)
 	p.live--

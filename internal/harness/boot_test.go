@@ -40,6 +40,9 @@ func diffResults(a, b Result) []string {
 // same spec run behind a sibling that shares its boot key (so both run
 // on clones of one template) must give deep-equal Results — cycles,
 // startup split, every counter set, output, op stats and timeline.
+// The spec then runs alone once more, on page buffers the earlier runs
+// (its own and the parallel subtests') released dirty to the
+// recycler, and must repeat its first Result exactly.
 func TestClonedBootMatchesInPlace(t *testing.T) {
 	byName := func(name string) workloads.Workload {
 		w, err := suite.ByName(name)
@@ -81,6 +84,9 @@ func TestClonedBootMatchesInPlace(t *testing.T) {
 			}
 			if d := diffResults(alone[0], pair[1]); len(d) > 0 {
 				t.Errorf("cloned boot diverged from in-place boot in %v", d)
+			}
+			if again, _ := runBooted(t, []Spec{spec}); len(diffResults(alone[0], again[0])) > 0 {
+				t.Errorf("a run on recycled page buffers diverged from the first in %v", diffResults(alone[0], again[0]))
 			}
 		})
 	}

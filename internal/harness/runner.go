@@ -191,10 +191,11 @@ func libosManifest(spec Spec, files []string) libos.Manifest {
 
 // runOne executes one spec on a fresh machine — or, for a LibOS spec
 // whose boot the batch shares, on a clone of the batch's booted
-// template (boot may be nil: boot in place). It is the engine
-// primitive under the Runner API: unlike Runner.Run it is uncached,
-// retries nothing, and reports the spec's own failure through the
-// error return (runWithRetry moves it into Result.Err).
+// template (boot may be nil: boot in place) — and releases the
+// machine's page memory once the Result holds what it measured. It is
+// the engine primitive under the Runner API: unlike Runner.Run it is
+// uncached, retries nothing, and reports the spec's own failure
+// through the error return (runWithRetry moves it into Result.Err).
 func runOne(spec Spec, boot *bootSlot) (*Result, error) {
 	if spec.EPCPages < 0 {
 		return nil, fmt.Errorf("harness: EPC size must not be negative, got %d pages", spec.EPCPages)
@@ -262,6 +263,8 @@ func runOne(spec Spec, boot *bootSlot) (*Result, error) {
 		return nil, fmt.Errorf("harness: unknown mode %v", spec.Mode)
 	}
 	ctx.Env = env
+	// Deferred, so it runs after finish has read the machine.
+	defer env.M.Release()
 
 	res := &Result{
 		Name:            spec.Workload.Name(),

@@ -59,6 +59,8 @@ func runScenario(spec Spec) (*Result, error) {
 	desc, _ := scenario.Lookup(sp.Name) // Validate checked the name
 
 	m := sgx.NewMachine(machineConfig(spec))
+	// Deferred, so it runs after finish has read the machine.
+	defer m.Release()
 	if spec.Hooks.OnMachine != nil {
 		spec.Hooks.OnMachine(m)
 	}

@@ -66,7 +66,7 @@ func TestCloneFieldCoverage(t *testing.T) {
 			"jitter": "copy",
 		}},
 		{reflect.TypeOf(mem.BackingStore{}), map[string]string{
-			"mu": "reset", "pages": "share", "free": "reset",
+			"mu": "reset", "pages": "share",
 		}},
 		{reflect.TypeOf(cache.LLC{}), map[string]string{
 			"sets": "copy", "ways": "copy", "setMask": "copy", "setBits": "copy",

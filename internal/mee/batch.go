@@ -35,13 +35,6 @@ func (b *Batch) SealPage(id mem.PageID, version uint64, f *mem.Frame) *mem.Seale
 	return sealPage(b.aead, &b.scratch, id, version, f)
 }
 
-// SealPageInto is SealPage writing into a caller-provided (possibly
-// recycled) SealedPage. Every field is overwritten; the result is
-// byte-identical to SealPage.
-func (b *Batch) SealPageInto(sp *mem.SealedPage, id mem.PageID, version uint64, f *mem.Frame) {
-	sealPageInto(b.aead, &b.scratch, sp, id, version, f)
-}
-
 // UnsealPage is Engine.UnsealPage through the batch's cached state:
 // identical verification outcome and plaintext.
 func (b *Batch) UnsealPage(sp *mem.SealedPage, expectVersion uint64, f *mem.Frame) error {
@@ -62,7 +55,7 @@ func (e *Engine) SealBatch(ids []mem.PageID, versions []uint64, frames []*mem.Fr
 	b := e.NewBatch()
 	for i, id := range ids {
 		if out[i] != nil {
-			b.SealPageInto(out[i], id, versions[i], frames[i])
+			sealPageInto(b.aead, &b.scratch, out[i], id, versions[i], frames[i])
 		} else {
 			out[i] = b.SealPage(id, versions[i], frames[i])
 		}

@@ -32,7 +32,7 @@ func TestBatchSealIdentical(t *testing.T) {
 		if single.ID != batched.ID || single.Version != batched.Version {
 			t.Fatalf("page %d: metadata mismatch", i)
 		}
-		if !bytes.Equal(single.Ciphertext[:], batched.Ciphertext[:]) {
+		if !bytes.Equal(single.Ciphertext.Data[:], batched.Ciphertext.Data[:]) {
 			t.Fatalf("page %d: ciphertext differs between single and batched seal", i)
 		}
 		if single.MAC != batched.MAC {
@@ -62,7 +62,7 @@ func TestBatchUnsealMatchesEngine(t *testing.T) {
 		t.Fatalf("stale version: got %v, want ErrRollback", err)
 	}
 	tampered := sp.Copy()
-	tampered.Ciphertext[100] ^= 1
+	tampered.Ciphertext.Data[100] ^= 1
 	if err := b.UnsealPage(tampered, 9, &out); !errors.Is(err, ErrMACMismatch) {
 		t.Fatalf("tampered page: got %v, want ErrMACMismatch", err)
 	}
@@ -89,7 +89,7 @@ func TestSealBatchVerifyBatch(t *testing.T) {
 	e.SealBatch(ids, vers, frames, out)
 	for i := range out {
 		want := e.SealPage(ids[i], vers[i], frames[i])
-		if !bytes.Equal(want.Ciphertext[:], out[i].Ciphertext[:]) || want.MAC != out[i].MAC {
+		if !bytes.Equal(want.Ciphertext.Data[:], out[i].Ciphertext.Data[:]) || want.MAC != out[i].MAC {
 			t.Fatalf("page %d: SealBatch output differs from SealPage", i)
 		}
 	}

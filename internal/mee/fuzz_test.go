@@ -2,6 +2,7 @@ package mee
 
 import (
 	"bytes"
+	"crypto/cipher"
 	"errors"
 	"testing"
 
@@ -85,7 +86,7 @@ func FuzzUnsealPage(f *testing.F) {
 			off := corruptAt % (mem.PageSize + len(sp.MAC))
 			if off < mem.PageSize {
 				e.Materialize(sp)
-				sp.Ciphertext[off] ^= flip
+				sp.Ciphertext.Data[off] ^= flip
 			} else {
 				sp.MAC[off-mem.PageSize] ^= flip
 			}
@@ -109,6 +110,81 @@ func FuzzUnsealPage(f *testing.F) {
 			if dst.Data != src.Data {
 				t.Fatal("page round trip mangled data")
 			}
+		}
+	})
+}
+
+// unsealCompactTwoPass is the load-back of a compact page in two GCM
+// passes, as unsealPage did it before taking one: rebuild the
+// ciphertext by sealing the zero page, then open it against the stored
+// MAC. It is FuzzUnsealCompact's oracle.
+func unsealCompactTwoPass(aead cipher.AEAD, sp *mem.SealedPage, expectVersion uint64, f *mem.Frame) error {
+	if sp.Version != expectVersion {
+		return ErrRollback
+	}
+	var scratch [mem.PageSize + 16]byte
+	sealZero(aead, &scratch, sp.ID, sp.Version)
+	copy(scratch[mem.PageSize:], sp.MAC[:])
+	iv := nonce(sp.ID, sp.Version)
+	hdr := pageHeader(sp.ID, sp.Version)
+	if _, err := aead.Open(f.Data[:0], iv[:], scratch[:], hdr[:]); err != nil {
+		return ErrMACMismatch
+	}
+	return nil
+}
+
+// FuzzUnsealCompact checks the one-pass load-back of a compact sealed
+// page against the two-pass oracle, with the stored identity, version
+// and MAC tampered with: both must return the same error, the one the
+// tampering calls for, and a page that verifies must load back all
+// zero whatever the frame held before.
+func FuzzUnsealCompact(f *testing.F) {
+	f.Add(uint64(1), uint32(1), uint64(3), uint64(2), uint64(2), uint32(0), uint64(0), uint64(0), -1, byte(0))
+	f.Add(uint64(2), uint32(9), uint64(0), uint64(1), uint64(2), uint32(0), uint64(0), uint64(0), -1, byte(0))
+	f.Add(uint64(3), uint32(4), uint64(8), uint64(5), uint64(5), uint32(0), uint64(0), uint64(0), 15, byte(0x80))
+	f.Add(uint64(4), uint32(4), uint64(8), uint64(5), uint64(5), uint32(1), uint64(0), uint64(0), -1, byte(0))
+	f.Add(uint64(5), uint32(4), uint64(8), uint64(5), uint64(5), uint32(0), uint64(1<<40), uint64(0), -1, byte(0))
+	f.Add(uint64(6), uint32(4), uint64(8), uint64(5), uint64(6), uint32(0), uint64(0), uint64(3), -1, byte(0))
+
+	f.Fuzz(func(t *testing.T, seed uint64, enclave uint32, vpn, version, expectVersion uint64,
+		enclaveXor uint32, vpnXor, versionXor uint64, macAt int, flip byte) {
+		e := New(seed)
+		var zero mem.Frame
+		sp := e.SealPage(mem.PageID{Enclave: enclave, VPN: vpn}, version, &zero)
+		if sp.Ciphertext != nil {
+			t.Fatal("the all-zero page was stored with its ciphertext")
+		}
+		sp.ID.Enclave ^= enclaveXor
+		sp.ID.VPN ^= vpnXor
+		sp.Version ^= versionXor
+		if macAt >= 0 {
+			sp.MAC[macAt%len(sp.MAC)] ^= flip
+		}
+		tampered := enclaveXor != 0 || vpnXor != 0 || versionXor != 0 || (macAt >= 0 && flip != 0)
+		var want error
+		switch {
+		case sp.Version != expectVersion:
+			want = ErrRollback
+		case tampered:
+			want = ErrMACMismatch
+		}
+
+		aead := e.pageAEAD()
+		var got, oracle mem.Frame
+		for i := range got.Data {
+			got.Data[i] = byte(i) | 1
+		}
+		oracle = got
+		var scratch [mem.PageSize + 16]byte
+		err := unsealPage(aead, &scratch, sp, expectVersion, &got)
+		if oracleErr := unsealCompactTwoPass(aead, sp, expectVersion, &oracle); err != oracleErr {
+			t.Fatalf("one pass: err=%v, two passes: err=%v", err, oracleErr)
+		}
+		if err != want {
+			t.Fatalf("err=%v, want %v", err, want)
+		}
+		if err == nil && (got.Data != zero.Data || oracle.Data != zero.Data) {
+			t.Fatal("a compact page loaded back other than all zero")
 		}
 	})
 }

@@ -21,6 +21,7 @@ import (
 	"crypto/cipher"
 	"crypto/hmac"
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -128,10 +129,10 @@ func sealPage(aead cipher.AEAD, scratch *[mem.PageSize + 16]byte, id mem.PageID,
 var zeroPage [mem.PageSize]byte
 
 // sealPageInto seals into a caller-provided SealedPage, overwriting
-// every field — the destination may be recycled storage with stale
-// contents (mem.BackingStore.Reserve), whose ciphertext array it
-// reuses. Every page gets the full GCM seal and keeps its MAC; an
-// all-zero page keeps no ciphertext (a compact page, see
+// every field and reusing the destination's ciphertext buffer when it
+// has one; otherwise the buffer comes from the page recycler
+// (mem.NewFrame). Every page gets the full GCM seal and keeps its MAC;
+// an all-zero page keeps no ciphertext (a compact page, see
 // mem.SealedPage), since unsealPage can regenerate it from the nonce.
 func sealPageInto(aead cipher.AEAD, scratch *[mem.PageSize + 16]byte, sp *mem.SealedPage, id mem.PageID, version uint64, f *mem.Frame) {
 	sp.ID = id
@@ -145,9 +146,9 @@ func sealPageInto(aead cipher.AEAD, scratch *[mem.PageSize + 16]byte, sp *mem.Se
 		return
 	}
 	if sp.Ciphertext == nil {
-		sp.Ciphertext = new([mem.PageSize]byte)
+		sp.Ciphertext = mem.NewFrame()
 	}
-	copy(sp.Ciphertext[:], out[:mem.PageSize])
+	copy(sp.Ciphertext.Data[:], out[:mem.PageSize])
 }
 
 // sealZero writes the ciphertext ∥ tag of the all-zero page sealed as
@@ -161,17 +162,24 @@ func sealZero(aead cipher.AEAD, scratch *[mem.PageSize + 16]byte, id mem.PageID,
 
 // unsealPage is sealPage's inverse: rollback check, then GCM open
 // (which verifies the tag over ciphertext, identity and version before
-// releasing any plaintext). A compact page's ciphertext is rebuilt
-// first, so it goes through the same Open against its stored MAC.
+// releasing any plaintext). A compact page takes one GCM pass instead
+// of two: its ciphertext is the zero page's seal under the stored
+// nonce and header, so Open would accept exactly when the tag of that
+// seal equals the stored MAC, and the plaintext it would release is
+// the zero page. On a mismatch f is left as it was.
 func unsealPage(aead cipher.AEAD, scratch *[mem.PageSize + 16]byte, sp *mem.SealedPage, expectVersion uint64, f *mem.Frame) error {
 	if sp.Version != expectVersion {
 		return ErrRollback
 	}
 	if sp.Ciphertext == nil {
 		sealZero(aead, scratch, sp.ID, sp.Version)
-	} else {
-		copy(scratch[:], sp.Ciphertext[:])
+		if subtle.ConstantTimeCompare(scratch[mem.PageSize:], sp.MAC[:]) != 1 {
+			return ErrMACMismatch
+		}
+		f.Data = zeroPage
+		return nil
 	}
+	copy(scratch[:], sp.Ciphertext.Data[:])
 	copy(scratch[mem.PageSize:], sp.MAC[:])
 	iv := nonce(sp.ID, sp.Version)
 	hdr := pageHeader(sp.ID, sp.Version)
@@ -196,9 +204,8 @@ func (e *Engine) Materialize(sp *mem.SealedPage) {
 	}
 	var scratch [mem.PageSize + 16]byte
 	sealZero(e.pageAEAD(), &scratch, sp.ID, sp.Version)
-	ct := new([mem.PageSize]byte)
-	copy(ct[:], scratch[:mem.PageSize])
-	sp.Ciphertext = ct
+	sp.Ciphertext = mem.NewFrame()
+	copy(sp.Ciphertext.Data[:], scratch[:mem.PageSize])
 }
 
 // sealOverhead is the number of bytes Seal adds to the plaintext: a

@@ -19,7 +19,7 @@ func TestPageSealUnsealRoundTrip(t *testing.T) {
 		f.Data[i] = byte(i * 7)
 	}
 	sp := e.SealPage(id, 1, &f)
-	if bytes.Equal(sp.Ciphertext[:256], f.Data[:256]) {
+	if bytes.Equal(sp.Ciphertext.Data[:256], f.Data[:256]) {
 		t.Fatal("ciphertext equals plaintext")
 	}
 	var out mem.Frame
@@ -37,7 +37,7 @@ func TestPageMACTamperDetected(t *testing.T) {
 	var f mem.Frame
 	f.Data[100] = 0x5A
 	sp := e.SealPage(id, 1, &f)
-	sp.Ciphertext[100] ^= 1 // untrusted memory flips a bit
+	sp.Ciphertext.Data[100] ^= 1 // untrusted memory flips a bit
 	var out mem.Frame
 	if err := e.UnsealPage(sp, 1, &out); err != ErrMACMismatch {
 		t.Fatalf("tampered page unsealed: err=%v, want ErrMACMismatch", err)
@@ -212,7 +212,7 @@ func TestZeroPageSealsCompact(t *testing.T) {
 		t.Fatal("Materialize left the page compact")
 	}
 	h := sha256.New()
-	h.Write(sp.Ciphertext[:])
+	h.Write(sp.Ciphertext.Data[:])
 	h.Write(sp.MAC[:])
 	if got := hex.EncodeToString(h.Sum(nil)); got != zeroSealSHA256 {
 		t.Fatalf("materialized zero seal = %s, want %s", got, zeroSealSHA256)
@@ -232,7 +232,7 @@ func TestCompactPageAttacks(t *testing.T) {
 	t.Run("bit-flip", func(t *testing.T) {
 		sp := e.SealPage(id, 1, &zero)
 		e.Materialize(sp)
-		sp.Ciphertext[4000] ^= 0x10
+		sp.Ciphertext.Data[4000] ^= 0x10
 		if err := e.UnsealPage(sp, 1, &out); !errors.Is(err, ErrMACMismatch) {
 			t.Fatalf("err = %v, want ErrMACMismatch", err)
 		}
@@ -271,8 +271,9 @@ func TestCompactPageAttacks(t *testing.T) {
 }
 
 // TestRecycledSealedPageModes reseals one SealedPage in place through
-// explicit → compact → explicit, as a recycled backing-store entry is:
-// each seal must equal a fresh one and unseal to its own plaintext.
+// explicit → compact → explicit, as SealBatch does with a reused
+// destination: each seal must equal a fresh one and unseal to its own
+// plaintext.
 func TestRecycledSealedPageModes(t *testing.T) {
 	e := New(5)
 	b := e.NewBatch()
@@ -284,7 +285,7 @@ func TestRecycledSealedPageModes(t *testing.T) {
 		for i := range f.Data {
 			f.Data[i] = fill ^ byte(i*int(fill))
 		}
-		b.SealPageInto(&sp, id, version, &f)
+		sealPageInto(b.aead, &b.scratch, &sp, id, version, &f)
 		fresh := e.SealPage(id, version, &f)
 		if (sp.Ciphertext == nil) != (fill == 0) {
 			t.Fatalf("version %d: compact = %v, want %v", version, sp.Ciphertext == nil, fill == 0)

@@ -94,22 +94,30 @@ func TestPageIDString(t *testing.T) {
 	}
 }
 
+// sealed returns a stored page with a ciphertext buffer of its own.
+func sealed(id PageID, version uint64) *SealedPage {
+	p := &SealedPage{ID: id, Version: version, Ciphertext: NewFrame()}
+	p.Ciphertext.Data[0] = 1
+	return p
+}
+
 func TestBackingStoreCloneSharesFrozenPages(t *testing.T) {
 	b := NewBackingStore()
 	ids := []PageID{{Enclave: 1, VPN: 1}, {Enclave: 1, VPN: 2}}
 	for _, id := range ids {
-		b.Put(&SealedPage{ID: id, Version: 1})
+		b.Put(sealed(id, 1))
 	}
+	shared := b.Get(ids[0])
 	c := b.Clone()
-	if c.Len() != 2 || c.Get(ids[0]) != b.Get(ids[0]) {
+	if c.Len() != 2 || c.Get(ids[0]) != shared {
 		t.Fatal("clone does not share the source's sealed pages")
 	}
 	// Dropping a shared page from the clone leaves the source intact
-	// and must not hand the page's storage out for reuse.
+	// and must not hand the page's ciphertext out for reuse.
 	c.Delete(ids[0])
-	c.Put(&SealedPage{ID: ids[1], Version: 2})
-	if c.Reserve() != nil {
-		t.Error("clone recycled a frozen page")
+	c.Put(sealed(ids[1], 2))
+	if shared.Ciphertext == nil || b.Get(ids[1]).Ciphertext == nil {
+		t.Error("clone recycled a frozen page's ciphertext")
 	}
 	if b.Get(ids[0]) == nil || b.Get(ids[1]).Version != 1 {
 		t.Error("clone mutations reached the source store")
@@ -117,14 +125,58 @@ func TestBackingStoreCloneSharesFrozenPages(t *testing.T) {
 	// The source keeps its pages frozen too: a clone may still read
 	// them.
 	b.Delete(ids[0])
-	if b.Reserve() != nil {
+	if shared.Ciphertext == nil {
 		t.Error("source recycled a page shared with its clone")
 	}
 	// Pages sealed after the clone are the clone's own and recycle.
-	own := &SealedPage{ID: PageID{Enclave: 1, VPN: 3}}
+	own := sealed(PageID{Enclave: 1, VPN: 3}, 1)
 	c.Put(own)
 	c.Delete(own.ID)
-	if c.Reserve() != own {
+	if own.Ciphertext != nil {
 		t.Error("clone did not recycle a page it sealed itself")
 	}
+}
+
+// TestPageRecycler checks the recycler's contract: a freed buffer
+// comes back zeroed, and the recycler never holds more than its bound.
+func TestPageRecycler(t *testing.T) {
+	f := NewFrame()
+	f.Data[7] = 0xAA
+	FreeFrame(f)
+	if g := NewFrame(); g.Data != (Frame{}).Data {
+		t.Fatal("a recycled frame came back dirty")
+	}
+	for range maxPooledPages + 10 {
+		FreeFrame(new(Frame))
+	}
+	if n := PooledPages(); n != maxPooledPages {
+		t.Errorf("recycler holds %d pages, want its bound %d", n, maxPooledPages)
+	}
+}
+
+// TestBackingStoreRelease: Release recycles every unshared page's
+// ciphertext, keeps frozen ones intact and leaves the store unusable.
+func TestBackingStoreRelease(t *testing.T) {
+	b := NewBackingStore()
+	shared := sealed(PageID{Enclave: 1, VPN: 1}, 1)
+	b.Put(shared)
+	c := b.Clone()
+	own := sealed(PageID{Enclave: 1, VPN: 2}, 1)
+	c.Put(own)
+	c.Release()
+	if own.Ciphertext != nil {
+		t.Error("Release kept an unshared page's ciphertext")
+	}
+	if shared.Ciphertext == nil || shared.Ciphertext.Data[0] != 1 {
+		t.Error("Release recycled a page shared with the source store")
+	}
+	if c.Len() != 0 || c.Get(shared.ID) != nil {
+		t.Error("a released store still holds pages")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Put into a released store did not panic")
+		}
+	}()
+	c.Put(sealed(PageID{Enclave: 1, VPN: 3}, 1))
 }

@@ -298,26 +298,28 @@ func TestChaosTamperCompactPages(t *testing.T) {
 }
 
 // TestChaosRollbackStashIsDeep stashes a sealed page, then has the
-// store recycle that entry and reseal another version into its
-// storage in place. The stash must still hold the stale image it
-// captured, and replaying it must be caught as a rollback.
+// store retire that entry, recycling its ciphertext, and seal another
+// version. The stash must own its ciphertext, still hold the stale
+// image it captured, and replaying it must be caught as a rollback.
 func TestChaosRollbackStashIsDeep(t *testing.T) {
 	m, env, page := tamperVictim(t)
 	id := env.Enclave.PageID(page)
 	env.Main.WriteU64(page, 0x1111)
 	sp := evictSealed(t, m, env, page)
+	retired := sp.Ciphertext
 	m.tamper(sp, chaos.TamperRollback)
 	stash := m.rollbackStash[id]
 	captured := *stash.Ciphertext
 
-	env.Main.WriteU64(page, 0x2222) // load-back retires sp to the free list
-	if again := evictSealed(t, m, env, page); again != sp {
-		t.Fatal("the second eviction did not reseal the retired entry in place")
+	env.Main.WriteU64(page, 0x2222) // load-back recycles sp's ciphertext
+	if sp.Ciphertext != nil {
+		t.Fatal("the load-back did not recycle the retired entry's ciphertext")
 	}
-	if *stash.Ciphertext != captured || stash.Ciphertext == sp.Ciphertext {
-		t.Fatal("resealing the store's entry changed the rollback stash")
+	again := evictSealed(t, m, env, page)
+	if *stash.Ciphertext != captured || stash.Ciphertext == retired || stash.Ciphertext == again.Ciphertext {
+		t.Fatal("the rollback stash shares storage with the store")
 	}
-	m.tamper(sp, chaos.TamperRollback)
+	m.tamper(again, chaos.TamperRollback)
 	if err := Protect(func() { env.Main.ReadU64(page) }); !errors.Is(err, mee.ErrRollback) {
 		t.Fatalf("err = %v, want ErrRollback", err)
 	}

@@ -40,7 +40,7 @@ func TestTamperedEvictedPageAbortsEnclave(t *testing.T) {
 	if sp == nil {
 		t.Fatal("evicted page missing from backing store")
 	}
-	sp.Ciphertext[8] ^= 0xFF // the untrusted OS flips bits
+	sp.Ciphertext.Data[8] ^= 0xFF // the untrusted OS flips bits
 
 	err := Protect(func() { tr.ReadU64(victim) })
 	if err == nil {
@@ -183,7 +183,7 @@ func TestEvictedDataConfidential(t *testing.T) {
 	if sp == nil {
 		t.Fatal("evicted page missing from backing store")
 	}
-	if strings.Contains(string(sp.Ciphertext[:]), string(secret)) {
+	if strings.Contains(string(sp.Ciphertext.Data[:]), string(secret)) {
 		t.Fatal("secret visible in plaintext in untrusted memory")
 	}
 	// And it still reads back correctly.

@@ -372,7 +372,18 @@ func errString(err error) string {
 	return err.Error()
 }
 
-func runLockstep(t *testing.T, cfg Config) {
+// lockstepOutcome is what a lockstep run ends with, on both machines.
+type lockstepOutcome struct {
+	errs     string
+	counters perf.Snapshot
+	cycles   uint64
+	sum      uint64
+}
+
+// runLockstep runs the differential script on a fast machine and its
+// SlowPath reference, failing on the first step where they differ,
+// then releases both machines' page memory to the recycler.
+func runLockstep(t *testing.T, cfg Config) lockstepOutcome {
 	t.Helper()
 	slowCfg := cfg
 	slowCfg.SlowPath = true
@@ -380,13 +391,17 @@ func runLockstep(t *testing.T, cfg Config) {
 	slow := NewMachine(slowCfg)
 	fs := &diffState{env: fast.NewEnv(Native)}
 	ss := &diffState{env: slow.NewEnv(Native)}
+	defer fast.Release()
+	defer slow.Release()
 
+	var out lockstepOutcome
 	for _, step := range diffScript() {
 		errF := Protect(func() { step.run(fs) })
 		errS := Protect(func() { step.run(ss) })
 		if errString(errF) != errString(errS) {
 			t.Fatalf("%s: fast err %q, slow err %q", step.name, errString(errF), errString(errS))
 		}
+		out.errs += errString(errF) + "\n"
 		cf, cs := fast.Counters.Snapshot(), slow.Counters.Snapshot()
 		if cf != cs {
 			for _, e := range perf.Events() {
@@ -407,6 +422,8 @@ func runLockstep(t *testing.T, cfg Config) {
 	if fs.sum != ss.sum {
 		t.Fatalf("data checksum diverged: fast %#x, slow %#x", fs.sum, ss.sum)
 	}
+	out.counters, out.cycles, out.sum = fast.Counters.Snapshot(), fs.env.Main.Clock.Cycles(), fs.sum
+	return out
 }
 
 func TestFastSlowEquivalence(t *testing.T) {
@@ -424,7 +441,15 @@ func TestFastSlowEquivalence(t *testing.T) {
 		}},
 	}
 	for name, cfg := range configs {
-		t.Run(name, func(t *testing.T) { runLockstep(t, cfg) })
+		t.Run(name, func(t *testing.T) {
+			// The second pass takes the page buffers the first one
+			// released, dirty: which buffer a run reuses must never
+			// reach its results.
+			first := runLockstep(t, cfg)
+			if again := runLockstep(t, cfg); again != first {
+				t.Errorf("a run on recycled page buffers diverged from the first run:\nfirst %+v\nagain %+v", first, again)
+			}
+		})
 	}
 }
 

@@ -350,16 +350,37 @@ func (m *Machine) clone() *Machine {
 		switchlessSeq:  m.switchlessSeq,
 		fastWords:      m.fastWords,
 	}
-	//sgxlint:ignore determinism each key gets its own frame copy and nothing else happens; the final map is order-independent
+	//sgxlint:ignore determinism each key gets its own copy in a zeroed recycler buffer and nothing else happens; the final map is order-independent
 	for vpn, f := range m.untrusted {
-		cp := *f
-		c.untrusted[vpn] = &cp
+		cp := mem.NewFrame()
+		*cp = *f
+		c.untrusted[vpn] = cp
 	}
 	for _, e := range m.enclaves {
 		c.enclaves = append(c.enclaves, e.Clone())
 	}
 	c.wireEPC()
 	return c
+}
+
+// Release ends the machine's life: it gives its simulated page memory
+// (every untrusted frame, every EPC frame and the ciphertext of every
+// sealed page no clone shares) back to the process-wide page recycler
+// for later runs. It clears the frame tables and every thread's page
+// memo, so a late access panics instead of reading a page another run
+// now owns. Counters, op statistics and the EPC timeline stay
+// readable. The machine and its environments must not run again.
+func (m *Machine) Release() {
+	for _, t := range m.threads {
+		t.memoClear()
+	}
+	//sgxlint:ignore determinism each frame goes back to the recycler, which hands every buffer out zeroed, so the order buffers are reused in never reaches simulated state
+	for _, f := range m.untrusted {
+		mem.FreeFrame(f)
+	}
+	m.untrusted = nil
+	m.EPC.Release()
+	m.Backing.Release()
 }
 
 // Chaos returns the machine's fault injector, or nil when chaos is
@@ -382,7 +403,7 @@ func (m *Machine) tamper(sp *mem.SealedPage, kind chaos.TamperKind) {
 	switch kind {
 	case chaos.TamperBitFlip:
 		m.Engine.Materialize(sp)
-		sp.Ciphertext[m.chaos.PickOffset(mem.PageSize)] ^= 1 << uint(m.chaos.PickOffset(8))
+		sp.Ciphertext.Data[m.chaos.PickOffset(mem.PageSize)] ^= 1 << uint(m.chaos.PickOffset(8))
 	case chaos.TamperMAC:
 		sp.MAC[m.chaos.PickOffset(len(sp.MAC))] ^= 1 << uint(m.chaos.PickOffset(8))
 	case chaos.TamperDrop:
@@ -531,7 +552,7 @@ func (m *Machine) ensureResident(t *Thread, enc *enclave.Enclave, addr uint64) (
 		// First touch of an untrusted page: minor page fault.
 		t.shard.Inc(perf.PageFaults)
 		t.Clock.Advance(c.FaultOverhead)
-		f := new(mem.Frame)
+		f := mem.NewFrame()
 		m.untrusted[vpn] = f
 		return f, nil, nil
 	}

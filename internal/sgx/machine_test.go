@@ -344,3 +344,73 @@ func TestNewMachineAllocatesNoEPCFrames(t *testing.T) {
 			epcPages, least, limit, epcPages*mem.PageSize)
 	}
 }
+
+// dirtyMachine returns a machine with an enclave launched, its threads'
+// page memos warm, and one untrusted and one enclave buffer of n pages
+// written all over.
+func dirtyMachine(t *testing.T, n uint64) (*Machine, *Env, uint64, uint64) {
+	t.Helper()
+	m := NewMachine(Config{EPCPages: 32})
+	env := m.NewEnv(Native)
+	if _, err := env.LaunchEnclave(2, 24); err != nil {
+		t.Fatal(err)
+	}
+	u := env.AllocUntrusted(n*mem.PageSize, mem.PageSize)
+	e := env.MustAlloc(n*mem.PageSize, mem.PageSize)
+	env.Main.Memset(u, 0xA5, n*mem.PageSize)
+	env.Main.Memset(e, 0x5A, n*mem.PageSize)
+	return m, env, u, e
+}
+
+// TestReleasedMachinePanics: Release clears the frame tables and the
+// page memos, so a later access panics instead of reading a buffer
+// another run may own by then, whether the page was the last one
+// touched, an earlier one, or never touched.
+func TestReleasedMachinePanics(t *testing.T) {
+	for name, touch := range map[string]func(env *Env, u, e uint64){
+		"untrusted-last":        func(env *Env, u, _ uint64) { env.Main.ReadU64(u + 3*mem.PageSize) },
+		"untrusted-earlier":     func(env *Env, u, _ uint64) { env.Main.ReadU64(u) },
+		"untrusted-first-touch": func(env *Env, u, _ uint64) { env.Main.WriteU64(u+4*mem.PageSize, 1) },
+		"enclave-last":          func(env *Env, _, e uint64) { env.Main.ReadU64(e + 3*mem.PageSize) },
+		"enclave-earlier":       func(env *Env, _, e uint64) { env.Main.ReadU64(e) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			m, env, u, e := dirtyMachine(t, 4)
+			m.Release()
+			defer func() {
+				if recover() == nil {
+					t.Error("an access after Release did not panic")
+				}
+			}()
+			touch(env, u, e)
+		})
+	}
+}
+
+// TestRecycledFramesReadZero releases a machine whose pages are all
+// written, so the recycler holds dirty buffers, then checks that a new
+// machine built from them reads zero on every untrusted first touch
+// and every freshly allocated enclave page.
+func TestRecycledFramesReadZero(t *testing.T) {
+	const pages = 8
+	dirty, _, _, _ := dirtyMachine(t, pages)
+	dirty.Release()
+	pooled := mem.PooledPages()
+	m := NewMachine(Config{EPCPages: 32})
+	env := m.NewEnv(Native)
+	if _, err := env.LaunchEnclave(2, 24); err != nil {
+		t.Fatal(err)
+	}
+	u := env.AllocUntrusted(pages*mem.PageSize, mem.PageSize)
+	e := env.MustAlloc(pages*mem.PageSize, mem.PageSize)
+	for _, base := range []uint64{u, e} {
+		for off := uint64(0); off < pages*mem.PageSize; off += 8 {
+			if v := env.Main.ReadU64(base + off); v != 0 {
+				t.Fatalf("word %#x of a fresh page reads %#x, want 0", base+off, v)
+			}
+		}
+	}
+	if took := pooled - mem.PooledPages(); took < 2*pages {
+		t.Errorf("the new machine took %d recycled buffers, want at least %d", took, 2*pages)
+	}
+}

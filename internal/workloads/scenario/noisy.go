@@ -156,6 +156,7 @@ func buildNoisy(m *sgx.Machine, sp Spec, seed int64) (*Instance, error) {
 // the same configuration and returns its cycles and checksum.
 func soloBaseline(cfg sgx.Config, pages, ops int) (uint64, uint64, error) {
 	m := sgx.NewMachine(cfg)
+	defer m.Release()
 	env, base, err := launchEnclave(m, pages)
 	if err != nil {
 		return 0, 0, err
