@@ -10,6 +10,7 @@ import (
 	"sgxgauge/internal/chaos"
 	"sgxgauge/internal/harness"
 	"sgxgauge/internal/sgx"
+	"sgxgauge/internal/workloads"
 	"sgxgauge/internal/workloads/suite"
 )
 
@@ -40,11 +41,11 @@ func cmdChaos(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	mode, err := parseMode(*modeStr)
+	mode, err := sgx.ParseMode(*modeStr)
 	if err != nil {
 		fatal(err)
 	}
-	size, err := parseSize(*sizeStr)
+	size, err := workloads.ParseSize(*sizeStr)
 	if err != nil {
 		fatal(err)
 	}

@@ -1,22 +1,8 @@
-// Command sgxreport regenerates every table and figure of the
-// SGXGauge paper's evaluation against the simulated SGX machine.
-//
-// Usage:
-//
-//	sgxreport [-epc pages] [-exp id[,id...]] [-j workers] [-progress]
-//
-// Experiment ids: fig2 fig3 fig4 tab2 tab4 fig5 fig6a fig6bc fig6d
-// fig7 fig8 tab5 fig9 fig10 multi, or "all" (default). The list comes
-// from harness.Experiments(), the same registry the daemon's
-// /v1/figures endpoint serves; an unknown id is rejected with exit
-// code 2 before anything runs. Runs within an experiment execute on a
-// parallel worker pool (-j); results are identical to a serial run.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"os"
 	"strings"
 	"time"
 
@@ -24,36 +10,30 @@ import (
 	"sgxgauge/internal/sgx"
 )
 
-func main() {
-	epcPages := flag.Int("epc", sgx.DefaultEPCPages, "simulated EPC size in 4 KiB pages (paper hardware: 23552)")
-	exps := flag.String("exp", "all", "comma-separated experiment ids (fig2,fig3,fig4,tab2,tab4,fig5,fig6a,fig6bc,fig6d,fig7,fig8,tab5,fig9,fig10,multi) or 'all'")
-	seed := flag.Int64("seed", 1, "base random seed")
-	jobs := flag.Int("j", 0, "parallel workers (0 = GOMAXPROCS)")
-	progress := flag.Bool("progress", false, "report per-run progress to stderr")
-	flag.Parse()
+// cmdReport regenerates the paper's tables and figures: the -exp
+// experiments of harness.Experiments(), the same registry the
+// daemon's /v1/figures endpoint serves, through one Runner.
+func cmdReport(args []string) {
+	fs := flag.NewFlagSet("report", flag.ExitOnError)
+	epcPages := fs.Int("epc", sgx.DefaultEPCPages, "simulated EPC size in 4 KiB pages (paper hardware: 23552)")
+	exps := fs.String("exp", "all", "comma-separated experiment ids (fig2,fig3,fig4,tab2,tab4,fig5,fig6a,fig6bc,fig6d,fig7,fig8,tab5,fig9,fig10,multi) or 'all'")
+	seed := fs.Int64("seed", 1, "base random seed")
+	jobs := fs.Int("j", 0, "parallel workers (0 = GOMAXPROCS)")
+	progress := fs.Bool("progress", false, "report per-run progress to stderr")
+	fs.Parse(args)
 
 	if *epcPages < 0 {
-		fmt.Fprintf(os.Stderr, "sgxreport: -epc must not be negative, got %d\n", *epcPages)
-		os.Exit(2)
+		usageFail(fmt.Errorf("-epc must not be negative, got %d", *epcPages))
+	}
+	selected, err := selectExperiments(*exps)
+	if err != nil {
+		usageFail(err)
 	}
 	r := harness.NewRunner(*epcPages)
 	r.Seed = *seed
 	r.Jobs = *jobs
 	if *progress {
-		r.Progress = func(p harness.Progress) {
-			status := ""
-			if p.Err != nil {
-				status = "  FAILED: " + p.Err.Error()
-			}
-			fmt.Fprintf(os.Stderr, "[%d/%d] %s/%v %v%s\n",
-				p.Completed, p.Total, p.Name, p.Mode, p.Wall.Round(time.Millisecond), status)
-		}
-	}
-
-	selected, err := selectExperiments(*exps)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sgxreport: %v\n", err)
-		os.Exit(2)
+		r.Progress = progressPrinter()
 	}
 
 	// -epc 0 runs at the default size; the header names what runs.
@@ -64,8 +44,7 @@ func main() {
 		start := time.Now()
 		out, err := e.Render(r)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "sgxreport: %s: %v\n", e.ID, err)
-			os.Exit(1)
+			fatal(fmt.Errorf("%s: %w", e.ID, err))
 		}
 		fmt.Printf("[%s] (generated in %v)\n%s\n", e.ID, time.Since(start).Round(time.Millisecond), out)
 	}

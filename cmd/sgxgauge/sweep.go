@@ -30,11 +30,11 @@ func cmdSweep(args []string) {
 	progress := fs.Bool("progress", false, "report per-run progress to stderr")
 	fs.Parse(args)
 
-	mode, err := parseMode(*modeStr)
+	mode, err := sgx.ParseMode(*modeStr)
 	if err != nil {
 		fatal(err)
 	}
-	size, err := parseSize(*sizeStr)
+	size, err := workloads.ParseSize(*sizeStr)
 	if err != nil {
 		fatal(err)
 	}

@@ -15,8 +15,11 @@
 //
 // The library lives under internal/; the executables are:
 //
-//	cmd/sgxgauge   — run individual workloads and inspect counters
-//	cmd/sgxreport  — regenerate every table and figure of the paper
+//	cmd/sgxgauge   — the one CLI: run a workload or scenario and
+//	                 inspect its counters or trace ("run"), regenerate
+//	                 every table and figure of the paper ("report"),
+//	                 and serve both over HTTP ("serve")
+//	cmd/sgxlint    — the in-tree invariant lint
 //
 // The repository benchmark is `go run ./bench`. See README.md,
 // DESIGN.md and EXPERIMENTS.md.

@@ -297,7 +297,7 @@ func TestRunnerTemplatesBoundedAcrossBatches(t *testing.T) {
 }
 
 // TestPaperOrderBoots renders every experiment in report order through
-// one two-worker Runner, as sgxreport and the bench do, and bounds its
+// one two-worker Runner, as sgxgauge report and the bench do, and bounds its
 // LibOS boots. With templates kept across batches the seed-1 report
 // builds 4 templates and boots 2 specs in place (timeline specs, which
 // never share a boot); with templates freed after each batch it did 6

@@ -283,7 +283,7 @@ func (r *Runner) Key(spec Spec) (Key, error) {
 
 // engineOpts merges the runner's defaults with per-call options.
 func (r *Runner) engineOpts(opts []Option) engineOpts {
-	o := engineOpts{clock: RealClock{}, ctx: context.Background(), progress: r.Progress}
+	o := engineOpts{ctx: context.Background(), progress: r.Progress}
 	for _, opt := range opts {
 		opt(&o)
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 // runner is shared across figure tests so runs are cached between
-// them, the way sgxreport shares them between experiments.
+// them, the way sgxgauge report shares them between experiments.
 var testRunner = func() *Runner {
 	r := NewRunner(testEPC)
 	r.Seed = 1

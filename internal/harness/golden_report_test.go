@@ -21,7 +21,7 @@ const goldenReportPath = "testdata/report_epc64.golden"
 var goldenReportIDs = map[string]bool{"tab2": true, "fig2": true, "tab4": true, "fig6a": true, "fig7": true, "multi": true}
 
 // renderGoldenReport renders the golden subset through one Runner at
-// EPC 64 and seed 1, the way sgxreport does but without its timing
+// EPC 64 and seed 1, the way sgxgauge report does but without its timing
 // lines. In report order fig6a runs on a clone of the boot template
 // tab4 left idle, so the report also pins that clones taken across
 // batches give the same numbers.

@@ -14,7 +14,7 @@ import (
 // evaluation: an id ("fig2", "tab4"...), the spec list it runs, and
 // the render step that turns that one batch's results into text.
 type Experiment struct {
-	// ID is the short name used by sgxreport -exp and the daemon's
+	// ID is the short name used by sgxgauge report -exp and the daemon's
 	// /v1/figures endpoint.
 	ID string
 	// Figure is the paper's figure/table number ("2".."10" for

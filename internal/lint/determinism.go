@@ -10,8 +10,8 @@ import (
 // deterministicPkgs are the module-relative package prefixes whose
 // code must be bit-for-bit reproducible from a seed: everything that
 // feeds simulated state, counters, or rendered experiment output.
-// internal/harness is included deliberately — its wall-clock use is
-// confined to the injectable Clock boundary, which carries an explicit
+// internal/harness is included deliberately — its one wall-clock read,
+// the Progress.Wall stamp in runBatch, carries an explicit
 // sgxlint:ignore instead of a blanket package exemption.
 var deterministicPkgs = []string{
 	"internal/sgx",
@@ -149,7 +149,7 @@ func checkDeterministicUse(pass *Pass, sel *ast.SelectorExpr) {
 	case "time":
 		if fn.Name() == "Now" || fn.Name() == "Since" || fn.Name() == "Until" {
 			pass.Reportf(sel.Pos(),
-				"time.%s reads the host wall clock, which breaks run-to-run determinism; use the simulated cycle clock, or the injectable harness clock at reporting boundaries", fn.Name())
+				"time.%s reads the host wall clock, which breaks run-to-run determinism; use the simulated cycle clock, or a pragma-marked read at a reporting boundary", fn.Name())
 		}
 	case "math/rand", "math/rand/v2":
 		if !sanctionedRandFuncs[fn.Name()] {

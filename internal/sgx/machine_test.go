@@ -414,3 +414,20 @@ func TestRecycledFramesReadZero(t *testing.T) {
 		t.Errorf("the new machine took %d recycled buffers, want at least %d", took, 2*pages)
 	}
 }
+
+func TestParseMode(t *testing.T) {
+	cases := map[string]Mode{
+		"Vanilla": Vanilla, "vanilla": Vanilla,
+		"Native": Native, "native": Native,
+		"LibOS": LibOS, "libos": LibOS,
+	}
+	for in, want := range cases {
+		got, err := ParseMode(in)
+		if err != nil || got != want {
+			t.Errorf("ParseMode(%q) = %v, %v", in, got, err)
+		}
+	}
+	if _, err := ParseMode("SIM"); err == nil {
+		t.Error("unknown mode accepted")
+	}
+}

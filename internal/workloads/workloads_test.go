@@ -114,3 +114,20 @@ func TestFoldChecksumOrderDependent(t *testing.T) {
 		t.Error("FoldChecksum is order-independent; reordering bugs would go unnoticed")
 	}
 }
+
+func TestParseSize(t *testing.T) {
+	cases := map[string]Size{
+		"Low": Low, "low": Low,
+		"Medium": Medium, "medium": Medium,
+		"High": High, "high": High,
+	}
+	for in, want := range cases {
+		got, err := ParseSize(in)
+		if err != nil || got != want {
+			t.Errorf("ParseSize(%q) = %v, %v", in, got, err)
+		}
+	}
+	if _, err := ParseSize("XL"); err == nil {
+		t.Error("unknown size accepted")
+	}
+}
