@@ -28,17 +28,14 @@ func ablationOverhead(b *testing.B, cfg *sgx.Config) float64 {
 	r := new(harness.Runner)
 	spec := harness.Spec{Workload: w, Size: workloads.Medium, EPCPages: 96, Seed: 1, Machine: cfg}
 	spec.Mode = sgx.Vanilla
-	van, err := r.Run(spec)
-	if err != nil {
-		b.Fatal(err)
+	van := r.Run(spec)
+	if van.Err != nil {
+		b.Fatal(van.Err)
 	}
 	spec.Mode = sgx.Native
-	nat, err := r.Run(spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if van.Err != nil || nat.Err != nil {
-		b.Fatal(van.Err, nat.Err)
+	nat := r.Run(spec)
+	if nat.Err != nil {
+		b.Fatal(nat.Err)
 	}
 	return harness.Overhead(nat, van)
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"sgxgauge/internal/chaos"
 	"sgxgauge/internal/harness"
@@ -32,7 +31,6 @@ func cmdChaos(args []string) {
 	tamper := fs.Bool("tamper", true, "inject untrusted-memory attacks on evicted pages")
 	transition := fs.Bool("transition", true, "inject transient ECALL/OCALL transition failures")
 	retries := fs.Int("retries", 2, "retry attempts for transient injected faults")
-	backoff := fs.Duration("backoff", 10*time.Millisecond, "base retry backoff (doubles per attempt; wall-clock only)")
 	jobs := fs.Int("j", 0, "parallel workers (0 = GOMAXPROCS)")
 	progress := fs.Bool("progress", false, "report per-run progress on stderr")
 	fs.Parse(args)
@@ -69,18 +67,12 @@ func cmdChaos(args []string) {
 		Seed:     *seed,
 	}
 
-	opts := []harness.Option{
-		harness.Retry(*retries),
-		harness.RetryBackoff(*backoff),
-	}
+	opts := []harness.Option{harness.Retry(*retries)}
 	if *progress {
 		opts = append(opts, harness.OnProgress(progressPrinter()))
 	}
 
-	points, err := (&harness.Runner{Jobs: *jobs}).ChaosSweep(base, template, rates, opts...)
-	if err != nil {
-		fatal(err)
-	}
+	points := (&harness.Runner{Jobs: *jobs}).ChaosSweep(base, template, rates, opts...)
 
 	classes := []string{}
 	for _, c := range []struct {

@@ -16,7 +16,7 @@
 //	sgxgauge matrix [-epc pages] [-seed n] [-j workers] [-progress]
 //	sgxgauge chaos [-workload <name>] [-mode ...] [-size ...] [-epc pages] [-seed n]
 //	               [-chaos-seed n] [-fault-rate list] [-aex] [-balloon] [-tamper]
-//	               [-transition] [-retries n] [-backoff d] [-j workers] [-progress]
+//	               [-transition] [-retries n] [-j workers] [-progress]
 //	sgxgauge recommend -component epc|transitions|mee|syscalls [-epc pages] [-seed n] [-j workers]
 //	sgxgauge serve [-addr host:port] [-epc pages] [-seed n] [-j workers]
 //	               [-cache entries] [-drain timeout]
@@ -134,7 +134,7 @@ func usage() {
   sgxgauge matrix [-epc pages] [-seed n] [-j workers] [-progress]
   sgxgauge chaos [-workload <name>] [-mode ...] [-size ...] [-epc pages] [-seed n]
                  [-chaos-seed n] [-fault-rate list] [-aex] [-balloon] [-tamper]
-                 [-transition] [-retries n] [-backoff d] [-j workers] [-progress]
+                 [-transition] [-retries n] [-j workers] [-progress]
   sgxgauge recommend -component epc|transitions|mee|syscalls [-epc pages] [-seed n] [-j workers]
   sgxgauge serve [-addr host:port] [-epc pages] [-seed n] [-j workers] [-cache entries]
                  [-drain timeout] [-store.dir dir] [-store.fsync] [-journal.dir dir] [-journal.fsync]
@@ -280,10 +280,7 @@ func cmdRun(args []string) {
 		spec.Hooks = harness.Hooks{OnMachine: collector.Attach}
 	}
 
-	res, err := new(harness.Runner).Run(spec)
-	if err != nil {
-		fatal(err)
-	}
+	res := new(harness.Runner).Run(spec)
 	if res.Err != nil {
 		fatal(res.Err)
 	}

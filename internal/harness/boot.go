@@ -221,8 +221,8 @@ func (t *template) build(p *bootPlan, cfg sgx.Config, binary string, pages int) 
 }
 
 // finish gives up the slot's claim if the spec never booted (it failed
-// or was cancelled first), so its template settles once every other
-// user is done.
+// before booting, or ran through a remote Exec), so its template
+// settles once every other user is done.
 func (s *bootSlot) finish() {
 	if s.claimed {
 		return

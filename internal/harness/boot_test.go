@@ -17,7 +17,7 @@ import (
 func runBooted(t *testing.T, specs []Spec) ([]Result, []bool) {
 	t.Helper()
 	cloned := make([]bool, len(specs))
-	results := mustExec(t, 1, specs, OnProgress(func(p Progress) {
+	results := runFresh(1, specs, OnProgress(func(p Progress) {
 		cloned[p.Index] = p.Cloned
 	}))
 	return results, cloned
@@ -203,9 +203,10 @@ func TestRunnerKeepsTemplatesAcrossBatches(t *testing.T) {
 		t.Fatalf("first batch: %d builds, %d clones, %d in place; want 1, 2, 0", st.TemplateBuilds, st.ClonedBoots, st.InPlaceBoots)
 	}
 	cloned := false
-	got, err := r.Run(spec(workloads.High), OnProgress(func(p Progress) { cloned = p.Cloned }))
-	if err != nil {
-		t.Fatal(err)
+	r.Progress = func(p Progress) { cloned = p.Cloned }
+	got := r.Run(spec(workloads.High))
+	if got.Err != nil {
+		t.Fatal(got.Err)
 	}
 	if !cloned {
 		t.Fatal("a lone spec after a batch with its boot key was not cloned")
@@ -213,9 +214,9 @@ func TestRunnerKeepsTemplatesAcrossBatches(t *testing.T) {
 	if st := r.Stats(); st.TemplateBuilds != 1 || st.ClonedBoots != 3 {
 		t.Errorf("after the lone spec: %d builds, %d clones; want 1, 3", st.TemplateBuilds, st.ClonedBoots)
 	}
-	want, err := NewRunner(32).Run(spec(workloads.High))
-	if err != nil {
-		t.Fatal(err)
+	want := NewRunner(32).Run(spec(workloads.High))
+	if want.Err != nil {
+		t.Fatal(want.Err)
 	}
 	if d := diffResults(*want, *got); len(d) > 0 {
 		t.Errorf("cloned across batches, the Result diverged from a fresh Runner's in %v", d)
@@ -250,11 +251,8 @@ func TestRunnerTemplatesBoundedAcrossBatches(t *testing.T) {
 	go func() {
 		defer close(done)
 		forEach(len(batches), len(batches), func(i int) {
-			var err error
-			if results[i], err = r.RunAll(batches[i]); err == nil {
-				err = firstFailure(results[i])
-			}
-			if err != nil {
+			results[i] = r.runAll(batches[i])
+			if err := firstFailure(results[i]); err != nil {
 				t.Error(err)
 			}
 		})
@@ -285,9 +283,9 @@ func TestRunnerTemplatesBoundedAcrossBatches(t *testing.T) {
 	fresh := NewRunner(32)
 	for i, specs := range batches {
 		for j, spec := range specs {
-			want, err := fresh.Run(spec)
-			if err != nil {
-				t.Fatal(err)
+			want := fresh.Run(spec)
+			if want.Err != nil {
+				t.Fatal(want.Err)
 			}
 			if d := diffResults(*want, *results[i][j]); len(d) > 0 {
 				t.Errorf("batch %d spec %d diverged from a fresh Runner in %v", i, j, d)

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -68,11 +67,10 @@ func (c *mapCache) Len() int {
 // cache, its worker slots and its in-flight executions, so a spec
 // missing the cache in two batches at once executes once.
 //
-// Error convention (uniform across Run/RunAll): a spec's own
-// failure lands in its Result.Err — the batch always returns one
-// Result per spec — while the error return is reserved for
-// engine-level failure, i.e. the batch being cut short by context
-// cancellation (WithContext).
+// Error convention: a spec's failure reaches callers only through its
+// Result.Err. Every batch runs to completion and returns one non-nil
+// Result per spec; a batch cannot be cancelled, so there is no
+// batch-level failure.
 type Runner struct {
 	// EPCPages is the simulated EPC size used for all runs
 	// (0 = machine default).
@@ -152,15 +150,10 @@ func (r *Runner) epcPages() int {
 	return sgx.Config{EPCPages: r.EPCPages}.WithDefaults().EPCPages
 }
 
-// acquire takes a worker slot, reporting false when ctx ends first.
-func (r *Runner) acquire(ctx context.Context) bool {
-	select {
-	case r.slots <- struct{}{}:
-		r.busy.Add(1)
-		return true
-	case <-ctx.Done():
-		return false
-	}
+// acquire takes a worker slot, waiting for one to free up.
+func (r *Runner) acquire() {
+	r.slots <- struct{}{}
+	r.busy.Add(1)
 }
 
 // release returns a slot taken by acquire.
@@ -175,17 +168,16 @@ func (r *Runner) release() {
 // never nil and carries the spec's own failure in Err.
 func (r *Runner) RunLocal(spec Spec) *Result {
 	r.init()
-	ctx := context.Background()
-	r.acquire(ctx)
+	r.acquire()
 	defer r.release()
-	res := runWithRetry(ctx, r.normalize(spec), &engineOpts{}, &bootSlot{plan: r.boots})
+	res := runWithRetry(r.normalize(spec), 0, &bootSlot{plan: r.boots})
 	return &res
 }
 
 // flight is one in-flight execution of a key. The batch that
 // registered it executes the spec; every other miss of the key waits
-// on done. res is written before done closes; nil means the executing
-// batch was cancelled before the spec started, and waiters join again.
+// on done. res, the leader's Result (failed or not), is written before
+// done closes.
 type flight struct {
 	done chan struct{}
 	res  *Result
@@ -283,7 +275,7 @@ func (r *Runner) Key(spec Spec) (Key, error) {
 
 // engineOpts merges the runner's defaults with per-call options.
 func (r *Runner) engineOpts(opts []Option) engineOpts {
-	o := engineOpts{ctx: context.Background(), progress: r.Progress}
+	o := engineOpts{progress: r.Progress}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -297,25 +289,29 @@ func (r *Runner) engineOpts(opts []Option) engineOpts {
 // of running again; fresh successful results are cached for later
 // calls. Results keep input order and are never nil; a spec's failure
 // is recorded in its Result.Err without aborting siblings. The error
-// return is engine-level only: it is non-nil exactly when a
-// WithContext context was cancelled, in which case unstarted specs,
-// and misses still waiting on another batch, carry the context error
-// in their Result.Err.
+// return is always nil: no batch-level failure exists, and the result
+// is kept only for callers that still read it (ROADMAP item 8 drops
+// it).
 //
 // Two spec classes bypass the cache: specs carrying Hooks (a function
 // value has no canonical encoding to key on) and specs that cannot be
 // canonically encoded at all (no workload). Both still execute;
 // their results are simply never stored or shared.
 func (r *Runner) RunAll(specs []Spec, opts ...Option) ([]*Result, error) {
+	return r.runAll(specs, opts...), nil
+}
+
+// runAll is RunAll without its always-nil error.
+func (r *Runner) runAll(specs []Spec, opts ...Option) []*Result {
 	o := r.engineOpts(opts)
 	cache := r.init()
-	ctx := o.ctx
 
 	out := make([]*Result, len(specs))
 	norm := make([]Spec, len(specs))
 	keys := make([]Key, len(specs))
 	cacheable := make([]bool, len(specs))
-	var todo []int // misses, by input position
+	flights := make([]*flight, len(specs))
+	var lead, follow []int // misses, by input position
 	hits := 0
 	for i, spec := range specs {
 		norm[i] = r.normalize(spec)
@@ -341,85 +337,58 @@ func (r *Runner) RunAll(specs []Spec, opts ...Option) ([]*Result, error) {
 				}
 				continue
 			}
+			// Lead a miss no execution holds yet; follow the rest.
+			f, leads := r.join(key)
+			if flights[i] = f; !leads {
+				follow = append(follow, i)
+				continue
+			}
 		}
-		todo = append(todo, i)
+		lead = append(lead, i)
 	}
-	if len(todo) == 0 {
-		return out, nil
+	if hits == len(specs) {
+		return out
 	}
 
-	flights := make([]*flight, len(specs))
+	batch := make([]Spec, len(lead))
+	for j, i := range lead {
+		batch[j] = norm[i]
+	}
 	// Executed specs' progress events count from the hits, against the
 	// whole input; the engine reports them by sub-batch position.
 	var mu sync.Mutex
 	completed := hits
-	for len(todo) > 0 {
-		// Lead every miss no execution holds yet; follow the rest.
-		var lead, follow []int
-		for _, i := range todo {
-			if !cacheable[i] {
-				lead = append(lead, i)
-				continue
-			}
-			f, leads := r.join(keys[i])
-			if flights[i] = f; leads {
-				lead = append(lead, i)
-			} else {
-				follow = append(follow, i)
-			}
+	r.runBatch(batch, o, func(j int, res *Result, ev Progress) {
+		i := lead[j]
+		r.executed.Add(1)
+		// Failures are not cached, so a retry re-runs them.
+		if res.Err == nil && cacheable[i] {
+			res = cache.Add(keys[i], res)
 		}
-		batch := make([]Spec, len(lead))
-		for j, i := range lead {
-			batch[j] = norm[i]
+		out[i] = res
+		if f := flights[i]; f != nil {
+			r.settle(keys[i], f, res)
 		}
-		r.runBatch(batch, o, func(j int, res *Result, ran bool, ev Progress) {
-			i := lead[j]
-			if ran {
-				r.executed.Add(1)
-			}
-			// Failures are not cached, so a retry re-runs them.
-			if res.Err == nil && cacheable[i] {
-				res = cache.Add(keys[i], res)
-			}
-			out[i] = res
-			if f := flights[i]; f != nil {
-				if !ran {
-					res = nil
-				}
-				r.settle(keys[i], f, res)
-			}
-			if o.progress != nil {
-				mu.Lock()
-				completed++
-				ev.Completed, ev.Total, ev.Index = completed, len(specs), i
-				o.progress(ev)
-				mu.Unlock()
-			}
-		})
-		// Collect followed executions only now that this batch's own
-		// have settled, so no cycle of waits can form. A follower whose
-		// leader never started joins again.
-		todo = nil
-		for _, i := range follow {
-			select {
-			case <-flights[i].done:
-				if out[i] = flights[i].res; out[i] == nil {
-					todo = append(todo, i)
-				}
-			case <-ctx.Done():
-				res := failedResult(norm[i], ctx.Err())
-				out[i] = &res
-			}
+		if o.progress != nil {
+			mu.Lock()
+			completed++
+			ev.Completed, ev.Total, ev.Index = completed, len(specs), i
+			o.progress(ev)
+			mu.Unlock()
 		}
+	})
+	// Collect followed executions only now that this batch's own have
+	// settled, so no cycle of waits can form. A leader always settles,
+	// failed or not.
+	for _, i := range follow {
+		<-flights[i].done
+		out[i] = flights[i].res
 	}
-	return out, ctx.Err()
+	return out
 }
 
-// Run executes (or serves from cache) one spec: a thin wrapper over
-// RunAll with the same conventions — the returned Result is non-nil
-// and carries the spec's own failure in Err; the error return is
-// engine-level (context cancellation) only.
-func (r *Runner) Run(spec Spec, opts ...Option) (*Result, error) {
-	results, err := r.RunAll([]Spec{spec}, opts...)
-	return results[0], err
+// Run executes (or serves from cache) one spec: a one-spec RunAll. The
+// returned Result is never nil and carries the spec's failure in Err.
+func (r *Runner) Run(spec Spec) *Result {
+	return r.runAll([]Spec{spec})[0]
 }

@@ -47,9 +47,8 @@ func (r *Result) Faults() FaultReport {
 // over to every point; everything is deterministic, so a repeated
 // sweep with the same inputs is byte-identical. Per-point failures
 // (degraded or aborted runs are the whole point of a chaos sweep) live
-// in each point's Result.Err; the error return is engine-level only
-// (context cancellation via WithContext).
-func (r *Runner) ChaosSweep(base Spec, template chaos.Config, rates []float64, opts ...Option) ([]ChaosPoint, error) {
+// in each point's Result.Err.
+func (r *Runner) ChaosSweep(base Spec, template chaos.Config, rates []float64, opts ...Option) []ChaosPoint {
 	specs := make([]Spec, len(rates))
 	for i, r := range rates {
 		s := base
@@ -62,12 +61,12 @@ func (r *Runner) ChaosSweep(base Spec, template chaos.Config, rates []float64, o
 		}
 		specs[i] = s
 	}
-	results, err := r.RunAll(specs, opts...)
+	results := r.runAll(specs, opts...)
 	points := make([]ChaosPoint, len(rates))
 	for i := range rates {
 		points[i] = ChaosPoint{Rate: rates[i], Result: *results[i]}
 	}
-	return points, err
+	return points
 }
 
 // RenderChaosTable formats a sweep as the degradation table the chaos

@@ -27,14 +27,8 @@ func TestChaosSweepDeterministic(t *testing.T) {
 	template := chaos.Config{Seed: 11}.EnableAll()
 	rates := []float64{0, 0.001, 0.01}
 
-	pa, err := (&Runner{Jobs: 1}).ChaosSweep(base, template, rates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pb, err := (&Runner{Jobs: 3}).ChaosSweep(base, template, rates)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pa := (&Runner{Jobs: 1}).ChaosSweep(base, template, rates)
+	pb := (&Runner{Jobs: 3}).ChaosSweep(base, template, rates)
 	a := RenderChaosTable(pa)
 	b := RenderChaosTable(pb)
 	if a != b {
@@ -50,10 +44,7 @@ func TestChaosSweepDeterministic(t *testing.T) {
 func TestChaosSweepDegrades(t *testing.T) {
 	base := chaosBaseSpec(t)
 	template := chaos.Config{Seed: 11}.EnableAll()
-	points, err := (&Runner{Jobs: 2}).ChaosSweep(base, template, []float64{0, 0.01})
-	if err != nil {
-		t.Fatal(err)
-	}
+	points := (&Runner{Jobs: 2}).ChaosSweep(base, template, []float64{0, 0.01})
 
 	clean := points[0].Result
 	if clean.Err != nil {
@@ -80,7 +71,7 @@ func TestChaosSweepDegrades(t *testing.T) {
 func TestRetryExhaustsOnPermanentTransient(t *testing.T) {
 	spec := chaosBaseSpec(t)
 	spec.Chaos = &chaos.Config{Seed: 5, TransitionFault: true, TransitionRate: 1}
-	res := mustExec(t, 1, []Spec{spec}, Retry(2))[0]
+	res := runFresh(1, []Spec{spec}, Retry(2))[0]
 	if res.Err == nil {
 		t.Fatal("run succeeded at transition rate 1")
 	}
@@ -97,7 +88,7 @@ func TestRetryExhaustsOnPermanentTransient(t *testing.T) {
 func TestNoRetryOnAbort(t *testing.T) {
 	spec := chaosBaseSpec(t)
 	spec.Chaos = &chaos.Config{Seed: 5, MemTamper: true, TamperRate: 1}
-	res := mustExec(t, 1, []Spec{spec}, Retry(3))[0]
+	res := runFresh(1, []Spec{spec}, Retry(3))[0]
 	if res.Err == nil {
 		t.Fatal("run survived full-rate tampering")
 	}
@@ -127,7 +118,7 @@ func TestRetryReseedsEventuallySucceeds(t *testing.T) {
 	// success deterministic in practice across seeds.
 	spec := Spec{Workload: w, Mode: sgx.Native, Size: workloads.Low, EPCPages: testEPC, Seed: 7}
 	spec.Chaos = &chaos.Config{Seed: 1, TransitionFault: true, TransitionRate: 0.05}
-	res := mustExec(t, 1, []Spec{spec}, Retry(10))[0]
+	res := runFresh(1, []Spec{spec}, Retry(10))[0]
 	if res.Err != nil {
 		t.Fatalf("no attempt succeeded: %v (attempts %d)", res.Err, res.Attempts)
 	}

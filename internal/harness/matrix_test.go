@@ -27,9 +27,9 @@ func TestFullMatrix(t *testing.T) {
 				}
 				results := map[sgx.Mode]*Result{}
 				for _, mode := range modes {
-					res, err := r.Run(Spec{Workload: w, Mode: mode, Size: size})
-					if err != nil {
-						t.Fatalf("%v/%v: %v", mode, size, err)
+					res := r.Run(Spec{Workload: w, Mode: mode, Size: size})
+					if res.Err != nil {
+						t.Fatalf("%v/%v: %v", mode, size, res.Err)
 					}
 					results[mode] = res
 				}

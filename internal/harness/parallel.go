@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -46,12 +45,9 @@ type engineOpts struct {
 	progress       func(Progress)
 	progressCached bool
 	retries        int
-	backoff        time.Duration
-	ctx            context.Context
 }
 
-// Option configures a Runner.RunAll batch (and the Run wrapper over
-// it).
+// Option configures a Runner.RunAll batch.
 type Option func(*engineOpts)
 
 // OnProgress registers fn to be called after each spec completes.
@@ -74,38 +70,13 @@ func ProgressCached() Option {
 // failure). Each retry derives a fresh chaos seed via
 // chaos.Config.WithAttempt, so the retried run faces new — but still
 // deterministic — adversity rather than deterministically replaying
-// the fault that killed it. Non-transient failures are never retried.
+// the fault that killed it. Retries run back to back: a reseeded
+// simulation owes nothing to wall-clock time. Non-transient failures
+// are never retried.
 func Retry(n int) Option {
 	return func(o *engineOpts) {
 		if n > 0 {
 			o.retries = n
-		}
-	}
-}
-
-// RetryBackoff sets the base delay slept before each retry; the delay
-// doubles with every subsequent attempt (exponential backoff). The
-// sleep is host wall-clock only — it never touches simulated time, so
-// results remain bit-for-bit deterministic regardless of backoff.
-func RetryBackoff(d time.Duration) Option {
-	return func(o *engineOpts) {
-		if d > 0 {
-			o.backoff = d
-		}
-	}
-}
-
-// WithContext binds the batch to ctx: once ctx is cancelled, no new
-// spec starts (unstarted specs complete immediately with ctx's error
-// in their Result.Err, as do misses still waiting on another batch's
-// execution of their key) and the batch returns ctx's error as its
-// engine-level error. A spec already executing runs to completion —
-// simulated machines are not interruptible — so cancellation bounds
-// the remaining work at one in-flight run per worker.
-func WithContext(ctx context.Context) Option {
-	return func(o *engineOpts) {
-		if ctx != nil {
-			o.ctx = ctx
 		}
 	}
 }
@@ -116,13 +87,10 @@ func WithContext(ctx context.Context) Option {
 // planBoots). Each spec's deterministic seeding is untouched, so a
 // batch is bit-for-bit identical to running the same specs serially.
 // A spec that errors or panics yields a Result with Err set instead of
-// aborting its siblings; a cancelled context fails the specs it kept
-// from starting. done sees each spec's Result as it lands, by position
-// in specs, with ran false when the context ended before the spec
-// started, and the spec's progress event with Wall, Name, Mode, Err
-// and Cloned filled in; calls may be concurrent.
-func (r *Runner) runBatch(specs []Spec, o engineOpts, done func(i int, res *Result, ran bool, ev Progress)) {
-	ctx := o.ctx
+// aborting its siblings. done sees each spec's Result as it lands, by
+// position in specs, and the spec's progress event with Wall, Name,
+// Mode, Err and Cloned filled in; calls may be concurrent.
+func (r *Runner) runBatch(specs []Spec, o engineOpts, done func(i int, res *Result, ev Progress)) {
 	results := make([]Result, len(specs))
 	// Specs sent to a remote executor never claim their slot, so they
 	// never build a template; finish releases their share of the plan.
@@ -132,10 +100,7 @@ func (r *Runner) runBatch(specs []Spec, o engineOpts, done func(i int, res *Resu
 		// the package's one determinism pragma.
 		//sgxlint:ignore determinism Progress.Wall is host-side reporting that never enters a Result
 		start, since := time.Now(), time.Since
-		ran := true
-		if err := ctx.Err(); err != nil {
-			results[i], ran = failedResult(specs[i], err), false
-		} else if r.Exec != nil && specs[i].Hooks.empty() {
+		if r.Exec != nil && specs[i].Hooks.empty() {
 			// Remote execution holds no worker slot. The executor's
 			// Result already carries the spec's own failure and attempt
 			// count; a transport failure (nil result) becomes this
@@ -155,14 +120,13 @@ func (r *Runner) runBatch(specs []Spec, o engineOpts, done func(i int, res *Resu
 			if results[i].Attempts == 0 {
 				results[i].Attempts = 1
 			}
-		} else if r.acquire(ctx) {
-			results[i] = runWithRetry(ctx, specs[i], &o, boots[i])
-			r.release()
 		} else {
-			results[i], ran = failedResult(specs[i], ctx.Err()), false
+			r.acquire()
+			results[i] = runWithRetry(specs[i], o.retries, boots[i])
+			r.release()
 		}
 		boots[i].finish()
-		done(i, &results[i], ran, Progress{
+		done(i, &results[i], Progress{
 			Name:   results[i].Name,
 			Mode:   specs[i].Mode,
 			Wall:   since(start),
@@ -172,14 +136,11 @@ func (r *Runner) runBatch(specs []Spec, o engineOpts, done func(i int, res *Resu
 	})
 }
 
-// runWithRetry executes the spec, re-running it on transient injected
-// faults per the engine's retry policy. It returns the last attempt's
+// runWithRetry executes the spec, re-running it up to retries more
+// times on transient injected faults. It returns the last attempt's
 // result (possibly a partial, fault-bearing one) with its error in Err
-// and the number of attempts that ran. Backoff sleeps are bound to the
-// batch context: a cancelled batch stops waiting immediately and
-// surfaces the last attempt's transient error instead of sleeping out
-// the rest of an exponential schedule nobody will read.
-func runWithRetry(ctx context.Context, spec Spec, o *engineOpts, boot *bootSlot) Result {
+// and the number of attempts that ran.
+func runWithRetry(spec Spec, retries int, boot *bootSlot) Result {
 	for attempt := 0; ; attempt++ {
 		s := spec
 		if attempt > 0 && s.Chaos != nil {
@@ -187,8 +148,7 @@ func runWithRetry(ctx context.Context, spec Spec, o *engineOpts, boot *bootSlot)
 			s.Chaos = &derived
 		}
 		res, err := runSafe(s, boot)
-		retry := err != nil && attempt < o.retries && sgx.IsTransient(err)
-		if !retry || (o.backoff > 0 && !sleepCtx(ctx, o.backoff<<uint(attempt))) {
+		if err == nil || attempt >= retries || !sgx.IsTransient(err) {
 			out := failedResult(spec, err)
 			if res != nil {
 				out = *res
@@ -197,19 +157,6 @@ func runWithRetry(ctx context.Context, spec Spec, o *engineOpts, boot *bootSlot)
 			out.Attempts = attempt + 1
 			return out
 		}
-	}
-}
-
-// sleepCtx blocks for d or until ctx is cancelled, reporting whether
-// the full delay elapsed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
 	}
 }
 

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"errors"
 	"reflect"
 	"strings"
@@ -9,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"sgxgauge/internal/chaos"
 	"sgxgauge/internal/sgx"
 	"sgxgauge/internal/workloads"
 	"sgxgauge/internal/workloads/suite"
@@ -39,15 +37,9 @@ func testGrid(t *testing.T) []Spec {
 	return specs
 }
 
-// mustExec runs specs as one batch on a fresh Runner of the given
-// Jobs, failing the test on an engine-level error (which only context
-// cancellation produces).
-func mustExec(t *testing.T, jobs int, specs []Spec, opts ...Option) []Result {
-	t.Helper()
-	results, err := (&Runner{Jobs: jobs}).RunAll(specs, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
+// runFresh runs specs as one batch on a fresh Runner of the given Jobs.
+func runFresh(jobs int, specs []Spec, opts ...Option) []Result {
+	results := (&Runner{Jobs: jobs}).runAll(specs, opts...)
 	out := make([]Result, len(results))
 	for i, res := range results {
 		out[i] = *res
@@ -55,15 +47,12 @@ func mustExec(t *testing.T, jobs int, specs []Spec, opts ...Option) []Result {
 	return out
 }
 
-// mustRunAll runs specs as one batch on r, failing the test on an
-// engine-level error or any spec's failure.
+// mustRunAll runs specs as one batch on r, failing the test on any
+// spec's failure.
 func mustRunAll(t *testing.T, r *Runner, specs []Spec) []*Result {
 	t.Helper()
-	results, err := r.RunAll(specs)
-	if err == nil {
-		err = firstFailure(results)
-	}
-	if err != nil {
+	results := r.runAll(specs)
+	if err := firstFailure(results); err != nil {
 		t.Fatal(err)
 	}
 	return results
@@ -74,8 +63,8 @@ func mustRunAll(t *testing.T, r *Runner, specs []Spec) []*Result {
 // input order.
 func TestParallelMatchesSerial(t *testing.T) {
 	specs := testGrid(t)
-	serial := mustExec(t, 1, specs)
-	parallel := mustExec(t, 4, specs)
+	serial := runFresh(1, specs)
+	parallel := runFresh(4, specs)
 	if len(serial) != len(specs) || len(parallel) != len(specs) {
 		t.Fatalf("lengths: serial %d, parallel %d, want %d", len(serial), len(parallel), len(specs))
 	}
@@ -116,7 +105,7 @@ func TestPanicIsolation(t *testing.T) {
 	good := Spec{Workload: w, Mode: sgx.Native, Size: workloads.Low, EPCPages: testEPC, Seed: 7,
 		Hooks: Hooks{OnMachine: func(*sgx.Machine) {}}}
 	bad := Spec{Workload: panicWorkload{}, Mode: sgx.Native, Size: workloads.Low, EPCPages: testEPC, Seed: 7}
-	results := mustExec(t, 3, []Spec{good, bad, good})
+	results := runFresh(3, []Spec{good, bad, good})
 
 	if results[1].Err == nil {
 		t.Fatal("panicking spec: want Err set, got nil")
@@ -146,7 +135,7 @@ func TestPanicIsolation(t *testing.T) {
 func TestProgressEvents(t *testing.T) {
 	specs := testGrid(t)
 	var events []Progress
-	mustExec(t, 4, specs, OnProgress(func(p Progress) {
+	runFresh(4, specs, OnProgress(func(p Progress) {
 		events = append(events, p) // serialized by the engine, no lock needed
 	}))
 	if len(events) != len(specs) {
@@ -189,9 +178,7 @@ func TestProgressIndexesInput(t *testing.T) {
 		if cached {
 			opts = append(opts, ProgressCached())
 		}
-		if _, err := r.RunAll(specs, opts...); err != nil {
-			t.Fatal(err)
-		}
+		r.runAll(specs, opts...)
 		want := 2
 		if cached {
 			want = 4
@@ -231,10 +218,7 @@ func TestRunnerRunAllCacheAndDedup(t *testing.T) {
 
 	spec := Spec{Workload: w, Mode: sgx.LibOS, Size: workloads.Low}
 	other := Spec{Workload: w, Mode: sgx.Vanilla, Size: workloads.Low}
-	results, err := r.RunAll([]Spec{spec, other, spec, spec})
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := r.runAll([]Spec{spec, other, spec, spec})
 	if got := runs.Load(); got != 2 {
 		t.Errorf("batch ran %d specs, want 2 (duplicates deduped)", got)
 	}
@@ -245,11 +229,7 @@ func TestRunnerRunAllCacheAndDedup(t *testing.T) {
 		t.Errorf("input order lost: got modes %v, %v", results[0].Mode, results[1].Mode)
 	}
 
-	cached, err := r.Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cached != results[0] {
+	if cached := r.Run(spec); cached != results[0] {
 		t.Error("Run after RunAll re-ran instead of hitting the cache")
 	}
 	if got := runs.Load(); got != 2 {
@@ -283,12 +263,9 @@ func TestRunnerJobsBoundsAcrossBatches(t *testing.T) {
 			<-gate
 		},
 	}}
-	done := make(chan error, 2)
+	done := make(chan *Result, 2)
 	for range 2 {
-		go func() {
-			_, err := r.RunAll([]Spec{spec})
-			done <- err
-		}()
+		go func() { done <- r.Run(spec) }()
 	}
 	waitFor(t, "the first hook", func() bool { return entered.Load() >= 1 })
 	time.Sleep(100 * time.Millisecond)
@@ -300,8 +277,8 @@ func TestRunnerJobsBoundsAcrossBatches(t *testing.T) {
 	}
 	close(gate)
 	for range 2 {
-		if err := <-done; err != nil {
-			t.Fatal(err)
+		if res := <-done; res.Err != nil {
+			t.Fatal(res.Err)
 		}
 	}
 	if st := r.Stats(); st.Executed != 2 || st.Busy != 0 {
@@ -310,8 +287,7 @@ func TestRunnerJobsBoundsAcrossBatches(t *testing.T) {
 }
 
 // TestRunnerCoalescesAcrossBatches: a miss whose key is executing in
-// another batch waits for that execution instead of running again,
-// and a waiting follower honours its own context.
+// another batch waits for that execution instead of running again.
 func TestRunnerCoalescesAcrossBatches(t *testing.T) {
 	gate := make(chan struct{})
 	var calls atomic.Int32
@@ -323,22 +299,9 @@ func TestRunnerCoalescesAcrossBatches(t *testing.T) {
 	spec := Spec{Workload: suite.Empty(), Mode: sgx.Vanilla, Size: workloads.Low}
 	results := make(chan *Result, 2)
 	for range 2 {
-		go func() {
-			res, err := r.Run(spec)
-			if err != nil {
-				t.Error(err)
-			}
-			results <- res
-		}()
+		go func() { results <- r.Run(spec) }()
 	}
 	waitFor(t, "the second batch to coalesce", func() bool { return r.Stats().Coalesced == 1 })
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	res, err := r.Run(spec, WithContext(ctx))
-	if !errors.Is(err, context.Canceled) || !errors.Is(res.Err, context.Canceled) {
-		t.Fatalf("cancelled follower: err %v, Result.Err %v, want context.Canceled", err, res.Err)
-	}
 
 	close(gate)
 	a, b := <-results, <-results
@@ -353,56 +316,47 @@ func TestRunnerCoalescesAcrossBatches(t *testing.T) {
 	}
 }
 
-// TestRunnerFollowerOutlivesCancelledLeader: when the batch leading a
-// key is cancelled before the spec starts, a follower from another
-// batch runs the spec itself instead of inheriting the cancellation.
-func TestRunnerFollowerOutlivesCancelledLeader(t *testing.T) {
-	r := &Runner{EPCPages: testEPC, Jobs: 1}
-	gate, blocking := make(chan struct{}), make(chan struct{})
-	blocker := Spec{Workload: suite.Empty(), Mode: sgx.Vanilla, Size: workloads.Low, Hooks: Hooks{
-		OnMachine: func(*sgx.Machine) {
-			close(blocking)
-			<-gate
-		},
+// TestRunnerCoalescesFailure: a follower shares its leader's failed
+// Result, and the failure is not cached, so a later batch executes the
+// spec again.
+func TestRunnerCoalescesFailure(t *testing.T) {
+	gate := make(chan struct{})
+	var calls atomic.Int32
+	failure := errors.New("injected failure")
+	r := &Runner{EPCPages: testEPC, Exec: func(s Spec) (*Result, error) {
+		calls.Add(1)
+		<-gate
+		return &Result{Name: s.WorkloadName(), Mode: s.Mode, Err: failure, Attempts: 1}, nil
 	}}
-	blockerDone := make(chan struct{})
-	go func() {
-		defer close(blockerDone)
-		r.Run(blocker)
-	}()
-	<-blocking // the only worker slot is taken
-
 	spec := Spec{Workload: suite.Empty(), Mode: sgx.Vanilla, Size: workloads.Low}
-	ctx, cancel := context.WithCancel(context.Background())
-	leader := make(chan *Result, 1)
-	go func() {
-		res, _ := r.Run(spec, WithContext(ctx))
-		leader <- res
-	}()
-	waitFor(t, "the leader to register", func() bool { return r.Stats().InFlight == 1 })
-	follower := make(chan *Result, 1)
-	go func() {
-		res, _ := r.Run(spec)
-		follower <- res
-	}()
-	waitFor(t, "the follower to coalesce", func() bool { return r.Stats().Coalesced == 1 })
+	results := make(chan *Result, 2)
+	for range 2 {
+		go func() { results <- r.Run(spec) }()
+	}
+	waitFor(t, "the second batch to coalesce", func() bool { return r.Stats().Coalesced == 1 })
 
-	cancel()
-	if res := <-leader; !errors.Is(res.Err, context.Canceled) {
-		t.Fatalf("cancelled leader: Result.Err = %v, want context.Canceled", res.Err)
-	}
 	close(gate)
-	if res := <-follower; res.Err != nil || res.Attempts != 1 {
-		t.Fatalf("follower: %+v, want its own clean run", res)
+	a, b := <-results, <-results
+	if a != b || !errors.Is(a.Err, failure) {
+		t.Errorf("batches got %p (Err %v) and %p (Err %v), want one shared failed result", a, a.Err, b, b.Err)
 	}
-	<-blockerDone
-	if n := r.Stats().Executed; n != 2 {
-		t.Errorf("Executed = %d, want 2 (the blocker and the follower's run)", n)
+	if n := calls.Load(); n != 1 {
+		t.Errorf("spec executed %d times, want 1", n)
+	}
+
+	if res := r.Run(spec); !errors.Is(res.Err, failure) {
+		t.Errorf("third batch: Err = %v, want the injected failure", res.Err)
+	}
+	if n := calls.Load(); n != 2 {
+		t.Errorf("spec executed %d times after a third batch, want 2 (failures are not cached)", n)
+	}
+	if st := r.Stats(); st.Executed != 2 || st.InFlight != 0 || r.Cache.Len() != 0 {
+		t.Errorf("Stats() = %+v with %d cached, want 2 executed, nothing in flight or cached", st, r.Cache.Len())
 	}
 }
 
 // TestRunnerRunAllErrorContract: a spec's own failure lands in its
-// Result.Err (the error return is engine-level only), siblings still
+// Result.Err (the error return is always nil), siblings still
 // complete, and failed cells are not cached (a retry re-runs them).
 func TestRunnerRunAllErrorContract(t *testing.T) {
 	w, err := suite.ByName("BTree")
@@ -416,7 +370,7 @@ func TestRunnerRunAllErrorContract(t *testing.T) {
 	bad := Spec{Workload: panicWorkload{}, Mode: sgx.Native, Size: workloads.Low}
 	results, err := r.RunAll([]Spec{good, bad})
 	if err != nil {
-		t.Fatalf("per-spec failure leaked into the engine-level error: %v", err)
+		t.Fatalf("per-spec failure leaked into RunAll's error: %v", err)
 	}
 	if results[0] == nil || results[0].Err != nil {
 		t.Fatalf("sibling did not complete cleanly: %+v", results[0])
@@ -431,11 +385,7 @@ func TestRunnerRunAllErrorContract(t *testing.T) {
 	// The failure must not be cached: a second batch re-runs it.
 	var runs atomic.Int64
 	r.Progress = func(Progress) { runs.Add(1) }
-	again, err := r.RunAll([]Spec{bad})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again[0].Err == nil {
+	if again := r.Run(bad); again.Err == nil {
 		t.Fatal("retry of the failed spec should fail again")
 	}
 	if runs.Load() != 1 {
@@ -443,86 +393,12 @@ func TestRunnerRunAllErrorContract(t *testing.T) {
 	}
 }
 
-// TestRunnerRunPromotesNothing: Runner.Run returns the Result with its
-// own Err set rather than promoting it into the error return.
+// TestRunnerRunPromotesNothing: Runner.Run returns a failed spec's
+// Result with its own Err set.
 func TestRunnerRunPromotesNothing(t *testing.T) {
 	r := NewRunner(testEPC)
 	bad := Spec{Workload: panicWorkload{}, Mode: sgx.Native, Size: workloads.Low, Seed: 7}
-	res, err := r.Run(bad)
-	if err != nil {
-		t.Fatalf("engine-level error for a per-spec failure: %v", err)
-	}
-	if res == nil || res.Err == nil {
+	if res := r.Run(bad); res == nil || res.Err == nil {
 		t.Fatal("failed spec's Result.Err not set")
-	}
-}
-
-// TestWithContextCancellation: once the context is cancelled, no new
-// spec starts — unstarted specs complete immediately with the context
-// error in their Result.Err — and the batch reports the context error
-// as its engine-level error.
-func TestWithContextCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // cancelled before the batch starts
-	specs := testGrid(t)
-	results, err := (&Runner{Jobs: 2}).RunAll(specs, WithContext(ctx))
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("engine error = %v, want context.Canceled", err)
-	}
-	if len(results) != len(specs) {
-		t.Fatalf("got %d results, want %d", len(results), len(specs))
-	}
-	for i, res := range results {
-		if !errors.Is(res.Err, context.Canceled) {
-			t.Errorf("spec %d: Err = %v, want context.Canceled", i, res.Err)
-		}
-	}
-
-	// An uncancelled context changes nothing.
-	clean, err := (&Runner{}).RunAll(specs[:1], WithContext(context.Background()))
-	if err != nil || clean[0].Err != nil {
-		t.Fatalf("live-context batch failed: %v / %v", err, clean[0].Err)
-	}
-}
-
-// TestRetryBackoffHonorsCancellation pins the ctxflow fix: a cancelled
-// batch context must abort the retry backoff sleep immediately. Before
-// the fix, runWithRetry slept the raw exponential schedule — with an
-// hour-scale backoff, a drained worker sat pinned long after its
-// context died. The spec fails transiently on every attempt
-// (TransitionRate 1), so without cancellation this test would block
-// for the full hour backoff; the deadline below is its regression
-// tripwire.
-func TestRetryBackoffHonorsCancellation(t *testing.T) {
-	w, err := suite.ByName("BTree")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := Spec{Workload: w, Mode: sgx.Native, Size: workloads.Low, EPCPages: testEPC, Seed: 7}
-	spec.Chaos = &chaos.Config{Seed: 5, TransitionFault: true, TransitionRate: 1}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan []*Result, 1)
-	go func() {
-		res, _ := (&Runner{Jobs: 1}).RunAll([]Spec{spec}, Retry(3), RetryBackoff(time.Hour), WithContext(ctx))
-		done <- res
-	}()
-	// Let the first attempt start, then cancel mid-backoff. The first
-	// simulated run takes well under the 10s guard; the backoff after
-	// its transient failure is where the batch must notice the cancel.
-	time.Sleep(50 * time.Millisecond)
-	cancel()
-
-	select {
-	case res := <-done:
-		r := res[0]
-		if r.Err == nil || !sgx.IsTransient(r.Err) {
-			t.Fatalf("Err = %v, want the transient fault from the aborted retry loop", r.Err)
-		}
-		if r.Attempts < 1 || r.Attempts > 3 {
-			t.Errorf("Attempts = %d, want >= 1 and < the full retry budget of 4", r.Attempts)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("batch still blocked 10s after cancellation; retry backoff is not context-aware")
 	}
 }

@@ -57,11 +57,8 @@ type Recommendation struct {
 // with the top-ranked workloads.
 func (r *Runner) Recommend(c Component) ([]Recommendation, error) {
 	ws := suite.All()
-	results, err := r.RunAll(GridSpecs(ws, []sgx.Mode{sgx.LibOS}, []workloads.Size{workloads.Medium}))
-	if err == nil {
-		err = firstFailure(results)
-	}
-	if err != nil {
+	results := r.runAll(GridSpecs(ws, []sgx.Mode{sgx.LibOS}, []workloads.Size{workloads.Medium}))
+	if err := firstFailure(results); err != nil {
 		return nil, err
 	}
 	var out []Recommendation

@@ -30,12 +30,8 @@ func TestRecycledRunAllocatesLess(t *testing.T) {
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		before := ms.TotalAlloc
-		res, err := r.Run(spec)
-		if err == nil {
-			err = res.Err
-		}
-		if err != nil {
-			t.Fatal(err)
+		if res := r.Run(spec); res.Err != nil {
+			t.Fatal(res.Err)
 		}
 		runtime.ReadMemStats(&ms)
 		return ms.TotalAlloc - before
@@ -79,19 +75,14 @@ func TestRunnersShareRecyclerConcurrently(t *testing.T) {
 		{Workload: byName("Empty"), Mode: sgx.LibOS, Size: workloads.Medium, EPCPages: testEPC},
 		scenario,
 	}
-	want := mustExec(t, 1, specs)
+	want := runFresh(1, specs)
 	var wg sync.WaitGroup
 	got := make([][]Result, 2)
 	for i := range got {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results, err := NewRunner(testEPC).RunAll(specs)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			for _, res := range results {
+			for _, res := range NewRunner(testEPC).runAll(specs) {
 				got[i] = append(got[i], *res)
 			}
 		}()

@@ -69,12 +69,8 @@ func (e Experiment) run(r *Runner) (*expBatch, error) {
 	if e.specs != nil {
 		b.specs = e.specs(b.epcPages)
 	}
-	results, err := r.RunAll(b.specs)
-	if err == nil {
-		err = firstFailure(results)
-	}
-	b.results = results
-	return b, err
+	b.results = r.runAll(b.specs)
+	return b, firstFailure(b.results)
 }
 
 // firstFailure returns the first spec failure of a batch, in input

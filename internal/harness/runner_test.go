@@ -41,7 +41,7 @@ func TestRunRejectsBadSpecs(t *testing.T) {
 		t.Error("scenario with a negative EPC size accepted")
 	}
 	// The CLIs' -epc flags reach the engine through Runner.Run.
-	if res, err := new(Runner).Run(Spec{Workload: btree, Mode: sgx.Native, EPCPages: -5}); err == nil && res.Err == nil {
+	if res := new(Runner).Run(Spec{Workload: btree, Mode: sgx.Native, EPCPages: -5}); res.Err == nil {
 		t.Error("Runner.Run returned a result for a negative EPC size")
 	}
 }
@@ -123,20 +123,20 @@ func TestRunnerCaching(t *testing.T) {
 	r := NewRunner(testEPC)
 	r.Seed = 1
 	w, _ := suite.ByName("BTree")
-	a, err := r.Run(Spec{Workload: w, Mode: sgx.Vanilla, Size: workloads.Low})
-	if err != nil {
-		t.Fatal(err)
+	a := r.Run(Spec{Workload: w, Mode: sgx.Vanilla, Size: workloads.Low})
+	if a.Err != nil {
+		t.Fatal(a.Err)
 	}
-	b, err := r.Run(Spec{Workload: w, Mode: sgx.Vanilla, Size: workloads.Low})
-	if err != nil {
-		t.Fatal(err)
+	b := r.Run(Spec{Workload: w, Mode: sgx.Vanilla, Size: workloads.Low})
+	if b.Err != nil {
+		t.Fatal(b.Err)
 	}
 	if a != b {
 		t.Error("identical specs were re-run instead of cached")
 	}
-	c, err := r.Run(Spec{Workload: w, Mode: sgx.Vanilla, Size: workloads.Medium})
-	if err != nil {
-		t.Fatal(err)
+	c := r.Run(Spec{Workload: w, Mode: sgx.Vanilla, Size: workloads.Medium})
+	if c.Err != nil {
+		t.Fatal(c.Err)
 	}
 	if a == c {
 		t.Error("different sizes shared a cache entry")
@@ -217,13 +217,13 @@ func TestCacheKeysOnCanonicalEncodingNotPointer(t *testing.T) {
 	}
 
 	r := NewRunner(testEPC)
-	resA, err := r.Run(a)
-	if err != nil {
-		t.Fatal(err)
+	resA := r.Run(a)
+	if resA.Err != nil {
+		t.Fatal(resA.Err)
 	}
-	resB, err := r.Run(b)
-	if err != nil {
-		t.Fatal(err)
+	resB := r.Run(b)
+	if resB.Err != nil {
+		t.Fatal(resB.Err)
 	}
 	if resA != resB {
 		t.Fatal("second spec re-ran instead of hitting the first's cache entry")

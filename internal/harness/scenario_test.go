@@ -88,14 +88,8 @@ func TestScenarioSerialParallelIdentical(t *testing.T) {
 		}
 	}
 
-	serial, err := (&Runner{EPCPages: testEPC, Jobs: 1}).RunAll(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := (&Runner{EPCPages: testEPC, Jobs: 8}).RunAll(specs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := (&Runner{EPCPages: testEPC, Jobs: 1}).runAll(specs)
+	parallel := (&Runner{EPCPages: testEPC, Jobs: 8}).runAll(specs)
 	for i := range specs {
 		if serial[i].Err != nil || parallel[i].Err != nil {
 			t.Fatalf("%s failed: serial %v, parallel %v", specs[i].Scenario.Name, serial[i].Err, parallel[i].Err)
@@ -231,13 +225,13 @@ func TestScenarioSpecRejectsSize(t *testing.T) {
 func TestScenarioThroughRunnerCache(t *testing.T) {
 	r := NewRunner(testEPC)
 	spec := scenarioSpec(t, "attested-session", 0, 3)
-	first, err := r.Run(spec)
-	if err != nil {
-		t.Fatal(err)
+	first := r.Run(spec)
+	if first.Err != nil {
+		t.Fatal(first.Err)
 	}
-	again, err := r.Run(spec)
-	if err != nil {
-		t.Fatal(err)
+	again := r.Run(spec)
+	if again.Err != nil {
+		t.Fatal(again.Err)
 	}
 	if first != again {
 		t.Fatal("second scenario run was not served from cache")

@@ -166,15 +166,11 @@ func TestSpecKeyDistinguishesChaos(t *testing.T) {
 	// End to end: the runner must not serve the clean result for the
 	// chaotic spec.
 	r := NewRunner(testEPC)
-	clean, err := r.Run(base)
-	if err != nil || clean.Err != nil {
-		t.Fatalf("clean run failed: %v / %v", err, clean.Err)
+	clean := r.Run(base)
+	if clean.Err != nil {
+		t.Fatalf("clean run failed: %v", clean.Err)
 	}
-	res, err := r.Run(chaotic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res == clean {
+	if r.Run(chaotic) == clean {
 		t.Fatal("chaotic spec served the clean spec's cached result")
 	}
 }
@@ -197,8 +193,8 @@ func TestHookedSpecsBypassCache(t *testing.T) {
 	withHook.Hooks = Hooks{OnMachine: func(*sgx.Machine) { hooked.Add(1) }}
 
 	for i := 0; i < 2; i++ {
-		if _, err := r.Run(withHook); err != nil {
-			t.Fatal(err)
+		if res := r.Run(withHook); res.Err != nil {
+			t.Fatal(res.Err)
 		}
 	}
 	if got := hooked.Load(); got != 2 {
@@ -209,13 +205,13 @@ func TestHookedSpecsBypassCache(t *testing.T) {
 	}
 
 	// The hookless spec still caches normally afterwards.
-	a, err := r.Run(spec)
-	if err != nil {
-		t.Fatal(err)
+	a := r.Run(spec)
+	if a.Err != nil {
+		t.Fatal(a.Err)
 	}
-	b, err := r.Run(spec)
-	if err != nil {
-		t.Fatal(err)
+	b := r.Run(spec)
+	if b.Err != nil {
+		t.Fatal(b.Err)
 	}
 	if a != b {
 		t.Error("hookless spec not served from cache")

@@ -7,8 +7,9 @@ import (
 )
 
 // ctxflowPkgs are the service-layer packages where every blocking
-// operation must be cancellable: the daemon/cluster code and the
-// harness engine that runs underneath it. The simulator core is
+// operation must be cancellable: the daemon/cluster code, and the
+// harness engine that runs underneath it, which has no cancellation
+// and so must not wait on the clock at all. The simulator core is
 // excluded — it is single-threaded per run and already barred from
 // wall-clock use by the determinism analyzer.
 var ctxflowPkgs = []string{

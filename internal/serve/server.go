@@ -72,9 +72,6 @@ type Config struct {
 	// before quarantining the task as poisoned (0 =
 	// DefaultTaskRetries, negative = no retries).
 	TaskRetries int
-	// RetryBase is the base delay of the exponential retry backoff
-	// (0 = DefaultRetryBase).
-	RetryBase time.Duration
 }
 
 // Server is the daemon: an http.Handler plus the run machinery behind
@@ -156,7 +153,7 @@ func New(cfg Config) *Server {
 	}
 	r.Cache = s.results
 	if cfg.Coordinator {
-		s.cluster = newCluster(cfg.WorkerTTL, cfg.TaskRetries, cfg.RetryBase, cfg.Journal)
+		s.cluster = newCluster(cfg.WorkerTTL, cfg.TaskRetries, DefaultRetryBase, cfg.Journal)
 		// Every job — run, sweep, figure — draws on the fleet through
 		// the coalescing dispatcher.
 		r.Exec = s.execRemote
@@ -311,10 +308,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		// finishes the run and caches it.
 		return
 	}
-	if term := jb.terminalEvent(); term.Event == "error" {
-		writeError(w, http.StatusInternalServerError, errors.New(term.Error))
-		return
-	}
 	ev, ok := jb.resultEvent(0)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, errors.New("serve: job finished without a result"))
@@ -344,12 +337,13 @@ func writeJobError(w http.ResponseWriter, err error, s *Server) {
 // progress events as specs complete (cache-hit specs included, marked
 // "cached":true), then one result line per spec in input order, then
 // exactly one terminal line — {"event":"done","ok":true,...} when the
-// batch completed, or {"event":"error",...} when it failed as a
-// whole. A stream that ends without either terminal line was
-// truncated by the transport; clients must treat it as incomplete and
-// may reattach via GET /v1/jobs/{id}?from=N to stream the results
-// they have not yet received — the job itself runs detached and
-// survives the disconnect.
+// batch completed, which a run or sweep job always does (a spec's
+// failure rides in its result line), or {"event":"error",...} when a
+// job failed as a whole, as a figure render can. A stream that ends
+// without either terminal line was truncated by the transport; clients
+// must treat it as incomplete and may reattach via GET
+// /v1/jobs/{id}?from=N to stream the results they have not yet
+// received — the job itself runs detached and survives the disconnect.
 type sweepEvent struct {
 	Event     string      `json:"event"` // "job", "progress", "result", "done", "error"
 	JobID     string      `json:"id,omitempty"`
@@ -391,8 +385,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	// From here on the 200 header is committed and the stream itself
 	// is the error channel: a write failure kills the stream (never
-	// the job), and a job-level failure becomes the terminal error
-	// event.
+	// the job), and each spec's failure rides in its result line.
 	stream := newNDJSONStream(w)
 	if !stream.emit(sweepEvent{Event: "job", JobID: jb.id, Total: len(specs)}) {
 		return

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -291,10 +290,9 @@ func (w *Worker) executeBatch(ctx context.Context, batch []taskAssignment) error
 
 // executeOne runs one assignment through the local runner and shapes
 // the result for the wire. A spec's own failure travels inside the
-// result line; trouble executing at all (an undecodable spec, an
-// engine error) travels as a failed line, so the coordinator charges
-// the task's retry budget instead of leaving it assigned to us
-// forever.
+// result line; an undecodable spec travels as a failed line, so the
+// coordinator charges the task's retry budget instead of leaving it
+// assigned to us forever.
 func (w *Worker) executeOne(t taskAssignment) resultLine {
 	spec, err := t.Spec.Spec()
 	if err != nil {
@@ -303,13 +301,7 @@ func (w *Worker) executeOne(t taskAssignment) resultLine {
 	// Run, not RunLocal: the worker's runner owns caching here, so a
 	// result already in its memory cache or on-disk store is served
 	// without booting a machine.
-	res, err := w.server.runner.Run(spec)
-	if err != nil || res == nil {
-		if err == nil {
-			err = errors.New("runner returned no result")
-		}
-		return resultLine{Key: t.Key, Failed: err.Error()}
-	}
+	res := w.server.runner.Run(spec)
 	w.executed.Add(1)
 	return resultLine{Key: t.Key, Result: res.Wire()}
 }

@@ -258,15 +258,6 @@ func (s *Store) Add(k harness.Key, res *harness.Result) *harness.Result {
 // Len reports the number of resident entries.
 func (s *Store) Len() int { return int(s.count.Load()) }
 
-// Has reports whether an entry file exists for k, without reading or
-// validating it (a corrupt entry still answers true; Get quarantines
-// it on first read). Journal recovery uses this to tell warm tasks
-// from work that must re-enqueue, without deserializing every result.
-func (s *Store) Has(k harness.Key) bool {
-	_, err := os.Stat(s.path(k))
-	return err == nil
-}
-
 // Stats returns the store's lifetime counters for /metrics.
 func (s *Store) Stats() (hits, misses, puts, putErrors, quarantined uint64) {
 	return s.hits.Load(), s.misses.Load(), s.puts.Load(), s.putErrors.Load(), s.quarantined.Load()

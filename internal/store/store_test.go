@@ -31,12 +31,9 @@ func testResult(t *testing.T) (harness.Key, *harness.Result) {
 		r := harness.NewRunner(256)
 		r.Seed = 7
 		spec := harness.Spec{Workload: suite.Empty(), Mode: sgx.LibOS, Size: workloads.Low}
-		res, err := r.Run(spec)
-		if err == nil {
-			err = res.Err
-		}
-		if err != nil {
-			o.err = err
+		res := r.Run(spec)
+		if res.Err != nil {
+			o.err = res.Err
 			return
 		}
 		o.res = res
@@ -332,9 +329,10 @@ func TestRunnerWarmFromStore(t *testing.T) {
 		r.Seed = 7
 		r.Cache = NewTiered(newMapCache(), l2)
 		simulated := 0
-		res, err := r.Run(spec, harness.OnProgress(func(harness.Progress) { simulated++ }))
-		if err != nil || res.Err != nil {
-			t.Fatalf("run: %v / %v", err, res.Err)
+		r.Progress = func(harness.Progress) { simulated++ }
+		res := r.Run(spec)
+		if res.Err != nil {
+			t.Fatalf("run: %v", res.Err)
 		}
 		enc, err := harness.EncodeResult(res)
 		if err != nil {
