@@ -20,8 +20,7 @@
 //	sgxgauge recommend -component epc|transitions|mee|syscalls [-epc pages] [-seed n] [-j workers]
 //	sgxgauge serve [-addr host:port] [-epc pages] [-seed n] [-j workers]
 //	               [-cache entries] [-drain timeout]
-//	               [-store.dir dir] [-store.fsync]
-//	               [-journal.dir dir] [-journal.fsync]
+//	               [-store.dir dir] [-journal.dir dir] [-fsync]
 //	               [-admission.max specs]
 //	               [-coordinator [-worker.ttl d] [-task.retries n] | -worker url]
 //
@@ -137,7 +136,7 @@ func usage() {
                  [-transition] [-retries n] [-j workers] [-progress]
   sgxgauge recommend -component epc|transitions|mee|syscalls [-epc pages] [-seed n] [-j workers]
   sgxgauge serve [-addr host:port] [-epc pages] [-seed n] [-j workers] [-cache entries]
-                 [-drain timeout] [-store.dir dir] [-store.fsync] [-journal.dir dir] [-journal.fsync]
+                 [-drain timeout] [-store.dir dir] [-journal.dir dir] [-fsync]
                  [-admission.max specs] [-coordinator [-worker.ttl d] [-task.retries n] | -worker url]`)
 }
 

@@ -312,29 +312,36 @@ func (r *Runner) runAll(specs []Spec, opts ...Option) []*Result {
 	cacheable := make([]bool, len(specs))
 	flights := make([]*flight, len(specs))
 	var lead, follow []int // misses, by input position
-	hits := 0
+	// completed counts the specs finished so far, executed or not;
+	// progress events report it against the whole input.
+	completed := 0
+	// served settles input i without executing it: a cache hit, or a
+	// miss that followed another execution. Its event, if the batch
+	// asked for one, is emitted from this goroutine before or after
+	// the engine batch, never during it, so the serialized-callback
+	// contract holds without extra locking.
+	served := func(i int, res *Result) {
+		out[i] = res
+		completed++
+		if o.progressCached && o.progress != nil {
+			o.progress(Progress{
+				Completed: completed,
+				Total:     len(specs),
+				Index:     i,
+				Name:      res.Name,
+				Mode:      specs[i].Mode,
+				Err:       res.Err,
+				Cached:    true,
+			})
+		}
+	}
 	for i, spec := range specs {
 		norm[i] = r.normalize(spec)
 		key, kerr := SpecKey(norm[i])
 		keys[i], cacheable[i] = key, kerr == nil && spec.Hooks.empty()
 		if cacheable[i] {
 			if res, ok := cache.Get(key); ok {
-				out[i] = res
-				hits++
-				// Cache-hit events precede the engine batch and are
-				// emitted from this single goroutine, so the serialized-
-				// callback contract holds without extra locking.
-				if o.progressCached && o.progress != nil {
-					o.progress(Progress{
-						Completed: hits,
-						Total:     len(specs),
-						Index:     i,
-						Name:      res.Name,
-						Mode:      spec.Mode,
-						Err:       res.Err,
-						Cached:    true,
-					})
-				}
+				served(i, res)
 				continue
 			}
 			// Lead a miss no execution holds yet; follow the rest.
@@ -346,7 +353,7 @@ func (r *Runner) runAll(specs []Spec, opts ...Option) []*Result {
 		}
 		lead = append(lead, i)
 	}
-	if hits == len(specs) {
+	if completed == len(specs) {
 		return out
 	}
 
@@ -354,10 +361,8 @@ func (r *Runner) runAll(specs []Spec, opts ...Option) []*Result {
 	for j, i := range lead {
 		batch[j] = norm[i]
 	}
-	// Executed specs' progress events count from the hits, against the
-	// whole input; the engine reports them by sub-batch position.
+	// The engine reports executed specs by sub-batch position.
 	var mu sync.Mutex
-	completed := hits
 	r.runBatch(batch, o, func(j int, res *Result, ev Progress) {
 		i := lead[j]
 		r.executed.Add(1)
@@ -382,7 +387,7 @@ func (r *Runner) runAll(specs []Spec, opts ...Option) []*Result {
 	// failed or not.
 	for _, i := range follow {
 		<-flights[i].done
-		out[i] = flights[i].res
+		served(i, flights[i].res)
 	}
 	return out
 }

@@ -30,9 +30,11 @@ type Progress struct {
 	Wall time.Duration
 	// Err is non-nil when the spec failed or panicked.
 	Err error
-	// Cached marks a spec served from the runner's result cache
-	// without executing. Such events are emitted only when the batch
-	// opts in via ProgressCached.
+	// Cached marks a spec this batch did not execute: one served from
+	// the runner's result cache, or a miss that waited on another
+	// execution of its key (a duplicate in this batch, or one a
+	// concurrent batch leads). Such events are emitted only when the
+	// batch opts in via ProgressCached.
 	Cached bool
 	// Cloned marks a LibOS spec that ran on a clone of a boot it
 	// shared with other specs of the batch instead of booting its own
@@ -56,8 +58,10 @@ func OnProgress(fn func(Progress)) Option {
 }
 
 // ProgressCached makes RunAll emit a progress event (Cached: true)
-// for every spec it serves straight from the result cache, before the
-// engine batch starts. The default — cache hits are silent — is kept
+// for every spec it does not execute itself: cache hits before the
+// engine batch starts, and specs that followed another execution of
+// their key once that execution settles. With it, Completed reaches
+// Total. The default — such specs are silent — is kept
 // for interactive progress bars, where "N specs ran" should mean N
 // simulations; journaling consumers opt in so a warm resume still
 // records every task as it lands.

@@ -355,6 +355,59 @@ func TestRunnerCoalescesFailure(t *testing.T) {
 	}
 }
 
+// TestRunnerProgressCachedReachesTotal: under ProgressCached, a spec
+// that follows another execution of its key gets a Cached event when
+// that execution settles, so Completed reaches Total. That holds for a
+// duplicate within the batch and for a miss that coalesces onto a
+// concurrent batch's execution.
+func TestRunnerProgressCachedReachesTotal(t *testing.T) {
+	gate := make(chan struct{})
+	var calls atomic.Int32
+	r := &Runner{EPCPages: testEPC, Exec: func(s Spec) (*Result, error) {
+		calls.Add(1)
+		<-gate
+		return &Result{Name: s.WorkloadName(), Mode: s.Mode, Attempts: 1}, nil
+	}}
+	spec := Spec{Workload: suite.Empty(), Mode: sgx.Vanilla, Size: workloads.Low}
+	record := func(evs *[]Progress) Option {
+		return OnProgress(func(p Progress) { *evs = append(*evs, p) })
+	}
+	check := func(name string, evs []Progress, total int, cached []bool) {
+		t.Helper()
+		if len(evs) != total {
+			t.Fatalf("%s: %d progress events, want %d: %+v", name, len(evs), total, evs)
+		}
+		for i, ev := range evs {
+			if ev.Completed != i+1 || ev.Total != total || ev.Cached != cached[i] {
+				t.Errorf("%s: event %d = %+v, want Completed %d, Total %d, Cached %v", name, i, ev, i+1, total, cached[i])
+			}
+		}
+	}
+
+	// The concurrent batch leads the one execution; the 3-spec batch
+	// below coalesces onto it for all three of its copies.
+	lead := make(chan *Result, 1)
+	go func() { lead <- r.Run(spec) }()
+	waitFor(t, "the leading batch to execute", func() bool { return calls.Load() == 1 })
+	var evs []Progress
+	done := make(chan []*Result, 1)
+	go func() { done <- r.runAll([]Spec{spec, spec, spec}, ProgressCached(), record(&evs)) }()
+	waitFor(t, "all three copies to coalesce", func() bool { return r.Stats().Coalesced == 3 })
+	close(gate)
+	<-lead
+	<-done
+	check("coalesced batch", evs, 3, []bool{true, true, true})
+
+	// A cold batch of one repeated spec: one execution, two duplicates.
+	r.Cache = newMapCache()
+	evs = nil
+	r.runAll([]Spec{spec, spec, spec}, ProgressCached(), record(&evs))
+	check("duplicate batch", evs, 3, []bool{false, true, true})
+	if n := calls.Load(); n != 2 {
+		t.Errorf("spec executed %d times, want 2 (one per cold cache)", n)
+	}
+}
+
 // TestRunnerRunAllErrorContract: a spec's own failure lands in its
 // Result.Err (the error return is always nil), siblings still
 // complete, and failed cells are not cached (a retry re-runs them).

@@ -9,17 +9,20 @@
 // store (internal/store), and a replayed task whose result is already
 // on disk short-circuits through the cache without re-simulating.
 //
-// The package follows internal/store's durability discipline:
+// Files are written, removed and quarantined through internal/store's
+// durable-file code (store.WriteFile, store.RemoveFile,
+// store.Quarantine), the one implementation the result store uses too:
 //
 //   - One file per open job under <dir>/jobs/<id>.ndjson, holding one
-//     job record written atomically (temp+rename), so a crash leaves
-//     either the whole record or none. Finish removes the file.
+//     job record written atomically, so a crash leaves either the
+//     whole record or none. Finish removes the file.
 //   - Every record carries a versioned envelope ({"format":1,...});
 //     a file from a different format is set aside, never misread.
 //   - Corruption is quarantined, never fatal: a file whose job record
 //     is unreadable is moved to <dir>/quarantine/ and replay continues
 //     with the rest.
-//   - fsync is opt-in, matching the store's -store.fsync posture.
+//   - fsync is opt-in: the daemon's one -fsync flag covers the journal
+//     and the store.
 //
 // The journal also keeps the poison quarantine: a task that exhausts
 // its cluster retry budget is written to <dir>/poisoned/<key>.json
@@ -32,9 +35,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -43,6 +44,7 @@ import (
 	"sync/atomic"
 
 	"sgxgauge/internal/harness"
+	"sgxgauge/internal/store"
 )
 
 // formatVersion is the record envelope version this build writes.
@@ -113,7 +115,7 @@ type Journal struct {
 // Open opens (creating if needed) the journal rooted at dir and loads
 // the poison quarantine.
 func Open(dir string, opts Options) (*Journal, error) {
-	for _, sub := range []string{jobsDir, quarantineDir, poisonedDir} {
+	for _, sub := range []string{jobsDir, store.QuarantineDir, poisonedDir} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("journal: create %s: %w", sub, err)
 		}
@@ -126,9 +128,8 @@ func Open(dir string, opts Options) (*Journal, error) {
 }
 
 const (
-	jobsDir       = "jobs"
-	quarantineDir = "quarantine"
-	poisonedDir   = "poisoned"
+	jobsDir     = "jobs"
+	poisonedDir = "poisoned"
 )
 
 // Dir returns the journal's root directory.
@@ -181,7 +182,7 @@ func (j *Journal) Begin(job Job) error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := j.writeAtomic(j.jobPath(job.ID), append(data, '\n')); err != nil {
+	if err := store.WriteFile(j.jobPath(job.ID), append(data, '\n'), j.opts.Fsync); err != nil {
 		return fmt.Errorf("journal: begin job %s: %w", job.ID, err)
 	}
 	j.records.Add(1)
@@ -197,68 +198,10 @@ func (j *Journal) Finish(id string) error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := j.remove(j.jobPath(id)); err != nil {
+	if err := store.RemoveFile(j.jobPath(id), j.opts.Fsync); err != nil {
 		return fmt.Errorf("journal: finish job %s: %w", id, err)
 	}
 	return nil
-}
-
-// remove deletes path, with opt-in fsync of its directory so the
-// removal is durable. A missing file is already removed.
-func (j *Journal) remove(path string) error {
-	if err := os.Remove(path); err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil
-		}
-		return err
-	}
-	if j.opts.Fsync {
-		return syncDir(filepath.Dir(path))
-	}
-	return nil
-}
-
-// writeAtomic writes data to path via temp+rename in path's
-// directory, with opt-in fsync of both file and directory.
-func (j *Journal) writeAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmpName := tmp.Name()
-	_, werr := tmp.Write(data)
-	if werr == nil && j.opts.Fsync {
-		werr = tmp.Sync()
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmpName, path)
-	}
-	if werr != nil {
-		// Best-effort cleanup of the temp file after the real error.
-		_ = os.Remove(tmpName)
-		return werr
-	}
-	if j.opts.Fsync {
-		return syncDir(dir)
-	}
-	return nil
-}
-
-// syncDir fsyncs a directory so a rename within it is durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	serr := d.Sync()
-	if cerr := d.Close(); serr == nil {
-		serr = cerr
-	}
-	return serr
 }
 
 // parseJob decodes one job file: its first line is the job record.
@@ -312,11 +255,12 @@ func (j *Journal) Replay(live func(id string) bool) ([]Job, error) {
 		if job == nil || job.ID+".ndjson" != name {
 			// A header naming a different job than its file is as
 			// untrustworthy as no header.
-			j.quarantineFile(path)
+			j.quarantined.Add(1)
+			store.Quarantine(j.dir, path)
 			continue
 		}
 		if finished {
-			if err := j.remove(path); err != nil {
+			if err := store.RemoveFile(path, j.opts.Fsync); err != nil {
 				return nil, fmt.Errorf("journal: remove finished job %s: %w", job.ID, err)
 			}
 			continue
@@ -336,17 +280,6 @@ func (j *Journal) Replay(live func(id string) bool) ([]Job, error) {
 	return jobs, nil
 }
 
-// quarantineFile moves an unreadable job file aside, falling back to
-// removal so one stuck file cannot wedge replay forever.
-func (j *Journal) quarantineFile(path string) {
-	j.quarantined.Add(1)
-	dst := filepath.Join(j.dir, quarantineDir, filepath.Base(path))
-	if err := os.Rename(path, dst); err != nil {
-		// Best-effort: the file is already counted and skipped.
-		_ = os.Remove(path)
-	}
-}
-
 // Poison quarantines a task key with its attempt history. The record
 // is durable before Poison returns and is reloaded by every future
 // Open, so a poisoned spec stays fenced across restarts.
@@ -362,7 +295,7 @@ func (j *Journal) Poison(rec PoisonRecord) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	path := filepath.Join(j.dir, poisonedDir, rec.Key+".json")
-	if err := j.writeAtomic(path, append(data, '\n')); err != nil {
+	if err := store.WriteFile(path, append(data, '\n'), j.opts.Fsync); err != nil {
 		return fmt.Errorf("journal: poison %s: %w", rec.Key, err)
 	}
 	j.poisoned[rec.Key] = rec
@@ -402,12 +335,12 @@ func (j *Journal) loadPoisoned() error {
 			return fmt.Errorf("journal: read %s: %w", name, err)
 		}
 		var rec PoisonRecord
-		if derr := json.Unmarshal(data, &rec); derr != nil || rec.Format != formatVersion || rec.Key+".json" != name {
-			j.quarantineFile(path)
-			continue
+		if err = json.Unmarshal(data, &rec); err == nil {
+			_, err = harness.ParseKey(rec.Key)
 		}
-		if _, kerr := harness.ParseKey(rec.Key); kerr != nil {
-			j.quarantineFile(path)
+		if err != nil || rec.Format != formatVersion || rec.Key+".json" != name {
+			j.quarantined.Add(1)
+			store.Quarantine(j.dir, path)
 			continue
 		}
 		j.poisoned[rec.Key] = rec

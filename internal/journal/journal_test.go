@@ -322,3 +322,117 @@ func TestJournalMismatchedHeaderQuarantined(t *testing.T) {
 		t.Fatalf("mismatched-header file not quarantined: %+v", jobs)
 	}
 }
+
+// TestJournalCorruptPoisonQuarantined: a poison record that does not
+// decode, has another format, is filed under another key or holds no
+// valid key is set aside at Open; the valid record beside them loads.
+func TestJournalCorruptPoisonQuarantined(t *testing.T) {
+	dir := t.TempDir()
+	spec := testSpecWire(t, 3)
+	good := testKey(t, 3)
+	if err := mustOpen(t, dir, Options{}).Poison(PoisonRecord{Key: good, Spec: &spec}); err != nil {
+		t.Fatalf("Poison: %v", err)
+	}
+	other := testKey(t, 4)
+	bad := map[string]string{
+		"garbage":            "{not json}\n",
+		testKey(t, 5):        `{"format":99,"key":"` + testKey(t, 5) + `"}`,
+		testKey(t, 6):        `{"format":1,"key":"` + other + `"}`,
+		"zz-not-a-valid-key": `{"format":1,"key":"zz-not-a-valid-key"}`,
+	}
+	for name, body := range bad {
+		if err := os.WriteFile(filepath.Join(dir, "poisoned", name+".json"), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	j := mustOpen(t, dir, Options{})
+	if got := j.Poisoned(); len(got) != 1 || got[good].Key != good {
+		t.Fatalf("loaded poison records %v, want only %s", got, good)
+	}
+	if st := j.Stats(); st.Quarantined != uint64(len(bad)) {
+		t.Fatalf("quarantined = %d, want %d", st.Quarantined, len(bad))
+	}
+	for name := range bad {
+		if _, err := os.Stat(filepath.Join(dir, "quarantine", name+".json")); err != nil {
+			t.Errorf("%s not quarantined: %v", name, err)
+		}
+	}
+}
+
+// TestJournalIgnoresLeftoverTempFiles: a crash between a write's
+// create and its rename leaves a temp file in jobs/ or poisoned/,
+// possibly holding a whole record. Open and Replay skip it: it is not
+// loaded, replayed or quarantined.
+func TestJournalIgnoresLeftoverTempFiles(t *testing.T) {
+	src := t.TempDir()
+	j := mustOpen(t, src, Options{})
+	spec := testSpecWire(t, 1)
+	key := testKey(t, 1)
+	if err := j.Begin(Job{ID: "j-torn", Kind: "run", CreatedUnix: 1, Specs: []harness.SpecWire{spec}}); err != nil {
+		t.Fatalf("Begin: %v", err)
+	}
+	if err := j.Poison(PoisonRecord{Key: key, Spec: &spec}); err != nil {
+		t.Fatalf("Poison: %v", err)
+	}
+
+	dir := t.TempDir()
+	for sub, name := range map[string]string{"jobs": "j-torn.ndjson", "poisoned": key + ".json"} {
+		data, err := os.ReadFile(filepath.Join(src, sub, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		tmp, err := os.CreateTemp(filepath.Join(dir, sub), ".tmp-*")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tmp.Write(data); err != nil {
+			t.Fatal(err)
+		}
+		if err := tmp.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	j2 := mustOpen(t, dir, Options{})
+	if got := j2.Poisoned(); len(got) != 0 {
+		t.Fatalf("loaded poison records %v from a leftover temp file", got)
+	}
+	jobs, err := j2.Replay(nil)
+	if err != nil {
+		t.Fatalf("Replay: %v", err)
+	}
+	if len(jobs) != 0 {
+		t.Fatalf("replayed %+v from a leftover temp file", jobs)
+	}
+	if st := j2.Stats(); st.Quarantined != 0 {
+		t.Fatalf("quarantined = %d, want 0", st.Quarantined)
+	}
+}
+
+// TestJournalBeginRenameFailure: when the final rename fails (the
+// job's path is a directory), Begin reports it, counts no record and
+// leaves no temp file in jobs/.
+func TestJournalBeginRenameFailure(t *testing.T) {
+	dir := t.TempDir()
+	j := mustOpen(t, dir, Options{Fsync: true})
+	if err := os.Mkdir(filepath.Join(dir, "jobs", "j-blocked.ndjson"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Begin(Job{ID: "j-blocked", Kind: "run"}); err == nil {
+		t.Fatal("Begin succeeded with a directory in the job file's place")
+	}
+	entries, err := os.ReadDir(filepath.Join(dir, "jobs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "j-blocked.ndjson" {
+		t.Fatalf("jobs/ holds %v after the failed Begin, want only the blocking directory", entries)
+	}
+	if st := j.Stats(); st.Records != 0 {
+		t.Fatalf("records = %d after a failed Begin, want 0", st.Records)
+	}
+}

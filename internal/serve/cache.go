@@ -3,40 +3,27 @@ package serve
 import (
 	"container/list"
 	"sync"
-	"sync/atomic"
 
 	"sgxgauge/internal/harness"
 )
-
-// cacheShards is the shard count of the daemon cache. Sharding by key
-// byte keeps lock contention bounded when many handlers hit the cache
-// at once; 16 shards comfortably covers the worker-pool sizes the
-// daemon runs with.
-const cacheShards = 16
 
 // DefaultCacheEntries bounds the cache when the configuration leaves
 // the size zero. A Result is small (a few KiB unless a timeline was
 // requested), so thousands of entries are cheap.
 const DefaultCacheEntries = 4096
 
-// Cache is the daemon's result cache: a sharded, size-bounded LRU
-// implementing harness.ResultCache, so it plugs straight into a
-// Runner. Each shard holds its own lock; hit/miss/eviction counters
-// feed the /metrics endpoint.
+// Cache is the daemon's result cache: a size-bounded LRU under one
+// lock, implementing harness.ResultCache so it plugs straight into a
+// Runner. Its hit/miss/eviction counters feed the /metrics endpoint.
 type Cache struct {
-	shards    [cacheShards]cacheShard
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	evictions atomic.Uint64
-}
-
-type cacheShard struct {
 	mu  sync.Mutex
 	max int
 	// entries indexes the recency list by key. // guarded by mu
 	entries map[harness.Key]*list.Element
 	// order is the recency list, most recent at the front. // guarded by mu
 	order *list.List
+	// hits, misses and evictions are lifetime counts. // guarded by mu
+	hits, misses, evictions uint64
 }
 
 type cacheEntry struct {
@@ -44,93 +31,62 @@ type cacheEntry struct {
 	res *harness.Result
 }
 
-// NewCache returns a cache bounded to roughly maxEntries results
-// (rounded up to a multiple of the shard count; <= 0 selects
-// DefaultCacheEntries).
+// NewCache returns a cache bounded to maxEntries results (<= 0
+// selects DefaultCacheEntries).
 func NewCache(maxEntries int) *Cache {
 	if maxEntries <= 0 {
 		maxEntries = DefaultCacheEntries
 	}
-	per := (maxEntries + cacheShards - 1) / cacheShards
-	c := &Cache{}
-	for i := range c.shards {
-		c.shards[i] = cacheShard{
-			max:     per,
-			entries: make(map[harness.Key]*list.Element),
-			order:   list.New(),
-		}
-	}
-	return c
-}
-
-// shard selects the shard for key by its leading digest byte; SHA-256
-// output is uniform, so shards fill evenly.
-func (c *Cache) shard(k harness.Key) *cacheShard {
-	return &c.shards[int(k[0])%cacheShards]
+	return &Cache{max: maxEntries, entries: make(map[harness.Key]*list.Element), order: list.New()}
 }
 
 // Get returns the cached result for key, marking it most recently
 // used.
 func (c *Cache) Get(k harness.Key) (*harness.Result, bool) {
-	s := c.shard(k)
-	s.mu.Lock()
-	el, ok := s.entries[k]
-	var res *harness.Result
-	if ok {
-		s.order.MoveToFront(el)
-		res = el.Value.(*cacheEntry).res
-	}
-	s.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[k]
 	if !ok {
-		c.misses.Add(1)
+		c.misses++
 		return nil, false
 	}
-	c.hits.Add(1)
-	return res, true
+	c.hits++
+	c.order.MoveToFront(el)
+	return el.Value.(*cacheEntry).res, true
 }
 
 // Add stores res under key unless the key is already present, evicting
-// the least recently used entries of the shard when it overflows. It
+// the least recently used entries when the cache overflows. It
 // returns the entry the cache now holds — the earlier one on a
 // duplicate insert — so every reader of a key observes one canonical
 // pointer.
 func (c *Cache) Add(k harness.Key, res *harness.Result) *harness.Result {
-	s := c.shard(k)
-	s.mu.Lock()
-	if el, ok := s.entries[k]; ok {
-		s.order.MoveToFront(el)
-		res = el.Value.(*cacheEntry).res
-		s.mu.Unlock()
-		return res
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[k]; ok {
+		c.order.MoveToFront(el)
+		return el.Value.(*cacheEntry).res
 	}
-	s.entries[k] = s.order.PushFront(&cacheEntry{key: k, res: res})
-	evicted := 0
-	for len(s.entries) > s.max {
-		oldest := s.order.Back()
-		s.order.Remove(oldest)
-		delete(s.entries, oldest.Value.(*cacheEntry).key)
-		evicted++
-	}
-	s.mu.Unlock()
-	if evicted > 0 {
-		c.evictions.Add(uint64(evicted))
+	c.entries[k] = c.order.PushFront(&cacheEntry{key: k, res: res})
+	for len(c.entries) > c.max {
+		oldest := c.order.Back()
+		c.order.Remove(oldest)
+		delete(c.entries, oldest.Value.(*cacheEntry).key)
+		c.evictions++
 	}
 	return res
 }
 
-// Len reports the number of cached results across all shards.
+// Len reports the number of cached results.
 func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n += len(s.entries)
-		s.mu.Unlock()
-	}
-	return n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
 }
 
 // Stats returns the lifetime hit, miss and eviction counts.
 func (c *Cache) Stats() (hits, misses, evictions uint64) {
-	return c.hits.Load(), c.misses.Load(), c.evictions.Load()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.hits, c.misses, c.evictions
 }

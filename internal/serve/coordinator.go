@@ -834,10 +834,12 @@ func (s *Server) handleClusterPoll(w http.ResponseWriter, r *http.Request) {
 // lands. The stream as a whole is unbounded — it is consumed line by
 // line, and a batch of full-fidelity results (timelines, op stats)
 // can legitimately run far past any fixed body cap — but each line is
-// capped at maxResultLine. A result reaches the shared cache (and
-// store) only after the cluster validates it against the task the
-// posting worker actually holds; stale and rejected lines are dropped
-// without being counted as accepted.
+// capped at maxResultLine. An accepted result settles the task the
+// posting worker actually holds, which wakes that task's execRemote
+// waiter; the Runner batch behind the waiter then files the result in
+// the shared cache (and store), so this handler never writes the
+// cache itself. Stale and rejected lines are dropped without being
+// counted as accepted.
 func (s *Server) handleClusterResults(w http.ResponseWriter, r *http.Request) {
 	workerID := r.URL.Query().Get("worker")
 	dec := newResultLineDecoder(r.Body)
@@ -859,9 +861,6 @@ func (s *Server) handleClusterResults(w http.ResponseWriter, r *http.Request) {
 		}
 		if !s.cluster.complete(workerID, key, res, time.Now()) {
 			continue
-		}
-		if res.Err == nil {
-			s.results.Add(key, res)
 		}
 		accepted++
 	}

@@ -36,12 +36,11 @@ func Main(args []string) error {
 	cacheN := fs.Int("cache", DefaultCacheEntries, "max cached results")
 	drain := fs.Duration("drain", DefaultDrain, "graceful-shutdown budget for in-flight requests (and a worker's in-flight batch)")
 	storeDir := fs.String("store.dir", "", "directory for the persistent result store (empty = memory only)")
-	storeFsync := fs.Bool("store.fsync", false, "fsync persistent-store writes (durability over write latency)")
 	coordinator := fs.Bool("coordinator", false, "serve as sweep-cluster coordinator: farm runs out to registered workers")
 	workerFor := fs.String("worker", "", "coordinator base URL to pull and execute spec batches for")
 	workerTTL := fs.Duration("worker.ttl", DefaultWorkerTTL, "coordinator only: how long a silent worker keeps its work")
 	journalDir := fs.String("journal.dir", "", "directory for the crash-recovery job journal (empty = jobs die with the process)")
-	journalFsync := fs.Bool("journal.fsync", false, "fsync journal writes and removals (durability over write latency)")
+	fsync := fs.Bool("fsync", false, "fsync result-store and journal writes and removals (durability over write latency)")
 	maxQueue := fs.Int("admission.max", DefaultMaxQueue, "admission high-water mark: queued specs beyond which new jobs get 429 (a job heavier than the mark gets 413)")
 	taskRetries := fs.Int("task.retries", DefaultTaskRetries, "coordinator only: failed attempts before a task is poisoned (negative = poison on first failure)")
 	if err := fs.Parse(args); err != nil {
@@ -67,7 +66,7 @@ func Main(args []string) error {
 	var st *store.Store
 	if *storeDir != "" {
 		var err error
-		st, err = store.Open(*storeDir, store.Options{Fsync: *storeFsync})
+		st, err = store.Open(*storeDir, store.Options{Fsync: *fsync})
 		if err != nil {
 			return fmt.Errorf("sgxgauged: opening store: %w", err)
 		}
@@ -76,7 +75,7 @@ func Main(args []string) error {
 	var jl *journal.Journal
 	if *journalDir != "" {
 		var err error
-		jl, err = journal.Open(*journalDir, journal.Options{Fsync: *journalFsync})
+		jl, err = journal.Open(*journalDir, journal.Options{Fsync: *fsync})
 		if err != nil {
 			return fmt.Errorf("sgxgauged: opening journal: %w", err)
 		}

@@ -442,6 +442,47 @@ func TestSweepProgressIndexes(t *testing.T) {
 	}
 }
 
+// TestSweepRepeatedSpecProgress: a sweep that repeats one spec runs
+// it once, yet streams a progress line for every copy, the last one at
+// completed == total; the copies that waited on the run are marked
+// cached.
+func TestSweepRepeatedSpecProgress(t *testing.T) {
+	_, ts := newTestServer(t)
+	spec := `{"workload":"Empty","mode":"Vanilla","size":"Low","seed":11}`
+	before := metric(t, ts, "sgxgauged_runs_total")
+	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader("["+spec+","+spec+","+spec+"]"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var progress []sweepEvent
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		var ev sweepEvent
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
+		}
+		if ev.Event == "progress" {
+			progress = append(progress, ev)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(progress) != 3 {
+		t.Fatalf("%d progress lines, want 3: %+v", len(progress), progress)
+	}
+	for i, ev := range progress {
+		if ev.Completed != i+1 || ev.Total != 3 || ev.Cached != (i > 0) {
+			t.Errorf("progress line %d = %+v, want completed %d of 3, cached %v", i, ev, i+1, i > 0)
+		}
+	}
+	if got := metric(t, ts, "sgxgauged_runs_total") - before; got != 1 {
+		t.Errorf("sweep of one spec three times raised runs_total by %g, want 1", got)
+	}
+}
+
 // TestSweepCountsRuns: sweeps execute through the same Runner as
 // /v1/run, so sgxgauged_runs_total counts their executed specs — and
 // an identical second sweep, all cache hits, counts none.

@@ -10,10 +10,12 @@
 //	<dir>/ab/abcdef….json
 //
 // mirroring git's object store so no single directory grows
-// unboundedly. Writes go to a temp file in the entry's directory and
-// land by atomic rename, so readers never observe a half-written
-// entry and concurrent writers of the same key are harmless (the
-// encoding is canonical, so both rename identical bytes into place).
+// unboundedly. Writes go through WriteFile, the durable-file code this
+// package shares with the job journal: a temp file in the entry's
+// directory lands by atomic rename, so readers never observe a
+// half-written entry and concurrent writers of the same key are
+// harmless (the encoding is canonical, so both rename identical bytes
+// into place).
 // An entry that fails to decode — truncated by a crash, edited by
 // hand, or written by a build with a different counter schema — is
 // quarantined under <dir>/quarantine/ and reported as a miss, never a
@@ -31,10 +33,6 @@ import (
 
 	"sgxgauge/internal/harness"
 )
-
-// quarantineDir is where undecodable entries are moved, preserving
-// them for inspection without poisoning lookups.
-const quarantineDir = "quarantine"
 
 // Options configures a Store.
 type Options struct {
@@ -85,7 +83,7 @@ func Open(dir string, opts Options) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: empty directory")
 	}
-	if err := os.MkdirAll(filepath.Join(dir, quarantineDir), 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(dir, QuarantineDir), 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	s := &Store{dir: dir, fsync: opts.Fsync}
@@ -108,7 +106,7 @@ func (s *Store) scan() (int64, error) {
 	}
 	var n int64
 	for _, fan := range fanouts {
-		if !fan.IsDir() || fan.Name() == quarantineDir {
+		if !fan.IsDir() || fan.Name() == QuarantineDir {
 			continue
 		}
 		entries, err := os.ReadDir(filepath.Join(s.dir, fan.Name()))
@@ -143,7 +141,9 @@ func (s *Store) Get(k harness.Key) (*harness.Result, bool) {
 	}
 	res, err := decodeEntry(k, data)
 	if err != nil {
-		s.quarantine(k, path)
+		Quarantine(s.dir, path)
+		s.quarantined.Add(1)
+		s.count.Add(-1)
 		s.misses.Add(1)
 		return nil, false
 	}
@@ -169,18 +169,6 @@ func decodeEntry(k harness.Key, data []byte) (*harness.Result, error) {
 	return env.Result.Result()
 }
 
-// quarantine moves a corrupt entry aside. A failed rename falls back
-// to removal — the one thing that must not survive is a poisoned
-// entry that turns every Get into a decode failure.
-func (s *Store) quarantine(k harness.Key, path string) {
-	dst := filepath.Join(s.dir, quarantineDir, k.String()+".json")
-	if err := os.Rename(path, dst); err != nil {
-		os.Remove(path)
-	}
-	s.quarantined.Add(1)
-	s.count.Add(-1)
-}
-
 // Put durably stores res under key. Failed results are not stored
 // (matching the in-memory caches: a retry must re-run them), and an
 // existing entry is left untouched — the encoding is canonical, so
@@ -198,50 +186,15 @@ func (s *Store) Put(k harness.Key, res *harness.Result) error {
 	if err != nil {
 		return fmt.Errorf("store: encoding entry: %w", err)
 	}
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	tmp, err := os.CreateTemp(dir, "put-*.tmp")
-	if err != nil {
+	if err := WriteFile(path, append(data, '\n'), s.fsync); err != nil {
 		return fmt.Errorf("store: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op once renamed
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		return fmt.Errorf("store: %w", err)
-	}
-	if s.fsync {
-		if err := tmp.Sync(); err != nil {
-			tmp.Close()
-			return fmt.Errorf("store: %w", err)
-		}
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if s.fsync {
-		if err := syncDir(dir); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
 	}
 	s.puts.Add(1)
 	s.count.Add(1)
 	return nil
-}
-
-// syncDir fsyncs a directory so a just-renamed entry survives a host
-// crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }
 
 // Add implements harness.ResultCache. A ResultCache add cannot fail,

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -24,7 +26,7 @@ var testResultOnce struct {
 	err error
 }
 
-func testResult(t *testing.T) (harness.Key, *harness.Result) {
+func testResult(t testing.TB) (harness.Key, *harness.Result) {
 	t.Helper()
 	o := &testResultOnce
 	o.Do(func() {
@@ -133,7 +135,7 @@ func TestCorruptEntryQuarantined(t *testing.T) {
 		corrupt []byte
 	}{
 		{"truncated", []byte(`{"format":1,"key":"`)},
-		{"wrong-key", mustEntryBytes(t, s, key, res, "0000000000000000000000000000000000000000000000000000000000000000")},
+		{"wrong-key", mustEntryBytes(t, key, res, zeroKey)},
 		{"wrong-format", []byte(`{"format":99,"key":"` + key.String() + `","result":{}}`)},
 	}
 	for _, c := range cases {
@@ -166,9 +168,12 @@ func TestCorruptEntryQuarantined(t *testing.T) {
 	}
 }
 
-// mustEntryBytes builds a well-formed entry file whose inner key field
-// disagrees with the key it will be filed under.
-func mustEntryBytes(t *testing.T, s *Store, key harness.Key, res *harness.Result, innerKey string) []byte {
+// zeroKey is a well-formed key that no spec hashes to.
+const zeroKey = "0000000000000000000000000000000000000000000000000000000000000000"
+
+// mustEntryBytes builds a well-formed entry file for res whose inner
+// key field reads innerKey, whatever key it will be filed under.
+func mustEntryBytes(t testing.TB, key harness.Key, res *harness.Result, innerKey string) []byte {
 	t.Helper()
 	tmp := t.TempDir()
 	aside, err := Open(tmp, Options{})
@@ -352,4 +357,129 @@ func TestRunnerWarmFromStore(t *testing.T) {
 	if string(first) != string(second) {
 		t.Fatalf("warm result differs from computed result:\n %s\n %s", first, second)
 	}
+}
+
+// TestOpenSkipsLeftoverTempFiles: a crash between a put's create and
+// its rename leaves a temp file beside the entries, possibly holding a
+// whole entry. Open's scan does not count it, under this build's temp
+// name or the "put-*.tmp" name earlier builds used.
+func TestOpenSkipsLeftoverTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, res := testResult(t)
+	if err := s.Put(key, res); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(s.path(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One leftover beside the entry, one in a fan-out of its own.
+	for _, fan := range []string{filepath.Dir(s.path(key)), filepath.Join(dir, "ff")} {
+		for _, pattern := range []string{tempPattern, "put-*.tmp"} {
+			if err := os.MkdirAll(fan, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			tmp, err := os.CreateTemp(fan, pattern)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tmp.Write(data); err != nil {
+				t.Fatal(err)
+			}
+			if err := tmp.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	s2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2.Len() != 1 {
+		t.Fatalf("Len = %d after reopening over leftover temp files, want 1", s2.Len())
+	}
+	if _, ok := s2.Get(key); !ok {
+		t.Fatal("entry beside a leftover temp file not served")
+	}
+}
+
+// TestWriteFileRenameFailure: when the final rename fails (the target
+// is a directory), WriteFile returns the error and leaves no temp file
+// behind, with or without fsync.
+func TestWriteFileRenameFailure(t *testing.T) {
+	for _, fsync := range []bool{false, true} {
+		dir := t.TempDir()
+		target := filepath.Join(dir, "entry.json")
+		if err := os.Mkdir(target, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteFile(target, []byte("{}\n"), fsync); err == nil {
+			t.Fatalf("fsync=%v: WriteFile onto a directory succeeded", fsync)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 || entries[0].Name() != "entry.json" {
+			t.Fatalf("fsync=%v: directory holds %v after the failed write, want only entry.json", fsync, entries)
+		}
+	}
+}
+
+// FuzzStoreEntry: whatever bytes sit in a key's entry file, Get either
+// serves a result whose envelope names that key, leaving the file in
+// place, or quarantines the file and reports a miss. It never panics.
+func FuzzStoreEntry(f *testing.F) {
+	key, res := testResult(f)
+	valid := mustEntryBytes(f, key, res, key.String())
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(mustEntryBytes(f, key, res, zeroKey))
+	f.Add([]byte(`{"format":99,"key":"` + key.String() + `","result":{}}`))
+	f.Add([]byte(`{"format":1,"key":"` + key.String() + `","result":{"counters":{"NoSuchCounter":1}}}`))
+	f.Add([]byte{})
+	// One directory serves every input: each starts from a fresh entry
+	// file and an empty quarantine.
+	dir := f.TempDir()
+	path := filepath.Join(dir, key.String()[:2], key.String()+".json")
+	quarantined := filepath.Join(dir, QuarantineDir, key.String()+".json")
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.Remove(quarantined); err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, ok := s.Get(key)
+		if ok {
+			var env struct{ Key string }
+			if got == nil || json.NewDecoder(bytes.NewReader(data)).Decode(&env) != nil || env.Key != key.String() {
+				t.Fatalf("Get served %q as the entry for %s", data, key)
+			}
+			if _, err := os.Stat(path); err != nil {
+				t.Fatalf("served entry no longer in place: %v", err)
+			}
+			return
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("undecodable entry %q left in place", data)
+		}
+		if _, err := os.Stat(quarantined); err != nil {
+			t.Fatalf("undecodable entry not quarantined: %v", err)
+		}
+		if s.Len() != 0 {
+			t.Fatalf("Len = %d after quarantining the only entry, want 0", s.Len())
+		}
+	})
 }

@@ -3,7 +3,7 @@ package store
 import "sgxgauge/internal/harness"
 
 // Tiered layers two harness.ResultCaches: a fast bounded L1 (the
-// daemon's sharded in-memory LRU) over a complete L2 (this package's
+// daemon's in-memory LRU) over a complete L2 (this package's
 // persistent Store). Gets probe L1 first and promote L2 hits into L1;
 // Adds write through to both. A Runner wired to a Tiered cache
 // therefore survives restarts: the L1 comes back empty, but every

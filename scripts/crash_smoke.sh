@@ -59,8 +59,7 @@ wait_workers() {
 
 start_coordinator() {
   "$workdir/sgxgauge" serve -addr "127.0.0.1:$cport" -coordinator \
-    -journal.dir "$workdir/journal" -journal.fsync \
-    -store.dir "$workdir/cstore" &
+    -journal.dir "$workdir/journal" -store.dir "$workdir/cstore" -fsync &
   coord_pid=$!
   pids+=($coord_pid)
 }
@@ -78,9 +77,10 @@ echo "== boot: journal-backed coordinator + one store-backed worker =="
 start_coordinator
 wait_healthy "$coord"
 # -j 1 serializes the worker so the sweep is still in flight when the
-# coordinator is killed.
+# coordinator is killed. Both daemons run with -fsync, so the synced
+# store and journal write paths run here too.
 "$workdir/sgxgauge" serve -addr "127.0.0.1:$wport" -worker "$coord" \
-  -store.dir "$workdir/wstore" -j 1 &
+  -store.dir "$workdir/wstore" -fsync -j 1 &
 worker_pid=$!
 pids+=($worker_pid)
 wait_healthy "http://127.0.0.1:$wport"
