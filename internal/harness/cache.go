@@ -101,9 +101,9 @@ type Runner struct {
 	// cannot travel), as do the engine's retry and chaos-reseed
 	// policies, which belong to whoever actually runs the machine.
 	// Exec must be safe for concurrent use; it receives normalized
-	// specs and returns the spec's own failure inside the Result,
-	// reserving the error return for transport-level trouble.
-	Exec func(Spec) (*Result, error)
+	// specs and returns a non-nil Result that carries every failure,
+	// the spec's own or the transport's, in Err.
+	Exec func(Spec) *Result
 
 	initOnce sync.Once
 	// slots holds one token per local simulation, Jobs wide.

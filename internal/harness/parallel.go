@@ -106,21 +106,9 @@ func (r *Runner) runBatch(specs []Spec, o engineOpts, done func(i int, res *Resu
 		start, since := time.Now(), time.Since
 		if r.Exec != nil && specs[i].Hooks.empty() {
 			// Remote execution holds no worker slot. The executor's
-			// Result already carries the spec's own failure and attempt
-			// count; a transport failure (nil result) becomes this
-			// spec's error.
-			res, err := r.Exec(specs[i])
-			if res != nil {
-				results[i] = *res
-				if results[i].Err == nil && err != nil {
-					results[i].Err = err
-				}
-			} else {
-				if err == nil {
-					err = fmt.Errorf("harness: remote executor returned no result")
-				}
-				results[i] = failedResult(specs[i], err)
-			}
+			// Result already carries every failure and the attempt
+			// count.
+			results[i] = *r.Exec(specs[i])
 			if results[i].Attempts == 0 {
 				results[i].Attempts = 1
 			}

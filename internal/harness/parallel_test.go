@@ -291,10 +291,10 @@ func TestRunnerJobsBoundsAcrossBatches(t *testing.T) {
 func TestRunnerCoalescesAcrossBatches(t *testing.T) {
 	gate := make(chan struct{})
 	var calls atomic.Int32
-	r := &Runner{EPCPages: testEPC, Exec: func(s Spec) (*Result, error) {
+	r := &Runner{EPCPages: testEPC, Exec: func(s Spec) *Result {
 		calls.Add(1)
 		<-gate
-		return &Result{Name: s.WorkloadName(), Mode: s.Mode, Cycles: 5, Attempts: 1}, nil
+		return &Result{Name: s.WorkloadName(), Mode: s.Mode, Cycles: 5, Attempts: 1}
 	}}
 	spec := Spec{Workload: suite.Empty(), Mode: sgx.Vanilla, Size: workloads.Low}
 	results := make(chan *Result, 2)
@@ -323,10 +323,10 @@ func TestRunnerCoalescesFailure(t *testing.T) {
 	gate := make(chan struct{})
 	var calls atomic.Int32
 	failure := errors.New("injected failure")
-	r := &Runner{EPCPages: testEPC, Exec: func(s Spec) (*Result, error) {
+	r := &Runner{EPCPages: testEPC, Exec: func(s Spec) *Result {
 		calls.Add(1)
 		<-gate
-		return &Result{Name: s.WorkloadName(), Mode: s.Mode, Err: failure, Attempts: 1}, nil
+		return &Result{Name: s.WorkloadName(), Mode: s.Mode, Err: failure, Attempts: 1}
 	}}
 	spec := Spec{Workload: suite.Empty(), Mode: sgx.Vanilla, Size: workloads.Low}
 	results := make(chan *Result, 2)
@@ -363,10 +363,10 @@ func TestRunnerCoalescesFailure(t *testing.T) {
 func TestRunnerProgressCachedReachesTotal(t *testing.T) {
 	gate := make(chan struct{})
 	var calls atomic.Int32
-	r := &Runner{EPCPages: testEPC, Exec: func(s Spec) (*Result, error) {
+	r := &Runner{EPCPages: testEPC, Exec: func(s Spec) *Result {
 		calls.Add(1)
 		<-gate
-		return &Result{Name: s.WorkloadName(), Mode: s.Mode, Attempts: 1}, nil
+		return &Result{Name: s.WorkloadName(), Mode: s.Mode, Attempts: 1}
 	}}
 	spec := Spec{Workload: suite.Empty(), Mode: sgx.Vanilla, Size: workloads.Low}
 	record := func(evs *[]Progress) Option {

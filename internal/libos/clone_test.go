@@ -53,8 +53,7 @@ func TestCloneFieldCoverage(t *testing.T) {
 		}},
 		{reflect.TypeOf(sgx.Thread{}), map[string]string{
 			"ID": "copy", "Clock": "copy", "env": "rebind", "tlb": "copy",
-			"shard": "rebind", "enclaveDepth": "copy",
-			"memo": "reset", "memoGen": "reset",
+			"enclaveDepth": "copy", "memo": "reset", "memoGen": "reset",
 		}},
 		{reflect.TypeOf(epc.EPC{}), map[string]string{
 			"capacity": "copy", "engine": "share", "backing": "rebind", "counters": "rebind",

@@ -11,12 +11,10 @@ import (
 // AtomicField enforces all-or-nothing atomicity per struct field: a
 // field whose address is passed to a sync/atomic function anywhere in
 // the module must be accessed through sync/atomic everywhere in the
-// module. Motivated by the counter-bank risk the per-thread shard work
-// left behind: one shard total updated with atomic.AddUint64 on the
-// hot path and read with a plain load in the reporter is exactly the
-// mixed access the race detector only catches under a lucky
-// interleaving, and on non-TSO hardware the plain read can observe a
-// torn or stale value forever. This is the suite's first genuinely
+// module. A total updated with atomic.AddUint64 on a hot path and read
+// with a plain load in a reporter is exactly the mixed access the race
+// detector only catches under a lucky interleaving, and on non-TSO
+// hardware the plain read can observe a torn or stale value forever. This is the suite's first genuinely
 // module-wide analyzer: the atomic site and the plain site are usually
 // in different functions and often in different packages, so the facts
 // come from the call-graph layer's FieldFacts table rather than the

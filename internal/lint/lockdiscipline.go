@@ -18,10 +18,11 @@ var callerHoldsRe = regexp.MustCompile(`caller holds (\w+)`)
 // carrying a `// guarded by <mu>` comment may only be accessed inside
 // functions that lock <mu> (a `<mu>.Lock()` or `<mu>.RLock()` call
 // anywhere in the function) or that declare `// caller holds <mu>` in
-// their doc comment. Motivated by the per-thread shard work: the
-// counter bank's shard registry is read by every observation, and one
-// unguarded append from a worker goroutine is a data race the race
-// detector only catches when a test happens to interleave it. The
+// their doc comment. The daemon's registries and tables (job registry,
+// result caches, boot templates, page recycler) are read and written
+// from request and worker goroutines, and one unguarded append from a
+// worker goroutine is a data race the race detector only catches when
+// a test happens to interleave it. The
 // check is flow-insensitive by design — it enforces the annotation
 // discipline, not a happens-before proof.
 var LockDiscipline = &Analyzer{

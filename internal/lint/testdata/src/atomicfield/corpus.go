@@ -5,7 +5,8 @@ package corpus
 
 import "sync/atomic"
 
-// counters mimics the perf counter bank's shard totals.
+// counters is a set of totals bumped on a hot path and read by a
+// reporter.
 type counters struct {
 	hits  uint64
 	drops uint64

@@ -3,9 +3,9 @@ package corpus
 
 import "sync"
 
-// Bank mimics perf.Counters: a shard registry read by every
-// observation and mutated on registration — the unguarded-append race
-// this analyzer exists to stop.
+// Bank is a registry read by every observation and mutated on
+// registration — the unguarded-append race this analyzer exists to
+// stop.
 type Bank struct {
 	mu     sync.Mutex
 	shards []int // guarded by mu

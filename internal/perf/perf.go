@@ -10,8 +10,6 @@ package perf
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
 // Event identifies one performance counter.
@@ -115,132 +113,30 @@ func (e Event) String() string {
 	return eventNames[e]
 }
 
-// Counters is a live counter bank. The zero value is ready to use.
-//
-// Direct Add/Inc calls are atomic and may come from any goroutine.
-// Hot-path increments instead go through per-thread Shards (see
-// NewShard): plain uint64 deltas owned by one simulated thread, summed
-// back in by every observation (Get/Snapshot). Observations therefore
-// remain exact at all times without the hot path paying one atomic
-// RMW per event — but reading a counter bank with live shards is only
-// safe from the goroutine driving its machine, matching the machine's
-// own single-threaded discipline.
+// Counters is a live counter bank: plain state owned by the goroutine
+// that drives its machine, like the rest of the machine. The zero
+// value is ready to use.
 type Counters struct {
-	v [numEvents]atomic.Uint64
-
-	mu     sync.Mutex
-	shards []*Shard // guarded by mu
+	v [numEvents]uint64
 }
 
 // Add increments event e by n.
-func (c *Counters) Add(e Event, n uint64) { c.v[e].Add(n) }
+func (c *Counters) Add(e Event, n uint64) { c.v[e] += n }
 
 // Inc increments event e by one.
-func (c *Counters) Inc(e Event) { c.v[e].Add(1) }
+func (c *Counters) Inc(e Event) { c.v[e]++ }
 
-// Get returns the current value of event e, including unflushed shard
-// deltas.
-func (c *Counters) Get(e Event) uint64 {
-	v := c.v[e].Load()
-	c.mu.Lock()
-	for _, s := range c.shards {
-		v += s.d[e]
-	}
-	c.mu.Unlock()
-	return v
-}
+// Get returns the current value of event e.
+func (c *Counters) Get(e Event) uint64 { return c.v[e] }
 
-// Reset zeroes every counter, including shard deltas.
-func (c *Counters) Reset() {
-	for i := range c.v {
-		c.v[i].Store(0)
-	}
-	c.mu.Lock()
-	for _, s := range c.shards {
-		s.d = [numEvents]uint64{}
-	}
-	c.mu.Unlock()
-}
+// Snapshot captures the current value of every counter.
+func (c *Counters) Snapshot() Snapshot { return Snapshot(c.v) }
 
-// Snapshot captures the current value of every counter, including
-// unflushed shard deltas.
-func (c *Counters) Snapshot() Snapshot {
-	var s Snapshot
-	for i := range c.v {
-		s[i] = c.v[i].Load()
-	}
-	c.mu.Lock()
-	for _, sh := range c.shards {
-		for i := range sh.d {
-			s[i] += sh.d[i]
-		}
-	}
-	c.mu.Unlock()
-	return s
-}
-
-// Clone returns a new bank holding this bank's current values, with
-// every shard's unflushed deltas folded in and no shards registered.
-// It only reads c, so concurrent Clones of one idle bank are safe.
+// Clone returns a new bank holding this bank's current values. It
+// only reads c, so concurrent Clones of one idle bank are safe.
 func (c *Counters) Clone() *Counters {
-	s := c.Snapshot()
-	n := &Counters{}
-	for i, v := range s {
-		n.v[i].Store(v)
-	}
-	return n
-}
-
-// Shard is a bank of plain (non-atomic) counter deltas owned by one
-// simulated thread. Incrementing a shard is a single add with no
-// memory-ordering traffic — the per-access fast path uses it instead
-// of hammering the shared atomic bank. Deltas stay visible through
-// the owning Counters' Get/Snapshot at every instant and are folded
-// into the atomic bank at transition/sync points (Flush) and when the
-// thread retires (Release).
-type Shard struct {
-	c *Counters
-	d [numEvents]uint64
-}
-
-// NewShard registers and returns a fresh shard of this bank.
-func (c *Counters) NewShard() *Shard {
-	s := &Shard{c: c}
-	c.mu.Lock()
-	c.shards = append(c.shards, s)
-	c.mu.Unlock()
-	return s
-}
-
-// Add increments event e by n.
-func (s *Shard) Add(e Event, n uint64) { s.d[e] += n }
-
-// Inc increments event e by one.
-func (s *Shard) Inc(e Event) { s.d[e]++ }
-
-// Flush folds the shard's deltas into the shared atomic bank and
-// zeroes them. Values observed through Get/Snapshot are unchanged.
-func (s *Shard) Flush() {
-	for i, v := range s.d {
-		if v != 0 {
-			s.c.v[i].Add(v)
-			s.d[i] = 0
-		}
-	}
-}
-
-// Release flushes the shard and unregisters it from its bank; the
-// shard must not be used afterwards.
-func (s *Shard) Release() {
-	s.Flush()
-	s.c.mu.Lock()
-	for i, sh := range s.c.shards {
-		if sh == s {
-			s.c.shards = append(s.c.shards[:i], s.c.shards[i+1:]...)
-			break
-		}
-	}
-	s.c.mu.Unlock()
+	n := *c
+	return &n
 }
 
 // Snapshot is an immutable copy of the counter bank.
@@ -251,7 +147,7 @@ func (s Snapshot) Get(e Event) uint64 { return s[e] }
 
 // Sub returns the element-wise difference s - prev. Values that would
 // underflow are clamped to zero (counters are monotone, so underflow
-// indicates a reset in between).
+// means prev was taken after s).
 func (s Snapshot) Sub(prev Snapshot) Snapshot {
 	var d Snapshot
 	for i := range s {

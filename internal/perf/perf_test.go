@@ -2,7 +2,6 @@ package perf
 
 import (
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -19,19 +18,6 @@ func TestAddIncGet(t *testing.T) {
 	}
 	if got := c.Get(LLCMisses); got != 0 {
 		t.Errorf("LLCMisses = %d, want 0", got)
-	}
-}
-
-func TestReset(t *testing.T) {
-	var c Counters
-	for _, e := range Events() {
-		c.Add(e, 7)
-	}
-	c.Reset()
-	for _, e := range Events() {
-		if c.Get(e) != 0 {
-			t.Errorf("%v = %d after reset, want 0", e, c.Get(e))
-		}
 	}
 }
 
@@ -127,111 +113,21 @@ func TestSnapshotString(t *testing.T) {
 	}
 }
 
-func TestConcurrentAdds(t *testing.T) {
+func TestCountersCloneIndependent(t *testing.T) {
 	var c Counters
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 1000; j++ {
-				c.Inc(Accesses)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := c.Get(Accesses); got != 8000 {
-		t.Errorf("concurrent adds = %d, want 8000", got)
-	}
-}
-
-func TestShardSumOnRead(t *testing.T) {
-	var c Counters
-	c.Add(ECalls, 10)
-	s1 := c.NewShard()
-	s2 := c.NewShard()
-	s1.Add(ECalls, 5)
-	s2.Inc(ECalls)
-	s2.Add(OCalls, 3)
-
-	// Unflushed deltas are visible through every read form.
-	if got := c.Get(ECalls); got != 16 {
-		t.Errorf("Get(ECalls) = %d, want 16 (10 atomic + 5 + 1 shard)", got)
-	}
-	snap := c.Snapshot()
-	if snap.Get(ECalls) != 16 || snap.Get(OCalls) != 3 {
-		t.Errorf("Snapshot = ECalls %d / OCalls %d, want 16 / 3",
-			snap.Get(ECalls), snap.Get(OCalls))
-	}
-
-	// Flushing moves the deltas without changing observed values.
-	s1.Flush()
-	if got := c.Get(ECalls); got != 16 {
-		t.Errorf("Get(ECalls) after Flush = %d, want 16", got)
-	}
-	s1.Add(ECalls, 2)
-	if got := c.Get(ECalls); got != 18 {
-		t.Errorf("Get(ECalls) after post-Flush Add = %d, want 18", got)
-	}
-	s1.Release()
-	s2.Release()
-	if got := c.Get(ECalls); got != 18 {
-		t.Errorf("Get(ECalls) after Release = %d, want 18", got)
-	}
-	if got := c.Get(OCalls); got != 3 {
-		t.Errorf("Get(OCalls) after Release = %d, want 3", got)
-	}
-}
-
-func TestShardReleaseUnregisters(t *testing.T) {
-	var c Counters
-	s := c.NewShard()
-	s.Inc(AEXs)
-	s.Release()
-	// A released shard no longer contributes to reads; its value
-	// lives in the atomic bank now. A second registered shard must
-	// be unaffected by the removal.
-	s2 := c.NewShard()
-	s2.Add(AEXs, 4)
-	if got := c.Get(AEXs); got != 5 {
-		t.Errorf("Get(AEXs) = %d, want 5", got)
-	}
-	s2.Release()
-}
-
-func TestResetClearsShardDeltas(t *testing.T) {
-	var c Counters
-	s := c.NewShard()
-	defer s.Release()
-	c.Add(PageFaults, 7)
-	s.Add(PageFaults, 9)
-	c.Reset()
-	if got := c.Get(PageFaults); got != 0 {
-		t.Errorf("Get after Reset = %d, want 0", got)
-	}
-	// The shard remains usable after a reset.
-	s.Inc(PageFaults)
-	if got := c.Get(PageFaults); got != 1 {
-		t.Errorf("Get after post-Reset Inc = %d, want 1", got)
-	}
-}
-
-func TestCountersCloneFoldsShards(t *testing.T) {
-	var c Counters
-	c.Add(Accesses, 5)
-	sh := c.NewShard()
-	sh.Add(Accesses, 3)
-	sh.Inc(OCalls)
+	c.Add(Accesses, 8)
+	c.Inc(OCalls)
 	n := c.Clone()
 	if n.Snapshot() != c.Snapshot() {
 		t.Fatalf("clone snapshot %v, want %v", n.Snapshot(), c.Snapshot())
 	}
-	// The clone is independent and owns no shards.
-	sh.Inc(Accesses)
+	// The clone sees none of its source's later counts...
+	c.Inc(Accesses)
 	if n.Get(Accesses) != 8 {
-		t.Errorf("clone sees its source's later shard delta: Accesses = %d, want 8", n.Get(Accesses))
+		t.Errorf("clone sees its source's later count: Accesses = %d, want 8", n.Get(Accesses))
 	}
-	n.NewShard().Inc(OCalls)
+	// ...and the source sees none of the clone's.
+	n.Inc(OCalls)
 	if c.Get(OCalls) != 1 || n.Get(OCalls) != 2 {
 		t.Errorf("OCalls: source %d clone %d, want 1 and 2", c.Get(OCalls), n.Get(OCalls))
 	}

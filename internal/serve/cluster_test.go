@@ -301,8 +301,8 @@ func TestClusterCoalescing(t *testing.T) {
 	default:
 		t.Fatal("completion did not settle the shared task")
 	}
-	if t1.res != res || t1.err != nil {
-		t.Fatalf("task settled with res=%v err=%v", t1.res, t1.err)
+	if t1.res != res {
+		t.Fatalf("task settled with res=%v, want the worker's result", t1.res)
 	}
 	// A replay of the same key is stale, not a crash.
 	c.complete("w1", key, res, now)
@@ -452,7 +452,7 @@ func TestClusterRequeueOnWorkerDeath(t *testing.T) {
 	if task.finished {
 		t.Fatal("late result finished a task the waiter already claimed")
 	}
-	c.finish(task, &harness.Result{Name: "Empty"}, nil)
+	c.finish(task, &harness.Result{Name: "Empty"})
 	if !task.finished {
 		t.Fatal("finish did not settle the claimed task")
 	}
@@ -527,9 +527,9 @@ func TestClusterResultValidation(t *testing.T) {
 	if c.complete("w1", key, &harness.Result{Name: "BTree"}, now) {
 		t.Fatal("accepted a result naming the wrong workload")
 	}
-	if !task.finished || task.err == nil || task.res != nil {
-		t.Fatalf("mismatched result left task finished=%v err=%v res=%v, want a loud failure",
-			task.finished, task.err, task.res)
+	if !task.finished || task.res == nil || task.res.Err == nil || task.res.Name != spec.WorkloadName() {
+		t.Fatalf("mismatched result left task finished=%v res=%+v, want a failed result for the task's spec",
+			task.finished, task.res)
 	}
 
 	// A fresh task for the same key completes normally end to end
@@ -545,8 +545,8 @@ func TestClusterResultValidation(t *testing.T) {
 	if !c.complete(owner, key, good, now) {
 		t.Fatal("owning worker's matching result was not accepted")
 	}
-	if task2.res != good || task2.err != nil {
-		t.Fatalf("task settled with res=%v err=%v", task2.res, task2.err)
+	if task2.res != good {
+		t.Fatalf("task settled with res=%v, want the worker's result", task2.res)
 	}
 }
 

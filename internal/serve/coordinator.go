@@ -106,9 +106,9 @@ type clusterWorker struct {
 	lastSeen time.Time
 }
 
-// clusterTask is one in-flight spec execution. res and err are
-// written before done is closed and read only after; every other
-// field is guarded by the cluster lock.
+// clusterTask is one in-flight spec execution. res is written before
+// done is closed and read only after; every other field is guarded by
+// the cluster lock.
 type clusterTask struct {
 	key  harness.Key
 	spec harness.Spec
@@ -131,7 +131,6 @@ type clusterTask struct {
 
 	done chan struct{}
 	res  *harness.Result
-	err  error
 }
 
 // noteLocked appends one attempt-history entry. caller holds mu.
@@ -236,7 +235,7 @@ func (c *cluster) submit(key harness.Key, spec harness.Spec, now time.Time) (t *
 		// failed result (not an engine error) so callers surface it per
 		// spec and nothing reaches the cache or store.
 		t = &clusterTask{key: key, spec: spec, finished: true, done: make(chan struct{})}
-		t.res = poisonResult(spec, msg)
+		t.res = failedTaskResult(spec, errors.New(msg))
 		close(t.done)
 		return t, false
 	}
@@ -409,7 +408,7 @@ func (c *cluster) poisonLocked(t *clusterTask) {
 	msg := poisonMessage(t.key, t.retries, t.history)
 	c.poisoned[t.key] = msg
 	c.poisonedTotal.Add(1)
-	c.finishLocked(t, poisonResult(t.spec, msg), nil)
+	c.finishLocked(t, failedTaskResult(t.spec, errors.New(msg)))
 	if c.journal == nil {
 		return
 	}
@@ -428,11 +427,13 @@ func (c *cluster) poisonLocked(t *clusterTask) {
 	}()
 }
 
-// poisonResult is the failed result a poisoned task finishes with. It
-// travels as a spec failure (Result.Err), not an engine error, so a
-// sweep carries it alongside healthy rows and nothing caches it.
-func poisonResult(spec harness.Spec, msg string) *harness.Result {
-	res := &harness.Result{Mode: spec.Mode, Err: errors.New(msg)}
+// failedTaskResult is the failed result a task finishes with when no
+// worker result can settle it: poisoned, answered with a result for
+// another spec, or unencodable. It travels as a spec failure
+// (Result.Err), so a sweep carries it alongside healthy rows and
+// nothing caches it.
+func failedTaskResult(spec harness.Spec, err error) *harness.Result {
+	res := &harness.Result{Mode: spec.Mode, Err: err}
 	res.Name = spec.WorkloadName()
 	return res
 }
@@ -533,12 +534,12 @@ func (c *cluster) complete(workerID string, key harness.Key, res *harness.Result
 		// task's. Fail the task loudly rather than leave it assigned
 		// forever (the worker keeps polling, so it never expires) or
 		// reroute it back into the same buggy worker's shard.
-		c.finishLocked(t, nil, fmt.Errorf("serve: worker %s posted a result inconsistent with the spec for key %s", workerID, key))
+		c.finishLocked(t, failedTaskResult(t.spec, fmt.Errorf("serve: worker %s posted a result inconsistent with the spec for key %s", workerID, key)))
 		c.mu.Unlock()
 		c.rejected.Add(1)
 		return false
 	}
-	c.finishLocked(t, res, nil)
+	c.finishLocked(t, res)
 	c.mu.Unlock()
 	c.completed.Add(1)
 	return true
@@ -618,19 +619,19 @@ func (c *cluster) deregister(id string, now time.Time) bool {
 }
 
 // finish settles a locally executed (claimed) task.
-func (c *cluster) finish(t *clusterTask, res *harness.Result, err error) {
+func (c *cluster) finish(t *clusterTask, res *harness.Result) {
 	c.mu.Lock()
 	if t.finished {
 		c.mu.Unlock()
 		return
 	}
-	c.finishLocked(t, res, err)
+	c.finishLocked(t, res)
 	c.mu.Unlock()
 }
 
 // finishLocked retires the task and wakes every waiter.
 // caller holds mu.
-func (c *cluster) finishLocked(t *clusterTask, res *harness.Result, err error) {
+func (c *cluster) finishLocked(t *clusterTask, res *harness.Result) {
 	t.finished = true
 	delete(c.pending, t.key)
 	if t.worker != "" {
@@ -644,7 +645,7 @@ func (c *cluster) finishLocked(t *clusterTask, res *harness.Result, err error) {
 			}
 		}
 	}
-	t.res, t.err = res, err
+	t.res = res
 	close(t.done)
 }
 
@@ -671,29 +672,29 @@ const claimRecheck = time.Second
 // per key at a time; each call therefore opens its own cluster task
 // (see submit). Specs with no canonical encoding and tasks orphaned by
 // total fleet loss fall back to Runner.RunLocal.
-func (s *Server) execRemote(spec harness.Spec) (*harness.Result, error) {
+func (s *Server) execRemote(spec harness.Spec) *harness.Result {
 	spec = s.runner.Normalize(spec)
 	key, err := harness.SpecKey(spec)
 	if err != nil {
-		return s.runner.RunLocal(spec), nil
+		return s.runner.RunLocal(spec)
 	}
 	t, runLocal := s.cluster.submit(key, spec, time.Now())
 	if runLocal {
 		res := s.runner.RunLocal(spec)
-		s.cluster.finish(t, res, nil)
-		return res, nil
+		s.cluster.finish(t, res)
+		return res
 	}
 	for {
 		timer := time.NewTimer(claimRecheck)
 		select {
 		case <-t.done:
 			timer.Stop()
-			return t.res, t.err
+			return t.res
 		case <-timer.C:
 			if s.cluster.claimOrphan(t, time.Now()) {
 				res := s.runner.RunLocal(spec)
-				s.cluster.finish(t, res, nil)
-				return res, nil
+				s.cluster.finish(t, res)
+				return res
 			}
 		}
 	}
@@ -820,7 +821,7 @@ func (s *Server) handleClusterPoll(w http.ResponseWriter, r *http.Request) {
 			// Unreachable: execRemote runs unencodable specs locally
 			// and never submits them. Fail the task rather than lose
 			// it silently: its waiter gets the encoding error.
-			s.cluster.finish(t, nil, werr)
+			s.cluster.finish(t, failedTaskResult(t.spec, werr))
 			continue
 		}
 		resp.Specs = append(resp.Specs, taskAssignment{Key: t.key.String(), Spec: wire})

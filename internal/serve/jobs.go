@@ -432,30 +432,31 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	if !stream.emit(sweepEvent{Event: "job", JobID: jb.id, Name: jb.kind, Total: len(jb.specs)}) {
 		return
 	}
-	s.streamJobResults(r.Context(), stream, jb, from)
+	// Result events from the from-th onward, then the terminal line.
+	results := 0
+	followJob(r.Context(), stream, jb, func(ev sweepEvent) bool {
+		switch ev.Event {
+		case "result":
+			results++
+			return results > from
+		case "done", "error":
+			return true
+		}
+		return false
+	})
 }
 
-// streamJobResults follows a live job's event log, emitting result
-// events from the from-th onward and the terminal line. It returns
-// when the job finishes, the client disconnects, or a write fails;
-// the job itself is unaffected by any of the three.
-func (s *Server) streamJobResults(ctx context.Context, stream *ndjsonStream, jb *job, from int) {
-	idx, results := 0, 0
+// followJob follows a job's event log, emitting every event keep
+// accepts, in order. It returns when the job finishes, ctx ends (the
+// client disconnected), or a write fails; the job itself is unaffected
+// by any of the three.
+func followJob(ctx context.Context, stream *ndjsonStream, jb *job, keep func(sweepEvent) bool) {
+	idx := 0
 	for {
 		evs, finished, wake := jb.snapshotFrom(idx)
+		idx += len(evs)
 		for _, ev := range evs {
-			idx++
-			switch ev.Event {
-			case "result":
-				results++
-				if results <= from {
-					continue
-				}
-			case "done", "error":
-			default:
-				continue
-			}
-			if !stream.emit(ev) {
+			if keep(ev) && !stream.emit(ev) {
 				return
 			}
 		}

@@ -93,9 +93,9 @@ func TestCrashRecoveryReplaysJournal(t *testing.T) {
 	}
 	s2 := New(Config{EPCPages: testEPC, Seed: 7, Workers: 2, Store: st2, Journal: jl2})
 	var simulated atomic.Int64
-	s2.runner.Exec = func(spec harness.Spec) (*harness.Result, error) {
+	s2.runner.Exec = func(spec harness.Spec) *harness.Result {
 		simulated.Add(1)
-		return s2.runner.RunLocal(spec), nil
+		return s2.runner.RunLocal(spec)
 	}
 	ts := httptest.NewServer(s2.Handler())
 	defer ts.Close()
@@ -204,9 +204,9 @@ func TestRestartRetiresFinishedJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	gate := make(chan struct{})
-	s.runner.Exec = func(spec harness.Spec) (*harness.Result, error) {
+	s.runner.Exec = func(spec harness.Spec) *harness.Result {
 		<-gate
-		return s.runner.RunLocal(spec), nil
+		return s.runner.RunLocal(spec)
 	}
 	ts := httptest.NewServer(s.Handler())
 
@@ -377,9 +377,9 @@ func TestJobReattachFrom(t *testing.T) {
 func TestAdmissionControl(t *testing.T) {
 	s := New(Config{EPCPages: testEPC, Seed: 7, Workers: 2, MaxQueue: 2})
 	gate := make(chan struct{})
-	s.runner.Exec = func(spec harness.Spec) (*harness.Result, error) {
+	s.runner.Exec = func(spec harness.Spec) *harness.Result {
 		<-gate
-		return s.runner.RunLocal(spec), nil
+		return s.runner.RunLocal(spec)
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -529,9 +529,9 @@ func TestRecoverSkipsLiveJobs(t *testing.T) {
 	}
 	s := New(Config{EPCPages: testEPC, Seed: 7, Workers: 2, Journal: jl})
 	gate := make(chan struct{})
-	s.runner.Exec = func(spec harness.Spec) (*harness.Result, error) {
+	s.runner.Exec = func(spec harness.Spec) *harness.Result {
 		<-gate
-		return s.runner.RunLocal(spec), nil
+		return s.runner.RunLocal(spec)
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

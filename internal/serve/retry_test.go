@@ -76,7 +76,7 @@ func TestClusterRetryPoison(t *testing.T) {
 		t.Fatal("exhausted task was not finished")
 	}
 	if task.res == nil || task.res.Err == nil {
-		t.Fatalf("poisoned task settled with res=%v err=%v, want a failed result", task.res, task.err)
+		t.Fatalf("poisoned task settled with res=%+v, want a failed result", task.res)
 	}
 	msg := task.res.Err.Error()
 	if !strings.Contains(msg, "poisoned after 3 failed attempts") || !strings.Contains(msg, "boom") {
@@ -337,7 +337,7 @@ func TestWorkerReportedFailurePoisons(t *testing.T) {
 	}
 	if task.res == nil || task.res.Err == nil ||
 		!strings.Contains(task.res.Err.Error(), "simulated crash") {
-		t.Fatalf("task settled with res=%v err=%v, want a failed result naming the crash", task.res, task.err)
+		t.Fatalf("task settled with res=%+v, want a failed result naming the crash", task.res)
 	}
 	if got := coord.cluster.poisonedTotal.Load(); got != 1 {
 		t.Fatalf("poisonedTotal = %d, want 1", got)
@@ -381,10 +381,10 @@ func TestWorkerDrainFinishesBatch(t *testing.T) {
 	started := make(chan struct{})
 	gate := make(chan struct{})
 	var once sync.Once
-	ws.runner.Exec = func(spec harness.Spec) (*harness.Result, error) {
+	ws.runner.Exec = func(spec harness.Spec) *harness.Result {
 		once.Do(func() { close(started) })
 		<-gate
-		return ws.runner.RunLocal(spec), nil
+		return ws.runner.RunLocal(spec)
 	}
 
 	spec := ws.runner.Normalize(harness.Spec{Workload: mustWorkload(t, "Empty"), Size: workloads.Low, Seed: 1})

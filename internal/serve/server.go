@@ -390,24 +390,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !stream.emit(sweepEvent{Event: "job", JobID: jb.id, Total: len(specs)}) {
 		return
 	}
-	idx := 0
-	for {
-		evs, finished, wake := jb.snapshotFrom(idx)
-		for _, ev := range evs {
-			idx++
-			if !stream.emit(ev) {
-				return
-			}
-		}
-		if finished {
-			return
-		}
-		select {
-		case <-wake:
-		case <-r.Context().Done():
-			return
-		}
-	}
+	followJob(r.Context(), stream, jb, func(sweepEvent) bool { return true })
 }
 
 // handleFigure serves GET /v1/figures/{fig}: the rendered paper

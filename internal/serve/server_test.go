@@ -171,10 +171,10 @@ func TestRunCoalescing(t *testing.T) {
 	s, ts := newTestServer(t)
 	gate := make(chan struct{})
 	var calls atomic.Int32
-	s.runner.Exec = func(spec harness.Spec) (*harness.Result, error) {
+	s.runner.Exec = func(spec harness.Spec) *harness.Result {
 		calls.Add(1)
 		<-gate
-		return &harness.Result{Name: spec.Workload.Name(), Mode: spec.Mode, Cycles: 99, Attempts: 1}, nil
+		return &harness.Result{Name: spec.Workload.Name(), Mode: spec.Mode, Cycles: 99, Attempts: 1}
 	}
 
 	const n = 8
@@ -226,10 +226,10 @@ func TestRunCancellationMidRun(t *testing.T) {
 	s, ts := newTestServer(t)
 	gate := make(chan struct{})
 	started := make(chan struct{})
-	s.runner.Exec = func(spec harness.Spec) (*harness.Result, error) {
+	s.runner.Exec = func(spec harness.Spec) *harness.Result {
 		close(started)
 		<-gate
-		return &harness.Result{Name: spec.Workload.Name(), Mode: spec.Mode, Cycles: 42, Attempts: 1}, nil
+		return &harness.Result{Name: spec.Workload.Name(), Mode: spec.Mode, Cycles: 42, Attempts: 1}
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -278,10 +278,10 @@ func TestGracefulDrain(t *testing.T) {
 	defer ts.Close()
 	gate := make(chan struct{})
 	started := make(chan struct{})
-	s.runner.Exec = func(spec harness.Spec) (*harness.Result, error) {
+	s.runner.Exec = func(spec harness.Spec) *harness.Result {
 		close(started)
 		<-gate
-		return &harness.Result{Name: spec.Workload.Name(), Mode: spec.Mode, Cycles: 7, Attempts: 1}, nil
+		return &harness.Result{Name: spec.Workload.Name(), Mode: spec.Mode, Cycles: 7, Attempts: 1}
 	}
 
 	respc := make(chan *http.Response, 1)

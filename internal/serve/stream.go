@@ -58,10 +58,3 @@ func (s *ndjsonStream) emit(v any) bool {
 	}
 	return true
 }
-
-// alive reports whether no write has failed yet.
-func (s *ndjsonStream) alive() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err == nil
-}

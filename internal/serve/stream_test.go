@@ -93,8 +93,11 @@ func TestNDJSONPipeStopsAfterFirstError(t *testing.T) {
 	if w.writes != 3 {
 		t.Errorf("writer saw %d writes, want 3", w.writes)
 	}
-	if st.alive() {
-		t.Error("stream still alive after a failed write")
+	if st.emit(0) {
+		t.Error("emit reported success after a failed write")
+	}
+	if w.writes != 3 {
+		t.Errorf("emit on a dead stream reached the writer: %d writes, want 3", w.writes)
 	}
 }
 

@@ -71,10 +71,9 @@ func (e *Env) Clone() *Env {
 
 func (e *Env) newThread() *Thread {
 	t := &Thread{
-		ID:    e.nextThread,
-		env:   e,
-		tlb:   tlb.New(e.M.cfg.TLBEntries, e.M.cfg.TLBWays),
-		shard: e.M.Counters.NewShard(),
+		ID:  e.nextThread,
+		env: e,
+		tlb: tlb.New(e.M.cfg.TLBEntries, e.M.cfg.TLBWays),
 	}
 	if e.insideByDefault {
 		t.enclaveDepth = 1
@@ -85,9 +84,6 @@ func (e *Env) newThread() *Thread {
 }
 
 func (e *Env) dropThread(t *Thread) {
-	// Fold the retiring thread's counter deltas into the shared bank;
-	// the Counters keep reporting them after the shard is gone.
-	t.shard.Release()
 	for i, cur := range e.M.threads {
 		if cur == t {
 			e.M.threads = append(e.M.threads[:i], e.M.threads[i+1:]...)

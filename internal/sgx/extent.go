@@ -246,8 +246,8 @@ func (m *Machine) replayExtent(t *Thread, x *Extent) error {
 // accessPage leaves it.
 func (m *Machine) extentResolve(t *Thread, addr uint64) (*mem.Frame, *enclave.Enclave, uint64, error) {
 	c := &m.Costs
-	sh := t.shard
-	sh.Inc(perf.Accesses)
+	ctr := m.Counters
+	ctr.Inc(perf.Accesses)
 	pend := c.Compute
 
 	vpn := mem.PageNumber(addr)
@@ -282,12 +282,12 @@ func (m *Machine) extentResolve(t *Thread, addr uint64) (*mem.Frame, *enclave.En
 		}
 	}
 	if !resolved {
-		sh.Inc(perf.DTLBMisses)
+		ctr.Inc(perf.DTLBMisses)
 		walk := c.PageWalk
 		if enc != nil {
 			walk += c.EPCMCheck
 		}
-		sh.Add(perf.WalkCycles, walk)
+		ctr.Add(perf.WalkCycles, walk)
 		t.Clock.Advance(pend + walk)
 		pend = 0
 		var err error
@@ -310,7 +310,7 @@ func (m *Machine) extentResolve(t *Thread, addr uint64) (*mem.Frame, *enclave.En
 // line counted as streak hits, and its payload moved by move.
 func (m *Machine) bulkExtent(t *Thread, x *Extent) error {
 	c := &m.Costs
-	sh := t.shard
+	ctr := m.Counters
 	shift := uint(bits.TrailingZeros64(x.Stride))
 	addr := x.Addr
 	for idx := uint64(0); idx < x.Count; {
@@ -323,7 +323,7 @@ func (m *Machine) bulkExtent(t *Thread, x *Extent) error {
 		if err != nil {
 			return err
 		}
-		sh.Add(perf.Accesses, accs-1)
+		ctr.Add(perf.Accesses, accs-1)
 		pend += (accs - 1) * (c.Compute + c.TLBHit)
 
 		first := mem.LineNumber(addr)
@@ -335,7 +335,7 @@ func (m *Machine) bulkExtent(t *Thread, x *Extent) error {
 			hits += rep
 		}
 		if hits != 0 {
-			sh.Add(perf.LLCHits, hits)
+			ctr.Add(perf.LLCHits, hits)
 			pend += hits * c.LLCHit
 		}
 		if misses != 0 {
@@ -343,16 +343,16 @@ func (m *Machine) bulkExtent(t *Thread, x *Extent) error {
 			if enc != nil {
 				extra += c.MEELine
 			}
-			sh.Add(perf.LLCMisses, misses)
-			sh.Add(perf.StallCycles, misses*extra)
+			ctr.Add(perf.LLCMisses, misses)
+			ctr.Add(perf.StallCycles, misses*extra)
 			pend += misses * extra
 		}
 
 		x.move(frame.Data[off:], idx, accs)
 		if x.Kind == ExtentRead {
-			sh.Add(perf.BytesRead, accs*uint64(x.Elem))
+			ctr.Add(perf.BytesRead, accs*uint64(x.Elem))
 		} else {
-			sh.Add(perf.BytesWritten, accs*uint64(x.Elem))
+			ctr.Add(perf.BytesWritten, accs*uint64(x.Elem))
 		}
 		t.Clock.Advance(pend)
 		addr += accs << shift
@@ -436,8 +436,8 @@ func (x *Extent) move(page []byte, idx, accs uint64) {
 // instead of panicking. The extent counters are charged up front —
 // they count issued extents, whether or not a fault cuts one short.
 func (t *Thread) TryRunExtent(x Extent) error {
-	t.shard.Inc(perf.ExtentRuns)
-	t.shard.Add(perf.ExtentAccesses, x.Count)
+	t.env.M.Counters.Inc(perf.ExtentRuns)
+	t.env.M.Counters.Add(perf.ExtentAccesses, x.Count)
 	return t.env.M.runExtent(t, &x)
 }
 

@@ -12,7 +12,7 @@ import (
 	"sgxgauge/internal/perf"
 )
 
-// The fast access path (counter shards, page memos, batched charging)
+// The fast access path (page memos, batched charging)
 // must be invisible in simulated results. These tests drive identical
 // scripts through the optimized path and the Config.SlowPath reference
 // and require bit-identical counters, cycles and data after every

@@ -150,10 +150,11 @@ type Config struct {
 	// transient transition failures.
 	Chaos *chaos.Config `json:"chaos,omitempty"`
 	// SlowPath routes every memory access through the straight-line
-	// reference implementation (no memoization, no counter sharding,
-	// no batched charging). Simulated results are identical to the
-	// default fast path — the differential tests exist to prove it —
-	// so the only reason to set this is those tests.
+	// reference implementation (no memoization, no batched charging).
+	// Both paths count into the same bank. Simulated results are
+	// identical to the default fast path — the differential tests
+	// exist to prove it — so the only reason to set this is those
+	// tests.
 	SlowPath bool `json:"slow_path,omitempty"`
 }
 
@@ -550,7 +551,7 @@ func (m *Machine) ensureResident(t *Thread, enc *enclave.Enclave, addr uint64) (
 			return f, nil, nil
 		}
 		// First touch of an untrusted page: minor page fault.
-		t.shard.Inc(perf.PageFaults)
+		m.Counters.Inc(perf.PageFaults)
 		t.Clock.Advance(c.FaultOverhead)
 		f := mem.NewFrame()
 		m.untrusted[vpn] = f
@@ -564,10 +565,10 @@ func (m *Machine) ensureResident(t *Thread, enc *enclave.Enclave, addr uint64) (
 	// EPC fault. If the faulting thread is executing inside the
 	// enclave this raises an asynchronous exit, which flushes the
 	// TLB (paper §2.3 and Appendix B.3).
-	t.shard.Inc(perf.PageFaults)
+	m.Counters.Inc(perf.PageFaults)
 	m.trace(TraceFault, t, mem.PageBase(addr))
 	if t.InEnclave() {
-		t.shard.Inc(perf.AEXs)
+		m.Counters.Inc(perf.AEXs)
 		m.trace(TraceAEX, t, 0)
 		t.Clock.Advance(c.AEX)
 		t.flushTLB()
@@ -624,16 +625,16 @@ func (m *Machine) chargePageLoad(t *Thread, base uint64) {
 	first := mem.LineNumber(base)
 	hits, misses := m.LLC.AccessRun(first, mem.PageSize/mem.LineSize)
 	if hits != 0 {
-		t.shard.Add(perf.LLCHits, hits)
+		m.Counters.Add(perf.LLCHits, hits)
 		t.Clock.Advance(hits * c.LLCHit)
 	}
 	if misses != 0 {
 		// Plain DRAM latency: the MEE work of moving the page into
 		// the EPC is already covered by the flat EPCAlloc/EWB charges
 		// of the paging path.
-		t.shard.Add(perf.LLCMisses, misses)
+		m.Counters.Add(perf.LLCMisses, misses)
 		t.Clock.Advance(misses * c.DRAMAccess)
-		t.shard.Add(perf.StallCycles, misses*c.DRAMAccess)
+		m.Counters.Add(perf.StallCycles, misses*c.DRAMAccess)
 	}
 }
 
@@ -693,13 +694,11 @@ func (m *Machine) pageOpDispatch(t *Thread, addr, n uint64, p []byte, v byte, op
 // returns a typed Fault error when the access hits an aborted
 // enclave or trips an (injected or organic) failure.
 //
-// This is the simulator's hottest function; it stays cheap three ways,
-// none of which may change simulated semantics (accessPageSlow is the
-// straight-line reference, and TestFastSlowEquivalence holds the two
-// to identical counters and cycles):
+// This is the simulator's hottest function; it stays cheap two ways,
+// neither of which may change simulated semantics (accessPageSlow is
+// the straight-line reference, and TestFastSlowEquivalence holds the
+// two to identical counters and cycles):
 //
-//   - counters go to the thread's perf.Shard (plain adds summed back
-//     in by every Counters read) instead of the shared atomic bank;
 //   - the thread's direct-mapped page memo caches the full
 //     resolution of recently used pages (owning enclave, frame, CLOCK
 //     reference bit), so repeat touches skip the enclave scan, the
@@ -710,8 +709,8 @@ func (m *Machine) pageOpDispatch(t *Thread, addr, n uint64, p []byte, v byte, op
 //     clock advances are accumulated per kind.
 func (m *Machine) accessPage(t *Thread, addr, n uint64, p []byte, v byte, op pageOp) error {
 	c := &m.Costs
-	sh := t.shard
-	sh.Inc(perf.Accesses)
+	ctr := m.Counters
+	ctr.Inc(perf.Accesses)
 	// Clock advances accumulate in pend and land in one Advance call
 	// per stretch; pend is drained before any EPC operation so code
 	// that reads the clock mid-access (the EPC timeline) sees exactly
@@ -766,14 +765,14 @@ func (m *Machine) accessPage(t *Thread, addr, n uint64, p []byte, v byte, op pag
 			}
 		}
 		if !resolved {
-			sh.Inc(perf.DTLBMisses)
+			ctr.Inc(perf.DTLBMisses)
 			walk := c.PageWalk
 			if enc != nil {
 				// The EPCM entry is verified while installing a TLB
 				// entry for an EPC page (paper Figure 1).
 				walk += c.EPCMCheck
 			}
-			sh.Add(perf.WalkCycles, walk)
+			ctr.Add(perf.WalkCycles, walk)
 			t.Clock.Advance(pend + walk)
 			pend = 0
 			var err error
@@ -798,21 +797,21 @@ func (m *Machine) accessPage(t *Thread, addr, n uint64, p []byte, v byte, op pag
 		// The overwhelmingly common case: a word-sized access
 		// touching one line.
 		if m.LLC.Access(first) {
-			sh.Inc(perf.LLCHits)
+			ctr.Inc(perf.LLCHits)
 			pend += c.LLCHit
 		} else {
 			extra := c.DRAMAccess
 			if enc != nil {
 				extra += c.MEELine
 			}
-			sh.Inc(perf.LLCMisses)
-			sh.Add(perf.StallCycles, extra)
+			ctr.Inc(perf.LLCMisses)
+			ctr.Add(perf.StallCycles, extra)
 			pend += extra
 		}
 	} else {
 		hits, misses := m.LLC.AccessRun(first, lines)
 		if hits != 0 {
-			sh.Add(perf.LLCHits, hits)
+			ctr.Add(perf.LLCHits, hits)
 			pend += hits * c.LLCHit
 		}
 		if misses != 0 {
@@ -820,8 +819,8 @@ func (m *Machine) accessPage(t *Thread, addr, n uint64, p []byte, v byte, op pag
 			if enc != nil {
 				extra += c.MEELine
 			}
-			sh.Add(perf.LLCMisses, misses)
-			sh.Add(perf.StallCycles, misses*extra)
+			ctr.Add(perf.LLCMisses, misses)
+			ctr.Add(perf.StallCycles, misses*extra)
 			pend += misses * extra
 		}
 	}
@@ -831,16 +830,16 @@ func (m *Machine) accessPage(t *Thread, addr, n uint64, p []byte, v byte, op pag
 	switch op {
 	case opRead:
 		copy(p, frame.Data[off:off+n])
-		sh.Add(perf.BytesRead, n)
+		ctr.Add(perf.BytesRead, n)
 	case opWrite:
 		copy(frame.Data[off:], p)
-		sh.Add(perf.BytesWritten, n)
+		ctr.Add(perf.BytesWritten, n)
 	case opFill:
 		s := frame.Data[off : off+n]
 		for i := range s {
 			s[i] = v
 		}
-		sh.Add(perf.BytesWritten, n)
+		ctr.Add(perf.BytesWritten, n)
 	}
 	return nil
 }
@@ -878,13 +877,13 @@ func (m *Machine) wordFast(t *Thread, addr, n uint64, write bool) *mem.Frame {
 	}
 	m.LLC.NoteHits(1)
 	c := &m.Costs
-	sh := t.shard
-	sh.Inc(perf.Accesses)
-	sh.Inc(perf.LLCHits)
+	ctr := m.Counters
+	ctr.Inc(perf.Accesses)
+	ctr.Inc(perf.LLCHits)
 	if write {
-		sh.Add(perf.BytesWritten, n)
+		ctr.Add(perf.BytesWritten, n)
 	} else {
-		sh.Add(perf.BytesRead, n)
+		ctr.Add(perf.BytesRead, n)
 	}
 	if me.ref != nil {
 		*me.ref = true
@@ -899,8 +898,8 @@ func (m *Machine) wordFast(t *Thread, addr, n uint64, write bool) *mem.Frame {
 // mask).
 func (m *Machine) wordProbe(t *Thread, me *memoEntry, line, bit, n uint64, write bool) *mem.Frame {
 	c := &m.Costs
-	sh := t.shard
-	sh.Inc(perf.Accesses)
+	ctr := m.Counters
+	ctr.Inc(perf.Accesses)
 	pend := c.Compute + c.TLBHit
 	if me.ref != nil {
 		*me.ref = true
@@ -911,22 +910,22 @@ func (m *Machine) wordProbe(t *Thread, me *memoEntry, line, bit, n uint64, write
 	}
 	me.lines |= bit
 	if hit {
-		sh.Inc(perf.LLCHits)
+		ctr.Inc(perf.LLCHits)
 		pend += c.LLCHit
 	} else {
 		extra := c.DRAMAccess
 		if me.enc != nil {
 			extra += c.MEELine
 		}
-		sh.Inc(perf.LLCMisses)
-		sh.Add(perf.StallCycles, extra)
+		ctr.Inc(perf.LLCMisses)
+		ctr.Add(perf.StallCycles, extra)
 		pend += extra
 	}
 	t.Clock.Advance(pend)
 	if write {
-		sh.Add(perf.BytesWritten, n)
+		ctr.Add(perf.BytesWritten, n)
 	} else {
-		sh.Add(perf.BytesRead, n)
+		ctr.Add(perf.BytesRead, n)
 	}
 	return me.frame
 }

@@ -12,7 +12,7 @@ import (
 // step the architecture description dictates, one at a time: scan for
 // the owning enclave, probe the TLB, look the page up in the EPC
 // residency map, charge each cache line individually, and count every
-// event on the shared atomic bank.
+// event on its own, into the machine's one counter bank.
 //
 // It exists so the optimized accessPage has something to be measured
 // against: the differential tests drive identical workloads down both

@@ -10,7 +10,7 @@ import "sgxgauge/internal/perf"
 // regardless of execution mode.
 func (t *Thread) RuntimeECall(fn func()) {
 	c := &t.env.M.Costs
-	t.shard.Inc(perf.ECalls)
+	t.env.M.Counters.Inc(perf.ECalls)
 	t.Clock.Advance(c.ECallEnter)
 	t.flushTLB()
 	t.enclaveDepth++
@@ -24,7 +24,7 @@ func (t *Thread) RuntimeECall(fn func()) {
 // bypassing the switchless machinery.
 func (t *Thread) RuntimeOCall(fn func()) {
 	c := &t.env.M.Costs
-	t.shard.Inc(perf.OCalls)
+	t.env.M.Counters.Inc(perf.OCalls)
 	t.Clock.Advance(t.transitionCost(c.OCallExit))
 	t.flushTLB()
 	depth := t.enclaveDepth
@@ -39,7 +39,7 @@ func (t *Thread) RuntimeOCall(fn func()) {
 // exception) with its cost and TLB flush.
 func (t *Thread) RuntimeAEX() {
 	c := &t.env.M.Costs
-	t.shard.Inc(perf.AEXs)
+	t.env.M.Counters.Inc(perf.AEXs)
 	t.Clock.Advance(c.AEX)
 	t.flushTLB()
 }

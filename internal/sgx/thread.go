@@ -42,9 +42,11 @@ type memoEntry struct {
 }
 
 // Thread is one simulated hardware thread. Each thread owns a private
-// dTLB and cycle clock; the LLC, EPC and counters are shared through
-// the machine. Threads are simulated sequentially, so none of this is
-// concurrency-sensitive.
+// dTLB and cycle clock; the LLC, EPC and counter bank are shared
+// through the machine, and every thread counts straight into that
+// bank. Threads are simulated sequentially, so none of this is
+// concurrency-sensitive: the bank is plain state, like the rest of
+// the machine.
 type Thread struct {
 	// ID distinguishes threads within an Env.
 	ID int
@@ -53,7 +55,6 @@ type Thread struct {
 
 	env          *Env
 	tlb          *tlb.DTLB
-	shard        *perf.Shard
 	enclaveDepth int
 
 	// memo is the page memo and memoGen its flush generation:
@@ -105,19 +106,18 @@ func (t *Thread) memoInvalidate(vpn uint64) {
 	}
 }
 
-// clone returns a copy of t bound to env, with its own TLB copy and a
-// fresh counter shard on env's machine. The page memo
-// starts empty: its frame and reference-bit pointers point into the
-// source machine's EPC. An empty memo is always sound (it only caches
-// what the TLB and EPC would answer), so simulated results are
-// unchanged.
+// clone returns a copy of t bound to env, with its own TLB copy; it
+// counts into env's machine, whose bank the machine clone copied. The
+// page memo starts empty: its frame and reference-bit pointers point
+// into the source machine's EPC. An empty memo is always sound (it
+// only caches what the TLB and EPC would answer), so simulated results
+// are unchanged.
 func (t *Thread) clone(env *Env) *Thread {
 	return &Thread{
 		ID:           t.ID,
 		Clock:        t.Clock,
 		env:          env,
 		tlb:          t.tlb.Clone(),
-		shard:        env.M.Counters.NewShard(),
 		enclaveDepth: t.enclaveDepth,
 	}
 }
@@ -133,7 +133,7 @@ func (t *Thread) flushTLB() {
 	t.tlb.Flush()
 	t.memoClear()
 	m := t.env.M
-	t.shard.Inc(perf.TLBFlushes)
+	m.Counters.Inc(perf.TLBFlushes)
 	// Transitions pollute the LLC: the kernel/microcode path
 	// displaces a slice of the cache (part of the "cache pollution"
 	// cost of frequent enclave transitions, paper §2.3).
@@ -178,7 +178,7 @@ func (t *Thread) ECall(fn func()) {
 		panic(Fault(&AbortError{EnclaveID: enc.ID, Cause: enc.AbortCause()}))
 	}
 	t.env.M.transitionFault("ECALL")
-	t.shard.Inc(perf.ECalls)
+	t.env.M.Counters.Inc(perf.ECalls)
 	t.env.M.trace(TraceECall, t, 0)
 	t.Clock.Advance(c.ECallEnter)
 	t.flushTLB()
@@ -201,7 +201,7 @@ func (t *Thread) OCall(fn func()) {
 	}
 	c := &t.env.M.Costs
 	if t.env.M.cfg.Switchless && t.env.M.admitSwitchless() {
-		t.shard.Inc(perf.SwitchlessCalls)
+		t.env.M.Counters.Inc(perf.SwitchlessCalls)
 		// The proxy performs the work while the enclave thread
 		// waits; the wait time equals the proxied work, which fn
 		// charges to this clock.
@@ -214,7 +214,7 @@ func (t *Thread) OCall(fn func()) {
 		return
 	}
 	t.env.M.transitionFault("OCALL")
-	t.shard.Inc(perf.OCalls)
+	t.env.M.Counters.Inc(perf.OCalls)
 	t.env.M.trace(TraceOCall, t, 0)
 	t.Clock.Advance(t.transitionCost(c.OCallExit))
 	t.flushTLB()
@@ -232,7 +232,7 @@ func (t *Thread) OCall(fn func()) {
 // OCALL in LibOS mode (paper §2.3, §2.4).
 func (t *Thread) Syscall(n uint64) {
 	c := &t.env.M.Costs
-	t.shard.Inc(perf.Syscalls)
+	t.env.M.Counters.Inc(perf.Syscalls)
 	t.env.M.trace(TraceSyscall, t, 0)
 	work := func() {
 		t.Clock.Advance(c.SyscallDirect + n*c.ByteCopy)
@@ -257,7 +257,7 @@ func (t *Thread) SyscallInternal(n uint64) {
 		return
 	}
 	c := &t.env.M.Costs
-	t.shard.Inc(perf.Syscalls)
+	t.env.M.Counters.Inc(perf.Syscalls)
 	t.Clock.Advance(c.SyscallShim + n*c.ByteCopy)
 }
 

@@ -360,3 +360,36 @@ func TestRuntimeTransitions(t *testing.T) {
 		t.Errorf("transition counters = %d/%d/%d", c.Get(perf.ECalls), c.Get(perf.OCalls), c.Get(perf.AEXs))
 	}
 }
+
+// Counts made on RunParallel's worker threads land in the machine's
+// bank and stay there once the workers retire: every thread counts
+// straight into the one bank, so retiring a thread has nothing to
+// fold back.
+func TestRunParallelCountsOutliveThreads(t *testing.T) {
+	m, env := nativeEnv(t, 64)
+	buf := env.MustAlloc(4*mem.PageSize, mem.PageSize)
+	before := m.Counters.Snapshot()
+	var inWorkers perf.Snapshot
+	env.RunParallel(4, func(tr *Thread, i int) {
+		start := m.Counters.Snapshot()
+		tr.ECall(func() {
+			tr.WriteU64(buf+uint64(i)*mem.PageSize, uint64(i))
+			tr.Syscall(8)
+		})
+		inWorkers = inWorkers.Add(m.Counters.Snapshot().Sub(start))
+	})
+	if n := len(m.threads); n != 1 {
+		t.Fatalf("%d threads live after RunParallel, want 1", n)
+	}
+	got := m.Counters.Snapshot().Sub(before)
+	if got != inWorkers {
+		t.Errorf("bank after retirement gained %v, workers counted %v", got, inWorkers)
+	}
+	if got.Get(perf.ECalls) != 4 || got.Get(perf.Syscalls) != 4 || got.Get(perf.OCalls) != 4 {
+		t.Errorf("ECalls/Syscalls/OCalls = %d/%d/%d, want 4/4/4",
+			got.Get(perf.ECalls), got.Get(perf.Syscalls), got.Get(perf.OCalls))
+	}
+	if got.Get(perf.Accesses) == 0 {
+		t.Error("worker accesses not counted")
+	}
+}

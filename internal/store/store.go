@@ -52,10 +52,6 @@ type Store struct {
 	dir   string
 	fsync bool
 
-	// count tracks resident entries: seeded by the opening scan,
-	// maintained by Put/quarantine.
-	count atomic.Int64
-
 	hits        atomic.Uint64
 	misses      atomic.Uint64
 	puts        atomic.Uint64
@@ -77,8 +73,8 @@ type envelope struct {
 // quarantined like any other undecodable file.
 const formatVersion = 1
 
-// Open opens (creating if needed) the store rooted at dir and counts
-// the resident entries.
+// Open opens (creating if needed) the store rooted at dir and checks
+// that its fan-out directories can be read.
 func Open(dir string, opts Options) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("store: empty directory")
@@ -87,11 +83,9 @@ func Open(dir string, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	s := &Store{dir: dir, fsync: opts.Fsync}
-	n, err := s.scan()
-	if err != nil {
+	if _, err := s.scan(); err != nil {
 		return nil, err
 	}
-	s.count.Store(n)
 	return s, nil
 }
 
@@ -99,12 +93,12 @@ func Open(dir string, opts Options) (*Store, error) {
 func (s *Store) Dir() string { return s.dir }
 
 // scan counts entry files under the fan-out directories.
-func (s *Store) scan() (int64, error) {
+func (s *Store) scan() (int, error) {
 	fanouts, err := os.ReadDir(s.dir)
 	if err != nil {
 		return 0, fmt.Errorf("store: %w", err)
 	}
-	var n int64
+	n := 0
 	for _, fan := range fanouts {
 		if !fan.IsDir() || fan.Name() == QuarantineDir {
 			continue
@@ -143,7 +137,6 @@ func (s *Store) Get(k harness.Key) (*harness.Result, bool) {
 	if err != nil {
 		Quarantine(s.dir, path)
 		s.quarantined.Add(1)
-		s.count.Add(-1)
 		s.misses.Add(1)
 		return nil, false
 	}
@@ -193,7 +186,6 @@ func (s *Store) Put(k harness.Key, res *harness.Result) error {
 		return fmt.Errorf("store: %w", err)
 	}
 	s.puts.Add(1)
-	s.count.Add(1)
 	return nil
 }
 
@@ -208,8 +200,17 @@ func (s *Store) Add(k harness.Key, res *harness.Result) *harness.Result {
 	return res
 }
 
-// Len reports the number of resident entries.
-func (s *Store) Len() int { return int(s.count.Load()) }
+// Len reports the number of entry files on disk, counted afresh on
+// every call, so it stays exact when puts of one key race or another
+// Store on the same directory writes or quarantines entries. It
+// reports 0 when the directory cannot be read.
+func (s *Store) Len() int {
+	n, err := s.scan()
+	if err != nil {
+		return 0
+	}
+	return n
+}
 
 // Stats returns the store's lifetime counters for /metrics.
 func (s *Store) Stats() (hits, misses, puts, putErrors, quarantined uint64) {

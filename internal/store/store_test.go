@@ -191,8 +191,8 @@ func mustEntryBytes(t testing.TB, key harness.Key, res *harness.Result, innerKey
 }
 
 // TestConcurrentPutSameKey: racing writers of one key all succeed,
-// exactly one entry results, and it decodes cleanly (atomic renames,
-// no interleaved bytes).
+// exactly one entry results, it decodes cleanly (atomic renames, no
+// interleaved bytes), and Len counts it once.
 func TestConcurrentPutSameKey(t *testing.T) {
 	s, err := Open(t.TempDir(), Options{})
 	if err != nil {
@@ -223,14 +223,48 @@ func TestConcurrentPutSameKey(t *testing.T) {
 	if gotEnc, _ := harness.EncodeResult(back); string(gotEnc) != string(wantEnc) {
 		t.Fatal("entry corrupted by concurrent puts")
 	}
-	// Reopening counts exactly one resident entry regardless of how
-	// the racing puts interleaved.
+	// The racing store and a reopened one both count exactly one
+	// resident entry, however many puts got past the existence check.
+	if n := s.Len(); n != 1 {
+		t.Fatalf("Len = %d after %d puts of one key, want 1", n, writers)
+	}
 	s2, err := Open(s.Dir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s2.Len() != 1 {
 		t.Fatalf("resident entries = %d, want 1", s2.Len())
+	}
+}
+
+// TestLenAfterCrossStoreQuarantine: a Store that quarantines an entry
+// another Store on the same directory wrote reports the directory's
+// true count, not one less than it ever saw.
+func TestLenAfterCrossStoreQuarantine(t *testing.T) {
+	dir := t.TempDir()
+	reader, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	writer, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, res := testResult(t)
+	if err := writer.Put(key, res); err != nil {
+		t.Fatal(err)
+	}
+	if n := reader.Len(); n != 1 {
+		t.Errorf("reader Len = %d after the writer's put, want 1", n)
+	}
+	if err := os.WriteFile(writer.path(key), []byte(`{"format":1,"key":"`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := reader.Get(key); ok {
+		t.Fatal("corrupt entry served as a hit")
+	}
+	if r, w := reader.Len(), writer.Len(); r != 0 || w != 0 {
+		t.Fatalf("Len after quarantine: reader %d, writer %d, want 0 and 0", r, w)
 	}
 }
 
