@@ -207,7 +207,7 @@ func cmdRun(args []string) {
 	}
 	d, ok := workloads.Lookup(*name)
 	if !ok {
-		fatal(fmt.Errorf("unknown workload or scenario %q (workloads: %s; scenarios: %s)",
+		usageFail(fmt.Errorf("unknown workload or scenario %q (workloads: %s; scenarios: %s)",
 			*name, workloads.ValidWorkloadList(), workloads.ValidScenarioList()))
 	}
 	set := map[string]bool{}

@@ -166,11 +166,12 @@ func TestRunScenario(t *testing.T) {
 	}
 }
 
-// An unknown name fails and lists every workload and every scenario.
+// An unknown name is a usage error (exit 2) that lists every workload
+// and every scenario.
 func TestRunUnknownNameListsBothKinds(t *testing.T) {
 	stdout, stderr, err := runMain("run", "-workload", "NoSuchThing")
-	if err == nil {
-		t.Fatal("unknown name accepted")
+	if code := exitCode(err); code != 2 {
+		t.Fatalf("unknown name: exit = %v, want exit code 2 (stderr: %s)", err, stderr)
 	}
 	if stdout != "" {
 		t.Errorf("output for an unknown name:\n%s", stdout)

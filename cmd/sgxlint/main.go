@@ -1,7 +1,6 @@
 // Command sgxlint runs sgxgauge's in-tree static-analysis suite: the
-// invariant checkers of internal/lint (atomicfield, ctxflow,
-// determinism, droppederr, goroleak, lockdiscipline, satconv,
-// streamerr) over every package of the module, with a shared
+// invariant checkers of internal/lint (ctxflow, determinism,
+// droppederr, goroleak, lockdiscipline, satconv, streamerr) over every package of the module, with a shared
 // interprocedural call graph backing the concurrency analyzers.
 //
 // Usage:

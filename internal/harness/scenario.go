@@ -71,7 +71,7 @@ func runScenario(spec Spec) (*Result, error) {
 	var inst *scenario.Instance
 	var buildErr error
 	if perr := sgx.Protect(func() {
-		inst, buildErr = desc.Build(m, *sp, spec.Seed)
+		inst, buildErr = desc.Build(m, *sp)
 	}); perr != nil {
 		buildErr = perr
 	}

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -28,10 +29,8 @@ func scenarioSpec(t *testing.T, name string, n int, seed int64) Spec {
 func allScenarioSpecs(t *testing.T, seed int64) map[string]Spec {
 	t.Helper()
 	specs := map[string]Spec{
-		"attested-session": scenarioSpec(t, "attested-session", 0, seed),
-		"consensus":        scenarioSpec(t, "consensus", 3, seed),
-		"interference":     scenarioSpec(t, "interference", 4, seed),
-		"noisy-neighbor":   scenarioSpec(t, "noisy-neighbor", 3, seed),
+		"consensus":    scenarioSpec(t, "consensus", 3, seed),
+		"interference": scenarioSpec(t, "interference", 4, seed),
 	}
 	if got := len(scenario.Names()); len(specs) != got {
 		t.Fatalf("test covers %d scenarios, registry has %d (%v)", len(specs), got, scenario.Names())
@@ -168,8 +167,12 @@ func TestScenarioWireValidation(t *testing.T) {
 			"size does not apply",
 		},
 		"bad-cast": {
-			`{"mode":"Native","size":"Low","scenario":{"version":1,"name":"attested-session","enclaves":[{"role":"client"}]}}`,
-			"exactly 2",
+			`{"mode":"Native","size":"Low","scenario":{"version":1,"name":"consensus","enclaves":[{"role":"node"}]}}`,
+			"at least 2 nodes",
+		},
+		"uneven-ops": {
+			`{"mode":"Native","size":"Low","scenario":{"version":1,"name":"consensus","enclaves":[{"role":"node","ops":3},{"role":"node","ops":4}]}}`,
+			"lockstep",
 		},
 		"nothing-to-run": {
 			`{"mode":"Native","size":"Low"}`,
@@ -224,7 +227,7 @@ func TestScenarioSpecRejectsSize(t *testing.T) {
 // served from cache (same pointer), and the cache holds one entry.
 func TestScenarioThroughRunnerCache(t *testing.T) {
 	r := NewRunner(testEPC)
-	spec := scenarioSpec(t, "attested-session", 0, 3)
+	spec := scenarioSpec(t, "consensus", 2, 3)
 	first := r.Run(spec)
 	if first.Err != nil {
 		t.Fatal(first.Err)
@@ -241,29 +244,80 @@ func TestScenarioThroughRunnerCache(t *testing.T) {
 	}
 }
 
-// TestScenarioResultShape sanity-checks the per-scenario outputs the
-// docs advertise.
+// TestScenarioResultShape sanity-checks the consensus outputs the docs
+// advertise.
 func TestScenarioResultShape(t *testing.T) {
-	res, err := runOne(scenarioSpec(t, "noisy-neighbor", 3, 9), nil)
+	res, err := runOne(scenarioSpec(t, "consensus", 3, 9), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratio := res.Output.Extra["interference_ratio"]
-	if ratio < 1.0 {
-		t.Fatalf("noisy-neighbor interference ratio %v < 1 — neighbors sped the foreground up?", ratio)
+	if res.Output.Extra["nodes"] != 3 {
+		t.Fatalf("expected 3 nodes, got %v", res.Output.Extra["nodes"])
 	}
-	if res.Output.Extra["neighbors"] != 2 {
-		t.Fatalf("expected 2 neighbors, got %v", res.Output.Extra["neighbors"])
-	}
-	if res.Name != "noisy-neighbor" || res.Mode != sgx.Native {
+	if res.Name != "consensus" || res.Mode != sgx.Native {
 		t.Fatalf("result mislabeled: %s / %v", res.Name, res.Mode)
 	}
+}
 
-	cres, err := runOne(scenarioSpec(t, "consensus", 3, 9), nil)
-	if err != nil {
-		t.Fatal(err)
+// TestScenarioSpecKeyPerRun: spec forms that name the same simulation
+// share one key. A left-out cast is the default cast, and a blank role
+// is the scenario's role for that slot.
+func TestScenarioSpecKeyPerRun(t *testing.T) {
+	envelope := func(name string, cast ...scenario.Enclave) Spec {
+		return Spec{Scenario: &scenario.Spec{Version: scenario.SchemaVersion, Name: name, Enclaves: cast},
+			Mode: sgx.Native, EPCPages: 64, Seed: 1}
 	}
-	if cres.Output.Extra["nodes"] != 3 {
-		t.Fatalf("expected 3 nodes, got %v", cres.Output.Extra["nodes"])
+	instance := scenario.Enclave{Role: "instance"}
+	cases := map[string][2]Spec{
+		"interference-default-cast": {
+			envelope("interference"),
+			envelope("interference", instance, instance, instance, instance),
+		},
+		"interference-blank-roles": {
+			envelope("interference", scenario.Enclave{}, scenario.Enclave{}),
+			envelope("interference", instance, instance),
+		},
+		"consensus-blank-roles": {
+			envelope("consensus", scenario.Enclave{Size: workloads.Medium}, scenario.Enclave{Size: workloads.Medium}),
+			envelope("consensus", scenario.Enclave{Role: "node", Size: workloads.Medium}, scenario.Enclave{Role: "node", Size: workloads.Medium}),
+		},
+	}
+	for name, pair := range cases {
+		t.Run(name, func(t *testing.T) {
+			before := *pair[0].Scenario
+			k0, err := SpecKey(pair[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			k1, err := SpecKey(pair[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if k0 != k1 {
+				t.Errorf("one run under two keys: %s and %s", k0, k1)
+			}
+			if len(pair[0].Scenario.Enclaves) != len(before.Enclaves) ||
+				(len(before.Enclaves) > 0 && pair[0].Scenario.Enclaves[0] != before.Enclaves[0]) {
+				t.Errorf("keying rewrote the caller's envelope: %+v, was %+v", *pair[0].Scenario, before)
+			}
+		})
+	}
+
+	// A spec built by NewScenarioSpec is already canonical, so its key
+	// is the hash of its own envelope.
+	for _, name := range scenario.Names() {
+		for _, n := range []int{0, 1, 2, 4, 8} {
+			spec, err := NewScenarioSpec(name, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := spec.Wire()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(*w.Scenario, *spec.Scenario) {
+				t.Errorf("%s n=%d: Wire rewrote a built envelope %+v to %+v", name, n, *spec.Scenario, *w.Scenario)
+			}
+		}
 	}
 }

@@ -47,7 +47,11 @@ type SpecWire struct {
 
 // Wire extracts the spec's serializable side. It fails when the spec
 // names nothing to run (neither workload nor scenario), is ambiguous
-// (both), or gives a scenario a size (see checkScenarioSize).
+// (both), or gives a scenario a size (see checkScenarioSize). A
+// scenario envelope is encoded with its resolved cast
+// (scenario.Spec.Cast), so a left-out cast or a blank role keys like
+// the spelled-out cast it runs as; the caller's envelope is left as it
+// was.
 func (s Spec) Wire() (SpecWire, error) {
 	if s.Workload == nil && s.Scenario == nil {
 		return SpecWire{}, fmt.Errorf("harness: spec has no workload or scenario to encode")
@@ -55,10 +59,14 @@ func (s Spec) Wire() (SpecWire, error) {
 	if s.Workload != nil && s.Scenario != nil {
 		return SpecWire{}, fmt.Errorf("harness: spec has both a workload (%s) and a scenario (%s)", s.Workload.Name(), s.Scenario.Name)
 	}
-	if s.Scenario != nil {
+	sc := s.Scenario
+	if sc != nil {
 		if err := checkScenarioSize(s.Size); err != nil {
 			return SpecWire{}, err
 		}
+		canon := *sc
+		canon.Enclaves = sc.Cast()
+		sc = &canon
 	}
 	var name string
 	if s.Workload != nil {
@@ -76,7 +84,7 @@ func (s Spec) Wire() (SpecWire, error) {
 		Params:         s.Params,
 		Machine:        s.Machine,
 		Chaos:          s.Chaos,
-		Scenario:       s.Scenario,
+		Scenario:       sc,
 	}, nil
 }
 

@@ -11,8 +11,8 @@ import (
 // once per RunAnalyzers invocation and handed to every analyzer
 // through Pass.Graph. Analyzers stay per-package — each reports only
 // findings located in its own package — but judge those findings
-// against module-wide facts: who calls whom, which functions lock
-// which mutexes, which struct fields are touched atomically anywhere.
+// against module-wide facts: who calls whom and which functions lock
+// which mutexes.
 //
 // Resolution is static and deliberately conservative. A call resolves
 // to a FuncNode only when the type checker binds it to a concrete
@@ -22,16 +22,14 @@ import (
 // variables, or external packages produce no module edge; an analyzer
 // relying on edges therefore never reports on the strength of a guess.
 
-// Graph is the module-wide call graph plus the interprocedural fact
-// tables shared by all analyzers.
+// Graph is the module-wide call graph with the per-function summaries
+// shared by all analyzers.
 type Graph struct {
 	// nodes maps every declared function or method of the module to
 	// its node.
 	nodes map[*types.Func]*FuncNode
 	// callers indexes call sites by callee.
 	callers map[*types.Func][]*CallSite
-	// Fields carries the module-wide struct-field access facts.
-	Fields *FieldFacts
 }
 
 // FuncNode is one declared function or method of the module.
@@ -82,20 +80,6 @@ type Summary struct {
 	WaitGroupDone bool
 }
 
-// FieldFacts records, module-wide, how each struct field is accessed:
-// through the sync/atomic package-level functions (`atomic.AddUint64
-// (&x.f, 1)`), or plainly. A field appearing in both sets is a data
-// race waiting for an unlucky interleaving; atomicfield reports every
-// plain site of such a field.
-type FieldFacts struct {
-	// Atomic maps a field object to the positions where its address is
-	// passed to a sync/atomic function.
-	Atomic map[types.Object][]token.Pos
-	// Plain maps a field object to the positions of its ordinary
-	// selector accesses.
-	Plain map[types.Object][]token.Pos
-}
-
 // NodeOf returns the graph node for fn, or nil when fn is not a
 // declared function of this module.
 func (g *Graph) NodeOf(fn *types.Func) *FuncNode {
@@ -113,16 +97,12 @@ func (g *Graph) CallersOf(fn *types.Func) []*CallSite {
 	return g.callers[fn]
 }
 
-// BuildGraph constructs the call graph and fact tables for the
+// BuildGraph constructs the call graph and function summaries for the
 // module's loaded packages.
 func BuildGraph(mod *Module) *Graph {
 	g := &Graph{
 		nodes:   map[*types.Func]*FuncNode{},
 		callers: map[*types.Func][]*CallSite{},
-		Fields: &FieldFacts{
-			Atomic: map[types.Object][]token.Pos{},
-			Plain:  map[types.Object][]token.Pos{},
-		},
 	}
 	for _, pkg := range mod.Packages {
 		for _, f := range pkg.Files {
@@ -158,7 +138,6 @@ func BuildGraph(mod *Module) *Graph {
 				collectCalls(g, pkg.Info, node)
 			}
 		}
-		collectFieldFacts(g.Fields, pkg.Info, pkg.Files)
 	}
 	return g
 }
@@ -244,60 +223,6 @@ func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := info.Uses[id].(*types.Func)
 	return fn
-}
-
-// collectFieldFacts classifies every struct-field selector access in
-// the files as atomic (its address is an argument to a sync/atomic
-// package-level function) or plain. Composite-literal field keys are
-// not selector expressions and so never count — the `&T{f: v}`
-// construction idiom predates publication and is safe.
-func collectFieldFacts(facts *FieldFacts, info *types.Info, files []*ast.File) {
-	atomicArgs := map[*ast.SelectorExpr]bool{}
-	for _, f := range files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || !isAtomicCall(info, call) {
-				return true
-			}
-			for _, arg := range call.Args {
-				unary, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-				if !ok || unary.Op != token.AND {
-					continue
-				}
-				if sel, ok := ast.Unparen(unary.X).(*ast.SelectorExpr); ok {
-					atomicArgs[sel] = true
-				}
-			}
-			return true
-		})
-	}
-	for _, f := range files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			selection, ok := info.Selections[sel]
-			if !ok || selection.Kind() != types.FieldVal {
-				return true
-			}
-			obj := selection.Obj()
-			if atomicArgs[sel] {
-				facts.Atomic[obj] = append(facts.Atomic[obj], sel.Sel.Pos())
-			} else {
-				facts.Plain[obj] = append(facts.Plain[obj], sel.Sel.Pos())
-			}
-			return true
-		})
-	}
-}
-
-// isAtomicCall reports whether call targets a package-level function
-// of sync/atomic.
-func isAtomicCall(info *types.Info, call *ast.CallExpr) bool {
-	fn := staticCallee(info, call)
-	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" &&
-		fn.Type().(*types.Signature).Recv() == nil
 }
 
 // isWaitGroup reports whether t is sync.WaitGroup or *sync.WaitGroup.

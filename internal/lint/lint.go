@@ -4,10 +4,9 @@
 // call graph (callgraph.go), and runs a pluggable set of analyzers
 // enforcing the simulator's cross-cutting invariants — determinism,
 // error propagation, lock discipline, saturating cycle arithmetic,
-// context-aware blocking, goroutine join tracking, atomic-field
-// consistency, and stream write-error handling. See DESIGN.md §8 for
-// the invariant catalogue and the historical bugs each analyzer exists
-// to prevent.
+// context-aware blocking, goroutine join tracking, and stream
+// write-error handling. See DESIGN.md §8 for the invariant catalogue
+// and the historical bugs each analyzer exists to prevent.
 //
 // Findings are reported as "file:line: [analyzer] message". A finding
 // can be acknowledged in place with a pragma on the offending line or
@@ -115,7 +114,6 @@ func (a *Analyzer) Applies(pkgPath string) bool {
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		AtomicField,
 		CtxFlow,
 		Determinism,
 		DroppedErr,

@@ -69,7 +69,6 @@ func TestGolden(t *testing.T) {
 		importPath string // synthetic in-scope module path
 		suppressed int    // exact count of suppressed findings
 	}{
-		{"atomicfield", "testdata/src/atomicfield", "sgxgauge/internal/perf/corpus", 1},
 		{"ctxflow", "testdata/src/ctxflow", "sgxgauge/internal/serve/corpus", 1},
 		{"determinism", "testdata/src/determinism", "sgxgauge/internal/sgx/corpus", 1},
 		{"droppederr", "testdata/src/droppederr", "sgxgauge/internal/epc/corpus", 1},

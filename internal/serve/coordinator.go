@@ -163,7 +163,7 @@ func newCluster(ttl time.Duration, maxRetries int, retryBase time.Duration, jl *
 			if err != nil {
 				continue
 			}
-			poisoned[key] = poisonMessage(key, len(rec.Attempts), rec.Attempts)
+			poisoned[key] = poisonMessage(key, rec.Attempts)
 		}
 	}
 	return &cluster{
@@ -178,8 +178,20 @@ func newCluster(ttl time.Duration, maxRetries int, retryBase time.Duration, jl *
 }
 
 // poisonMessage renders the failure a poisoned key's submissions are
-// answered with, attempt history included.
-func poisonMessage(key harness.Key, attempts int, history []string) string {
+// answered with, attempt history included. It reads only what the
+// poison record persists, so the message is the same before and after
+// a restart. The failed-attempt count is the number in the history's
+// last "attempt N failed" entry: reroute notes charge nothing, and the
+// history may have dropped its oldest entries.
+func poisonMessage(key harness.Key, history []string) string {
+	attempts := 0
+	for i := len(history) - 1; i >= 0; i-- {
+		var n int
+		if _, err := fmt.Sscanf(history[i], "attempt %d failed:", &n); err == nil {
+			attempts = n
+			break
+		}
+	}
 	msg := fmt.Sprintf("serve: task %s poisoned after %d failed attempts", key, attempts)
 	if len(history) > 0 {
 		msg += " [" + strings.Join(history, "; ") + "]"
@@ -405,7 +417,7 @@ func retryDelay(base time.Duration, retry int, key harness.Key) time.Duration {
 // submissions of its key fail fast, and the quarantine is persisted
 // through the journal when one is attached. caller holds mu.
 func (c *cluster) poisonLocked(t *clusterTask) {
-	msg := poisonMessage(t.key, t.retries, t.history)
+	msg := poisonMessage(t.key, t.history)
 	c.poisoned[t.key] = msg
 	c.poisonedTotal.Add(1)
 	c.finishLocked(t, failedTaskResult(t.spec, errors.New(msg)))

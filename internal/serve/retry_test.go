@@ -275,6 +275,76 @@ func TestPoisonPersistsAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestPoisonMessageSurvivesRestart: a poisoned key answers with the
+// same failure before and after a coordinator restart. The history
+// holds a no-penalty reroute note besides the failed attempts, so a
+// count taken from the history's length would read one attempt more
+// after the restart than before it.
+func TestPoisonMessageSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	jl, err := journal.Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := newCluster(time.Minute, 3, time.Millisecond, jl)
+	now := time.Now()
+	c.register("w1", now)
+	c.register("w2", now)
+
+	// A spec whose key shards onto w1, so the drain below reroutes it.
+	var spec harness.Spec
+	var key harness.Key
+	for seed := int64(1); ; seed++ {
+		spec = harness.Spec{Workload: mustWorkload(t, "Empty"), Seed: seed}
+		if key, err = harness.SpecKey(spec); err != nil {
+			t.Fatal(err)
+		}
+		if int(key[0])%2 == 0 {
+			break
+		}
+	}
+	task, _ := c.submit(key, spec, now)
+	pullTask(t, c, "w1")
+	if !c.deregister("w1", now) {
+		t.Fatal("deregister of a registered worker reported unknown")
+	}
+	for attempt := 1; attempt <= 4; attempt++ {
+		pullTask(t, c, "w2")
+		if !c.fail("w2", key, "boom", time.Now()) {
+			t.Fatalf("attempt %d: failure was not attributed", attempt)
+		}
+	}
+	<-task.done
+	before := task.res.Err.Error()
+	if !strings.Contains(before, "poisoned after 4 failed attempts") {
+		t.Fatalf("poison message %q, want 4 failed attempts", before)
+	}
+
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if _, ok := jl.Poisoned()[key.String()]; ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("poison record never reached the journal")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	jl2, err := journal.Open(dir, journal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2 := newCluster(time.Minute, 3, time.Millisecond, jl2)
+	c2.register("w1", now)
+	task2, _ := c2.submit(key, spec, now)
+	if task2.res == nil || task2.res.Err == nil {
+		t.Fatal("restarted cluster did not fail the poisoned key fast")
+	}
+	if after := task2.res.Err.Error(); after != before {
+		t.Fatalf("poison message moved across the restart:\nbefore %q\n after %q", before, after)
+	}
+}
+
 // TestWorkerReportedFailurePoisons is the end-to-end failed-line path:
 // a worker that cannot execute a spec posts a failed result line; with
 // a zero retry budget the coordinator poisons the task, and a later

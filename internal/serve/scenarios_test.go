@@ -44,12 +44,12 @@ const consensusDoc = `{"mode":"Native","size":"Low","seed":5,"scenario":{"versio
 // is addressable via /v1/results.
 func TestScenarioRunEndpoint(t *testing.T) {
 	_, ts := newTestServer(t)
-	body := `{"mode":"Native","seed":3,"scenario":{"version":1,"name":"attested-session"}}`
+	body := `{"mode":"Native","seed":3,"scenario":{"version":1,"name":"interference"}}`
 	resp, first := postRun(t, ts, body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST /v1/run with a scenario: %d", resp.StatusCode)
 	}
-	if first.Cached || first.Result == nil || first.Result.Name != "attested-session" {
+	if first.Cached || first.Result == nil || first.Result.Name != "interference" {
 		t.Fatalf("first run: %+v", first)
 	}
 	if first.Result.Error != "" {
@@ -118,7 +118,7 @@ func TestScenarioRunRejectsBadRequests(t *testing.T) {
 		// A default-cast size is not a SpecWire field: the cast is
 		// explicit, so one document names one run.
 		"cast-and-n":   {`{"mode":"Native","n":3,"scenario":{"version":1,"name":"consensus"}}`, "unknown field"},
-		"bad-cast":     {`{"mode":"Native","scenario":{"version":1,"name":"attested-session","enclaves":[{"role":"client"}]}}`, "exactly 2"},
+		"bad-cast":     {`{"mode":"Native","scenario":{"version":1,"name":"consensus","enclaves":[{"role":"node"}]}}`, "at least 2 nodes"},
 		"missing-name": {`{"mode":"Native","scenario":{"version":1}}`, "valid: "},
 	}
 	for name, tc := range cases {

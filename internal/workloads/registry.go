@@ -16,10 +16,11 @@ import (
 type Descriptor struct {
 	// Name is the canonical (case-sensitive) registry name: the
 	// Table 2 workload name ("BTree") or the scenario name
-	// ("attested-session").
+	// ("consensus").
 	Name string
 	// Property is the Table 2-style characterization shown by list
-	// commands ("Data-intensive", "Attested multi-enclave"...).
+	// commands ("Data-intensive", "N attested validators in lockstep
+	// rounds"...).
 	Property string
 	// NativePort reports whether a workload runs in Native mode;
 	// meaningless for scenarios (which always simulate Native-mode

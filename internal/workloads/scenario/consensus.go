@@ -44,14 +44,20 @@ func consensusDefaults(n int) []Enclave {
 	return cast
 }
 
+// consensusValidate checks the cast: at least two nodes, each in the
+// node role, all running the same number of rounds. The nodes advance
+// in lockstep, so the build reads one round count for all of them.
 func consensusValidate(sp Spec) error {
 	cast := sp.Cast()
 	if len(cast) < 2 {
 		return fmt.Errorf("scenario: consensus needs at least 2 nodes, got %d", len(cast))
 	}
 	for i, e := range cast {
-		if e.Role != "" && e.Role != "node" {
+		if e.Role != "node" {
 			return fmt.Errorf("scenario: consensus enclave %d must have role \"node\", got %q", i, e.Role)
+		}
+		if e.Ops != cast[0].Ops {
+			return fmt.Errorf("scenario: consensus nodes run in lockstep, but enclave %d has ops %d and enclave 0 has %d", i, e.Ops, cast[0].Ops)
 		}
 	}
 	return nil
@@ -63,7 +69,7 @@ type post struct {
 	quote attest.Quote
 }
 
-func buildConsensus(m *sgx.Machine, sp Spec, seed int64) (*Instance, error) {
+func buildConsensus(m *sgx.Machine, sp Spec) (*Instance, error) {
 	cast := sp.Cast()
 	n := len(cast)
 	epc := m.Config().EPCPages
@@ -119,7 +125,7 @@ func buildConsensus(m *sgx.Machine, sp Spec, seed int64) (*Instance, error) {
 				// set, inside the enclave.
 				var hash uint64
 				t.ECall(func() {
-					hash = touchPages(p, bases[node], ws[node], 1, uint64(r)<<8|uint64(node))
+					hash = touchPages(p, bases[node], ws[node], uint64(r)<<8|uint64(node))
 					hash = hash*0x9e3779b97f4a7c15 + chains[node] + uint64(r)
 					t.Compute(2048) // block assembly
 				})
@@ -191,4 +197,59 @@ func buildConsensus(m *sgx.Machine, sp Spec, seed int64) (*Instance, error) {
 			}, nil
 		},
 	}, nil
+}
+
+// workingSetPages maps an enclave's Size setting to a working set
+// relative to the machine's EPC, following the Table 1 convention:
+// Low fits comfortably, Medium nears the EPC, High exceeds it — so a
+// Medium/High cast of several enclaves contends hard for the EPC even
+// though each would fit alone.
+func workingSetPages(epcPages int, s workloads.Size) int {
+	switch s {
+	case workloads.Medium:
+		return (epcPages * 3) / 4
+	case workloads.High:
+		return (epcPages * 3) / 2
+	default:
+		return epcPages / 4
+	}
+}
+
+// launchEnclave boots one Native-mode environment with an enclave
+// sized for the given working set and returns it with the working
+// set's base address.
+func launchEnclave(m *sgx.Machine, wsPages int) (*sgx.Env, uint64, error) {
+	env := m.NewEnv(sgx.Native)
+	size := workloads.NativeImagePages + wsPages + 16
+	if _, err := env.LaunchEnclaveReserve(workloads.NativeImagePages, workloads.NativeImagePages, size); err != nil {
+		return nil, 0, err
+	}
+	base, err := env.Alloc(uint64(wsPages)*pageSize, pageSize)
+	if err != nil {
+		return nil, 0, err
+	}
+	return env, base, nil
+}
+
+// pollCost is the simulated cost of one poll of the shared ledger
+// while waiting for a co-resident node — an OCALL-free spin on
+// untrusted shared memory.
+const pollCost = 64
+
+// touchPages sweeps the working set [base, base+pages), one write per
+// page plus per-page compute, yielding to co-residents as it goes.
+func touchPages(p *sgx.Proc, base uint64, pages int, salt uint64) uint64 {
+	t := p.T()
+	var sum uint64
+	for i := 0; i < pages; i++ {
+		addr := base + uint64(i)*pageSize
+		v := t.ReadU64(addr) + salt + uint64(i)
+		t.WriteU64(addr, v)
+		sum ^= v
+		t.Compute(32)
+		if i%16 == 0 {
+			p.Yield()
+		}
+	}
+	return sum
 }

@@ -51,7 +51,7 @@ func interferenceValidate(sp Spec) error {
 		return fmt.Errorf("scenario: interference takes no quantum, got %d", sp.Quantum)
 	}
 	for i, e := range sp.Cast() {
-		if e.Role != "" && e.Role != "instance" {
+		if e.Role != "instance" {
 			return fmt.Errorf("scenario: interference enclave %d must have role \"instance\", got %q", i, e.Role)
 		}
 		if e.Size != workloads.Low || e.Ops != 0 {
@@ -61,7 +61,7 @@ func interferenceValidate(sp Spec) error {
 	return nil
 }
 
-func buildInterference(m *sgx.Machine, sp Spec, _ int64) (*Instance, error) {
+func buildInterference(m *sgx.Machine, sp Spec) (*Instance, error) {
 	k := len(sp.Cast())
 	fp := InterferencePages(m.Config().EPCPages)
 	envs := make([]*sgx.Env, k)

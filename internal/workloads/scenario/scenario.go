@@ -1,8 +1,9 @@
-// Package scenario implements attested multi-enclave scenarios: N
-// workloads running as concurrently simulated enclaves on one machine,
-// time-shared by the deterministic sgx.Interleave scheduler and bound
-// together by the internal/attest stack (quote handshakes, sealed key
-// exchange, encrypted request streams).
+// Package scenario implements multi-enclave scenarios: N workloads
+// running as concurrently simulated enclaves on one machine,
+// time-shared by the deterministic sgx.Interleave scheduler. Two ship:
+// interference, the co-resident enclaves behind the multi experiment
+// (paper §3.2.1), and consensus, validators that quote, verify and
+// seal through the internal/attest stack in lockstep rounds.
 //
 // Scenarios register in the shared workloads registry (marked
 // Scenario), so every valid-name list — wire validation, /v1 errors,
@@ -46,9 +47,8 @@ type Spec struct {
 
 // Enclave is one co-resident enclave's sub-spec.
 type Enclave struct {
-	// Role is the scenario-defined part this enclave plays ("client",
-	// "server", "node", "foreground", "neighbor"); empty means the
-	// scenario's default for that slot.
+	// Role is the scenario-defined part this enclave plays ("node",
+	// "instance"); empty means the scenario's default for that slot.
 	Role string `json:"role,omitempty"`
 	// Size scales the enclave's working set against the EPC, like the
 	// Table 1 input settings scale single-enclave workloads.
@@ -74,7 +74,7 @@ type Instance struct {
 
 // Descriptor is one registered scenario.
 type Descriptor struct {
-	// Name is the registry name ("attested-session", ...).
+	// Name is the registry name ("consensus", ...).
 	Name string
 	// Property is the listing characterization.
 	Property string
@@ -85,7 +85,7 @@ type Descriptor struct {
 	// count, roles); nil means any cast is accepted.
 	Validate func(sp Spec) error
 	// Build constructs the scenario on a freshly booted machine.
-	Build func(m *sgx.Machine, sp Spec, seed int64) (*Instance, error)
+	Build func(m *sgx.Machine, sp Spec) (*Instance, error)
 }
 
 var (
@@ -156,16 +156,26 @@ func (sp Spec) Validate() error {
 	return nil
 }
 
-// Cast resolves the spec's enclave list, substituting the scenario's
-// defaults when the list is empty.
+// Cast resolves the spec's enclave list as the scenario runs it: the
+// default cast when the list is empty, and each blank role replaced by
+// the default cast's role for that slot. It returns a fresh slice, so
+// canonicalizing a spec never rewrites the caller's envelope.
 func (sp Spec) Cast() []Enclave {
-	if len(sp.Enclaves) > 0 {
+	d, ok := Lookup(sp.Name)
+	if !ok {
 		return sp.Enclaves
 	}
-	if d, ok := Lookup(sp.Name); ok {
+	if len(sp.Enclaves) == 0 {
 		return d.Defaults(0)
 	}
-	return nil
+	defaults := d.Defaults(len(sp.Enclaves))
+	cast := append([]Enclave(nil), sp.Enclaves...)
+	for i := range cast {
+		if cast[i].Role == "" {
+			cast[i].Role = defaults[i].Role
+		}
+	}
+	return cast
 }
 
 // New returns a versioned spec for the named scenario with its
@@ -179,61 +189,5 @@ func New(name string, n int) (Spec, error) {
 	return Spec{Version: SchemaVersion, Name: name, Enclaves: d.Defaults(n)}, nil
 }
 
-// workingSetPages maps an enclave's Size setting to a working set
-// relative to the machine's EPC, following the Table 1 convention:
-// Low fits comfortably, Medium nears the EPC, High exceeds it — so a
-// Medium/High cast of several enclaves contends hard for the EPC even
-// though each would fit alone.
-func workingSetPages(epcPages int, s workloads.Size) int {
-	switch s {
-	case workloads.Medium:
-		return (epcPages * 3) / 4
-	case workloads.High:
-		return (epcPages * 3) / 2
-	default:
-		return epcPages / 4
-	}
-}
-
-// launchEnclave boots one Native-mode environment with an enclave
-// sized for the given working set and returns it with the working
-// set's base address.
-func launchEnclave(m *sgx.Machine, wsPages int) (*sgx.Env, uint64, error) {
-	env := m.NewEnv(sgx.Native)
-	size := workloads.NativeImagePages + wsPages + 16
-	if _, err := env.LaunchEnclaveReserve(workloads.NativeImagePages, workloads.NativeImagePages, size); err != nil {
-		return nil, 0, err
-	}
-	base, err := env.Alloc(uint64(wsPages)*pageSize, pageSize)
-	if err != nil {
-		return nil, 0, err
-	}
-	return env, base, nil
-}
-
 // pageSize mirrors mem.PageSize without importing it everywhere.
 const pageSize = 4096
-
-// pollCost is the simulated cost of one poll of a shared mailbox or
-// barrier while waiting for a co-resident enclave — an OCALL-free spin
-// on untrusted shared memory.
-const pollCost = 64
-
-// touchPages sweeps the working set [base, base+pages), one write per
-// page plus per-page compute, yielding to co-residents as it goes.
-// This is the EPC pressure loop every scenario's enclaves apply.
-func touchPages(p *sgx.Proc, base uint64, pages, stride int, salt uint64) uint64 {
-	t := p.T()
-	var sum uint64
-	for i := 0; i < pages; i += stride {
-		addr := base + uint64(i)*pageSize
-		v := t.ReadU64(addr) + salt + uint64(i)
-		t.WriteU64(addr, v)
-		sum ^= v
-		t.Compute(32)
-		if i%16 == 0 {
-			p.Yield()
-		}
-	}
-	return sum
-}

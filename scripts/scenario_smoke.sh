@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
-# scenario_smoke.sh — end-to-end smoke of attested multi-enclave
-# scenarios through the daemon and the sweep cluster: a single node
-# runs a sweep of scenario specs, then a coordinator plus two workers
-# run the identical sweep, and the result streams must agree
-# byte-for-byte. This pins the determinism contract across process
+# scenario_smoke.sh — end-to-end smoke of the multi-enclave scenarios
+# (consensus and interference) through the daemon and the sweep
+# cluster: a single node runs a sweep of scenario specs of several
+# casts and seeds, then a coordinator plus two workers run the
+# identical sweep, and the result streams must agree byte-for-byte. This pins the determinism contract across process
 # boundaries: a scenario's interleaving is a pure function of its
 # spec, so where it executes (local engine, worker A, worker B) can
 # never show in the bytes.
@@ -42,11 +42,11 @@ stop_fleet() {
   pids=()
 }
 
-sweep='[{"mode":"Native","size":"Low","seed":1,"scenario":{"version":1,"name":"attested-session"}},
-       {"mode":"Native","size":"Low","seed":2,"scenario":{"version":1,"name":"attested-session"}},
-       {"mode":"Native","size":"Low","seed":3,"scenario":{"version":1,"name":"consensus"}},
-       {"mode":"Native","size":"Low","seed":4,"scenario":{"version":1,"name":"noisy-neighbor"}},
-       {"mode":"Native","size":"Low","seed":5,"scenario":{"version":1,"name":"interference"}}]'
+sweep='[{"mode":"Native","size":"Low","seed":1,"scenario":{"version":1,"name":"consensus"}},
+       {"mode":"Native","size":"Low","seed":2,"scenario":{"version":1,"name":"consensus","enclaves":[{"role":"node","size":"High","ops":3},{"role":"node","size":"High","ops":3},{"role":"node","size":"High","ops":3}]}},
+       {"mode":"Native","size":"Low","seed":3,"scenario":{"version":1,"name":"interference"}},
+       {"mode":"Native","size":"Low","seed":4,"scenario":{"version":1,"name":"interference","enclaves":[{"role":"instance"},{"role":"instance"}]}},
+       {"mode":"Native","size":"Low","seed":5,"scenario":{"version":1,"name":"interference","enclaves":[{},{},{},{},{},{},{},{}]}}]'
 
 echo "== pass 1: single node runs the scenario sweep =="
 "$workdir/sgxgauge" serve -addr "127.0.0.1:$port" -epc "$epc" &
@@ -56,8 +56,7 @@ wait_healthy "$base"
 # posted to /v1/run. (Responses land in files first: grep -q closing
 # the pipe early makes curl report a write error under pipefail.)
 curl -sf "$base/v1/scenarios" >"$workdir/list.json"
-grep -q '"attested-session"' "$workdir/list.json"
-grep -q '"interference"' "$workdir/list.json"
+test "$(grep -o '"name":"[^"]*"' "$workdir/list.json" | tr -d '\n')" = '"name":"consensus""name":"interference"'
 curl -sf -X POST "$base/v1/run" -d '{"mode":"Native","seed":9,"scenario":{"version":1,"name":"consensus",
   "enclaves":[{"role":"node","size":"Medium"},{"role":"node","size":"Medium"}]}}' >"$workdir/run.json"
 grep -q '"name":"consensus"' "$workdir/run.json"
