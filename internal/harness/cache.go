@@ -108,10 +108,9 @@ type Runner struct {
 	initOnce sync.Once
 	// slots holds one token per local simulation, Jobs wide.
 	slots chan struct{}
-	// boots shares LibOS boots across every batch, with at most Jobs
-	// templates live (see DESIGN.md §"Boot templates").
-	boots     *bootPlan
-	bootStats bootStats
+	// boots holds the LibOS boot templates every batch clones, at
+	// most Jobs live (see DESIGN.md §"Boot templates").
+	boots bootCache
 
 	mu sync.Mutex
 	// flights holds the one in-flight execution per key, across
@@ -140,7 +139,7 @@ func (r *Runner) init() ResultCache {
 			n = runtime.GOMAXPROCS(0)
 		}
 		r.slots = make(chan struct{}, n)
-		r.boots = newBootPlan(n, &r.bootStats)
+		r.boots.limit = n
 	})
 	return r.Cache
 }
@@ -170,7 +169,7 @@ func (r *Runner) RunLocal(spec Spec) *Result {
 	r.init()
 	r.acquire()
 	defer r.release()
-	res := runWithRetry(r.normalize(spec), 0, &bootSlot{plan: r.boots})
+	res, _ := runWithRetry(r.normalize(spec), 0, &r.boots)
 	return &res
 }
 
@@ -223,10 +222,12 @@ type RunStats struct {
 	// InFlight is the number of distinct keys executing or queued.
 	InFlight int
 	// TemplateBuilds, ClonedBoots and InPlaceBoots count how local
-	// LibOS specs booted: building a shared template, on a clone of
-	// one, or on a machine of their own (see DESIGN.md §"Boot
-	// templates"). A spec that builds a template also runs on a clone
-	// of it, so it counts in both of the first two.
+	// LibOS specs booted: building the template for their boot
+	// configuration, on a clone of it, or on a machine of their own
+	// (hooks, chaos, a timeline, every live template busy, or a failed
+	// template build; see DESIGN.md §"Boot templates"). A spec that
+	// builds a template also runs on a clone of it, so it counts in
+	// both of the first two.
 	TemplateBuilds uint64
 	ClonedBoots    uint64
 	InPlaceBoots   uint64
@@ -242,9 +243,9 @@ func (r *Runner) Stats() RunStats {
 		Coalesced:      r.coalesced.Load(),
 		Busy:           r.busy.Load(),
 		InFlight:       inflight,
-		TemplateBuilds: r.bootStats.builds.Load(),
-		ClonedBoots:    r.bootStats.clones.Load(),
-		InPlaceBoots:   r.bootStats.inPlace.Load(),
+		TemplateBuilds: r.boots.builds.Load(),
+		ClonedBoots:    r.boots.clones.Load(),
+		InPlaceBoots:   r.boots.inPlace.Load(),
 	}
 }
 

@@ -29,8 +29,8 @@ func runDifferential(t *testing.T, spec Spec) {
 	slowMachine.SlowPath = true
 	slowSpec.Machine = &slowMachine
 
-	fast, errF := runOne(fastSpec, nil)
-	slow, errS := runOne(slowSpec, nil)
+	fast, _, errF := runOne(fastSpec, nil)
+	slow, _, errS := runOne(slowSpec, nil)
 	if (errF == nil) != (errS == nil) || (errF != nil && errF.Error() != errS.Error()) {
 		t.Fatalf("errors diverged: fast %v, slow %v", errF, errS)
 	}

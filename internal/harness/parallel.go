@@ -36,8 +36,8 @@ type Progress struct {
 	// concurrent batch leads). Such events are emitted only when the
 	// batch opts in via ProgressCached.
 	Cached bool
-	// Cloned marks a LibOS spec that ran on a clone of a boot it
-	// shared with other specs of the batch instead of booting its own
+	// Cloned marks a LibOS spec that ran on a clone of the Runner's
+	// template for its boot configuration instead of booting its own
 	// machine (see DESIGN.md §"Boot templates"). Like Wall it is
 	// reporting-only: the Result is identical either way.
 	Cloned bool
@@ -87,23 +87,21 @@ func Retry(n int) Option {
 
 // runBatch is the parallel engine under RunAll: it executes every
 // spec on Jobs goroutines, each on its own simulated machine; LibOS
-// specs that boot the same configuration share one boot (see
-// planBoots). Each spec's deterministic seeding is untouched, so a
-// batch is bit-for-bit identical to running the same specs serially.
-// A spec that errors or panics yields a Result with Err set instead of
+// specs run on clones of the Runner's boot templates (see bootCache).
+// Each spec's deterministic seeding is untouched, so a batch is
+// bit-for-bit identical to running the same specs serially. A spec
+// that errors or panics yields a Result with Err set instead of
 // aborting its siblings. done sees each spec's Result as it lands, by
 // position in specs, and the spec's progress event with Wall, Name,
 // Mode, Err and Cloned filled in; calls may be concurrent.
 func (r *Runner) runBatch(specs []Spec, o engineOpts, done func(i int, res *Result, ev Progress)) {
 	results := make([]Result, len(specs))
-	// Specs sent to a remote executor never claim their slot, so they
-	// never build a template; finish releases their share of the plan.
-	boots := planBoots(r.boots, specs)
 	forEach(len(specs), r.Jobs, func(i int) {
 		// Both wall-clock reads for Progress.Wall are bound here, under
 		// the package's one determinism pragma.
 		//sgxlint:ignore determinism Progress.Wall is host-side reporting that never enters a Result
 		start, since := time.Now(), time.Since
+		cloned := false
 		if r.Exec != nil && specs[i].Hooks.empty() {
 			// Remote execution holds no worker slot. The executor's
 			// Result already carries every failure and the attempt
@@ -114,16 +112,15 @@ func (r *Runner) runBatch(specs []Spec, o engineOpts, done func(i int, res *Resu
 			}
 		} else {
 			r.acquire()
-			results[i] = runWithRetry(specs[i], o.retries, boots[i])
+			results[i], cloned = runWithRetry(specs[i], o.retries, &r.boots)
 			r.release()
 		}
-		boots[i].finish()
 		done(i, &results[i], Progress{
 			Name:   results[i].Name,
 			Mode:   specs[i].Mode,
 			Wall:   since(start),
 			Err:    results[i].Err,
-			Cloned: boots[i].cloned,
+			Cloned: cloned,
 		})
 	})
 }
@@ -131,15 +128,16 @@ func (r *Runner) runBatch(specs []Spec, o engineOpts, done func(i int, res *Resu
 // runWithRetry executes the spec, re-running it up to retries more
 // times on transient injected faults. It returns the last attempt's
 // result (possibly a partial, fault-bearing one) with its error in Err
-// and the number of attempts that ran.
-func runWithRetry(spec Spec, retries int, boot *bootSlot) Result {
+// and the number of attempts that ran, and whether that attempt's boot
+// was cloned from one of boots' templates.
+func runWithRetry(spec Spec, retries int, boots *bootCache) (Result, bool) {
 	for attempt := 0; ; attempt++ {
 		s := spec
 		if attempt > 0 && s.Chaos != nil {
 			derived := s.Chaos.WithAttempt(attempt)
 			s.Chaos = &derived
 		}
-		res, err := runSafe(s, boot)
+		res, cloned, err := runSafe(s, boots)
 		if err == nil || attempt >= retries || !sgx.IsTransient(err) {
 			out := failedResult(spec, err)
 			if res != nil {
@@ -147,20 +145,20 @@ func runWithRetry(spec Spec, retries int, boot *bootSlot) Result {
 				out.Err = err
 			}
 			out.Attempts = attempt + 1
-			return out
+			return out, cloned
 		}
 	}
 }
 
-// runSafe is Run with panic containment: one bad config surfaces as
+// runSafe is runOne with panic containment: one bad config surfaces as
 // an error instead of killing the whole sweep.
-func runSafe(spec Spec, boot *bootSlot) (res *Result, err error) {
+func runSafe(spec Spec, boots *bootCache) (res *Result, cloned bool, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("harness: run panicked: %v", r)
 		}
 	}()
-	return runOne(spec, boot)
+	return runOne(spec, boots)
 }
 
 // failedResult echoes what identification the spec offers alongside

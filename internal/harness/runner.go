@@ -8,12 +8,11 @@
 // workload's run portion — GrapheneSGX-style startup is recorded
 // separately and excluded, exactly as the paper does (Appendix D).
 //
-// Each run's machine is fully independent (LibOS specs of one batch
-// that boot the same configuration run on clones of one shared boot),
-// so batches of specs run concurrently through RunAll on a worker
-// pool; all simulated time comes from per-run seeded state, so a
-// parallel batch is bit-for-bit identical to running the same specs
-// serially.
+// Each run's machine is fully independent (LibOS specs that boot the
+// same configuration run on clones of one booted template), so batches
+// of specs run concurrently through RunAll on a worker pool; all
+// simulated time comes from per-run seeded state, so a parallel batch
+// is bit-for-bit identical to running the same specs serially.
 package harness
 
 import (
@@ -190,24 +189,26 @@ func libosManifest(spec Spec, files []string) libos.Manifest {
 }
 
 // runOne executes one spec on a fresh machine — or, for a LibOS spec
-// whose boot the batch shares, on a clone of the batch's booted
-// template (boot may be nil: boot in place) — and releases the
-// machine's page memory once the Result holds what it measured. It is
-// the engine primitive under the Runner API: unlike Runner.Run it is
-// uncached, retries nothing, and reports the spec's own failure
-// through the error return (runWithRetry moves it into Result.Err).
-func runOne(spec Spec, boot *bootSlot) (*Result, error) {
+// the boot cache serves, on a clone of its boot key's template (boots
+// may be nil: boot in place) — and releases the machine's page memory
+// once the Result holds what it measured. cloned reports a cloned
+// boot. It is the engine primitive under the Runner API: unlike
+// Runner.Run it is uncached, retries nothing, and reports the spec's
+// own failure through the error return (runWithRetry moves it into
+// Result.Err).
+func runOne(spec Spec, boots *bootCache) (res *Result, cloned bool, err error) {
 	if spec.EPCPages < 0 {
-		return nil, fmt.Errorf("harness: EPC size must not be negative, got %d pages", spec.EPCPages)
+		return nil, false, fmt.Errorf("harness: EPC size must not be negative, got %d pages", spec.EPCPages)
 	}
 	if spec.Scenario != nil {
-		return runScenario(spec)
+		res, err = runScenario(spec)
+		return res, false, err
 	}
 	if spec.Workload == nil {
-		return nil, fmt.Errorf("harness: spec has no workload")
+		return nil, false, fmt.Errorf("harness: spec has no workload")
 	}
 	if spec.Mode == sgx.Native && !spec.Workload.NativePort() {
-		return nil, fmt.Errorf("harness: %s has no Native-mode port", spec.Workload.Name())
+		return nil, false, fmt.Errorf("harness: %s has no Native-mode port", spec.Workload.Name())
 	}
 
 	cfg := machineConfig(spec)
@@ -234,7 +235,7 @@ func runOne(spec Spec, boot *bootSlot) (*Result, error) {
 	// Host-side preparation happens before any environment exists,
 	// so LibOS manifest processing sees the input files.
 	if err := spec.Workload.Setup(ctx); err != nil {
-		return nil, fmt.Errorf("harness: setup of %s: %w", spec.Workload.Name(), err)
+		return nil, false, fmt.Errorf("harness: setup of %s: %w", spec.Workload.Name(), err)
 	}
 
 	var env *sgx.Env
@@ -252,21 +253,21 @@ func runOne(spec Spec, boot *bootSlot) (*Result, error) {
 	case sgx.LibOS:
 		// The manifest trusts every file present after setup.
 		man := libosManifest(spec, rawFS.List())
-		inst, bootErr := boot.start(newMachine, cfg, rawFS, man, spec.Timeline)
-		if bootErr != nil {
-			return nil, fmt.Errorf("harness: booting LibOS: %w", bootErr)
+		var inst *libos.Instance
+		if inst, cloned, err = boots.boot(spec, newMachine, rawFS, man); err != nil {
+			return nil, false, fmt.Errorf("harness: booting LibOS: %w", err)
 		}
 		env = inst.Env
 		ctx.LibOS = inst
 		ctx.FS = inst.FS()
 	default:
-		return nil, fmt.Errorf("harness: unknown mode %v", spec.Mode)
+		return nil, false, fmt.Errorf("harness: unknown mode %v", spec.Mode)
 	}
 	ctx.Env = env
 	// Deferred, so it runs after finish has read the machine.
 	defer env.M.Release()
 
-	res := &Result{
+	res = &Result{
 		Name:            spec.Workload.Name(),
 		Mode:            spec.Mode,
 		Params:          params,
@@ -284,7 +285,7 @@ func runOne(spec Spec, boot *bootSlot) (*Result, error) {
 	if spec.Mode == sgx.Native {
 		foot, err := spec.Workload.FootprintPages(params)
 		if err != nil {
-			return nil, fmt.Errorf("harness: sizing Native enclave: %w", err)
+			return nil, false, fmt.Errorf("harness: sizing Native enclave: %w", err)
 		}
 		size := workloads.NativeEnclaveSize(foot)
 		var launchErr error
@@ -294,7 +295,8 @@ func runOne(spec Spec, boot *bootSlot) (*Result, error) {
 			launchErr = perr
 		}
 		if launchErr != nil {
-			return res.finish(env.M, env.Elapsed(), fmt.Errorf("harness: launching Native enclave: %w", launchErr))
+			res, err = res.finish(env.M, env.Elapsed(), fmt.Errorf("harness: launching Native enclave: %w", launchErr))
+			return res, false, err
 		}
 	}
 
@@ -310,10 +312,12 @@ func runOne(spec Spec, boot *bootSlot) (*Result, error) {
 		runErr = perr
 	}
 	if runErr != nil {
-		return res.finish(env.M, env.Elapsed(), fmt.Errorf("harness: running %s in %v mode: %w", spec.Workload.Name(), spec.Mode, runErr))
+		runErr = fmt.Errorf("harness: running %s in %v mode: %w", spec.Workload.Name(), spec.Mode, runErr)
+	} else {
+		res.Output = out
 	}
-	res.Output = out
-	return res.finish(env.M, env.Elapsed(), nil)
+	res, err = res.finish(env.M, env.Elapsed(), runErr)
+	return res, cloned, err
 }
 
 // Overhead returns the runtime overhead of res relative to base

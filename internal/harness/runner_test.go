@@ -16,7 +16,7 @@ func mustRun(t *testing.T, spec Spec) *Result {
 	if spec.EPCPages == 0 {
 		spec.EPCPages = testEPC
 	}
-	res, err := runOne(spec, nil)
+	res, _, err := runOne(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,20 +24,20 @@ func mustRun(t *testing.T, spec Spec) *Result {
 }
 
 func TestRunRejectsBadSpecs(t *testing.T) {
-	if _, err := runOne(Spec{}, nil); err == nil {
+	if _, _, err := runOne(Spec{}, nil); err == nil {
 		t.Error("nil workload accepted")
 	}
 	lighttpd, _ := suite.ByName("Lighttpd")
-	if _, err := runOne(Spec{Workload: lighttpd, Mode: sgx.Native}, nil); err == nil {
+	if _, _, err := runOne(Spec{Workload: lighttpd, Mode: sgx.Native}, nil); err == nil {
 		t.Error("Native run of a LibOS-only workload accepted")
 	}
 	btree, _ := suite.ByName("BTree")
-	if _, err := runOne(Spec{Workload: btree, Mode: sgx.Native, EPCPages: -5}, nil); err == nil {
+	if _, _, err := runOne(Spec{Workload: btree, Mode: sgx.Native, EPCPages: -5}, nil); err == nil {
 		t.Error("negative EPC size accepted")
 	}
 	sc := scenarioSpec(t, "consensus", 3, 9)
 	sc.EPCPages = -5
-	if _, err := runOne(sc, nil); err == nil {
+	if _, _, err := runOne(sc, nil); err == nil {
 		t.Error("scenario with a negative EPC size accepted")
 	}
 	// The CLIs' -epc flags reach the engine through Runner.Run.
@@ -146,11 +146,11 @@ func TestRunnerCaching(t *testing.T) {
 func TestDeterministicAcrossRuns(t *testing.T) {
 	w, _ := suite.ByName("HashJoin")
 	spec := Spec{Workload: w, Mode: sgx.Native, Size: workloads.Low, EPCPages: testEPC, Seed: 9}
-	a, err := runOne(spec, nil)
+	a, _, err := runOne(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := runOne(spec, nil)
+	b, _, err := runOne(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

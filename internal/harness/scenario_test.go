@@ -54,8 +54,8 @@ func encodeForCompare(t *testing.T, res *Result) []byte {
 func TestScenarioRerunBitIdentical(t *testing.T) {
 	for name, spec := range allScenarioSpecs(t, 42) {
 		t.Run(name, func(t *testing.T) {
-			a, errA := runOne(spec, nil)
-			b, errB := runOne(spec, nil)
+			a, _, errA := runOne(spec, nil)
+			b, _, errB := runOne(spec, nil)
 			if errA != nil || errB != nil {
 				t.Fatalf("runs failed: %v / %v", errA, errB)
 			}
@@ -247,7 +247,7 @@ func TestScenarioThroughRunnerCache(t *testing.T) {
 // TestScenarioResultShape sanity-checks the consensus outputs the docs
 // advertise.
 func TestScenarioResultShape(t *testing.T) {
-	res, err := runOne(scenarioSpec(t, "consensus", 3, 9), nil)
+	res, _, err := runOne(scenarioSpec(t, "consensus", 3, 9), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

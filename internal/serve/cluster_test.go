@@ -68,6 +68,22 @@ func startWorker(t *testing.T, coordinatorURL, id string, cfg Config) (*Server, 
 	return ws, wk
 }
 
+// TestHealthzClusterRoles: /healthz derives each daemon's role, a
+// coordinator from its configuration and a worker from the Worker
+// driving it.
+func TestHealthzClusterRoles(t *testing.T) {
+	_, cts := startCoordinator(t, Config{})
+	ws, _ := startWorker(t, cts.URL, "w1", Config{})
+	wts := httptest.NewServer(ws.Handler())
+	t.Cleanup(wts.Close)
+	if role := getHealthz(t, cts.URL).Role; role != "coordinator" {
+		t.Errorf("coordinator healthz role = %q, want coordinator", role)
+	}
+	if role := getHealthz(t, wts.URL).Role; role != "worker" {
+		t.Errorf("worker healthz role = %q, want worker", role)
+	}
+}
+
 // waitForWorkers blocks until the coordinator sees n live workers.
 func waitForWorkers(t *testing.T, s *Server, n int) {
 	t.Helper()

@@ -82,13 +82,6 @@ func Main(args []string) error {
 		log.Printf("sgxgauged: job journal at %s", jl.Dir())
 	}
 
-	role := "standalone"
-	switch {
-	case *coordinator:
-		role = "coordinator"
-	case *workerFor != "":
-		role = "worker"
-	}
 	s := New(Config{
 		EPCPages:     *epcPages,
 		Seed:         *seed,
@@ -98,7 +91,6 @@ func Main(args []string) error {
 		Coordinator:  *coordinator,
 		WorkerTTL:    *workerTTL,
 		Journal:      jl,
-		Role:         role,
 		MaxQueue:     *maxQueue,
 		TaskRetries:  *taskRetries,
 	})
@@ -114,8 +106,11 @@ func Main(args []string) error {
 	errc := make(chan error, 1)
 	//sgxlint:detached Serve lives for the whole process; its exit is joined via the errc receive in the select below
 	go func() { errc <- srv.Serve(ln) }()
-	logRole := role
-	if *workerFor != "" {
+	logRole := "standalone"
+	switch {
+	case *coordinator:
+		logRole = "coordinator"
+	case *workerFor != "":
 		logRole = "worker for " + *workerFor
 	}
 	log.Printf("sgxgauged: serving on http://%s (epc=%d pages, seed=%d, %s)", ln.Addr(), *epcPages, *seed, logRole)

@@ -111,7 +111,7 @@ func (m *metrics) render(w io.Writer, cache *Cache, r *harness.Runner) {
 	fmt.Fprintln(w, "# HELP sgxgauged_runs_coalesced_total Cache misses served by waiting on an identical in-flight execution.")
 	fmt.Fprintln(w, "# TYPE sgxgauged_runs_coalesced_total counter")
 	fmt.Fprintf(w, "sgxgauged_runs_coalesced_total %d\n", st.Coalesced)
-	fmt.Fprintln(w, "# HELP sgxgauged_libos_boots_total LibOS boots of local runs: template builds, clones of a shared template, and boots in place.")
+	fmt.Fprintln(w, "# HELP sgxgauged_libos_boots_total LibOS boots of local runs: builds of a boot configuration's template, clones of it, and boots in place.")
 	fmt.Fprintln(w, "# TYPE sgxgauged_libos_boots_total counter")
 	fmt.Fprintf(w, "sgxgauged_libos_boots_total{kind=\"template\"} %d\n", st.TemplateBuilds)
 	fmt.Fprintf(w, "sgxgauged_libos_boots_total{kind=\"clone\"} %d\n", st.ClonedBoots)

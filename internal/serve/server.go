@@ -62,9 +62,6 @@ type Config struct {
 	// a Journal answers /healthz with 503 until Recover has replayed
 	// it — callers must invoke Recover exactly once after New.
 	Journal *journal.Journal
-	// Role labels this daemon on /healthz ("standalone",
-	// "coordinator", "worker"); empty derives it from Coordinator.
-	Role string
 	// MaxQueue is the admission high-water mark in specs
 	// (0 = DefaultMaxQueue).
 	MaxQueue int
@@ -96,8 +93,8 @@ type Server struct {
 
 	// journal is the write-ahead log (nil without Config.Journal).
 	journal *journal.Journal
-	// role labels this daemon on /healthz.
-	role string
+	// driven is set once a Worker drives this server (see role).
+	driven atomic.Bool
 	// maxQueue is the admission high-water mark in specs.
 	maxQueue int
 	// queued is the admission gauge: specs admitted but not yet
@@ -130,13 +127,6 @@ func New(cfg Config) *Server {
 	if maxQueue <= 0 {
 		maxQueue = DefaultMaxQueue
 	}
-	role := cfg.Role
-	if role == "" {
-		role = "standalone"
-		if cfg.Coordinator {
-			role = "coordinator"
-		}
-	}
 	s := &Server{
 		runner:   r,
 		cache:    cache,
@@ -144,7 +134,6 @@ func New(cfg Config) *Server {
 		results:  cache,
 		store:    cfg.Store,
 		journal:  cfg.Journal,
-		role:     role,
 		maxQueue: maxQueue,
 		jobs:     make(map[string]*job),
 	}
@@ -471,13 +460,25 @@ type healthzResponse struct {
 	Journal string `json:"journal"`
 }
 
+// role labels this daemon on /healthz: "coordinator" when configured
+// as one, "worker" once a Worker drives it, "standalone" otherwise.
+func (s *Server) role() string {
+	switch {
+	case s.cluster != nil:
+		return "coordinator"
+	case s.driven.Load():
+		return "worker"
+	}
+	return "standalone"
+}
+
 // handleHealthz serves GET /healthz: role-aware liveness. While the
 // journal replay is still re-enqueuing jobs the response is 503, so
 // load balancers keep sweeps away from a half-recovered coordinator.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	resp := healthzResponse{
 		Status:     "ok",
-		Role:       s.role,
+		Role:       s.role(),
 		QueueDepth: s.queued.Load(),
 		Journal:    "none",
 	}

@@ -78,10 +78,11 @@ func metric(t *testing.T, ts *httptest.Server, name string) float64 {
 	return 0
 }
 
-// TestHealthz: the liveness probe answers.
-func TestHealthz(t *testing.T) {
-	_, ts := newTestServer(t)
-	resp, err := http.Get(ts.URL + "/healthz")
+// getHealthz reads the daemon's /healthz, failing the test unless it
+// answers 200 with status "ok".
+func getHealthz(t *testing.T, baseURL string) healthzResponse {
+	t.Helper()
+	resp, err := http.Get(baseURL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,13 @@ func TestHealthz(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || hz.Status != "ok" {
 		t.Fatalf("healthz: %d %+v", resp.StatusCode, hz)
 	}
-	if hz.Role != "standalone" || hz.Journal != "none" {
+	return hz
+}
+
+// TestHealthz: the liveness probe answers.
+func TestHealthz(t *testing.T) {
+	_, ts := newTestServer(t)
+	if hz := getHealthz(t, ts.URL); hz.Role != "standalone" || hz.Journal != "none" {
 		t.Fatalf("healthz role=%q journal=%q, want standalone/none", hz.Role, hz.Journal)
 	}
 }

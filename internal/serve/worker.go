@@ -65,9 +65,11 @@ type Worker struct {
 }
 
 // NewWorker returns a worker that executes on s's runner for the
-// coordinator at the given base URL. id must be unique per worker
-// process (the daemon uses its listen address).
+// coordinator at the given base URL, and makes s report itself as a
+// worker on /healthz. id must be unique per worker process (the daemon
+// uses its listen address).
 func NewWorker(s *Server, coordinator, id string) *Worker {
+	s.driven.Store(true)
 	return &Worker{
 		server:         s,
 		coordinator:    coordinator,

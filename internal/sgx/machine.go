@@ -445,11 +445,6 @@ func (m *Machine) shootdown(id mem.PageID) {
 // Config returns the effective (defaulted) configuration.
 func (m *Machine) Config() Config { return m.cfg }
 
-// EPCBytes returns the EPC capacity in bytes.
-func (m *Machine) EPCBytes() uint64 {
-	return uint64(m.cfg.EPCPages) * mem.PageSize
-}
-
 // AllocUntrusted reserves n bytes of untrusted memory with the given
 // power-of-two alignment (0 means 8) and returns its base address.
 func (m *Machine) AllocUntrusted(n, align uint64) uint64 {

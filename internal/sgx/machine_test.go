@@ -21,9 +21,6 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.LLCBytes != DefaultEPCPages*mem.PageSize/2 {
 		t.Errorf("LLCBytes = %d", cfg.LLCBytes)
 	}
-	if m.EPCBytes() != uint64(DefaultEPCPages)*mem.PageSize {
-		t.Errorf("EPCBytes = %d", m.EPCBytes())
-	}
 }
 
 func TestConfigMinimums(t *testing.T) {

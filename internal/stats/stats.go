@@ -43,25 +43,17 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
+// standardize maps xs to zero mean and unit population variance.
+// Constant columns map to all zeros.
+func standardize(xs []float64) []float64 {
 	m := Mean(xs)
-	s := 0.0
+	out := make([]float64, len(xs))
+	ss := 0.0
 	for _, x := range xs {
 		d := x - m
-		s += d * d
+		ss += d * d
 	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
-// Standardize maps xs to zero mean and unit variance. Constant columns
-// map to all zeros.
-func Standardize(xs []float64) []float64 {
-	m, sd := Mean(xs), StdDev(xs)
-	out := make([]float64, len(xs))
+	sd := math.Sqrt(ss / float64(len(xs)))
 	if sd == 0 {
 		return out
 	}
@@ -99,9 +91,9 @@ func LinReg(X [][]float64, y []float64) ([]float64, error) {
 		for i := 0; i < n; i++ {
 			col[i] = X[i][j]
 		}
-		cols[j] = Standardize(col)
+		cols[j] = standardize(col)
 	}
-	ys := Standardize(y)
+	ys := standardize(y)
 
 	// Normal equations with ridge: (A + lambda*I) beta = b.
 	const lambda = 1e-6

@@ -54,26 +54,28 @@ func TestGeoMeanBetweenMinAndMaxProperty(t *testing.T) {
 	}
 }
 
-func TestMeanStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Mean(xs); !almostEqual(got, 5, 1e-12) {
+func TestMean(t *testing.T) {
+	if got := Mean([]float64{2, 4, 4, 4, 5, 5, 7, 9}); !almostEqual(got, 5, 1e-12) {
 		t.Errorf("Mean = %v", got)
 	}
-	if got := StdDev(xs); !almostEqual(got, 2, 1e-12) {
-		t.Errorf("StdDev = %v", got)
-	}
-	if Mean(nil) != 0 || StdDev(nil) != 0 {
-		t.Error("empty-input Mean/StdDev nonzero")
+	if Mean(nil) != 0 {
+		t.Error("empty-input Mean nonzero")
 	}
 }
 
+// TestStandardize checks the column scaling LinReg regresses on: zero
+// mean and unit population variance.
 func TestStandardize(t *testing.T) {
-	out := Standardize([]float64{1, 2, 3, 4, 5})
-	if !almostEqual(Mean(out), 0, 1e-12) || !almostEqual(StdDev(out), 1, 1e-12) {
-		t.Errorf("standardized mean/sd = %v/%v", Mean(out), StdDev(out))
+	out := standardize([]float64{2, 4, 4, 4, 5, 5, 7, 9}) // mean 5, sd 2
+	ss := 0.0
+	for _, v := range out {
+		ss += v * v
+	}
+	if !almostEqual(Mean(out), 0, 1e-12) || !almostEqual(ss/float64(len(out)), 1, 1e-12) || !almostEqual(out[0], -1.5, 1e-12) {
+		t.Errorf("standardized %v: mean %v, variance %v", out, Mean(out), ss/float64(len(out)))
 	}
 	// Constant column maps to zeros, not NaN.
-	for _, v := range Standardize([]float64{7, 7, 7}) {
+	for _, v := range standardize([]float64{7, 7, 7}) {
 		if v != 0 {
 			t.Error("constant column not zeroed")
 		}

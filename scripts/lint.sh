@@ -8,8 +8,7 @@
 # module-wide call graph, and enforces determinism, error propagation,
 # lock discipline (including interprocedural caller-holds paths),
 # saturating cycle arithmetic, context-aware blocking, goroutine
-# joining, atomic-field consistency, and streaming-loop error
-# handling. It exits non-zero on any unsuppressed finding, so this
+# joining, and streaming-loop error handling. It exits non-zero on any unsuppressed finding, so this
 # script does too.
 #
 # Usage: scripts/lint.sh [--fast]
