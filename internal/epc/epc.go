@@ -226,9 +226,9 @@ func New(capacityPages int, engine *mee.Engine, backing *mem.BackingStore, count
 // CLOCK hand, op statistics and jitter state, so the copy evolves
 // exactly as e would. Only the frames of resident pages are copied,
 // each into a frame of the page recycler; the clone takes its free
-// slots' frames on first use. The MEE
-// engine is shared (its keys never change); the clone gets its own
-// crypt batch. Hooks are not copied — the owning
+// slots' frames on first use. The version index's frozen base (see
+// Freeze) and the MEE engine (its keys never change) are shared; the
+// clone gets its own crypt batch. Hooks are not copied — the owning
 // machine wires its own — and an EPC recording a timeline does not
 // clone, because the sampled clock belongs to a thread of e's machine.
 // Clone only reads e.
@@ -262,6 +262,13 @@ func (e *EPC) Clone(backing *mem.BackingStore, counters *perf.Counters) *EPC {
 	}
 	return c
 }
+
+// Freeze makes the seal-version index's entries — one per page e ever
+// evicted — a base that no EPC writes again: every later Clone shares
+// it instead of copying it, and e's own later seals go to a private
+// delta. It does not change what e or any clone simulates. An EPC
+// freezes once.
+func (e *EPC) Freeze() { e.versions.freeze() }
 
 // Capacity returns the number of pages the EPC can hold.
 func (e *EPC) Capacity() int { return e.capacity }

@@ -1,6 +1,10 @@
 package epc
 
-import "sgxgauge/internal/mem"
+import (
+	"slices"
+
+	"sgxgauge/internal/mem"
+)
 
 // pageIdx maps resident PageIDs to slot indices. It replaces a Go map
 // on the EPC's hottest paths (every page walk, fault and eviction
@@ -90,11 +94,24 @@ func (p *pageIdx) put(id mem.PageID, idx int) {
 // versions start at 1, so 0 never collides with a live entry. get on
 // a missing id returns 0, matching the Go-map semantics the EPC's
 // version bookkeeping was written against.
+//
+// freeze splits the index in two: every entry moves into a base that
+// is never written again, and the table starts empty as a private
+// delta. get reads the delta first, then the base; set writes the
+// delta; dropEnclave records the enclave, which hides its base
+// entries. A clone copies the delta and shares the base, so cloning a
+// frozen index costs what was written since the freeze, not one entry
+// per page ever sealed. The index is not safe for concurrent use, but
+// clones of one frozen index share only its base, which only reads
+// touch.
 type verIdx struct {
 	ids  []mem.PageID
 	vers []uint64 // vers[i] == 0 marks an empty cell
 	mask uint64
 	n    int
+
+	base    *verIdx  // the frozen entries, shared with clones; nil until freeze
+	dropped []uint32 // enclaves whose base entries are hidden
 }
 
 func newVerIdx() *verIdx {
@@ -105,16 +122,40 @@ func newVerIdx() *verIdx {
 	}
 }
 
-// clone returns an independent copy of the table.
+// clone returns an independent copy of the index: the delta is
+// copied, the frozen base shared.
 func (p *verIdx) clone() *verIdx {
 	c := *p
-	c.ids = append([]mem.PageID(nil), p.ids...)
-	c.vers = append([]uint64(nil), p.vers...)
+	c.ids = slices.Clone(p.ids)
+	c.vers = slices.Clone(p.vers)
+	c.dropped = slices.Clone(p.dropped)
 	return &c
+}
+
+// freeze moves every entry into a base that is never written again and
+// leaves the index an empty delta over it. An index freezes once.
+func (p *verIdx) freeze() {
+	if p.base != nil {
+		panic("epc: verIdx frozen twice")
+	}
+	base := *p
+	*p = *newVerIdx()
+	p.base = &base
 }
 
 // get returns the stored version for id, or 0 when absent.
 func (p *verIdx) get(id mem.PageID) uint64 {
+	if v := p.lookup(id); v != 0 || p.base == nil {
+		return v
+	}
+	if slices.Contains(p.dropped, id.Enclave) {
+		return 0
+	}
+	return p.base.lookup(id)
+}
+
+// lookup returns id's version in this table alone, or 0 when absent.
+func (p *verIdx) lookup(id mem.PageID) uint64 {
 	i := hashPageID(id) & p.mask
 	for p.vers[i] != 0 {
 		if p.ids[i] == id {
@@ -125,7 +166,8 @@ func (p *verIdx) get(id mem.PageID) uint64 {
 	return 0
 }
 
-// set inserts or updates id's version. v must be non-zero.
+// set inserts or updates id's version in the delta. v must be
+// non-zero.
 func (p *verIdx) set(id mem.PageID, v uint64) {
 	if v == 0 {
 		panic("epc: verIdx version 0")
@@ -170,7 +212,9 @@ func (p *verIdx) grow() {
 	}
 }
 
-// del removes id, if present, with backward-shift compaction.
+// del removes id from the delta, if present, with backward-shift
+// compaction. It leaves id's base entry visible: only dropEnclave
+// hides base entries.
 func (p *verIdx) del(id mem.PageID) {
 	i := hashPageID(id) & p.mask
 	for {
@@ -202,10 +246,11 @@ func (p *verIdx) del(id mem.PageID) {
 	}
 }
 
-// dropEnclave removes every entry belonging to the enclave. Matches
-// are collected before deletion because backward-shift compaction
-// moves entries during a sweep. The (possibly grown) scratch slice is
-// returned so the caller can reuse its capacity.
+// dropEnclave removes every entry belonging to the enclave: its delta
+// entries are deleted, its base entries hidden. Matches are collected
+// before deletion because backward-shift compaction moves entries
+// during a sweep. The (possibly grown) scratch slice is returned so
+// the caller can reuse its capacity.
 func (p *verIdx) dropEnclave(enclave uint32, scratch []mem.PageID) []mem.PageID {
 	scratch = scratch[:0]
 	for i, v := range p.vers {
@@ -215,6 +260,9 @@ func (p *verIdx) dropEnclave(enclave uint32, scratch []mem.PageID) []mem.PageID 
 	}
 	for _, id := range scratch {
 		p.del(id)
+	}
+	if p.base != nil && !slices.Contains(p.dropped, enclave) {
+		p.dropped = append(p.dropped, enclave)
 	}
 	return scratch
 }

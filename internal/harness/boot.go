@@ -153,14 +153,16 @@ func (c *bootCache) reserve() bool {
 }
 
 // build boots t with no input files — manifest processing is per spec
-// and runs in Clone — and closes ready however the boot ends; a failed
-// boot leaves inst nil.
+// and runs in Clone — freezes the booted machine so every clone shares
+// its sealed-page state, and closes ready however the boot ends; a
+// failed boot leaves inst nil.
 func (c *bootCache) build(t *template, binary string) {
 	defer close(t.ready)
 	inst, err := bootLibOS(sgx.NewMachine(t.key.cfg), nil, libos.Manifest{Binary: binary, EnclaveSizePages: t.key.pages}, 0)
 	if err != nil {
 		return
 	}
+	inst.Env.M.Freeze()
 	c.mu.Lock()
 	t.inst = inst
 	c.mu.Unlock()

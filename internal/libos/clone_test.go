@@ -25,7 +25,8 @@ import (
 //
 //   - copy:   deep or value copy, so the clone evolves independently;
 //   - share:  the same pointer, safe because it is immutable (the MEE
-//     engine's keys) or frozen (sealed pages, shared copy-on-write);
+//     engine's keys) or frozen (sealed pages, shared copy-on-write, and
+//     the frozen base of the sealed-page state, see sgx.Machine.Freeze);
 //   - rebind: replaced by the clone's own counterpart (its counters,
 //     backing store, environment, hooks wired to the clone);
 //   - reset:  left at its zero or fresh state, which is sound because
@@ -35,6 +36,11 @@ import (
 // A new field fails this test until its Clone handles it and the
 // decision is recorded here.
 func TestCloneFieldCoverage(t *testing.T) {
+	// The EPC's seal-version index has an unexported type.
+	versions, ok := reflect.TypeOf(epc.EPC{}).FieldByName("versions")
+	if !ok {
+		t.Fatal("epc.EPC has no versions field")
+	}
 	cases := []struct {
 		typ    reflect.Type
 		fields map[string]string
@@ -64,8 +70,12 @@ func TestCloneFieldCoverage(t *testing.T) {
 			"timeline": "reset", "timelineEvery": "reset", "opsSinceTick": "reset", "clockRef": "reset",
 			"jitter": "copy",
 		}},
+		{versions.Type.Elem(), map[string]string{
+			"ids": "copy", "vers": "copy", "mask": "copy", "n": "copy",
+			"base": "share", "dropped": "copy",
+		}},
 		{reflect.TypeOf(mem.BackingStore{}), map[string]string{
-			"mu": "reset", "pages": "share",
+			"pages": "share", "base": "share", "hidden": "copy", "dropped": "copy",
 		}},
 		{reflect.TypeOf(cache.LLC{}), map[string]string{
 			"sets": "copy", "ways": "copy", "setMask": "copy", "setBits": "copy",
@@ -154,11 +164,12 @@ func sealedImage(inst *libos.Instance) map[mem.PageID]mem.SealedPage {
 }
 
 // TestConcurrentClonesOfOneTemplate runs a LibOS workload on eight
-// concurrent clones of one booted template. Every run must equal a
-// run on a fresh boot, and the template's sealed pages — shared
-// copy-on-write with every clone — must come out untouched: a clone
-// never writes or recycles a frozen page. Run under -race it also
-// checks that cloning only reads the template.
+// concurrent clones of one booted template, frozen as a Runner's boot
+// cache freezes it. Every run must equal a run on a fresh boot, and
+// the template's sealed pages — its frozen base, shared with every
+// clone — must come out untouched: a clone never writes or recycles a
+// frozen page. Run under -race it also checks that cloning a frozen
+// template only reads it.
 func TestConcurrentClonesOfOneTemplate(t *testing.T) {
 	const epcPages = 64
 	cfg := sgx.Config{EPCPages: epcPages, Seed: 7}
@@ -166,6 +177,7 @@ func TestConcurrentClonesOfOneTemplate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tpl.Env.M.Freeze()
 	before := sealedImage(tpl)
 	if len(before) == 0 {
 		t.Fatal("template holds no sealed pages; the boot should have evicted most of the enclave")

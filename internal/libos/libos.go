@@ -144,7 +144,8 @@ func load(fs *osal.FS, man Manifest, epcPages int) (*Instance, error) {
 // the machine configuration and the enclave size, so when those match
 // the result is identical to Start with man on a fresh machine —
 // manifest processing (file hashing and its errors) still runs for
-// man, before the copy. Clone only reads inst: one booted instance
+// man, before the copy. Once inst's machine is frozen
+// (sgx.Machine.Freeze), Clone only reads inst: one booted instance
 // serves as the template for any number of concurrent Clones, as long
 // as nothing runs on it.
 func (inst *Instance) Clone(fs *osal.FS, man Manifest) (*Instance, error) {

@@ -5,6 +5,8 @@ package mem
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 )
 
@@ -36,8 +38,10 @@ type Frame struct {
 // dead 4 KiB buffers (2 MiB) for reuse. Buffers it holds are live heap,
 // so they raise the collector's heap goal and peak RSS. Generating the
 // whole report at EPC 256 allocated 32% less with this bound, for 5%
-// more peak RSS; 4096 buffers saved 37% for 22% more (DESIGN.md §7
-// has the sweep).
+// more peak RSS; 4096 buffers saved 37% for 22% more. At EPC 1024 and
+// 2048 a larger bound allocates less but saves no wall time, and the
+// recycler outlives every run, so the bound does not follow the EPC
+// (DESIGN.md §7 has both sweeps).
 const maxPooledPages = 512
 
 // pages is the process-wide recycler of 4 KiB page buffers: every
@@ -117,8 +121,9 @@ type SealedPage struct {
 	MAC        [16]byte
 
 	// frozen marks a page shared copy-on-write between a backing store
-	// and its clones (see BackingStore.Clone). A frozen page's
-	// ciphertext is never recycled, so its bytes never change again.
+	// and its clones (see BackingStore.Freeze and Clone). A frozen
+	// page's ciphertext is never recycled, so its bytes never change
+	// again.
 	frozen bool
 }
 
@@ -140,7 +145,8 @@ func (p *SealedPage) Copy() *SealedPage {
 }
 
 // BackingStore is the untrusted main memory region that receives
-// evicted (sealed) EPC pages. It is safe for concurrent use.
+// evicted (sealed) EPC pages. It is not safe for concurrent use: the
+// machine that owns it drives it from one goroutine.
 //
 // A *SealedPage obtained from Get stays valid until that entry is
 // deleted or replaced; afterwards its ciphertext goes back to the page
@@ -148,9 +154,21 @@ func (p *SealedPage) Copy() *SealedPage {
 // in this machine or another. Callers that need a sealed image beyond
 // that point (e.g. to replay it later) must take a deep copy
 // (SealedPage.Copy): a struct copy still shares the ciphertext.
+//
+// Freeze splits the store in two: every page it holds moves into a
+// base that no store writes again, and pages becomes an empty private
+// delta. Get reads the delta first, then the base unless this store
+// deleted the entry or dropped its enclave; Put, Delete and
+// DropEnclave change only the delta and the two hiding sets. A Clone
+// copies the delta and shares the base, so cloning a frozen store
+// costs what was written since the freeze, and clones of one frozen
+// store may be taken and run concurrently.
 type BackingStore struct {
-	mu    sync.Mutex
-	pages map[PageID]*SealedPage // guarded by mu
+	pages map[PageID]*SealedPage // the delta: every page of a store never frozen
+
+	base    map[PageID]*SealedPage // frozen pages shared with clones; nil until Freeze
+	hidden  map[PageID]struct{}    // base entries this store deleted
+	dropped []uint32               // enclaves whose base entries this store dropped
 }
 
 // NewBackingStore returns an empty backing store.
@@ -159,8 +177,8 @@ func NewBackingStore() *BackingStore {
 }
 
 // recycle gives a dead entry's ciphertext back to the page recycler
-// and marks the entry compact; caller holds mu. A frozen page is
-// still referenced by another store and is left alone.
+// and marks the entry compact. A frozen page is still referenced by
+// another store and is left alone.
 func (b *BackingStore) recycle(p *SealedPage) {
 	if !p.frozen && p.Ciphertext != nil {
 		FreeFrame(p.Ciphertext)
@@ -170,8 +188,6 @@ func (b *BackingStore) recycle(p *SealedPage) {
 
 // Put stores the sealed page, replacing any previous version.
 func (b *BackingStore) Put(p *SealedPage) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if old := b.pages[p.ID]; old != nil && old != p {
 		b.recycle(old)
 	}
@@ -181,42 +197,59 @@ func (b *BackingStore) Put(p *SealedPage) {
 // Get returns the sealed page for id, or nil when the page was never
 // evicted.
 func (b *BackingStore) Get(id PageID) *SealedPage {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.pages[id]
+	if p := b.pages[id]; p != nil || b.base == nil {
+		return p
+	}
+	if _, ok := b.hidden[id]; ok || slices.Contains(b.dropped, id.Enclave) {
+		return nil
+	}
+	return b.base[id]
 }
 
 // Delete removes the sealed page for id, if present.
 func (b *BackingStore) Delete(id PageID) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if old := b.pages[id]; old != nil {
 		b.recycle(old)
 		delete(b.pages, id)
 	}
+	if b.base[id] != nil {
+		if b.hidden == nil {
+			b.hidden = make(map[PageID]struct{})
+		}
+		b.hidden[id] = struct{}{}
+	}
 }
 
-// Len returns the number of sealed pages currently stored.
-func (b *BackingStore) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.pages)
+// Freeze makes every page the store holds its frozen base, shared by
+// every later Clone instead of copied, and leaves the store an empty
+// delta over it. It does not change what Get returns. A store freezes
+// once, before any clone of it is taken.
+func (b *BackingStore) Freeze() {
+	if b.base != nil {
+		panic("mem: BackingStore frozen twice")
+	}
+	for _, p := range b.pages {
+		p.frozen = true
+	}
+	b.base, b.pages = b.pages, make(map[PageID]*SealedPage)
 }
 
-// Clone returns a store holding the same sealed pages, shared
-// copy-on-write: every page b holds now is frozen, so neither b nor
-// any clone recycles its ciphertext, and replacing or deleting it in
-// one store only drops that store's reference. Clone takes only b's lock: concurrent Clones of one
-// store are safe as long as nothing else mutates b meanwhile.
+// Clone returns a store holding the same sealed pages. It shares the
+// frozen base and copies the delta, whose pages it shares
+// copy-on-write: every delta page is frozen, so neither b nor any
+// clone recycles its ciphertext, and replacing or deleting it in one
+// store only drops that store's reference. Freezing a delta page is
+// Clone's one write to b, so concurrent Clones are safe only of a
+// frozen store with nothing written since.
 func (b *BackingStore) Clone() *BackingStore {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	c := &BackingStore{pages: make(map[PageID]*SealedPage, len(b.pages))}
+	c := &BackingStore{
+		pages:   make(map[PageID]*SealedPage, len(b.pages)),
+		base:    b.base,
+		hidden:  maps.Clone(b.hidden),
+		dropped: slices.Clone(b.dropped),
+	}
 	for id, p := range b.pages {
 		if !p.frozen {
-			// Written under b's lock only, and only before the first
-			// clone shares the page, so later readers are ordered
-			// after it.
 			p.frozen = true
 		}
 		c.pages[id] = p
@@ -226,13 +259,14 @@ func (b *BackingStore) Clone() *BackingStore {
 
 // DropEnclave removes every sealed page belonging to the enclave.
 func (b *BackingStore) DropEnclave(enclave uint32) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	for id, p := range b.pages {
 		if id.Enclave == enclave {
 			b.recycle(p)
 			delete(b.pages, id)
 		}
+	}
+	if b.base != nil && !slices.Contains(b.dropped, enclave) {
+		b.dropped = append(b.dropped, enclave)
 	}
 }
 
@@ -241,10 +275,8 @@ func (b *BackingStore) DropEnclave(enclave uint32) {
 // good: a later Put panics. The owning machine calls it when its run
 // ends (sgx.Machine.Release).
 func (b *BackingStore) Release() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	for _, p := range b.pages {
 		b.recycle(p)
 	}
-	b.pages = nil
+	b.pages, b.base, b.hidden, b.dropped = nil, nil, nil, nil
 }

@@ -8,14 +8,20 @@ import (
 )
 
 // TestEnvCloneContinuesIdentically drives a thrashing enclave, clones
-// its environment, and runs the same continuation on the source and
-// the clone: cycles, counters and the bytes read back must agree, and
-// the clone must leave the source untouched.
+// its environment, frozen or not, and runs the same continuation on
+// the source and the clone: cycles, counters and the bytes read back
+// must agree, and the clone must leave the source untouched.
 func TestEnvCloneContinuesIdentically(t *testing.T) {
-	for _, cfg := range []Config{
-		{EPCPages: 64, Seed: 3},
-		{EPCPages: 64, Seed: 3, IntegrityTree: true},
+	for _, tc := range []struct {
+		cfg    Config
+		freeze bool
+	}{
+		{Config{EPCPages: 64, Seed: 3}, false},
+		{Config{EPCPages: 64, Seed: 3}, true},
+		{Config{EPCPages: 64, Seed: 3, IntegrityTree: true}, false},
+		{Config{EPCPages: 64, Seed: 3, IntegrityTree: true}, true},
 	} {
+		cfg := tc.cfg
 		env := NewMachine(cfg).NewEnv(Native)
 		if _, err := env.LaunchEnclave(4, 256); err != nil {
 			t.Fatal(err)
@@ -41,6 +47,9 @@ func TestEnvCloneContinuesIdentically(t *testing.T) {
 			sum += tr.ReadU64(untrusted)
 			return tr.Clock.Cycles(), env.Snapshot(), sum
 		}
+		if tc.freeze {
+			env.M.Freeze()
+		}
 		c := env.Clone()
 		if c.M == env.M || c.Enclave == env.Enclave || c.Enclave.Measurement != env.Enclave.Measurement {
 			t.Fatal("clone shares the source's machine or enclave, or lost its measurement")
@@ -52,8 +61,8 @@ func TestEnvCloneContinuesIdentically(t *testing.T) {
 		}
 		sc, ss, ssum := cont(env)
 		if cc != sc || cs != ss || csum != ssum {
-			t.Errorf("cfg %+v: clone (cycles %d, sum %d) diverged from source (cycles %d, sum %d)",
-				cfg, cc, csum, sc, ssum)
+			t.Errorf("cfg %+v, frozen %v: clone (cycles %d, sum %d) diverged from source (cycles %d, sum %d)",
+				cfg, tc.freeze, cc, csum, sc, ssum)
 		}
 	}
 }

@@ -40,8 +40,9 @@ func (m *Machine) NewEnv(mode Mode) *Env {
 // its machine (see Machine.clone), which must host no other
 // environment's threads. The copy continues exactly as e would: same
 // clocks, counters, enclave, EPC, cache and TLB state. It is how a
-// booted LibOS template is reused without re-running the boot. Clone
-// only reads e, so concurrent Clones of an idle environment are safe.
+// booted LibOS template is reused without re-running the boot. Once
+// e's machine is frozen (Machine.Freeze), Clone only reads e, so
+// concurrent Clones of an idle environment are safe.
 func (e *Env) Clone() *Env {
 	m := e.M.clone()
 	c := &Env{

@@ -323,12 +323,13 @@ func (m *Machine) wireEPC() {
 
 // clone returns an independent copy of the machine that evolves
 // exactly as m would from here on: every substrate is copied (the
-// EPC, LLC and counters by value; sealed pages shared copy-on-write)
-// and the MEE engine is shared because its keys never change. Threads
-// are not copied; the caller rebinds them (see Env.Clone). A machine
-// something outside it observes — a tracer, a chaos injector — does
-// not clone. clone only reads m, so concurrent clones of an idle
-// machine are safe.
+// EPC, LLC and counters by value; sealed pages shared copy-on-write;
+// the frozen part of the sealed-page state shared, see Freeze) and the
+// MEE engine is shared because its keys never change. Threads are not
+// copied; the caller rebinds them (see Env.Clone). A machine something
+// outside it observes — a tracer, a chaos injector — does not clone.
+// clone of a frozen machine only reads m, so concurrent clones of a
+// frozen, idle machine are safe.
 func (m *Machine) clone() *Machine {
 	if m.tracer != nil || m.chaos != nil {
 		panic("sgx: clone of a traced or chaotic machine")
@@ -362,6 +363,18 @@ func (m *Machine) clone() *Machine {
 	}
 	c.wireEPC()
 	return c
+}
+
+// Freeze makes m's sealed-page state — the backing store's pages and
+// the EPC's seal-version index, each one entry per page m ever
+// evicted — a frozen base that every later clone shares instead of
+// copying, so a clone costs what it writes, not what m sealed. m's own
+// later writes go to a private delta. Freezing changes no simulated
+// result. A machine freezes once, before it is cloned; LibOS boot
+// templates are frozen when they are built.
+func (m *Machine) Freeze() {
+	m.Backing.Freeze()
+	m.EPC.Freeze()
 }
 
 // Release ends the machine's life: it gives its simulated page memory
