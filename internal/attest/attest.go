@@ -150,7 +150,7 @@ func (p *Platform) VerifyExpected(t *sgx.Thread, q Quote, want Measurement) erro
 // and context — on the same platform — recovers it; any bit flip in
 // the sealed blob is detected.
 func (p *Platform) SealTo(t *sgx.Thread, enclaveID uint32, context uint64, data []byte) []byte {
-	sealed := p.seal.Seal(enclaveID, context, data)
+	sealed := p.seal.Seal(nil, enclaveID, context, data)
 	t.Compute(uint64(len(sealed)) / sealBytesPerCycle)
 	return sealed
 }
@@ -158,5 +158,5 @@ func (p *Platform) SealTo(t *sgx.Thread, enclaveID uint32, context uint64, data 
 // UnsealAt reverses SealTo inside the target enclave.
 func (p *Platform) UnsealAt(t *sgx.Thread, enclaveID uint32, context uint64, sealed []byte) ([]byte, error) {
 	t.Compute(uint64(len(sealed)) / sealBytesPerCycle)
-	return p.seal.Unseal(enclaveID, context, sealed)
+	return p.seal.Unseal(nil, enclaveID, context, sealed)
 }

@@ -190,12 +190,12 @@ func libosManifest(spec Spec, files []string) libos.Manifest {
 
 // runOne executes one spec on a fresh machine — or, for a LibOS spec
 // the boot cache serves, on a clone of its boot key's template (boots
-// may be nil: boot in place) — and releases the machine's page memory
-// once the Result holds what it measured. cloned reports a cloned
-// boot. It is the engine primitive under the Runner API: unlike
-// Runner.Run it is uncached, retries nothing, and reports the spec's
-// own failure through the error return (runWithRetry moves it into
-// Result.Err).
+// may be nil: boot in place) — and releases the page memory of the
+// machine and the filesystem once the Result holds what it measured.
+// cloned reports a cloned boot. It is the engine primitive under the
+// Runner API: unlike Runner.Run it is uncached, retries nothing, and
+// reports the spec's own failure through the error return
+// (runWithRetry moves it into Result.Err).
 func runOne(spec Spec, boots *bootCache) (res *Result, cloned bool, err error) {
 	if spec.EPCPages < 0 {
 		return nil, false, fmt.Errorf("harness: EPC size must not be negative, got %d pages", spec.EPCPages)
@@ -264,8 +264,10 @@ func runOne(spec Spec, boots *bootCache) (res *Result, cloned bool, err error) {
 		return nil, false, fmt.Errorf("harness: unknown mode %v", spec.Mode)
 	}
 	ctx.Env = env
-	// Deferred, so it runs after finish has read the machine.
+	// Deferred, so they run after finish has read the machine. The
+	// boot templates booted with no FS, so nothing else holds rawFS.
 	defer env.M.Release()
+	defer rawFS.Release()
 
 	res = &Result{
 		Name:            spec.Workload.Name(),

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 
+	"sgxgauge/internal/mee"
 	"sgxgauge/internal/osal"
 	"sgxgauge/internal/sgx"
 )
@@ -82,19 +83,23 @@ func isHole(iv []byte) bool {
 // pfMetaName is where the PF layer records a file's logical size.
 func pfMetaName(name string) string { return name + ".pfmeta" }
 
+// pfMetaSealed is the size of the sealed logical-size record: an
+// 8-byte size plus the seal overhead. writeMeta overwrites it in
+// place.
+const pfMetaSealed = 8 + pfSealed - pfChunk
+
 // Open opens an existing protected file.
 func (p *ProtectedFS) Open(t *sgx.Thread, name string) (osal.Handle, error) {
-	meta := p.inst.fs.Raw(pfMetaName(name))
-	if meta == nil {
+	if p.inst.fs.Size(pfMetaName(name)) < 0 {
 		t.Syscall(0)
 		return nil, fmt.Errorf("libos: %q is not a protected file", name)
 	}
-	size, err := p.readMeta(t, name)
-	if err != nil {
+	h := &pfHandle{p: p, name: name}
+	if err := h.readMeta(t); err != nil {
 		return nil, err
 	}
 	t.Syscall(uint64(len(name)))
-	return &pfHandle{p: p, name: name, size: size}, nil
+	return h, nil
 }
 
 // CreateFile creates (or truncates) a protected file.
@@ -108,18 +113,10 @@ func (p *ProtectedFS) CreateFile(t *sgx.Thread, name string) (osal.Handle, error
 	return h, nil
 }
 
-// readMeta loads and unseals the logical-size record.
-func (p *ProtectedFS) readMeta(t *sgx.Thread, name string) (int, error) {
-	raw := p.inst.fs.Raw(pfMetaName(name))
-	t.Syscall(uint64(len(raw)))
-	plain, err := p.inst.Env.M.Engine.Unseal(p.inst.Env.Enclave.ID, pfContext(name, -1), raw)
-	if err != nil {
-		return 0, fmt.Errorf("libos: protected-file metadata of %q: %w", name, err)
-	}
-	t.Compute(uint64(len(plain)))
-	return int(binary.LittleEndian.Uint64(plain)), nil
-}
-
+// pfHandle is an open protected file. Sealed chunks move between the
+// untrusted FS and the handle's two chunk buffers: sealed holds one
+// chunk's ciphertext as stored, plain its plaintext. Every seal and
+// unseal writes into them, so steady-state I/O allocates nothing.
 type pfHandle struct {
 	p         *ProtectedFS
 	name      string
@@ -128,40 +125,63 @@ type pfHandle struct {
 	metaOps   int // chunks read since the last Merkle-node fetch
 	metaDirty int // size growths since the last metadata commit
 	closed    bool
+
+	sealed [pfSealed]byte
+	plain  [pfChunk]byte
 }
 
 func (h *pfHandle) Size() int { return h.size }
 
-func (h *pfHandle) writeMeta(t *sgx.Thread) error {
-	var plain [8]byte
-	binary.LittleEndian.PutUint64(plain[:], uint64(h.size))
-	sealed := h.p.inst.Env.M.Engine.Seal(h.p.inst.Env.Enclave.ID, pfContext(h.name, -1), plain[:])
+// readMeta loads and unseals the logical-size record.
+func (h *pfHandle) readMeta(t *sgx.Thread) error {
+	meta := pfMetaName(h.name)
+	size := h.p.inst.fs.Size(meta)
+	t.Syscall(uint64(size))
+	if size != pfMetaSealed {
+		return fmt.Errorf("libos: protected-file metadata of %q: %w", h.name, mee.ErrMACMismatch)
+	}
+	raw := h.sealed[:pfMetaSealed]
+	h.p.inst.fs.ReadRaw(meta, 0, raw)
+	plain, err := h.p.inst.Env.M.Engine.Unseal(h.plain[:0], h.p.inst.Env.Enclave.ID, pfContext(h.name, -1), raw)
+	if err != nil {
+		return fmt.Errorf("libos: protected-file metadata of %q: %w", h.name, err)
+	}
 	t.Compute(uint64(len(plain)))
-	t.Syscall(uint64(len(sealed)))
-	h.p.inst.fs.Create(pfMetaName(h.name), sealed)
+	h.size = int(binary.LittleEndian.Uint64(plain))
 	return nil
 }
 
-// readChunk unseals chunk ci, returning nil for never-written chunks.
-// The caller is responsible for charging the underlying data fetch
-// (ReadAt batches one OCALL per application read); readChunk charges
-// the per-chunk authentication work.
+// writeMeta seals the logical size and overwrites the size record in
+// place.
+func (h *pfHandle) writeMeta(t *sgx.Thread) error {
+	var plain [8]byte
+	binary.LittleEndian.PutUint64(plain[:], uint64(h.size))
+	sealed := h.p.inst.Env.M.Engine.Seal(h.sealed[:0], h.p.inst.Env.Enclave.ID, pfContext(h.name, -1), plain[:])
+	t.Compute(uint64(len(plain)))
+	t.Syscall(uint64(len(sealed)))
+	h.p.inst.fs.PatchRaw(pfMetaName(h.name), 0, sealed)
+	return nil
+}
+
+// readChunk unseals chunk ci into the handle's plain buffer, returning
+// nil for never-written chunks. The caller is responsible for
+// charging the underlying data fetch (ReadAt batches one OCALL per
+// application read); readChunk charges the per-chunk authentication
+// work.
 func (h *pfHandle) readChunk(t *sgx.Thread, ci int) ([]byte, error) {
-	raw := h.p.inst.fs.Raw(h.name)
-	lo := ci * pfSealed
-	if lo >= len(raw) {
+	n := h.p.inst.fs.ReadRaw(h.name, ci*pfSealed, h.sealed[:])
+	if n == 0 {
 		return nil, nil
 	}
-	hi := lo + pfSealed
-	if hi > len(raw) {
+	if n < pfSealed {
 		return nil, fmt.Errorf("libos: protected file %q: truncated chunk %d", h.name, ci)
 	}
-	if isHole(raw[lo : lo+16]) {
+	if isHole(h.sealed[:16]) {
 		// Never-written chunk inside a sparsely-grown file: the
 		// sealed IV region is still zero.
 		return nil, nil
 	}
-	plain, err := h.p.inst.Env.M.Engine.Unseal(h.p.inst.Env.Enclave.ID, pfContext(h.name, ci), raw[lo:hi])
+	plain, err := h.p.inst.Env.M.Engine.Unseal(h.plain[:0], h.p.inst.Env.Enclave.ID, pfContext(h.name, ci), h.sealed[:])
 	if err != nil {
 		return nil, fmt.Errorf("libos: protected file %q chunk %d: %w", h.name, ci, err)
 	}
@@ -176,10 +196,22 @@ func (h *pfHandle) readChunk(t *sgx.Thread, ci int) ([]byte, error) {
 	return plain, nil
 }
 
-// writeChunk seals and stores chunk ci. As with readChunk, the bulk
-// data syscall is batched by the caller.
-func (h *pfHandle) writeChunk(t *sgx.Thread, ci int, plain []byte) {
-	sealed := h.p.inst.Env.M.Engine.Seal(h.p.inst.Env.Enclave.ID, pfContext(h.name, ci), plain)
+// chunk returns the plaintext of chunk ci in the handle's plain
+// buffer, zeros for a never-written chunk.
+func (h *pfHandle) chunk(t *sgx.Thread, ci int) ([]byte, error) {
+	plain, err := h.readChunk(t, ci)
+	if err != nil || plain != nil {
+		return plain, err
+	}
+	clear(h.plain[:])
+	return h.plain[:], nil
+}
+
+// writeChunk seals the handle's plain buffer as chunk ci and stores
+// it. As with readChunk, the bulk data syscall is batched by the
+// caller.
+func (h *pfHandle) writeChunk(t *sgx.Thread, ci int) {
+	sealed := h.p.inst.Env.M.Engine.Seal(h.sealed[:0], h.p.inst.Env.Enclave.ID, pfContext(h.name, ci), h.plain[:])
 	t.Compute(pfCryptoChunkCycles)
 	h.p.inst.fs.PatchRaw(h.name, ci*pfSealed, sealed)
 	h.dirty++
@@ -217,12 +249,9 @@ func (h *pfHandle) ReadAt(t *sgx.Thread, addr uint64, off, n int) (int, error) {
 		if take > n-done {
 			take = n - done
 		}
-		plain, err := h.readChunk(t, ci)
+		plain, err := h.chunk(t, ci) // a sparse hole reads as zeros
 		if err != nil {
 			return done, err
-		}
-		if plain == nil {
-			plain = make([]byte, pfChunk) // sparse hole reads as zeros
 		}
 		t.Write(addr+uint64(done), plain[chunkOff:chunkOff+take])
 		done += take
@@ -248,21 +277,15 @@ func (h *pfHandle) WriteAt(t *sgx.Thread, addr uint64, off, n int) (int, error) 
 		if take > n-done {
 			take = n - done
 		}
-		var plain []byte
-		if chunkOff == 0 && take == pfChunk {
-			plain = make([]byte, pfChunk) // full overwrite, no RMW
-		} else {
-			existing, err := h.readChunk(t, ci)
-			if err != nil {
+		// A full overwrite needs no read-modify-write: the read
+		// below fills the whole plain buffer.
+		if take < pfChunk {
+			if _, err := h.chunk(t, ci); err != nil {
 				return done, err
 			}
-			if existing == nil {
-				existing = make([]byte, pfChunk)
-			}
-			plain = existing
 		}
-		t.Read(addr+uint64(done), plain[chunkOff:chunkOff+take])
-		h.writeChunk(t, ci, plain)
+		t.Read(addr+uint64(done), h.plain[chunkOff:chunkOff+take])
+		h.writeChunk(t, ci)
 		done += take
 	}
 	if off+n > h.size {

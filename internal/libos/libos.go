@@ -130,11 +130,10 @@ func load(fs *osal.FS, man Manifest, epcPages int) (*Instance, error) {
 		verified:   make(map[string]bool, len(man.Files)),
 	}
 	for _, name := range man.Files {
-		data := fs.Raw(name)
-		if data == nil {
+		if fs.Size(name) < 0 {
 			return nil, fmt.Errorf("libos: manifest file %q not found", name)
 		}
-		inst.fileHashes[name] = hashFile(data)
+		inst.fileHashes[name], _ = hashFile(fs, name)
 	}
 	return inst, nil
 }
@@ -181,12 +180,11 @@ func (inst *Instance) verifyOnOpen(t *sgx.Thread, name string) error {
 	if inst.verified[name] {
 		return nil
 	}
-	data := inst.fs.Raw(name)
-	got := hashFile(data)
+	got, size := hashFile(inst.fs, name)
 	// Hashing happens inside the enclave over data fetched through
 	// OCALLs; charge ~1 cycle/byte of SHA-256 work plus the fetches.
-	t.Compute(uint64(len(data)))
-	t.Syscall(uint64(len(data)))
+	t.Compute(uint64(size))
+	t.Syscall(uint64(size))
 	if subtle.ConstantTimeCompare(want[:], got[:]) != 1 {
 		return fmt.Errorf("libos: hash mismatch for trusted file %q", name)
 	}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"sgxgauge/internal/mem"
+	"sgxgauge/internal/osal"
 	"sgxgauge/internal/sgx"
 )
 
@@ -67,8 +68,23 @@ func (m Manifest) Validate() error {
 // hashFile computes the measurement of one input file recorded at
 // manifest-processing time ("GrapheneSGX then processes this file and
 // calculates the hash of all the required input files, which are then
-// verified at the time of the execution", §4.4).
-func hashFile(data []byte) [32]byte { return sha256.Sum256(data) }
+// verified at the time of the execution", §4.4). It hashes the file
+// page by page and returns the digest with the bytes hashed; an absent
+// file hashes as empty.
+func hashFile(fs *osal.FS, name string) (sum [32]byte, size int) {
+	h := sha256.New()
+	var page [mem.PageSize]byte
+	for {
+		n := fs.ReadRaw(name, size, page[:])
+		if n == 0 {
+			break
+		}
+		h.Write(page[:n])
+		size += n
+	}
+	h.Sum(sum[:0])
+	return sum, size
+}
 
 // enclaveImagePages returns how many pages the loader EADDs at launch.
 // Graphene loads the entire declared enclave (heap included), which is

@@ -22,11 +22,11 @@ func FuzzSealUnseal(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, enclaveID uint32, context uint64,
 		plaintext []byte, corruptAt int, flip byte) {
 		e := New(seed)
-		sealed := e.Seal(enclaveID, context, plaintext)
+		sealed := e.Seal(nil, enclaveID, context, plaintext)
 
 		if corruptAt < 0 || flip == 0 {
 			// Clean round trip.
-			got, err := e.Unseal(enclaveID, context, sealed)
+			got, err := e.Unseal(nil, enclaveID, context, sealed)
 			if err != nil {
 				t.Fatalf("unseal of untampered blob: %v", err)
 			}
@@ -34,10 +34,10 @@ func FuzzSealUnseal(f *testing.F) {
 				t.Fatalf("round trip mangled data: got %x, want %x", got, plaintext)
 			}
 			// Wrong identity or context must be rejected.
-			if _, err := e.Unseal(enclaveID+1, context, sealed); !errors.Is(err, ErrMACMismatch) {
+			if _, err := e.Unseal(nil, enclaveID+1, context, sealed); !errors.Is(err, ErrMACMismatch) {
 				t.Fatalf("unseal under wrong enclave: err=%v, want ErrMACMismatch", err)
 			}
-			if _, err := e.Unseal(enclaveID, context+1, sealed); !errors.Is(err, ErrMACMismatch) {
+			if _, err := e.Unseal(nil, enclaveID, context+1, sealed); !errors.Is(err, ErrMACMismatch) {
 				t.Fatalf("unseal under wrong context: err=%v, want ErrMACMismatch", err)
 			}
 			return
@@ -46,7 +46,7 @@ func FuzzSealUnseal(f *testing.F) {
 		// Corrupt one byte anywhere in the blob (IV, ciphertext or
 		// MAC): unseal must reject it.
 		sealed[corruptAt%len(sealed)] ^= flip
-		if _, err := e.Unseal(enclaveID, context, sealed); !errors.Is(err, ErrMACMismatch) {
+		if _, err := e.Unseal(nil, enclaveID, context, sealed); !errors.Is(err, ErrMACMismatch) {
 			t.Fatalf("unseal of corrupted blob: err=%v, want ErrMACMismatch", err)
 		}
 	})

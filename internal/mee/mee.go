@@ -25,6 +25,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
+	"sync"
 
 	"sgxgauge/internal/mem"
 )
@@ -41,11 +43,14 @@ var (
 
 // Engine is the memory encryption engine. One Engine guards one
 // platform; the key is generated at machine boot. Engine methods are
-// safe for concurrent use after construction because the key material
-// is immutable (cipher instances are created per call).
+// safe for concurrent use after construction: the key material and
+// the expanded AES key are immutable, and each Seal or Unseal takes an
+// HMAC state of its own from a pool.
 type Engine struct {
 	encKey [16]byte
 	macKey [32]byte
+	block  cipher.Block // AES under encKey; safe for concurrent use
+	macs   sync.Pool    // of hash.Hash: HMAC-SHA-256 under macKey
 }
 
 // New creates an Engine with keys derived deterministically from the
@@ -62,7 +67,23 @@ func New(seed uint64) *Engine {
 	h.Write(b[:])
 	h.Write([]byte("sgxgauge-mee-mac"))
 	copy(e.macKey[:], h.Sum(nil))
+	block, err := aes.NewCipher(e.encKey[:])
+	if err != nil {
+		panic(fmt.Sprintf("mee: aes init: %v", err)) // key length is fixed; cannot happen
+	}
+	e.block = block
+	e.macs.New = func() any { return hmac.New(sha256.New, e.macKey[:]) }
 	return &e
+}
+
+// mac appends the HMAC-SHA-256 of data under the MAC key to dst.
+func (e *Engine) mac(dst []byte, data []byte) []byte {
+	h := e.macs.Get().(hash.Hash)
+	h.Reset()
+	h.Write(data)
+	dst = h.Sum(dst)
+	e.macs.Put(h)
+	return dst
 }
 
 // nonce derives the 16-byte GCM nonce for a page from its identity
@@ -89,11 +110,7 @@ func pageHeader(id mem.PageID, version uint64) [20]byte {
 // pageAEAD builds the page AEAD: AES-128-GCM with the engine's full
 // 16-byte page nonce.
 func (e *Engine) pageAEAD() cipher.AEAD {
-	block, err := aes.NewCipher(e.encKey[:])
-	if err != nil {
-		panic(fmt.Sprintf("mee: aes init: %v", err)) // key length is fixed; cannot happen
-	}
-	aead, err := cipher.NewGCMWithNonceSize(block, aes.BlockSize)
+	aead, err := cipher.NewGCMWithNonceSize(e.block, aes.BlockSize)
 	if err != nil {
 		panic(fmt.Sprintf("mee: gcm init: %v", err)) // nonce size is fixed; cannot happen
 	}
@@ -216,46 +233,55 @@ const sealOverhead = 48
 // the given enclave identity (Appendix E: sealed data "can only be
 // unsealed on the same platform" and optionally by the same enclave).
 // context must be unique per (enclave, plaintext slot) — e.g. a file
-// chunk identifier — so that key streams are never reused.
-func (e *Engine) Seal(enclaveID uint32, context uint64, plaintext []byte) []byte {
-	out := make([]byte, sealOverhead+len(plaintext))
+// chunk identifier — so that key streams are never reused. As with
+// cipher.AEAD, the sealed blob (sealOverhead bytes more than the
+// plaintext) is appended to dst and the extended slice returned, so a
+// caller that passes a buffer with room seals without allocating;
+// dst's spare room must not overlap plaintext.
+func (e *Engine) Seal(dst []byte, enclaveID uint32, context uint64, plaintext []byte) []byte {
+	ret, out := sliceForAppend(dst, sealOverhead+len(plaintext))
 	iv := out[:aes.BlockSize]
+	clear(iv)
 	binary.LittleEndian.PutUint32(iv[0:4], enclaveID)
 	binary.LittleEndian.PutUint64(iv[4:12], context)
 	iv[12] = 0x5e // domain separator vs page nonces
-	block, err := aes.NewCipher(e.encKey[:])
-	if err != nil {
-		panic(fmt.Sprintf("mee: aes init: %v", err))
-	}
-	cipher.NewCTR(block, iv).XORKeyStream(out[aes.BlockSize:aes.BlockSize+len(plaintext)], plaintext)
-	h := hmac.New(sha256.New, e.macKey[:])
-	h.Write(out[:aes.BlockSize+len(plaintext)])
-	copy(out[aes.BlockSize+len(plaintext):], h.Sum(nil))
-	return out
+	cipher.NewCTR(e.block, iv).XORKeyStream(out[aes.BlockSize:aes.BlockSize+len(plaintext)], plaintext)
+	e.mac(out[:aes.BlockSize+len(plaintext)], out[:aes.BlockSize+len(plaintext)])
+	return ret
 }
 
 // Unseal reverses Seal, verifying integrity, the enclave binding and
-// the context.
-func (e *Engine) Unseal(enclaveID uint32, context uint64, sealed []byte) ([]byte, error) {
+// the context. As with cipher.AEAD, the plaintext is appended to dst
+// and the extended slice returned; dst's spare room must not overlap
+// sealed. On an error dst is returned unchanged in length.
+func (e *Engine) Unseal(dst []byte, enclaveID uint32, context uint64, sealed []byte) ([]byte, error) {
 	if len(sealed) < sealOverhead {
-		return nil, ErrMACMismatch
+		return dst, ErrMACMismatch
 	}
 	n := len(sealed) - sealOverhead
 	iv := sealed[:aes.BlockSize]
 	if binary.LittleEndian.Uint32(iv[0:4]) != enclaveID ||
 		binary.LittleEndian.Uint64(iv[4:12]) != context {
-		return nil, ErrMACMismatch
+		return dst, ErrMACMismatch
 	}
-	h := hmac.New(sha256.New, e.macKey[:])
-	h.Write(sealed[:aes.BlockSize+n])
-	if !hmac.Equal(h.Sum(nil), sealed[aes.BlockSize+n:]) {
-		return nil, ErrMACMismatch
+	var mac [sha256.Size]byte
+	if !hmac.Equal(e.mac(mac[:0], sealed[:aes.BlockSize+n]), sealed[aes.BlockSize+n:]) {
+		return dst, ErrMACMismatch
 	}
-	out := make([]byte, n)
-	block, err := aes.NewCipher(e.encKey[:])
-	if err != nil {
-		panic(fmt.Sprintf("mee: aes init: %v", err))
+	ret, out := sliceForAppend(dst, n)
+	cipher.NewCTR(e.block, iv).XORKeyStream(out, sealed[aes.BlockSize:aes.BlockSize+n])
+	return ret, nil
+}
+
+// sliceForAppend extends in by n bytes, reallocating only when its
+// capacity is short, and returns the whole slice and the n-byte tail
+// (the idiom of the standard library's AEADs).
+func sliceForAppend(in []byte, n int) (head, tail []byte) {
+	if total := len(in) + n; cap(in) >= total {
+		head = in[:total]
+	} else {
+		head = make([]byte, total)
+		copy(head, in)
 	}
-	cipher.NewCTR(block, iv).XORKeyStream(out, sealed[aes.BlockSize:aes.BlockSize+n])
-	return out, nil
+	return head, head[len(in):]
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -114,11 +115,11 @@ func TestCrossEngineUnsealFails(t *testing.T) {
 func TestSealUnsealBlob(t *testing.T) {
 	e := New(1)
 	plain := []byte("the quick brown fox")
-	sealed := e.Seal(9, 1234, plain)
+	sealed := e.Seal(nil, 9, 1234, plain)
 	if bytes.Contains(sealed, plain) {
 		t.Fatal("sealed blob leaks plaintext")
 	}
-	out, err := e.Unseal(9, 1234, sealed)
+	out, err := e.Unseal(nil, 9, 1234, sealed)
 	if err != nil {
 		t.Fatalf("Unseal: %v", err)
 	}
@@ -127,32 +128,90 @@ func TestSealUnsealBlob(t *testing.T) {
 	}
 }
 
+// TestSealAppendsToDst: Seal and Unseal append to dst as cipher.AEAD
+// does, writing into its spare room without allocating when it has
+// enough, and the bytes match a seal into nil.
+func TestSealAppendsToDst(t *testing.T) {
+	e := New(1)
+	plain := bytes.Repeat([]byte("chunk!"), 100)
+	want := e.Seal(nil, 9, 7, plain)
+	prefix := []byte("hdr")
+	got := e.Seal(bytes.Clone(prefix), 9, 7, plain)
+	if !bytes.Equal(got, append(bytes.Clone(prefix), want...)) {
+		t.Fatal("Seal into a prefixed dst differs from a seal into nil")
+	}
+	sealBuf := make([]byte, 0, len(want))
+	plainBuf := make([]byte, 0, len(plain))
+	sealed := e.Seal(sealBuf, 9, 7, plain)
+	opened, err := e.Unseal(plainBuf, 9, 7, sealed)
+	if err != nil || !bytes.Equal(sealed, want) || !bytes.Equal(opened, plain) {
+		t.Fatalf("round trip through caller buffers: %v", err)
+	}
+	if &sealed[0] != &sealBuf[:1][0] || &opened[0] != &plainBuf[:1][0] {
+		t.Error("Seal or Unseal reallocated a dst with room to spare")
+	}
+	if out, err := e.Unseal(plainBuf, 9, 8, sealed); err == nil || len(out) != 0 {
+		t.Errorf("Unseal under a wrong context = %d bytes, %v; want dst unchanged and an error", len(out), err)
+	}
+}
+
+// TestSealConcurrentUse: one Engine is shared by a boot template's
+// clones, which run on different goroutines, so Seal and Unseal must
+// give the same bytes from several goroutines at once as from one.
+func TestSealConcurrentUse(t *testing.T) {
+	e := New(1)
+	const workers, rounds = 4, 100
+	plain := bytes.Repeat([]byte("concurrent"), 50)
+	want := make([][]byte, rounds)
+	for i := range want {
+		want[i] = e.Seal(nil, 9, uint64(i), plain)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var sealed, opened []byte
+			for i := 0; i < rounds; i++ {
+				sealed = e.Seal(sealed[:0], 9, uint64(i), plain)
+				var err error
+				if opened, err = e.Unseal(opened[:0], 9, uint64(i), sealed); err != nil ||
+					!bytes.Equal(sealed, want[i]) || !bytes.Equal(opened, plain) {
+					t.Errorf("round %d: concurrent seal or unseal differs from the serial one (%v)", i, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 func TestUnsealWrongEnclaveOrContext(t *testing.T) {
 	e := New(1)
-	sealed := e.Seal(9, 1234, []byte("data"))
-	if _, err := e.Unseal(10, 1234, sealed); err == nil {
+	sealed := e.Seal(nil, 9, 1234, []byte("data"))
+	if _, err := e.Unseal(nil, 10, 1234, sealed); err == nil {
 		t.Error("unsealed under wrong enclave")
 	}
-	if _, err := e.Unseal(9, 1235, sealed); err == nil {
+	if _, err := e.Unseal(nil, 9, 1235, sealed); err == nil {
 		t.Error("unsealed under wrong context")
 	}
 }
 
 func TestUnsealTamperAndTruncation(t *testing.T) {
 	e := New(1)
-	sealed := e.Seal(9, 1, []byte("data"))
+	sealed := e.Seal(nil, 9, 1, []byte("data"))
 	sealed[len(sealed)-1] ^= 1
-	if _, err := e.Unseal(9, 1, sealed); err != ErrMACMismatch {
+	if _, err := e.Unseal(nil, 9, 1, sealed); err != ErrMACMismatch {
 		t.Errorf("tampered blob unsealed: %v", err)
 	}
-	if _, err := e.Unseal(9, 1, []byte("short")); err != ErrMACMismatch {
+	if _, err := e.Unseal(nil, 9, 1, []byte("short")); err != ErrMACMismatch {
 		t.Errorf("truncated blob unsealed: %v", err)
 	}
 }
 
 func TestSealEmptyPayload(t *testing.T) {
 	e := New(1)
-	out, err := e.Unseal(3, 0, e.Seal(3, 0, nil))
+	out, err := e.Unseal(nil, 3, 0, e.Seal(nil, 3, 0, nil))
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty payload round trip: %v, %d bytes", err, len(out))
 	}
@@ -161,7 +220,7 @@ func TestSealEmptyPayload(t *testing.T) {
 func TestSealRoundTripProperty(t *testing.T) {
 	e := New(99)
 	f := func(enclave uint32, context uint64, data []byte) bool {
-		out, err := e.Unseal(enclave, context, e.Seal(enclave, context, data))
+		out, err := e.Unseal(nil, enclave, context, e.Seal(nil, enclave, context, data))
 		return err == nil && bytes.Equal(out, data)
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -5,6 +5,11 @@
 // The filesystem is "untrusted" in the SGX sense: file contents live
 // outside any enclave, and in Native/LibOS modes every read or write
 // crosses the enclave boundary through an OCALL (paper Appendix E).
+//
+// A file's bytes live on 4 KiB page frames taken from the page
+// recycler (mem.NewFrame), so a growing file adds pages instead of
+// reallocating and copying its contents, and FS.Release gives the
+// pages back when the run that owns the filesystem ends.
 package osal
 
 import (
@@ -12,20 +17,88 @@ import (
 	"sort"
 	"sync"
 
+	"sgxgauge/internal/mem"
 	"sgxgauge/internal/sgx"
 )
 
-// File is one file in the simulated filesystem.
+// File is one file in the simulated filesystem: a table of page
+// frames plus a size. A nil page reads as zeros, so a sparse gap
+// takes no frame. Bytes of a page past size are always zero, since
+// frames come zeroed and files never shrink.
 type File struct {
-	Name string
-	Data []byte
+	Name    string
+	pages   []*mem.Frame
+	size    int
+	handles int // open handles, which may still read or write the pages
+}
+
+// read copies the file bytes at off into p and returns the number
+// copied, short at end of file.
+func (f *File) read(off int, p []byte) int {
+	if off >= f.size {
+		return 0
+	}
+	n := min(len(p), f.size-off)
+	for done := 0; done < n; {
+		pi, po := (off+done)/mem.PageSize, (off+done)%mem.PageSize
+		take := min(mem.PageSize-po, n-done)
+		if pi < len(f.pages) && f.pages[pi] != nil {
+			copy(p[done:done+take], f.pages[pi].Data[po:])
+		} else {
+			clear(p[done : done+take])
+		}
+		done += take
+	}
+	return n
+}
+
+// write stores data at off, taking a zeroed frame for every page it
+// touches that has none and extending the file as needed; any gap
+// before off reads back as zeros.
+func (f *File) write(off int, data []byte) {
+	end := off + len(data)
+	if need := (end + mem.PageSize - 1) / mem.PageSize; need > len(f.pages) {
+		f.pages = append(f.pages, make([]*mem.Frame, need-len(f.pages))...)
+	}
+	for done := 0; done < len(data); {
+		pi, po := (off+done)/mem.PageSize, (off+done)%mem.PageSize
+		if f.pages[pi] == nil {
+			f.pages[pi] = mem.NewFrame()
+		}
+		done += copy(f.pages[pi].Data[po:], data[done:])
+	}
+	f.size = max(f.size, end)
+}
+
+// free gives the file's pages back to the page recycler. The caller
+// guarantees no handle can reach them any more.
+func (f *File) free() {
+	for _, p := range f.pages {
+		if p != nil {
+			mem.FreeFrame(p)
+		}
+	}
+	f.pages = nil
+}
+
+// drop detaches a file the FS no longer names. Its pages go back to
+// the recycler when no handle is open; otherwise the open handles
+// keep the old bytes and the pages are left to the collector.
+func (f *File) drop() {
+	if f.handles == 0 {
+		f.free()
+	}
 }
 
 // FS is the in-memory untrusted filesystem. Host-side helpers
-// (Create, Raw) cost nothing; thread-side operations charge syscalls.
+// (Create, ReadRaw, PatchRaw) cost nothing; thread-side operations
+// charge syscalls. Release ends its life: it gives every page of the
+// files it still names back to the page recycler, and any later
+// access, through the FS or a handle, panics.
 type FS struct {
-	mu    sync.Mutex
-	files map[string]*File // guarded by mu
+	mu       sync.Mutex
+	files    map[string]*File // guarded by mu
+	released bool             // guarded by mu
 }
 
 // NewFS returns an empty filesystem.
@@ -33,91 +106,91 @@ func NewFS() *FS {
 	return &FS{files: make(map[string]*File)}
 }
 
-// Create installs a file with the given contents, replacing any
-// existing one. It models host-side setup and costs nothing. The FS
-// takes ownership of data; its capacity is clipped to its length, so
-// a later growing write reallocates instead of writing into the
-// caller's array beyond len(data).
-func (fs *FS) Create(name string, data []byte) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.files[name] = &File{Name: name, Data: data[:len(data):len(data)]}
+// live panics when the FS was released. caller holds mu.
+func (fs *FS) live() {
+	if fs.released {
+		panic("osal: use of a released filesystem")
+	}
 }
 
-// Remove deletes a file; missing files are ignored.
+// install names f, dropping the file it replaces. caller holds mu.
+func (fs *FS) install(f *File) {
+	fs.live()
+	if old := fs.files[f.Name]; old != nil {
+		old.drop()
+	}
+	fs.files[f.Name] = f
+}
+
+// Create installs a file with a copy of the given contents, replacing
+// any existing one. It models host-side setup and costs nothing.
+func (fs *FS) Create(name string, data []byte) {
+	f := &File{Name: name}
+	f.write(0, data)
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fs.install(f)
+}
+
+// Remove deletes a file; missing files are ignored. A handle opened
+// before the removal keeps reading the old bytes.
 func (fs *FS) Remove(name string) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	delete(fs.files, name)
+	fs.live()
+	if f := fs.files[name]; f != nil {
+		delete(fs.files, name)
+		f.drop()
+	}
 }
 
-// Raw returns the live contents of a file for host-side inspection
-// (hash checks, test assertions), or nil when absent. Growing writes
-// leave spare capacity past the returned length; that memory belongs
-// to the FS, so callers must not append to the slice.
-func (fs *FS) Raw(name string) []byte {
+// ReadRaw copies the bytes of a file at off into p for host-side
+// inspection (hash checks, test assertions) and returns the number
+// copied: short at end of file, and 0 for an absent file (Size tells
+// the two apart). It requires off >= 0.
+func (fs *FS) ReadRaw(name string, off int, p []byte) int {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	fs.live()
 	if f := fs.files[name]; f != nil {
-		return f.Data
+		return f.read(off, p)
 	}
-	return nil
+	return 0
 }
 
 // Size returns a file's length in bytes, or -1 when absent.
 func (fs *FS) Size(name string) int {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	fs.live()
 	if f := fs.files[name]; f != nil {
-		return len(f.Data)
+		return f.size
 	}
 	return -1
 }
 
 // PatchRaw overwrites file bytes at off with data, creating the file
-// if absent. A write past the end grows the file as grow does: the
-// extension is zero-filled and growth is amortized, so writing a file
-// chunk by chunk costs time linear in its final size. It requires
-// off >= 0. It models host-side writes performed on behalf of a
-// privileged runtime and costs nothing; the caller is responsible for
-// charging the corresponding syscalls.
+// if absent. A write past the end extends the file and any gap reads
+// back as zeros. It requires off >= 0. It models host-side writes
+// performed on behalf of a privileged runtime and costs nothing; the
+// caller is responsible for charging the corresponding syscalls.
 func (fs *FS) PatchRaw(name string, off int, data []byte) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	fs.live()
 	f := fs.files[name]
 	if f == nil {
 		f = &File{Name: name}
 		fs.files[name] = f
 	}
-	f.Data = grow(f.Data, off+len(data))
-	copy(f.Data[off:], data)
-}
-
-// grow returns b extended to need bytes when need > len(b). The
-// extension is zero-filled, including bytes taken from b's spare
-// capacity. A reallocation at least doubles the capacity, so a
-// sequence of extending writes allocates under twice the final size
-// in total (append's ~1.25x policy for large slices allocates about
-// five times). The new array is appended to nil, which takes the
-// requested length as its capacity rounded up to a size class (spare
-// room for later writes); appending to b would apply append's policy
-// to the request and turn twice the capacity into ~2.4x.
-func grow(b []byte, need int) []byte {
-	if need <= len(b) {
-		return b
-	}
-	if need <= cap(b) {
-		return append(b, make([]byte, need-len(b))...)
-	}
-	nb := append([]byte(nil), make([]byte, max(need, 2*cap(b)))...)
-	copy(nb, b)
-	return nb[:need]
+	f.write(off, data)
 }
 
 // List returns the file names in sorted order.
 func (fs *FS) List() []string {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
+	fs.live()
 	names := make([]string, 0, len(fs.files))
 	for n := range fs.files {
 		names = append(names, n)
@@ -126,10 +199,51 @@ func (fs *FS) List() []string {
 	return names
 }
 
-func (fs *FS) lookup(name string) *File {
+// Release gives every page of the files the FS still names back to
+// the page recycler and ends the filesystem's life: any later access,
+// through the FS or one of its handles, panics. Pages of files that
+// were removed or replaced while a handle was open are left to the
+// collector. The harness calls it when the run that owns the FS ends.
+func (fs *FS) Release() {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	return fs.files[name]
+	fs.live()
+	for _, f := range fs.files {
+		f.free()
+	}
+	fs.files, fs.released = nil, true
+}
+
+// size returns f's length.
+func (fs *FS) size(f *File) int {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fs.live()
+	return f.size
+}
+
+// readFile copies f's bytes at off into p.
+func (fs *FS) readFile(f *File, off int, p []byte) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fs.live()
+	f.read(off, p)
+}
+
+// writeFile stores data in f at off.
+func (fs *FS) writeFile(f *File, off int, data []byte) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fs.live()
+	f.write(off, data)
+}
+
+// closeFile drops an open handle of f.
+func (fs *FS) closeFile(f *File) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fs.live()
+	f.handles--
 }
 
 // FileSystem is the interface workloads use for file I/O. The plain
@@ -160,11 +274,15 @@ type Handle interface {
 
 // Open implements FileSystem.
 func (fs *FS) Open(t *sgx.Thread, name string) (Handle, error) {
-	f := fs.lookup(name)
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fs.live()
+	f := fs.files[name]
 	if f == nil {
 		t.Syscall(0) // the failed open still costs a syscall
 		return nil, fmt.Errorf("osal: open %q: no such file", name)
 	}
+	f.handles++
 	t.Syscall(uint64(len(name)))
 	return &fileHandle{fs: fs, f: f}, nil
 }
@@ -172,20 +290,33 @@ func (fs *FS) Open(t *sgx.Thread, name string) (Handle, error) {
 // CreateFile implements FileSystem.
 func (fs *FS) CreateFile(t *sgx.Thread, name string) (Handle, error) {
 	t.Syscall(uint64(len(name)))
+	f := &File{Name: name, handles: 1}
 	fs.mu.Lock()
-	f := &File{Name: name}
-	fs.files[name] = f
-	fs.mu.Unlock()
+	defer fs.mu.Unlock()
+	fs.install(f)
 	return &fileHandle{fs: fs, f: f}, nil
 }
 
+// fileHandle is an open plain file. Data moves between the file's
+// pages and the simulated address space through buf, a scratch buffer
+// the handle keeps for its largest transfer, so each ReadAt or WriteAt
+// is one syscall and one contiguous memory access of the full length.
 type fileHandle struct {
 	fs     *FS
 	f      *File
+	buf    []byte
 	closed bool
 }
 
-func (h *fileHandle) Size() int { return len(h.f.Data) }
+// scratch returns the handle's scratch buffer with length n.
+func (h *fileHandle) scratch(n int) []byte {
+	if cap(h.buf) < n {
+		h.buf = make([]byte, n)
+	}
+	return h.buf[:n]
+}
+
+func (h *fileHandle) Size() int { return h.fs.size(h.f) }
 
 func (h *fileHandle) ReadAt(t *sgx.Thread, addr uint64, off, n int) (int, error) {
 	if h.closed {
@@ -195,21 +326,20 @@ func (h *fileHandle) ReadAt(t *sgx.Thread, addr uint64, off, n int) (int, error)
 		t.Syscall(0) // the rejected read still costs a syscall
 		return 0, fmt.Errorf("osal: read of %q at offset %d, length %d", h.f.Name, off, n)
 	}
-	if off >= len(h.f.Data) {
+	size := h.fs.size(h.f)
+	if off >= size {
 		t.Syscall(0)
 		return 0, nil
 	}
-	end := off + n
-	if end > len(h.f.Data) {
-		end = len(h.f.Data)
-	}
-	data := h.f.Data[off:end]
+	data := h.scratch(min(n, size-off))
+	h.fs.readFile(h.f, off, data)
 	t.Syscall(uint64(len(data)))
 	t.Write(addr, data)
 	return len(data), nil
 }
 
-// WriteAt extends the file through grow: amortized, zero-filled.
+// WriteAt copies the simulated bytes into the handle's scratch buffer,
+// then onto the file's pages.
 func (h *fileHandle) WriteAt(t *sgx.Thread, addr uint64, off, n int) (int, error) {
 	if h.closed {
 		return 0, fmt.Errorf("osal: write on closed file %q", h.f.Name)
@@ -218,9 +348,10 @@ func (h *fileHandle) WriteAt(t *sgx.Thread, addr uint64, off, n int) (int, error
 		t.Syscall(0) // the rejected write still costs a syscall
 		return 0, fmt.Errorf("osal: write of %q at offset %d, length %d", h.f.Name, off, n)
 	}
-	h.f.Data = grow(h.f.Data, off+n)
+	data := h.scratch(n)
 	t.Syscall(uint64(n))
-	t.Read(addr, h.f.Data[off:off+n])
+	t.Read(addr, data)
+	h.fs.writeFile(h.f, off, data)
 	return n, nil
 }
 
@@ -228,7 +359,9 @@ func (h *fileHandle) Close(t *sgx.Thread) error {
 	if h.closed {
 		return fmt.Errorf("osal: double close of %q", h.f.Name)
 	}
+	h.fs.closeFile(h.f)
 	h.closed = true
+	h.buf = nil
 	t.Syscall(0)
 	return nil
 }

@@ -97,16 +97,25 @@ func (w *Workload) Setup(ctx *workloads.Ctx) error {
 	if n <= 0 {
 		return fmt.Errorf("openssl: file_bytes must be positive, got %d", n)
 	}
-	// Generate the plaintext and encrypt it in place: CTR mode allows
-	// exactly overlapping src and dst.
-	enc := make([]byte, n)
+	// Generate the plaintext and encrypt it chunk by chunk in place
+	// (CTR mode allows exactly overlapping src and dst): the word
+	// sequence and the key stream both continue across chunks, so the
+	// file holds the same bytes as one pass over the whole file.
+	ctx.RawFS.Create(inputFile, nil)
+	stream := ctr(key(ctx.Seed), 1)
+	buf := make([]byte, chunk)
 	seed := workloads.Mix64(uint64(ctx.Seed))
-	for i := 0; i+8 <= len(enc); i += 8 {
-		seed = workloads.Mix64(seed)
-		binary.LittleEndian.PutUint64(enc[i:], seed)
+	for off := int64(0); off < n; off += chunk {
+		enc := buf[:min(chunk, n-off)]
+		words := len(enc) &^ 7
+		for i := 0; i < words; i += 8 {
+			seed = workloads.Mix64(seed)
+			binary.LittleEndian.PutUint64(enc[i:], seed)
+		}
+		clear(enc[words:]) // a trailing partial word is zero
+		stream.XORKeyStream(enc, enc)
+		ctx.RawFS.PatchRaw(inputFile, int(off), enc)
 	}
-	ctr(key(ctx.Seed), 1).XORKeyStream(enc, enc)
-	ctx.RawFS.Create(inputFile, enc)
 	ctx.RawFS.Remove(outputFile)
 	return nil
 }

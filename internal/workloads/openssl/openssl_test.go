@@ -2,8 +2,10 @@ package openssl
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
+	"sgxgauge/internal/osal"
 	"sgxgauge/internal/sgx"
 	"sgxgauge/internal/workloads"
 	"sgxgauge/internal/workloads/wltest"
@@ -32,7 +34,7 @@ func TestFileSizesMatchTable2Ratios(t *testing.T) {
 
 func TestSetupCreatesCiphertext(t *testing.T) {
 	ctx := wltest.NewCtx(t, New(), sgx.Vanilla, workloads.Low)
-	raw := ctx.RawFS.Raw(inputFile)
+	raw := readFile(ctx.RawFS, inputFile)
 	if raw == nil {
 		t.Fatal("setup created no input file")
 	}
@@ -51,8 +53,8 @@ func TestOutputDecryptsToTransformedInput(t *testing.T) {
 	if _, err := New().Run(ctx); err != nil {
 		t.Fatal(err)
 	}
-	in := ctx.RawFS.Raw(inputFile)
-	out := ctx.RawFS.Raw(outputFile)
+	in := readFile(ctx.RawFS, inputFile)
+	out := readFile(ctx.RawFS, outputFile)
 	if out == nil || len(out) != len(in) {
 		t.Fatalf("output file missing or wrong size: %d vs %d", len(out), len(in))
 	}
@@ -68,6 +70,43 @@ func TestOutputDecryptsToTransformedInput(t *testing.T) {
 	}
 	if bytes.Equal(in, out) {
 		t.Fatal("output bytes identical to input (nonce reuse)")
+	}
+}
+
+// readFile returns a copy of a file's bytes, or nil when it is absent.
+func readFile(fs *osal.FS, name string) []byte {
+	n := fs.Size(name)
+	if n < 0 {
+		return nil
+	}
+	b := make([]byte, n)
+	fs.ReadRaw(name, 0, b)
+	return b
+}
+
+// TestSetupStreamsTheOneShotFile: Setup writes the input file chunk by
+// chunk, and the bytes equal one pass of the generator and the key
+// stream over the whole file, including a final partial chunk whose
+// length is not a multiple of the 8-byte word.
+func TestSetupStreamsTheOneShotFile(t *testing.T) {
+	const n = 2*chunk + 13
+	ctx := &workloads.Ctx{
+		RawFS:  osal.NewFS(),
+		Params: workloads.Params{Knobs: map[string]int64{"file_bytes": n}},
+		Seed:   7,
+	}
+	if err := New().Setup(ctx); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, n)
+	seed := workloads.Mix64(uint64(ctx.Seed))
+	for i := 0; i+8 <= len(want); i += 8 {
+		seed = workloads.Mix64(seed)
+		binary.LittleEndian.PutUint64(want[i:], seed)
+	}
+	ctr(key(ctx.Seed), 1).XORKeyStream(want, want)
+	if got := readFile(ctx.RawFS, inputFile); !bytes.Equal(got, want) {
+		t.Fatalf("streamed input file (%d bytes) differs from the one-shot generation (%d bytes)", len(got), len(want))
 	}
 }
 
