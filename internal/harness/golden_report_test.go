@@ -52,13 +52,20 @@ func TestGoldenReport(t *testing.T) {
 	if again := renderGoldenReport(t); !bytes.Equal(again, got) {
 		t.Errorf("a report rendered on recycled page buffers differs from the first rendering:\n%s\nfirst:\n%s", again, got)
 	}
+	checkGolden(t, goldenReportPath, got)
+}
+
+// checkGolden compares got against the golden file at path, listing
+// the lines that moved, or rewrites the file under -update.
+func checkGolden(t *testing.T, path string, got []byte) {
+	t.Helper()
 	if *updateGolden {
-		if err := os.WriteFile(goldenReportPath, got, 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(goldenReportPath)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,6 +86,6 @@ func TestGoldenReport(t *testing.T) {
 			diff = append(diff, fmt.Sprintf("line %d:\n  want %q\n   got %q", i+1, w, g))
 		}
 	}
-	t.Errorf("report differs from %s in %d lines (rerun with -update only for an intended change):\n%s",
-		goldenReportPath, len(diff), strings.Join(diff, "\n"))
+	t.Errorf("output differs from %s in %d lines (rerun with -update only for an intended change):\n%s",
+		path, len(diff), strings.Join(diff, "\n"))
 }

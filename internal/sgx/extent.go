@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"sgxgauge/internal/enclave"
 	"sgxgauge/internal/mem"
 	"sgxgauge/internal/perf"
 )
@@ -14,16 +13,17 @@ import (
 // describe whole runs of accesses as Extents — (address, stride,
 // element size, count, kind) — and the machine charges each
 // page-confined stretch of a run in bulk, generalizing the LLC's
-// AccessRun to the full access path. One page resolution (memo probe,
-// or TLB probe + page walk + EPCM check) covers every access that the
-// run makes to that page, because between two accesses of a
-// page-confined run nothing can change the translation: faults, AEX
-// flushes, evictions and shootdowns all happen inside the resolution
-// step at the head of a run, never between the uniform accesses behind
-// it. The charges are computed arithmetically but remain
-// access-for-access identical to issuing each element through
-// accessPage — the differential and fuzz tests hold the compiler to
-// the naive replay bit for bit.
+// AccessRun to the full access path. One page resolution — resolve,
+// the same one accessPage starts with (memo probe, or TLB probe + page
+// walk + EPCM check) — covers every access that the run makes to that
+// page, because between two accesses of a page-confined run nothing
+// can change the translation: faults, AEX flushes, evictions and
+// shootdowns all happen inside the resolution step at the head of a
+// run, never between the uniform accesses behind it. The charges are
+// computed arithmetically, through the same chargeLLC as accessPage,
+// but remain access-for-access identical to issuing each element
+// through accessPage — the differential and fuzz tests hold the
+// compiler to the naive replay bit for bit.
 //
 // There are two execution paths. The bulk path (bulkExtent) takes
 // every extent whose Stride is a power of two no larger than a cache
@@ -35,8 +35,8 @@ import (
 // hits. Dense runs (Stride == Elem) and HashJoin's stride-16 word
 // reads both qualify.
 //
-// Fallback conditions (the replay path, one pageOpDispatch per
-// element chunk, is used instead of bulk charging):
+// Fallback conditions (the replay path, one Machine.access per
+// element, is used instead of bulk charging):
 //
 //   - Config.SlowPath: the straight-line reference path must see
 //     every access individually;
@@ -183,124 +183,42 @@ func (x *Extent) lineConfined() bool {
 	return s != 0 && s&(s-1) == 0 && s <= mem.LineSize && x.Addr&(s-1)+uint64(x.Elem) <= s
 }
 
-// replayExtent is the reference execution: one pageOpDispatch per
-// element chunk, exactly as if the workload had issued each element
-// through Read/Write/Memset. Under SlowPath this routes to
-// accessPageSlow; under chaos it routes to accessPage so the
-// injector's PRNG stream advances once per access and an injected
-// fault lands on — and is attributed to — the precise element that
-// tripped it.
+// replayExtent is the reference execution: one access per element,
+// exactly as if the workload had issued each element through
+// Read/Write/Memset. Under SlowPath this routes to accessPageSlow;
+// under chaos it routes to accessPage so the injector's PRNG stream
+// advances once per access and an injected fault lands on — and is
+// attributed to — the precise element that tripped it.
 func (m *Machine) replayExtent(t *Thread, x *Extent) error {
 	elem := uint64(x.Elem)
 	op := opRead
-	if x.Kind == ExtentWrite {
+	switch x.Kind {
+	case ExtentWrite:
 		op = opWrite
+	case ExtentFill:
+		op = opFill
 	}
 	var word [8]byte
 	for i := uint64(0); i < x.Count; i++ {
-		a := x.Addr + i*x.Stride
 		var p []byte
-		if x.Kind != ExtentFill {
-			if x.U64 != nil {
-				if x.Kind == ExtentWrite {
-					binary.LittleEndian.PutUint64(word[:], x.U64[i])
-				}
-				p = word[:]
-			} else {
-				p = x.Data[i*elem : (i+1)*elem]
+		switch {
+		case x.Kind == ExtentFill:
+		case x.U64 != nil:
+			if x.Kind == ExtentWrite {
+				binary.LittleEndian.PutUint64(word[:], x.U64[i])
 			}
+			p = word[:]
+		default:
+			p = x.Data[i*elem : (i+1)*elem]
 		}
-		rem := elem
-		off := uint64(0)
-		for rem > 0 {
-			n := mem.PageSize - a&(mem.PageSize-1)
-			if n > rem {
-				n = rem
-			}
-			var err error
-			if x.Kind == ExtentFill {
-				err = m.pageOpDispatch(t, a, n, nil, x.Fill, opFill)
-			} else {
-				err = m.pageOpDispatch(t, a, n, p[off:off+n], 0, op)
-			}
-			if err != nil {
-				return err
-			}
-			a += n
-			off += n
-			rem -= n
+		if err := m.access(t, x.Addr+i*x.Stride, elem, p, x.Fill, op); err != nil {
+			return err
 		}
 		if x.Kind == ExtentRead && x.U64 != nil {
 			x.U64[i] = binary.LittleEndian.Uint64(word[:])
 		}
 	}
 	return nil
-}
-
-// extentResolve performs the first access of a page-confined run: the
-// exact resolution sequence of accessPage (memo probe, TLB probe with
-// stale-entry fallback, page walk with EPCM verification and fault
-// handling), charging that one access's Compute. It returns the
-// resolved frame and enclave plus the pending (not yet advanced)
-// cycle charge; on a fault or abort the clock is fully drained, as
-// accessPage leaves it.
-func (m *Machine) extentResolve(t *Thread, addr uint64) (*mem.Frame, *enclave.Enclave, uint64, error) {
-	c := &m.Costs
-	ctr := m.Counters
-	ctr.Inc(perf.Accesses)
-	pend := c.Compute
-
-	vpn := mem.PageNumber(addr)
-	me := t.memoLookup(vpn)
-	var enc *enclave.Enclave
-	if me != nil {
-		enc = me.enc
-	} else {
-		enc = m.enclaveFor(addr)
-	}
-	if enc != nil && enc.Aborted() {
-		t.Clock.Advance(pend)
-		return nil, nil, 0, &AbortError{EnclaveID: enc.ID, Cause: enc.AbortCause()}
-	}
-	if me != nil {
-		pend += c.TLBHit
-		if me.ref != nil {
-			*me.ref = true
-		}
-		return me.frame, enc, pend, nil
-	}
-
-	var frame *mem.Frame
-	var ref *bool
-	resolved := false
-	if t.tlb.Lookup(vpn) {
-		if f, r, ok := m.lookupResident(enc, addr); ok {
-			pend += c.TLBHit
-			frame, ref, resolved = f, r, true
-		} else {
-			t.tlb.Evict(vpn)
-		}
-	}
-	if !resolved {
-		ctr.Inc(perf.DTLBMisses)
-		walk := c.PageWalk
-		if enc != nil {
-			walk += c.EPCMCheck
-		}
-		ctr.Add(perf.WalkCycles, walk)
-		t.Clock.Advance(pend + walk)
-		pend = 0
-		var err error
-		frame, ref, err = m.ensureResident(t, enc, addr)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		if victim, evicted := t.tlb.Insert(vpn); evicted {
-			t.memoInvalidate(victim)
-		}
-	}
-	t.memoStore(vpn, enc, frame, ref)
-	return frame, enc, pend, nil
 }
 
 // bulkExtent charges a line-confined extent (see lineConfined). Each
@@ -319,7 +237,9 @@ func (m *Machine) bulkExtent(t *Thread, x *Extent) error {
 		if rem := x.Count - idx; accs > rem {
 			accs = rem
 		}
-		frame, enc, pend, err := m.extentResolve(t, addr)
+		// The stretch's first access resolves the page; the other
+		// accs-1 are memo hits.
+		frame, enc, pend, err := m.resolve(t, addr)
 		if err != nil {
 			return err
 		}
@@ -330,23 +250,8 @@ func (m *Machine) bulkExtent(t *Thread, x *Extent) error {
 		lines := mem.LineNumber(addr+(accs-1)<<shift) - first + 1
 		rep := accs - lines // one touch per line when Stride == LineSize
 		hits, misses := m.LLC.AccessRun(first, lines)
-		if rep > 0 {
-			m.LLC.NoteHits(rep)
-			hits += rep
-		}
-		if hits != 0 {
-			ctr.Add(perf.LLCHits, hits)
-			pend += hits * c.LLCHit
-		}
-		if misses != 0 {
-			extra := c.DRAMAccess
-			if enc != nil {
-				extra += c.MEELine
-			}
-			ctr.Add(perf.LLCMisses, misses)
-			ctr.Add(perf.StallCycles, misses*extra)
-			pend += misses * extra
-		}
+		m.LLC.NoteHits(rep)
+		pend += m.chargeLLC(hits+rep, misses, enc != nil)
 
 		x.move(frame.Data[off:], idx, accs)
 		if x.Kind == ExtentRead {
@@ -444,11 +349,7 @@ func (t *Thread) TryRunExtent(x Extent) error {
 // RunExtent executes one extent, panicking with the Fault on error
 // (the convention of Read/Write: workloads treat faults as fatal
 // unless they opt into the Try variants).
-func (t *Thread) RunExtent(x Extent) {
-	if err := t.TryRunExtent(x); err != nil {
-		panic(err.(Fault))
-	}
-}
+func (t *Thread) RunExtent(x Extent) { raise(t.TryRunExtent(x)) }
 
 // ReadU64Run reads len(dst) consecutive u64 words starting at addr.
 func (t *Thread) ReadU64Run(addr uint64, dst []uint64) {

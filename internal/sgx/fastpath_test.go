@@ -516,7 +516,7 @@ func FuzzWordAccess(f *testing.F) {
 				case 2:
 					v = uint64(tr.ReadU32(addr(a, b) + 4))
 				case 3:
-					tr.WriteU8(addr(a, b)+1, a^b)
+					tr.Write(addr(a, b)+1, []byte{a ^ b})
 				case 4:
 					// An empty ECALL only flushes and pollutes.
 					tr.ECall(func() {
@@ -642,7 +642,7 @@ func TestBalloonFailureOutsideEnclaveIsCounted(t *testing.T) {
 	m, env, _ := balloonFailureMachine(t)
 	ubuf := env.AllocUntrusted(mem.PageSize, mem.PageSize)
 
-	if err := env.Main.TryWrite(ubuf, []byte{1, 2, 3}); err != nil {
+	if err := Protect(func() { env.Main.Write(ubuf, []byte{1, 2, 3}) }); err != nil {
 		t.Fatalf("untrusted write after failed balloon: %v", err)
 	}
 	if got := m.Counters.Get(perf.BalloonFailures); got == 0 {
@@ -651,7 +651,7 @@ func TestBalloonFailureOutsideEnclaveIsCounted(t *testing.T) {
 	// The machine survived: the same access still works and the
 	// enclave is untouched.
 	var b [3]byte
-	if err := env.Main.TryRead(ubuf, b[:]); err != nil {
+	if err := Protect(func() { env.Main.Read(ubuf, b[:]) }); err != nil {
 		t.Fatalf("machine unusable after counted balloon failure: %v", err)
 	}
 	if env.Enclave.Aborted() {
@@ -664,7 +664,7 @@ func TestBalloonFailureOutsideEnclaveIsCounted(t *testing.T) {
 func TestBalloonFailureInsideEnclaveAborts(t *testing.T) {
 	m, env, ebuf := balloonFailureMachine(t)
 
-	err := env.Main.TryWrite(ebuf, []byte{1})
+	err := Protect(func() { env.Main.Write(ebuf, []byte{1}) })
 	if err == nil {
 		t.Fatal("enclave access with failing balloon resize succeeded")
 	}

@@ -73,6 +73,16 @@ func IsAbort(err error) bool {
 	return errors.As(err, &ae)
 }
 
+// raise unwinds a non-nil machine fault as a typed panic: the Thread
+// API the workloads program against has no error returns, and a
+// faulted access cannot meaningfully continue the computation that
+// issued it. Protect recovers it.
+func raise(err error) {
+	if err != nil {
+		panic(err.(Fault))
+	}
+}
+
 // Protect runs fn, converting a machine Fault raised inside it into
 // the returned error. Any other panic propagates unchanged. The
 // harness wraps every simulated phase (enclave launch, LibOS boot,

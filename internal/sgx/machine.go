@@ -576,10 +576,8 @@ func (m *Machine) ensureResident(t *Thread, enc *enclave.Enclave, addr uint64) (
 	m.Counters.Inc(perf.PageFaults)
 	m.trace(TraceFault, t, mem.PageBase(addr))
 	if t.InEnclave() {
-		m.Counters.Inc(perf.AEXs)
 		m.trace(TraceAEX, t, 0)
-		t.Clock.Advance(c.AEX)
-		t.flushTLB()
+		t.RuntimeAEX()
 	}
 	_, loaded, err := m.EPC.Fault(&t.Clock, c, id)
 	if err != nil {
@@ -625,25 +623,35 @@ func (m *Machine) ForceEvict(t *Thread, addr uint64) bool {
 
 // chargePageLoad models the cache-visible cost of loading one enclave
 // page at build time (EADD + EEXTEND): the page is copied and hashed
-// through the LLC, paying MEE latency per line. This launch traffic is
-// part of why Native-mode runs show inflated LLC-miss and stall-cycle
-// counts even at the Low setting (Table 4).
+// through the LLC. This launch traffic is part of why Native-mode runs
+// show inflated LLC-miss and stall-cycle counts even at the Low
+// setting (Table 4). Misses pay plain DRAM latency: the MEE work of
+// moving the page into the EPC is already covered by the flat
+// EPCAlloc/EWB charges of the paging path.
 func (m *Machine) chargePageLoad(t *Thread, base uint64) {
+	hits, misses := m.LLC.AccessRun(mem.LineNumber(base), mem.PageSize/mem.LineSize)
+	t.Clock.Advance(m.chargeLLC(hits, misses, false))
+}
+
+// chargeLLC counts the given numbers of LLC hits and misses and returns
+// the cycles they cost: LLCHit per hit, and DRAM latency per miss — plus
+// the MEE's encryption/decryption latency when mee is set, for enclave
+// lines on their way between LLC and DRAM (paper §2.2). Every miss
+// cycle is a stall cycle.
+func (m *Machine) chargeLLC(hits, misses uint64, mee bool) uint64 {
 	c := &m.Costs
-	first := mem.LineNumber(base)
-	hits, misses := m.LLC.AccessRun(first, mem.PageSize/mem.LineSize)
-	if hits != 0 {
-		m.Counters.Add(perf.LLCHits, hits)
-		t.Clock.Advance(hits * c.LLCHit)
-	}
+	m.Counters.Add(perf.LLCHits, hits)
+	cyc := hits * c.LLCHit
 	if misses != 0 {
-		// Plain DRAM latency: the MEE work of moving the page into
-		// the EPC is already covered by the flat EPCAlloc/EWB charges
-		// of the paging path.
+		miss := c.DRAMAccess
+		if mee {
+			miss += c.MEELine
+		}
 		m.Counters.Add(perf.LLCMisses, misses)
-		t.Clock.Advance(misses * c.DRAMAccess)
-		m.Counters.Add(perf.StallCycles, misses*c.DRAMAccess)
+		m.Counters.Add(perf.StallCycles, misses*miss)
+		cyc += misses * miss
 	}
+	return cyc
 }
 
 // pageOp selects what a single-page access does with the resolved
@@ -668,10 +676,8 @@ func (m *Machine) chaosStep(t *Thread, enc *enclave.Enclave) error {
 		// Injected interrupt storm: the OS forces an
 		// asynchronous exit, flushing the thread's TLB (§2.3).
 		m.Counters.Inc(perf.InjectedAEXs)
-		m.Counters.Inc(perf.AEXs)
 		m.trace(TraceAEX, t, 0)
-		t.Clock.Advance(c.AEX)
-		t.flushTLB()
+		t.RuntimeAEX()
 	}
 	if m.chaos.Fire(chaos.EPCBalloon) {
 		// The OS balloons the EPC to a new capacity; Resize
@@ -687,42 +693,28 @@ func (m *Machine) chaosStep(t *Thread, enc *enclave.Enclave) error {
 	return nil
 }
 
-// pageOpDispatch routes one single-page access to the fast path or,
-// under Config.SlowPath, the straight-line reference implementation.
-// For op opRead/opWrite, p holds the n payload bytes; for opFill, p is
-// nil and v is the fill byte.
-func (m *Machine) pageOpDispatch(t *Thread, addr, n uint64, p []byte, v byte, op pageOp) error {
-	if m.cfg.SlowPath {
-		return m.accessPageSlow(t, addr, n, p, v, op)
-	}
-	return m.accessPage(t, addr, n, p, v, op)
-}
-
-// accessPage performs one access confined to a single page. It
-// returns a typed Fault error when the access hits an aborted
-// enclave or trips an (injected or organic) failure.
+// resolve performs the page resolution every fast-path access starts
+// with, and counts the access: the memo probe, the abort check and the
+// per-access chaos draws, then, on a memo miss, the TLB probe (a stale
+// entry falls back to the walk), the page walk with EPCM verification,
+// fault handling and the TLB insert, whose result the memo keeps. It
+// returns the page's frame and owning enclave (nil for untrusted
+// memory) plus the access's pending cycles, its Compute and TLB hit,
+// not yet advanced on t's clock. Pending cycles are drained before any
+// EPC operation, so code that reads the clock mid-access (the EPC
+// timeline) sees exactly the value the slow path produces; on an error
+// the clock is fully drained, as the slow path leaves it.
 //
-// This is the simulator's hottest function; it stays cheap two ways,
-// neither of which may change simulated semantics (accessPageSlow is
-// the straight-line reference, and TestFastSlowEquivalence holds the
-// two to identical counters and cycles):
-//
-//   - the thread's direct-mapped page memo caches the full
-//     resolution of recently used pages (owning enclave, frame, CLOCK
-//     reference bit), so repeat touches skip the enclave scan, the
-//     TLB probe, and the EPC residency map. A memo hit implies a TLB
-//     hit: entries die with their TLB entry (flush, shootdown, victim
-//     displacement) and with the EPC slot table (resize);
-//   - LLC line charges for a run of lines are batched (AccessRun) and
-//     clock advances are accumulated per kind.
-func (m *Machine) accessPage(t *Thread, addr, n uint64, p []byte, v byte, op pageOp) error {
+// The thread's direct-mapped page memo caches the full resolution of
+// recently used pages (owning enclave, frame, CLOCK reference bit), so
+// repeat touches skip the enclave scan, the TLB probe and the EPC
+// residency map. A memo hit implies a TLB hit: entries die with their
+// TLB entry (flush, shootdown, victim displacement) and with the EPC
+// slot table (resize).
+func (m *Machine) resolve(t *Thread, addr uint64) (*mem.Frame, *enclave.Enclave, uint64, error) {
 	c := &m.Costs
 	ctr := m.Counters
 	ctr.Inc(perf.Accesses)
-	// Clock advances accumulate in pend and land in one Advance call
-	// per stretch; pend is drained before any EPC operation so code
-	// that reads the clock mid-access (the EPC timeline) sees exactly
-	// the value the slow path produces.
 	pend := c.Compute
 
 	vpn := mem.PageNumber(addr)
@@ -738,102 +730,87 @@ func (m *Machine) accessPage(t *Thread, addr, n uint64, p []byte, v byte, op pag
 		// the access fails with a typed error rather than the
 		// process; other enclaves are untouched.
 		t.Clock.Advance(pend)
-		return &AbortError{EnclaveID: enc.ID, Cause: enc.AbortCause()}
+		return nil, nil, 0, &AbortError{EnclaveID: enc.ID, Cause: enc.AbortCause()}
 	}
 	if m.chaos != nil {
 		t.Clock.Advance(pend)
 		pend = 0
 		if err := m.chaosStep(t, enc); err != nil {
-			return err
+			return nil, nil, 0, err
 		}
 		// An injected flush, shootdown or resize invalidates memos
 		// through the machine's hooks; re-consult rather than trust.
 		me = t.memoLookup(vpn)
 	}
-
-	var frame *mem.Frame
 	if me != nil {
-		pend += c.TLBHit
-		frame = me.frame
 		if me.ref != nil {
 			*me.ref = true // keep the CLOCK reference bit warm
 		}
-	} else {
-		var ref *bool
-		resolved := false
-		if t.tlb.Lookup(vpn) {
-			if f, r, ok := m.lookupResident(enc, addr); ok {
-				pend += c.TLBHit
-				frame, ref, resolved = f, r, true
-			} else {
-				// Stale TLB entry that outlived an eviction: drop it
-				// and take the page-walk path below instead of
-				// trusting the dead translation.
-				t.tlb.Evict(vpn)
-			}
-		}
-		if !resolved {
-			ctr.Inc(perf.DTLBMisses)
-			walk := c.PageWalk
-			if enc != nil {
-				// The EPCM entry is verified while installing a TLB
-				// entry for an EPC page (paper Figure 1).
-				walk += c.EPCMCheck
-			}
-			ctr.Add(perf.WalkCycles, walk)
-			t.Clock.Advance(pend + walk)
-			pend = 0
-			var err error
-			frame, ref, err = m.ensureResident(t, enc, addr)
-			if err != nil {
-				return err
-			}
-			if victim, evicted := t.tlb.Insert(vpn); evicted {
-				// The displaced translation may be memoized; a memo
-				// hit must keep implying a TLB hit.
-				t.memoInvalidate(victim)
-			}
-		}
-		t.memoStore(vpn, enc, frame, ref)
+		return me.frame, enc, pend + c.TLBHit, nil
 	}
 
-	// LLC traffic. Enclave lines pay the MEE encryption/decryption
-	// latency on their way between LLC and DRAM (paper §2.2).
+	if t.tlb.Lookup(vpn) {
+		if f, ref, ok := m.lookupResident(enc, addr); ok {
+			t.memoStore(vpn, enc, f, ref)
+			return f, enc, pend + c.TLBHit, nil
+		}
+		// Stale TLB entry that outlived an eviction: drop it and take
+		// the page-walk path below instead of trusting the dead
+		// translation.
+		t.tlb.Evict(vpn)
+	}
+	ctr.Inc(perf.DTLBMisses)
+	walk := c.PageWalk
+	if enc != nil {
+		// The EPCM entry is verified while installing a TLB entry for
+		// an EPC page (paper Figure 1).
+		walk += c.EPCMCheck
+	}
+	ctr.Add(perf.WalkCycles, walk)
+	t.Clock.Advance(pend + walk)
+	frame, ref, err := m.ensureResident(t, enc, addr)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	if victim, evicted := t.tlb.Insert(vpn); evicted {
+		// The displaced translation may be memoized; a memo hit must
+		// keep implying a TLB hit.
+		t.memoInvalidate(victim)
+	}
+	t.memoStore(vpn, enc, frame, ref)
+	return frame, enc, 0, nil
+}
+
+// accessPage performs one access confined to a single page: n bytes at
+// addr, moving p (opRead, opWrite) or writing the fill byte v (opFill).
+// It returns a typed Fault error when the access hits an aborted
+// enclave or trips an (injected or organic) failure.
+//
+// It is the fast path's general single-page access: one resolve, one
+// LLC probe or AccessRun over the lines the access touches, one clock
+// advance. Under Config.SlowPath it hands the access to accessPageSlow,
+// the straight-line reference; TestFastSlowEquivalence holds the two
+// to identical counters and cycles.
+func (m *Machine) accessPage(t *Thread, addr, n uint64, p []byte, v byte, op pageOp) error {
+	if m.cfg.SlowPath {
+		return m.accessPageSlow(t, addr, n, p, v, op)
+	}
+	frame, enc, pend, err := m.resolve(t, addr)
+	if err != nil {
+		return err
+	}
 	first := mem.LineNumber(addr)
-	lines := mem.LineNumber(addr+n-1) - first + 1
-	if lines == 1 {
-		// The overwhelmingly common case: a word-sized access
-		// touching one line.
-		if m.LLC.Access(first) {
-			ctr.Inc(perf.LLCHits)
-			pend += c.LLCHit
-		} else {
-			extra := c.DRAMAccess
-			if enc != nil {
-				extra += c.MEELine
-			}
-			ctr.Inc(perf.LLCMisses)
-			ctr.Add(perf.StallCycles, extra)
-			pend += extra
-		}
+	var hits, misses uint64
+	if lines := mem.LineNumber(addr+n-1) - first + 1; lines > 1 {
+		hits, misses = m.LLC.AccessRun(first, lines)
+	} else if m.LLC.Access(first) { // one line: skip AccessRun's loop
+		hits = 1
 	} else {
-		hits, misses := m.LLC.AccessRun(first, lines)
-		if hits != 0 {
-			ctr.Add(perf.LLCHits, hits)
-			pend += hits * c.LLCHit
-		}
-		if misses != 0 {
-			extra := c.DRAMAccess
-			if enc != nil {
-				extra += c.MEELine
-			}
-			ctr.Add(perf.LLCMisses, misses)
-			ctr.Add(perf.StallCycles, misses*extra)
-			pend += misses * extra
-		}
+		misses = 1
 	}
-	t.Clock.Advance(pend)
+	t.Clock.Advance(pend + m.chargeLLC(hits, misses, enc != nil))
 
+	ctr := m.Counters
 	off := addr & (mem.PageSize - 1)
 	switch op {
 	case opRead:
@@ -855,9 +832,9 @@ func (m *Machine) accessPage(t *Thread, addr, n uint64, p []byte, v byte, op pag
 // wordFast handles the hottest access shape — an aligned word-sized
 // load or store (n ≤ 8, addr aligned to n, so no line or page span)
 // whose page resolution is memoized — without the general path's
-// dispatch layers and staging buffer. It replicates accessPage's
-// memo-hit branch exactly: one access, one TLB-hit charge, one LLC
-// line, identical counters and cycles. Anything else — memo miss,
+// dispatch layers and staging buffer. It replicates accessPage on a
+// memo hit exactly: one access, one TLB-hit charge, one LLC line,
+// identical counters and cycles. Anything else — memo miss,
 // aborted enclave — returns nil with zero side effects and the caller
 // falls back to the general path. Callers must check m.fastWords (no
 // SlowPath, no chaos) and alignment first.
@@ -887,7 +864,6 @@ func (m *Machine) wordFast(t *Thread, addr, n uint64, write bool) *mem.Frame {
 	c := &m.Costs
 	ctr := m.Counters
 	ctr.Inc(perf.Accesses)
-	ctr.Inc(perf.LLCHits)
 	if write {
 		ctr.Add(perf.BytesWritten, n)
 	} else {
@@ -896,7 +872,7 @@ func (m *Machine) wordFast(t *Thread, addr, n uint64, write bool) *mem.Frame {
 	if me.ref != nil {
 		*me.ref = true
 	}
-	t.Clock.Advance(c.Compute + c.TLBHit + c.LLCHit)
+	t.Clock.Advance(c.Compute + c.TLBHit + m.chargeLLC(1, 0, false))
 	return me.frame
 }
 
@@ -908,28 +884,18 @@ func (m *Machine) wordProbe(t *Thread, me *memoEntry, line, bit, n uint64, write
 	c := &m.Costs
 	ctr := m.Counters
 	ctr.Inc(perf.Accesses)
-	pend := c.Compute + c.TLBHit
 	if me.ref != nil {
 		*me.ref = true
 	}
-	hit := m.LLC.Access(line)
+	var hits uint64
+	if m.LLC.Access(line) {
+		hits = 1
+	}
 	if e := m.LLC.Epoch(); e != me.llcEpoch {
 		me.lines, me.llcEpoch = 0, e
 	}
 	me.lines |= bit
-	if hit {
-		ctr.Inc(perf.LLCHits)
-		pend += c.LLCHit
-	} else {
-		extra := c.DRAMAccess
-		if me.enc != nil {
-			extra += c.MEELine
-		}
-		ctr.Inc(perf.LLCMisses)
-		ctr.Add(perf.StallCycles, extra)
-		pend += extra
-	}
-	t.Clock.Advance(pend)
+	t.Clock.Advance(c.Compute + c.TLBHit + m.chargeLLC(hits, 1-hits, me.enc != nil))
 	if write {
 		ctr.Add(perf.BytesWritten, n)
 	} else {
@@ -938,65 +904,26 @@ func (m *Machine) wordProbe(t *Thread, me *memoEntry, line, bit, n uint64, write
 	return me.frame
 }
 
-// access performs a possibly page-spanning access, raising any Fault
-// as a recoverable typed panic (see Protect): the Thread API the
-// workloads program against has no error returns, and a faulted
-// access cannot meaningfully continue the computation that issued it.
-func (m *Machine) access(t *Thread, addr uint64, p []byte, write bool) {
-	// Word-sized loads and stores never span a page; skip the
-	// page-splitting loop for them.
-	if len(p) > 0 && uint64(len(p)) <= mem.PageSize-addr&(mem.PageSize-1) {
-		op := opRead
-		if write {
-			op = opWrite
-		}
-		if err := m.pageOpDispatch(t, addr, uint64(len(p)), p, 0, op); err != nil {
-			panic(err.(Fault))
-		}
-		return
-	}
-	if err := m.tryAccess(t, addr, p, write); err != nil {
-		panic(err.(Fault))
-	}
-}
-
-// tryAccess is access with an ordinary error return, for callers that
-// thread errors instead of unwinding.
-func (m *Machine) tryAccess(t *Thread, addr uint64, p []byte, write bool) error {
-	op := opRead
-	if write {
-		op = opWrite
-	}
-	for len(p) > 0 {
-		pageOff := addr & (mem.PageSize - 1)
-		chunk := int(mem.PageSize - pageOff)
-		if chunk > len(p) {
-			chunk = len(p)
-		}
-		if err := m.pageOpDispatch(t, addr, uint64(chunk), p[:chunk], 0, op); err != nil {
-			return err
-		}
-		addr += uint64(chunk)
-		p = p[chunk:]
-	}
-	return nil
-}
-
-// fill is the bulk Memset path: one simulated access per page run
-// writes the fill byte straight into the backing frames, instead of
-// staging thousands of small buffer writes through tryAccess. Faults
-// unwind like access.
-func (m *Machine) fill(t *Thread, addr uint64, v byte, n uint64) {
+// access performs a possibly page-spanning access of n bytes at addr as
+// one accessPage per page it touches. It moves p (opRead, opWrite;
+// len(p) == n) or writes the fill byte v (opFill, p nil), and stops at
+// the first fault, returning it.
+func (m *Machine) access(t *Thread, addr, n uint64, p []byte, v byte, op pageOp) error {
 	for n > 0 {
-		pageOff := addr & (mem.PageSize - 1)
-		chunk := mem.PageSize - pageOff
-		if chunk > n {
-			chunk = n
+		chunk := mem.PageSize - addr&(mem.PageSize-1)
+		if chunk >= n {
+			// The last (for a word, the only) page.
+			return m.accessPage(t, addr, n, p, v, op)
 		}
-		if err := m.pageOpDispatch(t, addr, chunk, nil, v, opFill); err != nil {
-			panic(err.(Fault))
+		var b []byte
+		if p != nil {
+			b, p = p[:chunk], p[chunk:]
+		}
+		if err := m.accessPage(t, addr, chunk, b, v, op); err != nil {
+			return err
 		}
 		addr += chunk
 		n -= chunk
 	}
+	return nil
 }

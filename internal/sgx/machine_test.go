@@ -58,9 +58,10 @@ func TestUntrustedReadWrite(t *testing.T) {
 	if got := tr.ReadU32(addr + 8); got != 0x12345678 {
 		t.Fatalf("ReadU32 = %#x", got)
 	}
-	tr.WriteU8(addr+12, 0xAB)
-	if got := tr.ReadU8(addr + 12); got != 0xAB {
-		t.Fatalf("ReadU8 = %#x", got)
+	tr.Write(addr+12, []byte{0xAB})
+	var got [1]byte
+	if tr.Read(addr+12, got[:]); got[0] != 0xAB {
+		t.Fatalf("1-byte Read = %#x", got[0])
 	}
 	tr.WriteF64(addr+16, 3.25)
 	if got := tr.ReadF64(addr + 16); got != 3.25 {
@@ -105,7 +106,7 @@ func TestMemsetMemcpy(t *testing.T) {
 			t.Fatalf("byte %d = %#x after Memcpy", i, v)
 		}
 	}
-	if tr.ReadU8(b+5000) != 0 {
+	if tr.ReadU32(b+5000) != 0 {
 		t.Error("Memcpy overran")
 	}
 }
@@ -117,11 +118,11 @@ func TestFirstTouchCountsPageFault(t *testing.T) {
 	addr := m.AllocUntrusted(mem.PageSize, mem.PageSize)
 
 	before := m.Counters.Get(perf.PageFaults)
-	tr.WriteU8(addr, 1)
+	tr.Write(addr, []byte{1})
 	if m.Counters.Get(perf.PageFaults) != before+1 {
 		t.Error("first touch did not fault")
 	}
-	tr.WriteU8(addr+8, 1)
+	tr.Write(addr+8, []byte{1})
 	if m.Counters.Get(perf.PageFaults) != before+1 {
 		t.Error("second touch faulted again")
 	}
@@ -133,12 +134,12 @@ func TestTLBMissThenHit(t *testing.T) {
 	tr := env.Main
 	addr := m.AllocUntrusted(mem.PageSize, mem.PageSize)
 
-	tr.ReadU8(addr)
+	tr.ReadU32(addr)
 	misses := m.Counters.Get(perf.DTLBMisses)
 	if misses != 1 {
 		t.Fatalf("first access: %d dTLB misses, want 1", misses)
 	}
-	tr.ReadU8(addr + 100)
+	tr.ReadU32(addr + 100)
 	if m.Counters.Get(perf.DTLBMisses) != misses {
 		t.Error("same-page access missed the TLB")
 	}

@@ -2,9 +2,13 @@ package sgx
 
 import "sgxgauge/internal/perf"
 
-// The Runtime* methods are the transition primitives used by trusted
-// runtime code (the LibOS loader) rather than by applications. Unlike
-// ECall, they perform the transition in every SGX mode.
+// The Runtime* methods are the one body of each enclave transition:
+// its counter, cycle cost and TLB flush. ECall, OCall and the
+// machine's fault-path AEXs (an EPC fault inside the enclave, an
+// injected interrupt storm) run their own checks, chaos draw and trace
+// event, then one of these. Trusted runtime code (the LibOS loader)
+// calls them directly: then the transition happens in every SGX mode,
+// draws no chaos fault and emits no trace event.
 
 // RuntimeECall performs a real enclave entry/exit around fn,
 // regardless of execution mode.
@@ -27,10 +31,7 @@ func (t *Thread) RuntimeOCall(fn func()) {
 	t.env.M.Counters.Inc(perf.OCalls)
 	t.Clock.Advance(t.transitionCost(c.OCallExit))
 	t.flushTLB()
-	depth := t.enclaveDepth
-	t.enclaveDepth = 0
-	fn()
-	t.enclaveDepth = depth
+	t.outside(fn)
 	t.Clock.Advance(t.transitionCost(c.OCallReturn))
 	t.flushTLB()
 }
@@ -38,8 +39,7 @@ func (t *Thread) RuntimeOCall(fn func()) {
 // RuntimeAEX records one asynchronous enclave exit (interrupt,
 // exception) with its cost and TLB flush.
 func (t *Thread) RuntimeAEX() {
-	c := &t.env.M.Costs
 	t.env.M.Counters.Inc(perf.AEXs)
-	t.Clock.Advance(c.AEX)
+	t.Clock.Advance(t.env.M.Costs.AEX)
 	t.flushTLB()
 }

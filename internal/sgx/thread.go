@@ -172,21 +172,13 @@ func (t *Thread) ECall(fn func()) {
 		fn()
 		return
 	}
-	c := &t.env.M.Costs
 	if enc := t.env.Enclave; enc != nil && enc.Aborted() {
 		// EENTER to an aborted enclave fails (abort-page semantics).
 		panic(Fault(&AbortError{EnclaveID: enc.ID, Cause: enc.AbortCause()}))
 	}
 	t.env.M.transitionFault("ECALL")
-	t.env.M.Counters.Inc(perf.ECalls)
 	t.env.M.trace(TraceECall, t, 0)
-	t.Clock.Advance(c.ECallEnter)
-	t.flushTLB()
-	t.enclaveDepth++
-	fn()
-	t.enclaveDepth--
-	t.Clock.Advance(c.ECallExit)
-	t.flushTLB()
+	t.RuntimeECall(fn)
 }
 
 // OCall leaves the enclave to run fn in the untrusted region and
@@ -199,31 +191,29 @@ func (t *Thread) OCall(fn func()) {
 		fn()
 		return
 	}
-	c := &t.env.M.Costs
-	if t.env.M.cfg.Switchless && t.env.M.admitSwitchless() {
-		t.env.M.Counters.Inc(perf.SwitchlessCalls)
+	m := t.env.M
+	if m.cfg.Switchless && m.admitSwitchless() {
+		m.Counters.Inc(perf.SwitchlessCalls)
 		// The proxy performs the work while the enclave thread
 		// waits; the wait time equals the proxied work, which fn
 		// charges to this clock.
-		t.Clock.Advance(c.SwitchlessCall)
-		depth := t.enclaveDepth
-		t.enclaveDepth = 0 // proxied work happens outside
-		fn()
-		t.enclaveDepth = depth
-		t.Clock.Advance(c.SwitchlessCall)
+		t.Clock.Advance(m.Costs.SwitchlessCall)
+		t.outside(fn)
+		t.Clock.Advance(m.Costs.SwitchlessCall)
 		return
 	}
-	t.env.M.transitionFault("OCALL")
-	t.env.M.Counters.Inc(perf.OCalls)
-	t.env.M.trace(TraceOCall, t, 0)
-	t.Clock.Advance(t.transitionCost(c.OCallExit))
-	t.flushTLB()
+	m.transitionFault("OCALL")
+	m.trace(TraceOCall, t, 0)
+	t.RuntimeOCall(fn)
+}
+
+// outside runs fn with the thread outside its enclave: the proxied
+// work of a switchless call, or the untrusted half of an OCALL.
+func (t *Thread) outside(fn func()) {
 	depth := t.enclaveDepth
 	t.enclaveDepth = 0
 	fn()
 	t.enclaveDepth = depth
-	t.Clock.Advance(t.transitionCost(c.OCallReturn))
-	t.flushTLB()
 }
 
 // Syscall charges one system call that transfers n payload bytes,
@@ -264,21 +254,14 @@ func (t *Thread) SyscallInternal(n uint64) {
 // Read copies len(p) bytes at addr from the simulated address space.
 // A machine fault (aborted enclave, injected failure) unwinds as a
 // typed Fault recoverable with Protect.
-func (t *Thread) Read(addr uint64, p []byte) { t.env.M.access(t, addr, p, false) }
+func (t *Thread) Read(addr uint64, p []byte) {
+	raise(t.env.M.access(t, addr, uint64(len(p)), p, 0, opRead))
+}
 
 // Write copies p into the simulated address space at addr. Faults
 // unwind as with Read.
-func (t *Thread) Write(addr uint64, p []byte) { t.env.M.access(t, addr, p, true) }
-
-// TryRead is Read with an ordinary error return instead of a Fault
-// unwind, for callers that thread errors explicitly.
-func (t *Thread) TryRead(addr uint64, p []byte) error {
-	return t.env.M.tryAccess(t, addr, p, false)
-}
-
-// TryWrite is Write with an ordinary error return.
-func (t *Thread) TryWrite(addr uint64, p []byte) error {
-	return t.env.M.tryAccess(t, addr, p, true)
+func (t *Thread) Write(addr uint64, p []byte) {
+	raise(t.env.M.access(t, addr, uint64(len(p)), p, 0, opWrite))
 }
 
 // ReadU64 reads a little-endian uint64 at addr. Aligned words whose
@@ -293,7 +276,7 @@ func (t *Thread) ReadU64(addr uint64) uint64 {
 		}
 	}
 	var b [8]byte
-	m.access(t, addr, b[:], false)
+	raise(m.access(t, addr, 8, b[:], 0, opRead))
 	return binary.LittleEndian.Uint64(b[:])
 }
 
@@ -308,7 +291,7 @@ func (t *Thread) WriteU64(addr uint64, v uint64) {
 	}
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], v)
-	m.access(t, addr, b[:], true)
+	raise(m.access(t, addr, 8, b[:], 0, opWrite))
 }
 
 // ReadU32 reads a little-endian uint32 at addr.
@@ -320,7 +303,7 @@ func (t *Thread) ReadU32(addr uint64) uint32 {
 		}
 	}
 	var b [4]byte
-	m.access(t, addr, b[:], false)
+	raise(m.access(t, addr, 4, b[:], 0, opRead))
 	return binary.LittleEndian.Uint32(b[:])
 }
 
@@ -335,7 +318,7 @@ func (t *Thread) WriteU32(addr uint64, v uint32) {
 	}
 	var b [4]byte
 	binary.LittleEndian.PutUint32(b[:], v)
-	m.access(t, addr, b[:], true)
+	raise(m.access(t, addr, 4, b[:], 0, opWrite))
 }
 
 // ReadF64 reads a float64 at addr.
@@ -348,38 +331,12 @@ func (t *Thread) WriteF64(addr uint64, v float64) {
 	t.WriteU64(addr, math.Float64bits(v))
 }
 
-// ReadU8 reads one byte at addr.
-func (t *Thread) ReadU8(addr uint64) byte {
-	m := t.env.M
-	if m.fastWords {
-		if f := m.wordFast(t, addr, 1, false); f != nil {
-			return f.Data[addr&(mem.PageSize-1)]
-		}
-	}
-	var b [1]byte
-	m.access(t, addr, b[:], false)
-	return b[0]
-}
-
-// WriteU8 writes one byte at addr.
-func (t *Thread) WriteU8(addr uint64, v byte) {
-	m := t.env.M
-	if m.fastWords {
-		if f := m.wordFast(t, addr, 1, true); f != nil {
-			f.Data[addr&(mem.PageSize-1)] = v
-			return
-		}
-	}
-	b := [1]byte{v}
-	m.access(t, addr, b[:], true)
-}
-
 // Memset fills n bytes at addr with v. The fill is issued as one
 // simulated access per page run (the hardware-stream equivalent of a
 // rep-stos loop), writing straight into the backing frames instead of
 // staging hundreds of small buffer writes.
 func (t *Thread) Memset(addr uint64, v byte, n uint64) {
-	t.env.M.fill(t, addr, v, n)
+	raise(t.env.M.access(t, addr, n, nil, v, opFill))
 }
 
 // Memcpy copies n bytes from src to dst within the simulated address

@@ -3,6 +3,7 @@ package sgx
 import (
 	"testing"
 
+	"sgxgauge/internal/chaos"
 	"sgxgauge/internal/mem"
 	"sgxgauge/internal/perf"
 )
@@ -189,12 +190,12 @@ func TestEPCFaultRaisesAEXOnlyInsideEnclave(t *testing.T) {
 	heap := env.MustAlloc(8*mem.PageSize, mem.PageSize)
 
 	// Touch from outside the enclave (loader-style): no AEX.
-	tr.WriteU8(heap, 1)
+	tr.Write(heap, []byte{1})
 	if m.Counters.Get(perf.AEXs) != 0 {
 		t.Error("fault outside enclave raised AEX")
 	}
 	// Touch a fresh page from inside: AEX.
-	tr.ECall(func() { tr.WriteU8(heap+mem.PageSize, 1) })
+	tr.ECall(func() { tr.Write(heap+mem.PageSize, []byte{1}) })
 	if m.Counters.Get(perf.AEXs) != 1 {
 		t.Errorf("AEXs = %d, want 1", m.Counters.Get(perf.AEXs))
 	}
@@ -358,6 +359,81 @@ func TestRuntimeTransitions(t *testing.T) {
 	c := m.Counters
 	if c.Get(perf.ECalls) != 1 || c.Get(perf.OCalls) != 1 || c.Get(perf.AEXs) != 1 {
 		t.Errorf("transition counters = %d/%d/%d", c.Get(perf.ECalls), c.Get(perf.OCalls), c.Get(perf.AEXs))
+	}
+
+	// Each primitive's cost and flushes, alone: an ECALL pays entry
+	// and exit, an OCALL its exit and return (unscaled at concurrency
+	// 1), an AEX its one cost; every crossing flushes the TLB once.
+	measure := func(name string, fn func(), cycles, flushes uint64) {
+		t.Helper()
+		c0, f0 := tr.Clock.Cycles(), c.Get(perf.TLBFlushes)
+		fn()
+		if cyc, fl := tr.Clock.Cycles()-c0, c.Get(perf.TLBFlushes)-f0; cyc != cycles || fl != flushes {
+			t.Errorf("%s: %d cycles, %d flushes; want %d, %d", name, cyc, fl, cycles, flushes)
+		}
+	}
+	costs := m.Costs
+	measure("RuntimeECall", func() { tr.RuntimeECall(func() {}) }, costs.ECallEnter+costs.ECallExit, 2)
+	tr.RuntimeECall(func() {
+		measure("RuntimeOCall", func() { tr.RuntimeOCall(func() {}) }, costs.OCallExit+costs.OCallReturn, 2)
+	})
+	measure("RuntimeAEX", tr.RuntimeAEX, costs.AEX, 1)
+
+	t.Run("no chaos draw, no trace event", runtimeSkipsChaosAndTrace)
+}
+
+// runtimeSkipsChaosAndTrace checks that the Runtime* primitives draw no
+// chaos fault and emit no trace event, even on a traced machine whose
+// every transition fails, while ECall and OCall run their chaos draw
+// and trace event before the same primitive.
+func runtimeSkipsChaosAndTrace(t *testing.T) {
+	var events []TraceEvent
+	m := NewMachine(Config{EPCPages: 64, Chaos: &chaos.Config{Seed: 1, TransitionFault: true, TransitionRate: 1}})
+	m.SetTracer(func(ev TraceEvent) { events = append(events, ev) })
+	env := m.NewEnv(Native)
+	if _, err := env.LaunchEnclave(2, 64); err != nil {
+		t.Fatal(err)
+	}
+	tr := env.Main
+	events = nil
+	if err := Protect(func() {
+		tr.RuntimeECall(func() { tr.RuntimeOCall(func() {}) })
+		tr.RuntimeAEX()
+	}); err != nil {
+		t.Fatalf("Runtime* raised %v", err)
+	}
+	if len(events) != 0 || m.Counters.Get(perf.TransitionFaults) != 0 {
+		t.Fatalf("Runtime* emitted %v and drew %d transition faults; want none", events, m.Counters.Get(perf.TransitionFaults))
+	}
+	if err := Protect(func() { tr.ECall(func() {}) }); !IsTransient(err) {
+		t.Errorf("ECall at transition rate 1: err = %v, want transient", err)
+	}
+	if err := Protect(func() { tr.RuntimeECall(func() { tr.OCall(func() {}) }) }); !IsTransient(err) {
+		t.Errorf("OCall at transition rate 1: err = %v, want transient", err)
+	}
+	if n := m.Counters.Get(perf.TransitionFaults); n != 2 {
+		t.Errorf("TransitionFaults = %d, want 2", n)
+	}
+
+	// Without the injector, ECall and OCall each emit their event at the
+	// clock before their first charge.
+	m = NewMachine(Config{EPCPages: 64})
+	m.SetTracer(func(ev TraceEvent) { events = append(events, ev) })
+	env = m.NewEnv(Native)
+	if _, err := env.LaunchEnclave(2, 64); err != nil {
+		t.Fatal(err)
+	}
+	tr = env.Main
+	events = nil
+	atECall := tr.Clock.Cycles()
+	var atOCall uint64
+	tr.ECall(func() {
+		atOCall = tr.Clock.Cycles()
+		tr.OCall(func() {})
+	})
+	want := []TraceEvent{{Kind: TraceECall, Cycle: atECall}, {Kind: TraceOCall, Cycle: atOCall}}
+	if len(events) != 2 || events[0] != want[0] || events[1] != want[1] {
+		t.Errorf("events = %+v, want %+v", events, want)
 	}
 }
 
