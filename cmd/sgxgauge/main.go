@@ -195,7 +195,7 @@ func cmdRun(args []string) {
 	n := fs.Int("n", 0, "enclave count (scenarios only; 0 = scenario default cast)")
 	ops := fs.Int("ops", 0, "override every enclave's op count (scenarios only; 0 = scenario default)")
 	quantum := fs.Uint64("quantum", 0, "scheduler quantum in cycles (scenarios only; 0 = default)")
-	showCounters := fs.Bool("counters", false, "print all performance counters")
+	showCounters := fs.Bool("counters", false, "print every performance counter, measured portion and startup")
 	slowPath := fs.Bool("slowpath", false, "use the straight-line reference access path (identical results, slower wall-clock; for cross-checking)")
 	traced := fs.Bool("trace", false, "attach an sgx-perf-style event collector and print its per-event summary instead of the run summary")
 	csv := fs.Bool("csv", false, "with -trace, print the raw events as CSV instead of the summary")
@@ -331,7 +331,7 @@ func cmdRun(args []string) {
 			fmt.Printf("  %-20s %g\n", k, res.Output.Extra[k])
 		}
 	}
-	printCounters(os.Stdout, res.Counters, *showCounters)
+	printCounters(os.Stdout, res, *showCounters)
 }
 
 // usageFail reports a command-line error, before anything runs, and

@@ -51,17 +51,23 @@ func exitCode(err error) int {
 
 // Every counter value printed by `run -counters`, for a workload or
 // a scenario, starts at the same column, including after names longer
-// than the old fixed 16-character pad ("transition-faults").
+// than the old fixed 16-character pad ("transition-faults"), in the
+// measured block and in the startup block.
 func TestCounterValuesAligned(t *testing.T) {
-	var snap perf.Snapshot
+	res := &harness.Result{StartupCycles: 1}
 	for i, e := range perf.Events() {
-		snap[e] = uint64(i) * 1009
+		res.Counters[e] = uint64(i) * 1009
+		res.StartupCounters[e] = uint64(i) * 2003
 	}
 	var buf bytes.Buffer
-	printCounters(&buf, snap, true)
+	printCounters(&buf, res, true)
 
 	col, rows := -1, 0
+	snap := &res.Counters
 	for _, line := range strings.Split(buf.String(), "\n") {
+		if line == "startup counters:" {
+			snap = &res.StartupCounters
+		}
 		if !strings.HasPrefix(line, "  ") {
 			continue
 		}
@@ -81,9 +87,34 @@ func TestCounterValuesAligned(t *testing.T) {
 			t.Errorf("row %q: value starts at column %d, want %d", line, at, col)
 		}
 	}
-	if want := len(keyCounters) + len(perf.Events()); rows != want {
+	if want := 2 * len(perf.Events()); rows != want {
 		t.Errorf("printed %d counter rows, want %d", rows, want)
 	}
+}
+
+// `run -counters` shows what a LibOS boot did: an Empty run measures
+// nothing, but its startup block carries the boot's evictions.
+func TestRunCountersShowStartup(t *testing.T) {
+	stdout, stderr, err := runMain("run", "-workload", "Empty", "-mode", "LibOS", "-epc", "64", "-counters")
+	if err != nil {
+		t.Fatalf("run -counters: %v (stderr: %s)", err, stderr)
+	}
+	measured, startup, ok := strings.Cut(stdout, "startup counters:\n")
+	if !ok || !strings.Contains(measured, "counters (measured portion):\n") {
+		t.Fatalf("output lacks the measured and startup blocks:\n%s", stdout)
+	}
+	if strings.Contains(stdout, "all counters") {
+		t.Errorf("output prints the measured portion twice:\n%s", stdout)
+	}
+	for _, line := range strings.Split(startup, "\n") {
+		if f := strings.Fields(line); len(f) == 2 && f[0] == perf.EPCEvictions.String() {
+			if f[1] == "0" {
+				t.Errorf("startup epc-evictions = 0:\n%s", stdout)
+			}
+			return
+		}
+	}
+	t.Errorf("startup block has no epc-evictions row:\n%s", stdout)
 }
 
 // An unknown id among known ones must fail the whole invocation with

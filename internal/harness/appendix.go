@@ -11,19 +11,6 @@ import (
 	"sgxgauge/internal/workloads/suite"
 )
 
-// Figure9Data is the EPC activity timeline of B-Tree in Native and
-// LibOS modes (Appendix D): the LibOS run front-loads a huge eviction
-// storm while measuring its enclave, after which both modes converge
-// to the same allocation/eviction pattern.
-type Figure9Data struct {
-	Native []epc.TimelineEvent
-	LibOS  []epc.TimelineEvent
-	// NativeStartup/LibOSStartup mark where initialization ends on
-	// each timeline (cycles).
-	NativeStartup uint64
-	LibOSStartup  uint64
-}
-
 // figure9Specs is the timeline's batch: B-Tree at Medium in Native,
 // then LibOS, mode. Sampling roughly every 64 EPC ops keeps the trace
 // small while resolving the startup storm.
@@ -35,59 +22,40 @@ func figure9Specs(int) []Spec {
 	}
 }
 
-// figure9 builds Figure 9 from its batch.
-func figure9(b *expBatch) (*Figure9Data, error) {
-	nat, lib := b.results[0], b.results[1]
-	return &Figure9Data{
-		Native:        nat.Timeline,
-		LibOS:         lib.Timeline,
-		NativeStartup: nat.StartupCycles,
-		LibOSStartup:  lib.StartupCycles,
-	}, nil
-}
-
-// Render renders coarse timelines (10 buckets per mode).
-func (d *Figure9Data) Render() string {
-	t := Table{
+// figure9 builds Figure 9 from its batch: the EPC activity timeline
+// of B-Tree in Native and LibOS modes (Appendix D). The LibOS run
+// front-loads a huge eviction storm while measuring its enclave, after
+// which both modes converge to the same allocation/eviction pattern.
+// Each timeline prints as about eight samples plus its end; a sample's
+// row is named "<mode>/<phase>/<index in the timeline>", the last one
+// "<mode>/end".
+func figure9(b *expBatch) (Grid, error) {
+	t := &Table{
 		Title:  "Figure 9: EPC activity timeline, B-Tree (cumulative counts)",
 		Header: []string{"Mode", "Phase", "Time (ms)", "Allocs", "Evictions", "Load-backs"},
 	}
-	addRows := func(mode string, tl []epc.TimelineEvent, startup uint64) {
+	for i, mode := range []string{"Native", "LibOS"} {
+		res := b.results[i]
+		tl := res.Timeline
 		if len(tl) == 0 {
-			return
+			continue
 		}
-		step := len(tl) / 8
-		if step == 0 {
-			step = 1
+		sample := func(id, phase string, ev epc.TimelineEvent) {
+			t.addRow(id, label(mode), label(phase), num(cycles.Micros(ev.Cycle)/1000, "%.2f"),
+				count(ev.Allocs), count(ev.Evictions), count(ev.LoadBacks))
 		}
-		for i := 0; i < len(tl); i += step {
-			ev := tl[i]
+		step := max(len(tl)/8, 1)
+		for j := 0; j < len(tl); j += step {
 			phase := "init"
-			if ev.Cycle > startup {
+			if tl[j].Cycle > res.StartupCycles {
 				phase = "exec"
 			}
-			t.AddRow(mode, phase,
-				fmt.Sprintf("%.2f", cycles.Micros(ev.Cycle)/1000),
-				fc(float64(ev.Allocs)), fc(float64(ev.Evictions)), fc(float64(ev.LoadBacks)))
+			sample(fmt.Sprintf("%s/%s/%d", mode, phase, j), phase, tl[j])
 		}
-		last := tl[len(tl)-1]
-		t.AddRow(mode, "end",
-			fmt.Sprintf("%.2f", cycles.Micros(last.Cycle)/1000),
-			fc(float64(last.Allocs)), fc(float64(last.Evictions)), fc(float64(last.LoadBacks)))
+		sample(mode+"/end", "end", tl[len(tl)-1])
 	}
-	addRows("Native", d.Native, d.NativeStartup)
-	addRows("LibOS", d.LibOS, d.LibOSStartup)
 	t.AddNote("LibOS front-loads ~enclave-size evictions during measurement, then converges to the Native pattern")
-	return t.String()
-}
-
-// Figure10Row is one Iozone configuration's per-phase costs.
-type Figure10Row struct {
-	Config string
-	// PhaseCycles maps write/rewrite/read/reread to cycles.
-	PhaseCycles map[string]float64
-	ECalls      uint64
-	OCalls      uint64
+	return Grid{t}, nil
 }
 
 // figure10Configs are Appendix E's Iozone configurations: Vanilla,
@@ -112,51 +80,31 @@ func figure10Specs(int) []Spec {
 	return specs
 }
 
-// figure10 builds Figure 10 from its batch.
-func figure10(b *expBatch) (Figure10Data, error) {
-	var out Figure10Data
-	for i, c := range figure10Configs {
-		res := b.results[i]
-		row := Figure10Row{
-			Config:      c.name,
-			PhaseCycles: map[string]float64{},
-			ECalls:      res.Counters.Get(perf.ECalls),
-			OCalls:      res.Counters.Get(perf.OCalls),
-		}
-		for _, phase := range []string{"write", "rewrite", "read", "reread"} {
-			row.PhaseCycles[phase] = res.Output.Extra[phase+"_cycles"]
-		}
-		out = append(out, row)
-	}
-	return out, nil
-}
+// figure10Phases are the Iozone phases Figure 10 compares.
+var figure10Phases = []string{"write", "rewrite", "read", "reread"}
 
-// Figure10Data is the I/O comparison, one row per configuration.
-type Figure10Data []Figure10Row
-
-// Render renders the I/O comparison, with overheads against Vanilla.
-func (d Figure10Data) Render() string {
-	t := Table{
+// figure10 builds Figure 10 from its batch: per configuration, each
+// phase's cost (Vanilla in ms, the others as overhead against
+// Vanilla) and the transition counts.
+func figure10(b *expBatch) (Grid, error) {
+	t := &Table{
 		Title:  "Figure 10: Iozone I/O with GrapheneSGX and protected files",
 		Header: []string{"Config", "write", "rewrite", "read", "reread", "ECALLs", "OCALLs"},
 	}
-	var base map[string]float64
-	for i, row := range d {
-		if i == 0 {
-			base = row.PhaseCycles
-		}
-		cells := []string{row.Config}
-		for _, phase := range []string{"write", "rewrite", "read", "reread"} {
-			v := row.PhaseCycles[phase]
+	base := b.results[0].Output.Extra
+	for i, c := range figure10Configs {
+		res := b.results[i]
+		cells := []Cell{label(c.name)}
+		for _, phase := range figure10Phases {
+			v := res.Output.Extra[phase+"_cycles"]
 			if i == 0 {
-				cells = append(cells, fmt.Sprintf("%.1fms", cycles.Micros(uint64(v))/1000))
+				cells = append(cells, num(cycles.Micros(uint64(v))/1000, "%.1fms"))
 			} else {
-				cells = append(cells, fmt.Sprintf("%+.0f%%", 100*(v-base[phase])/base[phase]))
+				cells = append(cells, change(base[phase+"_cycles"], v))
 			}
 		}
-		cells = append(cells, fc(float64(row.ECalls)), fc(float64(row.OCalls)))
-		t.AddRow(cells...)
+		t.AddRow(append(cells, count(res.Counters.Get(perf.ECalls)), count(res.Counters.Get(perf.OCalls)))...)
 	}
 	t.AddNote("percentages are overhead vs Vanilla for the same phase")
-	return t.String()
+	return Grid{t}, nil
 }

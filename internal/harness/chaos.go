@@ -71,9 +71,10 @@ func (r *Runner) ChaosSweep(base Spec, template chaos.Config, rates []float64, o
 
 // RenderChaosTable formats a sweep as the degradation table the chaos
 // subcommand prints: one row per fault intensity with run time,
-// slowdown against the sweep's rate-0 baseline, the fault report, and
-// how the run ended. Output contains no wall-clock values, so a
-// deterministic sweep renders to identical bytes.
+// slowdown against the sweep's rate-0 baseline ("-" for a run that
+// ended in an error), the fault report, and how the run ended. Output
+// contains no wall-clock values, so a deterministic sweep renders to
+// identical bytes.
 func RenderChaosTable(points []ChaosPoint) string {
 	var base uint64
 	for _, p := range points {
@@ -88,8 +89,10 @@ func RenderChaosTable(points []ChaosPoint) string {
 	for _, p := range points {
 		r := &p.Result
 		f := r.Faults()
+		// A run that ended in an error stopped its clock at the
+		// fault, so its cycles are no run time to compare.
 		slow := "-"
-		if base > 0 && r.Cycles > 0 {
+		if base > 0 && r.Err == nil && r.Cycles > 0 {
 			slow = fmt.Sprintf("%.2fx", float64(r.Cycles)/float64(base))
 		}
 		status := "ok"

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -36,6 +37,27 @@ func TestChaosSweepDeterministic(t *testing.T) {
 	}
 	if !strings.Contains(a, "ok") {
 		t.Errorf("table has no clean baseline row:\n%s", a)
+	}
+}
+
+// TestChaosTableNoSlowdownForDeadRuns: a run that aborted, failed or
+// hit a transient error stopped its cycles at the fault, so its row
+// prints no slowdown.
+func TestChaosTableNoSlowdownForDeadRuns(t *testing.T) {
+	dead := errors.New("harness: running BTree in Native mode: injected")
+	out := RenderChaosTable([]ChaosPoint{
+		{Rate: 0, Result: Result{Cycles: 1000, Attempts: 1}},
+		{Rate: 0.001, Result: Result{Cycles: 1500, Attempts: 1}},
+		{Rate: 0.01, Result: Result{Cycles: 2000, Attempts: 1, Err: dead}},
+	})
+	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
+	if len(lines) != 4 {
+		t.Fatalf("%d lines:\n%s", len(lines), out)
+	}
+	for i, want := range []string{"1.00x", "1.50x", "-"} {
+		if got := strings.Fields(lines[i+1])[2]; got != want {
+			t.Errorf("row %d slowdown = %q, want %q:\n%s", i, got, want, out)
+		}
 	}
 }
 

@@ -5,23 +5,99 @@ import (
 	"strings"
 )
 
-// Table is a simple aligned text table used by every report emitter.
+// Grid is an experiment's numeric form: its panels in print order.
+// Every number an experiment prints is a cell of its grid, named by
+// (experiment, panel, row, column).
+type Grid []*Table
+
+// Table is one panel of a grid: a title, column headers, rows of
+// cells and footnotes. Its String is the one text renderer every
+// experiment's output goes through.
 type Table struct {
+	// Exp is the id of the experiment the panel belongs to.
+	Exp string
+	// Name identifies the panel within its experiment ("5a", "Low");
+	// it is empty for an experiment's only panel.
+	Name   string
 	Title  string
 	Header []string
-	Rows   [][]string
+	Rows   []Row
 	Notes  []string
+	// Gap prints a blank line after the panel.
+	Gap bool
 }
 
-// AddRow appends one row of already-formatted cells.
-func (t *Table) AddRow(cells ...string) { t.Rows = append(t.Rows, cells) }
+// Row is one line of a panel.
+type Row struct {
+	// ID names the row in cell IDs: its first cell's text unless the
+	// panel sets it otherwise.
+	ID    string
+	Cells []Cell
+}
+
+// Cell is one entry of a row: a number and the format it prints in,
+// or, with an empty Format, a text cell.
+type Cell struct {
+	Value float64
+	// Format is a fmt layout for Value ("%.1f", "%+.0f%%"), one of
+	// fmtRatio, fmtCount and fmtShade, or empty for a text cell.
+	Format string
+	Text   string
+}
+
+// The cell formats that are not a single fmt layout.
+const (
+	fmtRatio = "fx"       // fx: "12.3x"
+	fmtCount = "fc"       // fc: "49.6K"
+	fmtShade = "shade fx" // a log-scale heat character, a space, then fx
+)
+
+// num is a numeric cell.
+func num(v float64, format string) Cell { return Cell{Value: v, Format: format} }
+
+// ratio is a cell printed by fx.
+func ratio(v float64) Cell { return num(v, fmtRatio) }
+
+// count is a cell printed by fc.
+func count[T float64 | uint64 | int](v T) Cell { return num(float64(v), fmtCount) }
+
+// label is a text cell.
+func label(s string) Cell { return Cell{Text: s} }
+
+// String renders the cell in its format.
+func (c Cell) String() string {
+	switch c.Format {
+	case "":
+		return c.Text
+	case fmtRatio:
+		return fx(c.Value)
+	case fmtCount:
+		return fc(c.Value)
+	case fmtShade:
+		return shade(c.Value) + " " + fx(c.Value)
+	default:
+		return fmt.Sprintf(c.Format, c.Value)
+	}
+}
+
+// AddRow appends one row, named by its first cell's text. A row that
+// is not header-wide is a bug in the experiment, so it panics.
+func (t *Table) AddRow(cells ...Cell) { t.addRow(cells[0].String(), cells...) }
+
+// addRow appends one row named id.
+func (t *Table) addRow(id string, cells ...Cell) {
+	if len(cells) != len(t.Header) {
+		panic(fmt.Sprintf("harness: %q row %q has %d cells for %d columns", t.Title, id, len(cells), len(t.Header)))
+	}
+	t.Rows = append(t.Rows, Row{ID: id, Cells: cells})
+}
 
 // AddNote appends a footnote line.
 func (t *Table) AddNote(format string, args ...any) {
 	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))
 }
 
-// String renders the table with aligned columns.
+// String renders the panel with aligned columns.
 func (t *Table) String() string {
 	var b strings.Builder
 	if t.Title != "" {
@@ -31,11 +107,12 @@ func (t *Table) String() string {
 	for i, h := range t.Header {
 		widths[i] = len(h)
 	}
-	for _, row := range t.Rows {
-		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
+	rows := make([][]string, len(t.Rows))
+	for r, row := range t.Rows {
+		rows[r] = make([]string, len(row.Cells))
+		for i, c := range row.Cells {
+			rows[r][i] = c.String()
+			widths[i] = max(widths[i], len(rows[r][i]))
 		}
 	}
 	line := func(cells []string) {
@@ -53,13 +130,46 @@ func (t *Table) String() string {
 		sep[i] = strings.Repeat("-", widths[i])
 	}
 	line(sep)
-	for _, row := range t.Rows {
+	for _, row := range rows {
 		line(row)
 	}
 	for _, n := range t.Notes {
 		fmt.Fprintf(&b, "  note: %s\n", n)
 	}
+	if t.Gap {
+		b.WriteByte('\n')
+	}
 	return b.String()
+}
+
+// String renders every panel in order.
+func (g Grid) String() string {
+	var b strings.Builder
+	for _, t := range g {
+		b.WriteString(t.String())
+	}
+	return b.String()
+}
+
+// Value returns the value of the cell (exp, panel, row, col). A cell
+// outside the grid is a bug in the experiment, so it panics.
+func (g Grid) Value(exp, panel, row, col string) float64 {
+	for _, t := range g {
+		if t.Exp != exp || t.Name != panel {
+			continue
+		}
+		for _, r := range t.Rows {
+			if r.ID != row {
+				continue
+			}
+			for i, h := range t.Header {
+				if h == col {
+					return r.Cells[i].Value
+				}
+			}
+		}
+	}
+	panic(fmt.Sprintf("harness: no cell %s/%s/%s/%s in the grid", exp, panel, row, col))
 }
 
 // fx formats a ratio as "12.3x".
@@ -85,5 +195,21 @@ func fc(v float64) string {
 		return fmt.Sprintf("%.1fK", v/1e3)
 	default:
 		return fmt.Sprintf("%.0f", v)
+	}
+}
+
+// shade maps a ratio to a log-scale heat character.
+func shade(v float64) string {
+	switch {
+	case v >= 100:
+		return "@"
+	case v >= 10:
+		return "#"
+	case v >= 3:
+		return "+"
+	case v >= 1.5:
+		return "."
+	default:
+		return " "
 	}
 }

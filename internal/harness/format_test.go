@@ -10,7 +10,7 @@ func TestTableAlignment(t *testing.T) {
 		Title:  "T",
 		Header: []string{"a", "bbbb"},
 	}
-	tab.AddRow("xxxxx", "y")
+	tab.AddRow(label("xxxxx"), label("y"))
 	tab.AddNote("note %d", 7)
 	out := tab.String()
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
@@ -30,6 +30,28 @@ func TestTableAlignment(t *testing.T) {
 	}
 	if !strings.Contains(lines[5], "note 7") {
 		t.Error("note not rendered")
+	}
+}
+
+// TestPanelBytes pins the renderer's layout of a panel with a text
+// row label, numeric cells and a note to the bytes the same strings
+// rendered as before cells carried their own format.
+func TestPanelBytes(t *testing.T) {
+	tab := Table{Title: "Figure X: one panel", Header: []string{"Workload", "Overhead", "Latency (us)"}}
+	tab.AddRow(label("BTree"), ratio(2.345), num(12.34, "%.1f"))
+	tab.AddRow(label("HashJoin"), ratio(13.04), num(0.5, "%.1f"))
+	tab.AddNote("ratios are against %s", "Vanilla")
+	want := "Figure X: one panel\n===================\n" +
+		"Workload  Overhead  Latency (us)\n" +
+		"--------  --------  ------------\n" +
+		"BTree     2.35x     12.3        \n" +
+		"HashJoin  13.0x     0.5         \n" +
+		"  note: ratios are against Vanilla\n"
+	if got := tab.String(); got != want {
+		t.Errorf("panel renders as\n%q\nwant\n%q", got, want)
+	}
+	if v := (Grid{&tab}).Value("", "", "HashJoin", "Overhead"); v != 13.04 {
+		t.Errorf("HashJoin/Overhead = %v, want 13.04", v)
 	}
 }
 

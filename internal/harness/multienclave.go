@@ -24,11 +24,11 @@ func multiSpecs(int) []Spec {
 	return specs
 }
 
-// renderMulti renders the multi experiment from its batch. The page
+// multiEnclave builds the multi experiment from its batch. The page
 // faults and evictions are the measured window's, which starts once
 // every enclave is built.
-func renderMulti(b *expBatch) (string, error) {
-	t := Table{
+func multiEnclave(b *expBatch) (Grid, error) {
+	t := &Table{
 		Title:  "Multi-enclave interference (per-instance footprint ~35% of the EPC)",
 		Header: []string{"Enclaves", "Combined footprint", "Cycles/instance", "Page faults", "EPC evictions"},
 	}
@@ -36,13 +36,13 @@ func renderMulti(b *expBatch) (string, error) {
 		k := len(b.specs[i].Scenario.Enclaves)
 		combined := k * scenario.InterferencePages(b.epcPages)
 		t.AddRow(
-			fmt.Sprintf("%d", k),
-			fmt.Sprintf("%d pages (%.0f%% EPC)", combined, 100*float64(combined)/float64(b.epcPages)),
-			fc(res.Output.Extra["cycles_per_instance"]),
-			fc(float64(res.Counters.Get(perf.PageFaults))),
-			fc(float64(res.Counters.Get(perf.EPCEvictions))),
+			num(float64(k), "%.0f"),
+			label(fmt.Sprintf("%d pages (%.0f%% EPC)", combined, 100*float64(combined)/float64(b.epcPages))),
+			count(res.Output.Extra["cycles_per_instance"]),
+			count(res.Counters.Get(perf.PageFaults)),
+			count(res.Counters.Get(perf.EPCEvictions)),
 		)
 	}
 	t.AddNote("small enclaves interfere once their combined footprint crosses the EPC (paper §3.2.1)")
-	return t.String(), nil
+	return Grid{t}, nil
 }

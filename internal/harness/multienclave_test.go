@@ -42,11 +42,11 @@ func TestMultiEnclaveInterference(t *testing.T) {
 	if last < 2*solo {
 		t.Errorf("per-instance time %.0f at 8 enclaves vs %.0f solo: no interference visible", last, solo)
 	}
-	out, err := renderMulti(b)
+	g, err := multiEnclave(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "Enclaves") || strings.Count(out, "% EPC)") != 4 {
+	if out := g.String(); !strings.Contains(out, "Enclaves") || strings.Count(out, "% EPC)") != 4 {
 		t.Errorf("render malformed:\n%s", out)
 	}
 }

@@ -100,7 +100,7 @@ func RenderRecommendations(c Component, recs []Recommendation) string {
 		Header: []string{"Rank", "Workload", "Intensity"},
 	}
 	for i, rec := range recs {
-		t.AddRow(fmt.Sprintf("%d", i+1), rec.Name, fmt.Sprintf("%.1f", rec.Intensity))
+		t.AddRow(num(float64(i+1), "%.0f"), label(rec.Name), num(rec.Intensity, "%.1f"))
 	}
 	t.AddNote("measured from LibOS-mode Medium runs; pick the top entries to stress this component")
 	return t.String()

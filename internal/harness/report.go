@@ -12,7 +12,7 @@ import (
 
 // Experiment is one regenerable table or figure of the paper's
 // evaluation: an id ("fig2", "tab4"...), the spec list it runs, and
-// the render step that turns that one batch's results into text.
+// the build step that turns that one batch's results into a grid.
 type Experiment struct {
 	// ID is the short name used by sgxgauge report -exp and the daemon's
 	// /v1/figures endpoint.
@@ -25,8 +25,8 @@ type Experiment struct {
 	// specs returns the runs the experiment reads, for a runner at
 	// the given effective EPC size; nil when it reads none.
 	specs func(epcPages int) []Spec
-	// render builds the experiment's text from its batch.
-	render func(b *expBatch) (string, error)
+	// build makes the experiment's grid from its batch.
+	build func(b *expBatch) (Grid, error)
 }
 
 // Experiments returns every regenerable experiment in report order.
@@ -34,33 +34,47 @@ type Experiment struct {
 // state through it.
 func Experiments() []Experiment {
 	return []Experiment{
-		{"tab2", "t2", nil, text(table2)},
-		{"fig2", "2", figure2Specs, text(figure2)},
-		{"fig3", "3", figure3Specs, text(figure3)},
-		{"fig4", "4", figure4Specs, text(figure4)},
-		{"tab4", "t4", table4Specs, text(table4)},
-		{"fig5", "5", nativeVsVanillaSpecs, text(figure5)},
-		{"fig6a", "6", figure6aSpecs, text(figure6a)},
-		{"fig6bc", "6", figure6bcSpecs, text(figure6bc)},
-		{"fig6d", "6", figure6dSpecs, text(figure6d)},
-		{"fig7", "7", figure7Specs, text(figure7)},
-		{"fig8", "8", nativeVsVanillaSpecs, text(figure8)},
-		{"tab5", "t5", table5Specs, text(table5)},
-		{"fig9", "9", figure9Specs, text(figure9)},
-		{"fig10", "10", figure10Specs, text(figure10)},
-		{"multi", "multi", multiSpecs, renderMulti},
+		{"tab2", "t2", nil, table2},
+		{"fig2", "2", figure2Specs, figure2},
+		{"fig3", "3", figure3Specs, figure3},
+		{"fig4", "4", figure4Specs, figure4},
+		{"tab4", "t4", table4Specs, table4},
+		{"fig5", "5", nativeVsVanillaSpecs, figure5},
+		{"fig6a", "6", figure6aSpecs, figure6a},
+		{"fig6bc", "6", figure6bcSpecs, figure6bc},
+		{"fig6d", "6", figure6dSpecs, figure6d},
+		{"fig7", "7", figure7Specs, figure7},
+		{"fig8", "8", nativeVsVanillaSpecs, figure8},
+		{"tab5", "t5", table5Specs, table5},
+		{"fig9", "9", figure9Specs, figure9},
+		{"fig10", "10", figure10Specs, figure10},
+		{"multi", "multi", multiSpecs, multiEnclave},
 	}
 }
 
-// Render regenerates the experiment through r: one RunAll over its
-// spec list, the first failed spec (in list order) as the error, then
-// the render step over that batch's results.
+// Render regenerates the experiment through r and renders its grid
+// as text.
 func (e Experiment) Render(r *Runner) (string, error) {
-	b, err := e.run(r)
+	g, err := e.grid(r)
 	if err != nil {
 		return "", err
 	}
-	return e.render(b)
+	return g.String(), nil
+}
+
+// grid regenerates the experiment through r: one RunAll over its spec
+// list, the first failed spec (in list order) as the error, then the
+// build step over that batch's results.
+func (e Experiment) grid(r *Runner) (Grid, error) {
+	b, err := e.run(r)
+	if err != nil {
+		return nil, err
+	}
+	g, err := e.build(b)
+	for _, t := range g {
+		t.Exp = e.ID
+	}
+	return g, err
 }
 
 // run executes the experiment's spec list as one batch.
@@ -84,7 +98,7 @@ func firstFailure(results []*Result) error {
 	return nil
 }
 
-// expBatch is what an experiment's render step reads: its spec list
+// expBatch is what an experiment's build step reads: its spec list
 // and the results of running it, in list order.
 type expBatch struct {
 	epcPages int
@@ -117,18 +131,6 @@ func byName(name string) workloads.Workload {
 		panic(err)
 	}
 	return w
-}
-
-// text adapts a builder of an experiment's typed data to its render
-// step.
-func text[T interface{ Render() string }](build func(*expBatch) (T, error)) func(*expBatch) (string, error) {
-	return func(b *expBatch) (string, error) {
-		d, err := build(b)
-		if err != nil {
-			return "", err
-		}
-		return d.Render(), nil
-	}
 }
 
 // CheckFigure returns nil when fig labels a registered experiment, and

@@ -16,148 +16,77 @@ var table4Events = []perf.Event{
 	perf.DTLBMisses, perf.WalkCycles, perf.StallCycles, perf.LLCMisses,
 }
 
-// Table4Block is one block of Table 4: a mode comparison aggregated
-// over workloads, per input setting.
-type Table4Block struct {
-	// Label names the comparison ("Native Mode w.r.t Vanilla ...").
-	Label string
-	// Overhead[size] is the geomean runtime overhead.
-	Overhead map[workloads.Size]float64
-	// CounterRatio[size][event] is the geomean counter ratio.
-	CounterRatio map[workloads.Size]map[perf.Event]float64
-	// EPCEvictions[size] is the mean EPC eviction count of the
-	// numerator mode (the paper reports the average raw value).
-	EPCEvictions map[workloads.Size]float64
-}
-
-// Table4Data is the full Table 4.
-type Table4Data struct {
-	NativeVsVanilla Table4Block
-	LibOSVsVanilla  Table4Block
-	LibOSVsNative   Table4Block
-}
-
 // table4Specs is Table 4's batch: all three mode comparisons draw from
 // the full grid.
 func table4Specs(int) []Spec { return MatrixSpecs() }
 
 // table4 builds Table 4 from its batch: geometric-mean overheads and
 // counter ratios across the suite for the three mode comparisons.
-func table4(b *expBatch) (*Table4Data, error) {
-	return &Table4Data{
-		NativeVsVanilla: b.table4Block("Native Mode w.r.t Vanilla (6 workloads)", suite.Native(), sgx.Native, sgx.Vanilla),
-		LibOSVsVanilla:  b.table4Block("LibOS Mode w.r.t Vanilla (10 workloads)", suite.All(), sgx.LibOS, sgx.Vanilla),
-		LibOSVsNative:   b.table4Block("LibOS Mode w.r.t Native (6 workloads)", suite.Native(), sgx.LibOS, sgx.Native),
+func table4(b *expBatch) (Grid, error) {
+	return Grid{
+		b.table4Block("Native Mode w.r.t Vanilla", suite.Native(), sgx.Native, sgx.Vanilla),
+		b.table4Block("LibOS Mode w.r.t Vanilla", suite.All(), sgx.LibOS, sgx.Vanilla),
+		b.table4Block("LibOS Mode w.r.t Native", suite.Native(), sgx.LibOS, sgx.Native),
 	}, nil
 }
 
-func (b *expBatch) table4Block(label string, ws []workloads.Workload, num, den sgx.Mode) Table4Block {
-	blk := Table4Block{
-		Label:        label,
-		Overhead:     map[workloads.Size]float64{},
-		CounterRatio: map[workloads.Size]map[perf.Event]float64{},
-		EPCEvictions: map[workloads.Size]float64{},
+// table4Block is the panel of one mode comparison (mode against base)
+// over ws, per input setting: the geomean runtime overhead, the geomean
+// counter ratios, and the mean raw EPC eviction count of mode (the
+// paper reports the average raw value).
+func (b *expBatch) table4Block(name string, ws []workloads.Workload, mode, base sgx.Mode) *Table {
+	t := &Table{
+		Name:   name,
+		Title:  fmt.Sprintf("%s (%d workloads)", name, len(ws)),
+		Header: []string{"", "Overhead", "dTLB misses", "Walk cycles", "Stall cycles", "LLC misses", "EPC evictions"},
+		Gap:    true,
 	}
 	for _, size := range workloads.Sizes() {
-		var ovh []float64
-		ratios := map[perf.Event][]float64{}
-		var evict []float64
+		var ovh, evict []float64
+		ratios := make([][]float64, len(table4Events))
 		for _, w := range ws {
-			nres, dres := b.cell(w, num, size), b.cell(w, den, size)
+			nres, dres := b.cell(w, mode, size), b.cell(w, base, size)
 			ovh = append(ovh, Overhead(nres, dres))
 			// Counter ratios use whole-lifetime counters: the
 			// paper's driver instrumentation sees LibOS startup
 			// activity even though startup time is excluded.
-			for _, e := range table4Events {
+			for i, e := range table4Events {
 				rt := nres.TotalCounters.Ratio(dres.TotalCounters, e)
 				if rt <= 0 {
 					rt = 1
 				}
-				ratios[e] = append(ratios[e], rt)
+				ratios[i] = append(ratios[i], rt)
 			}
 			evict = append(evict, float64(nres.TotalCounters.Get(perf.EPCEvictions)))
 		}
-		blk.Overhead[size] = stats.GeoMean(ovh)
-		blk.CounterRatio[size] = map[perf.Event]float64{}
-		for _, e := range table4Events {
-			blk.CounterRatio[size][e] = stats.GeoMean(ratios[e])
+		cells := []Cell{label(size.String()), ratio(stats.GeoMean(ovh))}
+		for _, r := range ratios {
+			cells = append(cells, ratio(stats.GeoMean(r)))
 		}
-		blk.EPCEvictions[size] = stats.Mean(evict)
+		t.AddRow(append(cells, count(stats.Mean(evict)))...)
 	}
-	return blk
+	return t
 }
-
-// Render returns Table 4 in the paper's layout.
-func (d *Table4Data) Render() string {
-	out := ""
-	for _, blk := range []Table4Block{d.NativeVsVanilla, d.LibOSVsVanilla, d.LibOSVsNative} {
-		t := Table{
-			Title:  blk.Label,
-			Header: []string{"", "Overhead", "dTLB misses", "Walk cycles", "Stall cycles", "LLC misses", "EPC evictions"},
-		}
-		for _, size := range workloads.Sizes() {
-			t.AddRow(size.String(),
-				fx(blk.Overhead[size]),
-				fx(blk.CounterRatio[size][perf.DTLBMisses]),
-				fx(blk.CounterRatio[size][perf.WalkCycles]),
-				fx(blk.CounterRatio[size][perf.StallCycles]),
-				fx(blk.CounterRatio[size][perf.LLCMisses]),
-				fc(blk.EPCEvictions[size]),
-			)
-		}
-		out += t.String() + "\n"
-	}
-	return out
-}
-
-// Table2Row is one workload's entry in the settings table.
-type Table2Row struct {
-	Name     string
-	Property string
-	Modes    string
-	Settings map[workloads.Size]workloads.Params
-}
-
-// Table2Data is Table 2, one row per suite workload.
-type Table2Data []Table2Row
 
 // table2 builds Table 2: the workload inventory with the concrete
 // Low/Medium/High settings for the runner's EPC size. It runs nothing.
-func table2(b *expBatch) (Table2Data, error) {
-	var rows Table2Data
+func table2(b *expBatch) (Grid, error) {
+	t := &Table{
+		Title:  "Table 2: workloads and input settings (scaled to the simulated EPC)",
+		Header: []string{"Workload", "Property", "Modes", "Low", "Medium", "High"},
+	}
 	for _, w := range suite.All() {
 		modes := "Vanilla, LibOS"
 		if w.NativePort() {
 			modes = "Vanilla, Native, LibOS"
 		}
-		row := Table2Row{
-			Name:     w.Name(),
-			Property: w.Property(),
-			Modes:    modes,
-			Settings: map[workloads.Size]workloads.Params{},
-		}
+		cells := []Cell{label(w.Name()), label(w.Property()), label(modes)}
 		for _, s := range workloads.Sizes() {
-			row.Settings[s] = w.DefaultParams(b.epcPages, s)
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// Render renders the settings table.
-func (d Table2Data) Render() string {
-	t := Table{
-		Title:  "Table 2: workloads and input settings (scaled to the simulated EPC)",
-		Header: []string{"Workload", "Property", "Modes", "Low", "Medium", "High"},
-	}
-	for _, row := range d {
-		cells := []string{row.Name, row.Property, row.Modes}
-		for _, s := range workloads.Sizes() {
-			cells = append(cells, knobString(row.Settings[s]))
+			cells = append(cells, label(knobString(w.DefaultParams(b.epcPages, s))))
 		}
 		t.AddRow(cells...)
 	}
-	return t.String()
+	return Grid{t}, nil
 }
 
 func knobString(p workloads.Params) string {
@@ -178,15 +107,6 @@ func knobString(p workloads.Params) string {
 		out = "-"
 	}
 	return out
-}
-
-// Table5Row is one workload's regression coefficients.
-type Table5Row struct {
-	Name  string
-	Mode  sgx.Mode
-	Coeff map[perf.Event]float64
-	// Top is the most important counter (largest |coefficient|).
-	Top perf.Event
 }
 
 // table5Events are the predictors of Table 5.
@@ -223,9 +143,13 @@ func table5Specs(int) []Spec {
 
 // table5 builds Table 5 from its batch: per workload, a linear
 // regression of run time on the six counters over its runs;
-// coefficient magnitude ranks counter importance.
-func table5(b *expBatch) (Table5Data, error) {
-	var rows Table5Data
+// coefficient magnitude ranks counter importance, and a '*' marks the
+// most important counter (largest |coefficient|).
+func table5(b *expBatch) (Grid, error) {
+	t := &Table{
+		Title:  "Table 5: counter importance by linear regression (standardized coefficients)",
+		Header: []string{"Workload", "Mode", "Walk cycles", "Stall cycles", "Page faults", "dTLB misses", "LLC misses", "EPC evictions"},
+	}
 	for _, w := range suite.All() {
 		mode := table5Mode(w)
 		var X [][]float64
@@ -245,18 +169,26 @@ func table5(b *expBatch) (Table5Data, error) {
 		if err != nil {
 			return nil, fmt.Errorf("harness: Table 5 regression for %s: %w", w.Name(), err)
 		}
-		row := Table5Row{Name: w.Name(), Mode: mode, Coeff: map[perf.Event]float64{}}
+		var top perf.Event
 		best := 0.0
 		for i, e := range table5Events {
-			row.Coeff[e] = beta[i]
 			if a := abs(beta[i]); a > best {
 				best = a
-				row.Top = e
+				top = e
 			}
 		}
-		rows = append(rows, row)
+		cells := []Cell{label(w.Name()), label(mode.String())}
+		for i, e := range table5Events {
+			format := "%+.2f"
+			if e == top {
+				format += "*"
+			}
+			cells = append(cells, num(beta[i], format))
+		}
+		t.AddRow(cells...)
 	}
-	return rows, nil
+	t.AddNote("'*' marks the counter with the largest |coefficient| (bold in the paper)")
+	return Grid{t}, nil
 }
 
 func abs(v float64) float64 {
@@ -264,29 +196,4 @@ func abs(v float64) float64 {
 		return -v
 	}
 	return v
-}
-
-// Table5Data is Table 5, one row per suite workload.
-type Table5Data []Table5Row
-
-// Render renders the regression table, marking each workload's most
-// important counter with a '*'.
-func (d Table5Data) Render() string {
-	t := Table{
-		Title:  "Table 5: counter importance by linear regression (standardized coefficients)",
-		Header: []string{"Workload", "Mode", "Walk cycles", "Stall cycles", "Page faults", "dTLB misses", "LLC misses", "EPC evictions"},
-	}
-	for _, row := range d {
-		cells := []string{row.Name, row.Mode.String()}
-		for _, e := range table5Events {
-			mark := ""
-			if e == row.Top {
-				mark = "*"
-			}
-			cells = append(cells, fmt.Sprintf("%+.2f%s", row.Coeff[e], mark))
-		}
-		t.AddRow(cells...)
-	}
-	t.AddNote("'*' marks the counter with the largest |coefficient| (bold in the paper)")
-	return t.String()
 }
