@@ -477,7 +477,8 @@ func (e *EPC) evictOne(clk *cycles.Clock, costs *cycles.CostModel) error {
 
 // sealOut is the EWB path — the one body every eviction (batch,
 // forced, ballooning) runs — for the page in slot idx: seal it to the
-// untrusted store through the EPC's long-lived crypt batch, update the
+// untrusted store through the EPC's long-lived crypt batch, into a
+// record the store retired at an earlier load-back, update the
 // integrity tree, free the slot, charge the driver latency and fire
 // the eviction hook.
 func (e *EPC) sealOut(clk *cycles.Clock, costs *cycles.CostModel, idx int) error {
@@ -486,7 +487,8 @@ func (e *EPC) sealOut(clk *cycles.Clock, costs *cycles.CostModel, idx int) error
 
 	ver := e.versions.get(id) + 1
 	e.versions.set(id, ver)
-	sp := e.crypt.SealPage(id, ver, e.frames[idx])
+	sp := e.backing.Take()
+	e.crypt.SealPageInto(sp, id, ver, e.frames[idx])
 	e.backing.Put(sp)
 	if e.tree != nil {
 		if err := e.tree.Update(id, sp.MAC); err != nil {

@@ -511,13 +511,15 @@ func TestCompactPageAttacksDetected(t *testing.T) {
 
 // TestRecycledSealedPageChangesMode evicts a page with contents, then
 // all zero, then with contents again. Each load-back retires its
-// sealed page and gives the ciphertext back to the page recycler, and
-// the next eviction with contents seals into a recycled buffer, so the
-// storage goes explicit → compact → explicit, and every load-back
+// sealed record to the store, and the next eviction reseals that same
+// record: an all-zero seal gives its ciphertext back to the page
+// recycler, and the next seal with contents takes a recycled buffer.
+// The storage goes explicit → compact → explicit, and every load-back
 // must return the data evicted.
 func TestRecycledSealedPageChangesMode(t *testing.T) {
 	e, _, clk, costs := newTestEPC(32)
 	f := mustAlloc(t, e, clk, &costs, id(0))
+	var prev *mem.SealedPage
 	for i, fill := range []byte{0x5A, 0, 0xC3} {
 		for j := range f.Data {
 			f.Data[j] = fill
@@ -527,6 +529,9 @@ func TestRecycledSealedPageChangesMode(t *testing.T) {
 		if (sp.Ciphertext == nil) != (fill == 0) {
 			t.Fatalf("eviction %d: compact = %v, want %v", i, sp.Ciphertext == nil, fill == 0)
 		}
+		if prev != nil && sp != prev {
+			t.Fatalf("eviction %d did not reseal the record the last load-back retired", i)
+		}
 		var err error
 		if f, _, err = e.Fault(clk, &costs, id(0)); err != nil {
 			t.Fatalf("load-back %d: %v", i, err)
@@ -534,9 +539,10 @@ func TestRecycledSealedPageChangesMode(t *testing.T) {
 		if f.Data != want {
 			t.Fatalf("load-back %d returned other data", i)
 		}
-		if sp.Ciphertext != nil {
-			t.Fatalf("load-back %d did not recycle the retired ciphertext", i)
+		if e.backing.Get(id(0)) != nil {
+			t.Fatalf("load-back %d left its sealed page in the store", i)
 		}
+		prev = sp
 	}
 }
 
@@ -658,4 +664,38 @@ func TestFramesAllocatedOnFirstUse(t *testing.T) {
 		check(e, vpn, "shrink")
 	}
 	check(e, 100, "shrink")
+}
+
+// TestSteadyStateFaultAllocatesNothing cycles 128 pages with contents
+// through a 32-slot EPC, so every touch is a load-back and every
+// eviction batch seals pages the store already knows. Once warm, a
+// fault with its evictions allocates nothing: each seal reuses the
+// record and ciphertext buffer a load-back retired, and the MEE's
+// nonce and header live in its batch.
+func TestSteadyStateFaultAllocatesNothing(t *testing.T) {
+	const pages = 128
+	e, _, clk, costs := newTestEPC(32)
+	for vpn := uint64(0); vpn < pages; vpn++ {
+		f := mustAlloc(t, e, clk, &costs, id(vpn))
+		for i := range f.Data {
+			f.Data[i] = byte(vpn) | 1
+		}
+	}
+	next := uint64(0)
+	touch := func() {
+		pid := id(next % pages)
+		next++
+		if _, ok := e.Lookup(pid); ok {
+			return
+		}
+		if _, loaded, err := e.Fault(clk, &costs, pid); err != nil || !loaded {
+			t.Fatalf("fault of %v: loaded=%v err=%v", pid, loaded, err)
+		}
+	}
+	for range 2 * pages {
+		touch()
+	}
+	if n := testing.AllocsPerRun(4*pages, touch); n != 0 {
+		t.Errorf("a steady-state fault allocates %v times, want 0", n)
+	}
 }

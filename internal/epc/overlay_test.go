@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"sgxgauge/internal/mee"
 	"sgxgauge/internal/mem"
 	"sgxgauge/internal/perf"
 )
@@ -23,10 +24,12 @@ type overlayInst struct {
 }
 
 // pageWant is what a stored page must hold: its version and the byte
-// its whole ciphertext is filled with, 0 for a compact page.
+// its whole ciphertext is filled with, 0 for a compact page. A page
+// the MEE sealed has no fill pattern; sealed holds its ciphertext.
 type pageWant struct {
 	version uint64
 	fill    byte
+	sealed  *[mem.PageSize]byte
 }
 
 // frozenVers is a verIdx base as it was frozen, kept to prove that no
@@ -66,11 +69,20 @@ func checkOverlayKey(t *testing.T, step, n int, inst *overlayInst, id mem.PageID
 	case !ok:
 	case sp.ID != id || sp.Version != want.version:
 		t.Fatalf("step %d, instance %d: Get(%v) = %v version %d, want version %d", step, n, id, sp.ID, sp.Version, want.version)
-	case (sp.Ciphertext == nil) != (want.fill == 0):
-		t.Fatalf("step %d, instance %d: Get(%v) compact = %v, want %v", step, n, id, sp.Ciphertext == nil, want.fill == 0)
-	case sp.Ciphertext != nil && sp.Ciphertext.Data != filledPage(want.fill):
+	case (sp.Ciphertext == nil) != want.compact():
+		t.Fatalf("step %d, instance %d: Get(%v) compact = %v, want %v", step, n, id, sp.Ciphertext == nil, want.compact())
+	case sp.Ciphertext != nil && sp.Ciphertext.Data != want.ciphertext():
 		t.Fatalf("step %d, instance %d: Get(%v) ciphertext changed: a shared page was recycled or written", step, n, id)
 	}
+}
+
+func (w pageWant) compact() bool { return w.sealed == nil && w.fill == 0 }
+
+func (w pageWant) ciphertext() [mem.PageSize]byte {
+	if w.sealed != nil {
+		return *w.sealed
+	}
+	return filledPage(w.fill)
 }
 
 func filledPage(fill byte) (p [mem.PageSize]byte) {
@@ -83,10 +95,12 @@ func filledPage(fill byte) (p [mem.PageSize]byte) {
 // checkOverlay drives seal-version indexes and backing stores in
 // lockstep with plain Go maps through the op stream ops (three bytes
 // an op: kind, instance, key): set, Put, Delete, DropEnclave, Release,
-// a get of every instance after each op, a freeze at whatever step the
-// stream picks, and clones of clones. Every instance must agree with
-// its model throughout, and once every instance has written its delta
-// each frozen base must be exactly what it was when frozen.
+// the EWB's Take and reseal of a retired record, a get of every
+// instance after each op, a freeze at whatever step the stream picks,
+// and clones of clones. Every instance must agree with its model
+// throughout, Take must never hand out a frozen record or one any Get
+// still returns, and once every instance has written its delta each
+// frozen base must be exactly what it was when frozen.
 func checkOverlay(t *testing.T, ops []byte) {
 	const maxInsts = 6
 	insts := []*overlayInst{{
@@ -98,8 +112,9 @@ func checkOverlay(t *testing.T, ops []byte) {
 	var frozenIdx []frozenVers
 	var frozenStores []frozenStore
 	var scratch []mem.PageID
+	crypt := mee.New(1).NewBatch()
 	for step := 0; step+3 <= len(ops); step += 3 {
-		kind, n, key := ops[step]%8, int(ops[step+1])%len(insts), ops[step+2]
+		kind, n, key := ops[step]%9, int(ops[step+1])%len(insts), ops[step+2]
 		inst, id := insts[n], overlayKey(key)
 		switch kind {
 		case 0: // seal a new version
@@ -114,7 +129,7 @@ func checkOverlay(t *testing.T, ops []byte) {
 				sp.Ciphertext.Data = filledPage(fill)
 			}
 			inst.store.Put(sp)
-			inst.wantPages[id] = pageWant{sp.Version, fill}
+			inst.wantPages[id] = pageWant{version: sp.Version, fill: fill}
 		case 2: // load back: the sealed page leaves the store
 			inst.store.Delete(id)
 			delete(inst.wantPages, id)
@@ -166,6 +181,21 @@ func checkOverlay(t *testing.T, ops []byte) {
 			}
 			inst.store.Release()
 			insts = append(insts[:n], insts[n+1:]...)
+		case 8: // an eviction: reseal a record the store retired
+			sp := inst.store.Take()
+			checkTaken(t, step/3, sp, insts, frozenStores)
+			var f mem.Frame
+			if fill := byte(step / 3 % 5); fill != 0 {
+				f.Data = filledPage(fill)
+			}
+			crypt.SealPageInto(sp, id, uint64(step)+1, &f)
+			inst.store.Put(sp)
+			want := pageWant{version: sp.Version}
+			if sp.Ciphertext != nil {
+				want.sealed = new([mem.PageSize]byte)
+				*want.sealed = sp.Ciphertext.Data
+			}
+			inst.wantPages[id] = want
 		}
 		for i, in := range insts {
 			checkOverlayKey(t, step/3, i, in, id)
@@ -198,6 +228,30 @@ func checkOverlay(t *testing.T, ops []byte) {
 	}
 }
 
+// checkTaken demands that a record Take handed out is the caller's
+// alone: not frozen, not a page of any frozen base, and not what any
+// instance's Get returns for a page its model holds.
+func checkTaken(t *testing.T, step int, sp *mem.SealedPage, insts []*overlayInst, frozen []frozenStore) {
+	t.Helper()
+	if sp.Frozen() {
+		t.Fatalf("step %d: Take handed out a frozen record (%v)", step, sp.ID)
+	}
+	for _, fs := range frozen {
+		for _, p := range fs.snapshot {
+			if p == sp {
+				t.Fatalf("step %d: Take handed out a page of a frozen base (%v)", step, sp.ID)
+			}
+		}
+	}
+	for i, in := range insts {
+		for pid := range in.wantPages {
+			if in.store.Get(pid) == sp {
+				t.Fatalf("step %d: Take handed out the record instance %d still returns for %v", step, i, pid)
+			}
+		}
+	}
+}
+
 // TestSealOverlayMatchesMap runs checkOverlay over random op streams.
 func TestSealOverlayMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
@@ -212,6 +266,7 @@ func TestSealOverlayMatchesMap(t *testing.T) {
 func FuzzSealOverlay(f *testing.F) {
 	f.Add([]byte{0, 0, 7, 1, 0, 7, 4, 0, 0, 5, 0, 0, 2, 1, 7, 3, 1, 7, 0, 1, 7})
 	f.Add([]byte{1, 0, 9, 5, 0, 0, 4, 1, 0, 5, 1, 0, 2, 2, 9, 7, 1, 0, 1, 2, 9})
+	f.Add([]byte{1, 0, 4, 2, 0, 4, 8, 0, 5, 4, 0, 0, 5, 0, 0, 2, 1, 5, 8, 1, 6, 2, 0, 5, 8, 0, 4, 7, 1, 0})
 	f.Fuzz(checkOverlay)
 }
 

@@ -31,7 +31,8 @@ import (
 //     backing store, environment, hooks wired to the clone);
 //   - reset:  left at its zero or fresh state, which is sound because
 //     it is a cache, scratch, or state a cloneable object never has
-//     (a tracer, chaos, a timeline).
+//     (a tracer, chaos, a timeline), or storage kept only for reuse
+//     (the spare worker thread, retired sealed-page records).
 //
 // A new field fails this test until its Clone handles it and the
 // decision is recorded here.
@@ -56,6 +57,7 @@ func TestCloneFieldCoverage(t *testing.T) {
 		{reflect.TypeOf(sgx.Env{}), map[string]string{
 			"M": "rebind", "Mode": "copy", "Enclave": "rebind", "Main": "rebind",
 			"concurrency": "copy", "nextThread": "copy", "insideByDefault": "copy",
+			"spare": "reset",
 		}},
 		{reflect.TypeOf(sgx.Thread{}), map[string]string{
 			"ID": "copy", "Clock": "copy", "env": "rebind", "tlb": "copy",
@@ -76,6 +78,7 @@ func TestCloneFieldCoverage(t *testing.T) {
 		}},
 		{reflect.TypeOf(mem.BackingStore{}), map[string]string{
 			"pages": "share", "base": "share", "hidden": "copy", "dropped": "copy",
+			"dead": "reset",
 		}},
 		{reflect.TypeOf(cache.LLC{}), map[string]string{
 			"sets": "copy", "ways": "copy", "setMask": "copy", "setBits": "copy",

@@ -9,19 +9,20 @@ import (
 
 // Batch amortizes the per-page crypto setup of the MEE across many
 // page operations: the AES key schedule, GHASH subkey and scratch
-// buffer are built once and reused for every page sealed or unsealed
-// through the batch. The output is byte-identical to the per-call
-// Engine.SealPage/UnsealPage — only the host-side setup cost is shared
-// — so an eviction storm can run its whole 16-page EWB batch (and a
-// fault storm its load-backs) through one Batch without changing any
-// simulated or cryptographic result.
+// (page buffer, nonce and header) are built once and reused for every
+// page sealed or unsealed through the batch, so a seal into a reused
+// record or an unseal allocates nothing. The output is byte-identical
+// to the per-call Engine.SealPage/UnsealPage — only the host-side
+// setup cost is shared — so an eviction storm can run its whole
+// 16-page EWB batch (and a fault storm its load-backs) through one
+// Batch without changing any simulated or cryptographic result.
 //
 // A Batch is not safe for concurrent use; the EPC drives one from its
 // single simulated-machine goroutine.
 type Batch struct {
 	e       *Engine
 	aead    cipher.AEAD
-	scratch [mem.PageSize + 16]byte
+	scratch pageScratch
 }
 
 // NewBatch returns a Batch sharing the engine's keys.
@@ -29,10 +30,17 @@ func (e *Engine) NewBatch() *Batch {
 	return &Batch{e: e, aead: e.pageAEAD()}
 }
 
-// SealPage is Engine.SealPage through the batch's cached AEAD; the
-// sealed page is byte-identical.
-func (b *Batch) SealPage(id mem.PageID, version uint64, f *mem.Frame) *mem.SealedPage {
-	return sealPage(b.aead, &b.scratch, id, version, f)
+// SealPageInto is Engine.SealPage through the batch's cached AEAD and
+// scratch, into an existing record, which it overwrites; the sealed
+// page is byte-identical. The record's ciphertext buffer is reused, so
+// resealing a record the backing store handed back
+// (mem.BackingStore.Take) allocates nothing. The record must be the
+// caller's alone; a frozen one is shared with other stores and panics.
+func (b *Batch) SealPageInto(sp *mem.SealedPage, id mem.PageID, version uint64, f *mem.Frame) {
+	if sp.Frozen() {
+		panic(fmt.Sprintf("mee: SealPageInto a frozen sealed page (%v)", sp.ID))
+	}
+	sealPageInto(b.aead, &b.scratch, sp, id, version, f)
 }
 
 // UnsealPage is Engine.UnsealPage through the batch's cached state:
@@ -54,11 +62,10 @@ func (e *Engine) SealBatch(ids []mem.PageID, versions []uint64, frames []*mem.Fr
 	}
 	b := e.NewBatch()
 	for i, id := range ids {
-		if out[i] != nil {
-			sealPageInto(b.aead, &b.scratch, out[i], id, versions[i], frames[i])
-		} else {
-			out[i] = b.SealPage(id, versions[i], frames[i])
+		if out[i] == nil {
+			out[i] = new(mem.SealedPage)
 		}
+		b.SealPageInto(out[i], id, versions[i], frames[i])
 	}
 }
 

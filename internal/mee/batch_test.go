@@ -28,7 +28,8 @@ func TestBatchSealIdentical(t *testing.T) {
 		ver := uint64(i + 1)
 		f := testFrame(byte(i))
 		single := e.SealPage(id, ver, f)
-		batched := b.SealPage(id, ver, f)
+		batched := new(mem.SealedPage)
+		b.SealPageInto(batched, id, ver, f)
 		if single.ID != batched.ID || single.Version != batched.Version {
 			t.Fatalf("page %d: metadata mismatch", i)
 		}
@@ -125,3 +126,48 @@ func TestSealBatchVerifyBatch(t *testing.T) {
 // BatchPagesForTest is the batch width the tests exercise; matches the
 // EPC's 16-page EWB batches.
 const BatchPagesForTest = 16
+
+// TestBatchReusedRecordAllocatesNothing: sealing into a reused record
+// and unsealing it through a Batch allocate nothing, the nonce and
+// header included, for a page with contents and a compact one alike.
+func TestBatchReusedRecordAllocatesNothing(t *testing.T) {
+	e := New(3)
+	b := e.NewBatch()
+	id := mem.PageID{Enclave: 1, VPN: 9}
+	var sp mem.SealedPage
+	var out mem.Frame
+	for _, f := range []*mem.Frame{testFrame(0x5a), {}} {
+		version := uint64(0)
+		cycle := func() {
+			version++
+			b.SealPageInto(&sp, id, version, f)
+			if err := b.UnsealPage(&sp, version, &out); err != nil || out.Data != f.Data {
+				t.Fatalf("round trip of version %d: err=%v", version, err)
+			}
+		}
+		cycle()
+		if n := testing.AllocsPerRun(20, cycle); n != 0 {
+			t.Errorf("compact=%v: a seal into a reused record and its unseal allocate %v times, want 0", f.Data == zeroPage, n)
+		}
+	}
+}
+
+// TestSealPageIntoFrozenPanics: a frozen record is shared with other
+// stores, so resealing it would change their pages.
+func TestSealPageIntoFrozenPanics(t *testing.T) {
+	e := New(1)
+	store := mem.NewBackingStore()
+	sp := e.SealPage(mem.PageID{Enclave: 1, VPN: 1}, 1, testFrame(1))
+	want := *sp.Ciphertext
+	store.Put(sp)
+	store.Clone()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SealPageInto a frozen page did not panic")
+		}
+		if sp.Version != 1 || *sp.Ciphertext != want {
+			t.Fatal("SealPageInto wrote a frozen page")
+		}
+	}()
+	e.NewBatch().SealPageInto(sp, sp.ID, 2, testFrame(2))
+}

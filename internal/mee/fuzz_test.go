@@ -122,12 +122,12 @@ func unsealCompactTwoPass(aead cipher.AEAD, sp *mem.SealedPage, expectVersion ui
 	if sp.Version != expectVersion {
 		return ErrRollback
 	}
-	var scratch [mem.PageSize + 16]byte
+	var scratch pageScratch
 	sealZero(aead, &scratch, sp.ID, sp.Version)
-	copy(scratch[mem.PageSize:], sp.MAC[:])
+	copy(scratch.buf[mem.PageSize:], sp.MAC[:])
 	iv := nonce(sp.ID, sp.Version)
 	hdr := pageHeader(sp.ID, sp.Version)
-	if _, err := aead.Open(f.Data[:0], iv[:], scratch[:], hdr[:]); err != nil {
+	if _, err := aead.Open(f.Data[:0], iv[:], scratch.buf[:], hdr[:]); err != nil {
 		return ErrMACMismatch
 	}
 	return nil
@@ -175,8 +175,7 @@ func FuzzUnsealCompact(f *testing.F) {
 			got.Data[i] = byte(i) | 1
 		}
 		oracle = got
-		var scratch [mem.PageSize + 16]byte
-		err := unsealPage(aead, &scratch, sp, expectVersion, &got)
+		err := unsealPage(aead, new(pageScratch), sp, expectVersion, &got)
 		if oracleErr := unsealCompactTwoPass(aead, sp, expectVersion, &oracle); err != oracleErr {
 			t.Fatalf("one pass: err=%v, two passes: err=%v", err, oracleErr)
 		}

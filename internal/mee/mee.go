@@ -121,45 +121,59 @@ func (e *Engine) pageAEAD() cipher.AEAD {
 // memory. The version must be the page's next (monotonically
 // increasing) version number.
 func (e *Engine) SealPage(id mem.PageID, version uint64, f *mem.Frame) *mem.SealedPage {
-	return sealPage(e.pageAEAD(), &[mem.PageSize + 16]byte{}, id, version, f)
+	sp := &mem.SealedPage{}
+	sealPageInto(e.pageAEAD(), new(pageScratch), sp, id, version, f)
+	return sp
 }
 
 // UnsealPage decrypts sp into f after verifying its MAC and checking
 // that its version matches expectVersion (freshness).
 func (e *Engine) UnsealPage(sp *mem.SealedPage, expectVersion uint64, f *mem.Frame) error {
-	return unsealPage(e.pageAEAD(), &[mem.PageSize + 16]byte{}, sp, expectVersion, f)
+	return unsealPage(e.pageAEAD(), new(pageScratch), sp, expectVersion, f)
 }
 
-// sealPage runs one GCM seal through the given AEAD into the caller's
-// scratch buffer (ciphertext ∥ tag), then splits it into the sealed
-// page. Batch passes a long-lived AEAD and scratch; Engine builds
-// per-call ones. The output depends only on the keys and inputs, so
+// pageScratch is the working memory of one page seal or open: the
+// ciphertext ∥ tag buffer and the nonce and header the AEAD reads.
+// Slices of all three pass through the cipher.AEAD interface, so each
+// would escape to the heap if it were a local; Batch keeps one
+// pageScratch for every page it handles, the engine's per-call path
+// allocates one. The output depends only on the keys and inputs, so
 // both produce byte-identical sealed pages.
-func sealPage(aead cipher.AEAD, scratch *[mem.PageSize + 16]byte, id mem.PageID, version uint64, f *mem.Frame) *mem.SealedPage {
-	sp := &mem.SealedPage{}
-	sealPageInto(aead, scratch, sp, id, version, f)
-	return sp
+type pageScratch struct {
+	buf [mem.PageSize + 16]byte
+	iv  [aes.BlockSize]byte
+	hdr [20]byte
+}
+
+// bind sets the scratch's nonce and header for (id, version).
+func (s *pageScratch) bind(id mem.PageID, version uint64) {
+	s.iv = nonce(id, version)
+	s.hdr = pageHeader(id, version)
 }
 
 // zeroPage is the all-zero plaintext whose seal is a compact page's
 // ciphertext. Read-only.
 var zeroPage [mem.PageSize]byte
 
-// sealPageInto seals into a caller-provided SealedPage, overwriting
+// sealPageInto runs one GCM seal into the scratch buffer (ciphertext ∥
+// tag) and stores it in a caller-provided SealedPage, overwriting
 // every field and reusing the destination's ciphertext buffer when it
 // has one; otherwise the buffer comes from the page recycler
 // (mem.NewFrame). Every page gets the full GCM seal and keeps its MAC;
 // an all-zero page keeps no ciphertext (a compact page, see
-// mem.SealedPage), since unsealPage can regenerate it from the nonce.
-func sealPageInto(aead cipher.AEAD, scratch *[mem.PageSize + 16]byte, sp *mem.SealedPage, id mem.PageID, version uint64, f *mem.Frame) {
+// mem.SealedPage), since unsealPage can regenerate it from the nonce,
+// and a buffer the destination held goes back to the recycler.
+func sealPageInto(aead cipher.AEAD, s *pageScratch, sp *mem.SealedPage, id mem.PageID, version uint64, f *mem.Frame) {
 	sp.ID = id
 	sp.Version = version
-	iv := nonce(id, version)
-	hdr := pageHeader(id, version)
-	out := aead.Seal(scratch[:0], iv[:], f.Data[:], hdr[:])
+	s.bind(id, version)
+	out := aead.Seal(s.buf[:0], s.iv[:], f.Data[:], s.hdr[:])
 	copy(sp.MAC[:], out[mem.PageSize:])
 	if f.Data == zeroPage {
-		sp.Ciphertext = nil
+		if sp.Ciphertext != nil {
+			mem.FreeFrame(sp.Ciphertext)
+			sp.Ciphertext = nil
+		}
 		return
 	}
 	if sp.Ciphertext == nil {
@@ -169,38 +183,36 @@ func sealPageInto(aead cipher.AEAD, scratch *[mem.PageSize + 16]byte, sp *mem.Se
 }
 
 // sealZero writes the ciphertext ∥ tag of the all-zero page sealed as
-// (id, version) into scratch: a compact page's ciphertext and the tag
-// an untampered one carries.
-func sealZero(aead cipher.AEAD, scratch *[mem.PageSize + 16]byte, id mem.PageID, version uint64) {
-	iv := nonce(id, version)
-	hdr := pageHeader(id, version)
-	aead.Seal(scratch[:0], iv[:], zeroPage[:], hdr[:])
+// (id, version) into the scratch buffer: a compact page's ciphertext
+// and the tag an untampered one carries.
+func sealZero(aead cipher.AEAD, s *pageScratch, id mem.PageID, version uint64) {
+	s.bind(id, version)
+	aead.Seal(s.buf[:0], s.iv[:], zeroPage[:], s.hdr[:])
 }
 
-// unsealPage is sealPage's inverse: rollback check, then GCM open
+// unsealPage is sealPageInto's inverse: rollback check, then GCM open
 // (which verifies the tag over ciphertext, identity and version before
 // releasing any plaintext). A compact page takes one GCM pass instead
 // of two: its ciphertext is the zero page's seal under the stored
 // nonce and header, so Open would accept exactly when the tag of that
 // seal equals the stored MAC, and the plaintext it would release is
 // the zero page. On a mismatch f is left as it was.
-func unsealPage(aead cipher.AEAD, scratch *[mem.PageSize + 16]byte, sp *mem.SealedPage, expectVersion uint64, f *mem.Frame) error {
+func unsealPage(aead cipher.AEAD, s *pageScratch, sp *mem.SealedPage, expectVersion uint64, f *mem.Frame) error {
 	if sp.Version != expectVersion {
 		return ErrRollback
 	}
 	if sp.Ciphertext == nil {
-		sealZero(aead, scratch, sp.ID, sp.Version)
-		if subtle.ConstantTimeCompare(scratch[mem.PageSize:], sp.MAC[:]) != 1 {
+		sealZero(aead, s, sp.ID, sp.Version)
+		if subtle.ConstantTimeCompare(s.buf[mem.PageSize:], sp.MAC[:]) != 1 {
 			return ErrMACMismatch
 		}
 		f.Data = zeroPage
 		return nil
 	}
-	copy(scratch[:], sp.Ciphertext.Data[:])
-	copy(scratch[mem.PageSize:], sp.MAC[:])
-	iv := nonce(sp.ID, sp.Version)
-	hdr := pageHeader(sp.ID, sp.Version)
-	if _, err := aead.Open(f.Data[:0], iv[:], scratch[:], hdr[:]); err != nil {
+	copy(s.buf[:], sp.Ciphertext.Data[:])
+	copy(s.buf[mem.PageSize:], sp.MAC[:])
+	s.bind(sp.ID, sp.Version)
+	if _, err := aead.Open(f.Data[:0], s.iv[:], s.buf[:], s.hdr[:]); err != nil {
 		return ErrMACMismatch
 	}
 	return nil
@@ -219,10 +231,10 @@ func (e *Engine) Materialize(sp *mem.SealedPage) {
 	if sp.Ciphertext != nil {
 		return
 	}
-	var scratch [mem.PageSize + 16]byte
-	sealZero(e.pageAEAD(), &scratch, sp.ID, sp.Version)
+	s := new(pageScratch)
+	sealZero(e.pageAEAD(), s, sp.ID, sp.Version)
 	sp.Ciphertext = mem.NewFrame()
-	copy(sp.Ciphertext.Data[:], scratch[:mem.PageSize])
+	copy(sp.Ciphertext.Data[:], s.buf[:mem.PageSize])
 }
 
 // sealOverhead is the number of bytes Seal adds to the plaintext: a

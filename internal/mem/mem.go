@@ -122,8 +122,8 @@ type SealedPage struct {
 
 	// frozen marks a page shared copy-on-write between a backing store
 	// and its clones (see BackingStore.Freeze and Clone). A frozen
-	// page's ciphertext is never recycled, so its bytes never change
-	// again.
+	// page is never resealed and its ciphertext never recycled, so its
+	// bytes never change again.
 	frozen bool
 }
 
@@ -132,8 +132,8 @@ type SealedPage struct {
 func (p *SealedPage) Frozen() bool { return p.frozen }
 
 // Copy returns a deep copy of the page with storage of its own, so
-// recycling p's ciphertext once p leaves its store cannot change the
-// copy. The copy is not frozen.
+// resealing p in place once it leaves its store (see
+// BackingStore.Take) cannot change the copy. The copy is not frozen.
 func (p *SealedPage) Copy() *SealedPage {
 	cp := *p
 	cp.frozen = false
@@ -149,11 +149,12 @@ func (p *SealedPage) Copy() *SealedPage {
 // machine that owns it drives it from one goroutine.
 //
 // A *SealedPage obtained from Get stays valid until that entry is
-// deleted or replaced; afterwards its ciphertext goes back to the page
-// recycler and may be overwritten by any later seal or first touch,
-// in this machine or another. Callers that need a sealed image beyond
-// that point (e.g. to replay it later) must take a deep copy
-// (SealedPage.Copy): a struct copy still shares the ciphertext.
+// deleted or replaced. Afterwards the store keeps the record, with its
+// ciphertext buffer, on a dead list: Take hands it out again, and the
+// next seal overwrites both the record and its bytes. Callers that need
+// a sealed image beyond that point (e.g. to replay it later) must take
+// a deep copy (SealedPage.Copy): a struct copy still shares the
+// ciphertext. Frozen records are never kept for reuse.
 //
 // Freeze splits the store in two: every page it holds moves into a
 // base that no store writes again, and pages becomes an empty private
@@ -169,6 +170,13 @@ type BackingStore struct {
 	base    map[PageID]*SealedPage // frozen pages shared with clones; nil until Freeze
 	hidden  map[PageID]struct{}    // base entries this store deleted
 	dropped []uint32               // enclaves whose base entries this store dropped
+
+	// dead holds the unfrozen records Delete and a replacing Put took
+	// out of the store, ciphertext and all, for Take to hand back to
+	// the next seal. Load-backs fill it and every eviction takes one
+	// record back out, so it holds about an EPC's worth of records at
+	// most. Clone does not copy it.
+	dead []*SealedPage
 }
 
 // NewBackingStore returns an empty backing store.
@@ -186,10 +194,34 @@ func (b *BackingStore) recycle(p *SealedPage) {
 	}
 }
 
+// retire keeps a record that left the store for Take to reuse. A
+// frozen record is still referenced by another store and is dropped.
+func (b *BackingStore) retire(p *SealedPage) {
+	if !p.frozen {
+		b.dead = append(b.dead, p)
+	}
+}
+
+// Take returns a record for the next seal to overwrite (see
+// mee.Batch.SealPageInto): the last one the store retired, with its
+// ciphertext buffer, or a fresh one when it holds none. The record is
+// the caller's until it Puts it back; it is never frozen and no Get
+// returns it.
+func (b *BackingStore) Take() *SealedPage {
+	n := len(b.dead)
+	if n == 0 {
+		return new(SealedPage)
+	}
+	p := b.dead[n-1]
+	b.dead[n-1] = nil
+	b.dead = b.dead[:n-1]
+	return p
+}
+
 // Put stores the sealed page, replacing any previous version.
 func (b *BackingStore) Put(p *SealedPage) {
 	if old := b.pages[p.ID]; old != nil && old != p {
-		b.recycle(old)
+		b.retire(old)
 	}
 	b.pages[p.ID] = p
 }
@@ -209,7 +241,7 @@ func (b *BackingStore) Get(id PageID) *SealedPage {
 // Delete removes the sealed page for id, if present.
 func (b *BackingStore) Delete(id PageID) {
 	if old := b.pages[id]; old != nil {
-		b.recycle(old)
+		b.retire(old)
 		delete(b.pages, id)
 	}
 	if b.base[id] != nil {
@@ -222,7 +254,9 @@ func (b *BackingStore) Delete(id PageID) {
 
 // Freeze makes every page the store holds its frozen base, shared by
 // every later Clone instead of copied, and leaves the store an empty
-// delta over it. It does not change what Get returns. A store freezes
+// delta over it. The records it kept for reuse give their ciphertext
+// back to the page recycler, so a template that outlives its batch
+// holds none. It does not change what Get returns. A store freezes
 // once, before any clone of it is taken.
 func (b *BackingStore) Freeze() {
 	if b.base != nil {
@@ -232,6 +266,10 @@ func (b *BackingStore) Freeze() {
 		p.frozen = true
 	}
 	b.base, b.pages = b.pages, make(map[PageID]*SealedPage)
+	for _, p := range b.dead {
+		b.recycle(p)
+	}
+	b.dead = nil
 }
 
 // Clone returns a store holding the same sealed pages. It shares the
@@ -270,13 +308,16 @@ func (b *BackingStore) DropEnclave(enclave uint32) {
 	}
 }
 
-// Release gives the ciphertext of every page the store holds, frozen
-// ones excepted, back to the page recycler and empties the store for
-// good: a later Put panics. The owning machine calls it when its run
-// ends (sgx.Machine.Release).
+// Release gives the ciphertext of every page the store holds or keeps
+// for reuse, frozen ones excepted, back to the page recycler and
+// empties the store for good: a later Put panics. The owning machine
+// calls it when its run ends (sgx.Machine.Release).
 func (b *BackingStore) Release() {
 	for _, p := range b.pages {
 		b.recycle(p)
 	}
-	b.pages, b.base, b.hidden, b.dropped = nil, nil, nil, nil
+	for _, p := range b.dead {
+		b.recycle(p)
+	}
+	b.pages, b.base, b.hidden, b.dropped, b.dead = nil, nil, nil, nil, nil
 }

@@ -126,12 +126,23 @@ func TestBackingStoreCloneSharesFrozenPages(t *testing.T) {
 	if shared.Ciphertext == nil {
 		t.Error("source recycled a page shared with its clone")
 	}
-	// Pages sealed after the clone are the clone's own and recycle.
+	// Pages sealed after the clone are the clone's own: a delete keeps
+	// one, ciphertext and all, for the next seal to reuse.
 	own := sealed(PageID{Enclave: 1, VPN: 3}, 1)
 	c.Put(own)
 	c.Delete(own.ID)
-	if own.Ciphertext != nil {
-		t.Error("clone did not recycle a page it sealed itself")
+	if c.Get(own.ID) != nil {
+		t.Error("a deleted page is still stored")
+	}
+	if got := c.Take(); got != own || own.Ciphertext == nil {
+		t.Error("clone did not keep a page it sealed itself for reuse")
+	}
+	// The shared pages either store deleted or replaced were not kept:
+	// Take has nothing left to give but a fresh record.
+	for _, st := range []*BackingStore{b, c} {
+		if p := st.Take(); p.Frozen() || p == shared || p.Ciphertext != nil || p.ID != (PageID{}) {
+			t.Error("a store handed a frozen page out for reuse")
+		}
 	}
 }
 
@@ -153,7 +164,8 @@ func TestPageRecycler(t *testing.T) {
 }
 
 // TestBackingStoreRelease: Release recycles every unshared page's
-// ciphertext, keeps frozen ones intact and leaves the store unusable.
+// ciphertext, those kept for reuse included, keeps frozen ones intact
+// and leaves the store unusable.
 func TestBackingStoreRelease(t *testing.T) {
 	b := NewBackingStore()
 	shared := sealed(PageID{Enclave: 1, VPN: 1}, 1)
@@ -161,9 +173,15 @@ func TestBackingStoreRelease(t *testing.T) {
 	c := b.Clone()
 	own := sealed(PageID{Enclave: 1, VPN: 2}, 1)
 	c.Put(own)
+	retired := sealed(PageID{Enclave: 1, VPN: 4}, 1)
+	c.Put(retired)
+	c.Delete(retired.ID)
 	c.Release()
 	if own.Ciphertext != nil {
 		t.Error("Release kept an unshared page's ciphertext")
+	}
+	if retired.Ciphertext != nil {
+		t.Error("Release kept the ciphertext of a page kept for reuse")
 	}
 	if shared.Ciphertext == nil || shared.Ciphertext.Data[0] != 1 {
 		t.Error("Release recycled a page shared with the source store")

@@ -298,9 +298,10 @@ func TestChaosTamperCompactPages(t *testing.T) {
 }
 
 // TestChaosRollbackStashIsDeep stashes a sealed page, then has the
-// store retire that entry, recycling its ciphertext, and seal another
-// version. The stash must own its ciphertext, still hold the stale
-// image it captured, and replaying it must be caught as a rollback.
+// store retire that entry at its load-back and reseal the same record,
+// ciphertext buffer and all, with another version. The stash must own
+// its ciphertext, still hold the stale image it captured, and
+// replaying it must be caught as a rollback.
 func TestChaosRollbackStashIsDeep(t *testing.T) {
 	m, env, page := tamperVictim(t)
 	id := env.Enclave.PageID(page)
@@ -311,11 +312,14 @@ func TestChaosRollbackStashIsDeep(t *testing.T) {
 	stash := m.rollbackStash[id]
 	captured := *stash.Ciphertext
 
-	env.Main.WriteU64(page, 0x2222) // load-back recycles sp's ciphertext
-	if sp.Ciphertext != nil {
-		t.Fatal("the load-back did not recycle the retired entry's ciphertext")
+	env.Main.WriteU64(page, 0x2222) // the load-back retires sp
+	if m.Backing.Get(id) != nil {
+		t.Fatal("the load-back left the sealed page in the store")
 	}
 	again := evictSealed(t, m, env, page)
+	if again != sp || again.Ciphertext != retired || *retired == captured {
+		t.Fatal("the eviction did not reseal the retired record over its own ciphertext")
+	}
 	if *stash.Ciphertext != captured || stash.Ciphertext == retired || stash.Ciphertext == again.Ciphertext {
 		t.Fatal("the rollback stash shares storage with the store")
 	}

@@ -26,6 +26,12 @@ type Env struct {
 	concurrency     int
 	nextThread      int
 	insideByDefault bool
+
+	// spare is the last worker thread RunParallel retired, kept so the
+	// next worker reuses its TLB arrays and page memo instead of
+	// allocating them; nil until a RunParallel phase ends. Clone does
+	// not copy it.
+	spare *Thread
 }
 
 // NewEnv creates an environment in the given mode with its main
@@ -70,12 +76,18 @@ func (e *Env) Clone() *Env {
 	return c
 }
 
+// newThread starts the environment's next thread. It reuses the
+// spare thread when there is one, reset to exactly the state a newly
+// built thread has: an empty TLB, an empty memo, a zero clock.
 func (e *Env) newThread() *Thread {
-	t := &Thread{
-		ID:  e.nextThread,
-		env: e,
-		tlb: tlb.New(e.M.cfg.TLBEntries, e.M.cfg.TLBWays),
+	t := e.spare
+	if t == nil {
+		t = &Thread{tlb: tlb.New(e.M.cfg.TLBEntries, e.M.cfg.TLBWays)}
+	} else {
+		e.spare = nil
+		t.tlb.Reset()
 	}
+	*t = Thread{ID: e.nextThread, env: e, tlb: t.tlb}
 	if e.insideByDefault {
 		t.enclaveDepth = 1
 	}
@@ -234,9 +246,12 @@ func (e *Env) SetConcurrency(n int) {
 }
 
 // RunParallel simulates n logical threads running fn concurrently.
-// Threads execute sequentially (keeping the simulation deterministic),
-// each with a private dTLB and clock started at the caller's current
-// time; the caller's clock then advances by the maximum thread
+// Threads execute sequentially (keeping the simulation deterministic)
+// on one worker thread that is reset between them, and across calls:
+// each starts with an empty dTLB and page memo and a clock at the
+// caller's current time, exactly as a newly built thread would, and
+// gets the next thread ID. fn must not keep its thread past its
+// return. The caller's clock then advances by the maximum thread
 // duration, modelling the parallel phase's wall-clock contribution.
 // Enclave transition costs inside the phase are scaled by the
 // contention model.
@@ -260,6 +275,7 @@ func (e *Env) RunParallel(n int, fn func(t *Thread, i int)) {
 			maxDelta = d
 		}
 		e.dropThread(t)
+		e.spare = t
 	}
 	e.concurrency = prev
 	e.Main.Clock.Advance(maxDelta)

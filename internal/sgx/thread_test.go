@@ -1,11 +1,13 @@
 package sgx
 
 import (
+	"reflect"
 	"testing"
 
 	"sgxgauge/internal/chaos"
 	"sgxgauge/internal/mem"
 	"sgxgauge/internal/perf"
+	"sgxgauge/internal/tlb"
 )
 
 // nativeEnv builds a Native-mode env with a small launched enclave.
@@ -467,5 +469,48 @@ func TestRunParallelCountsOutliveThreads(t *testing.T) {
 	}
 	if got.Get(perf.Accesses) == 0 {
 		t.Error("worker accesses not counted")
+	}
+}
+
+// TestRunParallelReusesOneFreshThread: RunParallel's workers are one
+// reused thread, and each starts in exactly the state newThread builds:
+// a fresh TLB, an empty memo, a clock at the caller's time and the next
+// ID. Workers here dirty their TLB, memo and clock with ECALLs and page
+// touches, so a missed reset shows in the next one. Once warm, a
+// repeat 16-thread phase allocates nothing.
+func TestRunParallelReusesOneFreshThread(t *testing.T) {
+	m, env := nativeEnv(t, 64)
+	buf := env.MustAlloc(16*mem.PageSize, mem.PageSize)
+	fresh := tlb.New(m.cfg.TLBEntries, m.cfg.TLBWays)
+	var workers []*Thread
+	wantID := env.nextThread
+	check := func(tr *Thread, i int) {
+		base := env.Main.Clock.Cycles()
+		want := Thread{ID: wantID, env: env, tlb: tr.tlb}
+		want.Clock.Advance(base)
+		wantID++
+		if !reflect.DeepEqual(*tr, want) || !reflect.DeepEqual(*tr.tlb, *fresh) {
+			t.Fatalf("worker %d (ID %d) does not start in a new thread's state", i, tr.ID)
+		}
+		workers = append(workers, tr)
+		tr.ECall(func() {
+			for p := range 16 {
+				tr.WriteU64(buf+uint64(p)*mem.PageSize, uint64(i))
+			}
+		})
+	}
+	env.RunParallel(3, check)
+	env.RunParallel(4, check)
+	for _, w := range workers[1:] {
+		if w != workers[0] {
+			t.Fatal("RunParallel built a second worker thread")
+		}
+	}
+	work := func(tr *Thread, i int) {
+		tr.ECall(func() { tr.WriteU64(buf+uint64(i)*mem.PageSize, uint64(i)) })
+	}
+	phase := func() { env.RunParallel(16, work) }
+	if n := testing.AllocsPerRun(10, phase); n != 0 {
+		t.Errorf("a repeat RunParallel(16) allocates %v times, want 0", n)
 	}
 }

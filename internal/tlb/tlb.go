@@ -128,6 +128,17 @@ func (t *DTLB) Flush() {
 	t.flushes++
 }
 
+// Reset returns the TLB to the state New built it in: every tag,
+// epoch and round-robin pointer zero, epoch and flush count zero. It
+// lets a caller reuse one TLB's arrays for a fresh hardware thread.
+func (t *DTLB) Reset() {
+	clear(t.tags)
+	clear(t.epochs)
+	clear(t.next)
+	t.epoch = 0
+	t.flushes = 0
+}
+
 // Flushes returns the number of Flush calls since construction.
 func (t *DTLB) Flushes() uint64 { return t.flushes }
 

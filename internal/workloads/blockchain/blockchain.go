@@ -88,19 +88,22 @@ type header struct {
 	payload [32]byte
 }
 
-// attemptHash computes the proof-of-work hash for one nonce. The
-// simulated cost is charged by the caller.
-func attemptHash(h header, nonce uint64, payloadSample []byte) [32]byte {
-	d := sha256.New()
-	d.Write(h.prev[:])
-	d.Write(h.payload[:])
-	var nb [8]byte
-	binary.LittleEndian.PutUint64(nb[:], nonce)
-	d.Write(nb[:])
-	d.Write(payloadSample)
-	var out [32]byte
-	copy(out[:], d.Sum(nil))
-	return out
+// attempt is one miner's proof-of-work input, laid out as it is
+// hashed: previous block hash, payload digest, nonce, then the payload
+// sample. Each miner fills one in place for every attempt, so hashing
+// allocates nothing.
+type attempt [72 + hashedPayload]byte
+
+// sample is where the miner reads the hashed payload prefix.
+func (a *attempt) sample() []byte { return a[72:] }
+
+// hash computes the proof-of-work hash for one nonce over the sample
+// already in a. The simulated cost is charged by the caller.
+func (a *attempt) hash(h header, nonce uint64) [32]byte {
+	copy(a[0:32], h.prev[:])
+	copy(a[32:64], h.payload[:])
+	binary.LittleEndian.PutUint64(a[64:72], nonce)
+	return sha256.Sum256(a[:])
 }
 
 // Run implements workloads.Workload.
@@ -143,6 +146,10 @@ func (w *Workload) Run(ctx *workloads.Ctx) (workloads.Output, error) {
 	var nonces []uint64
 	var digests, hashes [][32]byte
 	main := env.Main
+	// Host-side buffers reused by every block: the payload read for
+	// its digest and one attempt per mining thread.
+	full := make([]byte, payloadBytes)
+	miners := make([]attempt, threads)
 
 	for b := int64(0); b < blocks; b++ {
 		// Write the block payload (deterministic content).
@@ -160,8 +167,6 @@ func (w *Workload) Run(ctx *workloads.Ctx) (workloads.Output, error) {
 		// sensitive computation).
 		var payloadDigest [32]byte
 		main.ECall(func() {
-			var full []byte
-			full = make([]byte, payloadBytes)
 			main.Read(payloadAddr, full)
 			main.Compute(uint64(payloadBytes) * hashCyclesPerByte)
 			payloadDigest = sha256.Sum256(full)
@@ -178,14 +183,14 @@ func (w *Workload) Run(ctx *workloads.Ctx) (workloads.Output, error) {
 		var bestNonce uint64
 		var bestHash [32]byte
 		env.RunParallel(threads, func(t *sgx.Thread, ti int) {
-			sample := make([]byte, hashedPayload)
+			a := &miners[ti]
 			for idx := int64(0); idx <= bestIdx; idx++ {
 				nonce := uint64(idx)*uint64(threads) + uint64(ti)
 				var hv [32]byte
 				t.ECall(func() {
-					t.Read(payloadAddr, sample)
+					t.Read(payloadAddr, a.sample())
 					t.Compute(uint64(72+8+hashedPayload) * hashCyclesPerByte)
-					hv = attemptHash(hdr, nonce, sample)
+					hv = a.hash(hdr, nonce)
 				})
 				totalAttempts++
 				if binary.BigEndian.Uint64(hv[:8]) <= target {
@@ -216,11 +221,11 @@ func (w *Workload) Run(ctx *workloads.Ctx) (workloads.Output, error) {
 	var verifyErr error
 	main.ECall(func() {
 		var prev [32]byte
-		sample := make([]byte, hashedPayload)
+		a := &miners[0]
 		for b := int64(0); b < blocks; b++ {
-			main.Read(chain+uint64(b)*payloadBytes, sample)
+			main.Read(chain+uint64(b)*payloadBytes, a.sample())
 			main.Compute(uint64(72+8+hashedPayload) * hashCyclesPerByte)
-			hv := attemptHash(header{prev: prev, payload: digests[b]}, nonces[b], sample)
+			hv := a.hash(header{prev: prev, payload: digests[b]}, nonces[b])
 			if hv != hashes[b] {
 				verifyErr = fmt.Errorf("blockchain: block %d hash mismatch during verification", b)
 				return

@@ -1,6 +1,7 @@
 package blockchain
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"testing"
 
@@ -54,17 +55,31 @@ func TestProofOfWorkValid(t *testing.T) {
 func TestAttemptHashDeterministic(t *testing.T) {
 	var h header
 	h.prev[0] = 1
-	a := attemptHash(h, 42, []byte("payload"))
-	b := attemptHash(h, 42, []byte("payload"))
+	h.payload[31] = 2
+	var x, y attempt
+	copy(x.sample(), "payload")
+	copy(y.sample(), "payload")
+	a := x.hash(h, 42)
+	b := y.hash(h, 42)
 	if a != b {
-		t.Error("attemptHash not deterministic")
+		t.Error("attempt hash not deterministic")
 	}
-	c := attemptHash(h, 43, []byte("payload"))
+	c := x.hash(h, 43)
 	if a == c {
 		t.Error("nonce does not affect the hash")
 	}
 	if binary.BigEndian.Uint64(a[:8]) == 0 {
 		t.Error("degenerate hash")
+	}
+	// The hash is SHA-256 over prev, payload digest, nonce and
+	// sample, in that order, whatever the attempt held before.
+	d := sha256.New()
+	d.Write(h.prev[:])
+	d.Write(h.payload[:])
+	d.Write(binary.LittleEndian.AppendUint64(nil, 42))
+	d.Write(y.sample())
+	if x.hash(h, 42) != [32]byte(d.Sum(nil)) {
+		t.Error("attempt hash is not SHA-256 of prev ∥ payload ∥ nonce ∥ sample")
 	}
 }
 

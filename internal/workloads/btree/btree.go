@@ -295,12 +295,13 @@ func (w *Workload) Run(ctx *workloads.Ctx) (workloads.Output, error) {
 	var checksum uint64
 	var found int64
 	const batch = 256
+	var buf [batch]uint64
 	for done := int64(0); done < finds; done += batch {
 		n := batch
 		if finds-done < batch {
 			n = int(finds - done)
 		}
-		keys := make([]uint64, n)
+		keys := buf[:n]
 		for i := range keys {
 			if rng.Intn(2) == 0 {
 				keys[i] = workloads.Mix64(uint64(rng.Int63n(elements)))

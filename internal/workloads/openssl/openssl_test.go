@@ -2,7 +2,9 @@ package openssl
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"sgxgauge/internal/osal"
@@ -109,6 +111,42 @@ func TestSetupStreamsTheOneShotFile(t *testing.T) {
 		t.Fatalf("streamed input file (%d bytes) differs from the one-shot generation (%d bytes)", len(got), len(want))
 	}
 }
+
+// TestChunkBuffersLeaveNoTrace pins the input file, the output file
+// and the checksum of one Native run, and repeats it after dirtying
+// every recycled chunk buffer: Setup and Run stage chunks through
+// buffers shared across runs, and no byte they held before may reach
+// a file or the result.
+func TestChunkBuffersLeaveNoTrace(t *testing.T) {
+	run := func() (in, out [32]byte, sum uint64) {
+		ctx := wltest.NewCtx(t, New(), sgx.Native, workloads.Low)
+		res, err := New().Run(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sha256.Sum256(readFile(ctx.RawFS, inputFile)), sha256.Sum256(readFile(ctx.RawFS, outputFile)), res.Checksum
+	}
+	in, out, sum := run()
+	if got := fmt.Sprintf("%x %x %#x", in[:8], out[:8], sum); got != pinnedOpenSSLRun {
+		t.Errorf("Native Low run = %s, want %s", got, pinnedOpenSSLRun)
+	}
+	for range 4 {
+		b := chunks.Get().(*[chunk]byte)
+		for i := range b {
+			b[i] = 0xEE
+		}
+		defer chunks.Put(b)
+	}
+	if in2, out2, sum2 := run(); in2 != in || out2 != out || sum2 != sum {
+		t.Error("a run over dirty recycled chunk buffers wrote other bytes or checksum")
+	}
+}
+
+// pinnedOpenSSLRun is TestChunkBuffersLeaveNoTrace's run as it was
+// when each Setup and each Run phase allocated its own chunk buffer:
+// the first 8 bytes of the SHA-256 of the input and output files, and
+// the checksum.
+const pinnedOpenSSLRun = "e95d8bee971caadb bb4c75243a3075a0 0xcdcf2971917c9639"
 
 func TestRunAcrossModes(t *testing.T) {
 	wltest.RunAllModes(t, New(), workloads.Low)
